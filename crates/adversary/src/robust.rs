@@ -146,26 +146,58 @@ impl RobustAccumulator {
         }
     }
 
+    /// Dimension of the aggregation.
+    pub fn len(&self) -> usize {
+        self.own.len()
+    }
+
+    /// Whether the dimension is zero.
+    pub fn is_empty(&self) -> bool {
+        self.own.is_empty()
+    }
+
+    /// Opens a sparse contribution and hands out its (empty) index and
+    /// value lists, so a streaming decoder pushes pairs straight into the
+    /// accumulator's own storage. The caller pushes equally many of each
+    /// and only indices below [`Self::len`] — it validates while decoding.
+    pub fn begin_sparse(&mut self, weight: f64) -> (&mut Vec<u32>, &mut Vec<f32>) {
+        self.contributions.push(Contribution {
+            indices: Some(Vec::new()),
+            values: Vec::new(),
+            weight,
+        });
+        let opened = self.contributions.last_mut().expect("just pushed");
+        (
+            opened.indices.as_mut().expect("opened as sparse"),
+            &mut opened.values,
+        )
+    }
+
+    /// Opens a dense contribution and hands out its (empty) value list; the
+    /// caller pushes exactly [`Self::len`] values.
+    pub fn begin_dense(&mut self, weight: f64) -> &mut Vec<f32> {
+        self.contributions.push(Contribution {
+            indices: None,
+            values: Vec::new(),
+            weight,
+        });
+        &mut self.contributions.last_mut().expect("just pushed").values
+    }
+
     /// Adds a sparse contribution over `indices` (must be in-range and
     /// match `values` in length — the caller validates while decoding).
     pub fn add_sparse(&mut self, indices: &[u32], values: &[f32], weight: f64) {
         debug_assert_eq!(indices.len(), values.len());
         debug_assert!(indices.iter().all(|&i| (i as usize) < self.own.len()));
-        self.contributions.push(Contribution {
-            indices: Some(indices.to_vec()),
-            values: values.to_vec(),
-            weight,
-        });
+        let (own_indices, own_values) = self.begin_sparse(weight);
+        own_indices.extend_from_slice(indices);
+        own_values.extend_from_slice(values);
     }
 
     /// Adds a dense contribution over every coordinate.
     pub fn add_dense(&mut self, values: &[f32], weight: f64) {
         debug_assert_eq!(values.len(), self.own.len());
-        self.contributions.push(Contribution {
-            indices: None,
-            values: values.to_vec(),
-            weight,
-        });
+        self.begin_dense(weight).extend_from_slice(values);
     }
 
     /// Applies the rule and returns the averaged vector plus what the rule

@@ -4,7 +4,7 @@
 //! parameters (both 32-bit), wasting ~50% of the traffic; the paper measures
 //! a 9.9× metadata reduction from Elias gamma over the delta-coded index
 //! array. This bench also extends the comparison with the varint middle
-//! ground and Elias delta (DESIGN.md §7 ablation).
+//! ground and Elias delta.
 
 use jwins::sparsify::top_k_indices;
 use jwins::strategies::JwinsConfig;

@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks of every substrate on the JWINS hot path:
 //! wavelet transforms (by family and depth), FFT, entropy coders, float
-//! codecs, TopK selection and gossip mixing. These quantify the design
-//! choices DESIGN.md §7 calls out (wavelet family, metadata codec, value
-//! codec).
+//! codecs, TopK selection and gossip mixing. These quantify the share
+//! path's design choices (wavelet family, metadata codec, value codec);
+//! `docs/ARCHITECTURE.md`, "The share path", describes the kernels.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use jwins::average::PartialAverager;

@@ -1,7 +1,8 @@
 //! Shared harness for the per-figure/table benchmark targets.
 //!
 //! Every bench target in `benches/` regenerates one table or figure of the
-//! JWINS evaluation (see `DESIGN.md` §5 for the index). They share:
+//! JWINS evaluation (the README's Quickstart and Performance sections list
+//! them). They share:
 //!
 //! - [`Scale`]: `small` (default, minutes), `medium`, `paper` (hours, the
 //!   full 96–384-node configuration) — selected via `JWINS_SCALE`;

@@ -22,7 +22,7 @@ use crate::{CodecError, Result};
 /// Returns [`CodecError::InvalidValue`] if the input is not strictly
 /// increasing.
 pub fn encode_gamma(indices: &[u32]) -> Result<Vec<u8>> {
-    let mut w = BitWriter::with_capacity_bits(indices.len() * 8);
+    let mut w = BitWriter::with_capacity_bits(gamma_encoded_bits(indices)?);
     encode_gamma_into(indices, &mut w)?;
     Ok(w.into_bytes())
 }
@@ -70,22 +70,55 @@ pub fn decode_gamma_from(r: &mut BitReader<'_>, count: usize) -> Result<Vec<u32>
     // `count` may be wire-influenced; growth is bounded by the
     // stream length, so cap only the eager pre-allocation.
     let mut out = Vec::with_capacity(count.min(1 << 20));
-    let mut prev: u64 = 0;
-    for i in 0..count {
-        let v = elias::read_gamma(r)?;
-        let idx = if i == 0 {
-            v.checked_sub(1)
-                .ok_or(CodecError::Corrupt("first index underflows"))?
-        } else {
-            prev + v
-        };
-        if idx > u64::from(u32::MAX) {
-            return Err(CodecError::Corrupt("decoded index overflows u32"));
-        }
-        out.push(idx as u32);
-        prev = idx;
+    let mut floor = 0u64;
+    for _ in 0..count {
+        out.push(next_index(r, &mut floor)?);
     }
     Ok(out)
+}
+
+/// Decodes one index. `floor` is the smallest index the stream can still
+/// hold (0, then the previous index plus one), so both the first code
+/// (`index + 1`) and every later one (`index − previous`) are `floor +
+/// code − 1`.
+#[inline]
+fn next_index(r: &mut BitReader<'_>, floor: &mut u64) -> Result<u32> {
+    // Gamma codes are at least 1; a peer can make the sum overflow.
+    let code = elias::read_gamma(r)?;
+    let index = floor
+        .checked_add(code - 1)
+        .and_then(|index| u32::try_from(index).ok())
+        .ok_or(CodecError::Corrupt("decoded index overflows u32"))?;
+    *floor = u64::from(index) + 1;
+    Ok(index)
+}
+
+/// Streaming form of [`decode_gamma`]: one index per
+/// [`GammaIndexDecoder::next_index`] call.
+#[derive(Debug, Clone)]
+pub struct GammaIndexDecoder<'a> {
+    reader: BitReader<'a>,
+    floor: u64,
+}
+
+impl<'a> GammaIndexDecoder<'a> {
+    /// Starts decoding at the first byte of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self {
+            reader: BitReader::new(bytes),
+            floor: 0,
+        }
+    }
+
+    /// Decodes the next index.
+    ///
+    /// # Errors
+    ///
+    /// Fails on truncated streams or if the index overflows `u32`.
+    #[inline]
+    pub fn next_index(&mut self) -> Result<u32> {
+        next_index(&mut self.reader, &mut self.floor)
+    }
 }
 
 /// Exact encoded size, in bits, of [`encode_gamma`] for `indices` —
@@ -138,6 +171,20 @@ mod tests {
         assert!(encode_gamma(&[5, 5]).is_err());
         assert!(encode_gamma(&[5, 4]).is_err());
         assert!(gamma_encoded_bits(&[1, 1]).is_err());
+    }
+
+    /// A delta of `u64::MAX` used to overflow the running sum (a panic
+    /// wherever overflow checks are on).
+    #[test]
+    fn delta_overflowing_u64_is_corrupt() {
+        let bytes = elias::gamma_encode_all(&[2, u64::MAX]).unwrap();
+        assert!(matches!(
+            decode_gamma(&bytes, 2),
+            Err(CodecError::Corrupt(_))
+        ));
+        let mut streamed = GammaIndexDecoder::new(&bytes);
+        assert_eq!(streamed.next_index(), Ok(1));
+        assert!(matches!(streamed.next_index(), Err(CodecError::Corrupt(_))));
     }
 
     #[test]

@@ -27,8 +27,13 @@ pub fn write_gamma(w: &mut BitWriter, n: u64) -> Result<()> {
         return Err(CodecError::InvalidValue("Elias gamma cannot encode 0"));
     }
     let bits = 64 - n.leading_zeros(); // position of the highest one bit, 1-based
-    w.write_zeros(bits - 1);
-    w.write_bits(n, bits);
+    if bits <= 32 {
+        // The zero prefix is `n`'s own leading zeros at this width.
+        w.write_bits(n, 2 * bits - 1);
+    } else {
+        w.write_bits(0, bits - 1);
+        w.write_bits(n, bits);
+    }
     Ok(())
 }
 
@@ -38,7 +43,14 @@ pub fn write_gamma(w: &mut BitWriter, n: u64) -> Result<()> {
 ///
 /// Propagates [`CodecError::UnexpectedEof`] and flags runs longer than 64 bits
 /// as [`CodecError::Corrupt`].
+#[inline]
 pub fn read_gamma(r: &mut BitReader<'_>) -> Result<u64> {
+    // Short codes (the common case for index deltas) sit in one window.
+    let window = r.peek();
+    let width = 2 * window.leading_zeros() + 1;
+    if width <= BitReader::PEEK_MAX && r.skip(width).is_ok() {
+        return Ok(window >> (64 - width));
+    }
     let zeros = r.read_unary_zeros()?;
     if zeros >= 64 {
         return Err(CodecError::Corrupt("gamma prefix longer than 64 bits"));
@@ -125,7 +137,9 @@ pub fn gamma_encode_all(values: &[u64]) -> Result<Vec<u8>> {
 /// Fails if the stream is too short or corrupt.
 pub fn gamma_decode_all(bytes: &[u8], count: usize) -> Result<Vec<u64>> {
     let mut r = BitReader::new(bytes);
-    let mut out = Vec::with_capacity(count);
+    // `count` may be wire-influenced; growth is bounded by the
+    // stream length, so cap only the eager pre-allocation.
+    let mut out = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
         out.push(read_gamma(&mut r)?);
     }
@@ -135,6 +149,65 @@ pub fn gamma_decode_all(bytes: &[u8], count: usize) -> Result<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitio::serial;
+    use proptest::prelude::*;
+
+    /// `read_gamma` as the bit-serial coder performed it.
+    fn serial_read_gamma(r: &mut serial::BitReader<'_>) -> Result<u64> {
+        let zeros = r.read_unary_zeros()?;
+        if zeros >= 64 {
+            return Err(CodecError::Corrupt("gamma prefix longer than 64 bits"));
+        }
+        Ok((1u64 << zeros) | r.read_bits(zeros)?)
+    }
+
+    /// Decodes up to `count` codes on both readers; values and the first
+    /// error must agree.
+    fn assert_gamma_reads_agree(bytes: &[u8], count: usize) {
+        let mut fast = BitReader::new(bytes);
+        let mut slow = serial::BitReader::new(bytes);
+        for k in 0..count {
+            let (got, want) = (read_gamma(&mut fast), serial_read_gamma(&mut slow));
+            assert_eq!(got, want, "code {k} of {bytes:02x?}");
+            if got.is_err() {
+                return;
+            }
+        }
+    }
+
+    /// Values of every bit width, small ones most often.
+    fn gamma_value() -> impl Strategy<Value = u64> {
+        (0u32..64, any::<u64>()).prop_map(|(shift, raw)| (raw >> shift).max(1))
+    }
+
+    proptest! {
+        #[test]
+        fn gamma_matches_serial_oracle_at_every_truncation(
+            values in proptest::collection::vec(gamma_value(), 0..40),
+        ) {
+            let mut fast = BitWriter::new();
+            let mut slow = serial::BitWriter::default();
+            for &n in &values {
+                write_gamma(&mut fast, n).unwrap();
+                let bits = 64 - n.leading_zeros();
+                slow.write_bits(0, bits - 1);
+                slow.write_bits(n, bits);
+            }
+            let bytes = fast.into_bytes();
+            prop_assert_eq!(&bytes, &slow.into_bytes());
+            prop_assert_eq!(gamma_decode_all(&bytes, values.len()).unwrap(), values.clone());
+            for cut in 0..=bytes.len() {
+                assert_gamma_reads_agree(&bytes[..cut], values.len());
+            }
+        }
+
+        #[test]
+        fn gamma_of_arbitrary_bytes_matches_serial_oracle(
+            bytes in proptest::collection::vec(prop_oneof![Just(0u8), any::<u8>()], 0..48),
+        ) {
+            assert_gamma_reads_agree(&bytes, bytes.len() * 8 + 1);
+        }
+    }
 
     /// First few gamma codes from the literature.
     #[test]

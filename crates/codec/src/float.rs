@@ -21,6 +21,12 @@ pub trait FloatCodec: std::fmt::Debug + Send + Sync {
     /// Encodes `values` into a fresh byte buffer.
     fn encode(&self, values: &[f32]) -> Vec<u8>;
 
+    /// Appends the encoding of `values` to `out`, so a framed message can be
+    /// built in one buffer. The default goes through [`Self::encode`].
+    fn encode_into(&self, values: &[f32], out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.encode(values));
+    }
+
     /// Decodes exactly `count` floats from `bytes`.
     ///
     /// # Errors
@@ -33,27 +39,73 @@ pub trait FloatCodec: std::fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
 }
 
+/// Pulls `count` values out of `next` into a fresh vector.
+fn collect_values(count: usize, mut next: impl FnMut() -> Result<f32>) -> Result<Vec<f32>> {
+    // `count` may be wire-influenced; growth is bounded by the
+    // stream length, so cap only the eager pre-allocation.
+    let mut out = Vec::with_capacity(count.min(1 << 20));
+    for _ in 0..count {
+        out.push(next()?);
+    }
+    Ok(out)
+}
+
 /// Uncompressed little-endian `f32` serialization.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RawFloatCodec;
 
+impl RawFloatCodec {
+    /// Streaming decoder over `bytes`: one value per
+    /// [`RawFloatDecoder::next_value`] call.
+    pub fn decoder(bytes: &[u8]) -> RawFloatDecoder<'_> {
+        RawFloatDecoder { rest: bytes }
+    }
+}
+
+/// See [`RawFloatCodec::decoder`].
+#[derive(Debug, Clone)]
+pub struct RawFloatDecoder<'a> {
+    rest: &'a [u8],
+}
+
+impl RawFloatDecoder<'_> {
+    /// Decodes the next value.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::UnexpectedEof`] when fewer than four bytes remain.
+    #[inline]
+    pub fn next_value(&mut self) -> Result<f32> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk::<4>()
+            .ok_or(CodecError::UnexpectedEof)?;
+        self.rest = rest;
+        Ok(f32::from_le_bytes(*head))
+    }
+}
+
 impl FloatCodec for RawFloatCodec {
     fn encode(&self, values: &[f32]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(values.len() * 4);
-        for v in values {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        let mut out = Vec::new();
+        self.encode_into(values, &mut out);
         out
     }
 
+    fn encode_into(&self, values: &[f32], out: &mut Vec<u8>) {
+        out.reserve(values.len() * 4);
+        for v in values {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
     fn decode(&self, bytes: &[u8], count: usize) -> Result<Vec<f32>> {
-        if bytes.len() < count * 4 {
+        // Checked up front so a short buffer never allocates for `count`.
+        if count.checked_mul(4).is_none_or(|need| bytes.len() < need) {
             return Err(CodecError::UnexpectedEof);
         }
-        Ok(bytes[..count * 4]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+        let mut decoder = Self::decoder(bytes);
+        collect_values(count, || decoder.next_value())
     }
 
     fn name(&self) -> &'static str {
@@ -71,31 +123,116 @@ impl FloatCodec for RawFloatCodec {
 ///
 /// The first value is stored verbatim (32 bits). Lossless for every bit
 /// pattern including NaNs, infinities and signed zeros.
+///
+/// Control bits and payload of one value go out in a single
+/// [`BitWriter::write_bits`] (at most 2 + 5 + 5 + 32 bits) and come back
+/// from a single reader window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct XorFloatCodec;
 
 impl XorFloatCodec {
     const MAX_LEADING: u32 = 31;
+    /// Bits of a value that opens a new window: `11`, two 5-bit fields, 32
+    /// significant bits.
+    const MAX_BITS_PER_VALUE: usize = 2 + 5 + 5 + 32;
+
+    /// Streaming decoder over `bytes`: one value per
+    /// [`XorFloatDecoder::next_value`] call, so a consumer can fold values
+    /// into an accumulator without materialising them.
+    pub fn decoder(bytes: &[u8]) -> XorFloatDecoder<'_> {
+        XorFloatDecoder {
+            reader: BitReader::new(bytes),
+            prev: None,
+            win_lead: u32::MAX,
+            win_len: 0,
+        }
+    }
+}
+
+/// See [`XorFloatCodec::decoder`].
+#[derive(Debug, Clone)]
+pub struct XorFloatDecoder<'a> {
+    reader: BitReader<'a>,
+    /// Bit pattern of the previous value; `None` before the verbatim first.
+    prev: Option<u32>,
+    /// Window carried over from the last `11` control block.
+    win_lead: u32,
+    win_len: u32,
+}
+
+impl XorFloatDecoder<'_> {
+    /// Decodes the next value.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::UnexpectedEof`] on a truncated stream,
+    /// [`CodecError::Corrupt`] on an impossible window.
+    #[inline]
+    pub fn next_value(&mut self) -> Result<f32> {
+        let Some(prev) = self.prev else {
+            let first = self.reader.read_bits(32)? as u32;
+            self.prev = Some(first);
+            return Ok(f32::from_bits(first));
+        };
+        // One window holds the longest code (44 bits).
+        let window = self.reader.peek();
+        if window >> 63 == 0 {
+            self.reader.skip(1)?;
+            return Ok(f32::from_bits(prev));
+        }
+        let x = if (window >> 62) & 1 == 0 {
+            self.reader.skip(2)?;
+            if self.win_lead == u32::MAX {
+                return Err(CodecError::Corrupt("window reuse before any window"));
+            }
+            self.reader.skip(self.win_len)?;
+            let payload = (window << 2) >> (64 - self.win_len);
+            (payload as u32) << (32 - self.win_lead - self.win_len)
+        } else {
+            self.reader.skip(12)?;
+            let lead = (window >> 57) as u32 & 31;
+            let len = ((window >> 52) as u32 & 31) + 1;
+            if lead + len > 32 {
+                return Err(CodecError::Corrupt("xor window exceeds 32 bits"));
+            }
+            self.win_lead = lead;
+            self.win_len = len;
+            self.reader.skip(len)?;
+            let payload = (window << 12) >> (64 - len);
+            (payload as u32) << (32 - lead - len)
+        };
+        let bits = prev ^ x;
+        self.prev = Some(bits);
+        Ok(f32::from_bits(bits))
+    }
 }
 
 impl FloatCodec for XorFloatCodec {
     fn encode(&self, values: &[f32]) -> Vec<u8> {
-        let mut w = BitWriter::with_capacity_bits(values.len() * 16);
-        let mut prev: u32 = 0;
+        let mut out = Vec::new();
+        self.encode_into(values, &mut out);
+        out
+    }
+
+    fn encode_into(&self, values: &[f32], out: &mut Vec<u8>) {
+        let Some((first, rest)) = values.split_first() else {
+            return;
+        };
+        // Worst case, so the hot loop never reallocates; untouched capacity
+        // costs address space only.
+        out.reserve((32 + rest.len() * Self::MAX_BITS_PER_VALUE).div_ceil(8));
+        let mut w = BitWriter::appending(std::mem::take(out));
+        let mut prev = first.to_bits();
+        w.write_bits(u64::from(prev), 32);
         // Window carried over from the last `11` control block.
         let mut win_lead: u32 = u32::MAX;
         let mut win_len: u32 = 0;
-        for (i, v) in values.iter().enumerate() {
+        for v in rest {
             let bits = v.to_bits();
-            if i == 0 {
-                w.write_bits(u64::from(bits), 32);
-                prev = bits;
-                continue;
-            }
             let x = bits ^ prev;
             prev = bits;
             if x == 0 {
-                w.write_bit(false);
+                w.write_bits(0, 1);
                 continue;
             }
             let lead = x.leading_zeros().min(Self::MAX_LEADING);
@@ -103,60 +240,22 @@ impl FloatCodec for XorFloatCodec {
             let len = 32 - lead - trail;
             let fits_window =
                 win_lead != u32::MAX && lead >= win_lead && lead + len <= win_lead + win_len;
-            w.write_bit(true);
             if fits_window {
-                w.write_bit(false);
                 let shifted = x >> (32 - win_lead - win_len);
-                w.write_bits(u64::from(shifted), win_len);
+                w.write_bits((0b10 << win_len) | u64::from(shifted), 2 + win_len);
             } else {
-                w.write_bit(true);
-                w.write_bits(u64::from(lead), 5);
-                w.write_bits(u64::from(len - 1), 5);
-                w.write_bits(u64::from(x >> trail), len);
+                let header = (0b11 << 10) | (lead << 5) | (len - 1);
+                w.write_bits((u64::from(header) << len) | u64::from(x >> trail), 12 + len);
                 win_lead = lead;
                 win_len = len;
             }
         }
-        w.into_bytes()
+        *out = w.into_bytes();
     }
 
     fn decode(&self, bytes: &[u8], count: usize) -> Result<Vec<f32>> {
-        let mut r = BitReader::new(bytes);
-        // `count` may be wire-influenced; growth is bounded by the
-        // stream length, so cap only the eager pre-allocation.
-        let mut out = Vec::with_capacity(count.min(1 << 20));
-        let mut prev: u32 = 0;
-        let mut win_lead: u32 = u32::MAX;
-        let mut win_len: u32 = 0;
-        for i in 0..count {
-            if i == 0 {
-                prev = r.read_bits(32)? as u32;
-                out.push(f32::from_bits(prev));
-                continue;
-            }
-            if !r.read_bit()? {
-                out.push(f32::from_bits(prev));
-                continue;
-            }
-            let x = if !r.read_bit()? {
-                if win_lead == u32::MAX {
-                    return Err(CodecError::Corrupt("window reuse before any window"));
-                }
-                (r.read_bits(win_len)? as u32) << (32 - win_lead - win_len)
-            } else {
-                let lead = r.read_bits(5)? as u32;
-                let len = r.read_bits(5)? as u32 + 1;
-                if lead + len > 32 {
-                    return Err(CodecError::Corrupt("xor window exceeds 32 bits"));
-                }
-                win_lead = lead;
-                win_len = len;
-                (r.read_bits(len)? as u32) << (32 - lead - len)
-            };
-            prev ^= x;
-            out.push(f32::from_bits(prev));
-        }
-        Ok(out)
+        let mut decoder = Self::decoder(bytes);
+        collect_values(count, || decoder.next_value())
     }
 
     fn name(&self) -> &'static str {

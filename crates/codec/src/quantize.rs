@@ -43,7 +43,9 @@ impl Qsgd {
     /// seeding and this crate stays RNG-agnostic).
     pub fn encode<F: FnMut() -> f32>(&self, values: &[f32], mut uniform: F) -> Vec<u8> {
         let norm = l2_norm(values);
-        let mut w = BitWriter::with_capacity_bits(values.len() * 4 + 64);
+        // Norm, then at most a sign and the longest level code per value.
+        let worst_case = 1 + elias::gamma_bit_len(u64::from(self.levels) + 1) as usize;
+        let mut w = BitWriter::with_capacity_bits(32 + values.len() * worst_case);
         w.write_bits(u64::from(norm.to_bits()), 32);
         if norm == 0.0 {
             return w.into_bytes();

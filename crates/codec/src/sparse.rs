@@ -14,10 +14,13 @@
 //! [..]                  value block   (per ValueCodec)
 //! ```
 
-use crate::delta;
-use crate::float::{FloatCodec, RawFloatCodec, XorFloatCodec};
+use crate::bitio::BitWriter;
+use crate::delta::{self, GammaIndexDecoder};
+use crate::float::{FloatCodec, RawFloatCodec, RawFloatDecoder, XorFloatCodec, XorFloatDecoder};
 use crate::varint;
 use crate::{CodecError, Result};
+
+const NOT_INCREASING: CodecError = CodecError::InvalidValue("indices must be strictly increasing");
 
 /// How the sorted index array is serialized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,68 +44,133 @@ impl IndexCodec {
         }
     }
 
-    fn encode(&self, indices: &[u32]) -> Result<Vec<u8>> {
+    /// Exact size of the index block, which the header carries in front of
+    /// it; also where the delta codecs reject unsorted input.
+    fn encoded_len(&self, indices: &[u32]) -> Result<usize> {
         match self {
-            IndexCodec::RawU32 => {
-                let mut out = Vec::with_capacity(indices.len() * 4);
-                for &i in indices {
-                    out.extend_from_slice(&i.to_le_bytes());
-                }
-                Ok(out)
-            }
+            IndexCodec::RawU32 => Ok(indices.len() * 4),
             IndexCodec::VarintDelta => {
-                let mut out = Vec::with_capacity(indices.len());
-                let mut prev = 0u32;
-                for (k, &i) in indices.iter().enumerate() {
-                    let d = if k == 0 {
-                        u64::from(i)
-                    } else {
-                        if i <= prev {
-                            return Err(CodecError::InvalidValue(
-                                "indices must be strictly increasing",
-                            ));
-                        }
-                        u64::from(i - prev)
+                let mut len = 0;
+                let mut prev = None;
+                for &i in indices {
+                    let delta = match prev {
+                        None => i,
+                        Some(p) if i > p => i - p,
+                        Some(_) => return Err(NOT_INCREASING),
                     };
-                    varint::write_u64(&mut out, d);
-                    prev = i;
+                    len += varint::encoded_len(u64::from(delta));
+                    prev = Some(i);
                 }
-                Ok(out)
+                Ok(len)
             }
-            IndexCodec::EliasGammaDelta => delta::encode_gamma(indices),
+            IndexCodec::EliasGammaDelta => Ok(delta::gamma_encoded_bits(indices)?.div_ceil(8)),
         }
     }
 
-    fn decode(&self, bytes: &[u8], count: usize) -> Result<Vec<u32>> {
+    /// Appends the index block. `indices` passed [`Self::encoded_len`], so
+    /// nothing here can fail.
+    fn encode_into(&self, indices: &[u32], out: &mut Vec<u8>) {
         match self {
             IndexCodec::RawU32 => {
-                if bytes.len() < count * 4 {
-                    return Err(CodecError::UnexpectedEof);
+                for &i in indices {
+                    out.extend_from_slice(&i.to_le_bytes());
                 }
-                Ok(bytes[..count * 4]
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect())
             }
             IndexCodec::VarintDelta => {
-                let mut out = Vec::with_capacity(count);
-                let mut cursor = 0usize;
-                let mut prev = 0u64;
-                for k in 0..count {
-                    let (d, used) = varint::read_u64(&bytes[cursor..])?;
-                    cursor += used;
-                    let idx = if k == 0 { d } else { prev + d };
-                    if idx > u64::from(u32::MAX) {
-                        return Err(CodecError::Corrupt("index overflows u32"));
-                    }
-                    out.push(idx as u32);
-                    prev = idx;
+                let mut prev = 0u32;
+                for &i in indices {
+                    varint::write_u64(out, u64::from(i - prev));
+                    prev = i;
                 }
-                Ok(out)
             }
-            IndexCodec::EliasGammaDelta => delta::decode_gamma(bytes, count),
+            IndexCodec::EliasGammaDelta => {
+                let mut w = BitWriter::appending(std::mem::take(out));
+                delta::encode_gamma_into(indices, &mut w)
+                    .expect("encoded_len checked that the indices increase");
+                *out = w.into_bytes();
+            }
         }
     }
+}
+
+/// A decoder that yields one element per call; lets [`zip_each`] pair any
+/// index decoder with any value decoder in one monomorphised loop.
+trait Pull<T> {
+    fn pull(&mut self) -> Result<T>;
+}
+
+impl Pull<u32> for GammaIndexDecoder<'_> {
+    #[inline]
+    fn pull(&mut self) -> Result<u32> {
+        self.next_index()
+    }
+}
+
+impl Pull<f32> for XorFloatDecoder<'_> {
+    #[inline]
+    fn pull(&mut self) -> Result<f32> {
+        self.next_value()
+    }
+}
+
+impl Pull<f32> for RawFloatDecoder<'_> {
+    #[inline]
+    fn pull(&mut self) -> Result<f32> {
+        self.next_value()
+    }
+}
+
+/// [`IndexCodec::RawU32`] block, one index per pull.
+struct RawIndexDecoder<'a>(&'a [u8]);
+
+impl Pull<u32> for RawIndexDecoder<'_> {
+    #[inline]
+    fn pull(&mut self) -> Result<u32> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk::<4>()
+            .ok_or(CodecError::UnexpectedEof)?;
+        self.0 = rest;
+        Ok(u32::from_le_bytes(*head))
+    }
+}
+
+/// [`IndexCodec::VarintDelta`] block, one index per pull.
+struct VarintIndexDecoder<'a> {
+    rest: &'a [u8],
+    /// `None` before the first index, which is stored as itself.
+    prev: Option<u32>,
+}
+
+impl Pull<u32> for VarintIndexDecoder<'_> {
+    #[inline]
+    fn pull(&mut self) -> Result<u32> {
+        let (delta, used) = varint::read_u64(self.rest)?;
+        self.rest = &self.rest[used..];
+        // A peer chooses `delta`: the sum can pass `u32` and `u64` alike.
+        let index = u64::from(self.prev.unwrap_or(0))
+            .checked_add(delta)
+            .and_then(|index| u32::try_from(index).ok())
+            .ok_or(CodecError::Corrupt("index overflows u32"))?;
+        self.prev = Some(index);
+        Ok(index)
+    }
+}
+
+/// Feeds `count` `(index, value)` pairs to `visit`, decoding the two blocks
+/// in lockstep.
+fn zip_each<E: From<CodecError>>(
+    count: usize,
+    mut indices: impl Pull<u32>,
+    mut values: impl Pull<f32>,
+    mut visit: impl FnMut(u32, f32) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
+    for _ in 0..count {
+        let index = indices.pull()?;
+        let value = values.pull()?;
+        visit(index, value)?;
+    }
+    Ok(())
 }
 
 /// How the coefficient values are serialized.
@@ -118,10 +186,7 @@ pub enum ValueCodec {
 impl ValueCodec {
     /// Stable name for experiment output.
     pub fn name(&self) -> &'static str {
-        match self {
-            ValueCodec::Raw => RawFloatCodec.name(),
-            ValueCodec::Xor => XorFloatCodec.name(),
-        }
+        self.as_codec().name()
     }
 
     fn as_codec(&self) -> &'static dyn FloatCodec {
@@ -130,6 +195,16 @@ impl ValueCodec {
             ValueCodec::Xor => &XorFloatCodec,
         }
     }
+}
+
+/// How the bytes of one encoded sparse vector split into the two figures
+/// the paper reports separately.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ByteSplit {
+    /// Bytes spent on the index block plus framing.
+    pub metadata_bytes: usize,
+    /// Bytes spent on the value block.
+    pub payload_bytes: usize,
 }
 
 /// An encoded sparse vector together with its byte breakdown.
@@ -162,6 +237,13 @@ impl EncodedSparseVec {
     pub fn into_bytes(self) -> Vec<u8> {
         self.bytes
     }
+}
+
+/// The parsed header of a wire image: how many pairs, and where each block is.
+struct Frame<'a> {
+    count: usize,
+    index_block: &'a [u8],
+    value_block: &'a [u8],
 }
 
 /// Serializer/deserializer for `(indices, values)` pairs.
@@ -205,24 +287,47 @@ impl SparseVecCodec {
     /// - [`CodecError::LengthMismatch`] if the slices disagree in length.
     /// - [`CodecError::InvalidValue`] if indices are not strictly increasing.
     pub fn encode(&self, indices: &[u32], values: &[f32]) -> Result<EncodedSparseVec> {
+        let mut bytes = Vec::new();
+        let split = self.encode_into(indices, values, &mut bytes)?;
+        Ok(EncodedSparseVec {
+            bytes,
+            metadata_bytes: split.metadata_bytes,
+            payload_bytes: split.payload_bytes,
+        })
+    }
+
+    /// [`Self::encode`] appending to `out` — header, index block and value
+    /// block are written in place, one after the other. `out` is untouched
+    /// when encoding fails.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::encode`].
+    pub fn encode_into(
+        &self,
+        indices: &[u32],
+        values: &[f32],
+        out: &mut Vec<u8>,
+    ) -> Result<ByteSplit> {
         if indices.len() != values.len() {
             return Err(CodecError::LengthMismatch {
                 expected: indices.len(),
                 actual: values.len(),
             });
         }
-        let index_block = self.index_codec.encode(indices)?;
-        let value_block = self.value_codec.as_codec().encode(values);
-        let mut bytes = Vec::with_capacity(10 + index_block.len() + value_block.len());
-        varint::write_u64(&mut bytes, indices.len() as u64);
-        varint::write_u64(&mut bytes, index_block.len() as u64);
-        let framing = bytes.len();
-        bytes.extend_from_slice(&index_block);
-        bytes.extend_from_slice(&value_block);
-        Ok(EncodedSparseVec {
-            metadata_bytes: framing + index_block.len(),
-            payload_bytes: value_block.len(),
-            bytes,
+        let index_len = self.index_codec.encoded_len(indices)?;
+        let start = out.len();
+        out.reserve(2 * varint::encoded_len(u64::MAX) + index_len);
+        varint::write_u64(out, indices.len() as u64);
+        varint::write_u64(out, index_len as u64);
+        let index_start = out.len();
+        self.index_codec.encode_into(indices, out);
+        debug_assert_eq!(out.len() - index_start, index_len);
+        let value_start = out.len();
+        self.value_codec.as_codec().encode_into(values, out);
+        Ok(ByteSplit {
+            metadata_bytes: value_start - start,
+            payload_bytes: out.len() - value_start,
         })
     }
 
@@ -232,30 +337,98 @@ impl SparseVecCodec {
     ///
     /// Fails on truncated or structurally invalid buffers.
     pub fn decode(&self, bytes: &[u8]) -> Result<(Vec<u32>, Vec<f32>)> {
+        let frame = Self::frame(bytes)?;
+        // `frame.count` is wire-influenced but bounded by the buffer length.
+        let mut indices = Vec::with_capacity(frame.count);
+        let mut values = Vec::with_capacity(frame.count);
+        self.visit(&frame, |index, value| {
+            indices.push(index);
+            values.push(value);
+            Ok::<(), CodecError>(())
+        })?;
+        Ok((indices, values))
+    }
+
+    /// Decodes a buffer produced by [`Self::encode`] without materialising
+    /// it: `visit(index, value)` runs once per pair, in wire order, and may
+    /// stop the decode with its own error (an index out of the consumer's
+    /// range, say). Returns the number of pairs visited.
+    ///
+    /// # Errors
+    ///
+    /// Fails on truncated or structurally invalid buffers, or with the first
+    /// error `visit` returns; pairs before the failure have been visited.
+    pub fn decode_each<E: From<CodecError>>(
+        &self,
+        bytes: &[u8],
+        visit: impl FnMut(u32, f32) -> std::result::Result<(), E>,
+    ) -> std::result::Result<usize, E> {
+        let frame = Self::frame(bytes)?;
+        self.visit(&frame, visit)?;
+        Ok(frame.count)
+    }
+
+    /// Parses and bounds-checks the header. Every length in it is chosen by
+    /// the sender.
+    fn frame(bytes: &[u8]) -> Result<Frame<'_>> {
         let (count, used1) = varint::read_u64(bytes)?;
         let (index_len, used2) = varint::read_u64(&bytes[used1..])?;
-        // Wire-controlled count: every codec needs at least one bit per
-        // index and one per value, so anything above 4 elements per byte is
-        // structurally impossible — reject before allocating.
+        // Every codec needs at least one bit per index and one per value,
+        // so anything above 4 elements per byte is structurally impossible
+        // — reject before anything is sized by it.
         if count > bytes.len() as u64 * 4 {
             return Err(CodecError::Corrupt(
                 "declared count exceeds buffer capacity",
             ));
         }
-        let count = count as usize;
-        let index_len = index_len as usize;
         let header = used1 + used2;
-        if bytes.len() < header + index_len || index_len > bytes.len() {
-            return Err(CodecError::UnexpectedEof);
+        let value_start = usize::try_from(index_len)
+            .ok()
+            .and_then(|len| header.checked_add(len))
+            .filter(|&end| end <= bytes.len())
+            .ok_or(CodecError::UnexpectedEof)?;
+        Ok(Frame {
+            count: count as usize,
+            index_block: &bytes[header..value_start],
+            value_block: &bytes[value_start..],
+        })
+    }
+
+    fn visit<E: From<CodecError>>(
+        &self,
+        frame: &Frame<'_>,
+        visit: impl FnMut(u32, f32) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        match self.value_codec {
+            ValueCodec::Raw => {
+                self.visit_with(frame, RawFloatCodec::decoder(frame.value_block), visit)
+            }
+            ValueCodec::Xor => {
+                self.visit_with(frame, XorFloatCodec::decoder(frame.value_block), visit)
+            }
         }
-        let indices = self
-            .index_codec
-            .decode(&bytes[header..header + index_len], count)?;
-        let values = self
-            .value_codec
-            .as_codec()
-            .decode(&bytes[header + index_len..], count)?;
-        Ok((indices, values))
+    }
+
+    fn visit_with<E: From<CodecError>>(
+        &self,
+        frame: &Frame<'_>,
+        values: impl Pull<f32>,
+        visit: impl FnMut(u32, f32) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let block = frame.index_block;
+        match self.index_codec {
+            IndexCodec::RawU32 => zip_each(frame.count, RawIndexDecoder(block), values, visit),
+            IndexCodec::VarintDelta => {
+                let indices = VarintIndexDecoder {
+                    rest: block,
+                    prev: None,
+                };
+                zip_each(frame.count, indices, values, visit)
+            }
+            IndexCodec::EliasGammaDelta => {
+                zip_each(frame.count, GammaIndexDecoder::new(block), values, visit)
+            }
+        }
     }
 }
 
@@ -327,6 +500,96 @@ mod tests {
             .unwrap();
         let ratio = raw.metadata_bytes as f64 / gamma.metadata_bytes as f64;
         assert!(ratio > 6.0, "expected large compression, got {ratio:.1}x");
+    }
+
+    /// A peer-chosen `index_len` of `u64::MAX` used to overflow the block
+    /// bounds check (a panic wherever overflow checks are on).
+    #[test]
+    fn index_len_overflowing_usize_is_an_error() {
+        let mut bytes = vec![0x01];
+        bytes.extend([0xff; 9]);
+        bytes.push(0x01);
+        bytes.extend([0x00; 16]);
+        assert_eq!(bytes.len(), 27);
+        for codec in all_codecs() {
+            assert_eq!(codec.decode(&bytes), Err(CodecError::UnexpectedEof));
+        }
+    }
+
+    /// Same for a varint delta of `u64::MAX` behind a non-zero index.
+    #[test]
+    fn varint_delta_overflowing_u64_is_corrupt() {
+        let mut index_block = Vec::new();
+        varint::write_u64(&mut index_block, 1);
+        varint::write_u64(&mut index_block, u64::MAX);
+        let mut bytes = Vec::new();
+        varint::write_u64(&mut bytes, 2);
+        varint::write_u64(&mut bytes, index_block.len() as u64);
+        bytes.extend(&index_block);
+        bytes.extend([0u8; 8]);
+        let codec = SparseVecCodec::new(IndexCodec::VarintDelta, ValueCodec::Raw);
+        assert!(matches!(codec.decode(&bytes), Err(CodecError::Corrupt(_))));
+    }
+
+    #[test]
+    fn decode_each_visits_pairs_in_wire_order_and_stops_on_visitor_error() {
+        let indices = vec![2u32, 5, 9, 40];
+        let values = vec![1.0f32, -2.0, 3.5, 0.25];
+        for codec in all_codecs() {
+            let enc = codec.encode(&indices, &values).unwrap();
+            let mut seen = Vec::new();
+            let count = codec
+                .decode_each(enc.as_bytes(), |i, v| {
+                    seen.push((i, v));
+                    Ok::<(), CodecError>(())
+                })
+                .unwrap();
+            assert_eq!(count, 4);
+            let expected: Vec<(u32, f32)> = indices
+                .iter()
+                .copied()
+                .zip(values.iter().copied())
+                .collect();
+            assert_eq!(seen, expected, "{codec:?}");
+
+            let mut visited = 0;
+            let stopped = codec.decode_each(enc.as_bytes(), |i, _| {
+                visited += 1;
+                if i >= 9 {
+                    Err(CodecError::Corrupt("visitor said no"))
+                } else {
+                    Ok(())
+                }
+            });
+            assert_eq!(stopped, Err(CodecError::Corrupt("visitor said no")));
+            assert_eq!(visited, 3);
+        }
+    }
+
+    #[test]
+    fn encode_into_appends_behind_existing_bytes() {
+        let indices = vec![1u32, 4, 9];
+        let values = vec![1.0f32, 2.0, 3.0];
+        for codec in all_codecs() {
+            let alone = codec.encode(&indices, &values).unwrap();
+            let mut out = vec![0xAA, 0xBB];
+            let split = codec.encode_into(&indices, &values, &mut out).unwrap();
+            assert_eq!(&out[..2], &[0xAA, 0xBB]);
+            assert_eq!(&out[2..], alone.as_bytes());
+            assert_eq!(split.metadata_bytes, alone.metadata_bytes);
+            assert_eq!(split.payload_bytes, alone.payload_bytes);
+            // A rejected input leaves the buffer as it was.
+            let before = out.clone();
+            assert!(codec.encode_into(&indices, &values[..2], &mut out).is_err());
+            assert_eq!(out, before);
+        }
+        let delta_codecs = [IndexCodec::VarintDelta, IndexCodec::EliasGammaDelta];
+        for ic in delta_codecs {
+            let mut out = vec![7u8];
+            let codec = SparseVecCodec::new(ic, ValueCodec::Raw);
+            assert!(codec.encode_into(&[5, 5], &[0.0, 0.0], &mut out).is_err());
+            assert_eq!(out, vec![7u8]);
+        }
     }
 
     #[test]

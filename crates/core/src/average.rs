@@ -14,7 +14,11 @@
 //! the tests).
 
 /// Accumulates sparse contributions into a weighted average over `own`.
-#[derive(Debug)]
+///
+/// One averager can serve any number of averages: [`Self::reset`] starts the
+/// next one in the buffers of the last, which is how the strategies use the
+/// averager of their worker's scratch (`crate::scratch`).
+#[derive(Debug, Default)]
 pub struct PartialAverager {
     num: Vec<f64>,
     den: Vec<f64>,
@@ -29,11 +33,24 @@ impl PartialAverager {
     /// Panics if `self_weight` is not positive — a node always keeps a share
     /// of its own model under Metropolis–Hastings weights.
     pub fn new(own: &[f32], self_weight: f64) -> Self {
+        let mut averager = Self::default();
+        averager.reset(own, self_weight);
+        averager
+    }
+
+    /// [`Self::new`] in place: forgets the current average and starts one
+    /// over `own`, reusing the allocations.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::new`].
+    pub fn reset(&mut self, own: &[f32], self_weight: f64) {
         assert!(self_weight > 0.0, "self weight must be positive");
-        Self {
-            num: own.iter().map(|&v| f64::from(v) * self_weight).collect(),
-            den: vec![self_weight; own.len()],
-        }
+        self.num.clear();
+        self.num
+            .extend(own.iter().map(|&v| f64::from(v) * self_weight));
+        self.den.clear();
+        self.den.resize(own.len(), self_weight);
     }
 
     /// Dimension of the average.
@@ -46,6 +63,22 @@ impl PartialAverager {
         self.num.is_empty()
     }
 
+    /// Adds one coordinate of a neighbour's contribution — the step a
+    /// streaming decoder feeds. Returns `false`, adding nothing, when
+    /// `index` is out of range: indices arrive off the wire, and this is
+    /// where each one is checked.
+    #[inline]
+    #[must_use = "an out-of-range index is a protocol violation to report"]
+    pub fn add_one(&mut self, index: u32, value: f32, weight: f64) -> bool {
+        let i = index as usize;
+        let (Some(num), Some(den)) = (self.num.get_mut(i), self.den.get_mut(i)) else {
+            return false;
+        };
+        *num += f64::from(value) * weight;
+        *den += weight;
+        true
+    }
+
     /// Adds a neighbour's sparse contribution with mixing weight `weight`.
     ///
     /// # Panics
@@ -54,9 +87,7 @@ impl PartialAverager {
     pub fn add_sparse(&mut self, indices: &[u32], values: &[f32], weight: f64) {
         assert_eq!(indices.len(), values.len(), "index/value length mismatch");
         for (&i, &v) in indices.iter().zip(values) {
-            let i = i as usize;
-            self.num[i] += f64::from(v) * weight;
-            self.den[i] += weight;
+            assert!(self.add_one(i, v, weight), "index {i} out of range");
         }
     }
 
@@ -67,19 +98,45 @@ impl PartialAverager {
     /// Panics if lengths mismatch.
     pub fn add_dense(&mut self, values: &[f32], weight: f64) {
         assert_eq!(values.len(), self.num.len(), "length mismatch");
-        for (k, &v) in values.iter().enumerate() {
-            self.num[k] += f64::from(v) * weight;
-            self.den[k] += weight;
+        for ((num, den), &v) in self.num.iter_mut().zip(&mut self.den).zip(values) {
+            *num += f64::from(v) * weight;
+            *den += weight;
         }
+    }
+
+    /// [`Self::add_dense`] from a source that yields the contribution one
+    /// coordinate at a time (a streaming float decoder), so the decoded
+    /// vector is never materialised. `next` is called once per coordinate,
+    /// in order.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first error `next` returns; coordinates before it have
+    /// been added.
+    pub fn add_dense_with<E>(
+        &mut self,
+        weight: f64,
+        mut next: impl FnMut() -> Result<f32, E>,
+    ) -> Result<(), E> {
+        for (num, den) in self.num.iter_mut().zip(&mut self.den) {
+            *num += f64::from(next()?) * weight;
+            *den += weight;
+        }
+        Ok(())
     }
 
     /// Finishes the average.
     pub fn finish(self) -> Vec<f32> {
-        self.num
-            .iter()
-            .zip(&self.den)
-            .map(|(n, d)| (n / d) as f32)
-            .collect()
+        let mut out = Vec::new();
+        self.finish_into(&mut out);
+        out
+    }
+
+    /// Writes the average over `out` (any content, any length), leaving the
+    /// averager ready for [`Self::reset`].
+    pub fn finish_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.extend(self.num.iter().zip(&self.den).map(|(n, d)| (n / d) as f32));
     }
 }
 
@@ -122,6 +179,51 @@ mod tests {
         assert!((out[0] - 4.0 / 3.0).abs() < 1e-6, "{}", out[0]);
         // coord 1: (0·.5 + 4·.25 + 8·.25) / 1.0 = 3
         assert!((out[1] - 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn out_of_range_index_is_reported_and_adds_nothing() {
+        let mut avg = PartialAverager::new(&[1.0, 2.0], 0.5);
+        assert!(!avg.add_one(2, 9.0, 0.5));
+        assert!(!avg.add_one(u32::MAX, 9.0, 0.5));
+        assert!(avg.add_one(1, 4.0, 0.5));
+        assert_eq!(avg.finish(), vec![1.0, 3.0]);
+    }
+
+    #[test]
+    fn reset_reuses_the_averager_without_leaking_the_last_average() {
+        let mut avg = PartialAverager::new(&[1.0, 2.0, 3.0], 0.5);
+        avg.add_dense(&[3.0, 3.0, 3.0], 0.5);
+        let mut out = vec![9.0; 7];
+        avg.finish_into(&mut out);
+        assert_eq!(out, vec![2.0, 2.5, 3.0]);
+        avg.reset(&[10.0], 0.25);
+        assert_eq!(avg.len(), 1);
+        avg.add_sparse(&[0], &[20.0], 0.75);
+        avg.finish_into(&mut out);
+        assert_eq!(out, vec![17.5]);
+    }
+
+    #[test]
+    fn streamed_dense_contribution_equals_the_slice_form() {
+        let own = [1.0f32, -2.0, 0.5];
+        let theirs = [4.0f32, 0.25, -8.0];
+        let mut by_slice = PartialAverager::new(&own, 0.4);
+        by_slice.add_dense(&theirs, 0.6);
+        let mut streamed = PartialAverager::new(&own, 0.4);
+        let mut source = theirs.iter();
+        streamed
+            .add_dense_with(0.6, || source.next().copied().ok_or("ran dry"))
+            .unwrap();
+        assert_eq!(by_slice.finish(), streamed.finish());
+
+        // A source that fails stops the fold and reports its error.
+        let mut short = PartialAverager::new(&own, 0.4);
+        let mut source = theirs[..2].iter();
+        assert_eq!(
+            short.add_dense_with(0.6, || source.next().copied().ok_or("ran dry")),
+            Err("ran dry")
+        );
     }
 
     #[test]

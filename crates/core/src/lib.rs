@@ -79,6 +79,7 @@ pub mod metrics;
 pub mod participation;
 pub mod robust;
 pub mod scaling;
+mod scratch;
 pub mod sparsify;
 pub mod strategies;
 pub mod strategy;

@@ -11,7 +11,7 @@
 //! later rejoined with its last local model.
 //!
 //! The `ext_churn` bench compares JWINS, full-sharing and CHOCO-SGD under
-//! random dropout; see `DESIGN.md` §7.
+//! random dropout.
 
 use std::fmt;
 

@@ -11,22 +11,31 @@
 /// Ties are broken arbitrarily but deterministically. `k >= len` returns all
 /// indices.
 pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<u32> {
+    let mut indices = Vec::new();
+    top_k_into(scores, k, &mut indices);
+    indices
+}
+
+/// [`top_k_indices`] into a caller-owned buffer: `indices` is overwritten
+/// with the selection and doubles as the `0..len` permutation the selection
+/// works on, so it grows to `scores.len()` once and is worth keeping.
+pub fn top_k_into(scores: &[f32], k: usize, indices: &mut Vec<u32>) {
     let n = scores.len();
-    if k == 0 || n == 0 {
-        return Vec::new();
+    indices.clear();
+    if k == 0 {
+        return;
     }
+    indices.extend(0..n as u32);
     if k >= n {
-        return (0..n as u32).collect();
+        return;
     }
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    idx.select_nth_unstable_by(k - 1, |&a, &b| {
+    indices.select_nth_unstable_by(k - 1, |&a, &b| {
         let fa = scores[a as usize].abs();
         let fb = scores[b as usize].abs();
         fb.partial_cmp(&fa).unwrap_or(std::cmp::Ordering::Equal)
     });
-    idx.truncate(k);
-    idx.sort_unstable();
-    idx
+    indices.truncate(k);
+    indices.sort_unstable();
 }
 
 /// Gathers `values[i]` for each selected index.
@@ -35,7 +44,19 @@ pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<u32> {
 ///
 /// Panics if an index is out of bounds.
 pub fn gather(values: &[f32], indices: &[u32]) -> Vec<f32> {
-    indices.iter().map(|&i| values[i as usize]).collect()
+    let mut out = Vec::new();
+    gather_into(values, indices, &mut out);
+    out
+}
+
+/// [`gather`] over a caller-owned buffer (any content, any length).
+///
+/// # Panics
+///
+/// Panics if an index is out of bounds.
+pub fn gather_into(values: &[f32], indices: &[u32], out: &mut Vec<f32>) {
+    out.clear();
+    out.extend(indices.iter().map(|&i| values[i as usize]));
 }
 
 /// The ceiling of `fraction · len`, clamped to `[0, len]` — the budget `K`

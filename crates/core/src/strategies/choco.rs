@@ -157,14 +157,17 @@ impl ShareStrategy for ChocoSgd {
             None => return Err(JwinsError::Protocol("aggregate before make_message")),
         }
         // s_i += Σ_j w_ij q_j.
+        // Each index is range-checked as it is consumed: raw index lists
+        // arrive in any order, so no single one vouches for the rest.
+        let s = &mut self.s;
         for msg in received {
-            let (indices, values) = self.codec.decode(msg.bytes)?;
-            if indices.last().is_some_and(|&i| i as usize >= self.dim) {
-                return Err(JwinsError::Protocol("received index out of range"));
-            }
-            for (&i, &v) in indices.iter().zip(&values) {
-                self.s[i as usize] += (msg.weight * f64::from(v)) as f32;
-            }
+            self.codec.decode_each(msg.bytes, |index, value| {
+                let slot = s
+                    .get_mut(index as usize)
+                    .ok_or(JwinsError::Protocol("received index out of range"))?;
+                *slot += (msg.weight * f64::from(value)) as f32;
+                Ok::<(), JwinsError>(())
+            })?;
         }
         // x ← x + γ (s − (1 − w_ii) x̂): the gossip step on the public copies.
         let gamma = self.config.gamma;
@@ -300,6 +303,35 @@ mod tests {
         );
         let _ = c.make_message(0, &params).unwrap();
         assert!(c.make_message(0, &params).is_err(), "double make_message");
+    }
+
+    /// Same hole as in JWINS: only the last index of a message was
+    /// range-checked, and raw index lists are unordered.
+    #[test]
+    fn out_of_range_index_in_the_middle_of_a_raw_message_is_a_protocol_error() {
+        let mut c = ChocoSgd::new(ChocoConfig {
+            index_codec: IndexCodec::RawU32,
+            ..ChocoConfig::budget_20()
+        });
+        let params = vec![1.0f32; 8];
+        c.init(&params);
+        let _ = c.make_message(0, &params).unwrap();
+        let bad = SparseVecCodec::new(IndexCodec::RawU32, ValueCodec::Xor)
+            .encode(&[1, 8, 2], &[0.5, 0.5, 0.5])
+            .expect("raw indices need no order");
+        let out = c.aggregate(
+            0,
+            &params,
+            0.5,
+            &[ReceivedMessage {
+                from: 1,
+                round: 0,
+                weight: 0.5,
+                edge_weight: 0.5,
+                bytes: bad.as_bytes(),
+            }],
+        );
+        assert!(matches!(out, Err(JwinsError::Protocol(_))));
     }
 
     #[test]

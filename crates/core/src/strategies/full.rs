@@ -5,13 +5,23 @@
 //! Fpzip "uniformly for all the model parameters and for all experiments and
 //! baselines") and aggregates with Metropolis–Hastings weights.
 
-use crate::average::PartialAverager;
+use crate::scratch::with_scratch;
 use crate::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
 use jwins_adversary::{Robust, RobustAccumulator, RobustStats};
-use jwins_codec::float::{FloatCodec, XorFloatCodec};
+use jwins_codec::float::{FloatCodec, XorFloatCodec, XorFloatDecoder};
 use jwins_codec::varint;
 use jwins_net::ByteBreakdown;
+
+/// Checks a message's header against the local dimension and returns a
+/// decoder positioned on its `dim` values.
+fn open_message(bytes: &[u8], dim: usize) -> Result<XorFloatDecoder<'_>> {
+    let (count, used) = varint::read_u64(bytes)?;
+    if count != dim as u64 {
+        return Err(JwinsError::Protocol("full-sharing dimension mismatch"));
+    }
+    Ok(XorFloatCodec::decoder(&bytes[used..]))
+}
 
 /// Full-model broadcast with weighted averaging.
 #[derive(Debug, Default)]
@@ -40,18 +50,18 @@ impl ShareStrategy for FullSharing {
         if self.dim == 0 {
             return Err(JwinsError::Protocol("init was not called"));
         }
-        let payload = XorFloatCodec.encode(params);
-        let mut bytes = Vec::with_capacity(payload.len() + 5);
-        varint::write_u64(&mut bytes, params.len() as u64);
-        let header = bytes.len();
-        bytes.extend_from_slice(&payload);
-        Ok(OutMessage::new(
-            bytes,
-            ByteBreakdown {
-                payload: payload.len(),
+        with_scratch(|scratch| {
+            let wire = &mut scratch.wire;
+            wire.clear();
+            varint::write_u64(wire, params.len() as u64);
+            let header = wire.len();
+            XorFloatCodec.encode_into(params, wire);
+            let breakdown = ByteBreakdown {
+                payload: wire.len() - header,
                 metadata: header,
-            },
-        ))
+            };
+            Ok(OutMessage::copy_from(wire, breakdown))
+        })
     }
 
     fn aggregate(
@@ -61,16 +71,18 @@ impl ShareStrategy for FullSharing {
         self_weight: f64,
         received: &[ReceivedMessage<'_>],
     ) -> Result<Vec<f32>> {
-        let mut avg = PartialAverager::new(params, self_weight);
-        for msg in received {
-            let (count, used) = varint::read_u64(msg.bytes)?;
-            if count as usize != params.len() {
-                return Err(JwinsError::Protocol("full-sharing dimension mismatch"));
+        with_scratch(|scratch| {
+            let avg = &mut scratch.averager;
+            avg.reset(params, self_weight);
+            for msg in received {
+                // Decoded straight into the average, one value at a time.
+                let mut values = open_message(msg.bytes, params.len())?;
+                avg.add_dense_with(msg.weight, || values.next_value())?;
             }
-            let values = XorFloatCodec.decode(&msg.bytes[used..], count as usize)?;
-            avg.add_dense(&values, msg.weight);
-        }
-        Ok(avg.finish())
+            let mut next = Vec::new();
+            avg.finish_into(&mut next);
+            Ok(next)
+        })
     }
 
     fn last_alpha(&self) -> f64 {
@@ -91,12 +103,12 @@ impl ShareStrategy for FullSharing {
     ) -> Result<Vec<f32>> {
         let mut acc = RobustAccumulator::new(params, self_weight, *rule);
         for msg in received {
-            let (count, used) = varint::read_u64(msg.bytes)?;
-            if count as usize != params.len() {
-                return Err(JwinsError::Protocol("full-sharing dimension mismatch"));
+            let mut values = open_message(msg.bytes, params.len())?;
+            let sink = acc.begin_dense(msg.weight);
+            sink.reserve(params.len());
+            for _ in 0..params.len() {
+                sink.push(values.next_value()?);
             }
-            let values = XorFloatCodec.decode(&msg.bytes[used..], count as usize)?;
-            acc.add_dense(&values, msg.weight);
         }
         let (out, stats) = acc.finish();
         self.robust_stats.absorb(stats);

@@ -22,13 +22,17 @@
 
 use crate::cutoff::{AlphaDistribution, CutoffSampler};
 use crate::scaling::ScoreScaling;
-use crate::sparsify::{budget, gather, top_k_indices};
+use crate::scratch::{with_scratch, ShareScratch};
+use crate::sparsify::{budget, gather_into, top_k_into};
 use crate::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
 use jwins_adversary::{Robust, RobustAccumulator, RobustStats};
 use jwins_codec::sparse::{IndexCodec, SparseVecCodec, ValueCodec};
 use jwins_net::ByteBreakdown;
-use jwins_wavelet::{Dwt, Wavelet, WaveletCoeffs};
+use jwins_wavelet::{CoeffLayout, Dwt, Wavelet};
+
+const INDEX_OUT_OF_RANGE: JwinsError =
+    JwinsError::Protocol("received coefficient index out of range");
 
 /// Configuration of the JWINS strategy, including the Figure-8 ablation
 /// switches.
@@ -125,51 +129,56 @@ impl JwinsConfig {
 }
 
 /// The coefficient-domain representation: either a real DWT or the identity
-/// (ablation).
+/// (ablation). Both directions overwrite a caller-owned `out`; the DWT runs
+/// in the caller's `work` buffer.
 #[derive(Debug)]
 enum Transform {
-    Wavelet(Dwt),
+    /// The layout is planned for the model dimension seen in `init`.
+    Wavelet(Dwt, CoeffLayout),
     Identity,
 }
 
 impl Transform {
-    fn forward(&self, params: &[f32]) -> Vec<f32> {
+    fn forward_into(&self, params: &[f32], work: &mut Vec<f64>, out: &mut Vec<f32>) {
         match self {
-            Transform::Wavelet(dwt) => dwt.forward(params).data,
-            Transform::Identity => params.to_vec(),
-        }
-    }
-
-    fn inverse(&self, coeffs: Vec<f32>, dim: usize) -> Result<Vec<f32>> {
-        match self {
-            Transform::Wavelet(dwt) => {
-                let layout = dwt.layout_for(dim);
-                let wrapped = WaveletCoeffs::from_parts(coeffs, layout)?;
-                Ok(dwt.inverse(&wrapped)?)
+            Transform::Wavelet(dwt, layout) => dwt.forward_into(params, layout, work, out),
+            Transform::Identity => {
+                out.clear();
+                out.extend_from_slice(params);
             }
-            Transform::Identity => Ok(coeffs),
         }
     }
 
-    fn coeff_len(&self, dim: usize) -> usize {
+    fn inverse_into(&self, coeffs: &[f32], work: &mut Vec<f64>, out: &mut Vec<f32>) -> Result<()> {
         match self {
-            Transform::Wavelet(dwt) => dwt.layout_for(dim).coeff_len(),
+            Transform::Wavelet(dwt, layout) => dwt.inverse_into(coeffs, layout, work, out)?,
+            Transform::Identity => {
+                out.clear();
+                out.extend_from_slice(coeffs);
+            }
+        }
+        Ok(())
+    }
+
+    /// Re-plans the layout for a model of `dim` parameters and returns the
+    /// number of coefficients it transforms to.
+    fn plan(&mut self, dim: usize) -> usize {
+        match self {
+            Transform::Wavelet(dwt, layout) => {
+                *layout = dwt.layout_for(dim);
+                layout.coeff_len()
+            }
             Transform::Identity => dim,
         }
     }
 }
 
-/// Per-round state carried from `make_message` to `aggregate`.
-#[derive(Debug)]
-struct PendingRound {
-    round: usize,
-    /// `DWT(x^{t,τ})` — reused for averaging.
-    own_coeffs: Vec<f32>,
-    /// Indices shared this round (to reset in `V`).
-    sent: Vec<u32>,
-}
-
 /// The JWINS sharing strategy (one instance per node).
+///
+/// Everything here is state that must survive between calls. The buffers a
+/// call only needs while it runs come from the worker's scratch
+/// (`crate::scratch`), so a node costs three coefficient-sized vectors plus
+/// its last selection, not a workspace of its own.
 #[derive(Debug)]
 pub struct Jwins {
     config: JwinsConfig,
@@ -180,7 +189,13 @@ pub struct Jwins {
     scores: Vec<f32>,
     /// `x_i^{t,0}` — parameters at the start of the current round.
     round_start: Vec<f32>,
-    pending: Option<PendingRound>,
+    /// The round `make_message` built for and `aggregate` has yet to close;
+    /// `own_coeffs` and `sent` belong to it.
+    pending_round: Option<usize>,
+    /// `DWT(x^{t,τ})` — reused for averaging.
+    own_coeffs: Vec<f32>,
+    /// Indices shared this round (to reset in `V`).
+    sent: Vec<u32>,
     dim: usize,
     last_alpha: f64,
     robust_stats: RobustStats,
@@ -200,9 +215,11 @@ impl Jwins {
             .validate()
             .expect("alpha distribution must be valid");
         let transform = match &config.wavelet {
-            Some((wavelet, levels)) => Transform::Wavelet(
-                Dwt::new(wavelet.clone(), *levels).expect("levels >= 1 by construction"),
-            ),
+            Some((wavelet, levels)) => {
+                let dwt = Dwt::new(wavelet.clone(), *levels).expect("levels >= 1 by construction");
+                let layout = dwt.layout_for(0);
+                Transform::Wavelet(dwt, layout)
+            }
             None => Transform::Identity,
         };
         let codec = SparseVecCodec::new(config.index_codec, config.value_codec);
@@ -214,7 +231,9 @@ impl Jwins {
             cutoff,
             scores: Vec::new(),
             round_start: Vec::new(),
-            pending: None,
+            pending_round: None,
+            own_coeffs: Vec::new(),
+            sent: Vec::new(),
             dim: 0,
             last_alpha: 0.0,
             robust_stats: RobustStats::default(),
@@ -232,29 +251,53 @@ impl Jwins {
         &self.scores
     }
 
-    /// Inverts the averaged coefficients and applies the eq-4 bookkeeping
-    /// (sent-score reset, averaging change absorbed, round-start advance) —
-    /// shared by the plain and the robust aggregation paths so the two
-    /// differ only in how coefficients are averaged.
-    fn commit_averaged(
-        &mut self,
-        pending: &PendingRound,
-        params: &[f32],
-        averaged: Vec<f32>,
-    ) -> Result<Vec<f32>> {
-        let next = self.transform.inverse(averaged, self.dim)?;
-        for &i in &pending.sent {
-            self.scores[i as usize] = 0.0;
-        }
-        let mut avg_delta: Vec<f32> = next.iter().zip(params).map(|(a, b)| a - b).collect();
+    /// Leaves `DWT(scale(to − from))` in `scratch.coeffs`: the change both
+    /// halves of a round add to the scores (eqs. 3 and 4), rebalanced per
+    /// layer when the §VI adaptive-score extension is on.
+    fn change_coeffs(&self, scratch: &mut ShareScratch, to: &[f32], from: &[f32]) {
+        let ShareScratch {
+            work,
+            coeffs,
+            values: delta,
+            ..
+        } = scratch;
+        delta.clear();
+        delta.extend(to.iter().zip(from).map(|(a, b)| a - b));
         if let Some(scaling) = &self.config.score_scaling {
-            scaling.apply(&mut avg_delta);
+            scaling.apply(delta);
         }
-        let avg_delta_coeffs = self.transform.forward(&avg_delta);
-        for (s, d) in self.scores.iter_mut().zip(&avg_delta_coeffs) {
+        self.transform.forward_into(delta, work, coeffs);
+    }
+
+    fn add_to_scores(&mut self, coeffs: &[f32]) {
+        for (s, d) in self.scores.iter_mut().zip(coeffs) {
             *s += d;
         }
-        self.round_start = next.clone();
+    }
+
+    /// Closes the round `make_message` opened, or says why it cannot.
+    fn take_pending(&mut self, round: usize) -> Result<()> {
+        match self.pending_round.take() {
+            None => Err(JwinsError::Protocol("aggregate before make_message")),
+            Some(pending) if pending != round => Err(JwinsError::Protocol("round number mismatch")),
+            Some(_) => Ok(()),
+        }
+    }
+
+    /// Inverts the averaged coefficients (`scratch.coeffs`) and applies the
+    /// eq-4 bookkeeping (sent-score reset, averaging change absorbed,
+    /// round-start advance) — shared by the plain and the robust aggregation
+    /// paths so the two differ only in how coefficients are averaged.
+    fn commit_averaged(&mut self, scratch: &mut ShareScratch, params: &[f32]) -> Result<Vec<f32>> {
+        let mut next = Vec::new();
+        self.transform
+            .inverse_into(&scratch.coeffs, &mut scratch.work, &mut next)?;
+        for &i in &self.sent {
+            self.scores[i as usize] = 0.0;
+        }
+        self.change_coeffs(scratch, &next, params);
+        self.add_to_scores(&scratch.coeffs);
+        self.round_start.copy_from_slice(&next);
         Ok(next)
     }
 }
@@ -271,58 +314,53 @@ impl ShareStrategy for Jwins {
 
     fn init(&mut self, params: &[f32]) {
         self.dim = params.len();
-        self.scores = vec![0.0; self.transform.coeff_len(self.dim)];
+        self.scores = vec![0.0; self.transform.plan(self.dim)];
         self.round_start = params.to_vec();
-        self.pending = None;
+        self.pending_round = None;
     }
 
     fn make_message(&mut self, round: usize, params: &[f32]) -> Result<OutMessage> {
         if self.dim == 0 {
             return Err(JwinsError::Protocol("init was not called"));
         }
-        if self.pending.is_some() {
+        if self.pending_round.is_some() {
             return Err(JwinsError::Protocol("make_message called twice in a round"));
         }
         if let Some(scaling) = &self.config.score_scaling {
             scaling.validate_dim(self.dim)?;
         }
-        // Eq. (3): accumulate the local change in the coefficient domain,
-        // optionally rebalanced per layer (§VI adaptive-score extension).
-        let mut delta: Vec<f32> = params
-            .iter()
-            .zip(&self.round_start)
-            .map(|(a, b)| a - b)
-            .collect();
-        if let Some(scaling) = &self.config.score_scaling {
-            scaling.apply(&mut delta);
-        }
-        let delta_coeffs = self.transform.forward(&delta);
-        if self.config.accumulation {
-            for (s, d) in self.scores.iter_mut().zip(&delta_coeffs) {
-                *s += d;
+        with_scratch(|scratch| {
+            // Eq. (3): accumulate the local change in the coefficient domain.
+            self.change_coeffs(scratch, params, &self.round_start);
+            if self.config.accumulation {
+                self.add_to_scores(&scratch.coeffs);
+            } else {
+                self.scores.copy_from_slice(&scratch.coeffs);
             }
-        } else {
-            self.scores.copy_from_slice(&delta_coeffs);
-        }
-        // Randomized cut-off → budget → TopK selection.
-        let alpha = self.cutoff.next_alpha();
-        self.last_alpha = alpha;
-        let k = budget(self.scores.len(), alpha);
-        let indices = top_k_indices(&self.scores, k);
-        // Share DWT(x^{t,τ}) at the selected indices.
-        let own_coeffs = self.transform.forward(params);
-        let values = gather(&own_coeffs, &indices);
-        let encoded = self.codec.encode(&indices, &values)?;
-        let breakdown = ByteBreakdown {
-            payload: encoded.payload_bytes,
-            metadata: encoded.metadata_bytes,
-        };
-        self.pending = Some(PendingRound {
-            round,
-            own_coeffs,
-            sent: indices,
-        });
-        Ok(OutMessage::new(encoded.into_bytes(), breakdown))
+            // Randomized cut-off → budget → TopK selection.
+            let alpha = self.cutoff.next_alpha();
+            self.last_alpha = alpha;
+            let k = budget(self.scores.len(), alpha);
+            top_k_into(&self.scores, k, &mut scratch.order);
+            self.sent.clear();
+            self.sent.extend_from_slice(&scratch.order);
+            // Share DWT(x^{t,τ}) at the selected indices.
+            self.transform
+                .forward_into(params, &mut scratch.work, &mut self.own_coeffs);
+            gather_into(&self.own_coeffs, &self.sent, &mut scratch.values);
+            scratch.wire.clear();
+            let split = self
+                .codec
+                .encode_into(&self.sent, &scratch.values, &mut scratch.wire)?;
+            self.pending_round = Some(round);
+            Ok(OutMessage::copy_from(
+                &scratch.wire,
+                ByteBreakdown {
+                    payload: split.payload_bytes,
+                    metadata: split.metadata_bytes,
+                },
+            ))
+        })
     }
 
     fn aggregate(
@@ -332,31 +370,28 @@ impl ShareStrategy for Jwins {
         self_weight: f64,
         received: &[ReceivedMessage<'_>],
     ) -> Result<Vec<f32>> {
-        let pending = self
-            .pending
-            .take()
-            .ok_or(JwinsError::Protocol("aggregate before make_message"))?;
-        if pending.round != round {
-            return Err(JwinsError::Protocol("round number mismatch"));
-        }
-        // Average in the wavelet domain, renormalizing per coefficient.
-        let mut avg = crate::average::PartialAverager::new(&pending.own_coeffs, self_weight);
-        for msg in received {
-            let (indices, values) = self.codec.decode(msg.bytes)?;
-            if indices
-                .last()
-                .is_some_and(|&i| i as usize >= self.scores.len())
-            {
-                return Err(JwinsError::Protocol(
-                    "received coefficient index out of range",
-                ));
+        self.take_pending(round)?;
+        with_scratch(|scratch| {
+            // Average in the wavelet domain, renormalizing per coefficient.
+            // Each message is decoded straight into the average; an index is
+            // range-checked as it is consumed (raw index lists arrive in any
+            // order, so no single one vouches for the rest).
+            let avg = &mut scratch.averager;
+            avg.reset(&self.own_coeffs, self_weight);
+            for msg in received {
+                self.codec.decode_each(msg.bytes, |index, value| {
+                    if avg.add_one(index, value, msg.weight) {
+                        Ok(())
+                    } else {
+                        Err(INDEX_OUT_OF_RANGE)
+                    }
+                })?;
             }
-            avg.add_sparse(&indices, &values, msg.weight);
-        }
-        let averaged = avg.finish();
-        // Eq. (4) bookkeeping: sent scores reset, averaging change absorbed
-        // (scaled the same way as the training change, so score units match).
-        self.commit_averaged(&pending, params, averaged)
+            avg.finish_into(&mut scratch.coeffs);
+            // Eq. (4) bookkeeping: sent scores reset, averaging change absorbed
+            // (scaled the same way as the training change, so score units match).
+            self.commit_averaged(scratch, params)
+        })
     }
 
     fn last_alpha(&self) -> f64 {
@@ -375,32 +410,29 @@ impl ShareStrategy for Jwins {
         received: &[ReceivedMessage<'_>],
         rule: &Robust,
     ) -> Result<Vec<f32>> {
-        let pending = self
-            .pending
-            .take()
-            .ok_or(JwinsError::Protocol("aggregate before make_message"))?;
-        if pending.round != round {
-            return Err(JwinsError::Protocol("round number mismatch"));
-        }
+        self.take_pending(round)?;
         // Same per-coefficient renormalized average as `aggregate`, but the
         // robust rule screens neighbor coefficients (in the wavelet domain —
         // trimming happens where the sharing happens).
-        let mut acc = RobustAccumulator::new(&pending.own_coeffs, self_weight, *rule);
+        let mut acc = RobustAccumulator::new(&self.own_coeffs, self_weight, *rule);
+        let len = acc.len();
         for msg in received {
-            let (indices, values) = self.codec.decode(msg.bytes)?;
-            if indices
-                .last()
-                .is_some_and(|&i| i as usize >= self.scores.len())
-            {
-                return Err(JwinsError::Protocol(
-                    "received coefficient index out of range",
-                ));
-            }
-            acc.add_sparse(&indices, &values, msg.weight);
+            let (indices, values) = acc.begin_sparse(msg.weight);
+            self.codec.decode_each(msg.bytes, |index, value| {
+                if index as usize >= len {
+                    return Err(INDEX_OUT_OF_RANGE);
+                }
+                indices.push(index);
+                values.push(value);
+                Ok(())
+            })?;
         }
         let (averaged, stats) = acc.finish();
         self.robust_stats.absorb(stats);
-        self.commit_averaged(&pending, params, averaged)
+        with_scratch(|scratch| {
+            scratch.coeffs = averaged;
+            self.commit_averaged(scratch, params)
+        })
     }
 
     fn robust_stats(&mut self) -> Option<RobustStats> {
@@ -503,7 +535,7 @@ mod tests {
         let (mut a, _, xa, _) = make_pair(config, 64);
         let x2: Vec<f32> = xa.iter().map(|v| v * 1.5 + 0.1).collect();
         let _ = a.make_message(0, &x2).unwrap();
-        let sent = a.pending.as_ref().unwrap().sent.clone();
+        let sent = a.sent.clone();
         assert!(!sent.is_empty());
         let out = a.aggregate(0, &x2, 1.0, &[]).unwrap();
         // After a no-neighbour aggregate the model is (numerically) the same,
@@ -598,6 +630,40 @@ mod tests {
             .is_err());
     }
 
+    /// Under `IndexCodec::RawU32` indices arrive in any order, so an
+    /// out-of-range index can sit in the middle of a message whose last
+    /// index is fine. It used to index straight into the averager.
+    #[test]
+    fn out_of_range_index_in_the_middle_of_a_raw_message_is_a_protocol_error() {
+        let config = JwinsConfig {
+            index_codec: IndexCodec::RawU32,
+            ..JwinsConfig::paper_default()
+        };
+        let codec = SparseVecCodec::new(IndexCodec::RawU32, config.value_codec);
+        let bad = codec
+            .encode(&[1, 4_000_000, 2], &[0.5, 0.5, 0.5])
+            .expect("raw indices need no order");
+        let received = [ReceivedMessage {
+            from: 1,
+            round: 0,
+            weight: 0.5,
+            edge_weight: 0.5,
+            bytes: bad.as_bytes(),
+        }];
+        let (mut a, _, xa, _) = make_pair(config.clone(), 30);
+        let _ = a.make_message(0, &xa).unwrap();
+        assert!(matches!(
+            a.aggregate(0, &xa, 0.5, &received),
+            Err(JwinsError::Protocol(_))
+        ));
+        let (mut a, _, xa, _) = make_pair(config, 30);
+        let _ = a.make_message(0, &xa).unwrap();
+        assert!(matches!(
+            a.aggregate_robust(0, &xa, 0.5, &received, &Robust::Median),
+            Err(JwinsError::Protocol(_))
+        ));
+    }
+
     #[test]
     fn score_scaling_biases_selection_toward_boosted_segment() {
         // Two equal "layers"; the second gets a 50× score boost. With an
@@ -618,7 +684,7 @@ mod tests {
         // A uniform change across the whole model.
         let x1 = vec![0.1f32; dim];
         let _ = s.make_message(0, &x1).unwrap();
-        let sent = s.pending.as_ref().unwrap().sent.clone();
+        let sent = s.sent.clone();
         assert_eq!(sent.len(), 20);
         assert!(
             sent.iter().all(|&i| i >= 100),

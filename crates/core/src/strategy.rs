@@ -29,13 +29,23 @@ impl OutMessage {
     ///
     /// Panics (debug) if the breakdown does not cover the buffer exactly.
     pub fn new(bytes: Vec<u8>, breakdown: ByteBreakdown) -> Self {
+        Self::copy_from(&bytes, breakdown)
+    }
+
+    /// [`Self::new`] from a borrowed buffer — what a strategy that encodes
+    /// into a reused buffer calls, so the message owns exactly its bytes.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::new`].
+    pub fn copy_from(bytes: &[u8], breakdown: ByteBreakdown) -> Self {
         debug_assert_eq!(
             breakdown.total(),
             bytes.len(),
             "breakdown must cover buffer"
         );
         Self {
-            bytes: Bytes::from(bytes),
+            bytes: Bytes::copy_from_slice(bytes),
             breakdown,
         }
     }

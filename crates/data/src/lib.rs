@@ -3,7 +3,7 @@
 //! The JWINS evaluation uses CIFAR-10, MovieLens, and the LEAF benchmarks of
 //! CelebA, FEMNIST and Shakespeare. None of those corpora are available in
 //! this build environment, so this crate generates synthetic datasets that
-//! preserve exactly what the experiments measure (see DESIGN.md §3):
+//! preserve exactly what the experiments measure:
 //!
 //! 1. **task type** — multiclass CNN classification, binary classification,
 //!    matrix-factorization regression, next-character prediction;

@@ -12,7 +12,7 @@
 //! transform as one flat vector while the layout stays recoverable.
 
 use crate::family::Wavelet;
-use crate::transform::{analyze, synthesize};
+use crate::transform::{analyze_into, synthesize_into};
 use crate::WaveletError;
 
 /// Describes how a flat coefficient vector maps back onto decomposition
@@ -178,26 +178,66 @@ impl Dwt {
     /// Forward transform: signal → packed coefficients.
     pub fn forward(&self, signal: &[f32]) -> WaveletCoeffs {
         let layout = self.layout_for(signal.len());
-        let mut cur: Vec<f64> = signal.iter().map(|&v| f64::from(v)).collect();
-        // Details collected coarsest-last; we reverse while packing.
-        let mut details: Vec<Vec<f64>> = Vec::with_capacity(layout.levels());
-        for level in 0..layout.levels() {
-            debug_assert_eq!(cur.len(), layout.level_input_lens[level]);
-            if cur.len() % 2 == 1 {
-                let last = *cur.last().expect("len >= 2 guaranteed by plan");
-                cur.push(last);
-            }
-            let (approx, detail) = analyze(&self.wavelet, &cur);
-            details.push(detail);
-            cur = approx;
-        }
-        let mut data = Vec::with_capacity(layout.coeff_len());
-        data.extend(cur.iter().map(|&v| v as f32));
-        for detail in details.iter().rev() {
-            data.extend(detail.iter().map(|&v| v as f32));
-        }
-        debug_assert_eq!(data.len(), layout.coeff_len());
+        let mut data = Vec::new();
+        self.forward_into(signal, &layout, &mut Vec::new(), &mut data);
         WaveletCoeffs { data, layout }
+    }
+
+    /// [`Self::forward`] into caller-owned buffers: `out` is overwritten
+    /// with the packed coefficients and `work` is scratch (any content, any
+    /// length; it grows to about ¾ of the signal length and is worth
+    /// keeping between calls). Nothing else is allocated.
+    ///
+    /// The first level reads `signal` as it is and every level writes its
+    /// detail band straight to its place in `out`; only the approximation
+    /// bands, which the next level reads, live in `work` — two regions used
+    /// alternately.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layout` was planned for another signal length; it must be
+    /// [`Self::layout_for`]`(signal.len())`.
+    pub fn forward_into(
+        &self,
+        signal: &[f32],
+        layout: &CoeffLayout,
+        work: &mut Vec<f64>,
+        out: &mut Vec<f32>,
+    ) {
+        assert_eq!(
+            layout.input_len,
+            signal.len(),
+            "layout was planned for another signal length"
+        );
+        debug_assert_eq!(layout, &self.layout_for(signal.len()));
+        // Approximation and detail ranges tile `out`; every slot is written.
+        out.resize(layout.coeff_len(), 0.0);
+        let Some(&first_half) = layout.detail_lens.first() else {
+            out.copy_from_slice(signal);
+            return;
+        };
+        let second_half = layout.detail_lens.get(1).copied().unwrap_or(0);
+        let (mut src, mut dst) = ping_pong(work, first_half, second_half);
+        analyze_into(
+            &self.wavelet,
+            signal,
+            &mut src[..first_half],
+            &mut out[layout.detail_range(1)],
+        );
+        for level in 2..=layout.levels() {
+            let input_len = layout.level_input_lens[level - 1];
+            let half = layout.detail_lens[level - 1];
+            analyze_into(
+                &self.wavelet,
+                &src[..input_len],
+                &mut dst[..half],
+                &mut out[layout.detail_range(level)],
+            );
+            std::mem::swap(&mut src, &mut dst);
+        }
+        for (o, &a) in out[layout.approx_range()].iter_mut().zip(src.iter()) {
+            *o = a as f32;
+        }
     }
 
     /// Inverse transform: packed coefficients → signal.
@@ -207,40 +247,173 @@ impl Dwt {
     /// Returns [`WaveletError::LayoutMismatch`] if the coefficient vector was
     /// built for a different configuration (different length).
     pub fn inverse(&self, coeffs: &WaveletCoeffs) -> Result<Vec<f32>, WaveletError> {
-        let layout = &coeffs.layout;
-        if coeffs.data.len() != layout.coeff_len() {
+        let mut signal = Vec::new();
+        self.inverse_into(&coeffs.data, &coeffs.layout, &mut Vec::new(), &mut signal)?;
+        Ok(signal)
+    }
+
+    /// [`Self::inverse`] into caller-owned buffers, the mirror image of
+    /// [`Self::forward_into`]: detail bands are read from `coeffs` where they
+    /// lie, the last level writes `out` directly, and only the signals in
+    /// between pass through `work`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WaveletError::LayoutMismatch`] if `coeffs` is not
+    /// `layout.coeff_len()` long.
+    pub fn inverse_into(
+        &self,
+        coeffs: &[f32],
+        layout: &CoeffLayout,
+        work: &mut Vec<f64>,
+        out: &mut Vec<f32>,
+    ) -> Result<(), WaveletError> {
+        if coeffs.len() != layout.coeff_len() {
             return Err(WaveletError::LayoutMismatch {
                 expected: layout.coeff_len(),
-                actual: coeffs.data.len(),
+                actual: coeffs.len(),
             });
         }
-        let mut cur: Vec<f64> = coeffs.data[layout.approx_range()]
-            .iter()
-            .map(|&v| f64::from(v))
-            .collect();
-        for level in (1..=layout.levels()).rev() {
-            let detail: Vec<f64> = coeffs.data[layout.detail_range(level)]
-                .iter()
-                .map(|&v| f64::from(v))
-                .collect();
-            let mut signal = synthesize(&self.wavelet, &cur, &detail);
-            // Remove the pad inserted when this level's input was odd.
-            signal.truncate(layout.level_input_lens[level - 1]);
-            cur = signal;
+        // Every sample is written by the last level (or the copy below).
+        out.resize(layout.input_len, 0.0);
+        if layout.levels() == 0 {
+            out.copy_from_slice(coeffs);
+            return Ok(());
         }
-        Ok(cur.iter().map(|&v| v as f32).collect())
+        // Level `l` reconstructs `level_input_lens[l - 1]` samples. Even
+        // levels write one region and odd levels the other, so levels 2 and
+        // 3 size them; the coarsest approximation starts in the region the
+        // deepest level does not write.
+        let lens = &layout.level_input_lens;
+        let (even, odd) = ping_pong(
+            work,
+            lens.get(1).copied().unwrap_or(0).max(layout.approx_len),
+            lens.get(2).copied().unwrap_or(0).max(layout.approx_len),
+        );
+        let (mut src, mut dst) = if layout.levels().is_multiple_of(2) {
+            (odd, even)
+        } else {
+            (even, odd)
+        };
+        let mut cur_len = layout.approx_len;
+        for (s, &c) in src.iter_mut().zip(&coeffs[layout.approx_range()]) {
+            *s = f64::from(c);
+        }
+        for level in (2..=layout.levels()).rev() {
+            let len = lens[level - 1];
+            synthesize_into(
+                &self.wavelet,
+                &src[..cur_len],
+                &coeffs[layout.detail_range(level)],
+                &mut dst[..len],
+            );
+            std::mem::swap(&mut src, &mut dst);
+            cur_len = len;
+        }
+        synthesize_into(
+            &self.wavelet,
+            &src[..cur_len],
+            &coeffs[layout.detail_range(1)],
+            &mut out[..],
+        );
+        Ok(())
     }
+}
+
+/// Sizes `work` for two regions and hands them out; levels alternate
+/// between reading one and writing the other.
+fn ping_pong(work: &mut Vec<f64>, first: usize, second: usize) -> (&mut [f64], &mut [f64]) {
+    if work.len() < first + second {
+        work.resize(first + second, 0.0);
+    }
+    let (a, rest) = work.split_at_mut(first);
+    (a, &mut rest[..second])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transform::reference;
     use proptest::prelude::*;
 
     fn ramp(n: usize) -> Vec<f32> {
         (0..n)
             .map(|i| (i as f32 * 0.37).sin() * 3.0 + i as f32 * 0.01)
             .collect()
+    }
+
+    /// `Dwt::forward` as it was before the workspace: widen, pad a copy,
+    /// fresh vectors per level — over the `%`-indexed reference kernels.
+    fn reference_forward(dwt: &Dwt, signal: &[f32]) -> Vec<f32> {
+        let layout = dwt.layout_for(signal.len());
+        let mut cur: Vec<f64> = signal.iter().map(|&v| f64::from(v)).collect();
+        let mut details: Vec<Vec<f64>> = Vec::new();
+        for _ in 0..layout.levels() {
+            if cur.len() % 2 == 1 {
+                cur.push(cur[cur.len() - 1]);
+            }
+            let (approx, detail) = reference::analyze(&dwt.wavelet, &cur);
+            details.push(detail);
+            cur = approx;
+        }
+        let mut data: Vec<f32> = cur.iter().map(|&v| v as f32).collect();
+        for detail in details.iter().rev() {
+            data.extend(detail.iter().map(|&v| v as f32));
+        }
+        data
+    }
+
+    /// `Dwt::inverse` as it was, likewise.
+    fn reference_inverse(dwt: &Dwt, coeffs: &WaveletCoeffs) -> Vec<f32> {
+        let layout = &coeffs.layout;
+        let widen = |r: std::ops::Range<usize>| -> Vec<f64> {
+            coeffs.data[r].iter().map(|&v| f64::from(v)).collect()
+        };
+        let mut cur = widen(layout.approx_range());
+        for level in (1..=layout.levels()).rev() {
+            let detail = widen(layout.detail_range(level));
+            cur = reference::synthesize(&dwt.wavelet, &cur, &detail);
+            cur.truncate(layout.level_input_lens[level - 1]);
+        }
+        cur.iter().map(|&v| v as f32).collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The multilevel transform is the old one bit for bit — every family,
+    /// depths past what short signals allow, lengths with odd levels
+    /// anywhere in the chain — and a dirty, reused workspace changes nothing.
+    #[test]
+    fn transform_is_bit_identical_to_reference() {
+        let mut work = vec![f64::NAN; 7];
+        let mut out = vec![f32::NAN; 3];
+        for name in Wavelet::all_names() {
+            for levels in [1usize, 2, 3, 4, 7] {
+                let dwt = Dwt::new(Wavelet::by_name(name).unwrap(), levels).unwrap();
+                for n in (0usize..=67).chain([101, 257, 1000]) {
+                    let x = ramp(n);
+                    let coeffs = dwt.forward(&x);
+                    assert_eq!(
+                        bits(&coeffs.data),
+                        bits(&reference_forward(&dwt, &x)),
+                        "{name} levels={levels} n={n} forward"
+                    );
+                    dwt.forward_into(&x, coeffs.layout(), &mut work, &mut out);
+                    assert_eq!(bits(&out), bits(&coeffs.data), "{name} n={n} reused");
+                    let expected = reference_inverse(&dwt, &coeffs);
+                    assert_eq!(
+                        bits(&dwt.inverse(&coeffs).unwrap()),
+                        bits(&expected),
+                        "{name} levels={levels} n={n} inverse"
+                    );
+                    dwt.inverse_into(&coeffs.data, coeffs.layout(), &mut work, &mut out)
+                        .unwrap();
+                    assert_eq!(bits(&out), bits(&expected), "{name} n={n} reused inverse");
+                }
+            }
+        }
     }
 
     #[test]

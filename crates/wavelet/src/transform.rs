@@ -10,6 +10,63 @@
 
 use crate::family::Wavelet;
 
+/// What a kernel reads or writes: `f64` between levels, `f32` at the two
+/// ends of a multilevel transform, so the model is widened as it is read
+/// and the coefficients are narrowed as they are written instead of in
+/// passes of their own. Widening is exact, so a kernel computes the same
+/// `f64`s whichever type it reads.
+pub(crate) trait Real: Copy {
+    fn widen(self) -> f64;
+    fn narrow(value: f64) -> Self;
+}
+
+impl Real for f64 {
+    #[inline]
+    fn widen(self) -> f64 {
+        self
+    }
+    #[inline]
+    fn narrow(value: f64) -> Self {
+        value
+    }
+}
+
+impl Real for f32 {
+    #[inline]
+    fn widen(self) -> f64 {
+        f64::from(self)
+    }
+    #[inline]
+    fn narrow(value: f64) -> Self {
+        value as f32
+    }
+}
+
+/// Runs `$kernel::<TAPS>(h, g, ..)` with the filters as arrays, so the
+/// per-output loops over the taps have a constant trip count and unroll.
+macro_rules! with_taps {
+    ($taps:expr, $kernel:ident($h:expr, $g:expr $(, $arg:expr)* $(,)?)) => {
+        match $taps {
+            2 => with_taps!(@call 2, $kernel, $h, $g $(, $arg)*),
+            4 => with_taps!(@call 4, $kernel, $h, $g $(, $arg)*),
+            6 => with_taps!(@call 6, $kernel, $h, $g $(, $arg)*),
+            8 => with_taps!(@call 8, $kernel, $h, $g $(, $arg)*),
+            10 => with_taps!(@call 10, $kernel, $h, $g $(, $arg)*),
+            12 => with_taps!(@call 12, $kernel, $h, $g $(, $arg)*),
+            14 => with_taps!(@call 14, $kernel, $h, $g $(, $arg)*),
+            16 => with_taps!(@call 16, $kernel, $h, $g $(, $arg)*),
+            other => unreachable!("no built-in filter bank has {other} taps"),
+        }
+    };
+    (@call $n:literal, $kernel:ident, $h:expr, $g:expr $(, $arg:expr)*) => {
+        $kernel::<$n, _, _>(
+            $h.try_into().expect("length matched"),
+            $g.try_into().expect("filters of one bank are equally long")
+            $(, $arg)*
+        )
+    };
+}
+
 /// One analysis level: `signal` (even length `N`) → `(approx, detail)` of
 /// length `N/2` each.
 ///
@@ -23,24 +80,9 @@ pub fn analyze(wavelet: &Wavelet, signal: &[f64]) -> (Vec<f64>, Vec<f64>) {
         n > 0 && n.is_multiple_of(2),
         "analysis needs a nonzero even length"
     );
-    let h = wavelet.dec_lo();
-    let g = wavelet.dec_hi();
-    let taps = h.len();
-    let half = n / 2;
-    let mut approx = vec![0.0; half];
-    let mut detail = vec![0.0; half];
-    for k in 0..half {
-        let mut a = 0.0;
-        let mut d = 0.0;
-        let base = 2 * k;
-        for m in 0..taps {
-            let x = signal[(base + m) % n];
-            a += h[m] * x;
-            d += g[m] * x;
-        }
-        approx[k] = a;
-        detail[k] = d;
-    }
+    let mut approx = vec![0.0; n / 2];
+    let mut detail = vec![0.0; n / 2];
+    analyze_into(wavelet, signal, &mut approx, &mut detail);
     (approx, detail)
 }
 
@@ -52,22 +94,243 @@ pub fn analyze(wavelet: &Wavelet, signal: &[f64]) -> (Vec<f64>, Vec<f64>) {
 ///
 /// Panics if the halves differ in length or are empty.
 pub fn synthesize(wavelet: &Wavelet, approx: &[f64], detail: &[f64]) -> Vec<f64> {
-    assert_eq!(approx.len(), detail.len(), "halves must have equal length");
     assert!(!approx.is_empty(), "synthesis needs nonempty coefficients");
+    let mut signal = vec![0.0; approx.len() * 2];
+    synthesize_into(wavelet, approx, detail, &mut signal);
+    signal
+}
+
+/// Index `j ≥ 0` of the periodic extension of a length-`n` signal, without
+/// a division: `j` is below `n + taps`, so the loop runs once unless the
+/// signal is shorter than the filter.
+#[inline]
+fn wrap(mut j: usize, n: usize) -> usize {
+    while j >= n {
+        j -= n;
+    }
+    j
+}
+
+/// One analysis level into caller-owned halves. `input` is the level's
+/// signal *before* padding: an odd length is extended by repeating the last
+/// sample, exactly as [`crate::multilevel`] pads, without copying it.
+///
+/// Output `k` reads `input[2k .. 2k + taps]`. While that window lies inside
+/// `input` it is a plain subslice; only the last `≤ taps/2` outputs, whose
+/// window crosses the end, index through [`wrap`] and the pad rule. Every
+/// output sums its taps in ascending order either way, so the split is
+/// invisible in the result.
+///
+/// # Panics
+///
+/// Panics if `input` is shorter than 2 or the halves are not
+/// `⌈input.len() / 2⌉` long.
+pub(crate) fn analyze_into<I: Real, D: Real>(
+    wavelet: &Wavelet,
+    input: &[I],
+    approx: &mut [f64],
+    detail: &mut [D],
+) {
+    let len = input.len();
+    let half = len.div_ceil(2);
+    assert!(len >= 2, "analysis needs at least two samples");
+    assert_eq!(approx.len(), half, "approx half has the wrong length");
+    assert_eq!(detail.len(), half, "detail half has the wrong length");
     let h = wavelet.dec_lo();
     let g = wavelet.dec_hi();
     let taps = h.len();
-    let n = approx.len() * 2;
-    let mut signal = vec![0.0; n];
-    for k in 0..approx.len() {
-        let base = 2 * k;
-        let a = approx[k];
-        let d = detail[k];
+    let interior = if len >= taps { (len - taps) / 2 + 1 } else { 0 };
+    with_taps!(
+        taps,
+        analyze_interior(
+            h,
+            g,
+            input,
+            &mut approx[..interior],
+            &mut detail[..interior]
+        )
+    );
+    let n = 2 * half;
+    for k in interior..half {
+        let mut a = 0.0;
+        let mut d = 0.0;
         for m in 0..taps {
-            signal[(base + m) % n] += h[m] * a + g[m] * d;
+            let x = input[wrap(2 * k + m, n).min(len - 1)].widen();
+            a += h[m] * x;
+            d += g[m] * x;
         }
+        approx[k] = a;
+        detail[k] = D::narrow(d);
     }
-    signal
+}
+
+/// One synthesis level into a caller-owned signal of length `2·half` or
+/// `2·half − 1` (the inverse of an odd level drops the pad sample, so it is
+/// never computed).
+///
+/// The transpose scatters coefficient pair `k` onto `signal[2k .. 2k +
+/// taps]`; this gathers instead, so every output is written once: output
+/// pair `i` collects pairs `k = i − taps/2 + 1 ..= i` in ascending `k`, the
+/// order in which the scatter reaches it. The first `taps/2 − 1` output
+/// pairs also receive the wrapped tail of the last pairs; they replay the
+/// scatter over the few pairs at either end that touch them.
+///
+/// # Panics
+///
+/// Panics if the halves differ in length or are empty, or `out` has neither
+/// of the two lengths.
+pub(crate) fn synthesize_into<D: Real, O: Real>(
+    wavelet: &Wavelet,
+    approx: &[f64],
+    detail: &[D],
+    out: &mut [O],
+) {
+    let half = approx.len();
+    let n = 2 * half;
+    assert_eq!(half, detail.len(), "halves must have equal length");
+    assert!(half > 0, "synthesis needs nonempty coefficients");
+    assert!(
+        out.len() == n || out.len() == n - 1,
+        "synthesis output has the wrong length"
+    );
+    let h = wavelet.dec_lo();
+    let g = wavelet.dec_hi();
+    let taps = h.len();
+    let reach = taps / 2;
+
+    // Outputs below `edge` mix unwrapped contributions of the first pairs
+    // with wrapped ones of the last; only pairs within `reach` of either
+    // end touch them.
+    let edge = (taps - 2).min(n);
+    let low = reach.min(half);
+    let high = half.saturating_sub(reach).max(low);
+    for (j, o) in out.iter_mut().take(edge).enumerate() {
+        let mut acc = 0.0;
+        for k in (0..low).chain(high..half) {
+            let (a, d) = (approx[k], detail[k].widen());
+            for m in 0..taps {
+                if wrap(2 * k + m, n) == j {
+                    acc += h[m] * a + g[m] * d;
+                }
+            }
+        }
+        *o = O::narrow(acc);
+    }
+
+    let first_pair = edge / 2;
+    let (pairs, last) = out.as_chunks_mut::<2>();
+    let pairs = pairs.get_mut(first_pair..).unwrap_or_default();
+    with_taps!(
+        taps,
+        synthesize_interior(h, g, approx, detail, first_pair, pairs, last.first_mut())
+    );
+}
+
+/// Analysis outputs whose window `input[2k .. 2k + TAPS]` needs no wrapping.
+fn analyze_interior<const TAPS: usize, I: Real, D: Real>(
+    h: &[f64; TAPS],
+    g: &[f64; TAPS],
+    input: &[I],
+    approx: &mut [f64],
+    detail: &mut [D],
+) {
+    let windows = input.windows(TAPS).step_by(2);
+    for ((window, a_out), d_out) in windows.zip(approx).zip(detail) {
+        let mut a = 0.0;
+        let mut d = 0.0;
+        for m in 0..TAPS {
+            let x = window[m].widen();
+            a += h[m] * x;
+            d += g[m] * x;
+        }
+        *a_out = a;
+        *d_out = D::narrow(d);
+    }
+}
+
+/// Synthesis output pairs `first_pair..` — those no wrapped contribution
+/// reaches — plus the even half of the pair after them when the level drops
+/// its pad sample (`last`).
+fn synthesize_interior<const TAPS: usize, D: Real, O: Real>(
+    h: &[f64; TAPS],
+    g: &[f64; TAPS],
+    approx: &[f64],
+    detail: &[D],
+    first_pair: usize,
+    pairs: &mut [[O; 2]],
+    last: Option<&mut O>,
+) {
+    // Output pair `i` gathers coefficient pairs `i − TAPS/2 + 1 ..= i`,
+    // oldest first — the order in which the scatter would reach it.
+    let gather = |a: &[f64], d: &[D]| {
+        let mut even = 0.0;
+        let mut odd = 0.0;
+        for t in 0..TAPS / 2 {
+            let (a, d) = (a[t], d[t].widen());
+            let m = TAPS - 2 - 2 * t;
+            even += h[m] * a + g[m] * d;
+            odd += h[m + 1] * a + g[m + 1] * d;
+        }
+        (even, odd)
+    };
+    let mut sources = approx
+        .windows(TAPS / 2)
+        .zip(detail.windows(TAPS / 2))
+        .skip((first_pair + 1).saturating_sub(TAPS / 2));
+    for (pair, (a, d)) in pairs.iter_mut().zip(&mut sources) {
+        let (even, odd) = gather(a, d);
+        *pair = [O::narrow(even), O::narrow(odd)];
+    }
+    if let (Some(last), Some((a, d))) = (last, sources.next()) {
+        *last = O::narrow(gather(a, d).0);
+    }
+}
+
+/// The `%`-indexed kernels the sliced ones replaced, kept as the oracle:
+/// the new kernels must reproduce them bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use crate::family::Wavelet;
+
+    pub(crate) fn analyze(wavelet: &Wavelet, signal: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let n = signal.len();
+        let h = wavelet.dec_lo();
+        let g = wavelet.dec_hi();
+        let taps = h.len();
+        let half = n / 2;
+        let mut approx = vec![0.0; half];
+        let mut detail = vec![0.0; half];
+        for k in 0..half {
+            let mut a = 0.0;
+            let mut d = 0.0;
+            let base = 2 * k;
+            for m in 0..taps {
+                let x = signal[(base + m) % n];
+                a += h[m] * x;
+                d += g[m] * x;
+            }
+            approx[k] = a;
+            detail[k] = d;
+        }
+        (approx, detail)
+    }
+
+    pub(crate) fn synthesize(wavelet: &Wavelet, approx: &[f64], detail: &[f64]) -> Vec<f64> {
+        let h = wavelet.dec_lo();
+        let g = wavelet.dec_hi();
+        let taps = h.len();
+        let n = approx.len() * 2;
+        let mut signal = vec![0.0; n];
+        for k in 0..approx.len() {
+            let base = 2 * k;
+            let a = approx[k];
+            let d = detail[k];
+            for m in 0..taps {
+                signal[(base + m) % n] += h[m] * a + g[m] * d;
+            }
+        }
+        signal
+    }
 }
 
 #[cfg(test)]
@@ -157,6 +420,91 @@ mod tests {
         let ea: f64 = a.iter().map(|v| v * v).sum();
         let ed: f64 = d.iter().map(|v| v * v).sum();
         assert!(ed < ea * 0.01, "detail energy {ed} vs approx {ea}");
+    }
+
+    fn noise(len: usize, seed: u64) -> Vec<f64> {
+        let mut s = seed | 1;
+        (0..len)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                ((s >> 11) as f64 / (1u64 << 53) as f64) * 20.0 - 10.0
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every family × every length 2..=67 — shorter than the filter, equal
+    /// to it, odd (padded) and even: the sliced kernels are the reference
+    /// kernels, bit for bit.
+    #[test]
+    fn analysis_is_bit_identical_to_reference() {
+        for name in Wavelet::all_names() {
+            let w = Wavelet::by_name(name).unwrap();
+            for len in 2usize..=67 {
+                let x = noise(len, len as u64 * 977 + name.len() as u64);
+                let mut padded = x.clone();
+                if len % 2 == 1 {
+                    padded.push(x[len - 1]);
+                }
+                let (ra, rd) = reference::analyze(&w, &padded);
+                let half = padded.len() / 2;
+                let mut a = vec![f64::NAN; half];
+                let mut d = vec![f64::NAN; half];
+                analyze_into(&w, &x, &mut a, &mut d);
+                assert_eq!(bits(&a), bits(&ra), "{name} len={len} approx");
+                assert_eq!(bits(&d), bits(&rd), "{name} len={len} detail");
+            }
+        }
+    }
+
+    #[test]
+    fn synthesis_is_bit_identical_to_reference() {
+        for name in Wavelet::all_names() {
+            let w = Wavelet::by_name(name).unwrap();
+            for len in 2usize..=67 {
+                let half = len.div_ceil(2);
+                let a = noise(half, len as u64 * 31 + 7);
+                let d = noise(half, len as u64 * 131 + 3);
+                let mut expected = reference::synthesize(&w, &a, &d);
+                expected.truncate(len);
+                let mut out = vec![f64::NAN; len];
+                synthesize_into(&w, &a, &d, &mut out);
+                assert_eq!(bits(&out), bits(&expected), "{name} len={len}");
+            }
+        }
+    }
+
+    proptest! {
+        /// The same on random lengths and values, specials included (NaN
+        /// payloads and signed zeros must survive the reordered loops too).
+        #[test]
+        fn kernels_are_bit_identical_to_reference_on_any_input(
+            x in proptest::collection::vec(any::<f64>(), 2..140),
+            widx in 0usize..18,
+        ) {
+            let w = Wavelet::by_name(Wavelet::all_names()[widx]).unwrap();
+            let mut padded = x.clone();
+            if x.len() % 2 == 1 {
+                padded.push(x[x.len() - 1]);
+            }
+            let (ra, rd) = reference::analyze(&w, &padded);
+            let mut a = vec![0.0; ra.len()];
+            let mut d = vec![0.0; rd.len()];
+            analyze_into(&w, &x, &mut a, &mut d);
+            prop_assert_eq!(bits(&a), bits(&ra));
+            prop_assert_eq!(bits(&d), bits(&rd));
+
+            let mut expected = reference::synthesize(&w, &ra, &rd);
+            expected.truncate(x.len());
+            let mut out = vec![0.0; x.len()];
+            synthesize_into(&w, &a, &d, &mut out);
+            prop_assert_eq!(bits(&out), bits(&expected));
+        }
     }
 
     #[test]
