@@ -30,7 +30,7 @@ use jwins::engine::Trainer;
 use jwins::metrics::RunResult;
 use jwins::strategies::FullSharing;
 use jwins::strategy::ShareStrategy;
-use jwins_bench::report::BenchCase;
+use jwins_bench::report::{BenchCase, PhaseSink, PhaseTotals};
 use jwins_bench::{banner, Scale};
 use jwins_data::images::{cifar_like, ImageConfig};
 use jwins_nn::models::{mlp_classifier, ClassSample};
@@ -80,7 +80,7 @@ fn run_scale(
     ordering: Ordering,
     threads: usize,
     hetero: HeterogeneityProfile,
-) -> RunResult {
+) -> (RunResult, PhaseTotals) {
     let data = cifar_like(&ImageConfig::tiny(), TEMPLATES, 2, SEED);
     let node_train: Vec<Vec<ClassSample>> = (0..nodes)
         .map(|i| {
@@ -105,11 +105,16 @@ fn run_scale(
     cfg.heterogeneity = hetero;
     cfg.shards = shards;
     cfg.ordering = ordering;
+    // The propose/execute/commit split of every case comes from the trace's
+    // ExecuteBatch records, folded as they arrive: keeping the trace would
+    // show up in the peak RSS this bench reports.
+    let phases = PhaseSink::default();
     let trainer = Trainer::builder(cfg)
         .topology(
             StaticTopology::random_regular(nodes, DEGREE, SEED ^ 0xD1).expect("feasible graph"),
         )
         .test_set(data.test.clone())
+        .trace_sink(Box::new(phases.clone()))
         .nodes(node_train, |_node| {
             (
                 mlp_classifier(2 * 8 * 8, &[4], 4, SEED),
@@ -118,7 +123,8 @@ fn run_scale(
         })
         .build()
         .expect("valid experiment");
-    trainer.run().expect("run completes")
+    let result = trainer.run().expect("run completes");
+    (result, phases.totals())
 }
 
 fn main() {
@@ -145,11 +151,20 @@ fn main() {
         if smoke { " [smoke]" } else { "" }
     );
     println!(
-        "{:>8} {:>8} {:>10} {:>12} {:>12}",
-        "nodes", "rounds", "wall s", "events/s", "peak RSS MB"
+        "{:>8} {:>8} {:>10} {:>12} {:>12} {:>10} {:>10} {:>10}",
+        "nodes",
+        "rounds",
+        "wall s",
+        "events/s",
+        "peak RSS MB",
+        "propose s",
+        "execute s",
+        "commit s"
     );
-    let mut csv =
-        String::from("section,nodes,rounds,shards,ordering,threads,wall_s,events_per_s,peak_rss_mb,final_accuracy\n");
+    let mut csv = String::from(
+        "section,nodes,rounds,shards,ordering,threads,wall_s,events_per_s,peak_rss_mb,\
+         final_accuracy,propose_s,execute_s,commit_s\n",
+    );
     let mut cases = Vec::new();
     let mut rss_per_node: Vec<(usize, f64)> = Vec::new();
     for &nodes in sizes {
@@ -158,23 +173,30 @@ fn main() {
         let shards = (nodes / 64).max(1);
         let hetero = HeterogeneityProfile::stragglers(0.25, 4.0, 0.005, 12.5e6);
         let start = Instant::now();
-        let result = run_scale(nodes, rounds, shards, Ordering::Strict, 0, hetero);
+        let (result, phases) = run_scale(nodes, rounds, shards, Ordering::Strict, 0, hetero);
         let wall = start.elapsed().as_secs_f64();
         let events = event_count(nodes, rounds);
         let eps = events as f64 / wall;
         let rss_mb = peak_rss_bytes().map_or(f64::NAN, |b| b as f64 / (1024.0 * 1024.0));
         rss_per_node.push((nodes, rss_mb));
         let accuracy = result.final_record().map_or(f64::NAN, |r| r.test_accuracy);
-        println!("{nodes:>8} {rounds:>8} {wall:>10.2} {eps:>12.0} {rss_mb:>12.1}");
+        let PhaseTotals {
+            propose_s,
+            execute_s,
+            commit_s,
+        } = phases;
+        println!(
+            "{nodes:>8} {rounds:>8} {wall:>10.2} {eps:>12.0} {rss_mb:>12.1} \
+             {propose_s:>10.3} {execute_s:>10.3} {commit_s:>10.3}"
+        );
         csv.push_str(&format!(
-            "scale,{nodes},{rounds},{shards},strict,0,{wall:.4},{eps:.1},{rss_mb:.1},{accuracy:.6}\n"
+            "scale,{nodes},{rounds},{shards},strict,0,{wall:.4},{eps:.1},{rss_mb:.1},{accuracy:.6},\
+             {propose_s:.4},{execute_s:.4},{commit_s:.4}\n"
         ));
-        cases.push(BenchCase::from_result(
-            "ext_scale",
-            &format!("nodes-{nodes}"),
-            wall,
-            &result,
-        ));
+        cases.push(
+            BenchCase::from_result("ext_scale", &format!("nodes-{nodes}"), wall, &result)
+                .with_phases(phases),
+        );
     }
     // Sublinear-memory sanity: 10× the nodes must cost < 10× the peak RSS.
     // VmHWM includes the process baseline, so this is conservative; only
@@ -212,8 +234,8 @@ fn main() {
          log-normal speeds:"
     );
     println!(
-        "{:>24} {:>10} {:>12} {:>10}",
-        "mode", "wall s", "events/s", "accuracy"
+        "{:>24} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10}",
+        "mode", "wall s", "events/s", "accuracy", "propose s", "execute s", "commit s"
     );
     let mut strict_result: Option<(f64, RunResult)> = None;
     let mut window_result: Option<(f64, RunResult)> = None;
@@ -223,26 +245,39 @@ fn main() {
         ("window/16-shard", 16, skew),
     ] {
         let start = Instant::now();
-        let result = run_scale(ord_nodes, ord_rounds, shards, ordering, 8, random_speeds());
+        let (result, phases) =
+            run_scale(ord_nodes, ord_rounds, shards, ordering, 8, random_speeds());
         let wall = start.elapsed().as_secs_f64();
         let events = event_count(ord_nodes, ord_rounds);
         let eps = events as f64 / wall;
         let accuracy = result.final_record().map_or(f64::NAN, |r| r.test_accuracy);
-        println!("{label:>24} {wall:>10.2} {eps:>12.0} {accuracy:>10.4}");
+        let PhaseTotals {
+            propose_s,
+            execute_s,
+            commit_s,
+        } = phases;
+        println!(
+            "{label:>24} {wall:>10.2} {eps:>12.0} {accuracy:>10.4} \
+             {propose_s:>10.3} {execute_s:>10.3} {commit_s:>10.3}"
+        );
         let ord_name = if matches!(ordering, Ordering::Strict) {
             "strict"
         } else {
             "window"
         };
         csv.push_str(&format!(
-            "ordering,{ord_nodes},{ord_rounds},{shards},{ord_name},8,{wall:.4},{eps:.1},,{accuracy:.6}\n"
+            "ordering,{ord_nodes},{ord_rounds},{shards},{ord_name},8,{wall:.4},{eps:.1},,{accuracy:.6},\
+             {propose_s:.4},{execute_s:.4},{commit_s:.4}\n"
         ));
-        cases.push(BenchCase::from_result(
-            "ext_scale",
-            &format!("{ord_name}-{shards}shard"),
-            wall,
-            &result,
-        ));
+        cases.push(
+            BenchCase::from_result(
+                "ext_scale",
+                &format!("{ord_name}-{shards}shard"),
+                wall,
+                &result,
+            )
+            .with_phases(phases),
+        );
         match (ordering, shards) {
             (Ordering::Strict, 1) => strict_result = Some((wall, result)),
             (Ordering::Window { .. }, _) => window_result = Some((wall, result)),

@@ -1,8 +1,11 @@
 //! Criterion microbenchmarks of every substrate on the JWINS hot path:
 //! wavelet transforms (by family and depth), FFT, entropy coders, float
-//! codecs, TopK selection and gossip mixing. These quantify the share
-//! path's design choices (wavelet family, metadata codec, value codec);
-//! `docs/ARCHITECTURE.md`, "The share path", describes the kernels.
+//! codecs, TopK selection, gossip mixing and the `jwins_nn` layers. These
+//! quantify the share path's design choices (wavelet family, metadata codec,
+//! value codec) and the SGD path's kernels; `docs/ARCHITECTURE.md`, "The
+//! share path" and "The SGD path", describe them.
+//!
+//! `cargo bench --bench micro_substrates -- nn/` runs one group.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use jwins::average::PartialAverager;
@@ -12,6 +15,12 @@ use jwins_codec::quantize::Qsgd;
 use jwins_codec::sparse::{IndexCodec, SparseVecCodec, ValueCodec};
 use jwins_codec::{delta, lz};
 use jwins_fourier::fft_real;
+use jwins_nn::conv::Conv2d;
+use jwins_nn::layers::{Layer, Linear};
+use jwins_nn::model::Model;
+use jwins_nn::models::{gn_lenet, mlp_classifier, ClassSample};
+use jwins_nn::norm::GroupNorm;
+use jwins_nn::Tensor;
 use jwins_topology::{gen, weights::MetropolisWeights};
 use jwins_wavelet::{Dwt, Wavelet};
 
@@ -213,8 +222,86 @@ fn bench_selection_and_mixing(c: &mut Criterion) {
     group.finish();
 }
 
+/// One layer's training forward (which also arms `backward`) and backward
+/// on a fixed input; both include handing the layer an owned tensor.
+fn bench_layer(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    layer: &mut dyn Layer,
+    in_shape: &[usize],
+) {
+    let x = Tensor::from_vec(in_shape, model_vector(in_shape.iter().product()));
+    let gy = layer.forward(x.clone(), true);
+    group.bench_function(format!("{name}/forward"), |b| {
+        b.iter(|| black_box(layer.forward(x.clone(), true)));
+    });
+    group.bench_function(format!("{name}/backward"), |b| {
+        b.iter(|| black_box(layer.backward(gy.clone())));
+    });
+}
+
+fn class_batch(features: usize, classes: usize, len: usize) -> Vec<ClassSample> {
+    let x = model_vector(features * len);
+    x.chunks(features)
+        .enumerate()
+        .map(|(s, x)| (x.to_vec(), s % classes))
+        .collect()
+}
+
+/// The layers and whole models of the repo benchmark's workloads:
+/// `lenet_sync` (GN-LeNet width 8 on 3×12×12), `mlp_*` (432-256-10) and
+/// `event_scale` (16-1-4 at batch 2).
+fn bench_nn(c: &mut Criterion) {
+    let mut group = c.benchmark_group("nn");
+    group.sample_size(30);
+    let mut conv1 = Conv2d::new(3, 8, 3, 1, 1);
+    bench_layer(
+        &mut group,
+        "conv_3to8_12x12_b8",
+        &mut conv1,
+        &[8, 3, 12, 12],
+    );
+    let mut conv2 = Conv2d::new(8, 8, 3, 1, 2);
+    bench_layer(&mut group, "conv_8to8_6x6_b8", &mut conv2, &[8, 8, 6, 6]);
+    let mut norm = GroupNorm::new(4, 8);
+    bench_layer(
+        &mut group,
+        "groupnorm_4x8_12x12_b8",
+        &mut norm,
+        &[8, 8, 12, 12],
+    );
+    for batch in [8usize, 64] {
+        let mut linear = Linear::new(432, 256, 3);
+        let name = format!("linear_432to256_b{batch}");
+        bench_layer(&mut group, &name, &mut linear, &[batch, 432]);
+    }
+    let models = [
+        ("gn_lenet_w8", gn_lenet(3, 12, 12, 10, 8, 4), 432, 10, 8),
+        (
+            "mlp_432_256_10",
+            mlp_classifier(432, &[256], 10, 5),
+            432,
+            10,
+            8,
+        ),
+        ("mlp_16_1_4", mlp_classifier(16, &[1], 4, 6), 16, 4, 2),
+    ];
+    for (name, mut model, features, classes, batch) in models {
+        let train = class_batch(features, classes, batch);
+        group.bench_function(format!("{name}/loss_and_grad_b{batch}"), |b| {
+            b.iter(|| black_box(model.loss_and_grad(&train)));
+        });
+        let test = class_batch(features, classes, 64);
+        group.bench_function(format!("{name}/evaluate_b64"), |b| {
+            b.iter(|| black_box(model.evaluate(&test)));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_nn,
     bench_wavelet,
     bench_fft,
     bench_codecs,

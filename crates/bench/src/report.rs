@@ -57,23 +57,56 @@ pub struct PhaseTotals {
 }
 
 impl PhaseTotals {
+    /// Adds `event`'s phase spans if it is an `ExecuteBatch` record.
+    fn add(&mut self, event: &jwins_trace::TraceEvent) {
+        if let jwins_trace::TraceEvent::ExecuteBatch {
+            propose_ns,
+            execute_ns,
+            commit_ns,
+            ..
+        } = *event
+        {
+            self.propose_s += propose_ns as f64 * 1e-9;
+            self.execute_s += execute_ns as f64 * 1e-9;
+            self.commit_s += commit_ns as f64 * 1e-9;
+        }
+    }
+
     /// Sums the phase spans of every `ExecuteBatch` record in `events`.
     pub fn from_events(events: &[jwins_trace::TraceEvent]) -> Self {
         let mut totals = Self::default();
-        for event in events {
-            if let jwins_trace::TraceEvent::ExecuteBatch {
-                propose_ns,
-                execute_ns,
-                commit_ns,
-                ..
-            } = *event
-            {
-                totals.propose_s += propose_ns as f64 * 1e-9;
-                totals.execute_s += execute_ns as f64 * 1e-9;
-                totals.commit_s += commit_ns as f64 * 1e-9;
-            }
-        }
+        events.iter().for_each(|event| totals.add(event));
         totals
+    }
+}
+
+/// A trace sink that folds [`PhaseTotals`] as the events arrive instead of
+/// keeping them: `ext_scale` reports peak RSS, which a `MemorySink` holding
+/// the whole trace of a 10k-node run would dominate. Clones share the
+/// totals, so a handle kept outside the engine reads them after the run.
+#[derive(Debug, Clone, Default)]
+pub struct PhaseSink {
+    totals: std::sync::Arc<std::sync::Mutex<PhaseTotals>>,
+}
+
+impl PhaseSink {
+    /// The totals folded so far.
+    pub fn totals(&self) -> PhaseTotals {
+        *self.lock()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, PhaseTotals> {
+        // An addition leaves the totals valid at every step, so a lock
+        // poisoned by a panic elsewhere loses nothing.
+        self.totals
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+impl jwins_trace::TraceSink for PhaseSink {
+    fn record(&mut self, event: &jwins_trace::TraceEvent) {
+        self.lock().add(event);
     }
 }
 
@@ -244,6 +277,11 @@ mod tests {
             },
         ];
         let totals = PhaseTotals::from_events(&events);
+        // The folding sink sees the same stream and arrives at the same sums.
+        let sink = PhaseSink::default();
+        let mut attached: Box<dyn jwins_trace::TraceSink> = Box::new(sink.clone());
+        events.iter().for_each(|event| attached.record(event));
+        assert_eq!(sink.totals(), totals);
         assert!((totals.propose_s - 0.0015).abs() < 1e-12);
         assert!((totals.execute_s - 0.0065).abs() < 1e-12);
         assert!((totals.commit_s - 0.003).abs() < 1e-12);

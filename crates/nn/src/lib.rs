@@ -9,6 +9,11 @@
 //! (paper §IV-G), so `params`/`set_params`/`loss_and_grad` all speak
 //! `&[f32]`.
 //!
+//! The layers run at the width of the vector unit — different summation
+//! chains side by side, never one chain split — so every output is
+//! bit-identical to the plain nested loops, which are kept as test oracles;
+//! "The SGD path" in `docs/ARCHITECTURE.md` states the summation order.
+//!
 //! # Contents
 //!
 //! - [`tensor::Tensor`]: shape-checked dense `f32` arrays.
@@ -43,8 +48,11 @@ pub mod models;
 pub mod norm;
 pub mod optim;
 pub mod recurrent;
+mod scratch;
 pub mod sequential;
 pub mod tensor;
+#[cfg(test)]
+mod testdata;
 
 pub use model::{EvalMetrics, Model};
 pub use tensor::Tensor;

@@ -8,6 +8,36 @@
 
 use crate::tensor::Tensor;
 
+/// One row's stabilizer and partition sum: `(max, Σ_k exp(row[k] − max))`.
+fn partition(row: &[f32]) -> (f32, f64) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut denom = 0.0f64;
+    for &v in row {
+        denom += f64::from(v - max).exp();
+    }
+    (max, denom)
+}
+
+/// Sum of the per-row losses `ln Σ_k exp(x_k) − x_target`, with each row's
+/// `(max, partition sum)` handed to `each_row`.
+fn cross_entropy_sum(
+    logits: &Tensor,
+    targets: &[usize],
+    mut each_row: impl FnMut(usize, f32, f64),
+) -> f64 {
+    let [b, c]: [usize; 2] = logits.shape().try_into().expect("expects [batch, classes]");
+    assert_eq!(targets.len(), b, "one target per sample");
+    let mut loss = 0.0f64;
+    for (s, &target) in targets.iter().enumerate() {
+        assert!(target < c, "target {target} out of {c} classes");
+        let row = &logits.data()[s * c..(s + 1) * c];
+        let (max, denom) = partition(row);
+        loss += denom.ln() - f64::from(row[target] - max);
+        each_row(s, max, denom);
+    }
+    loss
+}
+
 /// Numerically stable mean softmax cross-entropy.
 ///
 /// `logits` is `[batch, classes]`; `targets[b]` is the class index of sample
@@ -18,27 +48,27 @@ use crate::tensor::Tensor;
 /// Panics on shape mismatch or out-of-range targets.
 pub fn softmax_cross_entropy(logits: &Tensor, targets: &[usize]) -> (f32, Tensor) {
     let [b, c]: [usize; 2] = logits.shape().try_into().expect("expects [batch, classes]");
-    assert_eq!(targets.len(), b, "one target per sample");
     let x = logits.data();
     let mut grad = vec![0.0f32; x.len()];
-    let mut loss = 0.0f64;
-    for (s, &target) in targets.iter().enumerate() {
-        assert!(target < c, "target {target} out of {c} classes");
+    let loss = cross_entropy_sum(logits, targets, |s, max, denom| {
         let row = &x[s * c..(s + 1) * c];
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut denom = 0.0f64;
-        for &v in row {
-            denom += f64::from(v - max).exp();
-        }
-        let log_denom = denom.ln();
-        loss += log_denom - f64::from(row[target] - max);
         let grow = &mut grad[s * c..(s + 1) * c];
         for (k, g) in grow.iter_mut().enumerate() {
             let p = (f64::from(row[k] - max).exp() / denom) as f32;
-            *g = (p - if k == target { 1.0 } else { 0.0 }) / b as f32;
+            *g = (p - if k == targets[s] { 1.0 } else { 0.0 }) / b as f32;
         }
-    }
+    });
     ((loss / b as f64) as f32, Tensor::from_vec(&[b, c], grad))
+}
+
+/// The mean loss of [`softmax_cross_entropy`] without its gradient — what
+/// evaluation needs.
+///
+/// # Panics
+///
+/// Panics on shape mismatch or out-of-range targets.
+pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> f32 {
+    (cross_entropy_sum(logits, targets, |_, _, _| {}) / targets.len() as f64) as f32
 }
 
 /// Softmax probabilities of a logit matrix (used for evaluation).
@@ -48,11 +78,7 @@ pub fn softmax(logits: &Tensor) -> Tensor {
     let mut out = vec![0.0f32; x.len()];
     for s in 0..b {
         let row = &x[s * c..(s + 1) * c];
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut denom = 0.0f64;
-        for &v in row {
-            denom += f64::from(v - max).exp();
-        }
+        let (max, denom) = partition(row);
         for (k, o) in out[s * c..(s + 1) * c].iter_mut().enumerate() {
             *o = (f64::from(row[k] - max).exp() / denom) as f32;
         }
@@ -60,18 +86,29 @@ pub fn softmax(logits: &Tensor) -> Tensor {
     Tensor::from_vec(&[b, c], out)
 }
 
-/// Index of the largest logit per row.
+/// Index of the largest logit per row; among equal maxima, the last.
+///
+/// Total: a diverged model's NaN logits never compare as the maximum, and a
+/// row of nothing but NaN predicts the last class — a wrong answer to count
+/// like any other, where the loss of that row is NaN already.
+///
+/// # Panics
+///
+/// Panics if the rows are empty.
 pub fn argmax_rows(logits: &Tensor) -> Vec<usize> {
-    let [b, c]: [usize; 2] = logits.shape().try_into().expect("expects [batch, classes]");
-    let x = logits.data();
-    (0..b)
-        .map(|s| {
-            let row = &x[s * c..(s + 1) * c];
-            row.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN logits"))
-                .map(|(i, _)| i)
-                .expect("nonzero class count")
+    let [_, c]: [usize; 2] = logits.shape().try_into().expect("expects [batch, classes]");
+    assert!(c > 0, "nonzero class count");
+    logits
+        .data()
+        .chunks_exact(c)
+        .map(|row| {
+            (1..c).fold(0, |best, i| {
+                if row[i] >= row[best] || row[best].is_nan() {
+                    i
+                } else {
+                    best
+                }
+            })
         })
         .collect()
 }
@@ -147,6 +184,13 @@ mod tests {
     }
 
     #[test]
+    fn loss_without_gradient_is_the_same_float() {
+        let logits = Tensor::from_vec(&[2, 3], vec![0.3, -0.7, 1.2, 0.1, 0.9, -0.2]);
+        let (loss, _) = softmax_cross_entropy(&logits, &[2, 0]);
+        assert_eq!(cross_entropy(&logits, &[2, 0]).to_bits(), loss.to_bits());
+    }
+
+    #[test]
     fn stability_under_huge_logits() {
         let logits = Tensor::from_vec(&[1, 2], vec![1e4, -1e4]);
         let (loss, grad) = softmax_cross_entropy(&logits, &[0]);
@@ -168,6 +212,31 @@ mod tests {
     fn argmax_picks_largest() {
         let logits = Tensor::from_vec(&[2, 3], vec![1.0, 5.0, 3.0, -1.0, -2.0, -0.5]);
         assert_eq!(argmax_rows(&logits), vec![1, 2]);
+    }
+
+    #[test]
+    fn argmax_ties_go_to_the_last_maximum_and_signed_zeros_tie() {
+        let logits = Tensor::from_vec(
+            &[3, 3],
+            vec![2.0, 2.0, 1.0, 0.0, -0.0, -1.0, -0.0, 0.0, -1.0],
+        );
+        assert_eq!(argmax_rows(&logits), vec![1, 1, 1]);
+    }
+
+    #[test]
+    fn argmax_is_total_over_nan() {
+        let nan = f32::NAN;
+        let rows = vec![
+            nan, 1.0, 3.0, 3.0, // NaN first: ignored
+            1.0, 5.0, nan, 2.0, // NaN after the maximum
+            1.0, nan, 4.0, nan, // NaN on both sides
+            nan, nan, nan, nan, // nothing to compare
+        ];
+        let logits = Tensor::from_vec(&[4, 4], rows);
+        assert_eq!(argmax_rows(&logits), vec![3, 1, 2, 3]);
+        // The loss of the same rows is NaN, not a panic.
+        let (loss, _) = softmax_cross_entropy(&logits, &[0, 1, 2, 3]);
+        assert!(loss.is_nan());
     }
 
     #[test]

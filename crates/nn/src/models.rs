@@ -15,7 +15,7 @@
 use crate::conv::Conv2d;
 use crate::init;
 use crate::layers::{AvgPool2d, Flatten, Layer, Linear, MaxPool2d, Relu};
-use crate::loss::{argmax_rows, mse, softmax_cross_entropy};
+use crate::loss::{argmax_rows, cross_entropy, mse, softmax_cross_entropy};
 use crate::model::{EvalMetrics, Model};
 use crate::norm::GroupNorm;
 use crate::recurrent::{Embedding, Lstm};
@@ -83,9 +83,11 @@ impl ImageClassifier {
             data.extend_from_slice(x);
             targets.push(*y);
         }
-        let mut shape = vec![batch.len()];
-        shape.extend_from_slice(&self.input_shape);
-        (Tensor::from_vec(&shape, data), targets)
+        let rank = 1 + self.input_shape.len();
+        let mut shape = [0; 4];
+        shape[0] = batch.len();
+        shape[1..rank].copy_from_slice(&self.input_shape);
+        (Tensor::from_vec(&shape[..rank], data), targets)
     }
 }
 
@@ -108,9 +110,9 @@ impl Model for ImageClassifier {
         assert!(!batch.is_empty(), "empty batch");
         self.net.zero_grads();
         let (x, targets) = self.batch_tensor(batch);
-        let logits = self.net.forward(&x);
+        let logits = self.net.forward(x, true);
         let (loss, grad) = softmax_cross_entropy(&logits, &targets);
-        let _ = self.net.backward(&grad);
+        let _ = self.net.backward(grad);
         (loss, self.net.grads())
     }
 
@@ -119,8 +121,8 @@ impl Model for ImageClassifier {
             return EvalMetrics::default();
         }
         let (x, targets) = self.batch_tensor(batch);
-        let logits = self.net.forward(&x);
-        let (loss, _) = softmax_cross_entropy(&logits, &targets);
+        let logits = self.net.forward(x, false);
+        let loss = cross_entropy(&logits, &targets);
         let pred = argmax_rows(&logits);
         let correct = pred.iter().zip(&targets).filter(|(p, t)| p == t).count();
         EvalMetrics {
@@ -398,7 +400,7 @@ impl CharLstm {
 
     /// Runs the network, returning `[batch·steps, vocab]` logits and the
     /// flattened targets.
-    fn forward_batch(&mut self, batch: &[SeqSample]) -> (Tensor, Vec<usize>) {
+    fn forward_batch(&mut self, batch: &[SeqSample], train: bool) -> (Tensor, Vec<usize>) {
         assert!(!batch.is_empty(), "empty batch");
         let t = batch[0].0.len();
         assert!(t > 0, "empty sequence");
@@ -415,7 +417,7 @@ impl CharLstm {
         let h1 = self.lstm1.forward(&embedded);
         let h2 = self.lstm2.forward(&h1);
         let flat = h2.reshape(&[batch.len() * t, self.hidden]);
-        let logits = self.head.forward(&flat);
+        let logits = self.head.forward(flat, train);
         (logits, targets)
     }
 }
@@ -460,9 +462,9 @@ impl Model for CharLstm {
         self.head.zero_grads();
         let b = batch.len();
         let t = batch[0].0.len();
-        let (logits, targets) = self.forward_batch(batch);
+        let (logits, targets) = self.forward_batch(batch, true);
         let (loss, dlogits) = softmax_cross_entropy(&logits, &targets);
-        let dflat = self.head.backward(&dlogits);
+        let dflat = self.head.backward(dlogits);
         let dh2 = dflat.reshape(&[b, t, self.hidden]);
         let dh1 = self.lstm2.backward(&dh2);
         let demb = self.lstm1.backward(&dh1);
@@ -480,8 +482,8 @@ impl Model for CharLstm {
         if batch.is_empty() {
             return EvalMetrics::default();
         }
-        let (logits, targets) = self.forward_batch(batch);
-        let (loss, _) = softmax_cross_entropy(&logits, &targets);
+        let (logits, targets) = self.forward_batch(batch, false);
+        let loss = cross_entropy(&logits, &targets);
         let preds = argmax_rows(&logits);
         let correct = preds.iter().zip(&targets).filter(|(p, t)| p == t).count();
         EvalMetrics {
@@ -557,6 +559,30 @@ mod tests {
         let mut m = leaf_cnn(1, 4, 4, 2, 3, 8, 6);
         let batch = class_batch(16, 2);
         check_model(&mut m, &batch, 1e-3, 5e-2, 50).unwrap();
+    }
+
+    /// Kernel sizes and paddings the two CNNs do not use: 5×5 "same", an
+    /// unpadded 3×3 and a 1×1, each feeding a second convolution so that
+    /// the input gradient is checked too.
+    #[test]
+    fn conv_variants_gradcheck() {
+        for (k, pad) in [(5, 2), (3, 0), (1, 0)] {
+            let side = 6 + 2 * pad + 1 - k;
+            let net = Sequential::new()
+                .with(Conv2d::new(2, 3, k, pad, init::sub_seed(9, 0)))
+                .with(crate::layers::Tanh::new())
+                .with(Conv2d::new(3, 2, k, pad, init::sub_seed(9, 1)))
+                .with(Flatten::new())
+                .with(Linear::new(
+                    2 * (side + 2 * pad + 1 - k) * (side + 2 * pad + 1 - k),
+                    3,
+                    init::sub_seed(9, 2),
+                ));
+            let mut m = ImageClassifier::new(net, vec![2, 6, 6], 3);
+            let batch = class_batch(2 * 6 * 6, 3);
+            check_model(&mut m, &batch, 1e-3, 5e-2, 80)
+                .unwrap_or_else(|e| panic!("{k}x{k} pad {pad}: {e}"));
+        }
     }
 
     #[test]
@@ -636,6 +662,28 @@ mod tests {
         assert_eq!(p.len(), 3 * 2 + 3 * 2 + 3 + 3 + 1);
         mf.set_params(&p);
         assert_eq!(mf.params(), p);
+    }
+
+    /// A diverged model (NaN parameters, reachable with a large learning
+    /// rate alone) is evaluated like any other instead of unwinding inside
+    /// an engine worker.
+    #[test]
+    fn evaluating_a_diverged_model_returns_metrics() {
+        let models = [
+            (gn_lenet(2, 4, 4, 3, 4, 5), 2 * 4 * 4, 3),
+            (leaf_cnn(1, 4, 4, 2, 3, 8, 6), 16, 2),
+            (mlp_classifier(6, &[8], 3, 11), 6, 3),
+        ];
+        for (mut m, features, classes) in models {
+            m.set_params(&vec![f32::NAN; m.param_count()]);
+            let batch = class_batch(features, classes);
+            let metrics = m.evaluate(&batch);
+            assert_eq!(metrics.count, batch.len());
+            assert!(metrics.correct <= metrics.count);
+            let (loss, grad) = m.loss_and_grad(&batch);
+            assert!(loss.is_nan());
+            assert_eq!(grad.len(), m.param_count());
+        }
     }
 
     #[test]

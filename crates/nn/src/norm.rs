@@ -19,16 +19,12 @@ pub struct GroupNorm {
     channels: usize,
     params: Vec<f32>,
     grads: Vec<f32>,
-    /// Cached from forward: normalized activations and per-(sample, group)
-    /// inverse standard deviations.
-    cache: Option<Cache>,
-}
-
-#[derive(Debug)]
-struct Cache {
+    /// Kept by a training forward, reused across calls: normalized
+    /// activations, per-(sample, group) inverse standard deviations and the
+    /// input shape.
     xhat: Vec<f32>,
     inv_std: Vec<f64>,
-    shape: Vec<usize>,
+    shape: [usize; 4],
 }
 
 impl GroupNorm {
@@ -49,86 +45,100 @@ impl GroupNorm {
             channels,
             grads: vec![0.0; 2 * channels],
             params,
-            cache: None,
+            xhat: Vec::new(),
+            inv_std: Vec::new(),
+            shape: [0; 4],
         }
     }
 }
 
 impl Layer for GroupNorm {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let [b, c, h, w]: [usize; 4] = input.shape().try_into().expect("expects [b,c,h,w]");
+    fn forward(&mut self, mut input: Tensor, train: bool) -> Tensor {
+        let shape: [usize; 4] = input.shape().try_into().expect("expects [b,c,h,w]");
+        let [b, c, h, w] = shape;
         assert_eq!(c, self.channels, "channel mismatch");
-        let gsize = c / self.groups * h * w; // elements per (sample, group)
-        let x = input.data();
-        let (gamma, beta) = self.params.split_at(c);
-        let mut xhat = vec![0.0f32; x.len()];
-        let mut out = vec![0.0f32; x.len()];
-        let mut inv_std = vec![0.0f64; b * self.groups];
         let ch_per_group = c / self.groups;
-        for bi in 0..b {
-            for g in 0..self.groups {
-                let start = bi * c * h * w + g * ch_per_group * h * w;
-                let slice = &x[start..start + gsize];
-                let mean = slice.iter().map(|&v| f64::from(v)).sum::<f64>() / gsize as f64;
-                let var = slice
-                    .iter()
-                    .map(|&v| (f64::from(v) - mean).powi(2))
-                    .sum::<f64>()
-                    / gsize as f64;
-                let istd = 1.0 / (var + EPS).sqrt();
-                inv_std[bi * self.groups + g] = istd;
-                for (k, &v) in slice.iter().enumerate() {
-                    let ch = g * ch_per_group + k / (h * w);
-                    let xh = ((f64::from(v) - mean) * istd) as f32;
-                    xhat[start + k] = xh;
-                    out[start + k] = gamma[ch] * xh + beta[ch];
+        let gsize = ch_per_group * h * w; // elements per (sample, group)
+        let (gamma, beta) = self.params.split_at(c);
+        if train {
+            self.shape = shape;
+            self.xhat.resize(input.len(), 0.0);
+            self.inv_std.resize(b * self.groups, 0.0);
+        }
+        // (sample, group) slices tile the buffer in order: slice `sg` is
+        // sample `sg / groups`, group `sg % groups`.
+        for (sg, slice) in input.data_mut().chunks_exact_mut(gsize).enumerate() {
+            let mean = slice.iter().map(|&v| f64::from(v)).sum::<f64>() / gsize as f64;
+            let var = slice
+                .iter()
+                .map(|&v| (f64::from(v) - mean).powi(2))
+                .sum::<f64>()
+                / gsize as f64;
+            let istd = 1.0 / (var + EPS).sqrt();
+            for v in slice.iter_mut() {
+                *v = ((f64::from(*v) - mean) * istd) as f32;
+            }
+            if train {
+                self.inv_std[sg] = istd;
+                self.xhat[sg * gsize..(sg + 1) * gsize].copy_from_slice(slice);
+            }
+            let first_ch = sg % self.groups * ch_per_group;
+            for (j, plane) in slice.chunks_exact_mut(h * w).enumerate() {
+                let (gamma, beta) = (gamma[first_ch + j], beta[first_ch + j]);
+                for v in plane {
+                    *v = gamma * *v + beta;
                 }
             }
         }
-        self.cache = Some(Cache {
-            xhat,
-            inv_std,
-            shape: input.shape().to_vec(),
-        });
-        Tensor::from_vec(input.shape(), out)
+        input
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self.cache.as_ref().expect("backward before forward");
-        let [b, c, h, w]: [usize; 4] = cache.shape[..].try_into().expect("cached shape");
-        assert_eq!(grad_out.len(), b * c * h * w);
-        let gy = grad_out.data();
-        let gsize = c / self.groups * h * w;
+    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
+        let [b, c, h, w] = self.shape;
+        assert!(
+            b * c * h * w == grad_out.len() && grad_out.len() == self.xhat.len(),
+            "backward before forward"
+        );
         let ch_per_group = c / self.groups;
-        let gamma: Vec<f32> = self.params[..c].to_vec();
+        let gsize = ch_per_group * h * w;
+        let gamma = &self.params[..c];
         let (ggamma, gbeta) = self.grads.split_at_mut(c);
-        let mut gx = vec![0.0f32; gy.len()];
-        for bi in 0..b {
-            for g in 0..self.groups {
-                let start = bi * c * h * w + g * ch_per_group * h * w;
-                let istd = cache.inv_std[bi * self.groups + g];
-                // Per-group reductions of gxhat and gxhat·xhat.
-                let mut sum_gxh = 0.0f64;
-                let mut sum_gxh_xh = 0.0f64;
-                for k in 0..gsize {
-                    let ch = g * ch_per_group + k / (h * w);
-                    let gxh = f64::from(gy[start + k]) * f64::from(gamma[ch]);
-                    let xh = f64::from(cache.xhat[start + k]);
+        let slices = grad_out
+            .data_mut()
+            .chunks_exact_mut(gsize)
+            .zip(self.xhat.chunks_exact(gsize));
+        for (sg, (gys, xhats)) in slices.enumerate() {
+            let first_ch = sg % self.groups * ch_per_group;
+            // Per-group reductions of gxhat and gxhat·xhat; the per-channel
+            // ones go straight into the parameter gradients.
+            let mut sum_gxh = 0.0f64;
+            let mut sum_gxh_xh = 0.0f64;
+            let planes = gys.chunks_exact(h * w).zip(xhats.chunks_exact(h * w));
+            for (j, (gys, xhats)) in planes.enumerate() {
+                let ch = first_ch + j;
+                let gamma = f64::from(gamma[ch]);
+                let (mut ggamma_ch, mut gbeta_ch) = (ggamma[ch], gbeta[ch]);
+                for (&gy, &xh) in gys.iter().zip(xhats) {
+                    let gxh = f64::from(gy) * gamma;
                     sum_gxh += gxh;
-                    sum_gxh_xh += gxh * xh;
-                    ggamma[ch] += gy[start + k] * cache.xhat[start + k];
-                    gbeta[ch] += gy[start + k];
+                    sum_gxh_xh += gxh * f64::from(xh);
+                    ggamma_ch += gy * xh;
+                    gbeta_ch += gy;
                 }
-                let m = gsize as f64;
-                for k in 0..gsize {
-                    let ch = g * ch_per_group + k / (h * w);
-                    let gxh = f64::from(gy[start + k]) * f64::from(gamma[ch]);
-                    let xh = f64::from(cache.xhat[start + k]);
-                    gx[start + k] = ((istd / m) * (m * gxh - sum_gxh - xh * sum_gxh_xh)) as f32;
+                (ggamma[ch], gbeta[ch]) = (ggamma_ch, gbeta_ch);
+            }
+            let m = gsize as f64;
+            let scale = self.inv_std[sg] / m;
+            let planes = gys.chunks_exact_mut(h * w).zip(xhats.chunks_exact(h * w));
+            for (j, (gys, xhats)) in planes.enumerate() {
+                let gamma = f64::from(gamma[first_ch + j]);
+                for (gy, &xh) in gys.iter_mut().zip(xhats) {
+                    let gxh = f64::from(*gy) * gamma;
+                    *gy = (scale * (m * gxh - sum_gxh - f64::from(xh) * sum_gxh_xh)) as f32;
                 }
             }
         }
-        Tensor::from_vec(&cache.shape, gx)
+        grad_out
     }
 
     fn param_count(&self) -> usize {
@@ -152,6 +162,90 @@ impl Layer for GroupNorm {
     }
 }
 
+/// The per-element `k / (h·w)` loops [`GroupNorm`] started with, kept as the
+/// oracle: the in-place version above must reproduce them bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::EPS;
+
+    /// Returns `(out, xhat, inv_std)`.
+    pub(super) fn forward(
+        groups: usize,
+        params: &[f32],
+        [b, c, h, w]: [usize; 4],
+        x: &[f32],
+    ) -> (Vec<f32>, Vec<f32>, Vec<f64>) {
+        let gsize = c / groups * h * w;
+        let (gamma, beta) = params.split_at(c);
+        let mut xhat = vec![0.0f32; x.len()];
+        let mut out = vec![0.0f32; x.len()];
+        let mut inv_std = vec![0.0f64; b * groups];
+        let ch_per_group = c / groups;
+        for bi in 0..b {
+            for g in 0..groups {
+                let start = bi * c * h * w + g * ch_per_group * h * w;
+                let slice = &x[start..start + gsize];
+                let mean = slice.iter().map(|&v| f64::from(v)).sum::<f64>() / gsize as f64;
+                let var = slice
+                    .iter()
+                    .map(|&v| (f64::from(v) - mean).powi(2))
+                    .sum::<f64>()
+                    / gsize as f64;
+                let istd = 1.0 / (var + EPS).sqrt();
+                inv_std[bi * groups + g] = istd;
+                for (k, &v) in slice.iter().enumerate() {
+                    let ch = g * ch_per_group + k / (h * w);
+                    let xh = ((f64::from(v) - mean) * istd) as f32;
+                    xhat[start + k] = xh;
+                    out[start + k] = gamma[ch] * xh + beta[ch];
+                }
+            }
+        }
+        (out, xhat, inv_std)
+    }
+
+    /// Accumulates into `grads`, returns the input gradient.
+    pub(super) fn backward(
+        groups: usize,
+        params: &[f32],
+        grads: &mut [f32],
+        [b, c, h, w]: [usize; 4],
+        (xhat, inv_std): (&[f32], &[f64]),
+        gy: &[f32],
+    ) -> Vec<f32> {
+        let gsize = c / groups * h * w;
+        let ch_per_group = c / groups;
+        let gamma = &params[..c];
+        let (ggamma, gbeta) = grads.split_at_mut(c);
+        let mut gx = vec![0.0f32; gy.len()];
+        for bi in 0..b {
+            for g in 0..groups {
+                let start = bi * c * h * w + g * ch_per_group * h * w;
+                let istd = inv_std[bi * groups + g];
+                let mut sum_gxh = 0.0f64;
+                let mut sum_gxh_xh = 0.0f64;
+                for k in 0..gsize {
+                    let ch = g * ch_per_group + k / (h * w);
+                    let gxh = f64::from(gy[start + k]) * f64::from(gamma[ch]);
+                    let xh = f64::from(xhat[start + k]);
+                    sum_gxh += gxh;
+                    sum_gxh_xh += gxh * xh;
+                    ggamma[ch] += gy[start + k] * xhat[start + k];
+                    gbeta[ch] += gy[start + k];
+                }
+                let m = gsize as f64;
+                for k in 0..gsize {
+                    let ch = g * ch_per_group + k / (h * w);
+                    let gxh = f64::from(gy[start + k]) * f64::from(gamma[ch]);
+                    let xh = f64::from(xhat[start + k]);
+                    gx[start + k] = ((istd / m) * (m * gxh - sum_gxh - xh * sum_gxh_xh)) as f32;
+                }
+            }
+        }
+        gx
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,7 +254,7 @@ mod tests {
     fn normalizes_to_zero_mean_unit_var() {
         let mut gn = GroupNorm::new(2, 4);
         let x = Tensor::from_vec(&[1, 4, 1, 2], vec![1.0, 3.0, 5.0, 7.0, -2.0, 0.0, 2.0, 4.0]);
-        let y = gn.forward(&x);
+        let y = gn.forward(x, true);
         // Group 0 covers channels 0-1 (first 4 values), group 1 the rest.
         for group in y.data().chunks(4) {
             let mean: f32 = group.iter().sum::<f32>() / 4.0;
@@ -177,7 +271,7 @@ mod tests {
         gn.params_mut()[0] = 2.0; // gamma ch0
         gn.params_mut()[c] = 1.0; // beta ch0
         let x = Tensor::from_vec(&[1, 2, 1, 1], vec![1.0, -1.0]);
-        let y = gn.forward(&x);
+        let y = gn.forward(x, true);
         // xhat = [1, -1] (mean 0, var 1 over the group of both channels).
         assert!((y.data()[0] - 3.0).abs() < 1e-3, "{:?}", y.data());
         assert!((y.data()[1] + 1.0).abs() < 1e-3);
@@ -189,8 +283,8 @@ mod tests {
         let mut gn = GroupNorm::new(1, 1);
         let x1 = Tensor::from_vec(&[2, 1, 1, 2], vec![1.0, 2.0, 100.0, -50.0]);
         let x2 = Tensor::from_vec(&[2, 1, 1, 2], vec![1.0, 2.0, 7.0, 9.0]);
-        let y1 = gn.forward(&x1).data()[..2].to_vec();
-        let y2 = gn.forward(&x2).data()[..2].to_vec();
+        let y1 = gn.forward(x1, true).data()[..2].to_vec();
+        let y2 = gn.forward(x2, true).data()[..2].to_vec();
         assert_eq!(y1, y2);
     }
 
@@ -198,5 +292,49 @@ mod tests {
     #[should_panic(expected = "groups must divide channels")]
     fn invalid_groups_panics() {
         let _ = GroupNorm::new(3, 4);
+    }
+
+    use crate::testdata::{bits, relu_sparse, salted};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Outputs, input gradients and parameter gradients accumulated over
+        /// two passes equal the reference loops bit for bit.
+        #[test]
+        fn group_norm_is_bit_identical_to_reference(
+            seed in any::<u64>(),
+            groups in 1usize..5,
+            ch_per_group in 1usize..4,
+            (b, h, w) in (1usize..6, 1usize..6, 1usize..6),
+        ) {
+            let c = groups * ch_per_group;
+            let shape = [b, c, h, w];
+            let mut gn = GroupNorm::new(groups, c);
+            let params = salted(2 * c, seed ^ 1);
+            gn.params_mut().copy_from_slice(&params);
+            let mut ref_grads = vec![0.0f32; 2 * c];
+            for pass in 0..2u64 {
+                let x = salted(b * c * h * w, seed ^ (2 + pass));
+                let gy = if pass == 0 {
+                    relu_sparse(x.len(), seed ^ 4)
+                } else {
+                    salted(x.len(), seed ^ 5)
+                };
+                let y = gn.forward(Tensor::from_vec(&shape, x.clone()), true);
+                let (y_ref, xhat, inv_std) = reference::forward(groups, &params, shape, &x);
+                prop_assert_eq!(bits(y.data()), bits(&y_ref));
+                let y_eval = gn.forward(Tensor::from_vec(&shape, x.clone()), false);
+                prop_assert_eq!(bits(y_eval.data()), bits(&y_ref));
+
+                let gx = gn.backward(Tensor::from_vec(&shape, gy.clone()));
+                let cache = (&xhat[..], &inv_std[..]);
+                let gx_ref =
+                    reference::backward(groups, &params, &mut ref_grads, shape, cache, &gy);
+                prop_assert_eq!(bits(gx.data()), bits(&gx_ref));
+                prop_assert_eq!(bits(gn.grads()), bits(&ref_grads));
+            }
+        }
     }
 }

@@ -36,23 +36,20 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Runs all layers forward.
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut cur = input.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur);
-        }
-        cur
+    /// Runs all layers forward; `train` as in [`Layer::forward`].
+    pub fn forward(&mut self, input: Tensor, train: bool) -> Tensor {
+        self.layers
+            .iter_mut()
+            .fold(input, |x, layer| layer.forward(x, train))
     }
 
     /// Backpropagates through all layers (reverse order), accumulating
     /// parameter gradients; returns the gradient w.r.t. the input.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut cur = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            cur = layer.backward(&cur);
-        }
-        cur
+    pub fn backward(&mut self, grad_out: Tensor) -> Tensor {
+        self.layers
+            .iter_mut()
+            .rev()
+            .fold(grad_out, |g, layer| layer.backward(g))
     }
 
     /// Total trainable parameters.
@@ -149,9 +146,9 @@ mod tests {
     fn forward_backward_shapes() {
         let mut net = tiny_net();
         let x = Tensor::from_vec(&[2, 3], vec![0.5; 6]);
-        let y = net.forward(&x);
+        let y = net.forward(x, true);
         assert_eq!(y.shape(), &[2, 2]);
-        let gx = net.backward(&Tensor::from_vec(&[2, 2], vec![1.0; 4]));
+        let gx = net.backward(Tensor::from_vec(&[2, 2], vec![1.0; 4]));
         assert_eq!(gx.shape(), &[2, 3]);
         assert_eq!(net.grads().len(), net.param_count());
     }
@@ -160,11 +157,47 @@ mod tests {
     fn zero_grads_clears_everything() {
         let mut net = tiny_net();
         let x = Tensor::from_vec(&[1, 3], vec![1.0, 2.0, 3.0]);
-        let _ = net.forward(&x);
-        let _ = net.backward(&Tensor::from_vec(&[1, 2], vec![1.0, -1.0]));
+        let _ = net.forward(x, true);
+        let _ = net.backward(Tensor::from_vec(&[1, 2], vec![1.0, -1.0]));
         assert!(net.grads().iter().any(|&g| g != 0.0));
         net.zero_grads();
         assert!(net.grads().iter().all(|&g| g == 0.0));
+    }
+
+    /// Every layer kind in one stack: an evaluation forward between a
+    /// training forward and its backward — at another batch size — changes
+    /// neither the gradients nor what the evaluation itself returns.
+    #[test]
+    fn evaluation_forward_leaves_training_state_alone() {
+        use crate::conv::Conv2d;
+        use crate::layers::{AvgPool2d, Flatten, MaxPool2d, Tanh};
+        use crate::norm::GroupNorm;
+        use crate::testdata::{bits, salted};
+        let mut net = Sequential::new()
+            .with(Conv2d::new(2, 4, 3, 1, 1))
+            .with(GroupNorm::new(2, 4))
+            .with(Relu::new())
+            .with(AvgPool2d::new(2))
+            .with(Conv2d::new(4, 4, 3, 1, 2))
+            .with(Tanh::new())
+            .with(MaxPool2d::new(2))
+            .with(Flatten::new())
+            .with(Linear::new(4 * 2 * 2, 3, 3));
+        let x = Tensor::from_vec(&[3, 2, 8, 8], salted(3 * 2 * 8 * 8, 1));
+        let other = Tensor::from_vec(&[5, 2, 8, 8], salted(5 * 2 * 8 * 8, 2));
+        let gy = Tensor::from_vec(&[3, 3], salted(9, 3));
+
+        let _ = net.forward(x.clone(), true);
+        let gx = net.backward(gy.clone());
+        let grads = net.grads();
+        let evaluated = net.forward(other.clone(), true);
+
+        net.zero_grads();
+        let _ = net.forward(x, true);
+        let evaluated_between = net.forward(other, false);
+        assert_eq!(bits(evaluated_between.data()), bits(evaluated.data()));
+        assert_eq!(bits(net.backward(gy).data()), bits(gx.data()));
+        assert_eq!(bits(&net.grads()), bits(&grads));
     }
 
     #[test]

@@ -7,28 +7,44 @@
 
 use std::fmt;
 
+/// Most dimensions a tensor can have (`[batch, ch, h, w]`).
+const MAX_RANK: usize = 4;
+
 /// A dense row-major `f32` array with an explicit shape.
+///
+/// The shape is stored inline: a tensor is created per layer per pass, and
+/// at the smallest models a heap-allocated shape costs as much as the
+/// arithmetic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
-    shape: Vec<usize>,
+    /// Dimensions past `rank` are zero.
+    dims: [usize; MAX_RANK],
+    rank: usize,
     data: Vec<f32>,
+}
+
+fn inline_shape(shape: &[usize]) -> ([usize; MAX_RANK], usize) {
+    assert!(
+        shape.len() <= MAX_RANK,
+        "shape {shape:?} has more than {MAX_RANK} dimensions"
+    );
+    let mut dims = [0; MAX_RANK];
+    dims[..shape.len()].copy_from_slice(shape);
+    (dims, shape.len())
 }
 
 impl Tensor {
     /// All-zeros tensor of the given shape.
     pub fn zeros(shape: &[usize]) -> Self {
-        let len = shape.iter().product();
-        Self {
-            shape: shape.to_vec(),
-            data: vec![0.0; len],
-        }
+        Self::from_vec(shape, vec![0.0; shape.iter().product()])
     }
 
     /// Wraps a buffer, validating that the element count matches the shape.
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != shape.iter().product()`.
+    /// Panics if `data.len() != shape.iter().product()` or the shape has
+    /// more than four dimensions.
     pub fn from_vec(shape: &[usize], data: Vec<f32>) -> Self {
         let expected: usize = shape.iter().product();
         assert_eq!(
@@ -37,15 +53,13 @@ impl Tensor {
             "shape {shape:?} needs {expected} elements, got {}",
             data.len()
         );
-        Self {
-            shape: shape.to_vec(),
-            data,
-        }
+        let (dims, rank) = inline_shape(shape);
+        Self { dims, rank, data }
     }
 
     /// The shape.
     pub fn shape(&self) -> &[usize] {
-        &self.shape
+        &self.dims[..self.rank]
     }
 
     /// Total number of elements.
@@ -81,7 +95,7 @@ impl Tensor {
     pub fn reshape(mut self, shape: &[usize]) -> Self {
         let expected: usize = shape.iter().product();
         assert_eq!(self.data.len(), expected, "reshape to {shape:?} mismatch");
-        self.shape = shape.to_vec();
+        (self.dims, self.rank) = inline_shape(shape);
         self
     }
 
@@ -91,10 +105,8 @@ impl Tensor {
     ///
     /// Panics unless both tensors are 2-D with compatible inner dimensions.
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "lhs must be 2-D");
-        assert_eq!(rhs.shape.len(), 2, "rhs must be 2-D");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (rhs.shape[0], rhs.shape[1]);
+        let [m, k]: [usize; 2] = self.shape().try_into().expect("lhs must be 2-D");
+        let [k2, n]: [usize; 2] = rhs.shape().try_into().expect("rhs must be 2-D");
         assert_eq!(k, k2, "inner dimensions differ: {k} vs {k2}");
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
@@ -119,8 +131,10 @@ impl Tensor {
     ///
     /// Panics unless the tensor is 2-D.
     pub fn transpose(&self) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "transpose needs a 2-D tensor");
-        let (m, n) = (self.shape[0], self.shape[1]);
+        let [m, n]: [usize; 2] = self
+            .shape()
+            .try_into()
+            .expect("transpose needs a 2-D tensor");
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
@@ -133,7 +147,7 @@ impl Tensor {
 
 impl fmt::Display for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tensor{:?}", self.shape)
+        write!(f, "Tensor{:?}", self.shape())
     }
 }
 
