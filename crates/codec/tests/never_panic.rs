@@ -88,4 +88,21 @@ proptest! {
     ) {
         let _ = Qsgd::new(levels).decode(&bytes, count);
     }
+
+    #[test]
+    fn varint_decoder(bytes in wire()) {
+        if let Ok((value, used)) = varint::read_u64(&bytes) {
+            prop_assert!((1..=10).contains(&used) && used <= bytes.len());
+            // The canonical re-encoding is never longer than what was read
+            // and reads back as the same value; padded encodings (a trailing
+            // zero group, e.g. `80 00`) are the only inputs it shortens.
+            let mut again = Vec::new();
+            let written = varint::write_u64(&mut again, value);
+            prop_assert_eq!(written, varint::encoded_len(value));
+            prop_assert!(written <= used);
+            prop_assert_eq!(varint::read_u64(&again), Ok((value, written)));
+            let padded = used > 1 && bytes[used - 1] == 0;
+            prop_assert_eq!(again == bytes[..used], !padded);
+        }
+    }
 }

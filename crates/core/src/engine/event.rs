@@ -1,0 +1,1078 @@
+//! The event scheduler: the round program on a virtual clock, with faults,
+//! staleness and topology repair.
+//!
+//! Each node cycles through three events on the shared virtual clock:
+//!
+//! 1. `StartRound` — consult participation; an active node schedules
+//!    `TrainDone` after `compute_s / speed` seconds, an inactive one idles
+//!    for the same window;
+//! 2. `TrainDone` — run the local half of the round program, then serialize
+//!    this round's messages over the uplink one neighbour at a time (each
+//!    arrives `latency + bytes/bandwidth` after its transmission starts) and
+//!    schedule `Mix` once the last byte has left;
+//! 3. `Mix` — drain every message that has *arrived* by the local clock and
+//!    survived the staleness policy (TTL expiry at drain, over-cap drop or
+//!    down-weighting at mix — down-weighted mass moves to the self-weight so
+//!    mixing stays row-stochastic), mix, and start the next round.
+//!
+//! The fault plan (see `jwins_fault`) is replayed as `Crash`/`Recover`
+//! events: a crash abandons the node's round in progress, destroys its inbox
+//! and its in-flight outgoing messages, and invalidates its scheduled events
+//! via lifecycle epochs; a recovery rejoins warm or re-synced from the
+//! lowest-indexed live peer and resumes with the node's next round.
+//! `TrainConfig::eval_interval_s` adds virtual-time evaluation checkpoints
+//! so fast nodes' progress is visible mid-round.
+//!
+//! Simultaneous events are ordered fault < train < mix < start < eval, then
+//! by node id, so equal-time rounds interleave exactly like the barrier
+//! scheduler — which is why a degenerate heterogeneity profile (with a no-op
+//! fault config) reproduces bulk-synchronous results bit-for-bit.
+//!
+//! Independent simultaneous events (same kind — same round, for mixes — on
+//! disjoint nodes) execute as one parallel batch whose side effects are
+//! buffered and committed in pop order: [`EventRun::on_train`] and
+//! [`EventRun::on_mix`] are each a propose / execute / commit triple. See
+//! the [`super`] docs for the full contract and why `threads` cannot change
+//! any result.
+//!
+//! Every trace emit sits in sequential propose/commit code and only *reads*
+//! engine state, so tracing can never perturb RNG draws, event order or any
+//! `RoundRecord` bit. Wall-clock phase timings (the `ExecuteBatch` side
+//! channel) are the one non-deterministic payload;
+//! `TraceEvent::canonical` zeroes them.
+
+use super::round::{active_neighbors, eval_due, fan_out, weigh, Scoreboard, ATTACK_SALT};
+use super::{attack_kind, par_batch, Trainer};
+use crate::metrics::RunResult;
+use crate::strategy::{Outbound, ReceivedMessage};
+use crate::{JwinsError, Result};
+use jwins_adversary::{AttackBehavior, AttackTimeline};
+use jwins_fault::{CapAction, FaultTimeline, RejoinMode};
+use jwins_net::{PendingSend, PurgeScope};
+use jwins_nn::model::Model;
+use jwins_sim::{
+    Conflict, LifecycleEvent, LifecycleTracker, Scheduled, ShardedEventQueue, SimTime,
+};
+use jwins_topology::dynamic::RoundTopology;
+use jwins_topology::repair::{dead_neighbor_counts, LiveSet};
+use jwins_trace::{BatchClass, KillReason, TraceEvent};
+use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    StartRound {
+        node: usize,
+        round: usize,
+        epoch: u64,
+    },
+    TrainDone {
+        node: usize,
+        round: usize,
+        epoch: u64,
+    },
+    Mix {
+        node: usize,
+        round: usize,
+        trained: bool,
+        epoch: u64,
+    },
+    Fault {
+        event: LifecycleEvent,
+        rejoin: RejoinMode,
+    },
+    EvalTick,
+}
+
+const RANK_FAULT: u64 = 0;
+const RANK_TRAIN: u64 = 1;
+const RANK_MIX: u64 = 2;
+const RANK_START: u64 = 3;
+const RANK_EVAL: u64 = 4;
+
+fn prio(rank: u64, node: usize) -> u64 {
+    (rank << 32) | node as u64
+}
+
+/// Per-node events batch with same-kind events on other nodes; fault replay
+/// and checkpoints touch cluster state and run alone. Mix classes
+/// additionally encode the *round*: a round's completion evaluates all
+/// nodes, so a mix must never share a batch (and thus an execute phase) with
+/// a mix of a different round — the n-th completer of a round is then always
+/// the last item of its batch, with every other aggregate of that round
+/// already committed and no foreign-round aggregate executed early.
+fn classify(ev: &Ev) -> Conflict {
+    match *ev {
+        Ev::StartRound { node, .. } => Conflict::Exclusive {
+            class: RANK_START,
+            node,
+        },
+        Ev::TrainDone { node, .. } => Conflict::Exclusive {
+            class: RANK_TRAIN,
+            node,
+        },
+        Ev::Mix { node, round, .. } => Conflict::Exclusive {
+            class: (RANK_MIX << 32) | round as u64,
+            node,
+        },
+        Ev::Fault { .. } | Ev::EvalTick => Conflict::Solo,
+    }
+}
+
+/// One round's resolved context. Under repair it also keeps the per-node
+/// count of dead base-graph neighbours the repaired topology avoids (the
+/// bandwidth-savings accounting).
+#[derive(Clone)]
+struct RoundCtx {
+    topo: RoundTopology,
+    active: Arc<Vec<bool>>,
+    avoided: Arc<Vec<u64>>,
+}
+
+/// The sequential identity of a live `TrainDone`: what commit needs back.
+#[derive(Clone, Copy)]
+struct TrainMeta {
+    node: usize,
+    round: usize,
+    epoch: u64,
+    /// This event's own fire time — the batch head's under Strict, up to
+    /// `max_skew_ns` later under Window.
+    at: SimTime,
+    /// Byzantine behavior covering this node at train-completion time
+    /// (`None` for honest nodes — the overwhelmingly common case).
+    attack: Option<AttackBehavior>,
+}
+
+// Work items and buffered proposals of the two expensive event kinds.
+// Proposals are everything an event wants to do to *shared* state; they are
+// applied at commit, in the queue's pop order.
+struct TrainItem {
+    meta: TrainMeta,
+    ctx: RoundCtx,
+}
+
+struct TrainProposal {
+    meta: TrainMeta,
+    sends: Vec<PendingSend>,
+    mix_at: SimTime,
+    alpha: f64,
+    /// Bytes not spent on dead neighbours thanks to repair (per-message
+    /// size × avoided edges; 0 with repair off).
+    saved_bytes: u64,
+}
+
+/// A live `Mix` in pop order: `(node, round, trained, epoch, fire time)`.
+type LiveMix = (usize, usize, bool, u64, SimTime);
+
+struct MixItem {
+    round: usize,
+    at: SimTime,
+    topo: RoundTopology,
+}
+
+struct MixProposal {
+    // Per *message*, in drain order: `(from, sent_round, staleness_s)`. The
+    // global accumulator folds the staleness terms one at a time at commit,
+    // so the float-addition grouping is identical to processing events
+    // singly; the provenance pair only feeds `TraceEvent::MsgMixed`.
+    staleness: Vec<(usize, usize, f64)>,
+    absorbed: f64,
+    expired: u64,
+}
+
+/// The head of a popped batch: `(fire time, node, round)`.
+type Head = (SimTime, usize, usize);
+
+/// The mean size of the messages a node sends this round — what one avoided
+/// dead neighbour would have cost.
+fn per_message_bytes(outbound: &Outbound) -> u64 {
+    match outbound {
+        Outbound::Broadcast(msg) => msg.bytes.len() as u64,
+        Outbound::PerEdge(messages) => {
+            let (count, total) = messages
+                .iter()
+                .flatten()
+                .fold((0u64, 0u64), |(c, t), m| (c + 1, t + m.bytes.len() as u64));
+            total.checked_div(count).unwrap_or(0)
+        }
+    }
+}
+
+/// The state of one event-driven run: queue, lifecycle, round-context cache
+/// and counters, with one handler per event class.
+pub(super) struct EventRun<M: Model> {
+    t: Trainer<M>,
+    /// The sharded queue preserves the single-heap total order exactly
+    /// (global sequence counter + seeded tie-break, min over shard heads),
+    /// so the shard count is a pure data-structure knob; only
+    /// `Ordering::Window` changes the schedule, and only batch shapes.
+    queue: ShardedEventQueue<Ev>,
+    lifecycle: LifecycleTracker,
+    /// Per-round topology + participation cache: nodes at the same round
+    /// share one construction (dynamic topologies rebuild graph + MH weights
+    /// per call — 2n calls per round without this). Entries are evicted once
+    /// every node has completed the round, bounding memory by the
+    /// fast/slow-node spread.
+    round_ctx: HashMap<usize, RoundCtx>,
+    board: Scoreboard,
+    /// Byzantine schedule, expanded once like the fault plan. A crashed node
+    /// can never inject: its TrainDone events are epoch-stale and it builds
+    /// no messages while down.
+    attacks: AttackTimeline,
+    compute_time: Vec<SimTime>,
+    completed: Vec<usize>,
+    /// Rounds each node has passed — by mixing or by crash-abandonment. A
+    /// node's pending events always concern round `rounds_passed[i]`, so
+    /// every node contributes to every round's completion exactly once and
+    /// `completed` still counts to `n` under churn.
+    rounds_passed: Vec<usize>,
+    /// Per-(round, node) sharing fractions, filled as TrainDone/idle events
+    /// fire; only fully completed rounds are reported.
+    alpha_rows: Vec<Vec<f64>>,
+    current_alpha: Vec<f64>,
+    /// Queued StartRound/TrainDone/Mix events (the initial StartRounds
+    /// count). Fault events scheduled far past the end of training must not
+    /// keep evaluation checkpoints ticking, so EvalTick re-arms only while
+    /// training events remain — not while the queue is non-empty.
+    pending_work: usize,
+    /// Scheduled recoveries per node, and how many of the currently-down
+    /// nodes will resume actual training when they fire: a down node with
+    /// rounds left re-adds work on recovery, so the checkpoint cadence must
+    /// keep ticking through its outage even when every live node has
+    /// drained its queue.
+    recoveries_scheduled: Vec<usize>,
+    productive_recoveries: usize,
+    last_time: SimTime,
+    queue_hwm: u32,
+    run_wall: Instant,
+}
+
+impl<M> EventRun<M>
+where
+    M: Model + Send,
+    M::Sample: Send + Sync,
+{
+    pub(super) fn new(t: Trainer<M>) -> Result<Self> {
+        let n = t.nodes.len();
+        let config = &t.config;
+        let fault_timeline = FaultTimeline::expand(&config.faults.plan, n, config.seed ^ 0xFA_17)
+            .map_err(JwinsError::InvalidConfig)?;
+        let attacks = AttackTimeline::expand(&config.attack, n, config.seed ^ ATTACK_SALT)
+            .map_err(JwinsError::InvalidConfig)?;
+        // Cross-round messages (real heterogeneity, fault plans) are part of
+        // the contract: every delivery carries its sender's round stamp, and
+        // strategies with per-edge state version their handshakes by it (see
+        // the edge-state versioning contract on `ShareStrategy`), so no
+        // strategy needs to be refused here.
+        let compute_time = config
+            .heterogeneity
+            .compute
+            .speeds(n, config.seed ^ 0xC0_FFEE)
+            .iter()
+            .map(|s| SimTime::from_secs_f64(config.time_model.compute_s / s))
+            .collect();
+        let mut queue =
+            ShardedEventQueue::new(config.seed ^ 0xE0E0, config.shards, config.ordering);
+        for node in 0..n {
+            let start = Ev::StartRound {
+                node,
+                round: 0,
+                epoch: 0,
+            };
+            queue.push(SimTime::ZERO, prio(RANK_START, node), node, start);
+        }
+        // Fault and checkpoint events are scheduled *after* the initial
+        // StartRounds so a no-op fault config leaves every insertion
+        // sequence number — and with it the queue's seeded tie-breaks —
+        // exactly as before, preserving the bit-for-bit contract.
+        let mut recoveries_scheduled = vec![0usize; n];
+        for tf in fault_timeline.events() {
+            let node = tf.event.node();
+            let fault = Ev::Fault {
+                event: tf.event,
+                rejoin: tf.rejoin,
+            };
+            queue.push(tf.at, prio(RANK_FAULT, node), node, fault);
+            if !tf.event.is_crash() {
+                recoveries_scheduled[node] += 1;
+            }
+        }
+        if let Some(interval) = config.eval_interval_s {
+            let first = SimTime::from_secs_f64(interval);
+            queue.push(first, prio(RANK_EVAL, 0), 0, Ev::EvalTick);
+        }
+        let rounds = config.rounds;
+        Ok(Self {
+            lifecycle: LifecycleTracker::new(n),
+            round_ctx: HashMap::new(),
+            board: Scoreboard::new(&t),
+            attacks,
+            compute_time,
+            completed: vec![0; rounds],
+            rounds_passed: vec![0; n],
+            alpha_rows: if config.record_alphas {
+                vec![vec![0.0; n]; rounds]
+            } else {
+                Vec::new()
+            },
+            current_alpha: vec![0.0; n],
+            pending_work: n,
+            recoveries_scheduled,
+            productive_recoveries: 0,
+            last_time: SimTime::ZERO,
+            queue_hwm: queue.len() as u32,
+            run_wall: Instant::now(),
+            queue,
+            t,
+        })
+    }
+
+    /// Pops and dispatches batches until the queue runs dry.
+    pub(super) fn run(mut self) -> Result<RunResult> {
+        loop {
+            let batch = self.queue.pop_independent_batch(classify);
+            let (Some(first), Some(last)) = (batch.first(), batch.last()) else {
+                break;
+            };
+            // Reconstruct the pre-pop depth: the popped batch was still
+            // queued when this iteration began.
+            self.queue_hwm = self.queue_hwm.max((self.queue.len() + batch.len()) as u32);
+            let (time, head) = (first.time, first.event);
+            // Under `Ordering::Window` a batch spans fire times; the run's
+            // last event time is the batch tail's (equal to the head's under
+            // Strict, where batches are simultaneous).
+            self.last_time = last.time;
+            match head {
+                Ev::StartRound { .. } => self.on_start(batch),
+                Ev::TrainDone { node, round, .. } => self.on_train(batch, (time, node, round))?,
+                Ev::Mix { node, round, .. } => self.on_mix(batch, (time, node, round))?,
+                Ev::Fault { event, rejoin } => match event {
+                    LifecycleEvent::Crash { node } => self.on_crash(node, time)?,
+                    LifecycleEvent::Recover { node } => self.on_recover(node, rejoin, time),
+                },
+                Ev::EvalTick => self.on_eval_tick(time)?,
+            }
+        }
+        self.finish()
+    }
+
+    fn push(&mut self, at: SimTime, rank: u64, node: usize, event: Ev) {
+        self.queue.push(at, prio(rank, node), node, event);
+    }
+
+    /// Resolves `round` against the current live set through the provider's
+    /// live-aware path and repairs it around the dead nodes, returning the
+    /// topology and the per-node avoided-send counts.
+    fn repaired(&mut self, round: usize, live: &LiveSet) -> (RoundTopology, Vec<u64>) {
+        let seed = self.t.config.seed ^ 0x5245_5041; // "REPA"
+        let base = self.t.topology.topology_for(round, live);
+        let out = self.t.config.repair.apply(&base, live, seed, round);
+        self.board.tally.edges_rewired += out.edges_added;
+        // Savings count against the liveness-blind graph: a live-aware
+        // provider (PeerSampling) filters dead peers out of `base` itself,
+        // which would zero the avoided-sends accounting. Blind providers
+        // already counted on that graph inside apply().
+        let avoided = if self.t.topology.is_live_aware() && !live.is_fully_alive() {
+            dead_neighbor_counts(&self.t.topology.topology(round).graph, live)
+        } else {
+            out.dead_neighbors
+        };
+        (out.topology, avoided)
+    }
+
+    fn live_set(&self) -> LiveSet {
+        LiveSet::new(
+            self.lifecycle.alive_flags().to_vec(),
+            self.lifecycle.version(),
+        )
+    }
+
+    /// The context of `round`, resolved on first use (only ever from
+    /// sequential code). With repair on, every context goes through
+    /// [`Self::repaired`]; `RepairPolicy::None` takes the plain
+    /// `topology(round)` path, bit-for-bit as before repair existed.
+    fn ctx_for(&mut self, round: usize, at: SimTime) -> &RoundCtx {
+        if !self.round_ctx.contains_key(&round) {
+            let active: Vec<bool> = (0..self.t.nodes.len())
+                .map(|j| self.t.participation.is_active(round, j))
+                .collect();
+            let repaired = !self.t.config.repair.is_none();
+            let (topo, avoided) = if repaired {
+                let live = self.live_set();
+                self.repaired(round, &live)
+            } else {
+                (self.t.topology.topology(round), Vec::new())
+            };
+            self.t.tracer.emit(TraceEvent::RoundResolve {
+                t_ns: at.0,
+                round: round as u32,
+                edges: topo.graph.edges().count() as u32,
+                repaired,
+            });
+            let ctx = RoundCtx {
+                topo,
+                active: Arc::new(active),
+                avoided: Arc::new(avoided),
+            };
+            self.round_ctx.insert(round, ctx);
+        }
+        &self.round_ctx[&round]
+    }
+
+    /// Re-resolves every cached (in-progress) round against the current
+    /// live set after a crash or rejoin: survivors re-wire, Metropolis
+    /// weights refresh, and the round's messages on edges the repair
+    /// removed — in flight *or already arrived* — are invalidated with
+    /// their receive accounting reversed. An arrived message on a removed
+    /// edge could never be mixed anyway (the mix weight lookup no longer
+    /// lists the sender), so purging it meters the loss instead of leaving
+    /// it to be skipped silently. Runs only in the sequential path of solo
+    /// fault events, so determinism is untouched; rounds iterate in sorted
+    /// order because the map's iteration order is not deterministic.
+    fn repair_refresh(&mut self, at: SimTime) {
+        if self.t.config.repair.is_none() {
+            return;
+        }
+        let live = self.live_set();
+        let mut cached: Vec<usize> = self.round_ctx.keys().copied().collect();
+        cached.sort_unstable();
+        let rounds_refreshed = cached.len() as u32;
+        let rewired_before = self.board.tally.edges_rewired;
+        for round in cached {
+            let (topo, avoided) = self.repaired(round, &live);
+            let old = self.round_ctx[&round].topo.graph.clone();
+            for (a, b) in old.edges() {
+                if topo.graph.has_edge(a, b) {
+                    continue;
+                }
+                // The connection is gone in both directions; only this
+                // round's messages die — other rounds may still carry the
+                // edge.
+                for (from, to) in [(a, b), (b, a)] {
+                    let scope = PurgeScope::Link {
+                        from,
+                        to,
+                        sent_round: Some(round),
+                    };
+                    self.kill(scope, to, at, KillReason::RepairEdge);
+                }
+                // Live endpoints drop their per-edge strategy state for the
+                // removed connection: its pending handshakes can never
+                // complete, and if repair later restores the edge it must
+                // restart from the deterministic fresh state rather than a
+                // stale warm start.
+                if self.lifecycle.is_alive(a) {
+                    self.t.nodes[a].strategy.forget_edge(b);
+                }
+                if self.lifecycle.is_alive(b) {
+                    self.t.nodes[b].strategy.forget_edge(a);
+                }
+            }
+            let ctx = self.round_ctx.get_mut(&round).expect("key just listed");
+            ctx.topo = topo;
+            ctx.avoided = Arc::new(avoided);
+        }
+        self.t.tracer.emit(TraceEvent::RepairRewire {
+            t_ns: at.0,
+            live_version: self.lifecycle.version(),
+            edges_added: self.board.tally.edges_rewired - rewired_before,
+            rounds_refreshed,
+        });
+    }
+
+    /// Purges `scope` and reports the destroyed messages against `node`.
+    fn kill(&self, scope: PurgeScope, node: usize, at: SimTime, reason: KillReason) {
+        let count = self.t.network.purge(scope).messages;
+        if count > 0 {
+            self.t.tracer.emit(TraceEvent::MsgKill {
+                t_ns: at.0,
+                node: node as u32,
+                count,
+                reason,
+            });
+        }
+    }
+
+    /// Evaluates every node and records the point; `true` on target hit.
+    fn score(&mut self, round: usize, at: SimTime, checkpoint: bool) -> Result<bool> {
+        let scores = self.t.evaluate()?;
+        self.board.tally.crashes = self.lifecycle.crashes();
+        self.board.tally.rejoins = self.lifecycle.recoveries();
+        Ok(self
+            .board
+            .record(round, at.0, at.as_secs_f64(), checkpoint, &scores))
+    }
+
+    /// Round-completion bookkeeping, entered when a node *passes* a round
+    /// (its Mix fired, or a crash abandoned its round in progress): the last
+    /// of the `n` passes triggers the round's evaluation point and, on
+    /// target hit, the early stop. Returns `true` when the run just stopped
+    /// — the caller must commit nothing further from the current batch,
+    /// mirroring how the sequential schedule leaves simultaneous events to
+    /// die in the cleared queue.
+    fn pass_round(&mut self, round: usize, at: SimTime) -> Result<bool> {
+        self.completed[round] += 1;
+        if self.completed[round] < self.t.nodes.len() {
+            return Ok(false);
+        }
+        self.round_ctx.remove(&round);
+        self.board.rounds_run = round + 1;
+        self.t.tracer.emit(TraceEvent::RoundComplete {
+            t_ns: at.0,
+            round: round as u32,
+        });
+        let stop = eval_due(&self.t.config, round) && self.score(round, at, false)?;
+        if stop {
+            // Early stop: cancel everything in flight.
+            self.queue.clear();
+        }
+        Ok(stop)
+    }
+
+    /// Reports one executed batch and its wall-clock phase split (`walls`:
+    /// start, end of propose, end of execute; commit ends now). Train
+    /// batches may span rounds (the class ignores the round) and report the
+    /// head's; mix batches are single-round by construction. The shard id is
+    /// the head node's.
+    fn emit_batch(
+        &self,
+        class: BatchClass,
+        head: Head,
+        width: u32,
+        depth: u32,
+        walls: [Duration; 3],
+    ) {
+        if width == 0 {
+            return;
+        }
+        let (time, node, round) = head;
+        let [start, proposed, executed] = walls;
+        self.t.tracer.emit(TraceEvent::ExecuteBatch {
+            t_ns: time.0,
+            class,
+            round: round as u32,
+            width,
+            queue_depth: depth,
+            shard: self.queue.shard_of(node) as u32,
+            wall_start_ns: start.as_nanos() as u64,
+            propose_ns: (proposed - start).as_nanos() as u64,
+            execute_ns: (executed - proposed).as_nanos() as u64,
+            commit_ns: (self.run_wall.elapsed() - executed).as_nanos() as u64,
+        });
+    }
+
+    /// `StartRound`: pure scheduling — no compute worth parallelizing;
+    /// processed in pop order like a one-at-a-time loop.
+    fn on_start(&mut self, batch: Vec<Scheduled<Ev>>) {
+        for s in batch {
+            let Ev::StartRound { node, round, epoch } = s.event else {
+                unreachable!("batches are homogeneous by class")
+            };
+            self.pending_work -= 1;
+            if !self.lifecycle.is_current(node, epoch) {
+                continue;
+            }
+            let active = self.ctx_for(round, s.time).active[node];
+            let end = s.time.plus(self.compute_time[node]);
+            self.pending_work += 1;
+            if active {
+                let done = Ev::TrainDone { node, round, epoch };
+                self.push(end, RANK_TRAIN, node, done);
+            } else {
+                // Idle through the round window; no train, no I/O.
+                let idle = Ev::Mix {
+                    node,
+                    round,
+                    trained: false,
+                    epoch,
+                };
+                self.push(end, RANK_MIX, node, idle);
+            }
+        }
+    }
+
+    fn on_train(&mut self, batch: Vec<Scheduled<Ev>>, head: Head) -> Result<()> {
+        let start = self.run_wall.elapsed();
+        let items = self.propose_train(batch);
+        let (width, depth) = (items.len() as u32, self.queue.len() as u32);
+        let proposed = self.run_wall.elapsed();
+        let proposals = self.execute_train(items)?;
+        let executed = self.run_wall.elapsed();
+        self.commit_train(proposals);
+        let walls = [start, proposed, executed];
+        self.emit_batch(BatchClass::Train, head, width, depth, walls);
+        Ok(())
+    }
+
+    /// Propose: charge the pops, filter stale epochs, and resolve round
+    /// contexts up front (the cache is only touched here, sequentially).
+    fn propose_train(&mut self, batch: Vec<Scheduled<Ev>>) -> Vec<(usize, TrainItem)> {
+        let mut items = Vec::with_capacity(batch.len());
+        for s in batch {
+            let Ev::TrainDone { node, round, epoch } = s.event else {
+                unreachable!("batches are homogeneous by class")
+            };
+            self.pending_work -= 1;
+            if !self.lifecycle.is_current(node, epoch) {
+                continue;
+            }
+            let ctx = self.ctx_for(round, s.time).clone();
+            let meta = TrainMeta {
+                node,
+                round,
+                epoch,
+                at: s.time,
+                attack: self.attacks.behavior_at(node, s.time),
+            };
+            items.push((node, TrainItem { meta, ctx }));
+        }
+        items
+    }
+
+    /// Execute: the local half of the round program on the worker pool.
+    /// Everything a handler would do to shared state — mailbox appends,
+    /// metering, the Mix schedule — is buffered into the proposal instead.
+    fn execute_train(&mut self, items: Vec<(usize, TrainItem)>) -> Result<Vec<TrainProposal>> {
+        let config = &self.t.config;
+        let links = &config.heterogeneity.links;
+        let link_seed = config.seed ^ 0x11_4B;
+        par_batch(
+            &mut self.t.nodes,
+            &mut self.t.arena,
+            items,
+            self.t.workers,
+            |node, state, params, TrainItem { meta, ctx }| {
+                let neighbors = active_neighbors(&ctx.topo, &ctx.active, node);
+                let outbound = state.train_and_build(
+                    node,
+                    params,
+                    config,
+                    meta.round,
+                    &neighbors,
+                    meta.attack,
+                )?;
+                // Savings accounting: the bytes this node would have pushed
+                // to its dead base-graph neighbours had repair not removed
+                // them (one message per avoided edge, at this round's
+                // message size).
+                let avoided = ctx.avoided.get(node).copied().unwrap_or(0);
+                let saved_bytes = avoided * per_message_bytes(&outbound);
+                // Serialize over the uplink one message at a time: the k-th
+                // transmission starts when the (k-1)-th has left, and
+                // arrives one link latency after its last byte.
+                let mut departure = meta.at;
+                let mut sends = Vec::with_capacity(neighbors.len());
+                fan_out(outbound, &neighbors, |to, msg| {
+                    let link = links.link(node, to, link_seed);
+                    let tx = link.serialize_secs(msg.bytes.len() as u64);
+                    sends.push(PendingSend {
+                        from: node,
+                        to,
+                        payload: msg.bytes,
+                        breakdown: msg.breakdown,
+                        sent: meta.at,
+                        arrives: departure.after_secs(tx + link.latency_s),
+                        sent_round: meta.round,
+                    });
+                    departure = departure.after_secs(tx);
+                })?;
+                Ok(TrainProposal {
+                    meta,
+                    sends,
+                    mix_at: departure,
+                    alpha: state.last_alpha,
+                    saved_bytes,
+                })
+            },
+        )
+    }
+
+    /// Commit in pop order: mailbox append order, loss-model link sequences
+    /// and the Mix schedule replay the sequential interleaving exactly.
+    fn commit_train(&mut self, proposals: Vec<TrainProposal>) {
+        for proposal in proposals {
+            let TrainMeta { node, round, .. } = proposal.meta;
+            let t_ns = proposal.meta.at.0;
+            self.t.tracer.emit(TraceEvent::Train {
+                t_ns,
+                node: node as u32,
+                round: round as u32,
+                compute_ns: self.compute_time[node].0,
+            });
+            if let Some(behavior) = proposal.meta.attack {
+                self.board.tally.attacks_injected += 1;
+                self.t.tracer.emit(TraceEvent::AttackInject {
+                    t_ns,
+                    node: node as u32,
+                    round: round as u32,
+                    kind: attack_kind(behavior),
+                });
+            }
+            self.t.network.send_batch(proposal.sends);
+            self.board.tally.bandwidth_saved_bytes += proposal.saved_bytes;
+            self.current_alpha[node] = proposal.alpha;
+            if self.t.config.record_alphas {
+                self.alpha_rows[round][node] = proposal.alpha;
+            }
+            self.pending_work += 1;
+            let mix = Ev::Mix {
+                node,
+                round,
+                trained: true,
+                epoch: proposal.meta.epoch,
+            };
+            self.push(proposal.mix_at, RANK_MIX, node, mix);
+        }
+    }
+
+    fn on_mix(&mut self, batch: Vec<Scheduled<Ev>>, head: Head) -> Result<()> {
+        let start = self.run_wall.elapsed();
+        let (live, items) = self.propose_mix(batch);
+        let (width, depth) = (items.len() as u32, self.queue.len() as u32);
+        let proposed = self.run_wall.elapsed();
+        let proposals = self.execute_mix(items)?;
+        let executed = self.run_wall.elapsed();
+        self.commit_mix(live, proposals)?;
+        let walls = [start, proposed, executed];
+        self.emit_batch(BatchClass::Mix, head, width, depth, walls);
+        Ok(())
+    }
+
+    /// Propose: charge the pops, filter stale epochs, and resolve topologies
+    /// for the trained mixes (idle ones touch nothing shared until commit).
+    fn propose_mix(&mut self, batch: Vec<Scheduled<Ev>>) -> (Vec<LiveMix>, Vec<(usize, MixItem)>) {
+        let mut live = Vec::with_capacity(batch.len());
+        for s in batch {
+            let Ev::Mix {
+                node,
+                round,
+                trained,
+                epoch,
+            } = s.event
+            else {
+                unreachable!("batches are homogeneous by class")
+            };
+            self.pending_work -= 1;
+            if self.lifecycle.is_current(node, epoch) {
+                live.push((node, round, trained, epoch, s.time));
+            }
+        }
+        let mut items = Vec::with_capacity(live.len());
+        for &(node, round, trained, _, at) in &live {
+            if trained {
+                let topo = self.ctx_for(round, at).topo.clone();
+                items.push((node, MixItem { round, at, topo }));
+            }
+        }
+        (live, items)
+    }
+
+    /// Execute: drain and mix on the worker pool. Mailboxes are per-node, so
+    /// disjoint drains cannot race; expiry counters and the shared staleness
+    /// accumulators are deferred into the proposal because float sums must
+    /// be committed in pop order — and not at all for events discarded by
+    /// an early stop.
+    fn execute_mix(&mut self, items: Vec<(usize, MixItem)>) -> Result<Vec<MixProposal>> {
+        let staleness = self.t.config.faults.staleness;
+        let ttl = staleness.ttl().map(SimTime::from_secs_f64);
+        let has_cap = staleness.has_cap();
+        let network = &self.t.network;
+        par_batch(
+            &mut self.t.nodes,
+            &mut self.t.arena,
+            items,
+            self.t.workers,
+            |node, state, params, item| {
+                let drained = network.drain(node, item.at, ttl);
+                let (inbox, mut expired) = (drained.envelopes, drained.expired);
+                let mut received = Vec::with_capacity(inbox.len());
+                let mut absorbed = 0.0f64;
+                let mut staleness_terms = Vec::with_capacity(inbox.len());
+                for env in &inbox {
+                    // A message from a node that is no longer a neighbour
+                    // under this round's topology carries no mixing weight;
+                    // drop it (dynamic graphs only — static topologies never
+                    // hit this).
+                    let Some(base) = weigh(&item.topo, node, env.from) else {
+                        continue;
+                    };
+                    let factor = if has_cap {
+                        staleness.weight_factor(
+                            env.age_rounds(item.round),
+                            env.age_at(item.at).as_secs_f64(),
+                        )
+                    } else {
+                        1.0
+                    };
+                    if factor == 0.0 && matches!(staleness.over_cap, CapAction::Drop) {
+                        // Over the staleness cap with a Drop action: never
+                        // decoded, counted as expired. The absent weight
+                        // renormalizes inside the strategy's partial
+                        // averaging, exactly like a lost message. (A Decay
+                        // factor that *underflows* to zero is not a drop:
+                        // the message stays in the mix at weight zero and
+                        // its whole mass moves to the self-weight below.)
+                        expired += 1;
+                        continue;
+                    }
+                    // Down-weighted mass moves to the self-weight so the
+                    // effective mixing row stays stochastic (factor 1.0
+                    // keeps the weight bit-unchanged).
+                    let (weight, moved) = jwins_fault::apply_factor(base, factor);
+                    absorbed += moved;
+                    staleness_terms.push((
+                        env.from,
+                        env.sent_round,
+                        item.at.since(env.sent).as_secs_f64(),
+                    ));
+                    received.push(ReceivedMessage {
+                        from: env.from,
+                        round: env.sent_round,
+                        weight,
+                        edge_weight: base,
+                        bytes: &env.payload,
+                    });
+                }
+                let mut self_weight = item.topo.weights.self_weight(node);
+                if absorbed > 0.0 {
+                    self_weight += absorbed;
+                }
+                state.mix(params, item.round, self_weight, &received)?;
+                Ok(MixProposal {
+                    staleness: staleness_terms,
+                    absorbed,
+                    expired,
+                })
+            },
+        )
+    }
+
+    /// Commit in pop order. An early stop breaks out: since a batch is
+    /// single-round and the stop fires at the round's n-th completer, the
+    /// trigger is necessarily the batch's last item — the break just keeps
+    /// the discard-the-rest invariant explicit.
+    fn commit_mix(&mut self, live: Vec<LiveMix>, proposals: Vec<MixProposal>) -> Result<()> {
+        let tracer = Arc::clone(&self.t.tracer);
+        let mut proposals = proposals.into_iter();
+        for (node, round, trained, epoch, at) in live {
+            if trained {
+                let p = proposals.next().expect("one proposal per trained mix");
+                self.t.network.record_expired(node, p.expired);
+                if p.expired > 0 {
+                    tracer.emit(TraceEvent::MsgExpire {
+                        t_ns: at.0,
+                        node: node as u32,
+                        round: round as u32,
+                        count: p.expired,
+                    });
+                }
+                // Fold per message, not per event: the same non-associative
+                // float grouping as one-at-a-time execution.
+                let tally = &mut self.board.tally;
+                for &(from, sent_round, s) in &p.staleness {
+                    tally.total_staleness_s += s;
+                    tracer.emit(TraceEvent::MsgMixed {
+                        t_ns: at.0,
+                        node: node as u32,
+                        from: from as u32,
+                        round: round as u32,
+                        sent_round: sent_round as u32,
+                        staleness_s: s,
+                    });
+                }
+                tally.mixed_messages += p.staleness.len() as u64;
+                if p.absorbed > 0.0 {
+                    tally.downweight_mass += p.absorbed;
+                }
+                self.t.nodes[node].drain_stats(node, round, at.0, &tracer, &mut tally.mass_clipped);
+            } else if self.t.config.record_alphas {
+                // Idle rounds carry the node's previous fraction, mirroring
+                // the barrier scheduler's snapshot.
+                self.alpha_rows[round][node] = self.current_alpha[node];
+            }
+            self.rounds_passed[node] = round + 1;
+            if self.pass_round(round, at)? {
+                break;
+            }
+            if round + 1 < self.t.config.rounds {
+                self.pending_work += 1;
+                let next = Ev::StartRound {
+                    node,
+                    round: round + 1,
+                    epoch,
+                };
+                self.push(at, RANK_START, node, next);
+            }
+        }
+        Ok(())
+    }
+
+    fn on_crash(&mut self, node: usize, at: SimTime) -> Result<()> {
+        if !self.lifecycle.crash(node) {
+            return Ok(());
+        }
+        let permanent = self.recoveries_scheduled[node] == 0;
+        // The host dies with its inbox and open connections: everything
+        // queued for it and everything it still has in flight is destroyed.
+        let killed_inbox = self.t.network.purge(PurgeScope::Inbox { node }).messages;
+        let in_flight = PurgeScope::InFlightFrom {
+            from: node,
+            cutoff: at,
+        };
+        let killed_in_flight = self.t.network.purge(in_flight).messages;
+        self.t.tracer.emit(TraceEvent::NodeCrash {
+            t_ns: at.0,
+            node: node as u32,
+            epoch: self.lifecycle.epoch(node),
+            permanent,
+        });
+        for (count, reason) in [
+            (killed_inbox, KillReason::CrashInbox),
+            (killed_in_flight, KillReason::CrashInFlight),
+        ] {
+            if count > 0 {
+                self.t.tracer.emit(TraceEvent::MsgKill {
+                    t_ns: at.0,
+                    node: node as u32,
+                    count,
+                    reason,
+                });
+            }
+        }
+        // A crash with no scheduled recovery is permanent: no handshake with
+        // this node can ever complete, so every other node drops its
+        // per-edge strategy state for it — otherwise stale warm starts would
+        // survive across lifecycle epochs and the state would leak for the
+        // rest of the run.
+        if permanent {
+            for (i, state) in self.t.nodes.iter_mut().enumerate() {
+                if i != node {
+                    state.strategy.forget_edge(node);
+                }
+            }
+        }
+        // Survivors re-wire around the hole: every round in progress is
+        // re-resolved against the shrunken live set, and sends on
+        // repair-removed edges die.
+        self.repair_refresh(at);
+        // Abandon the round in progress (its scheduled events are now stale
+        // via the epoch bump) so the cluster-wide round completion still
+        // counts to n.
+        let rounds = self.t.config.rounds;
+        let round = self.rounds_passed[node];
+        if round < rounds {
+            self.rounds_passed[node] = round + 1;
+            self.t.tracer.emit(TraceEvent::RoundAbandon {
+                t_ns: at.0,
+                node: node as u32,
+                round: round as u32,
+            });
+        }
+        // A scheduled recovery that will resume training keeps the
+        // checkpoint cadence alive through the outage.
+        if !permanent && self.rounds_passed[node] < rounds {
+            self.productive_recoveries += 1;
+        }
+        if round < rounds {
+            // A solo event is its whole batch: on early stop there is
+            // nothing further to discard.
+            self.pass_round(round, at)?;
+        }
+        Ok(())
+    }
+
+    fn on_recover(&mut self, node: usize, rejoin: RejoinMode, at: SimTime) {
+        self.recoveries_scheduled[node] -= 1;
+        if self.lifecycle.is_alive(node) {
+            return;
+        }
+        // Pick the re-sync donor *before* marking the node alive, so the
+        // tracker's lowest-indexed-live query cannot hand the rejoiner its
+        // own stale model.
+        let donor = if rejoin == RejoinMode::Resync {
+            self.lifecycle.first_alive()
+        } else {
+            None
+        };
+        self.lifecycle.recover(node);
+        let epoch = self.lifecycle.epoch(node);
+        self.t.tracer.emit(TraceEvent::NodeRejoin {
+            t_ns: at.0,
+            node: node as u32,
+            epoch,
+            resync_from: donor.map(|d| d as u32),
+        });
+        let round = self.rounds_passed[node];
+        let resumes = round < self.t.config.rounds;
+        if resumes {
+            self.productive_recoveries -= 1;
+        }
+        // Deliveries that completed while the host was down hit a dead
+        // machine; still-in-flight tails land on the recovered host and
+        // survive.
+        let arrived = PurgeScope::ArrivedBy { node, deadline: at };
+        self.kill(arrived, node, at, KillReason::RejoinArrived);
+        // Re-synced rejoin: adopt the current model of the lowest-indexed
+        // live peer (deterministic); fall back to a warm restart if fully
+        // alone.
+        if let Some(donor) = donor {
+            self.t.arena.copy_node(donor, node);
+            let params = self.t.arena.node(node);
+            let state = &mut self.t.nodes[node];
+            state.model.set_params(params);
+            state.strategy.init(params);
+        }
+        // Re-admission runs through the same repair policy: in-progress
+        // rounds re-resolve with the node back in the live set (repair-added
+        // detour edges drop out; their in-flight messages are invalidated).
+        self.repair_refresh(at);
+        if resumes {
+            self.pending_work += 1;
+            self.push(at, RANK_START, node, Ev::StartRound { node, round, epoch });
+        }
+    }
+
+    fn on_eval_tick(&mut self, at: SimTime) -> Result<()> {
+        // Keep ticking while training events remain or a down node will
+        // resume training on recovery — fault events scheduled past the end
+        // of training must not prolong the cadence. Once training is over,
+        // swallow the trailing tick instead of emitting a checkpoint dated
+        // after the run's real end.
+        if self.pending_work == 0 && self.productive_recoveries == 0 {
+            return Ok(());
+        }
+        let interval = self.t.config.eval_interval_s;
+        let interval = interval.expect("EvalTick only scheduled with an interval");
+        // Checkpoints never trigger early stop.
+        self.score(self.board.rounds_run.saturating_sub(1), at, true)?;
+        self.push(at.after_secs(interval), RANK_EVAL, 0, Ev::EvalTick);
+        Ok(())
+    }
+
+    fn finish(mut self) -> Result<RunResult> {
+        // Nodes still down at the end never recovered to purge the
+        // deliveries that piled up at their dead hosts; destroy them now so
+        // the traffic accounting honours the crash semantics (no-fault runs
+        // have every node alive, so this cannot disturb their totals).
+        for node in 0..self.t.nodes.len() {
+            if !self.lifecycle.is_alive(node) {
+                self.t.network.purge(PurgeScope::Inbox { node });
+            }
+        }
+        if !self.board.stopped() && self.board.rounds_run < self.t.config.rounds {
+            // A node stayed crashed to the end, so later rounds never
+            // completed cluster-wide and their evaluation points never
+            // fired. Close the run with a final checkpoint at the last event
+            // time so the result still reflects the trained models.
+            self.score(
+                self.board.rounds_run.saturating_sub(1),
+                self.last_time,
+                true,
+            )?;
+        }
+        Ok(self
+            .board
+            .finish(self.last_time.0, self.queue_hwm, self.alpha_rows))
+    }
+}

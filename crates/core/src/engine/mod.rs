@@ -1,0 +1,1160 @@
+//! The decentralized training engine: one round program, three schedulers.
+//!
+//! What a node does in a round (paper §II-A, Alg. 1) — τ local SGD steps,
+//! build one strategy message, fan it out to the round's neighbours, mix what
+//! arrived with Metropolis–Hastings weights, evaluate — lives once, in
+//! `round`. Nothing else in the engine calls a strategy, and `round`'s
+//! `Scoreboard` is the only place a [`crate::metrics::RoundRecord`] is
+//! built. A scheduler decides only *when* a node runs each step, and on
+//! which clock:
+//!
+//! - `barrier` — **bulk-synchronous** (the paper's round structure): train,
+//!   deliver and mix phases separated by barriers, nodes in parallel inside
+//!   a phase; a round costs [`jwins_net::TimeModel::round_seconds`] of the
+//!   busiest node's bytes.
+//! - `event` — **event-driven**
+//!   ([`crate::config::ExecutionMode::EventDriven`]): a virtual clock on
+//!   `jwins_sim`'s discrete-event queue. Each local round costs
+//!   `compute_s / speed` simulated seconds, messages are serialized over the
+//!   sender's uplink and arrive `latency + bytes/bandwidth` later, and a
+//!   node mixes whatever has *arrived* by its local clock — possibly stale
+//!   messages, whose age feeds the staleness policy and metric. Adds fault
+//!   replay, lifecycle epochs and topology repair.
+//! - `crate::channel_driver` — **real threads**: one OS thread per node over
+//!   real channels, the wall clock, and a bounded wait in place of the
+//!   barrier.
+//!
+//! Under a degenerate heterogeneity profile (uniform compute, instantaneous
+//! links) the barrier and event schedulers produce bit-identical models and
+//! bytes. `barrier` is nevertheless kept as its own ~100-line scheduler
+//! rather than a degenerate event schedule: the two clocks differ by design
+//! (`tests/event_driven.rs` compares "modulo time"), the repo benchmark pins
+//! the barrier clock's `sim_time_s`, and all three golden trace fixtures are
+//! event-scheduler traces that an extra barrier mode inside it could only
+//! disturb.
+//!
+//! # Parallel event execution and the determinism contract
+//!
+//! The event loop executes *batches*: at each step it pops the maximal run
+//! of simultaneous same-kind events on pairwise-distinct nodes
+//! ([`jwins_sim::ShardedEventQueue::pop_independent_batch`]; mix batches are
+//! additionally same-*round*, so a round-completion evaluation can never
+//! observe an aggregate of a different round that the one-at-a-time
+//! schedule would have run later) and drives each batch through three
+//! phases —
+//!
+//! 1. **propose** (sequential): charge the pops, drop stale-epoch events
+//!    (see [`jwins_sim::LifecycleTracker`]), resolve per-round topology and
+//!    participation;
+//! 2. **execute** (parallel): run the expensive per-node work — τ SGD steps
+//!    and message building for `TrainDone`, mailbox drain plus mixing for
+//!    `Mix` — on the crossbeam worker pool, with every shared-state side
+//!    effect buffered (outgoing messages as [`jwins_net::PendingSend`],
+//!    expiry/staleness counters in per-event proposals);
+//! 3. **commit** (sequential, in the queue's pop order): apply the buffered
+//!    sends, fold the float accumulators, schedule follow-up events, and
+//!    take round-completion evaluation points.
+//!
+//! Because a batch is a contiguous prefix of the queue's seeded total order
+//! and commits replay that order exactly, the observable run is a pure
+//! function of the configuration. Concretely, these knobs **may not**
+//! change any result, bit for bit:
+//!
+//! - [`crate::config::TrainConfig::threads`] (1, 2, 8, or 0 = all cores) —
+//!   worker threads only split the execute phase of already-independent
+//!   events;
+//! - [`crate::config::TrainConfig::shards`] — the event queue
+//!   ([`jwins_sim::ShardedEventQueue`]) routes events to per-node-group
+//!   heaps but merges them behind one global insertion counter and tie
+//!   hash, so any shard count replays the identical total order
+//!   (`tests/scale_determinism.rs`);
+//! - host core count / scheduler timing, for the same reason.
+//!
+//! These knobs **do** change results, deterministically:
+//!
+//! - [`crate::config::TrainConfig::seed`] — drives initial weights, batch
+//!   order, queue tie-breaks, loss draws and fault expansion;
+//! - [`crate::config::TrainConfig::ordering`] — `Window { max_skew_ns }`
+//!   lets a batch absorb events within a bounded virtual-time skew of its
+//!   head (each still executes at its own timestamp), trading strict
+//!   commit interleaving for batch width under fully-random speeds;
+//!   `Strict` (the default) is bit-identical to the pre-sharding engine;
+//! - the heterogeneity profile, fault plan, staleness policy, topology and
+//!   every learning hyperparameter.
+//!
+//! The contract is enforced by tests: `tests/parallel_determinism.rs`
+//! replays a fault + staleness workload at `threads` ∈ {1, 2, 8} and
+//! asserts identical `RoundRecord` streams; `engine::tests::`
+//! `event_driven_replays_identically_and_ignores_thread_count` covers the
+//! straggler path, `tests/event_driven.rs` pins event-vs-barrier
+//! bit-equality on degenerate profiles, and the `jwins_sim` proptests pin
+//! the batch/pop equivalence itself. The batch width also bounds the
+//! attainable speedup: nodes whose clocks drift apart (fully random
+//! per-node speeds) yield singleton batches, while class-structured
+//! profiles (e.g. [`jwins_sim::HeterogeneityProfile::stragglers`]) keep
+//! same-speed cohorts aligned and batch wide — see the `ext_parallel`
+//! bench, and `ext_scale` for the windowed-ordering escape hatch at large
+//! node counts.
+
+#![warn(clippy::too_many_lines)]
+
+mod barrier;
+mod event;
+pub(crate) mod round;
+
+use crate::arena::ParamArena;
+use crate::config::{ExecutionMode, TrainConfig, TransportKind};
+use crate::metrics::RunResult;
+use crate::participation::{AlwaysOn, ParticipationModel};
+use crate::strategy::ShareStrategy;
+use crate::{JwinsError, Result};
+use event::EventRun;
+use jwins_adversary::AttackBehavior;
+use jwins_data::batch::BatchSampler;
+use jwins_net::{LossModel, SimNetwork, ThreadChannelTransport, Transport};
+use jwins_nn::model::Model;
+use jwins_topology::dynamic::TopologyProvider;
+use jwins_trace::{AttackKind, TraceEvent, TraceSink, Tracer};
+use round::{NodeScore, NodeState};
+use std::sync::Arc;
+
+/// Builder for [`Trainer`] (see [`Trainer::builder`]).
+pub struct TrainerBuilder<M: Model> {
+    config: TrainConfig,
+    topology: Option<Box<dyn TopologyProvider>>,
+    participation: Box<dyn ParticipationModel>,
+    test: Vec<M::Sample>,
+    nodes: Vec<(M, Box<dyn ShareStrategy>)>,
+    shards: Vec<Vec<M::Sample>>,
+    sync_init: bool,
+    trace_sinks: Vec<Box<dyn TraceSink>>,
+}
+
+impl<M: Model> TrainerBuilder<M> {
+    /// Sets the topology provider (static or dynamic).
+    #[must_use]
+    pub fn topology(mut self, provider: impl TopologyProvider + 'static) -> Self {
+        self.topology = Some(Box::new(provider));
+        self
+    }
+
+    /// Sets the participation model (default: every node active every
+    /// round). Inactive nodes neither train nor communicate and receive no
+    /// messages — they rejoin later with their last local model.
+    #[must_use]
+    pub fn participation(mut self, model: impl ParticipationModel + 'static) -> Self {
+        self.participation = Box::new(model);
+        self
+    }
+
+    /// Sets the shared test set.
+    #[must_use]
+    pub fn test_set(mut self, test: Vec<M::Sample>) -> Self {
+        self.test = test;
+        self
+    }
+
+    /// Adds one node with its model, strategy and local shard.
+    #[must_use]
+    pub fn node(
+        mut self,
+        model: M,
+        strategy: Box<dyn ShareStrategy>,
+        shard: Vec<M::Sample>,
+    ) -> Self {
+        self.nodes.push((model, strategy));
+        self.shards.push(shard);
+        self
+    }
+
+    /// Adds one node per shard, building model and strategy from a factory
+    /// receiving the node index (`0..n` across all `node`/`nodes` calls —
+    /// strategies like PowerGossip use it to orient edges, so it must match
+    /// the engine's node numbering exactly).
+    #[must_use]
+    pub fn nodes(
+        mut self,
+        shards: Vec<Vec<M::Sample>>,
+        mut factory: impl FnMut(usize) -> (M, Box<dyn ShareStrategy>),
+    ) -> Self {
+        for shard in shards {
+            let index = self.nodes.len();
+            let (model, strategy) = factory(index);
+            self.nodes.push((model, strategy));
+            self.shards.push(shard);
+        }
+        self
+    }
+
+    /// Keep each node's own initial weights instead of broadcasting node 0's
+    /// (used by consensus tests; real D-PSGD starts from a common model).
+    #[must_use]
+    pub fn keep_distinct_init(mut self) -> Self {
+        self.sync_init = false;
+        self
+    }
+
+    /// Attaches an extra trace sink (e.g. a [`jwins_trace::MemorySink`]) on
+    /// top of whatever [`TrainConfig::trace`] configures. Sinks observe the
+    /// run; they cannot change it — every [`crate::metrics::RoundRecord`] is
+    /// bit-identical with or without them.
+    #[must_use]
+    pub fn trace_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
+        self.trace_sinks.push(sink);
+        self
+    }
+
+    /// Validates and assembles the trainer.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the configuration is invalid, the topology is missing or
+    /// its node count disagrees with the number of nodes added.
+    pub fn build(self) -> Result<Trainer<M>> {
+        self.config.validate()?;
+        let topology = self
+            .topology
+            .ok_or_else(|| JwinsError::InvalidConfig("topology is required".into()))?;
+        if self.nodes.is_empty() {
+            return Err(JwinsError::InvalidConfig(
+                "at least one node required".into(),
+            ));
+        }
+        if topology.nodes() != self.nodes.len() {
+            return Err(JwinsError::InvalidConfig(format!(
+                "topology has {} nodes but {} were added",
+                topology.nodes(),
+                self.nodes.len()
+            )));
+        }
+        if self.test.is_empty() {
+            return Err(JwinsError::InvalidConfig("test set is empty".into()));
+        }
+        let n = self.nodes.len();
+        let init_params = {
+            let (model0, _) = &self.nodes[0];
+            model0.params()
+        };
+        let mut nodes = Vec::with_capacity(n);
+        let mut init = Vec::with_capacity(n);
+        for (i, ((mut model, strategy), shard)) in
+            self.nodes.into_iter().zip(self.shards).enumerate()
+        {
+            if shard.is_empty() {
+                return Err(JwinsError::InvalidConfig(format!("node {i} has no data")));
+            }
+            let params = if self.sync_init {
+                model.set_params(&init_params);
+                init_params.clone()
+            } else {
+                model.params()
+            };
+            // Robust aggregation is a mixing-layer decoration: wrap the
+            // strategy so its `aggregate` routes through the configured
+            // rule. Strategies whose update is not an average the mixing
+            // layer can screen are a configuration error, caught here —
+            // before any training state exists.
+            let mut strategy = if self.config.robust.is_none() {
+                strategy
+            } else if strategy.supports_robust() {
+                Box::new(crate::robust::RobustWrapper::new(
+                    strategy,
+                    self.config.robust,
+                )) as Box<dyn ShareStrategy>
+            } else {
+                return Err(JwinsError::InvalidConfig(format!(
+                    "strategy '{}' does not support robust aggregation \
+                     (TrainConfig::robust must be Robust::None with it)",
+                    strategy.name()
+                )));
+            };
+            strategy.init(&params);
+            let sampler = BatchSampler::new(
+                shard,
+                jwins_nn::init::sub_seed(self.config.seed, 0x1000 + i as u64),
+            );
+            nodes.push(NodeState {
+                model,
+                sampler,
+                strategy,
+                last_train_loss: 0.0,
+                last_alpha: 0.0,
+            });
+            init.push(params);
+        }
+        let arena = ParamArena::from_nodes(init);
+        // The transport is chosen here and never again: the engine speaks
+        // only the `Transport` trait from this point on, so both backends
+        // run the exact same round program.
+        let mut network: Box<dyn Transport> = match self.config.transport {
+            TransportKind::Sim => {
+                if self.config.message_loss > 0.0 {
+                    Box::new(SimNetwork::lossy(
+                        n,
+                        LossModel::new(self.config.message_loss, self.config.seed ^ 0x1055),
+                    ))
+                } else {
+                    Box::new(SimNetwork::new(n))
+                }
+            }
+            TransportKind::Channel(_) => Box::new(ThreadChannelTransport::new(n)),
+        };
+        // File sinks are opened here so a bad trace path fails the build as
+        // a configuration error rather than wedging mid-run.
+        let mut tracer = Tracer::from_config(&self.config.trace)
+            .map_err(|e| JwinsError::InvalidConfig(format!("cannot open trace sink: {e}")))?;
+        // The metrics layer rides the tracer as one more sink; like any
+        // sink it only observes committed events, so attaching it cannot
+        // change a bit of the run (tests/metrics_layer.rs).
+        if let Some(metrics) = jwins_metrics::MetricsSink::from_config(&self.config.metrics)
+            .map_err(|e| JwinsError::InvalidConfig(format!("cannot open metrics export: {e}")))?
+        {
+            tracer.push_sink(Box::new(metrics));
+        }
+        for sink in self.trace_sinks {
+            tracer.push_sink(sink);
+        }
+        let tracer = Arc::new(tracer);
+        network.set_tracer(Arc::clone(&tracer));
+        Ok(Trainer {
+            network: Arc::from(network),
+            test: Arc::new(self.test),
+            topology,
+            participation: self.participation,
+            nodes,
+            arena,
+            tracer,
+            workers: match self.config.threads {
+                0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                threads => threads,
+            },
+            config: self.config,
+        })
+    }
+}
+
+/// Maps a plan behavior to its trace-event kind tag.
+fn attack_kind(behavior: AttackBehavior) -> AttackKind {
+    match behavior {
+        AttackBehavior::Garbage { .. } => AttackKind::Garbage,
+        AttackBehavior::SignFlip => AttackKind::SignFlip,
+        AttackBehavior::Scale { .. } => AttackKind::Scale,
+        AttackBehavior::Drift { .. } => AttackKind::Drift,
+        _ => unreachable!("unknown attack behavior"),
+    }
+}
+
+/// One unit of `par_batch` work: a node id, its state and arena window,
+/// and the event payload.
+type WorkItem<'a, M, T> = (usize, &'a mut NodeState<M>, &'a mut [f32], T);
+
+/// Executes one closure per `(node, item)` pair on the worker pool — the
+/// event-driven engine's *execute* phase. Items carry distinct node ids
+/// (the queue's independent-batch contract), whose states are selected as
+/// disjoint `&mut` borrows. Outputs come back in item order and the first
+/// error *in item order* wins regardless of thread timing, so both results
+/// and failures are independent of thread count.
+fn par_batch<M, T, P, F>(
+    nodes: &mut [NodeState<M>],
+    arena: &mut ParamArena,
+    items: Vec<(usize, T)>,
+    threads: usize,
+    f: F,
+) -> Result<Vec<P>>
+where
+    M: Model + Send,
+    M::Sample: Send + Sync,
+    T: Send,
+    P: Send,
+    F: Fn(usize, &mut NodeState<M>, &mut [f32], T) -> Result<P> + Sync,
+{
+    let mut slots: Vec<Option<&mut NodeState<M>>> = nodes.iter_mut().map(Some).collect();
+    let mut pslots: Vec<Option<&mut [f32]>> = arena.slices_mut().into_iter().map(Some).collect();
+    let mut work: Vec<WorkItem<'_, M, T>> = items
+        .into_iter()
+        .map(|(id, item)| {
+            let state = slots[id]
+                .take()
+                .expect("batch nodes must be pairwise distinct");
+            let params = pslots[id].take().expect("state and window taken together");
+            (id, state, params, item)
+        })
+        .collect();
+    let threads = threads.min(work.len()).max(1);
+    if threads == 1 {
+        return work
+            .into_iter()
+            .map(|(id, state, params, item)| f(id, state, params, item))
+            .collect();
+    }
+    let chunk = work.len().div_ceil(threads);
+    let mut chunks: Vec<Vec<WorkItem<'_, M, T>>> = Vec::new();
+    while !work.is_empty() {
+        let rest = work.split_off(chunk.min(work.len()));
+        chunks.push(std::mem::replace(&mut work, rest));
+    }
+    let results: Vec<Result<Vec<P>>> = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .map(|chunk_items| {
+                let f = &f;
+                scope.spawn(move |_| {
+                    chunk_items
+                        .into_iter()
+                        .map(|(id, state, params, item)| f(id, state, params, item))
+                        .collect::<Result<Vec<P>>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread must not panic"))
+            .collect()
+    })
+    .expect("scope does not panic");
+    let mut out = Vec::with_capacity(results.len());
+    for chunk_result in results {
+        out.extend(chunk_result?);
+    }
+    Ok(out)
+}
+
+/// A configured decentralized training run.
+pub struct Trainer<M: Model> {
+    pub(crate) config: TrainConfig,
+    pub(crate) topology: Box<dyn TopologyProvider>,
+    pub(crate) participation: Box<dyn ParticipationModel>,
+    pub(crate) network: Arc<dyn Transport>,
+    pub(crate) nodes: Vec<NodeState<M>>,
+    /// Every node's flat parameters in one contiguous buffer (see
+    /// [`ParamArena`]); `nodes[i]`'s window is `arena.node(i)`.
+    pub(crate) arena: ParamArena,
+    pub(crate) test: Arc<Vec<M::Sample>>,
+    /// Run telemetry. Always present — the flight recorder inside is the
+    /// always-on crash context — and only ever *read from* sequential code,
+    /// so it can never perturb a result (see `jwins_trace`).
+    pub(crate) tracer: Arc<Tracer>,
+    /// Worker threads for the parallel phases, resolved once at build time
+    /// (`available_parallelism` reads cgroup files — never per round).
+    pub(crate) workers: usize,
+}
+
+impl<M: Model> Trainer<M> {
+    /// Starts building a trainer.
+    pub fn builder(config: TrainConfig) -> TrainerBuilder<M> {
+        TrainerBuilder {
+            config,
+            topology: None,
+            participation: Box::new(AlwaysOn),
+            test: Vec::new(),
+            nodes: Vec::new(),
+            shards: Vec::new(),
+            sync_init: true,
+            trace_sinks: Vec::new(),
+        }
+    }
+
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// A node's current flat parameters (test hook).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn node_params(&self, node: usize) -> &[f32] {
+        self.arena.node(node)
+    }
+
+    /// Overwrites a node's parameters (test hook for consensus experiments).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range or the length mismatches.
+    pub fn set_node_params(&mut self, node: usize, params: &[f32]) {
+        let window = self.arena.node_mut(node);
+        assert_eq!(params.len(), window.len());
+        window.copy_from_slice(params);
+        self.nodes[node].model.set_params(params);
+        self.nodes[node].strategy.init(params);
+    }
+
+    /// Evaluates all nodes on the shared test set (possibly subsampled),
+    /// one [`NodeScore`] per node in node order — batch outputs, so the
+    /// float merges downstream cannot depend on which worker finished first.
+    fn evaluate(&mut self) -> Result<Vec<NodeScore>>
+    where
+        M: Send,
+        M::Sample: Send + Sync,
+    {
+        let (test, cap) = (&self.test, self.config.eval_test_samples);
+        let all = (0..self.nodes.len()).map(|i| (i, ())).collect();
+        par_batch(
+            &mut self.nodes,
+            &mut self.arena,
+            all,
+            self.workers,
+            |_, node, params, ()| Ok(node.evaluate(params, test, cap)),
+        )
+    }
+
+    /// Executes the full run on the substrate selected by
+    /// [`TrainConfig::execution`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates strategy, codec and topology errors.
+    pub fn run(mut self) -> Result<RunResult>
+    where
+        M: Send,
+        M::Sample: Send + Sync,
+    {
+        let tracer = Arc::clone(&self.tracer);
+        tracer.emit(TraceEvent::RunStart {
+            nodes: self.nodes.len() as u32,
+            rounds: self.config.rounds as u32,
+            seed: self.config.seed,
+        });
+        // If anything below panics, the guard dumps the flight recorder's
+        // tail to stderr before the process unwinds.
+        let guard = jwins_trace::FlightDumpGuard::new(Arc::clone(&tracer));
+        let result = if self.config.transport.is_real() {
+            // The channel backend has no virtual clock to schedule either
+            // substrate on; its driver runs the round program on one OS
+            // thread per node (validation already pinned the execution
+            // mode to BulkSynchronous).
+            crate::channel_driver::run_channel(self)
+        } else {
+            match self.config.execution {
+                ExecutionMode::BulkSynchronous => self.run_sync(),
+                ExecutionMode::EventDriven => EventRun::new(self).and_then(EventRun::run),
+            }
+        };
+        drop(guard);
+        if result.is_err() {
+            // Protocol violations surface as errors, not panics; dump the
+            // same crash context for them.
+            tracer.dump_flight_to_stderr("protocol violation");
+        }
+        tracer.finish();
+        result
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::strategies::FullSharing;
+    use jwins_data::images::{cifar_like, ImageConfig};
+    use jwins_nn::models::mlp_classifier;
+    use jwins_topology::dynamic::StaticTopology;
+
+    fn tiny_trainer(rounds: usize, lr: f32) -> Trainer<jwins_nn::models::ImageClassifier> {
+        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
+        let mut cfg = TrainConfig::quick_test();
+        cfg.rounds = rounds;
+        cfg.lr = lr;
+        cfg.eval_every = 0;
+        Trainer::builder(cfg)
+            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
+            .test_set(data.test)
+            .nodes(data.node_train, |_| {
+                (
+                    mlp_classifier(2 * 8 * 8, &[8], 4, 7),
+                    Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
+                )
+            })
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn builder_validates_shapes() {
+        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
+        // Topology size mismatch: 3-node topology, 4 nodes.
+        let err = Trainer::builder(TrainConfig::quick_test())
+            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
+            .test_set(data.test.clone())
+            .nodes(data.node_train[..3].to_vec(), |_| {
+                (
+                    mlp_classifier(2 * 8 * 8, &[8], 4, 7),
+                    Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
+                )
+            })
+            .build();
+        assert!(err.is_err());
+    }
+
+    #[test]
+    fn par_batch_keeps_item_order_and_reports_the_first_error_in_item_order() {
+        let data = cifar_like(&ImageConfig::tiny(), 8, 2, 5);
+        let mut trainer = Trainer::builder(TrainConfig::quick_test())
+            .topology(StaticTopology::random_regular(8, 3, 3).unwrap())
+            .test_set(data.test)
+            .nodes(data.node_train, |_| {
+                (
+                    mlp_classifier(2 * 8 * 8, &[8], 4, 7),
+                    Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
+                )
+            })
+            .build()
+            .unwrap();
+        let all = || (0..8).map(|i| (i, 10 * i)).collect::<Vec<_>>();
+        for threads in [1, 2, 8] {
+            // Every node, in index order, each with its own arena window.
+            let visited = par_batch(
+                &mut trainer.nodes,
+                &mut trainer.arena,
+                all(),
+                threads,
+                |i, _, params, tag| {
+                    params[0] = i as f32;
+                    Ok((i, tag))
+                },
+            )
+            .unwrap();
+            assert_eq!(visited, all(), "threads = {threads}");
+            for i in 0..8 {
+                assert_eq!(trainer.node_params(i)[0], i as f32);
+            }
+            // Nodes 2 and 5 both fail: the earlier *item* wins, whichever
+            // worker finishes first and whatever the node ids are.
+            for (items, first) in [(all(), 2), (all().into_iter().rev().collect(), 5)] {
+                let err = par_batch(
+                    &mut trainer.nodes,
+                    &mut trainer.arena,
+                    items,
+                    threads,
+                    |i, _, _, _| match i {
+                        2 | 5 => Err(JwinsError::InvalidConfig(format!("node {i}"))),
+                        _ => Ok(()),
+                    },
+                )
+                .unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    format!("invalid configuration: node {first}"),
+                    "threads = {threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn all_nodes_start_identical() {
+        let trainer = tiny_trainer(1, 0.05);
+        let p0 = trainer.node_params(0).to_vec();
+        for i in 1..trainer.node_count() {
+            assert_eq!(trainer.node_params(i), &p0[..]);
+        }
+    }
+
+    #[test]
+    fn consensus_on_pure_gossip() {
+        // lr so small that gradients are negligible: full sharing must
+        // contract distinct initial models toward their mean.
+        let mut trainer = tiny_trainer(25, 1e-9);
+        let d = trainer.node_params(0).len();
+        for i in 0..4 {
+            let params: Vec<f32> = (0..d).map(|k| ((k + i * 13) as f32 * 0.01).sin()).collect();
+            trainer.set_node_params(i, &params);
+        }
+        let before_spread = {
+            let p0 = trainer.node_params(0).to_vec();
+            let p1 = trainer.node_params(1).to_vec();
+            p0.iter()
+                .zip(&p1)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f32, f32::max)
+        };
+        let mut means = vec![0.0f64; d];
+        for i in 0..4 {
+            for (m, &v) in means.iter_mut().zip(trainer.node_params(i)) {
+                *m += f64::from(v) / 4.0;
+            }
+        }
+        let result = run_and_reclaim(trainer);
+        let (after_params, _) = result;
+        let spread = (0..d)
+            .map(|k| {
+                let vals: Vec<f32> = after_params.iter().map(|p| p[k]).collect();
+                let max = vals.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let min = vals.iter().copied().fold(f32::INFINITY, f32::min);
+                max - min
+            })
+            .fold(0.0f32, f32::max);
+        assert!(
+            spread < before_spread * 0.05,
+            "no contraction: spread {spread} vs initial {before_spread}"
+        );
+        // Doubly stochastic mixing preserves the mean.
+        for k in 0..d {
+            let mean_after: f64 = after_params.iter().map(|p| f64::from(p[k])).sum::<f64>() / 4.0;
+            assert!((mean_after - means[k]).abs() < 1e-4);
+        }
+    }
+
+    /// Runs the barrier scheduler in place and returns final per-node
+    /// params plus the result — `Trainer::run` consumes the trainer, so the
+    /// node state would not be inspectable through it.
+    fn run_and_reclaim(
+        mut trainer: Trainer<jwins_nn::models::ImageClassifier>,
+    ) -> (Vec<Vec<f32>>, RunResult) {
+        let result = trainer.run_sync().unwrap();
+        let params = (0..trainer.node_count())
+            .map(|i| trainer.node_params(i).to_vec())
+            .collect();
+        (params, result)
+    }
+
+    #[test]
+    fn training_reduces_loss_and_counts_bytes() {
+        let trainer = tiny_trainer(12, 0.1);
+        let result = trainer.run().unwrap();
+        assert_eq!(result.rounds_run, 12);
+        let last = result.final_record().unwrap();
+        assert!(last.test_accuracy > 0.3, "accuracy {}", last.test_accuracy);
+        assert!(result.total_traffic.bytes_sent > 0);
+        assert!(last.cum_bytes_per_node > 0.0);
+        assert!(last.sim_time_s > 0.0);
+    }
+
+    #[test]
+    fn runs_are_deterministic() {
+        let r1 = tiny_trainer(4, 0.1).run().unwrap();
+        let r2 = tiny_trainer(4, 0.1).run().unwrap();
+        assert_eq!(
+            r1.final_record().unwrap().test_accuracy,
+            r2.final_record().unwrap().test_accuracy
+        );
+        assert_eq!(r1.total_traffic.bytes_sent, r2.total_traffic.bytes_sent);
+    }
+
+    #[test]
+    fn thread_count_does_not_change_results() {
+        let mk = |threads: usize| {
+            let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
+            let mut cfg = TrainConfig::quick_test();
+            cfg.rounds = 4;
+            cfg.lr = 0.1;
+            cfg.threads = threads;
+            Trainer::builder(cfg)
+                .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
+                .test_set(data.test)
+                .nodes(data.node_train, |_| {
+                    (
+                        mlp_classifier(2 * 8 * 8, &[8], 4, 7),
+                        Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
+                    )
+                })
+                .build()
+                .unwrap()
+        };
+        let a = mk(1).run().unwrap();
+        let b = mk(4).run().unwrap();
+        assert_eq!(
+            a.final_record().unwrap().test_accuracy,
+            b.final_record().unwrap().test_accuracy
+        );
+        assert_eq!(a.total_traffic.bytes_sent, b.total_traffic.bytes_sent);
+    }
+
+    #[test]
+    fn node_factory_receives_consecutive_indices() {
+        // Regression: the factory index is the engine's node id. Strategies
+        // like PowerGossip orient edges by it, so 0, 2, 4, … (the old bug)
+        // silently desynchronized per-edge state between endpoints.
+        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
+        let mut seen = Vec::new();
+        let _ = Trainer::builder(TrainConfig::quick_test())
+            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
+            .test_set(data.test)
+            .nodes(data.node_train, |node| {
+                seen.push(node);
+                (
+                    mlp_classifier(2 * 8 * 8, &[8], 4, 7),
+                    Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
+                )
+            })
+            .build()
+            .unwrap();
+        assert_eq!(seen, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn per_edge_strategy_trains_end_to_end() {
+        use crate::strategies::{PowerGossip, PowerGossipConfig};
+        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
+        let mut cfg = TrainConfig::quick_test();
+        cfg.rounds = 15;
+        cfg.lr = 0.1;
+        let trainer = Trainer::builder(cfg)
+            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
+            .test_set(data.test)
+            .nodes(data.node_train, |node| {
+                (
+                    mlp_classifier(2 * 8 * 8, &[8], 4, 7),
+                    Box::new(PowerGossip::new(PowerGossipConfig::default(), node, 42))
+                        as Box<dyn ShareStrategy>,
+                )
+            })
+            .build()
+            .unwrap();
+        let result = trainer.run().unwrap();
+        let last = result.final_record().unwrap();
+        assert!(last.test_accuracy > 0.3, "accuracy {}", last.test_accuracy);
+        // Per-edge rank-1 messages are far smaller than the model.
+        let model_bytes = (2 * 8 * 8 * 8 + 8 + 8 * 4 + 4) * 4; // rough
+        let per_round_per_edge = result.total_traffic.bytes_sent as f64 / (15.0 * 4.0 * 2.0);
+        assert!(
+            per_round_per_edge < model_bytes as f64 / 4.0,
+            "per-edge bytes {per_round_per_edge} not small vs model {model_bytes}"
+        );
+    }
+
+    #[test]
+    fn lossy_links_still_train_broadcast_strategies() {
+        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
+        let mut cfg = TrainConfig::quick_test();
+        cfg.rounds = 12;
+        cfg.lr = 0.1;
+        cfg.message_loss = 0.2;
+        let trainer = Trainer::builder(cfg)
+            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
+            .test_set(data.test)
+            .nodes(data.node_train, |_| {
+                (
+                    mlp_classifier(2 * 8 * 8, &[8], 4, 7),
+                    Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
+                )
+            })
+            .build()
+            .unwrap();
+        let result = trainer.run().unwrap();
+        // 20% of deliveries vanish; renormalized averaging shrugs it off.
+        assert!(result.total_traffic.messages_dropped > 0);
+        assert!(
+            result.total_traffic.bytes_received < result.total_traffic.bytes_sent,
+            "drops must show up as a sent/received gap"
+        );
+        assert!(result.final_record().unwrap().test_accuracy > 0.3);
+    }
+
+    #[test]
+    fn scripted_outage_pauses_node_traffic() {
+        use crate::participation::{Outage, ScriptedOutages};
+        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
+        let mut cfg = TrainConfig::quick_test();
+        cfg.rounds = 6;
+        cfg.lr = 0.05;
+        let run = |outages: ScriptedOutages| {
+            Trainer::builder(cfg.clone())
+                .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
+                .participation(outages)
+                .test_set(data.test.clone())
+                .nodes(data.node_train.clone(), |_| {
+                    (
+                        mlp_classifier(2 * 8 * 8, &[8], 4, 7),
+                        Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
+                    )
+                })
+                .build()
+                .unwrap()
+                .run()
+                .unwrap()
+        };
+        let full = run(ScriptedOutages::default());
+        let churned = run(ScriptedOutages::default().with_outage(Outage::new(3, 1, 5)));
+        // The absent node neither sends nor receives for 4 of 6 rounds.
+        assert!(
+            churned.total_traffic.bytes_sent < full.total_traffic.bytes_sent,
+            "{} vs {}",
+            churned.total_traffic.bytes_sent,
+            full.total_traffic.bytes_sent
+        );
+        // Training still completes and produces a usable model.
+        assert_eq!(churned.rounds_run, 6);
+        assert!(churned.final_record().unwrap().test_accuracy > 0.2);
+    }
+
+    #[test]
+    fn sparsifying_strategy_survives_churn() {
+        use crate::participation::RandomDropout;
+        use crate::strategies::{Jwins, JwinsConfig};
+        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
+        let mut cfg = TrainConfig::quick_test();
+        cfg.rounds = 10;
+        cfg.lr = 0.05;
+        let trainer = Trainer::builder(cfg)
+            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
+            .participation(RandomDropout::new(0.4, 11))
+            .test_set(data.test)
+            .nodes(data.node_train, |node| {
+                (
+                    mlp_classifier(2 * 8 * 8, &[8], 4, 7),
+                    Box::new(Jwins::new(JwinsConfig::paper_default(), 100 + node as u64))
+                        as Box<dyn ShareStrategy>,
+                )
+            })
+            .build()
+            .unwrap();
+        // Protocol bookkeeping (pending rounds, accumulation resets) must
+        // tolerate nodes skipping rounds entirely.
+        let result = trainer.run().unwrap();
+        assert_eq!(result.rounds_run, 10);
+    }
+
+    #[test]
+    fn event_driven_degenerate_profile_matches_sync_bitwise() {
+        use jwins_sim::HeterogeneityProfile;
+        let build = |execution: ExecutionMode| {
+            let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
+            let mut cfg = TrainConfig::quick_test();
+            cfg.rounds = 8;
+            cfg.lr = 0.1;
+            cfg.eval_every = 2;
+            cfg.execution = execution;
+            cfg.heterogeneity = HeterogeneityProfile::default();
+            Trainer::builder(cfg)
+                .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
+                .test_set(data.test)
+                .nodes(data.node_train, |_| {
+                    (
+                        mlp_classifier(2 * 8 * 8, &[8], 4, 7),
+                        Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
+                    )
+                })
+                .build()
+                .unwrap()
+        };
+        let sync = build(ExecutionMode::BulkSynchronous).run().unwrap();
+        let event = build(ExecutionMode::EventDriven).run().unwrap();
+        assert_eq!(sync.rounds_run, event.rounds_run);
+        assert_eq!(sync.total_traffic, event.total_traffic);
+        assert_eq!(sync.records.len(), event.records.len());
+        for (s, e) in sync.records.iter().zip(&event.records) {
+            assert_eq!(s.round, e.round);
+            assert_eq!(s.train_loss.to_bits(), e.train_loss.to_bits());
+            assert_eq!(s.test_loss.to_bits(), e.test_loss.to_bits());
+            assert_eq!(s.test_accuracy.to_bits(), e.test_accuracy.to_bits());
+            assert_eq!(s.cum_bytes_per_node, e.cum_bytes_per_node);
+            // Instant links leave nothing in flight, so nothing is stale.
+            assert_eq!(e.mean_staleness_s, 0.0);
+        }
+    }
+
+    #[test]
+    fn stragglers_slow_the_clock_and_create_staleness() {
+        use jwins_sim::HeterogeneityProfile;
+        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
+        let mut cfg = TrainConfig::quick_test();
+        cfg.rounds = 6;
+        cfg.lr = 0.1;
+        cfg.eval_every = 0;
+        cfg.time_model.compute_s = 1.0;
+        cfg.execution = ExecutionMode::EventDriven;
+        // One node 4x slower over thin links: messages now spend real time
+        // in flight and fast nodes mix stale models.
+        cfg.heterogeneity = HeterogeneityProfile::stragglers(0.25, 4.0, 0.01, 64_000.0);
+        let trainer = Trainer::builder(cfg)
+            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
+            .test_set(data.test)
+            .nodes(data.node_train, |_| {
+                (
+                    mlp_classifier(2 * 8 * 8, &[8], 4, 7),
+                    Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
+                )
+            })
+            .build()
+            .unwrap();
+        let result = trainer.run().unwrap();
+        assert_eq!(result.rounds_run, 6);
+        let last = result.final_record().unwrap();
+        // The straggler bounds the run: at least rounds * slowed compute.
+        assert!(last.sim_time_s >= 6.0 * 4.0, "sim time {}", last.sim_time_s);
+        assert!(last.mean_staleness_s > 0.0, "expected stale mixes");
+        assert!(result.total_traffic.bytes_sent > 0);
+    }
+
+    #[test]
+    fn power_gossip_runs_async_under_real_heterogeneity() {
+        use crate::strategies::{PowerGossip, PowerGossipConfig};
+        use jwins_sim::HeterogeneityProfile;
+        // Until the per-edge state was round-versioned, the engine refused
+        // to run PowerGossip under any non-degenerate profile. Now the
+        // async run must complete, stay finite, and actually learn.
+        let build = |heterogeneity: HeterogeneityProfile| {
+            let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
+            let mut cfg = TrainConfig::quick_test();
+            cfg.rounds = 15;
+            cfg.lr = 0.1;
+            cfg.eval_every = 1;
+            cfg.execution = ExecutionMode::EventDriven;
+            cfg.heterogeneity = heterogeneity;
+            Trainer::builder(cfg)
+                .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
+                .test_set(data.test)
+                .nodes(data.node_train, |node| {
+                    (
+                        mlp_classifier(2 * 8 * 8, &[8], 4, 7),
+                        Box::new(PowerGossip::new(PowerGossipConfig::default(), node, 42))
+                            as Box<dyn ShareStrategy>,
+                    )
+                })
+                .build()
+                .unwrap()
+        };
+        let result = build(HeterogeneityProfile::stragglers(0.25, 4.0, 0.01, 1e6))
+            .run()
+            .expect("round-versioned PowerGossip runs under real heterogeneity");
+        assert_eq!(result.rounds_run, 15);
+        assert!(
+            result
+                .records
+                .iter()
+                .all(|r| r.test_accuracy.is_finite() && r.train_loss.is_finite()),
+            "no corrupted state may leak into the metrics"
+        );
+        let first = result.records.first().unwrap();
+        let last = result.final_record().unwrap();
+        assert!(
+            last.test_accuracy > first.test_accuracy,
+            "async PowerGossip must improve: {} -> {}",
+            first.test_accuracy,
+            last.test_accuracy
+        );
+        assert!(
+            last.mean_staleness_s > 0.0,
+            "the profile must actually deliver stale messages"
+        );
+    }
+
+    #[test]
+    fn event_driven_replays_identically_and_ignores_thread_count() {
+        use jwins_sim::HeterogeneityProfile;
+        let run = |threads: usize| {
+            let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
+            let mut cfg = TrainConfig::quick_test();
+            cfg.rounds = 5;
+            cfg.lr = 0.1;
+            cfg.threads = threads;
+            cfg.eval_every = 1;
+            cfg.execution = ExecutionMode::EventDriven;
+            cfg.heterogeneity = HeterogeneityProfile::stragglers(0.5, 3.0, 0.002, 1.0e6);
+            Trainer::builder(cfg)
+                .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
+                .test_set(data.test)
+                .nodes(data.node_train, |_| {
+                    (
+                        mlp_classifier(2 * 8 * 8, &[8], 4, 7),
+                        Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
+                    )
+                })
+                .build()
+                .unwrap()
+                .run()
+                .unwrap()
+        };
+        let a = run(1);
+        let b = run(1);
+        let c = run(4);
+        for other in [&b, &c] {
+            assert_eq!(a.rounds_run, other.rounds_run);
+            assert_eq!(a.total_traffic, other.total_traffic);
+            assert_eq!(a.records.len(), other.records.len());
+            for (x, y) in a.records.iter().zip(&other.records) {
+                assert_eq!(x.test_accuracy.to_bits(), y.test_accuracy.to_bits());
+                assert_eq!(x.train_loss.to_bits(), y.train_loss.to_bits());
+                assert_eq!(x.sim_time_s.to_bits(), y.sim_time_s.to_bits());
+                assert_eq!(x.mean_staleness_s.to_bits(), y.mean_staleness_s.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn repair_rewires_around_a_permanent_crash_and_saves_bytes() {
+        use jwins_fault::{FaultConfig, FaultOutage, FaultPlan};
+        use jwins_topology::repair::RepairPolicy;
+        let run = |repair: RepairPolicy| {
+            let data = cifar_like(&ImageConfig::tiny(), 8, 2, 5);
+            let mut cfg = TrainConfig::quick_test();
+            cfg.rounds = 6;
+            cfg.lr = 0.1;
+            cfg.eval_every = 1;
+            cfg.execution = ExecutionMode::EventDriven;
+            cfg.time_model.compute_s = 1.0;
+            cfg.repair = repair;
+            cfg.faults = FaultConfig {
+                plan: FaultPlan::Scripted(vec![FaultOutage::new(2, 2.5, f64::INFINITY)]),
+                ..FaultConfig::default()
+            };
+            Trainer::builder(cfg)
+                .topology(StaticTopology::random_regular(8, 3, 3).unwrap())
+                .test_set(data.test)
+                .nodes(data.node_train, |_| {
+                    (
+                        mlp_classifier(2 * 8 * 8, &[8], 4, 7),
+                        Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
+                    )
+                })
+                .build()
+                .unwrap()
+                .run()
+                .unwrap()
+        };
+        let none = run(RepairPolicy::None);
+        let repaired = run(RepairPolicy::DegreePreserving);
+        let last_none = none.records.last().unwrap();
+        let last_rep = repaired.records.last().unwrap();
+        assert_eq!(last_none.edges_rewired, 0);
+        assert_eq!(last_none.bandwidth_saved_bytes, 0);
+        assert!(last_rep.edges_rewired > 0, "survivors re-wired");
+        assert!(
+            last_rep.bandwidth_saved_bytes > 0,
+            "dead-edge sends avoided"
+        );
+        // Without repair the dead node's neighbours keep paying for it.
+        assert!(
+            repaired.total_traffic.bytes_sent < none.total_traffic.bytes_sent,
+            "repair must reduce bytes: {} vs {}",
+            repaired.total_traffic.bytes_sent,
+            none.total_traffic.bytes_sent
+        );
+        // Per-node accuracies are reported for every node at every eval.
+        assert_eq!(last_rep.per_node_accuracy.len(), 8);
+        assert!(
+            (last_rep.per_node_accuracy.iter().sum::<f64>() / 8.0 - last_rep.test_accuracy).abs()
+                < 1e-9,
+            "per-node accuracies are consistent with the cluster mean"
+        );
+    }
+
+    #[test]
+    fn early_stop_on_target() {
+        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
+        let mut cfg = TrainConfig::quick_test();
+        cfg.rounds = 50;
+        cfg.lr = 0.1;
+        cfg.eval_every = 1;
+        cfg.target_accuracy = Some(0.3);
+        let trainer = Trainer::builder(cfg)
+            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
+            .test_set(data.test)
+            .nodes(data.node_train, |_| {
+                (
+                    mlp_classifier(2 * 8 * 8, &[8], 4, 7),
+                    Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
+                )
+            })
+            .build()
+            .unwrap();
+        let result = trainer.run().unwrap();
+        let hit = result
+            .reached_target
+            .expect("should reach 30% on tiny data");
+        assert!(result.rounds_run < 50, "stopped at {}", result.rounds_run);
+        assert_eq!(hit.round + 1, result.rounds_run);
+    }
+}

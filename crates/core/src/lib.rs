@@ -26,14 +26,14 @@
 //! - [`participation`]: node churn models (dropouts, scripted outages).
 //! - [`sparsify`]: TopK selection over importance scores.
 //! - [`average`]: renormalized partial averaging of sparse vectors.
-//! - [`engine::Trainer`]: the decentralized training engine
-//!   (train → communicate → aggregate, Metropolis–Hastings weights,
-//!   byte-metered network, simulated wall-clock) with two execution
-//!   substrates: the paper's bulk-synchronous barrier and a discrete-event
-//!   asynchronous-gossip mode
-//!   ([`config::ExecutionMode::EventDriven`], built on `jwins_sim`) where
-//!   heterogeneous nodes mix whatever neighbour messages have arrived by
-//!   their local virtual clock.
+//! - [`engine::Trainer`]: the decentralized training engine — one per-node
+//!   round program (train → build → fan out → mix with Metropolis–Hastings
+//!   weights → evaluate, over a byte-metered network) under three
+//!   schedulers: the paper's bulk-synchronous barrier, a discrete-event
+//!   asynchronous-gossip mode ([`config::ExecutionMode::EventDriven`], built
+//!   on `jwins_sim`) where heterogeneous nodes mix whatever neighbour
+//!   messages have arrived by their local virtual clock, and one OS thread
+//!   per node over real channels ([`config::TransportKind::Channel`]).
 //! - [`config::TrainConfig`], [`metrics`]: experiment configuration and
 //!   round-by-round records (including mix staleness under async gossip).
 //!
