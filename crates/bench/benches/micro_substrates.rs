@@ -9,8 +9,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use jwins::average::PartialAverager;
-use jwins::sparsify::top_k_indices;
-use jwins_codec::float::{FloatCodec, RawFloatCodec, XorFloatCodec};
+use jwins::sparsify::{gather, top_k_indices};
+use jwins_codec::float::{BlockFloatCodec, FloatCodec, RawFloatCodec};
 use jwins_codec::quantize::Qsgd;
 use jwins_codec::sparse::{IndexCodec, SparseVecCodec, ValueCodec};
 use jwins_codec::{delta, lz};
@@ -23,6 +23,10 @@ use jwins_nn::norm::GroupNorm;
 use jwins_nn::Tensor;
 use jwins_topology::{gen, weights::MetropolisWeights};
 use jwins_wavelet::{Dwt, Wavelet};
+
+/// The trained-like vectors the codec's size tests pin.
+#[path = "../../codec/tests/common/mod.rs"]
+mod trained;
 
 const DIM: usize = 65_536;
 
@@ -82,16 +86,16 @@ fn bench_codecs(c: &mut Criterion) {
     group.bench_function("elias_gamma_decode_6k_indices", |b| {
         b.iter(|| black_box(delta::decode_gamma(&encoded, indices.len()).unwrap()));
     });
-    group.bench_function("xor_float_encode_6k", |b| {
-        b.iter(|| black_box(XorFloatCodec.encode(&values)));
+    group.bench_function("block_float_encode_6k", |b| {
+        b.iter(|| black_box(BlockFloatCodec.encode(&values)));
     });
     group.bench_function("raw_float_encode_6k", |b| {
         b.iter(|| black_box(RawFloatCodec.encode(&values)));
     });
     for (name, codec) in [
         (
-            "gamma+xor",
-            SparseVecCodec::new(IndexCodec::EliasGammaDelta, ValueCodec::Xor),
+            "gamma+block",
+            SparseVecCodec::new(IndexCodec::EliasGammaDelta, ValueCodec::Block),
         ),
         (
             "raw+raw",
@@ -145,6 +149,55 @@ fn bench_codecs(c: &mut Criterion) {
             }))
         });
     });
+    group.finish();
+}
+
+/// Size and speed of the value codec on what the repository ships: a whole
+/// trained-like model (full sharing) and the 36 % of its wavelet
+/// coefficients JWINS sends at its mean cut-off. The bits-per-value line is
+/// printed on every run, so a codec that stops compressing shows in the
+/// `bench-smoke` log.
+fn bench_float_codec(c: &mut Criterion) {
+    let mlp = trained::trained_like(&trained::MLP);
+    let lenet = trained::trained_like(&trained::LENET);
+    // JWINS ranks by accumulated change, not by the value it ships: rank by
+    // an unrelated vector's coefficients.
+    let dwt = Dwt::new(Wavelet::sym2(), 4).unwrap();
+    let reversed: Vec<f32> = mlp.iter().rev().copied().collect();
+    let indices = top_k_indices(&dwt.forward(&reversed).data, 41_000);
+    let selection = gather(&dwt.forward(&mlp).data, &indices);
+    let bits_per_value =
+        |values: &[f32]| BlockFloatCodec.encode(values).len() as f64 * 8.0 / values.len() as f64;
+    println!(
+        "codec/float bits per value (raw: 32): d=1570 {:.2}  d=113418 {:.2}  sparse k=41000 {:.2}",
+        bits_per_value(&lenet),
+        bits_per_value(&mlp),
+        bits_per_value(&selection),
+    );
+    let mut group = c.benchmark_group("codec/float");
+    group.sample_size(30);
+    for (name, values) in [("dense_113418", &mlp), ("sparse_41000", &selection)] {
+        let mut wire = BlockFloatCodec.encode(values);
+        group.bench_function(format!("encode/{name}"), |b| {
+            b.iter(|| {
+                wire.clear();
+                BlockFloatCodec.encode_into(black_box(values), &mut wire);
+            });
+        });
+        // As the strategies consume it: folded into an accumulator, never
+        // materialised.
+        group.bench_function(format!("streaming_decode/{name}"), |b| {
+            b.iter(|| {
+                let mut decoder = BlockFloatCodec::decoder(black_box(&wire));
+                let mut sum = 0.0f64;
+                for _ in 0..values.len() {
+                    sum += f64::from(decoder.next_value().unwrap());
+                }
+                decoder.finish().unwrap();
+                black_box(sum)
+            });
+        });
+    }
     group.finish();
 }
 
@@ -305,6 +358,7 @@ criterion_group!(
     bench_wavelet,
     bench_fft,
     bench_codecs,
+    bench_float_codec,
     bench_peer_sampling,
     bench_power_gossip_kernels,
     bench_selection_and_mixing

@@ -169,6 +169,16 @@ impl<'a> BitReader<'a> {
     /// least [`Self::PEEK_MAX`] bits are real wherever that many remain.
     #[inline]
     pub(crate) fn peek(&self) -> u64 {
+        let (window, consumed) = self.peek_bytes();
+        window << consumed
+    }
+
+    /// [`Self::peek`] before the alignment: the eight bytes from the
+    /// cursor's byte on as one big-endian word, and how many of its top
+    /// bits the cursor has already passed (`pos % 8`). For a caller that
+    /// shifts the window anyway and can fold the alignment into that shift.
+    #[inline]
+    pub(crate) fn peek_bytes(&self) -> (u64, u32) {
         let byte = self.pos / 8;
         let window = match self.data.get(byte..byte + 8) {
             Some(bytes) => u64::from_be_bytes(bytes.try_into().expect("slice of eight")),
@@ -179,7 +189,7 @@ impl<'a> BitReader<'a> {
                 u64::from_be_bytes(padded)
             }
         };
-        window << (self.pos % 8)
+        (window, (self.pos % 8) as u32)
     }
 
     /// Advances the cursor over `count` bits already inspected via
@@ -195,6 +205,27 @@ impl<'a> BitReader<'a> {
         }
         self.pos += count as usize;
         Ok(())
+    }
+
+    /// Checks that a decoder which has read its last code sits in the final
+    /// byte with only zero bits — [`BitWriter::into_bytes`]'s padding — left.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::Corrupt`]`(what)` when whole bytes or a set bit
+    /// remain.
+    pub(crate) fn expect_padding(&self, what: &'static str) -> Result<()> {
+        let clean = match self.remaining_bits() {
+            0 => true,
+            // What is left of the last byte, left-aligned.
+            1..=7 => self.data[self.pos / 8] << (self.pos % 8) == 0,
+            _ => false,
+        };
+        if clean {
+            Ok(())
+        } else {
+            Err(CodecError::Corrupt(what))
+        }
     }
 
     /// Reads a single bit.

@@ -119,6 +119,16 @@ impl<'a> GammaIndexDecoder<'a> {
     pub fn next_index(&mut self) -> Result<u32> {
         next_index(&mut self.reader, &mut self.floor)
     }
+
+    /// Ends the decode after the last index: the stream may go on only with
+    /// the zero bits that pad its final byte.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Corrupt`] on anything else.
+    pub fn finish(self) -> Result<()> {
+        self.reader.expect_padding("bytes after the last index")
+    }
 }
 
 /// Exact encoded size, in bits, of [`encode_gamma`] for `indices` —

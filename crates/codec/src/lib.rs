@@ -6,7 +6,7 @@
 //! the *difference array* of the sorted coefficient indices with [Elias
 //! gamma](elias) codes — the same trick QSGD uses — and compresses the
 //! coefficient values with a lossless floating-point codec (Fpzip in the
-//! paper; a Gorilla-style XOR predictive coder [`float::XorFloatCodec`] here).
+//! paper; the block-exponent coder [`float::BlockFloatCodec`] here).
 //!
 //! # Modules
 //!
@@ -14,7 +14,7 @@
 //! - [`elias`]: Elias gamma and Elias delta universal integer codes.
 //! - [`varint`]: LEB128 variable-length integers (baseline comparator).
 //! - [`delta`]: strictly-increasing index arrays ⇄ gamma-coded difference arrays.
-//! - [`float`]: lossless float codecs (raw little-endian and XOR-predictive).
+//! - [`float`]: lossless float codecs (raw little-endian and block-exponent).
 //! - [`quantize`]: QSGD-style stochastic uniform quantization (extension).
 //! - [`lz`]: greedy LZ77 dictionary coder (the general-purpose comparator
 //!   the paper evaluated before settling on Elias gamma).
@@ -26,7 +26,7 @@
 //! use jwins_codec::sparse::{SparseVecCodec, IndexCodec, ValueCodec};
 //!
 //! # fn main() -> Result<(), jwins_codec::CodecError> {
-//! let codec = SparseVecCodec::new(IndexCodec::EliasGammaDelta, ValueCodec::Xor);
+//! let codec = SparseVecCodec::new(IndexCodec::EliasGammaDelta, ValueCodec::Block);
 //! let indices = vec![3_u32, 17, 18, 400];
 //! let values = vec![0.25_f32, -1.5, 3.0, 0.125];
 //! let encoded = codec.encode(&indices, &values)?;
@@ -86,3 +86,14 @@ impl Error for CodecError {}
 
 /// Convenience alias for codec results.
 pub type Result<T> = std::result::Result<T, CodecError>;
+
+/// The end-of-block check of the byte-aligned decoders: [`CodecError::Corrupt`]
+/// `(what)` when bytes are left behind the last element. (Bit streams end in
+/// padding and use `BitReader::expect_padding`.)
+pub(crate) fn expect_empty(rest: &[u8], what: &'static str) -> Result<()> {
+    if rest.is_empty() {
+        Ok(())
+    } else {
+        Err(CodecError::Corrupt(what))
+    }
+}

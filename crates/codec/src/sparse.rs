@@ -13,10 +13,17 @@
 //! [metadata_len_bytes]  index block   (per IndexCodec)
 //! [..]                  value block   (per ValueCodec)
 //! ```
+//!
+//! Both blocks must hold exactly `count` elements: a decode that leaves
+//! bytes over in either (beyond the zero padding of a bit stream's last
+//! byte) is [`CodecError::Corrupt`], so every byte a receiver is charged
+//! for has been validated.
 
 use crate::bitio::BitWriter;
 use crate::delta::{self, GammaIndexDecoder};
-use crate::float::{FloatCodec, RawFloatCodec, RawFloatDecoder, XorFloatCodec, XorFloatDecoder};
+use crate::float::{
+    BlockFloatCodec, BlockFloatDecoder, FloatCodec, RawFloatCodec, RawFloatDecoder,
+};
 use crate::varint;
 use crate::{CodecError, Result};
 
@@ -97,6 +104,9 @@ impl IndexCodec {
 /// index decoder with any value decoder in one monomorphised loop.
 trait Pull<T> {
     fn pull(&mut self) -> Result<T>;
+
+    /// Called after the last element: an error unless the block is used up.
+    fn finish(self) -> Result<()>;
 }
 
 impl Pull<u32> for GammaIndexDecoder<'_> {
@@ -104,12 +114,20 @@ impl Pull<u32> for GammaIndexDecoder<'_> {
     fn pull(&mut self) -> Result<u32> {
         self.next_index()
     }
+
+    fn finish(self) -> Result<()> {
+        GammaIndexDecoder::finish(self)
+    }
 }
 
-impl Pull<f32> for XorFloatDecoder<'_> {
+impl Pull<f32> for BlockFloatDecoder<'_> {
     #[inline]
     fn pull(&mut self) -> Result<f32> {
         self.next_value()
+    }
+
+    fn finish(self) -> Result<()> {
+        BlockFloatDecoder::finish(self)
     }
 }
 
@@ -118,7 +136,13 @@ impl Pull<f32> for RawFloatDecoder<'_> {
     fn pull(&mut self) -> Result<f32> {
         self.next_value()
     }
+
+    fn finish(self) -> Result<()> {
+        RawFloatDecoder::finish(self)
+    }
 }
+
+const TRAILING_INDEX_BYTES: &str = "bytes after the last index";
 
 /// [`IndexCodec::RawU32`] block, one index per pull.
 struct RawIndexDecoder<'a>(&'a [u8]);
@@ -132,6 +156,10 @@ impl Pull<u32> for RawIndexDecoder<'_> {
             .ok_or(CodecError::UnexpectedEof)?;
         self.0 = rest;
         Ok(u32::from_le_bytes(*head))
+    }
+
+    fn finish(self) -> Result<()> {
+        crate::expect_empty(self.0, TRAILING_INDEX_BYTES)
     }
 }
 
@@ -155,10 +183,14 @@ impl Pull<u32> for VarintIndexDecoder<'_> {
         self.prev = Some(index);
         Ok(index)
     }
+
+    fn finish(self) -> Result<()> {
+        crate::expect_empty(self.rest, TRAILING_INDEX_BYTES)
+    }
 }
 
 /// Feeds `count` `(index, value)` pairs to `visit`, decoding the two blocks
-/// in lockstep.
+/// in lockstep, and checks that both end with the last pair.
 fn zip_each<E: From<CodecError>>(
     count: usize,
     mut indices: impl Pull<u32>,
@@ -170,6 +202,8 @@ fn zip_each<E: From<CodecError>>(
         let value = values.pull()?;
         visit(index, value)?;
     }
+    indices.finish()?;
+    values.finish()?;
     Ok(())
 }
 
@@ -179,8 +213,8 @@ fn zip_each<E: From<CodecError>>(
 pub enum ValueCodec {
     /// Little-endian `f32`s.
     Raw,
-    /// Gorilla-style XOR predictive lossless compression (Fpzip substitute).
-    Xor,
+    /// Block frame-of-reference lossless compression (Fpzip substitute).
+    Block,
 }
 
 impl ValueCodec {
@@ -192,7 +226,7 @@ impl ValueCodec {
     fn as_codec(&self) -> &'static dyn FloatCodec {
         match self {
             ValueCodec::Raw => &RawFloatCodec,
-            ValueCodec::Xor => &XorFloatCodec,
+            ValueCodec::Block => &BlockFloatCodec,
         }
     }
 }
@@ -254,9 +288,10 @@ pub struct SparseVecCodec {
 }
 
 impl Default for SparseVecCodec {
-    /// JWINS's production configuration: Elias gamma metadata + XOR payload.
+    /// JWINS's production configuration: Elias gamma metadata + block-coded
+    /// payload.
     fn default() -> Self {
-        Self::new(IndexCodec::EliasGammaDelta, ValueCodec::Xor)
+        Self::new(IndexCodec::EliasGammaDelta, ValueCodec::Block)
     }
 }
 
@@ -373,9 +408,10 @@ impl SparseVecCodec {
     fn frame(bytes: &[u8]) -> Result<Frame<'_>> {
         let (count, used1) = varint::read_u64(bytes)?;
         let (index_len, used2) = varint::read_u64(&bytes[used1..])?;
-        // Every codec needs at least one bit per index and one per value,
-        // so anything above 4 elements per byte is structurally impossible
-        // — reject before anything is sized by it.
+        // Every codec needs at least one bit per index and one per value
+        // (the sign bit of an all-zero block), so anything above 4 elements
+        // per byte is structurally impossible — reject before anything is
+        // sized by it.
         if count > bytes.len() as u64 * 4 {
             return Err(CodecError::Corrupt(
                 "declared count exceeds buffer capacity",
@@ -403,8 +439,8 @@ impl SparseVecCodec {
             ValueCodec::Raw => {
                 self.visit_with(frame, RawFloatCodec::decoder(frame.value_block), visit)
             }
-            ValueCodec::Xor => {
-                self.visit_with(frame, XorFloatCodec::decoder(frame.value_block), visit)
+            ValueCodec::Block => {
+                self.visit_with(frame, BlockFloatCodec::decoder(frame.value_block), visit)
             }
         }
     }
@@ -444,7 +480,7 @@ mod tests {
             IndexCodec::VarintDelta,
             IndexCodec::EliasGammaDelta,
         ] {
-            for vc in [ValueCodec::Raw, ValueCodec::Xor] {
+            for vc in [ValueCodec::Raw, ValueCodec::Block] {
                 out.push(SparseVecCodec::new(ic, vc));
             }
         }
@@ -600,6 +636,35 @@ mod tests {
             assert!(
                 codec.decode(&enc.as_bytes()[..cut]).is_err(),
                 "cut at {cut} should fail"
+            );
+        }
+    }
+
+    /// Neither block may outlast its `count` elements: the value block used
+    /// to be "everything to the end", and a declared `index_len` could hide
+    /// bytes behind the last index.
+    #[test]
+    fn bytes_behind_either_block_are_corrupt() {
+        let indices = vec![1u32, 4, 9, 300];
+        let values = vec![1.0f32, -2.0, 3.0, 0.5];
+        for codec in all_codecs() {
+            let enc = codec.encode(&indices, &values).unwrap();
+            for extra in [0x00u8, 0xFF] {
+                let mut longer = enc.as_bytes().to_vec();
+                longer.push(extra);
+                assert!(
+                    matches!(codec.decode(&longer), Err(CodecError::Corrupt(_))),
+                    "{codec:?} accepted a trailing {extra:#04x}"
+                );
+            }
+            // The same frame with a zero byte slipped in behind the indices
+            // and `index_len` (one byte: the blocks are short) raised by one.
+            let mut slack = enc.as_bytes().to_vec();
+            slack[1] += 1;
+            slack.insert(enc.metadata_bytes, 0);
+            assert!(
+                matches!(codec.decode(&slack), Err(CodecError::Corrupt(_))),
+                "{codec:?} accepted slack behind the index block"
             );
         }
     }

@@ -3,11 +3,11 @@
 //! proptest shim runs each case on the test thread, so a panic — overflow
 //! checks are on in this profile — fails the test.)
 
-use jwins_codec::bitio::BitReader;
-use jwins_codec::float::{FloatCodec, RawFloatCodec, XorFloatCodec};
+use jwins_codec::bitio::{BitReader, BitWriter};
+use jwins_codec::float::{BlockFloatCodec, FloatCodec, RawFloatCodec};
 use jwins_codec::quantize::Qsgd;
 use jwins_codec::sparse::{IndexCodec, SparseVecCodec, ValueCodec};
-use jwins_codec::{delta, elias, varint};
+use jwins_codec::{delta, elias, varint, CodecError};
 use proptest::prelude::*;
 
 /// Arbitrary bytes, biased towards the zero and all-ones bytes that make
@@ -19,6 +19,55 @@ fn wire() -> impl Strategy<Value = Vec<u8>> {
 /// Declared element counts: plausible, large, and absurd.
 fn declared_count() -> impl Strategy<Value = usize> {
     prop_oneof![0usize..64, 0usize..200_000, any::<usize>()]
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A block as a peer may write it: any header — wasteful or impossible —
+/// and any fields. `raw` holds 64 `(offset, sign + mantissa)` pairs that
+/// [`write_block`] cuts to the header's widths.
+type WireBlock = (u32, u32, u32, Vec<(u32, u32)>);
+
+fn wire_block() -> impl Strategy<Value = WireBlock> {
+    (
+        // Under `emax` = 255 no offset is out of range.
+        prop_oneof![Just(255u32), 0u32..=255],
+        prop_oneof![0u32..=8, 0u32..=8, 9u32..=15],
+        prop_oneof![0u32..=23, 0u32..=23, 24u32..=31],
+        proptest::collection::vec((any::<u32>(), any::<u32>()), 64..65),
+    )
+}
+
+/// Writes the first `len` values of `block`, appending to `values` the bit
+/// patterns a decoder must make of them. `false` at the first thing the
+/// format forbids; nothing is written past it.
+fn write_block(
+    w: &mut BitWriter,
+    (emax, offset_bits, tz, raw): &WireBlock,
+    len: usize,
+    values: &mut Vec<u32>,
+) -> bool {
+    w.write_bits(u64::from((emax << 9) | (offset_bits << 5) | tz), 17);
+    if *offset_bits > 8 || *tz > 23 {
+        return false;
+    }
+    let low = 24 - tz;
+    for &(offset, sign_mantissa) in &raw[..len] {
+        let offset = offset & ((1 << offset_bits) - 1);
+        let sign_mantissa = sign_mantissa & ((1 << low) - 1);
+        w.write_bits(
+            (u64::from(offset) << low) | u64::from(sign_mantissa),
+            offset_bits + low,
+        );
+        let Some(exponent) = emax.checked_sub(offset) else {
+            return false;
+        };
+        let spread = sign_mantissa << tz;
+        values.push((spread >> 23 << 31) | (exponent << 23) | (spread & 0x7F_FFFF));
+    }
+    true
 }
 
 proptest! {
@@ -40,8 +89,54 @@ proptest! {
 
     #[test]
     fn float_decoders(bytes in wire(), count in declared_count()) {
-        let _ = XorFloatCodec.decode(&bytes, count);
         let _ = RawFloatCodec.decode(&bytes, count);
+        // Whatever arbitrary bytes decode to re-encodes no longer.
+        if let Ok(values) = BlockFloatCodec.decode(&bytes, count) {
+            prop_assert_eq!(values.len(), count);
+            prop_assert!(BlockFloatCodec.encode(&values).len() <= bytes.len());
+        }
+    }
+
+    /// Headers steered into and out of the legal range: `w` ∈ 9..=15,
+    /// `tz` ∈ 24..=31 and an offset above `emax` are `Corrupt`; a legal
+    /// image decodes to the modelled values, is `UnexpectedEof` at every
+    /// truncation and `Corrupt` with a byte appended.
+    #[test]
+    fn block_float_steered_headers(
+        blocks in proptest::collection::vec(wire_block(), 1..4),
+        last_len in 1usize..=64,
+    ) {
+        let mut w = BitWriter::new();
+        let (mut expected, mut count, mut legal) = (Vec::new(), 0, true);
+        for (i, block) in blocks.iter().enumerate() {
+            let len = if i + 1 == blocks.len() { last_len } else { 64 };
+            count += len;
+            legal = write_block(&mut w, block, len, &mut expected);
+            if !legal {
+                break;
+            }
+        }
+        let bytes = w.into_bytes();
+        let decoded = BlockFloatCodec.decode(&bytes, count);
+        if legal {
+            prop_assert_eq!(decoded.as_deref().map(bits), Ok(expected));
+            let values = decoded.unwrap();
+            prop_assert!(BlockFloatCodec.encode(&values).len() <= bytes.len());
+            for cut in 0..bytes.len() {
+                prop_assert_eq!(
+                    BlockFloatCodec.decode(&bytes[..cut], count),
+                    Err(CodecError::UnexpectedEof)
+                );
+            }
+            let mut longer = bytes;
+            longer.push(0);
+            prop_assert!(matches!(
+                BlockFloatCodec.decode(&longer, count),
+                Err(CodecError::Corrupt(_))
+            ));
+        } else {
+            prop_assert!(matches!(decoded, Err(CodecError::Corrupt(_))), "{:?}", decoded);
+        }
     }
 
     #[test]
@@ -60,13 +155,13 @@ proptest! {
         }
         bytes.extend(&body);
         for ic in [IndexCodec::RawU32, IndexCodec::VarintDelta, IndexCodec::EliasGammaDelta] {
-            for vc in [ValueCodec::Raw, ValueCodec::Xor] {
+            for vc in [ValueCodec::Raw, ValueCodec::Block] {
                 let codec = SparseVecCodec::new(ic, vc);
                 let decoded = codec.decode(&bytes);
                 let mut visited = 0usize;
                 let streamed = codec.decode_each(&bytes, |_, _| {
                     visited += 1;
-                    Ok::<(), jwins_codec::CodecError>(())
+                    Ok::<(), CodecError>(())
                 });
                 // The two entry points are one decoder.
                 prop_assert_eq!(decoded.as_ref().map(|(i, _)| i.len()), streamed.as_ref().copied());

@@ -2,9 +2,15 @@
 //! coders this crate started with. Any change to them is a wire-format
 //! change — it moves `bytes_per_node` and `sim_time_s` in every experiment —
 //! and must be made on purpose, never as a side effect of a faster kernel.
+//!
+//! The float-bearing images (`xor_float_codec`, `default_sparse_vec_codec`,
+//! `block_float_codec_at_block_boundaries`) were bumped on purpose when the
+//! value codec changed from the Gorilla-style XOR coder, which inflated
+//! every payload of this repository by 6 %, to the block-exponent format of
+//! `jwins_codec::float`; the index and QSGD images did not move.
 
 use jwins_codec::delta;
-use jwins_codec::float::{FloatCodec, XorFloatCodec};
+use jwins_codec::float::{BlockFloatCodec, FloatCodec};
 use jwins_codec::quantize::Qsgd;
 use jwins_codec::sparse::SparseVecCodec;
 
@@ -34,13 +40,46 @@ fn xor_float_codec() {
         3.26,
         100.0,
     ];
-    let wire = XorFloatCodec.encode(&values);
+    let wire = BlockFloatCodec.encode(&values);
     assert_eq!(
         hex(&wire),
-        "00000000c00e04dfefe0e1f40000001c0980707e03fffffe7fffffffa03b38fbac03ce3ee4000147af014c51eb80"
+        "ff807f8000007fc00000402000004020000040200000802000000040000000bfffffff0000007ff671f73fa800003fa800003fa851ebbd24000000"
     );
-    let decoded = XorFloatCodec.decode(&wire, values.len()).unwrap();
+    let decoded = BlockFloatCodec.decode(&wire, values.len()).unwrap();
     assert_eq!(bits(&decoded), bits(&values));
+}
+
+/// One image per block shape: a lone value, one short of a block, a full
+/// block, one value into the second block, and a block that mixes zeros
+/// with normal values (`w` = 8).
+#[test]
+fn block_float_codec_at_block_boundaries() {
+    // Exponents span 2⁻²..2², three mantissa bits, alternating sign: seven
+    // bits a field.
+    let value = |i: usize| {
+        [1.0, -1.0][i % 2] * (1.0 + (i % 8) as f32 / 8.0) * f32::powi(2.0, (i % 5) as i32 - 2)
+    };
+    let mut mixed: Vec<f32> = (0..8).map(value).collect();
+    mixed[2] = 0.0;
+    mixed[5] = -0.0;
+    for (len, expected) in [
+        (1, "7d0b80"),
+        (63, "813a407288d849ad97901309da43a1a7b052485c47a98f8092c95941b19fa0320a5b45a587c07288d849ad97901309da43a1a7b052485c47a980"),
+        (64, "813a407288d849ad97901309da43a1a7b052485c47a98f8092c95941b19fa0320a5b45a587c07288d849ad97901309da43a1a7b052485c47a98f80"),
+        (65, "813a407288d849ad97901309da43a1a7b052485c47a98f8092c95941b19fa0320a5b45a587c07288d849ad97901309da43a1a7b052485c47a98fc085c0"),
+    ] {
+        let values: Vec<f32> = (0..len).map(value).collect();
+        let wire = BlockFloatCodec.encode(&values);
+        assert_eq!(hex(&wire), expected, "{len} values");
+        let decoded = BlockFloatCodec.decode(&wire, len).unwrap();
+        assert_eq!(bits(&decoded), bits(&values));
+    }
+    let wire = BlockFloatCodec.encode(&mixed);
+    assert_eq!(hex(&wire), "818a02001cc0800d80240c01b01780");
+    assert_eq!(
+        bits(&BlockFloatCodec.decode(&wire, mixed.len()).unwrap()),
+        bits(&mixed)
+    );
 }
 
 #[test]
@@ -59,9 +98,9 @@ fn default_sparse_vec_codec() {
     let encoded = codec.encode(&indices, &values).unwrap();
     assert_eq!(
         hex(encoded.as_bytes()),
-        "050820e805f800021fc03e800000c09816ffa7e7033fbe"
+        "050820e805f800021fc08139c02c14500f80"
     );
-    assert_eq!((encoded.metadata_bytes, encoded.payload_bytes), (10, 13));
+    assert_eq!((encoded.metadata_bytes, encoded.payload_bytes), (10, 8));
     let (di, dv) = codec.decode(encoded.as_bytes()).unwrap();
     assert_eq!(di, indices);
     assert_eq!(bits(&dv), bits(&values));

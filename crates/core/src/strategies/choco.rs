@@ -46,7 +46,7 @@ impl ChocoConfig {
             fraction: 0.20,
             gamma: 0.6,
             index_codec: IndexCodec::EliasGammaDelta,
-            value_codec: ValueCodec::Xor,
+            value_codec: ValueCodec::Block,
         }
     }
 
@@ -56,7 +56,7 @@ impl ChocoConfig {
             fraction: 0.10,
             gamma: 0.1,
             index_codec: IndexCodec::EliasGammaDelta,
-            value_codec: ValueCodec::Xor,
+            value_codec: ValueCodec::Block,
         }
     }
 }
@@ -269,9 +269,10 @@ mod tests {
         let params: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.1).sin()).collect();
         c.init(&params);
         let msg = c.make_message(0, &params).unwrap();
-        // 10% of 1000 = 100 coefficients; XOR payload ≤ ~4.2 bytes each.
+        // 10% of 1000 = 100 coefficients at 4 bytes each, plus at most 17
+        // bits for each of the two blocks.
         assert!(
-            msg.breakdown.payload <= 440,
+            msg.breakdown.payload <= 405,
             "payload {}",
             msg.breakdown.payload
         );
@@ -316,7 +317,7 @@ mod tests {
         let params = vec![1.0f32; 8];
         c.init(&params);
         let _ = c.make_message(0, &params).unwrap();
-        let bad = SparseVecCodec::new(IndexCodec::RawU32, ValueCodec::Xor)
+        let bad = SparseVecCodec::new(IndexCodec::RawU32, ValueCodec::Block)
             .encode(&[1, 8, 2], &[0.5, 0.5, 0.5])
             .expect("raw indices need no order");
         let out = c.aggregate(

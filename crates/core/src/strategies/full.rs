@@ -9,18 +9,19 @@ use crate::scratch::with_scratch;
 use crate::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
 use jwins_adversary::{Robust, RobustAccumulator, RobustStats};
-use jwins_codec::float::{FloatCodec, XorFloatCodec, XorFloatDecoder};
+use jwins_codec::float::{BlockFloatCodec, BlockFloatDecoder, FloatCodec};
 use jwins_codec::varint;
 use jwins_net::ByteBreakdown;
 
 /// Checks a message's header against the local dimension and returns a
-/// decoder positioned on its `dim` values.
-fn open_message(bytes: &[u8], dim: usize) -> Result<XorFloatDecoder<'_>> {
+/// decoder positioned on its `dim` values; the caller pulls them and then
+/// calls `finish`, which rejects a message that goes on after them.
+fn open_message(bytes: &[u8], dim: usize) -> Result<BlockFloatDecoder<'_>> {
     let (count, used) = varint::read_u64(bytes)?;
     if count != dim as u64 {
         return Err(JwinsError::Protocol("full-sharing dimension mismatch"));
     }
-    Ok(XorFloatCodec::decoder(&bytes[used..]))
+    Ok(BlockFloatCodec::decoder(&bytes[used..]))
 }
 
 /// Full-model broadcast with weighted averaging.
@@ -55,7 +56,7 @@ impl ShareStrategy for FullSharing {
             wire.clear();
             varint::write_u64(wire, params.len() as u64);
             let header = wire.len();
-            XorFloatCodec.encode_into(params, wire);
+            BlockFloatCodec.encode_into(params, wire);
             let breakdown = ByteBreakdown {
                 payload: wire.len() - header,
                 metadata: header,
@@ -78,6 +79,7 @@ impl ShareStrategy for FullSharing {
                 // Decoded straight into the average, one value at a time.
                 let mut values = open_message(msg.bytes, params.len())?;
                 avg.add_dense_with(msg.weight, || values.next_value())?;
+                values.finish()?;
             }
             let mut next = Vec::new();
             avg.finish_into(&mut next);
@@ -109,6 +111,7 @@ impl ShareStrategy for FullSharing {
             for _ in 0..params.len() {
                 sink.push(values.next_value()?);
             }
+            values.finish()?;
         }
         let (out, stats) = acc.finish();
         self.robust_stats.absorb(stats);

@@ -51,7 +51,7 @@ pub struct JwinsConfig {
     /// Index metadata codec (Elias gamma in the paper; raw/varint for the
     /// Figure-9 comparison).
     pub index_codec: IndexCodec,
-    /// Value compression (XOR-predictive stands in for Fpzip).
+    /// Value compression (the block-exponent coder stands in for Fpzip).
     pub value_codec: ValueCodec,
     /// Optional per-layer importance scaling applied to the model change
     /// before it enters the scores (the §VI "adaptive importance score"
@@ -69,7 +69,7 @@ impl JwinsConfig {
             randomized_cutoff: true,
             alpha: AlphaDistribution::paper_default(),
             index_codec: IndexCodec::EliasGammaDelta,
-            value_codec: ValueCodec::Xor,
+            value_codec: ValueCodec::Block,
             score_scaling: None,
         }
     }
@@ -515,10 +515,10 @@ mod tests {
         // Perturb so scores are nonzero.
         let x2: Vec<f32> = x.iter().map(|v| v + 0.01).collect();
         let msg = s.make_message(0, &x2).unwrap();
-        // ~10% of coefficients as f32 ≈ 400 payload bytes upper bound (XOR
-        // codec ≤ raw + small constant).
+        // ~10% of coefficients as f32 = 400 payload bytes raw; the block
+        // codec adds at most 17 bits per 64 values.
         assert!(
-            msg.breakdown.payload < 600,
+            msg.breakdown.payload <= 405,
             "payload {} too large for 10% budget",
             msg.breakdown.payload
         );

@@ -16,7 +16,7 @@ use crate::sparsify::budget;
 use crate::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
 use jwins_adversary::{Robust, RobustAccumulator, RobustStats};
-use jwins_codec::float::{FloatCodec, XorFloatCodec};
+use jwins_codec::float::{BlockFloatCodec, FloatCodec};
 use jwins_codec::varint;
 use jwins_net::ByteBreakdown;
 use rand::seq::index::sample;
@@ -85,7 +85,7 @@ impl ShareStrategy for RandomSampling {
         }
         let indices = self.round_indices(round);
         let values: Vec<f32> = indices.iter().map(|&i| params[i as usize]).collect();
-        let payload = XorFloatCodec.encode(&values);
+        let payload = BlockFloatCodec.encode(&values);
         // Metadata: just the round token — receivers regenerate the indices
         // from the common seed.
         let mut bytes = Vec::with_capacity(payload.len() + 12);
@@ -120,7 +120,7 @@ impl ShareStrategy for RandomSampling {
             if count as usize != indices.len() {
                 return Err(JwinsError::Protocol("random-sampling subset size mismatch"));
             }
-            let values = XorFloatCodec.decode(&msg.bytes[used1 + used2..], count as usize)?;
+            let values = BlockFloatCodec.decode(&msg.bytes[used1 + used2..], count as usize)?;
             avg.add_sparse(&indices, &values, msg.weight);
         }
         Ok(avg.finish())
@@ -153,7 +153,7 @@ impl ShareStrategy for RandomSampling {
             if count as usize != indices.len() {
                 return Err(JwinsError::Protocol("random-sampling subset size mismatch"));
             }
-            let values = XorFloatCodec.decode(&msg.bytes[used1 + used2..], count as usize)?;
+            let values = BlockFloatCodec.decode(&msg.bytes[used1 + used2..], count as usize)?;
             acc.add_sparse(&indices, &values, msg.weight);
         }
         let (out, stats) = acc.finish();

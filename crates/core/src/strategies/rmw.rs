@@ -16,7 +16,7 @@
 
 use crate::strategy::{OutMessage, Outbound, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
-use jwins_codec::float::{FloatCodec, XorFloatCodec};
+use jwins_codec::float::{BlockFloatCodec, FloatCodec};
 use jwins_net::ByteBreakdown;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -44,7 +44,7 @@ use rand_chacha::ChaCha8Rng;
 #[derive(Debug)]
 pub struct RandomModelWalk {
     rng: ChaCha8Rng,
-    codec: XorFloatCodec,
+    codec: BlockFloatCodec,
     pending_round: Option<usize>,
     dim: usize,
 }
@@ -55,7 +55,7 @@ impl RandomModelWalk {
     pub fn new(seed: u64) -> Self {
         Self {
             rng: ChaCha8Rng::seed_from_u64(seed),
-            codec: XorFloatCodec,
+            codec: BlockFloatCodec,
             pending_round: None,
             dim: 0,
         }

@@ -111,7 +111,7 @@ fn seed_perturbation_diverges_at_run_start() {
 
 /// A learning-rate change moves only the model weights — so the first
 /// divergence is a *weight-carrying* event, not setup or topology. The
-/// wire codec is value-dependent (XOR-delta float compression; JWINS adds
+/// wire codec is value-dependent (block-exponent float compression; JWINS adds
 /// a magnitude-based wavelet cut-off on top), so the weights reach the
 /// trace through a `MsgSend` payload byte count: same sender, same
 /// receiver, same virtual send time, different `bytes`. Pinpointing that

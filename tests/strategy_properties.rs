@@ -498,10 +498,11 @@ mod adversarial_inputs {
     //! life).
 
     use jwins::strategies::{
-        ChocoConfig, ChocoSgd, Jwins, JwinsConfig, PowerGossip, PowerGossipConfig,
-        QuantizedSharing, RandomModelWalk,
+        ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, PowerGossip, PowerGossipConfig,
+        QuantizedSharing, RandomModelWalk, RandomSampling,
     };
     use jwins::strategy::{Outbound, ReceivedMessage, ShareStrategy};
+    use jwins_adversary::Robust;
     use proptest::prelude::*;
 
     fn params(dim: usize) -> Vec<f32> {
@@ -557,6 +558,84 @@ mod adversarial_inputs {
             let mut s = RandomModelWalk::new(5);
             deliver_garbage(&mut s, &bytes);
         }
+    }
+
+    /// Every byte a receiver is charged for is validated: an honest message
+    /// is accepted, the same message with a byte appended or its last byte
+    /// cut off is an `Err` — from `aggregate` and, where the strategy has
+    /// one, from `aggregate_robust`. `make(node)` builds one node's strategy.
+    fn assert_consumed_exactly(make: impl Fn(u64) -> Box<dyn ShareStrategy>) {
+        let x = params(200);
+        let y: Vec<f32> = x.iter().map(|v| v * 0.9 + 0.01).collect();
+        let mut sender = make(0);
+        sender.init(&x);
+        let honest = match sender.make_outbound(0, &x, &[1]).expect("sender encodes") {
+            Outbound::Broadcast(msg) => msg.bytes.to_vec(),
+            Outbound::PerEdge(mut msgs) => msgs.remove(0).expect("one neighbour").bytes.to_vec(),
+        };
+        let deliver = |bytes: &[u8], robust: bool| {
+            let mut receiver = make(1);
+            receiver.init(&y);
+            let _ = receiver
+                .make_outbound(0, &y, &[0])
+                .expect("receiver encodes");
+            let msg = ReceivedMessage {
+                from: 0,
+                round: 0,
+                weight: 0.5,
+                edge_weight: 0.5,
+                bytes,
+            };
+            if robust {
+                receiver.aggregate_robust(0, &y, 0.5, &[msg], &Robust::Median)
+            } else {
+                receiver.aggregate(0, &y, 0.5, &[msg])
+            }
+        };
+        let robust_too = make(1).supports_robust();
+        for robust in [false, true] {
+            if robust && !robust_too {
+                continue;
+            }
+            deliver(&honest, robust).expect("honest message accepted");
+            for extra in [0x00, 0xFF] {
+                let mut longer = honest.clone();
+                longer.push(extra);
+                assert!(
+                    deliver(&longer, robust).is_err(),
+                    "trailing {extra:#04x} accepted"
+                );
+            }
+            assert!(
+                deliver(&honest[..honest.len() - 1], robust).is_err(),
+                "truncated message accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn full_sharing_consumes_a_message_exactly() {
+        assert_consumed_exactly(|_| Box::new(FullSharing::new()));
+    }
+
+    #[test]
+    fn jwins_consumes_a_message_exactly() {
+        assert_consumed_exactly(|node| Box::new(Jwins::new(JwinsConfig::paper_default(), node)));
+    }
+
+    #[test]
+    fn choco_consumes_a_message_exactly() {
+        assert_consumed_exactly(|_| Box::new(ChocoSgd::new(ChocoConfig::budget_20())));
+    }
+
+    #[test]
+    fn random_sampling_consumes_a_message_exactly() {
+        assert_consumed_exactly(|_| Box::new(RandomSampling::new(0.37, 11)));
+    }
+
+    #[test]
+    fn rmw_consumes_a_message_exactly() {
+        assert_consumed_exactly(|node| Box::new(RandomModelWalk::new(node)));
     }
 
     #[test]
