@@ -1,14 +1,17 @@
 //! Criterion microbenchmarks of every substrate on the JWINS hot path:
 //! wavelet transforms (by family and depth), FFT, entropy coders, float
-//! codecs, TopK selection, gossip mixing and the `jwins_nn` layers. These
-//! quantify the share path's design choices (wavelet family, metadata codec,
-//! value codec) and the SGD path's kernels; `docs/ARCHITECTURE.md`, "The
-//! share path" and "The SGD path", describe them.
+//! codecs, TopK selection, gossip mixing, the `jwins_nn` layers and the event
+//! engine's fixed costs (queue push/pop per event by shard count, one empty
+//! batch dispatch by width). These quantify the share path's design choices
+//! (wavelet family, metadata codec, value codec), the SGD path's kernels and
+//! what the engine adds around them; `docs/ARCHITECTURE.md`, "The share
+//! path", "The SGD path" and "Scale & ordering modes", describe them.
 //!
 //! `cargo bench --bench micro_substrates -- nn/` runs one group.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use jwins::average::PartialAverager;
+use jwins::engine::workers::{with_workers, Cell};
 use jwins::sparsify::{gather, top_k_indices};
 use jwins_codec::float::{BlockFloatCodec, FloatCodec, RawFloatCodec};
 use jwins_codec::quantize::Qsgd;
@@ -21,8 +24,10 @@ use jwins_nn::model::Model;
 use jwins_nn::models::{gn_lenet, mlp_classifier, ClassSample};
 use jwins_nn::norm::GroupNorm;
 use jwins_nn::Tensor;
+use jwins_sim::{Conflict, Ordering, ShardedEventQueue, SimTime};
 use jwins_topology::{gen, weights::MetropolisWeights};
 use jwins_wavelet::{Dwt, Wavelet};
+use std::time::Instant;
 
 /// The trained-like vectors the codec's size tests pin.
 #[path = "../../codec/tests/common/mod.rs"]
@@ -352,8 +357,96 @@ fn bench_nn(c: &mut Criterion) {
     group.finish();
 }
 
+/// The node count of the repo benchmark's `event_scale` workload.
+const SCALE_NODES: usize = 16_384;
+
+/// Median nanoseconds per event of `ShardedEventQueue::push` and
+/// `pop_independent_batch` on the schedule `benchmark/src/direct.rs` drives:
+/// every node always has one pending event, three quarters of the nodes fire
+/// every tick and one quarter every fourth.
+fn queue_costs(shards: usize) -> (f64, f64) {
+    const TICK_NS: u64 = 50_000_000;
+    const WARM_UP: usize = 20;
+    const SAMPLES: usize = 120;
+    let period = |node: usize| if node % 4 == 3 { 4 * TICK_NS } else { TICK_NS };
+    let mut queue: ShardedEventQueue<usize> = ShardedEventQueue::new(7, shards, Ordering::Strict);
+    for node in 0..SCALE_NODES {
+        queue.push(SimTime(period(node)), node as u64, node, node);
+    }
+    let classify = |&node: &usize| Conflict::Exclusive { class: 1, node };
+    let (mut push_ns, mut pop_ns) = (Vec::new(), Vec::new());
+    for sample in 0..WARM_UP + SAMPLES {
+        let start = Instant::now();
+        let batch = queue.pop_independent_batch(classify);
+        let popped = start.elapsed();
+        let events = batch.len() as f64;
+        let start = Instant::now();
+        for scheduled in black_box(batch) {
+            let node = scheduled.event;
+            let at = SimTime(scheduled.time.0 + period(node));
+            queue.push(at, node as u64, node, node);
+        }
+        let pushed = start.elapsed();
+        if sample >= WARM_UP {
+            pop_ns.push(popped.as_nanos() as f64 / events);
+            push_ns.push(pushed.as_nanos() as f64 / events);
+        }
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(&mut push_ns), median(&mut pop_ns))
+}
+
+/// The event queue per event at `event_scale`'s size. Sharding must not tax
+/// a pop: the last line prints the pop cost at every shard count side by
+/// side, and they should lie within 2× of each other (a linear scan of the
+/// shard heads made 256 shards 2× a single heap, and 4 096 far worse).
+fn bench_sim(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sim");
+    let mut pops = Vec::new();
+    for shards in [1usize, 16, 256, 4096] {
+        // Push and pop alternate on one live queue and are timed apart, so
+        // the closure keeps its own clock instead of `Bencher::iter`; the
+        // harness contributes the name filter.
+        group.bench_function(BenchmarkId::new("queue_16384", shards), |_| {
+            let (push, pop) = queue_costs(shards);
+            println!("sim/queue_push/16384x{shards:<27} {push:>10.1} ns/event");
+            println!("sim/queue_pop/16384x{shards:<28} {pop:>10.1} ns/event");
+            pops.push(format!("{shards}: {pop:.0}"));
+        });
+    }
+    if !pops.is_empty() {
+        println!("sim/queue_pop ns/event by shards   {}", pops.join("   "));
+    }
+    group.finish();
+}
+
+/// One dispatch of an empty closure on the engine's resident workers: what
+/// a batch costs before any node work, by batch width.
+fn bench_dispatch(c: &mut Criterion) {
+    let cells: Vec<Cell<u64>> = (0..SCALE_NODES as u64).map(Cell::new).collect();
+    let mut group = c.benchmark_group("engine");
+    group.sample_size(30);
+    with_workers(2, |pool| {
+        for width in [2usize, 64, 4096] {
+            let stride = SCALE_NODES / width;
+            group.bench_with_input(BenchmarkId::new("dispatch", width), &width, |b, &width| {
+                b.iter(|| {
+                    let items = (0..width).map(|k| (k * stride, ())).collect();
+                    pool.batch(&cells, items, |_, _, ()| Ok(())).unwrap()
+                });
+            });
+        }
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_sim,
+    bench_dispatch,
     bench_nn,
     bench_wavelet,
     bench_fft,

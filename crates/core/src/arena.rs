@@ -10,10 +10,11 @@
 //! a storage change, not a numeric one — so runs stay bit-identical to the
 //! pre-arena engine.
 //!
-//! Worker threads get their windows through [`ParamArena::slices_mut`],
-//! which splits the buffer into per-node `&mut` slices once per batch;
-//! distinctness of batch node ids (the event queue's independent-batch
-//! contract) guarantees the borrows are disjoint.
+//! Schedulers split the buffer into per-node `&mut` windows *once per run*
+//! ([`ParamArena::slices_mut`]): the barrier and event schedulers wrap each
+//! window in its node's cell (see `engine::workers`), the channel scheduler
+//! hands each to its node's thread. Nothing on a per-batch path walks the
+//! arena.
 
 /// One flat buffer holding every node's parameters, indexed by node id.
 #[derive(Debug, Clone)]
@@ -53,7 +54,7 @@ impl ParamArena {
     }
 
     /// Splits the buffer into one disjoint `&mut` window per node, in node
-    /// order — the shape worker pools distribute across threads.
+    /// order. O(nodes): a scheduler calls it once per run, never per batch.
     pub(crate) fn slices_mut(&mut self) -> Vec<&mut [f32]> {
         let mut out = Vec::with_capacity(self.node_count());
         let mut rest: &mut [f32] = &mut self.data;
@@ -64,19 +65,17 @@ impl ParamArena {
         }
         out
     }
+}
 
-    /// Copies node `from`'s parameters over node `to`'s (donor re-sync on
-    /// recovery). Panics if the two windows differ in length.
-    pub(crate) fn copy_node(&mut self, from: usize, to: usize) {
-        let src = self.offsets[from]..self.offsets[from + 1];
-        let dst = self.offsets[to];
-        assert_eq!(
-            src.len(),
-            self.offsets[to + 1] - dst,
-            "donor and rejoiner models must agree in size"
-        );
-        self.data.copy_within(src, dst);
-    }
+/// Copies a donor's window over a rejoiner's (donor re-sync on recovery).
+/// Panics if the two windows differ in length.
+pub(crate) fn copy_node(from: &[f32], to: &mut [f32]) {
+    assert_eq!(
+        from.len(),
+        to.len(),
+        "donor and rejoiner models must agree in size"
+    );
+    to.copy_from_slice(from);
 }
 
 #[cfg(test)]
@@ -103,7 +102,9 @@ mod tests {
     #[test]
     fn copy_node_resyncs_equal_sized_windows() {
         let mut arena = ParamArena::from_nodes(vec![vec![1.0, 2.0], vec![7.0, 8.0]]);
-        arena.copy_node(0, 1);
+        let mut windows = arena.slices_mut();
+        let (donor, rejoiner) = windows.split_at_mut(1);
+        copy_node(donor[0], rejoiner[0]);
         assert_eq!(arena.node(1), &[1.0, 2.0]);
         assert_eq!(arena.node(0), &[1.0, 2.0], "donor untouched");
     }
@@ -112,6 +113,8 @@ mod tests {
     #[should_panic(expected = "agree in size")]
     fn copy_node_rejects_size_mismatch() {
         let mut arena = ParamArena::from_nodes(vec![vec![1.0], vec![2.0, 3.0]]);
-        arena.copy_node(0, 1);
+        let mut windows = arena.slices_mut();
+        let (donor, rejoiner) = windows.split_at_mut(1);
+        copy_node(donor[0], rejoiner[0]);
     }
 }

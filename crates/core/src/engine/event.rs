@@ -42,7 +42,7 @@
 //! `TraceEvent::canonical` zeroes them.
 
 use super::round::{active_neighbors, eval_due, fan_out, weigh, Scoreboard, ATTACK_SALT};
-use super::{attack_kind, par_batch, Trainer};
+use super::{attack_kind, NodeSlot, Run};
 use crate::metrics::RunResult;
 use crate::strategy::{Outbound, ReceivedMessage};
 use crate::{JwinsError, Result};
@@ -149,7 +149,17 @@ struct TrainMeta {
 // applied at commit, in the queue's pop order.
 struct TrainItem {
     meta: TrainMeta,
-    ctx: RoundCtx,
+    /// Index into the batch's [`TrainBatch::ctxs`].
+    ctx: usize,
+}
+
+/// A proposed train batch. Its events may sit in different rounds (the
+/// class ignores the round), so the batch carries each distinct round's
+/// context once and the items point into that list — nothing is cloned per
+/// item.
+struct TrainBatch {
+    items: Vec<(usize, TrainItem)>,
+    ctxs: Vec<(usize, RoundCtx)>,
 }
 
 struct TrainProposal {
@@ -165,10 +175,12 @@ struct TrainProposal {
 /// A live `Mix` in pop order: `(node, round, trained, epoch, fire time)`.
 type LiveMix = (usize, usize, bool, u64, SimTime);
 
-struct MixItem {
-    round: usize,
-    at: SimTime,
-    topo: RoundTopology,
+/// A proposed mix batch: the fire time of every live trained `Mix`, and
+/// the one round and topology they share (a mix class encodes its round) —
+/// `None` only when no mix in the batch trained.
+struct MixBatch {
+    items: Vec<(usize, SimTime)>,
+    round: Option<(usize, RoundTopology)>,
 }
 
 struct MixProposal {
@@ -201,8 +213,8 @@ fn per_message_bytes(outbound: &Outbound) -> u64 {
 
 /// The state of one event-driven run: queue, lifecycle, round-context cache
 /// and counters, with one handler per event class.
-pub(super) struct EventRun<M: Model> {
-    t: Trainer<M>,
+pub(super) struct EventRun<'w, 'a, M: Model> {
+    t: Run<'w, 'a, M>,
     /// The sharded queue preserves the single-heap total order exactly
     /// (global sequence counter + seeded tie-break, min over shard heads),
     /// so the shard count is a pure data-structure knob; only
@@ -248,14 +260,14 @@ pub(super) struct EventRun<M: Model> {
     run_wall: Instant,
 }
 
-impl<M> EventRun<M>
+impl<'w, 'a, M> EventRun<'w, 'a, M>
 where
     M: Model + Send,
     M::Sample: Send + Sync,
 {
-    pub(super) fn new(t: Trainer<M>) -> Result<Self> {
-        let n = t.nodes.len();
-        let config = &t.config;
+    pub(super) fn new(t: Run<'w, 'a, M>, board: Scoreboard) -> Result<Self> {
+        let n = t.cells.len();
+        let config = t.config;
         let fault_timeline = FaultTimeline::expand(&config.faults.plan, n, config.seed ^ 0xFA_17)
             .map_err(JwinsError::InvalidConfig)?;
         let attacks = AttackTimeline::expand(&config.attack, n, config.seed ^ ATTACK_SALT)
@@ -306,7 +318,7 @@ where
         Ok(Self {
             lifecycle: LifecycleTracker::new(n),
             round_ctx: HashMap::new(),
-            board: Scoreboard::new(&t),
+            board,
             attacks,
             compute_time,
             completed: vec![0; rounds],
@@ -394,7 +406,7 @@ where
     /// `topology(round)` path, bit-for-bit as before repair existed.
     fn ctx_for(&mut self, round: usize, at: SimTime) -> &RoundCtx {
         if !self.round_ctx.contains_key(&round) {
-            let active: Vec<bool> = (0..self.t.nodes.len())
+            let active: Vec<bool> = (0..self.t.cells.len())
                 .map(|j| self.t.participation.is_active(round, j))
                 .collect();
             let repaired = !self.t.config.repair.is_none();
@@ -462,11 +474,11 @@ where
                 // complete, and if repair later restores the edge it must
                 // restart from the deterministic fresh state rather than a
                 // stale warm start.
-                if self.lifecycle.is_alive(a) {
-                    self.t.nodes[a].strategy.forget_edge(b);
-                }
-                if self.lifecycle.is_alive(b) {
-                    self.t.nodes[b].strategy.forget_edge(a);
+                for (end, other) in [(a, b), (b, a)] {
+                    if self.lifecycle.is_alive(end) {
+                        let mut slot = self.t.cells[end].lock();
+                        slot.state.strategy.forget_edge(other);
+                    }
                 }
             }
             let ctx = self.round_ctx.get_mut(&round).expect("key just listed");
@@ -513,7 +525,7 @@ where
     /// die in the cleared queue.
     fn pass_round(&mut self, round: usize, at: SimTime) -> Result<bool> {
         self.completed[round] += 1;
-        if self.completed[round] < self.t.nodes.len() {
+        if self.completed[round] < self.t.cells.len() {
             return Ok(false);
         }
         self.round_ctx.remove(&round);
@@ -522,7 +534,7 @@ where
             t_ns: at.0,
             round: round as u32,
         });
-        let stop = eval_due(&self.t.config, round) && self.score(round, at, false)?;
+        let stop = eval_due(self.t.config, round) && self.score(round, at, false)?;
         if stop {
             // Early stop: cancel everything in flight.
             self.queue.clear();
@@ -595,7 +607,7 @@ where
     fn on_train(&mut self, batch: Vec<Scheduled<Ev>>, head: Head) -> Result<()> {
         let start = self.run_wall.elapsed();
         let items = self.propose_train(batch);
-        let (width, depth) = (items.len() as u32, self.queue.len() as u32);
+        let (width, depth) = (items.items.len() as u32, self.queue.len() as u32);
         let proposed = self.run_wall.elapsed();
         let proposals = self.execute_train(items)?;
         let executed = self.run_wall.elapsed();
@@ -607,8 +619,9 @@ where
 
     /// Propose: charge the pops, filter stale epochs, and resolve round
     /// contexts up front (the cache is only touched here, sequentially).
-    fn propose_train(&mut self, batch: Vec<Scheduled<Ev>>) -> Vec<(usize, TrainItem)> {
+    fn propose_train(&mut self, batch: Vec<Scheduled<Ev>>) -> TrainBatch {
         let mut items = Vec::with_capacity(batch.len());
+        let mut ctxs: Vec<(usize, RoundCtx)> = Vec::new();
         for s in batch {
             let Ev::TrainDone { node, round, epoch } = s.event else {
                 unreachable!("batches are homogeneous by class")
@@ -617,7 +630,16 @@ where
             if !self.lifecycle.is_current(node, epoch) {
                 continue;
             }
-            let ctx = self.ctx_for(round, s.time).clone();
+            // Neighbouring events almost always share a round: look from
+            // the back, resolve (and clone the context's `Arc`s) once per
+            // distinct round.
+            let ctx = match ctxs.iter().rposition(|&(r, _)| r == round) {
+                Some(known) => known,
+                None => {
+                    ctxs.push((round, self.ctx_for(round, s.time).clone()));
+                    ctxs.len() - 1
+                }
+            };
             let meta = TrainMeta {
                 node,
                 round,
@@ -627,22 +649,23 @@ where
             };
             items.push((node, TrainItem { meta, ctx }));
         }
-        items
+        TrainBatch { items, ctxs }
     }
 
-    /// Execute: the local half of the round program on the worker pool.
-    /// Everything a handler would do to shared state — mailbox appends,
-    /// metering, the Mix schedule — is buffered into the proposal instead.
-    fn execute_train(&mut self, items: Vec<(usize, TrainItem)>) -> Result<Vec<TrainProposal>> {
-        let config = &self.t.config;
+    /// Execute: the local half of the round program on the resident
+    /// workers. Everything a handler would do to shared state — mailbox
+    /// appends, metering, the Mix schedule — is buffered into the proposal
+    /// instead. The job owns the batch's contexts and borrows only the
+    /// run-long configuration.
+    fn execute_train(&self, batch: TrainBatch) -> Result<Vec<TrainProposal>> {
+        let TrainBatch { items, ctxs } = batch;
+        let config = self.t.config;
         let links = &config.heterogeneity.links;
         let link_seed = config.seed ^ 0x11_4B;
-        par_batch(
-            &mut self.t.nodes,
-            &mut self.t.arena,
+        self.t.batch(
             items,
-            self.t.workers,
-            |node, state, params, TrainItem { meta, ctx }| {
+            move |node, state, params, TrainItem { meta, ctx }| {
+                let ctx = &ctxs[ctx].1;
                 let neighbors = active_neighbors(&ctx.topo, &ctx.active, node);
                 let outbound = state.train_and_build(
                     node,
@@ -728,10 +751,10 @@ where
 
     fn on_mix(&mut self, batch: Vec<Scheduled<Ev>>, head: Head) -> Result<()> {
         let start = self.run_wall.elapsed();
-        let (live, items) = self.propose_mix(batch);
-        let (width, depth) = (items.len() as u32, self.queue.len() as u32);
+        let (live, mixes) = self.propose_mix(batch);
+        let (width, depth) = (mixes.items.len() as u32, self.queue.len() as u32);
         let proposed = self.run_wall.elapsed();
-        let proposals = self.execute_mix(items)?;
+        let proposals = self.execute_mix(mixes)?;
         let executed = self.run_wall.elapsed();
         self.commit_mix(live, proposals)?;
         let walls = [start, proposed, executed];
@@ -739,9 +762,10 @@ where
         Ok(())
     }
 
-    /// Propose: charge the pops, filter stale epochs, and resolve topologies
-    /// for the trained mixes (idle ones touch nothing shared until commit).
-    fn propose_mix(&mut self, batch: Vec<Scheduled<Ev>>) -> (Vec<LiveMix>, Vec<(usize, MixItem)>) {
+    /// Propose: charge the pops, filter stale epochs, and resolve the round's
+    /// topology if any mix trained (idle ones touch nothing shared until
+    /// commit).
+    fn propose_mix(&mut self, batch: Vec<Scheduled<Ev>>) -> (Vec<LiveMix>, MixBatch) {
         let mut live = Vec::with_capacity(batch.len());
         for s in batch {
             let Ev::Mix {
@@ -758,94 +782,82 @@ where
                 live.push((node, round, trained, epoch, s.time));
             }
         }
-        let mut items = Vec::with_capacity(live.len());
-        for &(node, round, trained, _, at) in &live {
-            if trained {
-                let topo = self.ctx_for(round, at).topo.clone();
-                items.push((node, MixItem { round, at, topo }));
-            }
-        }
-        (live, items)
+        let trained = || live.iter().filter(|&&(_, _, trained, ..)| trained);
+        let round = trained()
+            .next()
+            .map(|&(_, round, .., at)| (round, self.ctx_for(round, at).topo.clone()));
+        let items = trained().map(|&(node, .., at)| (node, at)).collect();
+        (live, MixBatch { items, round })
     }
 
-    /// Execute: drain and mix on the worker pool. Mailboxes are per-node, so
+    /// Execute: drain and mix on the resident workers. Mailboxes are per-node, so
     /// disjoint drains cannot race; expiry counters and the shared staleness
     /// accumulators are deferred into the proposal because float sums must
     /// be committed in pop order — and not at all for events discarded by
     /// an early stop.
-    fn execute_mix(&mut self, items: Vec<(usize, MixItem)>) -> Result<Vec<MixProposal>> {
+    fn execute_mix(&self, batch: MixBatch) -> Result<Vec<MixProposal>> {
+        let Some((round, topo)) = batch.round else {
+            return Ok(Vec::new());
+        };
         let staleness = self.t.config.faults.staleness;
         let ttl = staleness.ttl().map(SimTime::from_secs_f64);
         let has_cap = staleness.has_cap();
-        let network = &self.t.network;
-        par_batch(
-            &mut self.t.nodes,
-            &mut self.t.arena,
-            items,
-            self.t.workers,
-            |node, state, params, item| {
-                let drained = network.drain(node, item.at, ttl);
-                let (inbox, mut expired) = (drained.envelopes, drained.expired);
-                let mut received = Vec::with_capacity(inbox.len());
-                let mut absorbed = 0.0f64;
-                let mut staleness_terms = Vec::with_capacity(inbox.len());
-                for env in &inbox {
-                    // A message from a node that is no longer a neighbour
-                    // under this round's topology carries no mixing weight;
-                    // drop it (dynamic graphs only — static topologies never
-                    // hit this).
-                    let Some(base) = weigh(&item.topo, node, env.from) else {
-                        continue;
-                    };
-                    let factor = if has_cap {
-                        staleness.weight_factor(
-                            env.age_rounds(item.round),
-                            env.age_at(item.at).as_secs_f64(),
-                        )
-                    } else {
-                        1.0
-                    };
-                    if factor == 0.0 && matches!(staleness.over_cap, CapAction::Drop) {
-                        // Over the staleness cap with a Drop action: never
-                        // decoded, counted as expired. The absent weight
-                        // renormalizes inside the strategy's partial
-                        // averaging, exactly like a lost message. (A Decay
-                        // factor that *underflows* to zero is not a drop:
-                        // the message stays in the mix at weight zero and
-                        // its whole mass moves to the self-weight below.)
-                        expired += 1;
-                        continue;
-                    }
-                    // Down-weighted mass moves to the self-weight so the
-                    // effective mixing row stays stochastic (factor 1.0
-                    // keeps the weight bit-unchanged).
-                    let (weight, moved) = jwins_fault::apply_factor(base, factor);
-                    absorbed += moved;
-                    staleness_terms.push((
-                        env.from,
-                        env.sent_round,
-                        item.at.since(env.sent).as_secs_f64(),
-                    ));
-                    received.push(ReceivedMessage {
-                        from: env.from,
-                        round: env.sent_round,
-                        weight,
-                        edge_weight: base,
-                        bytes: &env.payload,
-                    });
+        let network = self.t.network;
+        self.t.batch(batch.items, move |node, state, params, at| {
+            let drained = network.drain(node, at, ttl);
+            let (inbox, mut expired) = (drained.envelopes, drained.expired);
+            let mut received = Vec::with_capacity(inbox.len());
+            let mut absorbed = 0.0f64;
+            let mut staleness_terms = Vec::with_capacity(inbox.len());
+            for env in &inbox {
+                // A message from a node that is no longer a neighbour
+                // under this round's topology carries no mixing weight;
+                // drop it (dynamic graphs only — static topologies never
+                // hit this).
+                let Some(base) = weigh(&topo, node, env.from) else {
+                    continue;
+                };
+                let factor = if has_cap {
+                    staleness.weight_factor(env.age_rounds(round), env.age_at(at).as_secs_f64())
+                } else {
+                    1.0
+                };
+                if factor == 0.0 && matches!(staleness.over_cap, CapAction::Drop) {
+                    // Over the staleness cap with a Drop action: never
+                    // decoded, counted as expired. The absent weight
+                    // renormalizes inside the strategy's partial
+                    // averaging, exactly like a lost message. (A Decay
+                    // factor that *underflows* to zero is not a drop:
+                    // the message stays in the mix at weight zero and
+                    // its whole mass moves to the self-weight below.)
+                    expired += 1;
+                    continue;
                 }
-                let mut self_weight = item.topo.weights.self_weight(node);
-                if absorbed > 0.0 {
-                    self_weight += absorbed;
-                }
-                state.mix(params, item.round, self_weight, &received)?;
-                Ok(MixProposal {
-                    staleness: staleness_terms,
-                    absorbed,
-                    expired,
-                })
-            },
-        )
+                // Down-weighted mass moves to the self-weight so the
+                // effective mixing row stays stochastic (factor 1.0
+                // keeps the weight bit-unchanged).
+                let (weight, moved) = jwins_fault::apply_factor(base, factor);
+                absorbed += moved;
+                staleness_terms.push((env.from, env.sent_round, at.since(env.sent).as_secs_f64()));
+                received.push(ReceivedMessage {
+                    from: env.from,
+                    round: env.sent_round,
+                    weight,
+                    edge_weight: base,
+                    bytes: &env.payload,
+                });
+            }
+            let mut self_weight = topo.weights.self_weight(node);
+            if absorbed > 0.0 {
+                self_weight += absorbed;
+            }
+            state.mix(params, round, self_weight, &received)?;
+            Ok(MixProposal {
+                staleness: staleness_terms,
+                absorbed,
+                expired,
+            })
+        })
     }
 
     /// Commit in pop order. An early stop breaks out: since a batch is
@@ -853,7 +865,7 @@ where
     /// trigger is necessarily the batch's last item — the break just keeps
     /// the discard-the-rest invariant explicit.
     fn commit_mix(&mut self, live: Vec<LiveMix>, proposals: Vec<MixProposal>) -> Result<()> {
-        let tracer = Arc::clone(&self.t.tracer);
+        let tracer = self.t.tracer;
         let mut proposals = proposals.into_iter();
         for (node, round, trained, epoch, at) in live {
             if trained {
@@ -885,7 +897,9 @@ where
                 if p.absorbed > 0.0 {
                     tally.downweight_mass += p.absorbed;
                 }
-                self.t.nodes[node].drain_stats(node, round, at.0, &tracer, &mut tally.mass_clipped);
+                let mut slot = self.t.cells[node].lock();
+                slot.state
+                    .drain_stats(node, round, at.0, tracer, &mut tally.mass_clipped);
             } else if self.t.config.record_alphas {
                 // Idle rounds carry the node's previous fraction, mirroring
                 // the barrier scheduler's snapshot.
@@ -946,9 +960,9 @@ where
         // survive across lifecycle epochs and the state would leak for the
         // rest of the run.
         if permanent {
-            for (i, state) in self.t.nodes.iter_mut().enumerate() {
+            for (i, cell) in self.t.cells.iter().enumerate() {
                 if i != node {
-                    state.strategy.forget_edge(node);
+                    cell.lock().state.strategy.forget_edge(node);
                 }
             }
         }
@@ -1017,9 +1031,11 @@ where
         // live peer (deterministic); fall back to a warm restart if fully
         // alone.
         if let Some(donor) = donor {
-            self.t.arena.copy_node(donor, node);
-            let params = self.t.arena.node(node);
-            let state = &mut self.t.nodes[node];
+            // `donor` was alive while `node` was not: two distinct cells.
+            let donor = self.t.cells[donor].lock();
+            let mut slot = self.t.cells[node].lock();
+            let NodeSlot { state, params } = &mut *slot;
+            crate::arena::copy_node(donor.params, params);
             state.model.set_params(params);
             state.strategy.init(params);
         }
@@ -1055,7 +1071,7 @@ where
         // deliveries that piled up at their dead hosts; destroy them now so
         // the traffic accounting honours the crash semantics (no-fault runs
         // have every node alive, so this cannot disturb their totals).
-        for node in 0..self.t.nodes.len() {
+        for node in 0..self.t.cells.len() {
             if !self.lifecycle.is_alive(node) {
                 self.t.network.purge(PurgeScope::Inbox { node });
             }

@@ -33,6 +33,21 @@
 //! event-scheduler traces that an extra barrier mode inside it could only
 //! disturb.
 //!
+//! # Resident workers
+//!
+//! [`Trainer::run`] starts `threads − 1` helper threads once, in one
+//! [`std::thread::scope`] around the whole barrier or event schedule; the
+//! calling thread is a worker too, and no thread is created afterwards.
+//! Every parallel step — a barrier phase, an event batch's execute phase, an
+//! evaluation — is one [`workers::Workers::batch`]: the items are cut into
+//! chunks that workers *claim*, so the caller finishes a narrow batch before
+//! a helper has woken and a wide one balances itself, with no threshold to
+//! tune. A job may borrow only what outlives the pool (configuration,
+//! transport, test set) plus what is moved into it (a batch's round
+//! contexts); node state is reached through one locked cell per node, never
+//! contended because batch node ids are pairwise distinct. The [`workers`]
+//! docs give the full contract, including how errors and panics come back.
+//!
 //! # Parallel event execution and the determinism contract
 //!
 //! The event loop executes *batches*: at each step it pops the maximal run
@@ -48,9 +63,10 @@
 //!    participation;
 //! 2. **execute** (parallel): run the expensive per-node work — τ SGD steps
 //!    and message building for `TrainDone`, mailbox drain plus mixing for
-//!    `Mix` — on the crossbeam worker pool, with every shared-state side
-//!    effect buffered (outgoing messages as [`jwins_net::PendingSend`],
-//!    expiry/staleness counters in per-event proposals);
+//!    `Mix` — on the run's resident workers ([`workers`]), with every
+//!    shared-state side effect buffered (outgoing messages as
+//!    [`jwins_net::PendingSend`], expiry/staleness counters in per-event
+//!    proposals);
 //! 3. **commit** (sequential, in the queue's pop order): apply the buffered
 //!    sends, fold the float accumulators, schedule follow-up events, and
 //!    take round-completion evaluation points.
@@ -61,13 +77,14 @@
 //! change any result, bit for bit:
 //!
 //! - [`crate::config::TrainConfig::threads`] (1, 2, 8, or 0 = all cores) —
-//!   worker threads only split the execute phase of already-independent
-//!   events;
+//!   workers only split the execute phase of already-independent events,
+//!   and which worker claims which chunk is invisible: outputs return in
+//!   item order and commit sequentially;
 //! - [`crate::config::TrainConfig::shards`] — the event queue
 //!   ([`jwins_sim::ShardedEventQueue`]) routes events to per-node-group
-//!   heaps but merges them behind one global insertion counter and tie
-//!   hash, so any shard count replays the identical total order
-//!   (`tests/scale_determinism.rs`);
+//!   heaps but merges them (a winner tree over the shard heads) behind one
+//!   global insertion counter and tie hash, so any shard count replays the
+//!   identical total order (`tests/scale_determinism.rs`);
 //! - host core count / scheduler timing, for the same reason.
 //!
 //! These knobs **do** change results, deterministically:
@@ -101,6 +118,7 @@
 mod barrier;
 mod event;
 pub(crate) mod round;
+pub mod workers;
 
 use crate::arena::ParamArena;
 use crate::config::{ExecutionMode, TrainConfig, TransportKind};
@@ -115,8 +133,9 @@ use jwins_net::{LossModel, SimNetwork, ThreadChannelTransport, Transport};
 use jwins_nn::model::Model;
 use jwins_topology::dynamic::TopologyProvider;
 use jwins_trace::{AttackKind, TraceEvent, TraceSink, Tracer};
-use round::{NodeScore, NodeState};
+use round::{NodeScore, NodeState, Scoreboard};
 use std::sync::Arc;
+use workers::Workers;
 
 /// Builder for [`Trainer`] (see [`Trainer::builder`]).
 pub struct TrainerBuilder<M: Model> {
@@ -344,79 +363,78 @@ fn attack_kind(behavior: AttackBehavior) -> AttackKind {
     }
 }
 
-/// One unit of `par_batch` work: a node id, its state and arena window,
-/// and the event payload.
-type WorkItem<'a, M, T> = (usize, &'a mut NodeState<M>, &'a mut [f32], T);
+/// One node's mutable state for the length of a scheduled run.
+struct NodeSlot<'a, M: Model> {
+    state: &'a mut NodeState<M>,
+    /// The node's window of the [`ParamArena`].
+    params: &'a mut [f32],
+}
 
-/// Executes one closure per `(node, item)` pair on the worker pool — the
-/// event-driven engine's *execute* phase. Items carry distinct node ids
-/// (the queue's independent-batch contract), whose states are selected as
-/// disjoint `&mut` borrows. Outputs come back in item order and the first
-/// error *in item order* wins regardless of thread timing, so both results
-/// and failures are independent of thread count.
-fn par_batch<M, T, P, F>(
-    nodes: &mut [NodeState<M>],
-    arena: &mut ParamArena,
-    items: Vec<(usize, T)>,
-    threads: usize,
-    f: F,
-) -> Result<Vec<P>>
+/// A [`NodeSlot`] behind the lock that lets resident workers reach it.
+type NodeCell<'a, M> = workers::Cell<NodeSlot<'a, M>>;
+
+/// Splits the trainer's node states and arena into one cell per node.
+fn node_cells<'a, M: Model>(
+    nodes: &'a mut [NodeState<M>],
+    arena: &'a mut ParamArena,
+) -> Vec<NodeCell<'a, M>> {
+    nodes
+        .iter_mut()
+        .zip(arena.slices_mut())
+        .map(|(state, params)| NodeCell::new(NodeSlot { state, params }))
+        .collect()
+}
+
+/// What a scheduler sees of the trainer while it runs on resident workers:
+/// run-long shared borrows of everything immutable, the per-node cells, and
+/// the pool. `'a` is the run (what a job may borrow — see [`workers`]); `'w`
+/// is the pool inside it.
+struct Run<'w, 'a, M: Model> {
+    config: &'a TrainConfig,
+    topology: &'a dyn TopologyProvider,
+    participation: &'a dyn ParticipationModel,
+    network: &'a Arc<dyn Transport>,
+    test: &'a [M::Sample],
+    tracer: &'a Arc<Tracer>,
+    /// Node `i`'s state and arena window; sequential code locks a cell
+    /// between batches, workers inside one.
+    cells: &'a [NodeCell<'a, M>],
+    workers: &'w Workers<'a>,
+}
+
+impl<'a, M> Run<'_, 'a, M>
 where
     M: Model + Send,
     M::Sample: Send + Sync,
-    T: Send,
-    P: Send,
-    F: Fn(usize, &mut NodeState<M>, &mut [f32], T) -> Result<P> + Sync,
 {
-    let mut slots: Vec<Option<&mut NodeState<M>>> = nodes.iter_mut().map(Some).collect();
-    let mut pslots: Vec<Option<&mut [f32]>> = arena.slices_mut().into_iter().map(Some).collect();
-    let mut work: Vec<WorkItem<'_, M, T>> = items
-        .into_iter()
-        .map(|(id, item)| {
-            let state = slots[id]
-                .take()
-                .expect("batch nodes must be pairwise distinct");
-            let params = pslots[id].take().expect("state and window taken together");
-            (id, state, params, item)
-        })
-        .collect();
-    let threads = threads.min(work.len()).max(1);
-    if threads == 1 {
-        return work
-            .into_iter()
-            .map(|(id, state, params, item)| f(id, state, params, item))
-            .collect();
-    }
-    let chunk = work.len().div_ceil(threads);
-    let mut chunks: Vec<Vec<WorkItem<'_, M, T>>> = Vec::new();
-    while !work.is_empty() {
-        let rest = work.split_off(chunk.min(work.len()));
-        chunks.push(std::mem::replace(&mut work, rest));
-    }
-    let results: Vec<Result<Vec<P>>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk_items| {
-                let f = &f;
-                scope.spawn(move |_| {
-                    chunk_items
-                        .into_iter()
-                        .map(|(id, state, params, item)| f(id, state, params, item))
-                        .collect::<Result<Vec<P>>>()
-                })
+    /// Executes one closure per `(node, item)` pair on the resident workers
+    /// — the event scheduler's *execute* phase, a barrier phase, an
+    /// evaluation. Items carry distinct node ids (the queue's
+    /// independent-batch contract). Outputs come back in item order and the
+    /// first error *in item order* wins regardless of thread timing, so both
+    /// results and failures are independent of thread count.
+    fn batch<T, P, F>(&self, items: Vec<(usize, T)>, f: F) -> Result<Vec<P>>
+    where
+        T: Send + 'a,
+        P: Send + 'a,
+        F: Fn(usize, &mut NodeState<M>, &mut [f32], T) -> Result<P> + Send + Sync + 'a,
+    {
+        self.workers
+            .batch(self.cells, items, move |id, slot, item| {
+                f(id, slot.state, slot.params, item)
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread must not panic"))
-            .collect()
-    })
-    .expect("scope does not panic");
-    let mut out = Vec::with_capacity(results.len());
-    for chunk_result in results {
-        out.extend(chunk_result?);
     }
-    Ok(out)
+
+    /// Evaluates all nodes on the shared test set (possibly subsampled),
+    /// one [`NodeScore`] per node in node order — batch outputs, so the
+    /// float merges downstream cannot depend on which worker finished first.
+    fn evaluate(&self) -> Result<Vec<NodeScore>> {
+        let (test, cap) = (self.test, self.config.eval_test_samples);
+        let all = (0..self.cells.len()).map(|i| (i, ())).collect();
+        self.batch(all, move |_, node, params, ()| {
+            Ok(node.evaluate(params, test, cap))
+        })
+    }
 }
 
 /// A configured decentralized training run.
@@ -481,23 +499,33 @@ impl<M: Model> Trainer<M> {
         self.nodes[node].strategy.init(params);
     }
 
-    /// Evaluates all nodes on the shared test set (possibly subsampled),
-    /// one [`NodeScore`] per node in node order — batch outputs, so the
-    /// float merges downstream cannot depend on which worker finished first.
-    fn evaluate(&mut self) -> Result<Vec<NodeScore>>
+    /// Runs the barrier or event scheduler (per [`TrainConfig::execution`])
+    /// on resident workers, leaving the trained node states in place. The
+    /// cells and the helpers are created here and gone on return: no thread
+    /// is started after this point, and none survives it.
+    fn run_scheduled(&mut self) -> Result<RunResult>
     where
         M: Send,
         M::Sample: Send + Sync,
     {
-        let (test, cap) = (&self.test, self.config.eval_test_samples);
-        let all = (0..self.nodes.len()).map(|i| (i, ())).collect();
-        par_batch(
-            &mut self.nodes,
-            &mut self.arena,
-            all,
-            self.workers,
-            |_, node, params, ()| Ok(node.evaluate(params, test, cap)),
-        )
+        let board = Scoreboard::new(self);
+        let cells = node_cells(&mut self.nodes, &mut self.arena);
+        workers::with_workers(self.workers, |pool| {
+            let run = Run {
+                config: &self.config,
+                topology: &*self.topology,
+                participation: &*self.participation,
+                network: &self.network,
+                test: &self.test,
+                tracer: &self.tracer,
+                cells: &cells,
+                workers: pool,
+            };
+            match self.config.execution {
+                ExecutionMode::BulkSynchronous => barrier::run_sync(&run, board),
+                ExecutionMode::EventDriven => EventRun::new(run, board).and_then(EventRun::run),
+            }
+        })
     }
 
     /// Executes the full run on the substrate selected by
@@ -527,10 +555,7 @@ impl<M: Model> Trainer<M> {
             // mode to BulkSynchronous).
             crate::channel_driver::run_channel(self)
         } else {
-            match self.config.execution {
-                ExecutionMode::BulkSynchronous => self.run_sync(),
-                ExecutionMode::EventDriven => EventRun::new(self).and_then(EventRun::run),
-            }
+            self.run_scheduled()
         };
         drop(guard);
         if result.is_err() {
@@ -603,42 +628,35 @@ mod tests {
             .unwrap();
         let all = || (0..8).map(|i| (i, 10 * i)).collect::<Vec<_>>();
         for threads in [1, 2, 8] {
-            // Every node, in index order, each with its own arena window.
-            let visited = par_batch(
-                &mut trainer.nodes,
-                &mut trainer.arena,
-                all(),
-                threads,
-                |i, _, params, tag| {
-                    params[0] = i as f32;
-                    Ok((i, tag))
-                },
-            )
-            .unwrap();
-            assert_eq!(visited, all(), "threads = {threads}");
-            for i in 0..8 {
-                assert_eq!(trainer.node_params(i)[0], i as f32);
-            }
-            // Nodes 2 and 5 both fail: the earlier *item* wins, whichever
-            // worker finishes first and whatever the node ids are.
-            for (items, first) in [(all(), 2), (all().into_iter().rev().collect(), 5)] {
-                let err = par_batch(
-                    &mut trainer.nodes,
-                    &mut trainer.arena,
-                    items,
-                    threads,
-                    |i, _, _, _| match i {
-                        2 | 5 => Err(JwinsError::InvalidConfig(format!("node {i}"))),
-                        _ => Ok(()),
-                    },
-                )
-                .unwrap_err();
-                assert_eq!(
-                    err.to_string(),
-                    format!("invalid configuration: node {first}"),
-                    "threads = {threads}"
-                );
-            }
+            let cells = node_cells(&mut trainer.nodes, &mut trainer.arena);
+            workers::with_workers(threads, |pool| {
+                // Every node, in index order, each with its own arena window.
+                let visited = pool
+                    .batch(&cells, all(), |i, slot, tag| {
+                        slot.params[0] = i as f32;
+                        Ok((i, tag))
+                    })
+                    .unwrap();
+                assert_eq!(visited, all(), "threads = {threads}");
+                for (i, cell) in cells.iter().enumerate() {
+                    assert_eq!(cell.lock().params[0], i as f32);
+                }
+                // Nodes 2 and 5 both fail: the earlier *item* wins, whichever
+                // worker finishes first and whatever the node ids are.
+                for (items, first) in [(all(), 2), (all().into_iter().rev().collect(), 5)] {
+                    let err = pool
+                        .batch(&cells, items, |i, _, _| match i {
+                            2 | 5 => Err(JwinsError::InvalidConfig(format!("node {i}"))),
+                            _ => Ok(()),
+                        })
+                        .unwrap_err();
+                    assert_eq!(
+                        err.to_string(),
+                        format!("invalid configuration: node {first}"),
+                        "threads = {threads}"
+                    );
+                }
+            });
         }
     }
 
@@ -696,13 +714,14 @@ mod tests {
         }
     }
 
-    /// Runs the barrier scheduler in place and returns final per-node
-    /// params plus the result — `Trainer::run` consumes the trainer, so the
-    /// node state would not be inspectable through it.
+    /// Runs the configured scheduler (the barrier one, in these tests) in
+    /// place and returns final per-node params plus the result —
+    /// `Trainer::run` consumes the trainer, so the node state would not be
+    /// inspectable through it.
     fn run_and_reclaim(
         mut trainer: Trainer<jwins_nn::models::ImageClassifier>,
     ) -> (Vec<Vec<f32>>, RunResult) {
-        let result = trainer.run_sync().unwrap();
+        let result = trainer.run_scheduled().unwrap();
         let params = (0..trainer.node_count())
             .map(|i| trainer.node_params(i).to_vec())
             .collect();

@@ -9,14 +9,16 @@
 //! node run has 16 384 strategies and two workers). A worker runs one call
 //! at a time, so one set per *concurrent call* is exactly enough.
 //!
-//! The engine's workers are scoped threads that live for one phase or one
-//! event batch, which rules out plain thread-locals (they would be rebuilt
-//! every phase). The sets therefore live in a process-wide pool:
+//! The sets live in a process-wide pool rather than in thread-locals:
 //! [`with_scratch`] takes one out for the duration of a call and puts it
-//! back. A worker holds at most one at a time, so the pool never grows past
-//! the number of workers that were ever inside a strategy at once; sets
-//! beyond one per core (the channel backend runs one thread per node) are
-//! dropped on return instead of pooled.
+//! back. The barrier and event schedulers' workers are resident for a whole
+//! run and would keep a thread-local warm, but the channel scheduler runs
+//! one thread per *node*, each alive for one run — a thread-local set there
+//! is the per-node multiplication all over again. A worker holds at most
+//! one set at a time, so the pool never grows past the number of workers
+//! that were ever inside a strategy at once; sets beyond one per core (the
+//! channel backend again) are dropped on return instead of pooled. With
+//! resident workers the same few sets simply circulate for the whole run.
 //!
 //! Nothing in a set outlives the call as *data*: every buffer is cleared or
 //! overwritten before it is read, so which set a call gets cannot change a

@@ -75,10 +75,10 @@ impl TrafficStats {
         self.messages_dropped += 1;
     }
 
-    /// Records a message discarded by the staleness policy (TTL lapse or
-    /// over-cap drop). The bytes did arrive, so receive accounting stands.
-    pub fn record_expired(&mut self) {
-        self.messages_expired += 1;
+    /// Records `count` messages discarded by the staleness policy (TTL lapse
+    /// or over-cap drop). The bytes did arrive, so receive accounting stands.
+    pub fn record_expired(&mut self, count: u64) {
+        self.messages_expired += count;
     }
 
     /// Merges counters from another node (for cluster-wide totals).
@@ -111,7 +111,7 @@ mod tests {
         let mut s = TrafficStats::default();
         s.record_receive(10);
         s.record_receive(6);
-        s.record_expired();
+        s.record_expired(1);
         assert_eq!(s.messages_expired, 1);
         assert_eq!(s.messages_dropped, 0, "expiry is not a network drop");
         assert_eq!(s.bytes_received, 16, "expired bytes did arrive");

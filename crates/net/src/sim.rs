@@ -220,10 +220,7 @@ impl Transport for SimNetwork {
         if count == 0 {
             return;
         }
-        let mut stats = self.stats[node].lock();
-        for _ in 0..count {
-            stats.record_expired();
-        }
+        self.stats[node].lock().record_expired(count);
     }
 
     fn purge(&self, scope: PurgeScope) -> PurgeReport {

@@ -147,6 +147,20 @@ fn ttl_expiry_is_counted_but_not_yet_recorded() {
 }
 
 #[test]
+fn a_million_expiries_commit_as_one_addition() {
+    // The commit holds the node's stats lock: it must cost one addition,
+    // not one lock-held loop iteration per expired message.
+    each_backend(|name, net| {
+        net.record_expired(2, 1_000_000);
+        net.record_expired(2, 0);
+        net.record_expired(2, 5);
+        assert_eq!(net.stats(2).messages_expired, 1_000_005, "{name}");
+        assert_eq!(net.total_stats().messages_expired, 1_000_005, "{name}");
+        assert_eq!(net.stats(1).messages_expired, 0, "{name}: other nodes");
+    });
+}
+
+#[test]
 fn purge_inbox_kills_queued_messages_and_reverses_receive_credit() {
     each_backend(|name, net| {
         net.send(stamped(&*net, 0, 1, vec![0; 4], 0, 0));

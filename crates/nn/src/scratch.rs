@@ -6,9 +6,10 @@
 //! Kept per layer they would multiply by the number of resident models (a
 //! 16 384-node run holds 16 384 of them); allocated per call they would cost
 //! more than the arithmetic of the smallest models. A thread runs one kernel
-//! at a time, so one buffer per thread is exactly enough. The engine's
-//! workers are scoped threads that live for one phase or one event batch, so
-//! a buffer is rebuilt once per worker and phase: a few KiB beside a thread
+//! at a time, so one buffer per thread is exactly enough. The barrier and
+//! event schedulers' workers are resident for a whole run, so a worker grows
+//! its buffer once and keeps it across every batch; the channel scheduler's
+//! per-node threads each grow one for their run: a few KiB beside a thread
 //! spawn (the share path's buffers are several model sizes, which is why
 //! those are pooled process-wide instead).
 //!

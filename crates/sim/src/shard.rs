@@ -5,10 +5,14 @@
 //! total order of [`crate::queue::EventQueue`]: one shared insertion
 //! counter drives the same seeded tie-break hash, and every pop takes the
 //! minimum over shard heads under the identical
-//! `(time, priority, tie, seq)` key. With [`Ordering::Strict`] the pop
-//! sequence — and therefore every downstream batch, commit, and trace — is
-//! bit-identical to the single-heap queue for any shard count; a proptest
-//! below pins that equivalence under arbitrary interleavings.
+//! `(time, priority, tie, seq)` key. The minimum comes from a winner tree
+//! that caches the head keys, so a pop costs `O(log shards)` on top of its
+//! own heap's `O(log(n/shards))` instead of a scan of every shard. With
+//! [`Ordering::Strict`] the pop sequence — and therefore every downstream
+//! batch, commit, and trace — is bit-identical to the single-heap queue for
+//! any shard count; the proptests below pin that equivalence under
+//! arbitrary interleavings of pushes, pops and clears (a cached head can
+//! only go stale between operations, never inside one).
 //!
 //! [`Ordering::Window`] is the throughput mode: `pop_independent_batch` may
 //! extend a batch past the head's fire time, up to `max_skew_ns` later, as
@@ -92,22 +96,99 @@ impl<E> Ord for ShardEntry<E> {
     }
 }
 
+/// The queue's total-order key: `(time, priority, seeded tie, insertion)`.
+type Key = (SimTime, u64, u64, u64);
+
+/// The cached head key of an empty shard. Insertion indices count up from
+/// zero and never reach `u64::MAX`, so every real key orders strictly below.
+const EMPTY: Key = (SimTime(u64::MAX), u64::MAX, u64::MAX, u64::MAX);
+
+/// A winner tree over the shard heads: leaf `i` caches shard `i`'s head key
+/// (or [`EMPTY`]), every internal node caches the smaller of its children
+/// together with the shard that owns it, and the root is the global minimum.
+/// Keys live *in* the tree, so finding the minimum reads one slot and a head
+/// change replays one leaf-to-root path of `log2(shards)` slots, without
+/// touching any other shard's heap.
+#[derive(Debug)]
+struct HeadTree {
+    /// `slots[1]` is the root, `slots[leaves + i]` is shard `i`'s leaf;
+    /// `slots[0]` is unused.
+    slots: Vec<(Key, usize)>,
+    /// Leaf count: the shard count rounded up to a power of two (padding
+    /// leaves stay [`EMPTY`] forever).
+    leaves: usize,
+}
+
+impl HeadTree {
+    fn new(shards: usize) -> Self {
+        let leaves = shards.next_power_of_two();
+        Self {
+            slots: vec![(EMPTY, 0); 2 * leaves],
+            leaves,
+        }
+    }
+
+    /// The global minimum key and its shard ([`EMPTY`] when nothing is
+    /// pending).
+    fn min(&self) -> (Key, usize) {
+        self.slots[1]
+    }
+
+    /// `key` was pushed into `shard`. If it undercuts the shard's cached
+    /// head it becomes the head, and it may win further up; the ancestors it
+    /// wins form a prefix of the path, so the first slot that keeps its
+    /// winner — usually the leaf itself — ends the walk.
+    fn lower(&mut self, shard: usize, key: Key) {
+        let mut at = self.leaves + shard;
+        while at >= 1 && key < self.slots[at].0 {
+            self.slots[at] = (key, shard);
+            at /= 2;
+        }
+    }
+
+    /// `shard`'s head rose to `key` (its old head was popped; [`EMPTY`] when
+    /// the shard ran dry): replay every match on the path to the root.
+    fn raise(&mut self, shard: usize, key: Key) {
+        let mut at = self.leaves + shard;
+        self.slots[at] = (key, shard);
+        while at > 1 {
+            at /= 2;
+            let (left, right) = (self.slots[2 * at], self.slots[2 * at + 1]);
+            // Keys are unique (the insertion index is part of them), so the
+            // only ties are between empty subtrees.
+            self.slots[at] = if right.0 < left.0 { right } else { left };
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill((EMPTY, 0));
+    }
+}
+
 /// A deterministic event queue sharded by node id.
 ///
 /// Same contract as [`crate::EventQueue`] — seeded total order, conflict-
 /// aware batch pop — but pending events live in `shards` independent heaps
-/// so push/pop touch a heap of `n/shards` entries instead of `n`. `push`
-/// takes the node that owns the event (routing is `node % shards`; events
-/// with no owning node may pass any stable id) purely as a placement hint:
-/// pops always take the global minimum across shard heads, so shard count
-/// never changes the schedule.
+/// merged by a winner tree over their heads, so a push costs
+/// `O(log(n/shards))` (plus a tree walk only when it lowers its shard's
+/// head) and a pop `O(log(n/shards) + log(shards))`; neither ever scans the
+/// shards. `push` takes the node that owns the event (routing is
+/// `node % shards`; events with no owning node may pass any stable id)
+/// purely as a placement hint: pops always take the global minimum across
+/// shard heads, so shard count never changes the schedule.
 #[derive(Debug)]
 pub struct ShardedEventQueue<E> {
     shards: Vec<BinaryHeap<ShardEntry<E>>>,
+    heads: HeadTree,
     seed: u64,
     next_seq: u64,
     len: usize,
     ordering: Ordering,
+    /// `claimed[node] == batch_stamp` marks a node taken by the batch being
+    /// popped; bumping the stamp releases every claim at once. Grows to the
+    /// largest node id a classifier has reported (ids are dense).
+    claimed: Vec<u64>,
+    batch_stamp: u64,
 }
 
 impl<E> ShardedEventQueue<E> {
@@ -117,10 +198,13 @@ impl<E> ShardedEventQueue<E> {
         let shards = shards.max(1);
         Self {
             shards: (0..shards).map(|_| BinaryHeap::new()).collect(),
+            heads: HeadTree::new(shards),
             seed,
             next_seq: 0,
             len: 0,
             ordering,
+            claimed: Vec::new(),
+            batch_stamp: 0,
         }
     }
 
@@ -156,48 +240,57 @@ impl<E> ShardedEventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let shard = node % self.shards.len();
-        self.shards[shard].push(ShardEntry {
+        let entry = ShardEntry {
             time,
             priority,
             tie: splitmix64(self.seed ^ seq),
             seq,
             event,
-        });
+        };
+        let key = entry.key();
+        self.shards[shard].push(entry);
+        self.heads.lower(shard, key);
         self.len += 1;
     }
 
-    /// The shard whose head is the global minimum, if any event is pending.
-    fn min_shard(&self) -> Option<usize> {
-        let mut best: Option<(usize, (SimTime, u64, u64, u64))> = None;
-        for (i, heap) in self.shards.iter().enumerate() {
-            if let Some(head) = heap.peek() {
-                let key = head.key();
-                if best.is_none_or(|(_, k)| key < k) {
-                    best = Some((i, key));
-                }
-            }
+    /// Pops the head of `shard` — the global minimum, per the tree — and
+    /// re-runs the shard's matches with its next head.
+    fn pop_shard(&mut self, shard: usize) -> Scheduled<E> {
+        let heap = &mut self.shards[shard];
+        let entry = heap.pop().expect("the tree's winner has a head");
+        let next = heap.peek().map_or(EMPTY, ShardEntry::key);
+        self.heads.raise(shard, next);
+        self.len -= 1;
+        Scheduled {
+            time: entry.time,
+            priority: entry.priority,
+            event: entry.event,
         }
-        best.map(|(i, _)| i)
     }
 
     /// Removes and returns the next event in the global
     /// (time, priority, seeded-tie) order.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let shard = self.min_shard()?;
-        let entry = self.shards[shard].pop().expect("peeked head exists");
-        self.len -= 1;
-        Some(Scheduled {
-            time: entry.time,
-            priority: entry.priority,
-            event: entry.event,
-        })
+        if self.len == 0 {
+            return None;
+        }
+        let (_, shard) = self.heads.min();
+        Some(self.pop_shard(shard))
     }
 
     /// The fire time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.min_shard()
-            .and_then(|s| self.shards[s].peek())
-            .map(|e| e.time)
+        (self.len > 0).then(|| self.heads.min().0 .0)
+    }
+
+    /// Claims `node` for the batch being popped; `false` if it already is.
+    fn claim(&mut self, node: usize) -> bool {
+        if node >= self.claimed.len() {
+            self.claimed.resize(node + 1, 0);
+        }
+        let fresh = self.claimed[node] != self.batch_stamp;
+        self.claimed[node] = self.batch_stamp;
+        fresh
     }
 
     /// Pops the maximal batch of *independent* events: the longest prefix
@@ -208,6 +301,10 @@ impl<E> ShardedEventQueue<E> {
     /// to [`crate::EventQueue::pop_independent_batch`];
     /// [`Ordering::Window`]: at most `max_skew_ns` later). A
     /// [`Conflict::Solo`] head yields a batch of at most one event.
+    ///
+    /// Claimed nodes are tracked in a vector indexed by node id, so the ids
+    /// a classifier reports should be dense: the queue keeps one word per
+    /// id up to the largest it has seen.
     pub fn pop_independent_batch<F>(&mut self, classify: F) -> Vec<Scheduled<E>>
     where
         F: Fn(&E) -> Conflict,
@@ -220,31 +317,26 @@ impl<E> ShardedEventQueue<E> {
         let Conflict::Exclusive { class, node } = classify(&first.event) else {
             return vec![first];
         };
-        let mut claimed = std::collections::HashSet::new();
-        claimed.insert(node);
+        self.batch_stamp += 1;
+        self.claim(node);
         let mut batch = vec![first];
-        while let Some(shard) = self.min_shard() {
-            let head = self.shards[shard].peek().expect("min shard has a head");
-            // `head` follows `first` in the total order, so its time is
+        while self.len > 0 {
+            let ((head_time, ..), shard) = self.heads.min();
+            // The head follows `first` in the total order, so its time is
             // never earlier; the spread below cannot underflow.
-            if head.time.0.saturating_sub(time.0) > skew {
+            if head_time.0.saturating_sub(time.0) > skew {
                 break;
             }
+            let head = self.shards[shard].peek().expect("winner has a head");
             match classify(&head.event) {
                 Conflict::Exclusive { class: c, node } if c == class => {
-                    if !claimed.insert(node) {
+                    if !self.claim(node) {
                         break;
                     }
                 }
                 _ => break,
             }
-            let entry = self.shards[shard].pop().expect("peeked entry exists");
-            self.len -= 1;
-            batch.push(Scheduled {
-                time: entry.time,
-                priority: entry.priority,
-                event: entry.event,
-            });
+            batch.push(self.pop_shard(shard));
         }
         batch
     }
@@ -254,6 +346,7 @@ impl<E> ShardedEventQueue<E> {
         for heap in &mut self.shards {
             heap.clear();
         }
+        self.heads.clear();
         self.len = 0;
     }
 }
@@ -396,6 +489,195 @@ mod tests {
     }
 
     use proptest::prelude::*;
+
+    /// `(insertion index, class, node)`; class 0 is [`Conflict::Solo`].
+    type TestEvent = (usize, u64, usize);
+
+    fn classify_test(&(_, class, node): &TestEvent) -> Conflict {
+        if class == 0 {
+            Conflict::Solo
+        } else {
+            Conflict::Exclusive { class, node }
+        }
+    }
+
+    /// The queue's specification executed naively: pending events in a flat
+    /// list, every minimum found by scanning full keys, batches built from
+    /// one-at-a-time pops. Nothing is cached, so nothing can go stale.
+    struct Model {
+        seed: u64,
+        next_seq: u64,
+        pending: Vec<(Key, TestEvent)>,
+    }
+
+    impl Model {
+        fn push(&mut self, time: SimTime, priority: u64, event: TestEvent) {
+            let tie = splitmix64(self.seed ^ self.next_seq);
+            self.pending
+                .push(((time, priority, tie, self.next_seq), event));
+            self.next_seq += 1;
+        }
+
+        fn min(&self) -> Option<usize> {
+            (0..self.pending.len()).min_by_key(|&i| self.pending[i].0)
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u64, TestEvent)> {
+            let ((time, priority, ..), event) = self.pending.swap_remove(self.min()?);
+            Some((time, priority, event))
+        }
+
+        fn pop_batch(&mut self, skew: u64) -> Vec<(SimTime, u64, TestEvent)> {
+            let Some(first) = self.pop() else {
+                return Vec::new();
+            };
+            let Conflict::Exclusive { class, node } = classify_test(&first.2) else {
+                return vec![first];
+            };
+            let mut nodes = vec![node];
+            let mut batch = vec![first];
+            while let Some(i) = self.min() {
+                let ((time, ..), event) = self.pending[i];
+                let fits = time.0 - first.0 .0 <= skew
+                    && matches!(
+                        classify_test(&event),
+                        Conflict::Exclusive { class: c, node } if c == class && !nodes.contains(&node)
+                    );
+                if !fits {
+                    break;
+                }
+                nodes.push(event.2);
+                batch.extend(self.pop());
+            }
+            batch
+        }
+    }
+
+    /// Shard counts the interleaving properties run at: one heap, a few,
+    /// a non-power-of-two, and more shards than there are nodes.
+    const SHARD_COUNTS: [usize; 6] = [1, 2, 3, 7, 64, 300];
+
+    fn flat(s: Scheduled<TestEvent>) -> (SimTime, u64, TestEvent) {
+        (s.time, s.priority, s.event)
+    }
+
+    /// Drives `queue` and the naive [`Model`] (and, under `Strict`, the
+    /// single-heap [`EventQueue`]) through one op sequence, comparing every
+    /// popped event, every batch boundary, `len()` and `peek_time()` after
+    /// every op. Ops interleave on purpose: a merge that caches head keys
+    /// can only be wrong when a push or pop lands between two reads of the
+    /// cache.
+    fn replay_ops(seed: u64, shards: usize, ordering: Ordering, ops: &[(u8, u64, u64, usize)]) {
+        let mut queue = ShardedEventQueue::new(seed, shards, ordering);
+        let mut model = Model {
+            seed,
+            next_seq: 0,
+            pending: Vec::new(),
+        };
+        let mut global = (ordering == Ordering::Strict).then(|| EventQueue::new(seed));
+        let mut last_popped = 0usize;
+        for (step, &(kind, t, class, node)) in ops.iter().enumerate() {
+            let min = queue.peek_time();
+            let mut push = |time: u64, class: u64, node: usize| {
+                let priority = (class << 32) | node as u64;
+                let event = (step, class, node);
+                queue.push(SimTime(time), priority, node, event);
+                model.push(SimTime(time), priority, event);
+                if let Some(global) = &mut global {
+                    global.push(SimTime(time), priority, event);
+                }
+            };
+            match kind {
+                0..=5 => push(t, class, node),
+                // Refill the shard a pop may just have emptied.
+                6..=7 => push(t, class, last_popped),
+                // Undercut the cached global minimum: an earlier time when
+                // there is room, else the lowest rank at the same time.
+                8..=9 => match min {
+                    Some(SimTime(min)) if min > 0 => push(min - 1, class, node),
+                    Some(SimTime(min)) => push(min, 0, 0),
+                    None => push(t, class, node),
+                },
+                10..=13 => {
+                    let got = queue.pop().map(flat);
+                    assert_eq!(got, model.pop(), "pop at step {step}");
+                    if let Some(global) = &mut global {
+                        assert_eq!(got, global.pop().map(flat));
+                    }
+                    if let Some((.., event)) = got {
+                        last_popped = event.2;
+                    }
+                }
+                14..=18 => {
+                    let got: Vec<_> = queue
+                        .pop_independent_batch(classify_test)
+                        .into_iter()
+                        .map(flat)
+                        .collect();
+                    let expect = model.pop_batch(ordering.max_skew_ns());
+                    assert_eq!(&got, &expect, "batch at step {}", step);
+                    if let Some(global) = &mut global {
+                        let single: Vec<_> = global
+                            .pop_independent_batch(classify_test)
+                            .into_iter()
+                            .map(flat)
+                            .collect();
+                        assert_eq!(&got, &single);
+                    }
+                    if let Some((.., event)) = got.last() {
+                        last_popped = event.2;
+                    }
+                }
+                _ => {
+                    queue.clear();
+                    model.pending.clear();
+                    if let Some(global) = &mut global {
+                        global.clear();
+                    }
+                }
+            }
+            assert_eq!(queue.len(), model.pending.len(), "len at step {}", step);
+            assert_eq!(queue.is_empty(), model.pending.is_empty());
+            let head = model.min().map(|i| model.pending[i].0 .0);
+            assert_eq!(queue.peek_time(), head, "peek at step {}", step);
+            if let Some(global) = &global {
+                assert_eq!(queue.len(), global.len());
+                assert_eq!(queue.peek_time(), global.peek_time());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary interleavings of push, push-into-the-shard-just-popped,
+        /// push-below-the-minimum, pop, batch pop and clear replay the
+        /// single-heap queue exactly, at every shard count.
+        #[test]
+        fn strict_interleaved_ops_replay_the_global_queue(
+            seed in proptest::any::<u64>(),
+            ops in proptest::collection::vec(
+                (0u8..20, 0u64..5, 0u64..3, 0usize..12), 1..96),
+        ) {
+            for shards in SHARD_COUNTS {
+                replay_ops(seed, shards, Ordering::Strict, &ops);
+            }
+        }
+
+        /// The same interleavings under `Window`: every batch is exactly
+        /// what one-at-a-time pops under the window rule produce.
+        #[test]
+        fn window_interleaved_ops_replay_one_at_a_time_pops(
+            seed in proptest::any::<u64>(),
+            skew in 0u64..4,
+            ops in proptest::collection::vec(
+                (0u8..20, 0u64..5, 0u64..3, 0usize..12), 1..96),
+        ) {
+            for shards in SHARD_COUNTS {
+                replay_ops(seed, shards, Ordering::Window { max_skew_ns: skew }, &ops);
+            }
+        }
+    }
 
     proptest! {
         /// The heart of the Strict contract: for any seed, shard count and
