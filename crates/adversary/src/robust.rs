@@ -273,7 +273,7 @@ impl RobustAccumulator {
             let scale = tau / norm;
             stats.clipped += 1;
             stats.mass += c.weight * (1.0 - scale);
-            match c.indices.clone() {
+            match &c.indices {
                 Some(indices) => {
                     for (&i, v) in indices.iter().zip(c.values.iter_mut()) {
                         let own = self.own[i as usize];

@@ -54,7 +54,7 @@ fn main() {
     let mut accs = Vec::new();
     for (name, config) in variants {
         let mut cfg = RunCfg::new(rounds);
-        cfg.eval_every = rounds;
+        cfg.train.eval_every = rounds;
         let result = run_femnist(scale, &Algo::Jwins(config), &cfg);
         let last = result.final_record().expect("evaluated");
         println!(

@@ -18,16 +18,12 @@
 //! substrates then run to that target and report simulated time, rounds and
 //! bytes at the moment it is reached, plus the async run's mean staleness.
 //!
-//! `JWINS_SMOKE=1` shrinks the round budget for the CI `bench-smoke` job,
-//! which also collects the structured results via `JWINS_BENCH_JSON` (see
-//! `jwins_bench::report`).
+//! `JWINS_SMOKE=1` shrinks the round budget for the CI `bench-smoke` job.
 
 use jwins::config::ExecutionMode;
 use jwins::strategies::{ChocoConfig, JwinsConfig, PowerGossipConfig};
-use jwins_bench::report::BenchCase;
 use jwins_bench::{banner, fmt_bytes, run_cifar, save_csv, Algo, RunCfg, Scale};
 use jwins_sim::HeterogeneityProfile;
-use std::time::Instant;
 
 /// 25% of nodes 4× slower; 100 Mbit/s, 5 ms links (the sync TimeModel's
 /// default link, so the two substrates price bytes identically).
@@ -62,11 +58,10 @@ fn main() {
             Algo::PowerGossip(PowerGossipConfig::global(1)),
         ),
     ];
-    let mut cases = Vec::new();
     for (label, algo) in algos {
         // Phase 1: barrier baseline fixes the target for this strategy.
         let mut base = RunCfg::new(rounds);
-        base.eval_every = (rounds / 15).max(2);
+        base.train.eval_every = (rounds / 15).max(2);
         let baseline = run_cifar(scale, &algo, &base, 2);
         let target = (baseline.final_accuracy() * 0.9).min(0.99);
         println!(
@@ -88,24 +83,16 @@ fn main() {
             ),
         ] {
             let mut cfg = RunCfg::new(rounds);
-            cfg.eval_every = (rounds / 15).max(2);
-            cfg.target_accuracy = Some(target);
-            cfg.execution = execution;
-            cfg.heterogeneity = heterogeneity;
+            cfg.train.eval_every = (rounds / 15).max(2);
+            cfg.train.target_accuracy = Some(target);
+            cfg.train.execution = execution;
+            cfg.train.heterogeneity = heterogeneity;
             if execution == ExecutionMode::BulkSynchronous {
                 // The barrier waits for the slowest node: on this cluster a
                 // round's compute is the straggler's 4× slowdown.
-                cfg.time_model = Some(jwins_net::TimeModel::edge_100mbit(0.05 * 4.0));
+                cfg.train.time_model = jwins_net::TimeModel::edge_100mbit(0.05 * 4.0);
             }
-            let start = Instant::now();
             let result = run_cifar(scale, &algo, &cfg, 2);
-            let wall = start.elapsed().as_secs_f64();
-            cases.push(BenchCase::from_result(
-                "ext_async",
-                &format!("{label}/{mode_name}"),
-                wall,
-                &result,
-            ));
             let last = result.final_record().expect("at least one evaluation");
             let (time_s, bytes) = result
                 .reached_target
@@ -130,7 +117,6 @@ fn main() {
         }
     }
     save_csv("ext_async", &csv);
-    jwins_bench::report::append_cases(&cases);
     println!(
         "\nNote: the barrier rows charge TimeModel::round_seconds per round \
          (compute + latency + slowest transfer); the async rows charge the \

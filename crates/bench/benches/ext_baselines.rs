@@ -46,7 +46,7 @@ fn main() {
     let mut rows = Vec::new();
     for algo in &algos {
         let mut cfg = RunCfg::new(rounds);
-        cfg.eval_every = rounds;
+        cfg.train.eval_every = rounds;
         let result = run_cifar(scale, algo, &cfg, 2);
         let last = result.final_record().expect("evaluated");
         rows.push((algo.label(), last.test_accuracy, last.cum_bytes_per_node));

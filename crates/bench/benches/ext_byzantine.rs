@@ -5,7 +5,7 @@
 //! harness drops that assumption: a seeded fraction of a 32-node CIFAR-like
 //! cluster sign-flips every parameter it shares (the classic gradient-
 //! inversion attack), and the survivors defend — or don't — with a robust
-//! aggregation rule wrapped around their strategy's decode output:
+//! aggregation rule applied to their strategy's decoded contributions:
 //!
 //! - `none` (`Robust::None`): plain weighted averaging — the paper's mixing;
 //! - `trimmed-mean` (`Robust::TrimmedMean`): drops the extreme tail on each
@@ -29,16 +29,13 @@
 //! preserves the determinism contract.
 //!
 //! `JWINS_SMOKE=1` shrinks the sweep (16 nodes, 25% fraction only) for the
-//! CI `bench-smoke` job, which also collects the structured results via
-//! `JWINS_BENCH_JSON` (see `jwins_bench::report`).
+//! CI `bench-smoke` job.
 
 use jwins::cutoff::AlphaDistribution;
 use jwins::metrics::RunResult;
 use jwins::strategies::JwinsConfig;
 use jwins_adversary::{AttackBehavior, AttackPlan, Robust};
-use jwins_bench::report::BenchCase;
 use jwins_bench::{banner, run_cifar_n, save_csv, Algo, RunCfg, Scale};
-use std::time::Instant;
 
 fn sign_flip(fraction: f64) -> AttackPlan {
     AttackPlan::RandomFraction {
@@ -76,15 +73,15 @@ fn run_once(
     threads: usize,
 ) -> RunResult {
     let mut cfg = RunCfg::new(sz.rounds);
-    cfg.eval_every = sz.rounds;
+    cfg.train.eval_every = sz.rounds;
     // A per-round re-randomized graph (as in the paper's Figure-7 regime):
     // on a static graph a node unlucky enough to draw more attackers than
     // the trim depth is poisoned chronically; re-randomizing makes the
     // exposure transient, which is the regime robust rules are built for.
     cfg.dynamic_topology = true;
-    cfg.attack = attack;
-    cfg.robust = robust;
-    cfg.threads = threads;
+    cfg.train.attack = attack;
+    cfg.train.robust = robust;
+    cfg.train.threads = threads;
     run_cifar_n(sz.scale, sz.nodes, sz.degree, algo, &cfg, 2)
 }
 
@@ -135,10 +132,8 @@ fn main() {
         "{:<18} {:<10} {:<18} {:>8} {:>10} {:>12}",
         "algorithm", "attack", "aggregation", "acc", "injected", "mass-clipped"
     );
-    let mut csv = String::from(
-        "algo,attacker_fraction,rule,final_accuracy,attacks_injected,mass_clipped,wall_s\n",
-    );
-    let mut cases = Vec::new();
+    let mut csv =
+        String::from("algo,attacker_fraction,rule,final_accuracy,attacks_injected,mass_clipped\n");
     // (algo index, fraction, rule) -> final accuracy, for the assertions.
     let mut acc = std::collections::BTreeMap::new();
     for (ai, algo) in algos.iter().enumerate() {
@@ -153,20 +148,12 @@ fn main() {
             } else {
                 AttackPlan::None
             };
-            let start = Instant::now();
             let result = run_once(sz, algo, attack, rule, 0);
-            let wall = start.elapsed().as_secs_f64();
             let attack_label = if fraction > 0.0 {
                 format!("flip@{:.0}%", fraction * 100.0)
             } else {
                 "honest".into()
             };
-            let case = BenchCase::from_result(
-                "ext_byzantine",
-                &format!("{}/{}/{}", algo.label(), attack_label, rule_label(rule)),
-                wall,
-                &result,
-            );
             let last = result.final_record().expect("evaluated");
             println!(
                 "{:<18} {:<10} {:<18} {:>7.1}% {:>10} {:>12.3}",
@@ -178,16 +165,14 @@ fn main() {
                 last.mass_clipped,
             );
             csv.push_str(&format!(
-                "{},{:.3},{},{:.4},{},{:.4},{:.3}\n",
+                "{},{:.3},{},{:.4},{},{:.4}\n",
                 algo.label(),
                 fraction,
                 rule_label(rule),
                 last.test_accuracy,
                 last.attacks_injected,
-                last.mass_clipped,
-                wall
+                last.mass_clipped
             ));
-            cases.push(case);
             acc.insert(
                 (ai, (fraction * 1000.0) as u64, rule_label(rule)),
                 last.clone(),
@@ -195,7 +180,6 @@ fn main() {
         }
     }
     save_csv("ext_byzantine", &csv);
-    jwins_bench::report::append_cases(&cases);
 
     // Headline claim at the 25% sign-flip point, asserted on full-sharing
     // (dense shares: every coordinate sees every neighbour, the regime

@@ -39,7 +39,7 @@ fn main() {
         let mut row = format!("{:<18}", algo.label());
         for &p in &dropouts {
             let mut cfg = RunCfg::new(rounds);
-            cfg.eval_every = rounds;
+            cfg.train.eval_every = rounds;
             cfg.dropout = (p > 0.0).then_some(p);
             let result = run_cifar(scale, algo, &cfg, 2);
             let acc = result.final_record().expect("evaluated").test_accuracy;

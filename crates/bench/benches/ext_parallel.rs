@@ -14,14 +14,14 @@
 //! baseline — the speedup table is only reportable because the outputs are
 //! provably the same.
 //!
-//! Note: speedup is bounded by host cores and by batch width. On a
-//! single-core host the table degenerates to ~1.0×; the determinism
-//! assertion still runs and must hold everywhere.
+//! Note: speedup is bounded by host cores and by batch width, so the table
+//! is printed, never asserted; the determinism assertion runs and must hold
+//! everywhere.
 
 use jwins::config::ExecutionMode;
 use jwins::metrics::RunResult;
-use jwins_bench::report::{BenchCase, PhaseTotals};
-use jwins_bench::{banner, run_cifar_n, Algo, RunCfg, Scale};
+use jwins_bench::{banner, phase_seconds, run_cifar_n, Algo, RunCfg, Scale};
+use jwins_metrics::{MetricsRegistry, DEFAULT_WINDOW_S};
 use jwins_sim::HeterogeneityProfile;
 use std::time::Instant;
 
@@ -33,27 +33,24 @@ fn run_with_threads(
     rounds: usize,
     threads: usize,
     trace_jsonl: Option<String>,
-) -> (RunResult, PhaseTotals) {
+) -> (RunResult, MetricsRegistry) {
     let mut cfg = RunCfg::new(rounds);
-    cfg.threads = threads;
+    cfg.train.threads = threads;
     // Evaluate sparsely so the event loop, not evaluation, dominates.
-    cfg.eval_every = rounds;
-    cfg.execution = ExecutionMode::EventDriven;
-    cfg.heterogeneity = HeterogeneityProfile::stragglers(0.25, 4.0, 0.005, 12.5e6);
+    cfg.train.eval_every = rounds;
+    cfg.train.execution = ExecutionMode::EventDriven;
+    cfg.train.heterogeneity = HeterogeneityProfile::stragglers(0.25, 4.0, 0.005, 12.5e6);
     // The phase-time split comes from the trace's ExecuteBatch records;
     // tracing is observational (see tests/trace_determinism.rs), so the
     // bit-identical assertion below also covers traced-vs-traced runs.
     let memory = jwins_trace::MemorySink::new();
     cfg.trace_memory = Some(memory.clone());
     if let Some(path) = trace_jsonl {
-        cfg.trace = Some(jwins_trace::TraceConfig {
-            jsonl_path: Some(path),
-            ..jwins_trace::TraceConfig::default()
-        });
+        cfg.train.trace.jsonl_path = Some(path);
     }
     let result = run_cifar_n(scale, nodes, DEGREE, &Algo::Full, &cfg, 2);
-    let phases = PhaseTotals::from_events(&memory.events());
-    (result, phases)
+    let metrics = MetricsRegistry::from_events(DEFAULT_WINDOW_S, &memory.events());
+    (result, metrics)
 }
 
 fn main() {
@@ -86,9 +83,7 @@ fn main() {
     // it as an artifact.
     let trace_jsonl = std::env::var("JWINS_TRACE_JSONL").ok();
     let mut csv = String::from("threads,host_cores,wall_s,speedup,rounds_run,final_accuracy\n");
-    let mut cases = Vec::new();
     let mut baseline: Option<(f64, RunResult)> = None;
-    let mut speedup_at_8 = 1.0f64;
     for &threads in thread_sweep {
         let jsonl = if baseline.is_none() {
             trace_jsonl.clone()
@@ -96,7 +91,7 @@ fn main() {
             None
         };
         let start = Instant::now();
-        let (result, phases) = run_with_threads(scale, nodes, rounds, threads, jsonl);
+        let (result, metrics) = run_with_threads(scale, nodes, rounds, threads, jsonl);
         let wall = start.elapsed().as_secs_f64();
         let speedup = match &baseline {
             Some((base_wall, base_result)) => {
@@ -105,9 +100,6 @@ fn main() {
             }
             None => 1.0,
         };
-        if threads == 8 {
-            speedup_at_8 = speedup;
-        }
         let accuracy = result.final_record().map_or(f64::NAN, |r| r.test_accuracy);
         let verdict = if baseline.is_some() {
             "bit-identical: yes"
@@ -118,38 +110,18 @@ fn main() {
             "{threads:>8} {wall:>10.2} {speedup:>8.2}x  {verdict} ({} records)",
             result.records.len()
         );
+        let [propose_s, execute_s, commit_s] = phase_seconds(&metrics);
         println!(
-            "         phases: propose {:.3}s | execute {:.3}s | commit {:.3}s",
-            phases.propose_s, phases.execute_s, phases.commit_s
+            "         phases: propose {propose_s:.3}s | execute {execute_s:.3}s | commit {commit_s:.3}s"
         );
         csv.push_str(&format!(
             "{threads},{cores},{wall:.4},{speedup:.4},{},{accuracy:.6}\n",
             result.rounds_run
         ));
-        cases.push(
-            BenchCase::from_result("ext_parallel", &format!("threads-{threads}"), wall, &result)
-                .with_phases(phases),
-        );
         if baseline.is_none() {
             baseline = Some((wall, result));
         }
     }
     jwins_bench::save_csv("ext_parallel", &csv);
-    jwins_bench::report::append_cases(&cases);
-    if smoke {
-        println!("\nsmoke run: determinism asserted; the speedup table needs the full config.");
-        return;
-    }
-    if cores >= 8 {
-        assert!(
-            speedup_at_8 > 1.5,
-            "expected >1.5x speedup at 8 threads on an 8-core host, got {speedup_at_8:.2}x"
-        );
-        println!("\n8-thread speedup {speedup_at_8:.2}x (>1.5x required on multi-core hosts)");
-    } else {
-        println!(
-            "\nHost has {cores} core(s): speedup is core-bound; the >1.5x check \
-             applies on hosts with 8+ cores. Determinism was asserted regardless."
-        );
-    }
+    println!("\ndeterminism asserted at every thread count; speedup is core-bound ({cores} here).");
 }

@@ -41,7 +41,7 @@ fn main() {
         let mut accs = Vec::new();
         for (topo_name, set) in &topologies {
             let mut cfg = RunCfg::new(rounds);
-            cfg.eval_every = rounds;
+            cfg.train.eval_every = rounds;
             set(&mut cfg);
             let result = run_cifar(scale, algo, &cfg, 2);
             let acc = result.final_record().expect("evaluated").test_accuracy;

@@ -23,19 +23,16 @@
 //! accuracy than degree-preserving repair under churn.
 //!
 //! `JWINS_SMOKE=1` shrinks the sweep (16 nodes, 2 algorithms) for the CI
-//! `bench-smoke` job, which also collects the structured results via
-//! `JWINS_BENCH_JSON` (see `jwins_bench::report`).
+//! `bench-smoke` job.
 
 use jwins::config::ExecutionMode;
 use jwins::cutoff::AlphaDistribution;
 use jwins::metrics::RunResult;
 use jwins::strategies::{ChocoConfig, JwinsConfig};
-use jwins_bench::report::BenchCase;
 use jwins_bench::{banner, fmt_bytes, run_cifar_n, save_csv, Algo, RunCfg, Scale};
 use jwins_fault::{FaultConfig, FaultOutage, FaultPlan, FaultTimeline, RejoinMode};
 use jwins_sim::HeterogeneityProfile;
 use jwins_topology::repair::RepairPolicy;
-use std::time::Instant;
 
 /// Heavy staggered churn: a third of the cluster crashes early, most of it
 /// permanently; every third victim rejoins re-synced. Early permanent
@@ -70,18 +67,18 @@ fn run_once(
     repair: RepairPolicy,
 ) -> RunResult {
     let mut cfg = RunCfg::new(rounds);
-    cfg.eval_every = rounds;
-    cfg.execution = ExecutionMode::EventDriven;
-    cfg.heterogeneity = HeterogeneityProfile::stragglers(0.25, 2.0, 0.002, 12.5e6);
-    cfg.time_model = Some(jwins_net::TimeModel {
+    cfg.train.eval_every = rounds;
+    cfg.train.execution = ExecutionMode::EventDriven;
+    cfg.train.heterogeneity = HeterogeneityProfile::stragglers(0.25, 2.0, 0.002, 12.5e6);
+    cfg.train.time_model = jwins_net::TimeModel {
         compute_s: 1.0,
         ..jwins_net::TimeModel::default()
-    });
-    cfg.faults = FaultConfig {
+    };
+    cfg.train.faults = FaultConfig {
         plan: churn_plan(nodes),
         ..FaultConfig::default()
     };
-    cfg.repair = repair;
+    cfg.train.repair = repair;
     run_cifar_n(scale, nodes, degree, algo, &cfg, 2)
 }
 
@@ -139,29 +136,21 @@ fn main() {
     );
     let mut csv = String::from(
         "policy,algo,final_accuracy,sim_time_s,bytes_per_node,edges_rewired,\
-         bandwidth_saved_bytes,bytes_per_accuracy,wall_s\n",
+         bandwidth_saved_bytes,bytes_per_accuracy\n",
     );
-    let mut cases = Vec::new();
     // bytes-per-accuracy by (policy, algo) for the headline assertion.
     let mut cost: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
     for (pi, &policy) in policies.iter().enumerate() {
         for algo in &algos {
-            let start = Instant::now();
             let result = run_once(scale, nodes, degree, rounds, algo, policy);
-            let wall = start.elapsed().as_secs_f64();
-            let case = BenchCase::from_result(
-                "ext_repair",
-                &format!("{}/{}", policy_label(policy), algo.label()),
-                wall,
-                &result,
-            );
             let last = result.final_record().expect("evaluated");
             assert!(
                 last.test_accuracy > 0.0,
-                "{}: run learned nothing — bytes/accuracy undefined",
-                case.case
+                "{}/{}: run learned nothing — bytes/accuracy undefined",
+                policy_label(policy),
+                algo.label()
             );
-            let bytes_per_acc = case.bytes_per_accuracy;
+            let bytes_per_acc = last.cum_bytes_per_node / last.test_accuracy;
             println!(
                 "{:<18} {:<18} {:>7.1}% {:>9.1}s {:>12} {:>9} {:>12} {:>14}",
                 policy_label(policy),
@@ -174,7 +163,7 @@ fn main() {
                 fmt_bytes(bytes_per_acc)
             );
             csv.push_str(&format!(
-                "{},{},{:.4},{:.2},{:.0},{},{},{:.0},{:.3}\n",
+                "{},{},{:.4},{:.2},{:.0},{},{},{:.0}\n",
                 policy_label(policy),
                 algo.label(),
                 last.test_accuracy,
@@ -182,15 +171,12 @@ fn main() {
                 last.cum_bytes_per_node,
                 last.edges_rewired,
                 last.bandwidth_saved_bytes,
-                bytes_per_acc,
-                wall
+                bytes_per_acc
             ));
-            cases.push(case);
             cost[pi].push(bytes_per_acc);
         }
     }
     save_csv("ext_repair", &csv);
-    jwins_bench::report::append_cases(&cases);
 
     // The headline claim, asserted on the full-sharing column where message
     // sizes are identical across policies: a cluster that never repairs

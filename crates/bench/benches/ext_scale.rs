@@ -12,10 +12,9 @@
 //!    (`ComputeProfile::LogNormal`) no two events share a timestamp, so
 //!    `Ordering::Strict` degenerates to singleton batches and the worker
 //!    pool starves. `Ordering::Window` admits a bounded virtual-time skew
-//!    into each batch and recovers the parallelism; on an 8-core host the
-//!    full run asserts >1.5× throughput over the strict global-heap
-//!    configuration, and every run asserts the relaxed mode lands within
-//!    one accuracy point of strict.
+//!    into each batch to widen it; both modes' throughput is printed, and
+//!    every run asserts the relaxed mode lands within one accuracy point
+//!    of strict.
 //!
 //! Strict mode at any shard count is bit-identical to the original single
 //! heap (`tests/scale_determinism.rs` pins this); only `Window` is allowed
@@ -30,9 +29,9 @@ use jwins::engine::Trainer;
 use jwins::metrics::RunResult;
 use jwins::strategies::FullSharing;
 use jwins::strategy::ShareStrategy;
-use jwins_bench::report::{BenchCase, PhaseSink, PhaseTotals};
-use jwins_bench::{banner, Scale};
+use jwins_bench::{banner, phase_seconds, Scale};
 use jwins_data::images::{cifar_like, ImageConfig};
+use jwins_metrics::{MetricsSink, DEFAULT_WINDOW_S};
 use jwins_nn::models::{mlp_classifier, ClassSample};
 use jwins_sim::{ComputeProfile, HeterogeneityProfile, LinkProfile, Ordering};
 use jwins_topology::dynamic::StaticTopology;
@@ -80,7 +79,7 @@ fn run_scale(
     ordering: Ordering,
     threads: usize,
     hetero: HeterogeneityProfile,
-) -> (RunResult, PhaseTotals) {
+) -> (RunResult, MetricsSink) {
     let data = cifar_like(&ImageConfig::tiny(), TEMPLATES, 2, SEED);
     let node_train: Vec<Vec<ClassSample>> = (0..nodes)
         .map(|i| {
@@ -106,15 +105,16 @@ fn run_scale(
     cfg.shards = shards;
     cfg.ordering = ordering;
     // The propose/execute/commit split of every case comes from the trace's
-    // ExecuteBatch records, folded as they arrive: keeping the trace would
-    // show up in the peak RSS this bench reports.
-    let phases = PhaseSink::default();
+    // ExecuteBatch records, folded by a metrics sink as they arrive: keeping
+    // the trace would show up in the peak RSS this bench reports. The
+    // caller snapshots the registry after it has stopped the clock.
+    let metrics = MetricsSink::new(DEFAULT_WINDOW_S);
     let trainer = Trainer::builder(cfg)
         .topology(
             StaticTopology::random_regular(nodes, DEGREE, SEED ^ 0xD1).expect("feasible graph"),
         )
         .test_set(data.test.clone())
-        .trace_sink(Box::new(phases.clone()))
+        .trace_sink(Box::new(metrics.clone()))
         .nodes(node_train, |_node| {
             (
                 mlp_classifier(2 * 8 * 8, &[4], 4, SEED),
@@ -124,7 +124,7 @@ fn run_scale(
         .build()
         .expect("valid experiment");
     let result = trainer.run().expect("run completes");
-    (result, phases.totals())
+    (result, metrics)
 }
 
 fn main() {
@@ -165,7 +165,6 @@ fn main() {
         "section,nodes,rounds,shards,ordering,threads,wall_s,events_per_s,peak_rss_mb,\
          final_accuracy,propose_s,execute_s,commit_s\n",
     );
-    let mut cases = Vec::new();
     let mut rss_per_node: Vec<(usize, f64)> = Vec::new();
     for &nodes in sizes {
         // Shard count scales with the run; stragglers keep cohorts
@@ -173,18 +172,14 @@ fn main() {
         let shards = (nodes / 64).max(1);
         let hetero = HeterogeneityProfile::stragglers(0.25, 4.0, 0.005, 12.5e6);
         let start = Instant::now();
-        let (result, phases) = run_scale(nodes, rounds, shards, Ordering::Strict, 0, hetero);
+        let (result, metrics) = run_scale(nodes, rounds, shards, Ordering::Strict, 0, hetero);
         let wall = start.elapsed().as_secs_f64();
         let events = event_count(nodes, rounds);
         let eps = events as f64 / wall;
         let rss_mb = peak_rss_bytes().map_or(f64::NAN, |b| b as f64 / (1024.0 * 1024.0));
         rss_per_node.push((nodes, rss_mb));
         let accuracy = result.final_record().map_or(f64::NAN, |r| r.test_accuracy);
-        let PhaseTotals {
-            propose_s,
-            execute_s,
-            commit_s,
-        } = phases;
+        let [propose_s, execute_s, commit_s] = phase_seconds(&metrics.registry());
         println!(
             "{nodes:>8} {rounds:>8} {wall:>10.2} {eps:>12.0} {rss_mb:>12.1} \
              {propose_s:>10.3} {execute_s:>10.3} {commit_s:>10.3}"
@@ -193,10 +188,6 @@ fn main() {
             "scale,{nodes},{rounds},{shards},strict,0,{wall:.4},{eps:.1},{rss_mb:.1},{accuracy:.6},\
              {propose_s:.4},{execute_s:.4},{commit_s:.4}\n"
         ));
-        cases.push(
-            BenchCase::from_result("ext_scale", &format!("nodes-{nodes}"), wall, &result)
-                .with_phases(phases),
-        );
     }
     // Sublinear-memory sanity: 10× the nodes must cost < 10× the peak RSS.
     // VmHWM includes the process baseline, so this is conservative; only
@@ -237,25 +228,21 @@ fn main() {
         "{:>24} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10}",
         "mode", "wall s", "events/s", "accuracy", "propose s", "execute s", "commit s"
     );
-    let mut strict_result: Option<(f64, RunResult)> = None;
-    let mut window_result: Option<(f64, RunResult)> = None;
+    let mut strict_result: Option<RunResult> = None;
+    let mut window_result: Option<RunResult> = None;
     for (label, shards, ordering) in [
         ("strict/1-shard (heap)", 1usize, Ordering::Strict),
         ("strict/16-shard", 16, Ordering::Strict),
         ("window/16-shard", 16, skew),
     ] {
         let start = Instant::now();
-        let (result, phases) =
+        let (result, metrics) =
             run_scale(ord_nodes, ord_rounds, shards, ordering, 8, random_speeds());
         let wall = start.elapsed().as_secs_f64();
         let events = event_count(ord_nodes, ord_rounds);
         let eps = events as f64 / wall;
         let accuracy = result.final_record().map_or(f64::NAN, |r| r.test_accuracy);
-        let PhaseTotals {
-            propose_s,
-            execute_s,
-            commit_s,
-        } = phases;
+        let [propose_s, execute_s, commit_s] = phase_seconds(&metrics.registry());
         println!(
             "{label:>24} {wall:>10.2} {eps:>12.0} {accuracy:>10.4} \
              {propose_s:>10.3} {execute_s:>10.3} {commit_s:>10.3}"
@@ -269,30 +256,21 @@ fn main() {
             "ordering,{ord_nodes},{ord_rounds},{shards},{ord_name},8,{wall:.4},{eps:.1},,{accuracy:.6},\
              {propose_s:.4},{execute_s:.4},{commit_s:.4}\n"
         ));
-        cases.push(
-            BenchCase::from_result(
-                "ext_scale",
-                &format!("{ord_name}-{shards}shard"),
-                wall,
-                &result,
-            )
-            .with_phases(phases),
-        );
         match (ordering, shards) {
-            (Ordering::Strict, 1) => strict_result = Some((wall, result)),
-            (Ordering::Window { .. }, _) => window_result = Some((wall, result)),
+            (Ordering::Strict, 1) => strict_result = Some(result),
+            (Ordering::Window { .. }, _) => window_result = Some(result),
             _ => {
                 // The 16-shard strict run must replay the 1-shard schedule
                 // bit for bit: sharding is structural, not semantic.
-                if let Some((_, base)) = &strict_result {
+                if let Some(base) = &strict_result {
                     base.assert_bit_identical(&result, "strict 1-shard vs 16-shard");
                     println!("{:>24} strict shard counts are bit-identical", "");
                 }
             }
         }
     }
-    let (strict_wall, strict_run) = strict_result.expect("strict baseline ran");
-    let (window_wall, window_run) = window_result.expect("window run ran");
+    let strict_run = strict_result.expect("strict baseline ran");
+    let window_run = window_result.expect("window run ran");
 
     // Relaxed ordering must not cost (meaningful) accuracy: the skew is
     // bounded well below the mix deadline, so the final model should land
@@ -311,28 +289,4 @@ fn main() {
     println!("\nwindow vs strict final accuracy: {window_acc:.4} vs {strict_acc:.4} (within 0.01)");
 
     jwins_bench::save_csv("ext_scale", &csv);
-    jwins_bench::report::append_cases(&cases);
-
-    if smoke {
-        println!(
-            "\nsmoke run: accuracy parity asserted; the throughput gate needs the full config."
-        );
-        return;
-    }
-    let recovery = strict_wall / window_wall;
-    if cores >= 8 {
-        assert!(
-            recovery > 1.5,
-            "window ordering should recover >1.5x throughput over the strict \
-             global heap at 8 threads under random speeds, got {recovery:.2}x"
-        );
-        println!(
-            "window recovered {recovery:.2}x throughput over the strict heap (>1.5x required)"
-        );
-    } else {
-        println!(
-            "Host has {cores} core(s): the >1.5x recovery check applies on hosts \
-             with 8+ cores; measured {recovery:.2}x. Accuracy parity was asserted regardless."
-        );
-    }
 }

@@ -48,10 +48,10 @@ fn main() {
         println!("  cap     rounds  accuracy  staleness[s]  expired  sim-time[s]  bytes/node");
         for cap in caps {
             let mut cfg = RunCfg::new(rounds);
-            cfg.eval_every = (rounds / 15).max(2);
-            cfg.execution = ExecutionMode::EventDriven;
-            cfg.heterogeneity = straggler_cluster();
-            cfg.faults = FaultConfig {
+            cfg.train.eval_every = (rounds / 15).max(2);
+            cfg.train.execution = ExecutionMode::EventDriven;
+            cfg.train.heterogeneity = straggler_cluster();
+            cfg.train.faults = FaultConfig {
                 plan: FaultPlan::None,
                 staleness: match cap {
                     Some(k) => StalenessPolicy::drop_after_rounds(k),

@@ -16,15 +16,12 @@
 //!    bytes on both backends (frame headers are transport-internal).
 //!
 //! `JWINS_SMOKE=1` shrinks the cluster and round budget for the CI
-//! `bench-smoke` job, which also collects the structured results via
-//! `JWINS_BENCH_JSON` (see `jwins_bench::report`).
+//! `bench-smoke` job.
 
 use jwins::config::{ChannelTransportConfig, ExecutionMode, TransportKind};
 use jwins::crosscheck::{self, DEFAULT_ACCURACY_TOLERANCE};
 use jwins::strategies::JwinsConfig;
-use jwins_bench::report::BenchCase;
 use jwins_bench::{banner, fmt_bytes, run_cifar_n, save_csv, Algo, RunCfg, Scale};
-use std::time::Instant;
 
 fn main() {
     let scale = Scale::from_env();
@@ -46,7 +43,6 @@ fn main() {
         ("full-sharing", Algo::Full),
         ("jwins", Algo::Jwins(JwinsConfig::paper_default())),
     ];
-    let mut cases = Vec::new();
     // When set, the first channel run also writes its full JSONL trace
     // there — CI uploads it as the real-backend artifact. Unlike sim
     // traces it is *not* `trace_report --check`-clean: wall-clock stamps
@@ -55,20 +51,15 @@ fn main() {
     let mut real_trace_jsonl = std::env::var("JWINS_REAL_TRACE_JSONL").ok();
     for (label, algo) in algos {
         let mut cfg = RunCfg::new(rounds);
-        cfg.eval_every = (rounds / 3).max(2);
-        cfg.transport = TransportKind::Channel(ChannelTransportConfig {
+        cfg.train.eval_every = (rounds / 3).max(2);
+        cfg.train.transport = TransportKind::Channel(ChannelTransportConfig {
             mix_wait_ms: 2_000,
             poll_us: 100,
         });
         if let Some(path) = real_trace_jsonl.take() {
-            cfg.trace = Some(jwins_trace::TraceConfig {
-                jsonl_path: Some(path),
-                ..jwins_trace::TraceConfig::default()
-            });
+            cfg.train.trace.jsonl_path = Some(path);
         }
-        let start = Instant::now();
         let real = run_cifar_n(scale, nodes, degree, &algo, &cfg, 2);
-        let wall_real = start.elapsed().as_secs_f64();
         let measured = real
             .measured_latency_s
             .expect("channel backend measures flight latency");
@@ -77,18 +68,16 @@ fn main() {
         // a small fraction of the modelled round, so this resolves to the
         // plain barrier sim; a slow backend would flip it to event-driven.
         let mut oracle_cfg = RunCfg::new(rounds);
-        oracle_cfg.eval_every = cfg.eval_every;
+        oracle_cfg.train.eval_every = cfg.train.eval_every;
         let profile = crosscheck::oracle_profile(
             real.measured_latency_s,
             jwins_net::TimeModel::default().compute_s,
         );
         if !profile.is_degenerate() {
-            oracle_cfg.execution = ExecutionMode::EventDriven;
-            oracle_cfg.heterogeneity = profile;
+            oracle_cfg.train.execution = ExecutionMode::EventDriven;
+            oracle_cfg.train.heterogeneity = profile;
         }
-        let start = Instant::now();
         let oracle = run_cifar_n(scale, nodes, degree, &algo, &oracle_cfg, 2);
-        let wall_oracle = start.elapsed().as_secs_f64();
 
         let check = crosscheck::compare_to_oracle(&real, &oracle, DEFAULT_ACCURACY_TOLERANCE);
         assert!(
@@ -109,23 +98,14 @@ fn main() {
             check.tolerance,
             check.traffic_gap_ratio,
         );
-        for (backend, result, wall) in [
-            ("channel", &real, wall_real),
-            ("sim-oracle", &oracle, wall_oracle),
-        ] {
+        for (backend, result) in [("channel", &real), ("sim-oracle", &oracle)] {
             let last = result.final_record().expect("at least one evaluation");
             println!(
-                "  {backend:<11} rounds {:>3}  acc {:.3}  bytes/node {:>10}  wall {wall:.1}s",
+                "  {backend:<11} rounds {:>3}  acc {:.3}  bytes/node {:>10}",
                 result.rounds_run,
                 last.test_accuracy,
                 fmt_bytes(last.cum_bytes_per_node),
             );
-            cases.push(BenchCase::from_result(
-                "ext_transport",
-                &format!("{label}/{backend}"),
-                wall,
-                result,
-            ));
             csv.push_str(&format!(
                 "{label},{backend},{},{:.6},{:.0},{:.6},{:.6},{:.6}\n",
                 result.rounds_run,
@@ -138,7 +118,6 @@ fn main() {
         }
     }
     save_csv("ext_transport", &csv);
-    jwins_bench::report::append_cases(&cases);
     println!(
         "\nNote: byte columns are application-level (frame headers are \
          transport-internal), so channel and sim rows price traffic on the \

@@ -38,8 +38,8 @@ fn main() {
             Algo::Jwins(JwinsConfig::paper_default()),
         ] {
             let mut cfg = RunCfg::new(max_rounds);
-            cfg.eval_every = 2;
-            cfg.target_accuracy = Some(target);
+            cfg.train.eval_every = 2;
+            cfg.train.target_accuracy = Some(target);
             // Figure 10 uses the less strict non-IID regime: 4 shards/node.
             let result = run_cifar_n(scale, nodes, degree, &algo, &cfg, 4);
             match result.reached_target {

@@ -15,8 +15,8 @@ fn main() {
         "nodes draw α independently from {10,15,20,25,30,40,100}%; round mean ≈ 34%",
     );
     let mut cfg = RunCfg::new(scale.rounds(35));
-    cfg.record_alphas = true;
-    cfg.eval_every = cfg.rounds; // metrics not the point here
+    cfg.train.record_alphas = true;
+    cfg.train.eval_every = cfg.train.rounds; // metrics not the point here
     let result = run_cifar(scale, &Algo::Jwins(JwinsConfig::paper_default()), &cfg, 2);
 
     let mid = result.alpha_history.len() / 2;

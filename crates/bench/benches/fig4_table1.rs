@@ -33,7 +33,7 @@ fn main() {
         let mut bytes = Vec::new();
         for algo in &algos {
             let mut cfg = RunCfg::new(rounds);
-            cfg.eval_every = rounds; // final accuracy only; curves via fig5/fig8
+            cfg.train.eval_every = rounds; // final accuracy only; curves via fig5/fig8
             let result = workload.run(scale, algo, &cfg);
             accs.push(result.final_accuracy());
             bytes.push(result.total_traffic.bytes_sent as f64);

@@ -17,7 +17,7 @@ fn main() {
     // Phase 1: long random-sampling run defines the target.
     let long_rounds = scale.rounds(170);
     let mut cfg = RunCfg::new(long_rounds);
-    cfg.eval_every = (long_rounds / 20).max(5);
+    cfg.train.eval_every = (long_rounds / 20).max(5);
     let random = run_cifar(scale, &Algo::Random(0.37), &cfg, 2);
     let target = random
         .records
@@ -47,8 +47,8 @@ fn main() {
     )];
     for algo in [Algo::Full, Algo::Jwins(JwinsConfig::paper_default())] {
         let mut cfg = RunCfg::new(long_rounds);
-        cfg.eval_every = 5;
-        cfg.target_accuracy = Some(target);
+        cfg.train.eval_every = 5;
+        cfg.train.target_accuracy = Some(target);
         let result = run_cifar(scale, &algo, &cfg, 2);
         save_csv(&format!("fig5_{}", algo.label()), &result.to_csv());
         rows.push((

@@ -37,7 +37,7 @@ fn main() {
             Algo::Choco(choco.clone()),
         ] {
             let mut cfg = RunCfg::new(rounds);
-            cfg.eval_every = (rounds / 16).max(5);
+            cfg.train.eval_every = (rounds / 16).max(5);
             let result = run_cifar(scale, &algo, &cfg, 2);
             let last = result.final_record().expect("evaluated");
             println!(

@@ -44,7 +44,7 @@ fn main() {
     for (name, algo, dynamic) in runs {
         let mut cfg = RunCfg::new(rounds);
         cfg.dynamic_topology = dynamic;
-        cfg.eval_every = (rounds / 12).max(5);
+        cfg.train.eval_every = (rounds / 12).max(5);
         let result = run_cifar(scale, &algo, &cfg, 2);
         let acc = result.final_accuracy();
         println!("{name:<16} final accuracy {:>5.1}%", acc * 100.0);

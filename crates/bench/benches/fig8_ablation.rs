@@ -26,7 +26,7 @@ fn main() {
     println!();
     for (name, config) in variants {
         let mut cfg = RunCfg::new(rounds);
-        cfg.eval_every = (rounds / 12).max(5);
+        cfg.train.eval_every = (rounds / 12).max(5);
         let result = run_cifar(scale, &Algo::Jwins(config), &cfg, 2);
         let last = result.final_record().expect("evaluated");
         println!(

@@ -31,7 +31,7 @@ fn main() {
         // 32-bit params vs 32-bit indices).
         config.value_codec = ValueCodec::Raw;
         let mut cfg = RunCfg::new(rounds);
-        cfg.eval_every = rounds;
+        cfg.train.eval_every = rounds;
         let result = run_cifar(scale, &Algo::Jwins(config), &cfg, 2);
         let t = result.total_traffic;
         println!(

@@ -1,6 +1,6 @@
 //! `run_diff`: structural comparison of two recorded runs.
 //!
-//! Usage: `run_diff <a.jsonl> <b.jsonl> [--context <n>] [--bench <base.json> <pr.json>]`
+//! Usage: `run_diff <a.jsonl> <b.jsonl> [--context <n>]`
 //!
 //! Canonicalizes both JSONL traces (stripping the wall-clock side channel
 //! of `ExecuteBatch`) and reports:
@@ -8,9 +8,7 @@
 //! - the first divergent canonical event, with a context window of the
 //!   surrounding events on both sides;
 //! - per-event-kind count deltas and summary-metric deltas (bytes,
-//!   staleness, accuracy, virtual time) between the two runs;
-//! - with `--bench`, per-case wall-time and propose/execute/commit phase
-//!   deltas between two `BENCH_*.json` reports.
+//!   staleness, accuracy, virtual time) between the two runs.
 //!
 //! Two runs of the same configuration and seed must compare identical —
 //! that is the engine's determinism contract — so CI diffs every PR's
@@ -22,13 +20,10 @@
 //! unparsable input — a caller can accept "legitimately diverged" (`1`)
 //! while still failing on a broken trace (`2`).
 
-use jwins_bench::report::load_cases;
 use jwins_metrics::diff::{TraceDiff, DEFAULT_CONTEXT};
-use std::path::Path;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: run_diff <a.jsonl> <b.jsonl> [--context <n>] [--bench <base.json> <pr.json>]";
+const USAGE: &str = "usage: run_diff <a.jsonl> <b.jsonl> [--context <n>]";
 
 fn load_trace(path: &str) -> Result<Vec<jwins_trace::TraceEvent>, String> {
     let parsed = jwins_trace::read_jsonl(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -42,47 +37,10 @@ fn load_trace(path: &str) -> Result<Vec<jwins_trace::TraceEvent>, String> {
     Ok(parsed.events)
 }
 
-/// Prints per-case wall/phase deltas between two bench reports.
-fn print_bench_deltas(base_path: &str, pr_path: &str) -> Result<(), String> {
-    let base = load_cases(Path::new(base_path))?;
-    let pr = load_cases(Path::new(pr_path))?;
-    println!("bench-case deltas ({base_path} vs {pr_path}):");
-    println!(
-        "  {:<42} {:>9} {:>9} {:>9} {:>9}",
-        "bench/case", "wall", "propose", "execute", "commit"
-    );
-    for b in &base {
-        let key = format!("{}/{}", b.bench, b.case);
-        match pr.iter().find(|c| c.bench == b.bench && c.case == b.case) {
-            Some(c) => {
-                let delta = |base: f64, pr: f64| {
-                    if base > 0.0 {
-                        format!("{:+.1}%", (pr - base) / base * 100.0)
-                    } else if pr > 0.0 {
-                        "new".to_owned()
-                    } else {
-                        "-".to_owned()
-                    }
-                };
-                println!(
-                    "  {key:<42} {:>9} {:>9} {:>9} {:>9}",
-                    delta(b.wall_s, c.wall_s),
-                    delta(b.propose_s, c.propose_s),
-                    delta(b.execute_s, c.execute_s),
-                    delta(b.commit_s, c.commit_s),
-                );
-            }
-            None => println!("  {key:<42} missing from {pr_path}"),
-        }
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut paths: Vec<String> = Vec::new();
     let mut context = DEFAULT_CONTEXT;
-    let mut bench: Option<(String, String)> = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -98,13 +56,6 @@ fn main() -> ExitCode {
                         return ExitCode::from(2);
                     }
                 }
-            }
-            "--bench" => {
-                let (Some(base), Some(pr)) = (it.next(), it.next()) else {
-                    eprintln!("run_diff: --bench needs two report paths\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                bench = Some((base.clone(), pr.clone()));
             }
             flag if flag.starts_with("--") => {
                 eprintln!("run_diff: unknown flag {flag}\n{USAGE}");
@@ -128,13 +79,6 @@ fn main() -> ExitCode {
     let diff = TraceDiff::compare(&a, &b);
     println!("== run_diff: {} vs {} ==", paths[0], paths[1]);
     print!("{}", diff.render(context));
-
-    if let Some((base_path, pr_path)) = bench {
-        if let Err(e) = print_bench_deltas(&base_path, &pr_path) {
-            eprintln!("run_diff: {e}");
-            return ExitCode::from(2);
-        }
-    }
 
     if diff.is_identical() {
         ExitCode::SUCCESS

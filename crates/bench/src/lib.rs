@@ -12,7 +12,7 @@
 //! - output helpers that print paper-style rows and persist CSV series under
 //!   `target/experiments/`.
 
-use jwins::config::{ExecutionMode, TrainConfig};
+use jwins::config::TrainConfig;
 use jwins::engine::Trainer;
 use jwins::metrics::RunResult;
 use jwins::participation::RandomDropout;
@@ -25,15 +25,10 @@ use jwins_data::images::{celeba_like, cifar_like, femnist_like, ImageConfig};
 use jwins_data::ratings::{movielens_like, RatingConfig};
 use jwins_data::text::{shakespeare_like, TextConfig};
 use jwins_data::Partitioned;
-use jwins_nn::models::{
-    gn_lenet, leaf_cnn, CharLstm, ClassSample, ImageClassifier, MatrixFactorization,
-};
-use jwins_sim::HeterogeneityProfile;
-use jwins_topology::dynamic::{DynamicRegular, StaticTopology, TopologyProvider};
+use jwins_nn::model::Model;
+use jwins_nn::models::{gn_lenet, leaf_cnn, CharLstm, MatrixFactorization};
+use jwins_topology::dynamic::{DynamicRegular, StaticTopology};
 use jwins_topology::peer_sampling::{PeerSampling, PeerSamplingConfig};
-use jwins_topology::repair::RepairPolicy;
-
-pub mod report;
 
 /// Experiment scale, from the `JWINS_SCALE` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,12 +48,25 @@ pub enum Scale {
 pub use jwins::smoke;
 
 impl Scale {
-    /// Reads `JWINS_SCALE` (`small`/`medium`/`paper`; default `small`).
+    /// Reads `JWINS_SCALE` (`small`/`medium`/`paper`; unset = `small`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other value: a typo must not silently run `small`.
     pub fn from_env() -> Self {
-        match std::env::var("JWINS_SCALE").unwrap_or_default().as_str() {
-            "medium" => Scale::Medium,
-            "paper" => Scale::Paper,
-            _ => Scale::Small,
+        match std::env::var("JWINS_SCALE") {
+            Ok(value) => Self::parse(&value)
+                .unwrap_or_else(|| panic!("JWINS_SCALE={value:?}: expected small|medium|paper")),
+            Err(_) => Scale::Small,
+        }
+    }
+
+    fn parse(value: &str) -> Option<Self> {
+        match value {
+            "small" => Some(Scale::Small),
+            "medium" => Some(Scale::Medium),
+            "paper" => Some(Scale::Paper),
+            _ => None,
         }
     }
 
@@ -234,19 +242,14 @@ impl Workload {
     }
 }
 
-/// Common experiment parameters.
+/// Common experiment parameters: the engine configuration plus the choices
+/// the harness makes around it (which graph, who drops out, who listens).
 #[derive(Debug, Clone)]
 pub struct RunCfg {
-    /// Communication rounds.
-    pub rounds: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Evaluation cadence.
-    pub eval_every: usize,
-    /// Stop when this mean test accuracy is reached.
-    pub target_accuracy: Option<f64>,
-    /// Record per-node α draws.
-    pub record_alphas: bool,
+    /// The engine configuration, preset by [`RunCfg::new`] to the harness
+    /// defaults; benches set whatever else they sweep directly on it.
+    /// `train.lr` is overwritten per workload — set [`RunCfg::lr`] instead.
+    pub train: TrainConfig,
     /// Override learning rate (None = workload default).
     pub lr: Option<f32>,
     /// Use a per-round re-randomized topology (Figure 7).
@@ -256,171 +259,70 @@ pub struct RunCfg {
     /// Sample the topology from a Cyclon peer-sampling service instead of a
     /// random-regular construction (extension).
     pub peer_sampling: bool,
-    /// Execution substrate (barrier rounds vs event-driven async gossip).
-    pub execution: ExecutionMode,
-    /// Transport backend (virtual-time sim vs real OS-thread channels —
-    /// extension: `ext_transport`).
-    pub transport: jwins::config::TransportKind,
-    /// Hardware heterogeneity for event-driven runs.
-    pub heterogeneity: HeterogeneityProfile,
-    /// Fault injection and staleness policy for event-driven runs
-    /// (extension: chaos and bounded-staleness experiments).
-    pub faults: jwins_fault::FaultConfig,
-    /// Liveness-aware topology repair for event-driven runs under a fault
-    /// plan (extension: `ext_repair`).
-    pub repair: RepairPolicy,
-    /// Byzantine attack schedule injected at message-build time
-    /// (extension: `ext_byzantine`).
-    pub attack: jwins_adversary::AttackPlan,
-    /// Robust aggregation rule screening decoded contributions at mixing
-    /// time (extension: `ext_byzantine`).
-    pub robust: jwins_adversary::Robust,
-    /// Virtual-time evaluation checkpoint cadence for event-driven runs.
-    pub eval_interval_s: Option<f64>,
-    /// Override the simulated wall-clock model (None = engine default).
-    pub time_model: Option<jwins_net::TimeModel>,
-    /// Worker threads (`0` = all available cores). Thread count never
-    /// changes results — see the `ext_parallel` speedup bench.
-    pub threads: usize,
-    /// Event-queue shard count for event-driven runs (`0` = single heap).
-    /// Purely structural: any value replays the same schedule — see the
-    /// `ext_scale` bench.
-    pub shards: usize,
-    /// Commit-order mode for event-driven runs (`Strict` by default;
-    /// `Window` widens batches under heterogeneous speeds at the cost of a
-    /// bounded virtual-time skew — extension: `ext_scale`).
-    pub ordering: jwins_sim::Ordering,
-    /// Tracing configuration applied to the run (None = engine default:
-    /// flight recorder only, no files). Tracing is observational — see the
-    /// `trace_determinism` test.
-    pub trace: Option<jwins_trace::TraceConfig>,
     /// An in-memory trace collector attached to the run's tracer. Clones
-    /// share the buffer: keep one handle here and read phase timings back
-    /// after the run (`report::PhaseTotals::from_events`).
+    /// share the buffer: keep one handle here and read the events back
+    /// after the run.
     pub trace_memory: Option<jwins_trace::MemorySink>,
 }
 
 impl RunCfg {
-    /// Defaults for `rounds` rounds.
+    /// Harness defaults for `rounds` rounds: τ = 2, b = 8, a dozen
+    /// evaluations over 256 test samples, seed 42.
     pub fn new(rounds: usize) -> Self {
+        let mut train = TrainConfig::new(rounds);
+        train.local_steps = 2;
+        train.batch_size = 8;
+        train.seed = 42;
+        train.eval_every = (rounds / 12).max(5);
+        train.eval_test_samples = 256;
         Self {
-            rounds,
-            seed: 42,
-            eval_every: (rounds / 12).max(5),
-            target_accuracy: None,
-            record_alphas: false,
+            train,
             lr: None,
             dynamic_topology: false,
             dropout: None,
             peer_sampling: false,
-            execution: ExecutionMode::default(),
-            transport: jwins::config::TransportKind::default(),
-            heterogeneity: HeterogeneityProfile::default(),
-            faults: jwins_fault::FaultConfig::default(),
-            repair: RepairPolicy::None,
-            attack: jwins_adversary::AttackPlan::None,
-            robust: jwins_adversary::Robust::None,
-            eval_interval_s: None,
-            time_model: None,
-            threads: 0,
-            shards: 0,
-            ordering: jwins_sim::Ordering::Strict,
-            trace: None,
             trace_memory: None,
         }
     }
 }
 
-fn train_config(cfg: &RunCfg, lr: f32) -> TrainConfig {
-    let mut c = TrainConfig::new(cfg.rounds);
-    c.local_steps = 2;
-    c.batch_size = 8;
-    c.lr = cfg.lr.unwrap_or(lr);
-    c.seed = cfg.seed;
-    c.eval_every = cfg.eval_every;
-    c.eval_test_samples = 256;
-    c.target_accuracy = cfg.target_accuracy;
-    c.record_alphas = cfg.record_alphas;
-    c.execution = cfg.execution;
-    c.transport = cfg.transport;
-    c.heterogeneity = cfg.heterogeneity.clone();
-    c.faults = cfg.faults.clone();
-    c.repair = cfg.repair;
-    c.attack = cfg.attack.clone();
-    c.robust = cfg.robust;
-    c.eval_interval_s = cfg.eval_interval_s;
-    c.threads = cfg.threads;
-    c.shards = cfg.shards;
-    c.ordering = cfg.ordering;
-    if let Some(tm) = cfg.time_model {
-        c.time_model = tm;
-    }
-    if let Some(trace) = &cfg.trace {
-        c.trace = trace.clone();
-    }
-    c
-}
-
-fn topology(scale: Scale, cfg: &RunCfg, nodes: usize, degree: usize) -> Box<dyn TopologyProvider> {
-    let _ = scale;
-    if cfg.peer_sampling {
+/// Builds and runs one experiment: `data` over a `degree`-regular graph of
+/// the kind `cfg` selects, every node starting from `model()` and sharing
+/// with `algo`'s strategy.
+fn run_experiment<M>(
+    cfg: &RunCfg,
+    workload_lr: f32,
+    degree: usize,
+    data: Partitioned<M::Sample>,
+    algo: &Algo,
+    model: impl Fn() -> M,
+) -> RunResult
+where
+    M: Model + Send,
+    M::Sample: Send + Sync,
+{
+    let seed = cfg.train.seed;
+    let nodes = data.nodes();
+    let mut train = cfg.train.clone();
+    train.lr = cfg.lr.unwrap_or(workload_lr);
+    let builder = Trainer::builder(train);
+    let mut builder = if cfg.peer_sampling {
         let ps = PeerSamplingConfig {
             degree: degree.div_ceil(2).max(1),
             ..PeerSamplingConfig::default()
         };
-        Box::new(PeerSampling::new(nodes, ps, cfg.seed ^ 0xAB))
+        builder.topology(PeerSampling::new(nodes, ps, seed ^ 0xAB))
     } else if cfg.dynamic_topology {
-        Box::new(DynamicRegular::new(nodes, degree, cfg.seed ^ 0xD1).expect("feasible graph"))
+        builder.topology(DynamicRegular::new(nodes, degree, seed ^ 0xD1).expect("feasible graph"))
     } else {
-        Box::new(
-            StaticTopology::random_regular(nodes, degree, cfg.seed ^ 0xD1).expect("feasible graph"),
+        builder.topology(
+            StaticTopology::random_regular(nodes, degree, seed ^ 0xD1).expect("feasible graph"),
         )
     }
-}
-
-struct BoxedProvider(Box<dyn TopologyProvider>);
-
-impl TopologyProvider for BoxedProvider {
-    fn nodes(&self) -> usize {
-        self.0.nodes()
-    }
-    fn topology(&self, round: usize) -> jwins_topology::dynamic::RoundTopology {
-        self.0.topology(round)
-    }
-    fn topology_for(
-        &self,
-        round: usize,
-        live: &jwins_topology::LiveSet,
-    ) -> jwins_topology::dynamic::RoundTopology {
-        self.0.topology_for(round, live)
-    }
-    fn is_live_aware(&self) -> bool {
-        self.0.is_live_aware()
-    }
-    fn is_dynamic(&self) -> bool {
-        self.0.is_dynamic()
-    }
-}
-
-fn run_image(
-    data: Partitioned<ClassSample>,
-    img: &ImageConfig,
-    model: impl Fn(u64) -> ImageClassifier,
-    scale: Scale,
-    algo: &Algo,
-    cfg: &RunCfg,
-    lr: f32,
-) -> RunResult {
-    let nodes = data.nodes();
-    let _ = img;
-    let mut builder = Trainer::builder(train_config(cfg, lr))
-        .topology(BoxedProvider(topology(scale, cfg, nodes, scale.degree())))
-        .test_set(data.test.clone())
-        .nodes(data.node_train, |node| {
-            (model(cfg.seed), algo.strategy(node, cfg.seed))
-        });
+    .test_set(data.test)
+    .nodes(data.node_train, |node| (model(), algo.strategy(node, seed)));
     if let Some(p) = cfg.dropout {
-        builder = builder.participation(RandomDropout::new(p, cfg.seed ^ 0xC4));
+        builder = builder.participation(RandomDropout::new(p, seed ^ 0xC4));
     }
     if let Some(m) = &cfg.trace_memory {
         builder = builder.trace_sink(Box::new(m.clone()));
@@ -444,47 +346,30 @@ pub fn run_cifar_n(
     cfg: &RunCfg,
     shards: usize,
 ) -> RunResult {
+    let seed = cfg.train.seed;
     let mut img = ImageConfig::cifar_small();
     if scale == Scale::Paper {
         img.train_per_unit = 512;
     }
-    let data = cifar_like(&img, nodes, shards, cfg.seed);
-    let lr = cfg.lr.unwrap_or(Workload::Cifar.lr());
-    let mut builder = Trainer::builder(train_config(cfg, lr))
-        .topology(BoxedProvider(topology(scale, cfg, nodes, degree)))
-        .test_set(data.test.clone())
-        .nodes(data.node_train, |node| {
-            (
-                gn_lenet(
-                    img.channels,
-                    img.height,
-                    img.width,
-                    img.classes,
-                    8,
-                    cfg.seed,
-                ),
-                algo.strategy(node, cfg.seed),
-            )
-        });
-    if let Some(p) = cfg.dropout {
-        builder = builder.participation(RandomDropout::new(p, cfg.seed ^ 0xC4));
-    }
-    if let Some(m) = &cfg.trace_memory {
-        builder = builder.trace_sink(Box::new(m.clone()));
-    }
-    let trainer = builder.build().expect("valid experiment");
-    trainer.run().expect("run completes")
+    let data = cifar_like(&img, nodes, shards, seed);
+    run_experiment(cfg, Workload::Cifar.lr(), degree, data, algo, || {
+        gn_lenet(img.channels, img.height, img.width, img.classes, 8, seed)
+    })
 }
 
 /// The FEMNIST-like workload.
 pub fn run_femnist(scale: Scale, algo: &Algo, cfg: &RunCfg) -> RunResult {
+    let seed = cfg.train.seed;
     let img = ImageConfig::femnist_small();
     let nodes = scale.nodes();
-    let data = femnist_like(&img, nodes, nodes * 3, cfg.seed);
-    run_image(
+    let data = femnist_like(&img, nodes, nodes * 3, seed);
+    run_experiment(
+        cfg,
+        Workload::Femnist.lr(),
+        scale.degree(),
         data,
-        &img,
-        |seed| {
+        algo,
+        || {
             leaf_cnn(
                 img.channels,
                 img.height,
@@ -495,22 +380,22 @@ pub fn run_femnist(scale: Scale, algo: &Algo, cfg: &RunCfg) -> RunResult {
                 seed,
             )
         },
-        scale,
-        algo,
-        cfg,
-        Workload::Femnist.lr(),
     )
 }
 
 /// The CelebA-like workload.
 pub fn run_celeba(scale: Scale, algo: &Algo, cfg: &RunCfg) -> RunResult {
+    let seed = cfg.train.seed;
     let img = ImageConfig::celeba_small();
     let nodes = scale.nodes();
-    let data = celeba_like(&img, nodes, nodes * 2, cfg.seed);
-    run_image(
+    let data = celeba_like(&img, nodes, nodes * 2, seed);
+    run_experiment(
+        cfg,
+        Workload::Celeba.lr(),
+        scale.degree(),
         data,
-        &img,
-        |seed| {
+        algo,
+        || {
             leaf_cnn(
                 img.channels,
                 img.height,
@@ -521,67 +406,54 @@ pub fn run_celeba(scale: Scale, algo: &Algo, cfg: &RunCfg) -> RunResult {
                 seed,
             )
         },
-        scale,
-        algo,
-        cfg,
-        Workload::Celeba.lr(),
     )
 }
 
 /// The MovieLens-like workload.
 pub fn run_movielens(scale: Scale, algo: &Algo, cfg: &RunCfg) -> RunResult {
+    let seed = cfg.train.seed;
     let mut rcfg = RatingConfig::small();
     rcfg.users = scale.nodes() * 6;
     rcfg.items = 64;
-    let data = movielens_like(&rcfg, scale.nodes(), cfg.seed);
-    let users = data.users;
-    let items = data.items;
-    let mut builder = Trainer::builder(train_config(cfg, Workload::MovieLens.lr()))
-        .topology(BoxedProvider(topology(
-            scale,
-            cfg,
-            scale.nodes(),
-            scale.degree(),
-        )))
-        .test_set(data.partitioned.test.clone())
-        .nodes(data.partitioned.node_train, |node| {
-            (
-                MatrixFactorization::new(users, items, 8, cfg.seed),
-                algo.strategy(node, cfg.seed),
-            )
-        });
-    if let Some(p) = cfg.dropout {
-        builder = builder.participation(RandomDropout::new(p, cfg.seed ^ 0xC4));
-    }
-    if let Some(m) = &cfg.trace_memory {
-        builder = builder.trace_sink(Box::new(m.clone()));
-    }
-    let trainer = builder.build().expect("valid experiment");
-    trainer.run().expect("run completes")
+    let data = movielens_like(&rcfg, scale.nodes(), seed);
+    let (users, items) = (data.users, data.items);
+    run_experiment(
+        cfg,
+        Workload::MovieLens.lr(),
+        scale.degree(),
+        data.partitioned,
+        algo,
+        || MatrixFactorization::new(users, items, 8, seed),
+    )
 }
 
 /// The Shakespeare-like workload.
 pub fn run_shakespeare(scale: Scale, algo: &Algo, cfg: &RunCfg) -> RunResult {
+    let seed = cfg.train.seed;
     let tcfg = TextConfig::small();
     let nodes = scale.nodes();
-    let data = shakespeare_like(&tcfg, nodes, nodes, cfg.seed);
-    let mut builder = Trainer::builder(train_config(cfg, Workload::Shakespeare.lr()))
-        .topology(BoxedProvider(topology(scale, cfg, nodes, scale.degree())))
-        .test_set(data.test.clone())
-        .nodes(data.node_train, |node| {
-            (
-                CharLstm::new(tcfg.vocab, 8, 24, cfg.seed),
-                algo.strategy(node, cfg.seed),
-            )
-        });
-    if let Some(p) = cfg.dropout {
-        builder = builder.participation(RandomDropout::new(p, cfg.seed ^ 0xC4));
-    }
-    if let Some(m) = &cfg.trace_memory {
-        builder = builder.trace_sink(Box::new(m.clone()));
-    }
-    let trainer = builder.build().expect("valid experiment");
-    trainer.run().expect("run completes")
+    let data = shakespeare_like(&tcfg, nodes, nodes, seed);
+    run_experiment(
+        cfg,
+        Workload::Shakespeare.lr(),
+        scale.degree(),
+        data,
+        algo,
+        || CharLstm::new(tcfg.vocab, 8, 24, seed),
+    )
+}
+
+/// Propose / execute / commit wall seconds of a run, as `jwins_metrics`
+/// folded them from the run's `ExecuteBatch` spans. A parallel speedup can
+/// only shrink the middle one.
+pub fn phase_seconds(metrics: &jwins_metrics::MetricsRegistry) -> [f64; 3] {
+    let facts = metrics.run_facts();
+    [
+        facts.propose_wall_ns,
+        facts.execute_wall_ns,
+        facts.commit_wall_ns,
+    ]
+    .map(|ns| ns as f64 * 1e-9)
 }
 
 /// Formats bytes as a human unit.
@@ -597,10 +469,12 @@ pub fn fmt_bytes(bytes: f64) -> String {
     }
 }
 
-/// Writes a CSV under `target/experiments/`, creating the directory.
+/// Writes a CSV under the workspace's `target/experiments/`, creating the
+/// directory (`cargo bench` runs with the package root as cwd, so a relative
+/// path would land under `crates/bench/`).
 pub fn save_csv(name: &str, contents: &str) {
-    let dir = std::path::Path::new("target").join("experiments");
-    if std::fs::create_dir_all(&dir).is_ok() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
+    if let Ok(dir) = std::fs::create_dir_all(&dir).and_then(|()| dir.canonicalize()) {
         let path = dir.join(format!("{name}.csv"));
         if std::fs::write(&path, contents).is_ok() {
             println!("  [csv] {}", path.display());
@@ -627,7 +501,13 @@ mod tests {
 
     #[test]
     fn scale_parses_env_values() {
-        // from_env reads the live environment; just exercise the helpers.
+        // from_env reads the live environment; exercise what it delegates to.
+        assert_eq!(Scale::parse("small"), Some(Scale::Small));
+        assert_eq!(Scale::parse("medium"), Some(Scale::Medium));
+        assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
+        for unknown in ["smoke", "", "Small", "large"] {
+            assert_eq!(Scale::parse(unknown), None, "{unknown:?} must be rejected");
+        }
         assert_eq!(Scale::Small.nodes(), 8);
         assert_eq!(Scale::Paper.nodes(), 96);
         assert_eq!(Scale::Small.rounds(100), 100);

@@ -207,7 +207,7 @@ where
                         staleness_s,
                     });
                 }
-                state.mix_lockstep(i, params, round, topo, &inbox)?;
+                state.mix_lockstep(i, params, round, topo, &inbox, &config.robust)?;
             }
             let evaluating = eval_due(&config, round);
             // Inactive nodes evaluate too — same as the barrier scheduler,
@@ -217,6 +217,10 @@ where
             let mut board = board.lock();
             board.scores.tally.total_staleness_s += staleness_now;
             board.scores.tally.mixed_messages += mixed_now;
+            // The deposit is this driver's one sequential point: strategy
+            // telemetry is drained here, like the other schedulers' commits.
+            let mass_clipped = &mut board.scores.tally.mass_clipped;
+            state.drain_stats(i, round, network.now().0, &tracer, mass_clipped);
             if config.record_alphas {
                 board.alpha_rows[round][i] = state.last_alpha;
             }

@@ -85,7 +85,7 @@ where
         run.batch(batch, move |i, node, params, _| {
             // No deadline, no TTL: barrier rounds deliver everything sent.
             let inbox = network.drain(i, SimTime::MAX, None).envelopes;
-            node.mix_lockstep(i, params, round, &topo, &inbox)
+            node.mix_lockstep(i, params, round, &topo, &inbox, &config.robust)
         })?;
         board.rounds_run = round + 1;
         let t_ns = SimTime::from_secs_f64(sim_time).0;

@@ -802,6 +802,7 @@ where
         let staleness = self.t.config.faults.staleness;
         let ttl = staleness.ttl().map(SimTime::from_secs_f64);
         let has_cap = staleness.has_cap();
+        let robust = &self.t.config.robust;
         let network = self.t.network;
         self.t.batch(batch.items, move |node, state, params, at| {
             let drained = network.drain(node, at, ttl);
@@ -851,7 +852,7 @@ where
             if absorbed > 0.0 {
                 self_weight += absorbed;
             }
-            state.mix(params, round, self_weight, &received)?;
+            state.mix(params, round, self_weight, &received, robust)?;
             Ok(MixProposal {
                 staleness: staleness_terms,
                 absorbed,

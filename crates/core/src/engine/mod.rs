@@ -256,7 +256,7 @@ impl<M: Model> TrainerBuilder<M> {
         };
         let mut nodes = Vec::with_capacity(n);
         let mut init = Vec::with_capacity(n);
-        for (i, ((mut model, strategy), shard)) in
+        for (i, ((mut model, mut strategy), shard)) in
             self.nodes.into_iter().zip(self.shards).enumerate()
         {
             if shard.is_empty() {
@@ -268,25 +268,17 @@ impl<M: Model> TrainerBuilder<M> {
             } else {
                 model.params()
             };
-            // Robust aggregation is a mixing-layer decoration: wrap the
-            // strategy so its `aggregate` routes through the configured
-            // rule. Strategies whose update is not an average the mixing
-            // layer can screen are a configuration error, caught here —
-            // before any training state exists.
-            let mut strategy = if self.config.robust.is_none() {
-                strategy
-            } else if strategy.supports_robust() {
-                Box::new(crate::robust::RobustWrapper::new(
-                    strategy,
-                    self.config.robust,
-                )) as Box<dyn ShareStrategy>
-            } else {
+            // The robust rule is applied where messages land
+            // (`NodeState::mix`). A strategy whose update is not an average
+            // the mixing layer can screen is a configuration error, caught
+            // here — before any training state exists.
+            if !self.config.robust.is_none() && !strategy.supports_robust() {
                 return Err(JwinsError::InvalidConfig(format!(
                     "strategy '{}' does not support robust aggregation \
                      (TrainConfig::robust must be Robust::None with it)",
                     strategy.name()
                 )));
-            };
+            }
             strategy.init(&params);
             let sampler = BatchSampler::new(
                 shard,

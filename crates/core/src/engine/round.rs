@@ -15,7 +15,7 @@ use crate::engine::Trainer;
 use crate::metrics::{RoundRecord, RunResult, TargetHit};
 use crate::strategy::{OutMessage, Outbound, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
-use jwins_adversary::AttackBehavior;
+use jwins_adversary::{AttackBehavior, Robust};
 use jwins_data::batch::BatchSampler;
 use jwins_net::{Envelope, Transport};
 use jwins_nn::model::{EvalMetrics, Model};
@@ -140,17 +140,24 @@ impl<M: Model> NodeState<M> {
         Ok(outbound)
     }
 
-    /// Folds the weighted messages into the node's parameters.
+    /// Folds the weighted messages into the node's parameters, screening
+    /// them with the run's `robust` rule when one is configured (the builder
+    /// has already rejected strategies that cannot).
     pub(crate) fn mix(
         &mut self,
         params: &mut [f32],
         round: usize,
         self_weight: f64,
         received: &[ReceivedMessage<'_>],
+        robust: &Robust,
     ) -> Result<()> {
-        let mixed = self
-            .strategy
-            .aggregate(round, params, self_weight, received)?;
+        let mixed = if robust.is_none() {
+            self.strategy
+                .aggregate(round, params, self_weight, received)?
+        } else {
+            self.strategy
+                .aggregate_robust(round, params, self_weight, received, robust)?
+        };
         params.copy_from_slice(&mixed);
         self.model.set_params(params);
         Ok(())
@@ -170,6 +177,7 @@ impl<M: Model> NodeState<M> {
         round: usize,
         topo: &RoundTopology,
         inbox: &[Envelope],
+        robust: &Robust,
     ) -> Result<()> {
         let received: Vec<ReceivedMessage<'_>> = inbox
             .iter()
@@ -185,7 +193,13 @@ impl<M: Model> NodeState<M> {
                 })
             })
             .collect::<Result<_>>()?;
-        self.mix(params, round, topo.weights.self_weight(id), &received)
+        self.mix(
+            params,
+            round,
+            topo.weights.self_weight(id),
+            &received,
+            robust,
+        )
     }
 
     /// Drains the strategy's pairing and robust-aggregation telemetry into
@@ -485,13 +499,13 @@ mod tests {
             sent_round: 0,
         };
         let err = node
-            .mix_lockstep(0, &mut params, 0, &topo, &[from(1), from(2)])
+            .mix_lockstep(0, &mut params, 0, &topo, &[from(1), from(2)], &Robust::None)
             .unwrap_err();
         assert!(
             matches!(err, JwinsError::Protocol("message from non-neighbour")),
             "{err}"
         );
-        node.mix_lockstep(0, &mut params, 0, &topo, &[from(1)])
+        node.mix_lockstep(0, &mut params, 0, &topo, &[from(1)], &Robust::None)
             .expect("a neighbour's message mixes");
     }
 }

@@ -77,7 +77,6 @@ pub mod cutoff;
 pub mod engine;
 pub mod metrics;
 pub mod participation;
-pub mod robust;
 pub mod scaling;
 mod scratch;
 pub mod sparsify;

@@ -204,4 +204,60 @@ mod tests {
         assert!(msg.breakdown.metadata <= 4);
         assert!(msg.breakdown.payload > 100);
     }
+
+    fn received(from: usize, weight: f64, msg: &OutMessage) -> ReceivedMessage<'_> {
+        ReceivedMessage {
+            from,
+            round: 0,
+            weight,
+            edge_weight: weight,
+            bytes: &msg.bytes,
+        }
+    }
+
+    #[test]
+    fn robust_median_screens_an_outlier() {
+        let dim = 8;
+        let mine = vec![0.0f32; dim];
+        let honest_msg = roundtrip_message(&vec![1.0f32; dim]);
+        let evil_msg = roundtrip_message(&vec![100.0f32; dim]);
+        let mut s = FullSharing::new();
+        s.init(&mine);
+        let out = s
+            .aggregate_robust(
+                0,
+                &mine,
+                0.5,
+                &[received(1, 0.25, &honest_msg), received(2, 0.25, &evil_msg)],
+                &Robust::Median,
+            )
+            .unwrap();
+        // Weighted median of {0.0 (w=.5), 1.0 (w=.25), 100.0 (w=.25)} is 0.0
+        // at every coordinate: the outlier cannot drag the result.
+        for v in out {
+            assert_eq!(v, 0.0);
+        }
+    }
+
+    #[test]
+    fn robust_norm_clip_stats_drain_once() {
+        let dim = 4;
+        let own = vec![0.0f32; dim];
+        let far_msg = roundtrip_message(&vec![50.0f32; dim]);
+        let mut s = FullSharing::new();
+        s.init(&own);
+        let _ = s
+            .aggregate_robust(
+                0,
+                &own,
+                0.5,
+                &[received(1, 0.5, &far_msg)],
+                &Robust::NormClip { tau: 1.0 },
+            )
+            .unwrap();
+        let stats = s.robust_stats().expect("clip happened");
+        assert_eq!(stats.clipped, 1);
+        assert!(stats.mass > 0.0);
+        assert!(s.robust_stats().is_none(), "drain resets");
+    }
 }

@@ -993,6 +993,9 @@ mod tests {
         assert_eq!(edge.mixed, 1);
         assert_eq!(r.run_facts().rounds_run, 2);
         assert_eq!(r.run_facts().batches, 1);
+        assert_eq!(r.run_facts().propose_wall_ns, 10);
+        assert_eq!(r.run_facts().execute_wall_ns, 20);
+        assert_eq!(r.run_facts().commit_wall_ns, 30);
     }
 
     #[test]

@@ -300,8 +300,8 @@ fn jwins_holds_less_state_than_choco() {
 
 mod robust_mixing {
     //! Mixing-layer robustness properties, exercised through the public
-    //! `ShareStrategy` surface (`aggregate_robust` and the `RobustWrapper`
-    //! the engine installs for `TrainConfig::robust`):
+    //! `ShareStrategy` surface (`aggregate_robust`, which the engine calls
+    //! at the mix boundary when `TrainConfig::robust` is set):
     //!
     //! - `Robust::None` is *bit-identical* to the plain aggregation path;
     //! - trimmed mean and median stay within the coordinate range spanned
@@ -312,7 +312,6 @@ mod robust_mixing {
     //!   fixed point (removed mass is renormalized over the surviving
     //!   entries, not dropped).
 
-    use jwins::robust::RobustWrapper;
     use jwins::strategies::{FullSharing, RandomSampling};
     use jwins::strategy::{ReceivedMessage, ShareStrategy};
     use jwins_adversary::Robust;
@@ -351,9 +350,7 @@ mod robust_mixing {
         if rule.is_none() {
             me.aggregate(0, own, weight, &received).expect("aggregate")
         } else {
-            let mut wrapped = RobustWrapper::new(me, *rule);
-            wrapped
-                .aggregate(0, own, weight, &received)
+            me.aggregate_robust(0, own, weight, &received, rule)
                 .expect("robust aggregate")
         }
     }
@@ -405,7 +402,7 @@ mod robust_mixing {
             }
         }
 
-        /// Trimmed mean and median, wrapped exactly as the engine wraps
+        /// Trimmed mean and median, called exactly as the engine calls
         /// them, stay inside the honest coordinate range for a Byzantine
         /// minority — the screen the `ext_byzantine` bench measures.
         #[test]

@@ -13,9 +13,11 @@ use jwins::engine::Trainer;
 use jwins::metrics::RunResult;
 use jwins::strategies::{FullSharing, Jwins, JwinsConfig};
 use jwins::strategy::ShareStrategy;
+use jwins_adversary::Robust;
 use jwins_data::images::{cifar_like, ImageConfig};
 use jwins_nn::models::mlp_classifier;
 use jwins_topology::dynamic::StaticTopology;
+use jwins_trace::{MemorySink, TraceEvent};
 
 const NODES: usize = 16;
 
@@ -42,10 +44,10 @@ fn channel_kind() -> TransportKind {
 /// Builds and runs a `NODES`-node FullSharing cluster. Data, models,
 /// topology and strategy seeds are all derived from constants, so two
 /// calls construct identical clusters — only the transport differs.
-fn run_full_sharing(config: TrainConfig) -> RunResult {
+fn run_full_sharing(config: TrainConfig, memory: Option<MemorySink>) -> RunResult {
     let img = ImageConfig::tiny();
     let data = cifar_like(&img, NODES, 2, 7);
-    let trainer = Trainer::builder(config)
+    let mut builder = Trainer::builder(config)
         .topology(StaticTopology::random_regular(NODES, 4, 3).unwrap())
         .test_set(data.test)
         .nodes(data.node_train, |_| {
@@ -53,10 +55,11 @@ fn run_full_sharing(config: TrainConfig) -> RunResult {
                 mlp_classifier(img.channels * img.height * img.width, &[16], img.classes, 7),
                 Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
             )
-        })
-        .build()
-        .unwrap();
-    trainer.run().unwrap()
+        });
+    if let Some(memory) = memory {
+        builder = builder.trace_sink(Box::new(memory));
+    }
+    builder.build().unwrap().run().unwrap()
 }
 
 #[test]
@@ -64,7 +67,7 @@ fn sixteen_node_channel_run_matches_the_sim_oracle() {
     let rounds = 6;
     let mut real_cfg = base_config(rounds);
     real_cfg.transport = channel_kind();
-    let real = run_full_sharing(real_cfg);
+    let real = run_full_sharing(real_cfg, None);
 
     assert_eq!(real.rounds_run, rounds, "all rounds completed on threads");
     assert!(
@@ -94,7 +97,7 @@ fn sixteen_node_channel_run_matches_the_sim_oracle() {
         oracle_cfg.execution = ExecutionMode::EventDriven;
         oracle_cfg.heterogeneity = profile;
     }
-    let oracle = run_full_sharing(oracle_cfg);
+    let oracle = run_full_sharing(oracle_cfg, None);
 
     let check = crosscheck::compare_to_oracle(&real, &oracle, DEFAULT_ACCURACY_TOLERANCE);
     assert_eq!(check.compared, 3, "every eval record aligned");
@@ -109,12 +112,48 @@ fn sixteen_node_channel_run_matches_the_sim_oracle() {
     assert_eq!(check.rounds_real, check.rounds_oracle);
 }
 
+/// The channel scheduler drains the strategies' robust-aggregation telemetry
+/// like the other two: the clipped mass reaches the records and the trace.
+/// Not bit-equal to the sim oracle — the order nodes deposit in varies the
+/// float sum, and on a loaded host a late message can miss its round — so
+/// the pin is "non-zero and within 1 %".
+#[test]
+fn channel_run_reports_clipped_mass_like_the_sim_oracle() {
+    let config = || {
+        let mut cfg = base_config(4);
+        // Far below any neighbour's distance: every message is clipped.
+        cfg.robust = Robust::NormClip { tau: 1e-3 };
+        cfg
+    };
+    let oracle = run_full_sharing(config(), None);
+    let expected = oracle.final_record().expect("evaluated").mass_clipped;
+    assert!(expected > 0.0, "the sim oracle clips");
+
+    let mut real_cfg = config();
+    real_cfg.transport = channel_kind();
+    let memory = MemorySink::new();
+    let real = run_full_sharing(real_cfg, Some(memory.clone()));
+    let clipped = real.final_record().expect("evaluated").mass_clipped;
+    assert!(clipped > 0.0, "channel run reports no clipped mass");
+    assert!(
+        (clipped - expected).abs() <= 0.01 * expected,
+        "channel clipped mass {clipped} strays from the oracle's {expected}"
+    );
+    assert!(
+        memory
+            .events()
+            .iter()
+            .any(|e| matches!(e, TraceEvent::RobustClip { .. })),
+        "channel trace carries no RobustClip event"
+    );
+}
+
 #[test]
 fn channel_run_stops_early_on_target_accuracy() {
     let mut cfg = base_config(8);
     cfg.transport = channel_kind();
     cfg.target_accuracy = Some(0.0); // any evaluation hits it
-    let result = run_full_sharing(cfg);
+    let result = run_full_sharing(cfg, None);
     let hit = result.reached_target.expect("target must be reached");
     assert_eq!(hit.round, 1, "first eval round triggers the stop");
     assert_eq!(result.rounds_run, 2, "run stops after the hit");
