@@ -427,6 +427,7 @@ fn bench_sim(c: &mut Criterion) {
 /// a batch costs before any node work, by batch width.
 fn bench_dispatch(c: &mut Criterion) {
     let cells: Vec<Cell<u64>> = (0..SCALE_NODES as u64).map(Cell::new).collect();
+    let spaces = [Cell::new(()), Cell::new(())];
     let mut group = c.benchmark_group("engine");
     group.sample_size(30);
     with_workers(2, |pool| {
@@ -435,7 +436,8 @@ fn bench_dispatch(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("dispatch", width), &width, |b, &width| {
                 b.iter(|| {
                     let items = (0..width).map(|k| (k * stride, ())).collect();
-                    pool.batch(&cells, items, |_, _, ()| Ok(())).unwrap()
+                    pool.batch(&cells, &spaces, items, |_, _, (), ()| Ok(()))
+                        .unwrap()
                 });
             });
         }

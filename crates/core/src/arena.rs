@@ -25,17 +25,33 @@ pub(crate) struct ParamArena {
 }
 
 impl ParamArena {
-    /// Packs per-node parameter vectors (in node order) into one buffer.
-    pub(crate) fn from_nodes(params: Vec<Vec<f32>>) -> Self {
-        let mut offsets = Vec::with_capacity(params.len() + 1);
-        offsets.push(0);
-        let total: usize = params.iter().map(Vec::len).sum();
-        let mut data = Vec::with_capacity(total);
-        for p in params {
-            data.extend_from_slice(&p);
-            offsets.push(data.len());
+    /// An arena without nodes; [`Self::push`] appends them in node order.
+    pub(crate) fn new() -> Self {
+        Self {
+            offsets: vec![0],
+            data: Vec::new(),
         }
-        Self { offsets, data }
+    }
+
+    /// Appends the next node's window, holding `params`. `more` is how many
+    /// equally sized nodes the caller knows will follow: the buffers are then
+    /// allocated once, at their final size, instead of doubling their way
+    /// there.
+    pub(crate) fn push(&mut self, params: &[f32], more: usize) {
+        self.offsets.reserve(1 + more);
+        self.data.reserve(params.len() * (1 + more));
+        self.data.extend_from_slice(params);
+        self.offsets.push(self.data.len());
+    }
+
+    /// Copies node 0's window over every other node's (the common initial
+    /// model). Panics if a window differs from node 0's in length.
+    pub(crate) fn sync_to_first(&mut self) {
+        let len = self.offsets[1];
+        for w in self.offsets[1..].windows(2) {
+            assert_eq!(w[1] - w[0], len, "all models must agree in size");
+            self.data.copy_within(..len, w[0]);
+        }
     }
 
     /// Number of nodes with a window in the arena.
@@ -82,10 +98,15 @@ pub(crate) fn copy_node(from: &[f32], to: &mut [f32]) {
 mod tests {
     use super::*;
 
+    fn arena(nodes: &[&[f32]]) -> ParamArena {
+        let mut arena = ParamArena::new();
+        nodes.iter().for_each(|params| arena.push(params, 0));
+        arena
+    }
+
     #[test]
     fn windows_are_contiguous_and_disjoint() {
-        let mut arena =
-            ParamArena::from_nodes(vec![vec![1.0, 2.0], vec![3.0], vec![4.0, 5.0, 6.0]]);
+        let mut arena = arena(&[&[1.0, 2.0], &[3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(arena.node_count(), 3);
         assert_eq!(arena.node(0), &[1.0, 2.0]);
         assert_eq!(arena.node(1), &[3.0]);
@@ -101,7 +122,7 @@ mod tests {
 
     #[test]
     fn copy_node_resyncs_equal_sized_windows() {
-        let mut arena = ParamArena::from_nodes(vec![vec![1.0, 2.0], vec![7.0, 8.0]]);
+        let mut arena = arena(&[&[1.0, 2.0], &[7.0, 8.0]]);
         let mut windows = arena.slices_mut();
         let (donor, rejoiner) = windows.split_at_mut(1);
         copy_node(donor[0], rejoiner[0]);
@@ -110,9 +131,18 @@ mod tests {
     }
 
     #[test]
+    fn sync_to_first_broadcasts_node_zero() {
+        let mut arena = arena(&[&[1.0, 2.0], &[7.0, 8.0], &[5.0, 6.0]]);
+        arena.sync_to_first();
+        for node in 0..3 {
+            assert_eq!(arena.node(node), &[1.0, 2.0]);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "agree in size")]
     fn copy_node_rejects_size_mismatch() {
-        let mut arena = ParamArena::from_nodes(vec![vec![1.0], vec![2.0, 3.0]]);
+        let mut arena = arena(&[&[1.0], &[2.0, 3.0]]);
         let mut windows = arena.slices_mut();
         let (donor, rejoiner) = windows.split_at_mut(1);
         copy_node(donor[0], rejoiner[0]);

@@ -116,6 +116,7 @@ where
         participation,
         network,
         nodes,
+        models,
         mut arena,
         test,
         tracer,
@@ -153,6 +154,9 @@ where
     let stop = AtomicBool::new(false);
 
     let worker = |i: usize, mut state: NodeState<M>, params: &mut [f32]| -> Result<()> {
+        // A node thread is this backend's worker: the builder kept one model
+        // workspace per node, and thread `i` holds the `i`-th for its life.
+        let mut model = models[i].lock();
         // Early messages from fast neighbours, waiting for their round.
         let mut stash: Vec<Envelope> = Vec::new();
         for (round, (topo, active)) in contexts.iter().enumerate() {
@@ -170,8 +174,8 @@ where
                 stash.extend(network.drain(i, SimTime::MAX, None).envelopes);
                 let wall = Instant::now();
                 let neighbors = active_neighbors(topo, active, i);
-                let outbound =
-                    state.train_and_build(i, params, &config, round, &neighbors, None)?;
+                let outbound = state
+                    .train_and_build(&mut model, i, params, &config, round, &neighbors, None)?;
                 let now = network.now();
                 tracer.emit(TraceEvent::Train {
                     t_ns: now.0,
@@ -212,7 +216,8 @@ where
             let evaluating = eval_due(&config, round);
             // Inactive nodes evaluate too — same as the barrier scheduler,
             // where every node's (possibly unchanged) model joins the mean.
-            let eval = evaluating.then(|| state.evaluate(params, &test, config.eval_test_samples));
+            let eval = evaluating
+                .then(|| state.evaluate(&mut model, params, &test, config.eval_test_samples));
 
             let mut board = board.lock();
             board.scores.tally.total_staleness_s += staleness_now;

@@ -47,10 +47,10 @@ where
         // tell, so it owns the round's context instead of borrowing it.
         let built = {
             let topo = topo.clone();
-            run.batch(batch.clone(), move |i, node, params, attack| {
+            run.batch(batch.clone(), move |i, model, node, params, attack| {
                 let neighbors = active_neighbors(&topo, &active, i);
                 let outbound =
-                    node.train_and_build(i, params, config, round, &neighbors, attack)?;
+                    node.train_and_build(model, i, params, config, round, &neighbors, attack)?;
                 Ok((neighbors, outbound))
             })?
         };
@@ -82,7 +82,7 @@ where
             max_node_bytes = max_node_bytes.max(node_bytes);
         }
         sim_time += config.time_model.round_seconds(max_node_bytes);
-        run.batch(batch, move |i, node, params, _| {
+        run.batch(batch, move |i, _, node, params, _| {
             // No deadline, no TTL: barrier rounds deliver everything sent.
             let inbox = network.drain(i, SimTime::MAX, None).envelopes;
             node.mix_lockstep(i, params, round, &topo, &inbox, &config.robust)

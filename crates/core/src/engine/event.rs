@@ -664,10 +664,11 @@ where
         let link_seed = config.seed ^ 0x11_4B;
         self.t.batch(
             items,
-            move |node, state, params, TrainItem { meta, ctx }| {
+            move |node, model, state, params, TrainItem { meta, ctx }| {
                 let ctx = &ctxs[ctx].1;
                 let neighbors = active_neighbors(&ctx.topo, &ctx.active, node);
                 let outbound = state.train_and_build(
+                    model,
                     node,
                     params,
                     config,
@@ -796,7 +797,7 @@ where
     /// be committed in pop order — and not at all for events discarded by
     /// an early stop.
     fn execute_mix(&self, batch: MixBatch) -> Result<Vec<MixProposal>> {
-        let Some((round, topo)) = batch.round else {
+        let (items, Some((round, topo))) = (batch.items, batch.round) else {
             return Ok(Vec::new());
         };
         let staleness = self.t.config.faults.staleness;
@@ -804,7 +805,7 @@ where
         let has_cap = staleness.has_cap();
         let robust = &self.t.config.robust;
         let network = self.t.network;
-        self.t.batch(batch.items, move |node, state, params, at| {
+        self.t.batch(items, move |node, _, state, params, at| {
             let drained = network.drain(node, at, ttl);
             let (inbox, mut expired) = (drained.envelopes, drained.expired);
             let mut received = Vec::with_capacity(inbox.len());
@@ -1037,7 +1038,6 @@ where
             let mut slot = self.t.cells[node].lock();
             let NodeSlot { state, params } = &mut *slot;
             crate::arena::copy_node(donor.params, params);
-            state.model.set_params(params);
             state.strategy.init(params);
         }
         // Re-admission runs through the same repair policy: in-progress

@@ -35,7 +35,8 @@
 //!
 //! # Resident workers
 //!
-//! [`Trainer::run`] starts `threads − 1` helper threads once, in one
+//! [`Trainer::run`] starts `min(threads, nodes) − 1` helper threads once (a
+//! batch never has more items than there are nodes), in one
 //! [`std::thread::scope`] around the whole barrier or event schedule; the
 //! calling thread is a worker too, and no thread is created afterwards.
 //! Every parallel step — a barrier phase, an event batch's execute phase, an
@@ -47,6 +48,16 @@
 //! contexts); node state is reached through one locked cell per node, never
 //! contended because batch node ids are pairwise distinct. The [`workers`]
 //! docs give the full contract, including how errors and panics come back.
+//!
+//! # Who owns what
+//!
+//! A node owns its window of the parameter arena, its batch sampler and its
+//! strategy state — nothing else. A [`Model`] instance is a *workspace*
+//! (layer buffers, gradients, cached activations) whose results depend only
+//! on the parameters loaded into it, and every call into one starts with
+//! that load, so any instance can serve any node: the trainer keeps one per
+//! worker (`min(threads, nodes)`; one per node thread on the channel
+//! backend), and a worker holds its own for each chunk of a batch it claims.
 //!
 //! # Parallel event execution and the determinism contract
 //!
@@ -134,6 +145,7 @@ use jwins_nn::model::Model;
 use jwins_topology::dynamic::TopologyProvider;
 use jwins_trace::{AttackKind, TraceEvent, TraceSink, Tracer};
 use round::{NodeScore, NodeState, Scoreboard};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use workers::Workers;
 
@@ -143,7 +155,18 @@ pub struct TrainerBuilder<M: Model> {
     topology: Option<Box<dyn TopologyProvider>>,
     participation: Box<dyn ParticipationModel>,
     test: Vec<M::Sample>,
-    nodes: Vec<(M, Box<dyn ShareStrategy>)>,
+    /// Every node's initial parameters, read from its model as it is added.
+    arena: ParamArena,
+    /// The last `workspaces` models handed in; earlier ones were dropped as
+    /// soon as their parameters had been read (holding all of them until
+    /// `build()` would set the run's peak memory at large node counts).
+    models: VecDeque<M>,
+    /// One per worker thread (resolved once, here — never per node); no
+    /// limit on the channel backend, whose workers are its node threads.
+    workspaces: usize,
+    /// The first node whose model disagrees with node 0's in size, if any.
+    mismatch: Option<String>,
+    strategies: Vec<Box<dyn ShareStrategy>>,
     shards: Vec<Vec<M::Sample>>,
     sync_init: bool,
     trace_sinks: Vec<Box<dyn TraceSink>>,
@@ -173,7 +196,38 @@ impl<M: Model> TrainerBuilder<M> {
         self
     }
 
-    /// Adds one node with its model, strategy and local shard.
+    /// Takes the next node in: its initial parameters go to the arena, its
+    /// model joins the workspaces (pushing the oldest out). `more` nodes
+    /// follow in the same call.
+    fn add(
+        &mut self,
+        model: M,
+        strategy: Box<dyn ShareStrategy>,
+        shard: Vec<M::Sample>,
+        more: usize,
+    ) {
+        let node = self.strategies.len();
+        let params = model.params();
+        if node > 0 && self.mismatch.is_none() && params.len() != self.arena.node(0).len() {
+            self.mismatch = Some(format!(
+                "node {node}'s model has {} parameters but node 0's has {}",
+                params.len(),
+                self.arena.node(0).len()
+            ));
+        }
+        self.arena.push(&params, more);
+        self.models.push_back(model);
+        if self.models.len() > self.workspaces {
+            self.models.pop_front();
+        }
+        self.strategies.push(strategy);
+        self.shards.push(shard);
+    }
+
+    /// Adds one node with its model, strategy and local shard. All nodes
+    /// must share one architecture: the engine reads the model's initial
+    /// parameters and keeps the instance only as one of its per-worker
+    /// workspaces (see [`Model`]).
     #[must_use]
     pub fn node(
         mut self,
@@ -181,8 +235,7 @@ impl<M: Model> TrainerBuilder<M> {
         strategy: Box<dyn ShareStrategy>,
         shard: Vec<M::Sample>,
     ) -> Self {
-        self.nodes.push((model, strategy));
-        self.shards.push(shard);
+        self.add(model, strategy, shard, 0);
         self
     }
 
@@ -196,11 +249,11 @@ impl<M: Model> TrainerBuilder<M> {
         shards: Vec<Vec<M::Sample>>,
         mut factory: impl FnMut(usize) -> (M, Box<dyn ShareStrategy>),
     ) -> Self {
+        let mut more = shards.len();
         for shard in shards {
-            let index = self.nodes.len();
-            let (model, strategy) = factory(index);
-            self.nodes.push((model, strategy));
-            self.shards.push(shard);
+            more -= 1;
+            let (model, strategy) = factory(self.strategies.len());
+            self.add(model, strategy, shard, more);
         }
         self
     }
@@ -228,46 +281,41 @@ impl<M: Model> TrainerBuilder<M> {
     /// # Errors
     ///
     /// Fails when the configuration is invalid, the topology is missing or
-    /// its node count disagrees with the number of nodes added.
-    pub fn build(self) -> Result<Trainer<M>> {
+    /// its node count disagrees with the number of nodes added, or the
+    /// nodes' models differ in parameter count.
+    pub fn build(mut self) -> Result<Trainer<M>> {
         self.config.validate()?;
         let topology = self
             .topology
             .ok_or_else(|| JwinsError::InvalidConfig("topology is required".into()))?;
-        if self.nodes.is_empty() {
+        let n = self.strategies.len();
+        if n == 0 {
             return Err(JwinsError::InvalidConfig(
                 "at least one node required".into(),
             ));
         }
-        if topology.nodes() != self.nodes.len() {
+        if topology.nodes() != n {
             return Err(JwinsError::InvalidConfig(format!(
-                "topology has {} nodes but {} were added",
+                "topology has {} nodes but {n} were added",
                 topology.nodes(),
-                self.nodes.len()
             )));
         }
         if self.test.is_empty() {
             return Err(JwinsError::InvalidConfig("test set is empty".into()));
         }
-        let n = self.nodes.len();
-        let init_params = {
-            let (model0, _) = &self.nodes[0];
-            model0.params()
-        };
+        if let Some(mismatch) = self.mismatch {
+            return Err(JwinsError::InvalidConfig(mismatch));
+        }
+        // Decided here, not as nodes arrive: `keep_distinct_init` may be
+        // called after them.
+        if self.sync_init {
+            self.arena.sync_to_first();
+        }
         let mut nodes = Vec::with_capacity(n);
-        let mut init = Vec::with_capacity(n);
-        for (i, ((mut model, mut strategy), shard)) in
-            self.nodes.into_iter().zip(self.shards).enumerate()
-        {
+        for (i, (mut strategy, shard)) in self.strategies.into_iter().zip(self.shards).enumerate() {
             if shard.is_empty() {
                 return Err(JwinsError::InvalidConfig(format!("node {i} has no data")));
             }
-            let params = if self.sync_init {
-                model.set_params(&init_params);
-                init_params.clone()
-            } else {
-                model.params()
-            };
             // The robust rule is applied where messages land
             // (`NodeState::mix`). A strategy whose update is not an average
             // the mixing layer can screen is a configuration error, caught
@@ -279,21 +327,18 @@ impl<M: Model> TrainerBuilder<M> {
                     strategy.name()
                 )));
             }
-            strategy.init(&params);
+            strategy.init(self.arena.node(i));
             let sampler = BatchSampler::new(
                 shard,
                 jwins_nn::init::sub_seed(self.config.seed, 0x1000 + i as u64),
             );
             nodes.push(NodeState {
-                model,
                 sampler,
                 strategy,
                 last_train_loss: 0.0,
                 last_alpha: 0.0,
             });
-            init.push(params);
         }
-        let arena = ParamArena::from_nodes(init);
         // The transport is chosen here and never again: the engine speaks
         // only the `Transport` trait from this point on, so both backends
         // run the exact same round program.
@@ -333,12 +378,9 @@ impl<M: Model> TrainerBuilder<M> {
             topology,
             participation: self.participation,
             nodes,
-            arena,
+            models: self.models.into_iter().map(workers::Cell::new).collect(),
+            arena: self.arena,
             tracer,
-            workers: match self.config.threads {
-                0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-                threads => threads,
-            },
             config: self.config,
         })
     }
@@ -391,6 +433,8 @@ struct Run<'w, 'a, M: Model> {
     /// Node `i`'s state and arena window; sequential code locks a cell
     /// between batches, workers inside one.
     cells: &'a [NodeCell<'a, M>],
+    /// Worker `w`'s model workspace; only batches reach them.
+    models: &'a [workers::Cell<M>],
     workers: &'w Workers<'a>,
 }
 
@@ -401,7 +445,8 @@ where
 {
     /// Executes one closure per `(node, item)` pair on the resident workers
     /// — the event scheduler's *execute* phase, a barrier phase, an
-    /// evaluation. Items carry distinct node ids (the queue's
+    /// evaluation — with the worker's model workspace and the node's state
+    /// and parameters. Items carry distinct node ids (the queue's
     /// independent-batch contract). Outputs come back in item order and the
     /// first error *in item order* wins regardless of thread timing, so both
     /// results and failures are independent of thread count.
@@ -409,12 +454,14 @@ where
     where
         T: Send + 'a,
         P: Send + 'a,
-        F: Fn(usize, &mut NodeState<M>, &mut [f32], T) -> Result<P> + Send + Sync + 'a,
+        F: Fn(usize, &mut M, &mut NodeState<M>, &mut [f32], T) -> Result<P> + Send + Sync + 'a,
     {
-        self.workers
-            .batch(self.cells, items, move |id, slot, item| {
-                f(id, slot.state, slot.params, item)
-            })
+        self.workers.batch(
+            self.cells,
+            self.models,
+            items,
+            move |id, slot, model, item| f(id, model, slot.state, slot.params, item),
+        )
     }
 
     /// Evaluates all nodes on the shared test set (possibly subsampled),
@@ -423,8 +470,8 @@ where
     fn evaluate(&self) -> Result<Vec<NodeScore>> {
         let (test, cap) = (self.test, self.config.eval_test_samples);
         let all = (0..self.cells.len()).map(|i| (i, ())).collect();
-        self.batch(all, move |_, node, params, ()| {
-            Ok(node.evaluate(params, test, cap))
+        self.batch(all, move |_, model, node, params, ()| {
+            Ok(node.evaluate(model, params, test, cap))
         })
     }
 }
@@ -436,6 +483,12 @@ pub struct Trainer<M: Model> {
     pub(crate) participation: Box<dyn ParticipationModel>,
     pub(crate) network: Arc<dyn Transport>,
     pub(crate) nodes: Vec<NodeState<M>>,
+    /// The model workspaces, one per worker of the parallel phases:
+    /// `min(threads, nodes)` of them, `threads` resolved once when the
+    /// builder was created (`available_parallelism` reads cgroup files —
+    /// never per node or per round); one per node on the channel backend,
+    /// whose node threads are its workers.
+    pub(crate) models: Vec<workers::Cell<M>>,
     /// Every node's flat parameters in one contiguous buffer (see
     /// [`ParamArena`]); `nodes[i]`'s window is `arena.node(i)`.
     pub(crate) arena: ParamArena,
@@ -444,20 +497,26 @@ pub struct Trainer<M: Model> {
     /// always-on crash context — and only ever *read from* sequential code,
     /// so it can never perturb a result (see `jwins_trace`).
     pub(crate) tracer: Arc<Tracer>,
-    /// Worker threads for the parallel phases, resolved once at build time
-    /// (`available_parallelism` reads cgroup files — never per round).
-    pub(crate) workers: usize,
 }
 
 impl<M: Model> Trainer<M> {
     /// Starts building a trainer.
     pub fn builder(config: TrainConfig) -> TrainerBuilder<M> {
+        let workspaces = match (config.transport, config.threads) {
+            (TransportKind::Channel(_), _) => usize::MAX,
+            (_, 0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            (_, threads) => threads,
+        };
         TrainerBuilder {
             config,
             topology: None,
             participation: Box::new(AlwaysOn),
             test: Vec::new(),
-            nodes: Vec::new(),
+            arena: ParamArena::new(),
+            models: VecDeque::new(),
+            workspaces,
+            mismatch: None,
+            strategies: Vec::new(),
             shards: Vec::new(),
             sync_init: true,
             trace_sinks: Vec::new(),
@@ -487,7 +546,6 @@ impl<M: Model> Trainer<M> {
         let window = self.arena.node_mut(node);
         assert_eq!(params.len(), window.len());
         window.copy_from_slice(params);
-        self.nodes[node].model.set_params(params);
         self.nodes[node].strategy.init(params);
     }
 
@@ -502,7 +560,7 @@ impl<M: Model> Trainer<M> {
     {
         let board = Scoreboard::new(self);
         let cells = node_cells(&mut self.nodes, &mut self.arena);
-        workers::with_workers(self.workers, |pool| {
+        workers::with_workers(self.models.len(), |pool| {
             let run = Run {
                 config: &self.config,
                 topology: &*self.topology,
@@ -511,6 +569,7 @@ impl<M: Model> Trainer<M> {
                 test: &self.test,
                 tracer: &self.tracer,
                 cells: &cells,
+                models: &self.models,
                 workers: pool,
             };
             match self.config.execution {
@@ -602,6 +661,27 @@ mod tests {
             })
             .build();
         assert!(err.is_err());
+        // One node's model is a different architecture: a configuration
+        // error naming the node, whatever the init mode.
+        for distinct in [false, true] {
+            let mut builder = Trainer::builder(TrainConfig::quick_test())
+                .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
+                .test_set(data.test.clone())
+                .nodes(data.node_train.clone(), |node| {
+                    let hidden = if node == 2 { 9 } else { 8 };
+                    (
+                        mlp_classifier(2 * 8 * 8, &[hidden], 4, 7),
+                        Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
+                    )
+                });
+            if distinct {
+                builder = builder.keep_distinct_init();
+            }
+            let Err(JwinsError::InvalidConfig(what)) = builder.build() else {
+                panic!("mismatched models must not build");
+            };
+            assert!(what.contains("node 2's model"), "{what}");
+        }
     }
 
     #[test]
@@ -619,12 +699,13 @@ mod tests {
             .build()
             .unwrap();
         let all = || (0..8).map(|i| (i, 10 * i)).collect::<Vec<_>>();
+        let spaces: Vec<workers::Cell<()>> = (0..8).map(|_| workers::Cell::new(())).collect();
         for threads in [1, 2, 8] {
             let cells = node_cells(&mut trainer.nodes, &mut trainer.arena);
             workers::with_workers(threads, |pool| {
                 // Every node, in index order, each with its own arena window.
                 let visited = pool
-                    .batch(&cells, all(), |i, slot, tag| {
+                    .batch(&cells, &spaces, all(), |i, slot, (), tag| {
                         slot.params[0] = i as f32;
                         Ok((i, tag))
                     })
@@ -637,7 +718,7 @@ mod tests {
                 // worker finishes first and whatever the node ids are.
                 for (items, first) in [(all(), 2), (all().into_iter().rev().collect(), 5)] {
                     let err = pool
-                        .batch(&cells, items, |i, _, _| match i {
+                        .batch(&cells, &spaces, items, |i, _, (), _| match i {
                             2 | 5 => Err(JwinsError::InvalidConfig(format!("node {i}"))),
                             _ => Ok(()),
                         })

@@ -28,12 +28,14 @@ use std::sync::Arc;
 /// expansion, compute speeds, link jitter, queue tie-breaks and loss draws.
 pub(crate) const ATTACK_SALT: u64 = 0x4174_636B; // "Atck"
 
-/// Per-node training state. Flat model parameters live *outside* this
-/// struct, in the trainer's [`crate::arena::ParamArena`] — one contiguous
-/// buffer indexed by node id — so the hot per-batch state is cache-dense at
-/// large node counts; every method takes the node's window as a slice.
+/// Per-node training state: what a node must remember between its turns,
+/// apart from its flat parameters. Those live in the trainer's
+/// [`crate::arena::ParamArena`] — one contiguous buffer indexed by node id —
+/// and every method takes the node's window as a slice. A node owns no
+/// [`Model`]: an instance is a workspace whose results depend only on the
+/// parameters loaded into it, so the methods that compute borrow whichever
+/// one the calling worker holds.
 pub(crate) struct NodeState<M: Model> {
-    pub(crate) model: M,
     pub(crate) sampler: BatchSampler<M::Sample>,
     pub(crate) strategy: Box<dyn ShareStrategy>,
     pub(crate) last_train_loss: f32,
@@ -106,8 +108,10 @@ impl<M: Model> NodeState<M> {
     /// *copy* of its parameters; honest nodes take the copy-free path.
     /// The instruction sequence is identical under every scheduler, which is
     /// what makes degenerate event runs replay barrier runs bit-for-bit.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn train_and_build(
         &mut self,
+        model: &mut M,
         id: usize,
         params: &mut [f32],
         config: &TrainConfig,
@@ -116,16 +120,16 @@ impl<M: Model> NodeState<M> {
         attack: Option<AttackBehavior>,
     ) -> Result<Outbound> {
         let lr = config.lr;
-        self.model.set_params(params);
+        model.set_params(params);
         let mut loss = 0.0;
         for _ in 0..config.local_steps {
             let batch = self.sampler.sample(config.batch_size);
-            let (l, grad) = self.model.loss_and_grad(&batch);
+            let (l, grad) = model.loss_and_grad(&batch);
             loss = l;
             for (p, g) in params.iter_mut().zip(&grad) {
                 *p -= lr * g;
             }
-            self.model.set_params(params);
+            model.set_params(params);
         }
         self.last_train_loss = loss;
         let outbound = if let Some(behavior) = attack {
@@ -159,7 +163,6 @@ impl<M: Model> NodeState<M> {
                 .aggregate_robust(round, params, self_weight, received, robust)?
         };
         params.copy_from_slice(&mixed);
-        self.model.set_params(params);
         Ok(())
     }
 
@@ -236,18 +239,24 @@ impl<M: Model> NodeState<M> {
         }
     }
 
-    /// Evaluates the node's model on the shared test set (its first `cap`
-    /// samples when `0 < cap < len`), in chunks of 64.
-    pub(crate) fn evaluate(&mut self, params: &[f32], test: &[M::Sample], cap: usize) -> NodeScore {
+    /// Evaluates the node's parameters on the shared test set (its first
+    /// `cap` samples when `0 < cap < len`), in chunks of 64.
+    pub(crate) fn evaluate(
+        &self,
+        model: &mut M,
+        params: &[f32],
+        test: &[M::Sample],
+        cap: usize,
+    ) -> NodeScore {
         let subset = if cap == 0 || cap >= test.len() {
             test
         } else {
             &test[..cap]
         };
-        self.model.set_params(params);
+        model.set_params(params);
         let mut eval = EvalMetrics::default();
         for chunk in subset.chunks(64) {
-            eval.merge(&self.model.evaluate(chunk));
+            eval.merge(&model.evaluate(chunk));
         }
         NodeScore {
             eval,
@@ -409,7 +418,7 @@ mod tests {
     use crate::strategies::FullSharing;
     use bytes::Bytes;
     use jwins_net::ByteBreakdown;
-    use jwins_nn::models::mlp_classifier;
+    use jwins_nn::models::{mlp_classifier, ImageClassifier};
     use jwins_sim::SimTime;
     use jwins_topology::Graph;
 
@@ -475,17 +484,24 @@ mod tests {
     }
 
     #[test]
+    fn a_node_carries_no_model() {
+        // Sampler (shard `Vec`, cursor, 136-byte RNG) + boxed strategy + two
+        // floats. One more 8-byte field costs 128 KiB at 16 384 nodes, and a
+        // model here — even an empty three-layer `ImageClassifier` — 0.9 MiB
+        // inline plus ≈ 14 MiB of layer buffers on the heap.
+        assert!(std::mem::size_of::<NodeState<ImageClassifier>>() <= 192);
+    }
+
+    #[test]
     fn lockstep_mix_rejects_a_message_from_a_non_neighbour() {
         let topo = path();
-        let model = mlp_classifier(4, &[2], 2, 1);
-        let mut params = model.params();
+        let mut params = mlp_classifier(4, &[2], 2, 1).params();
         let mut strategy: Box<dyn ShareStrategy> = Box::new(FullSharing::new());
         strategy.init(&params);
         let Outbound::Broadcast(msg) = strategy.make_outbound(0, &params, &[1]).unwrap() else {
             panic!("full sharing broadcasts");
         };
-        let mut node = NodeState {
-            model,
+        let mut node: NodeState<ImageClassifier> = NodeState {
             sampler: BatchSampler::new(vec![(vec![0.0; 4], 0)], 1),
             strategy,
             last_train_loss: 0.0,

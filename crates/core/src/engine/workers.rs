@@ -25,6 +25,12 @@
 //! thread that was not spawned for this batch. Sequential scheduler code
 //! reaches node state through the same cells, between batches.
 //!
+//! What is needed per *concurrent item* rather than per node — the engine's
+//! model instances — is a **workspace**: a batch takes one cell per worker,
+//! and worker `w` holds `spaces[w]` for the length of each chunk it claims
+//! (one uncontended lock per chunk, not per item). Which worker, and so
+//! which workspace, serves an item is timing; a job must not let it show.
+//!
 //! # Order and failure
 //!
 //! Outputs come back in item order. Chunks are contiguous item ranges and
@@ -58,7 +64,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// A posted batch, as helpers see it: claim chunks until none is left.
 trait Job: Send + Sync {
-    fn work(&self);
+    fn work(&self, worker: usize);
 }
 
 /// What helpers wait on: the posted job, if its batch is still running, and
@@ -94,13 +100,14 @@ pub fn with_workers<'job, R>(count: usize, body: impl FnOnce(&Workers<'job>) -> 
         seen: Mutex::new(Vec::new()),
     };
     std::thread::scope(|scope| {
-        for _ in 1..workers.count {
-            scope.spawn(|| workers.help());
+        let workers = &workers;
+        for worker in 1..workers.count {
+            scope.spawn(move || workers.help(worker));
         }
         // Dropped when `body` returns *or unwinds*: the scope joins the
         // helpers either way, so they must always be told to leave.
-        let _close = CloseOnDrop(&workers);
-        body(&workers)
+        let _close = CloseOnDrop(workers);
+        body(workers)
     })
 }
 
@@ -116,7 +123,8 @@ impl Drop for CloseOnDrop<'_, '_> {
 impl<'job> Workers<'job> {
     /// A helper's whole life: sleep until a job newer than the last one it
     /// served is posted, claim chunks of it until none is left, repeat.
-    fn help(&self) {
+    /// `worker` is its index in `1..count`; the caller is worker 0.
+    fn help(&self, worker: usize) {
         let mut served = 0;
         loop {
             let job = {
@@ -134,7 +142,7 @@ impl<'job> Workers<'job> {
                 board.job.clone()
             };
             if let Some(job) = job {
-                job.work();
+                job.work(worker);
             }
         }
     }
@@ -175,8 +183,9 @@ impl<'job> Workers<'job> {
     }
 
     /// Executes `f` once per `(node, item)` pair with the content of the
-    /// node's cell, on every worker that claims a chunk in time. Outputs
-    /// come back in item order; the first error in item order wins.
+    /// node's cell and the claiming worker's workspace, on every worker that
+    /// claims a chunk in time. Outputs come back in item order; the first
+    /// error in item order wins.
     ///
     /// # Errors
     ///
@@ -184,22 +193,26 @@ impl<'job> Workers<'job> {
     ///
     /// # Panics
     ///
-    /// Panics if two items name the same node or a node without a cell, and
-    /// resumes on the caller a panic raised inside `f`. The first failing
-    /// chunk in item order decides which it is: an `Err` there is returned
-    /// even if a later chunk panicked.
-    pub fn batch<C, T, P, F>(
+    /// Panics if two items name the same node or a node without a cell, if
+    /// there are fewer workspaces than workers, and resumes on the caller a
+    /// panic raised inside `f`. The first failing chunk in item order
+    /// decides which it is: an `Err` there is returned even if a later
+    /// chunk panicked.
+    pub fn batch<C, S, T, P, F>(
         &self,
         cells: &'job [Cell<C>],
+        spaces: &'job [Cell<S>],
         items: Vec<(usize, T)>,
         f: F,
     ) -> Result<Vec<P>>
     where
         C: Send + 'job,
+        S: Send + 'job,
         T: Send + 'job,
         P: Send + 'job,
-        F: Fn(usize, &mut C, T) -> Result<P> + Send + Sync + 'job,
+        F: Fn(usize, &mut C, &mut S, T) -> Result<P> + Send + Sync + 'job,
     {
+        assert!(spaces.len() >= self.count, "one workspace per worker");
         self.assert_distinct(cells.len(), &items);
         let width = items.len();
         let per_chunk = width.div_ceil(4 * self.count).max(1);
@@ -211,6 +224,7 @@ impl<'job> Workers<'job> {
         }
         let batch = Arc::new(Batch {
             cells,
+            spaces,
             f,
             chunks,
             next: AtomicUsize::new(0),
@@ -222,7 +236,7 @@ impl<'job> Workers<'job> {
         if shared {
             self.post(Arc::clone(&batch) as Arc<dyn Job + 'job>);
         }
-        batch.work();
+        batch.work(0);
         batch.wait();
         if shared {
             // Taken down at once, so what the job owns (a batch's round
@@ -250,8 +264,9 @@ enum Chunk<T, P> {
     Finished(std::thread::Result<Result<Vec<P>>>),
 }
 
-struct Batch<'job, C, T, P, F> {
+struct Batch<'job, C, S, T, P, F> {
     cells: &'job [Cell<C>],
+    spaces: &'job [Cell<S>],
     f: F,
     chunks: Vec<Mutex<Chunk<T, P>>>,
     /// The next unclaimed chunk.
@@ -260,9 +275,9 @@ struct Batch<'job, C, T, P, F> {
     drained: Condvar,
 }
 
-impl<C, T, P, F> Batch<'_, C, T, P, F>
+impl<C, S, T, P, F> Batch<'_, C, S, T, P, F>
 where
-    F: Fn(usize, &mut C, T) -> Result<P>,
+    F: Fn(usize, &mut C, &mut S, T) -> Result<P>,
 {
     /// Blocks until every chunk — whoever claimed it — has finished.
     fn wait(&self) {
@@ -275,22 +290,24 @@ where
         }
     }
 
-    fn run_chunk(&self, items: Vec<(usize, T)>) -> Result<Vec<P>> {
+    fn run_chunk(&self, worker: usize, items: Vec<(usize, T)>) -> Result<Vec<P>> {
+        let space = &mut *self.spaces[worker].lock();
         items
             .into_iter()
-            .map(|(id, item)| (self.f)(id, &mut self.cells[id].lock(), item))
+            .map(|(id, item)| (self.f)(id, &mut self.cells[id].lock(), space, item))
             .collect()
     }
 }
 
-impl<C, T, P, F> Job for Batch<'_, C, T, P, F>
+impl<C, S, T, P, F> Job for Batch<'_, C, S, T, P, F>
 where
     C: Send,
+    S: Send,
     T: Send,
     P: Send,
-    F: Fn(usize, &mut C, T) -> Result<P> + Send + Sync,
+    F: Fn(usize, &mut C, &mut S, T) -> Result<P> + Send + Sync,
 {
-    fn work(&self) {
+    fn work(&self, worker: usize) {
         loop {
             // Relaxed: the counter only hands each index out once; the
             // chunk behind it is published by its own mutex.
@@ -303,7 +320,7 @@ where
             };
             // Node state is not unwind-safe, and need not be: the payload
             // is resumed on the caller and the run ends with it.
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.run_chunk(items)));
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.run_chunk(worker, items)));
             *lock(chunk) = Chunk::Finished(outcome);
             let mut finished = lock(&self.finished);
             *finished += 1;
@@ -331,6 +348,11 @@ mod tests {
         (0..64).map(|i| Cell::new(100 * i)).collect()
     }
 
+    /// One unit workspace per worker of the widest pool the tests start.
+    fn spaces() -> Vec<Cell<()>> {
+        (0..8).map(|_| Cell::new(())).collect()
+    }
+
     /// `width` distinct ids in an order that is neither ascending nor
     /// descending (37 is coprime to 64), as a `Window` batch may arrive.
     fn scattered(width: usize) -> Vec<(usize, usize)> {
@@ -339,7 +361,7 @@ mod tests {
 
     #[test]
     fn outputs_come_back_in_item_order_and_each_item_sees_its_own_cell() {
-        let cells = cells();
+        let (cells, spaces) = (cells(), spaces());
         for threads in THREADS {
             with_workers(threads, |pool| {
                 for width in WIDTHS {
@@ -347,7 +369,7 @@ mod tests {
                         let expect: Vec<_> =
                             items.iter().map(|&(id, k)| (id, k, 100 * id)).collect();
                         let got = pool
-                            .batch(&cells, items, |id, cell, k| Ok((id, k, *cell)))
+                            .batch(&cells, &spaces, items, |id, cell, (), k| Ok((id, k, *cell)))
                             .unwrap();
                         assert_eq!(got, expect, "threads {threads}, width {width}");
                     }
@@ -356,9 +378,38 @@ mod tests {
         }
     }
 
+    /// Every item is served with a workspace, and a workspace only ever by
+    /// one thread: worker `w`'s, however the chunks were claimed.
+    #[test]
+    fn a_workspace_belongs_to_one_worker_for_the_whole_run() {
+        let cells = cells();
+        for threads in THREADS {
+            let spaces: Vec<Cell<Vec<ThreadId>>> = (0..threads).map(|_| Cell::default()).collect();
+            with_workers(threads, |pool| {
+                for _ in 0..20 {
+                    let items = (0..64).map(|k| (k, ())).collect();
+                    pool.batch(&cells, &spaces, items, |_, _, served, ()| {
+                        served.push(std::thread::current().id());
+                        Ok(())
+                    })
+                    .unwrap();
+                }
+            });
+            let served: Vec<Vec<ThreadId>> = spaces.into_iter().map(Cell::into_inner).collect();
+            assert_eq!(served.iter().map(Vec::len).sum::<usize>(), 20 * 64);
+            for by in &served {
+                assert!(by.windows(2).all(|w| w[0] == w[1]), "threads {threads}");
+            }
+            assert!(
+                !served[0].is_empty(),
+                "the caller is worker 0 and always claims"
+            );
+        }
+    }
+
     #[test]
     fn the_earlier_failing_item_wins_whatever_the_order_of_ids() {
-        let cells = cells();
+        let (cells, spaces) = (cells(), spaces());
         for threads in THREADS {
             with_workers(threads, |pool| {
                 for width in [7, 64] {
@@ -366,7 +417,7 @@ mod tests {
                     let descending: Vec<_> = ascending.iter().rev().copied().collect();
                     for (items, first) in [(ascending, 2), (descending, 5)] {
                         let err = pool
-                            .batch(&cells, items, |id, _, _| match id {
+                            .batch(&cells, &spaces, items, |id, _, (), _| match id {
                                 2 | 5 => Err(JwinsError::InvalidConfig(format!("node {id}"))),
                                 _ => Ok(()),
                             })
@@ -385,9 +436,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "batch nodes must be pairwise distinct")]
     fn a_repeated_node_is_rejected_in_a_sorted_batch() {
-        let cells = cells();
+        let (cells, spaces) = (cells(), spaces());
+        let items = vec![(1, ()), (1, ())];
         with_workers(2, |pool| {
-            pool.batch(&cells, vec![(1, ()), (1, ())], |_, _, ()| Ok(()))
+            pool.batch(&cells, &spaces, items, |_, _, (), ()| Ok(()))
         })
         .unwrap();
     }
@@ -395,9 +447,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "batch nodes must be pairwise distinct")]
     fn a_repeated_node_is_rejected_in_an_unsorted_batch() {
-        let cells = cells();
+        let (cells, spaces) = (cells(), spaces());
         let items = vec![(9, ()), (3, ()), (40, ()), (3, ())];
-        with_workers(2, |pool| pool.batch(&cells, items, |_, _, ()| Ok(()))).unwrap();
+        with_workers(2, |pool| {
+            pool.batch(&cells, &spaces, items, |_, _, (), ()| Ok(()))
+        })
+        .unwrap();
     }
 
     /// Runs `body` on its own thread and fails instead of hanging if it has
@@ -423,13 +478,13 @@ mod tests {
     #[should_panic(expected = "boom on a helper")]
     fn a_panic_on_a_helper_resumes_on_the_caller_and_never_hangs() {
         within_ten_seconds(|| {
-            let cells = cells();
+            let (cells, spaces) = (cells(), spaces());
             let caller: ThreadId = std::thread::current().id();
             let (caller_met, helper_met) = (AtomicBool::new(false), AtomicBool::new(false));
             let meet = Barrier::new(2);
             with_workers(2, |pool| {
                 let items = (0..8).map(|k| (k, ())).collect();
-                pool.batch(&cells, items, |_, _, ()| {
+                pool.batch(&cells, &spaces, items, |_, _, (), ()| {
                     let on_caller = std::thread::current().id() == caller;
                     let met = if on_caller { &caller_met } else { &helper_met };
                     if !met.swap(true, Ordering::SeqCst) {
@@ -446,11 +501,11 @@ mod tests {
     #[test]
     fn the_pool_still_serves_a_batch_after_a_caught_panic() {
         within_ten_seconds(|| {
-            let cells = cells();
+            let (cells, spaces) = (cells(), spaces());
             with_workers(2, |pool| {
                 let all = || (0..64).map(|k| (k, ())).collect::<Vec<_>>();
                 let panicked = catch_unwind(AssertUnwindSafe(|| {
-                    pool.batch(&cells, all(), |id, _, ()| {
+                    pool.batch(&cells, &spaces, all(), |id, _, (), ()| {
                         assert_ne!(id, 40, "item 40");
                         Ok(())
                     })
@@ -458,7 +513,7 @@ mod tests {
                 assert!(panicked.is_err());
                 // Helpers caught their share of it and still serve.
                 let sum: usize = pool
-                    .batch(&cells, all(), |_, cell, ()| Ok(*cell))
+                    .batch(&cells, &spaces, all(), |_, cell, (), ()| Ok(*cell))
                     .unwrap()
                     .iter()
                     .sum();

@@ -324,7 +324,9 @@ pub(crate) fn drain_mailbox(
 ) -> Drained {
     let mut expired = 0u64;
     let mut arrived = Vec::new();
-    let mut pending = Vec::with_capacity(mailbox.len());
+    // Grows with what has not arrived: a drained mailbox keeps no capacity
+    // for the backlog it just handed over.
+    let mut pending = Vec::new();
     for env in mailbox.drain(..) {
         if env.arrives <= deadline {
             if ttl.is_some_and(|t| env.age_at(age_ref) > t) {
@@ -361,6 +363,35 @@ mod tests {
         assert_eq!(env.age_at(SimTime::from_secs_f64(1.0)), SimTime::ZERO);
         assert_eq!(env.age_rounds(7), 3);
         assert_eq!(env.age_rounds(2), 0, "future rounds saturate to fresh");
+    }
+
+    /// A mailbox of 16 envelopes, the first `in_flight` of which arrive
+    /// after second 1 and the rest before it, drained at second 1.
+    fn capacity_after_drain(in_flight: usize) -> usize {
+        let mut mailbox: Vec<Envelope> = (0..16)
+            .map(|k| Envelope {
+                from: k,
+                payload: Bytes::new(),
+                sent: SimTime::ZERO,
+                arrives: SimTime::from_secs_f64(if k < in_flight { 2.0 } else { 0.5 }),
+                sent_round: 0,
+            })
+            .collect();
+        let now = SimTime::from_secs_f64(1.0);
+        let drained = drain_mailbox(&mut mailbox, now, now, None);
+        assert_eq!(drained.envelopes.len(), 16 - in_flight);
+        assert_eq!(mailbox.len(), in_flight);
+        mailbox.capacity()
+    }
+
+    #[test]
+    fn a_drained_mailbox_keeps_no_capacity_for_its_previous_backlog() {
+        assert_eq!(capacity_after_drain(0), 0);
+    }
+
+    #[test]
+    fn a_mailbox_is_sized_by_what_is_still_in_flight() {
+        assert!(capacity_after_drain(2) <= 4);
     }
 
     #[test]

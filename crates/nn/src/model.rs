@@ -62,6 +62,21 @@ impl EvalMetrics {
 /// compute methods. `loss_and_grad` must be a deterministic function of
 /// `(params, batch)` — the finite-difference checker in [`crate::gradcheck`]
 /// relies on it.
+///
+/// # An instance is a workspace, not a node
+///
+/// What [`Self::loss_and_grad`] and [`Self::evaluate`] return may depend
+/// only on the value last given to [`Self::set_params`] and on the batch —
+/// never on earlier calls, and never on which instance is asked. Anything a
+/// node must remember from one call to the next (its weights, and for a
+/// model with running statistics those too) therefore lives in its flat
+/// vector. Instances of one architecture are interchangeable, and callers
+/// rely on it: the training engine reads [`Self::params`] once from every
+/// model it is handed, keeps only as many instances as it has worker
+/// threads, and loads a node's parameters into whichever one is at hand
+/// before each use. A wrapper that counts or times calls (a decorator)
+/// keeps working unedited; its per-instance label then names a worker's
+/// workspace, not a node.
 pub trait Model: Send {
     /// One training/evaluation example.
     type Sample: Clone + Send + Sync;
