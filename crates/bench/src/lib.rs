@@ -15,7 +15,6 @@
 use jwins::config::TrainConfig;
 use jwins::engine::Trainer;
 use jwins::metrics::RunResult;
-use jwins::participation::RandomDropout;
 use jwins::strategies::{
     ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, PowerGossip, PowerGossipConfig,
     QuantizedSharing, RandomModelWalk, RandomSampling,
@@ -243,7 +242,7 @@ impl Workload {
 }
 
 /// Common experiment parameters: the engine configuration plus the choices
-/// the harness makes around it (which graph, who drops out, who listens).
+/// the harness makes around it (which graph, who listens).
 #[derive(Debug, Clone)]
 pub struct RunCfg {
     /// The engine configuration, preset by [`RunCfg::new`] to the harness
@@ -254,8 +253,6 @@ pub struct RunCfg {
     pub lr: Option<f32>,
     /// Use a per-round re-randomized topology (Figure 7).
     pub dynamic_topology: bool,
-    /// Per-round node dropout probability (extension: churn experiments).
-    pub dropout: Option<f64>,
     /// Sample the topology from a Cyclon peer-sampling service instead of a
     /// random-regular construction (extension).
     pub peer_sampling: bool,
@@ -279,7 +276,6 @@ impl RunCfg {
             train,
             lr: None,
             dynamic_topology: false,
-            dropout: None,
             peer_sampling: false,
             trace_memory: None,
         }
@@ -321,9 +317,6 @@ where
     }
     .test_set(data.test)
     .nodes(data.node_train, |node| (model(), algo.strategy(node, seed)));
-    if let Some(p) = cfg.dropout {
-        builder = builder.participation(RandomDropout::new(p, seed ^ 0xC4));
-    }
     if let Some(m) = &cfg.trace_memory {
         builder = builder.trace_sink(Box::new(m.clone()));
     }

@@ -12,7 +12,7 @@
 //!
 //! A node finishing round `r` *waits* — bounded by
 //! [`crate::config::ChannelTransportConfig::mix_wait_ms`] — until a round-`r`
-//! message from every active neighbour has arrived, then mixes and moves
+//! message from every neighbour has arrived, then mixes and moves
 //! on. A fast neighbour may already be a round ahead; its early messages
 //! are stashed and consumed when their round comes. A peer that never
 //! sends (a `PerEdge` strategy skipping an edge, or a node that stopped
@@ -32,7 +32,7 @@
 #![warn(clippy::too_many_lines)]
 
 use crate::config::{ChannelTransportConfig, TransportKind};
-use crate::engine::round::{active_neighbors, eval_due, fan_out, NodeScore, NodeState, Scoreboard};
+use crate::engine::round::{eval_due, fan_out, NodeScore, NodeState, Scoreboard};
 use crate::engine::Trainer;
 use crate::metrics::RunResult;
 use crate::{JwinsError, Result};
@@ -43,7 +43,6 @@ use jwins_topology::dynamic::RoundTopology;
 use jwins_trace::TraceEvent;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The cluster-shared round ledger. Nodes deposit as they finish a round;
@@ -59,7 +58,7 @@ struct Board {
     alpha_rows: Vec<Vec<f64>>,
 }
 
-/// The bounded stand-in for the barrier: waits until every active
+/// The bounded stand-in for the barrier: waits until every
 /// neighbour's round-`round` message is in `stash`, the run is stopping, or
 /// the wait budget is spent, then takes this round's messages out of it.
 fn gather(
@@ -113,7 +112,6 @@ where
     let Trainer {
         config,
         topology,
-        participation,
         network,
         nodes,
         models,
@@ -130,17 +128,11 @@ where
     let n = nodes.len();
     let rounds = config.rounds;
 
-    // Round contexts are resolved up front, sequentially: topology
-    // providers and participation models are not required to be `Sync`,
-    // and resolving per-thread would also re-draw dynamic topologies n
-    // times. This is the same context every other scheduler would see.
-    let contexts: Vec<(RoundTopology, Arc<Vec<bool>>)> = (0..rounds)
-        .map(|round| {
-            let topo = topology.topology(round);
-            let active: Vec<bool> = (0..n).map(|i| participation.is_active(round, i)).collect();
-            (topo, Arc::new(active))
-        })
-        .collect();
+    // Round topologies are resolved up front, sequentially: providers are
+    // not required to be `Sync`, and resolving per-thread would also re-draw
+    // dynamic topologies n times. These are the topologies every other
+    // scheduler would see.
+    let topologies: Vec<RoundTopology> = (0..rounds).map(|r| topology.topology(r)).collect();
 
     let board = parking_lot::Mutex::new(Board {
         pending: HashMap::new(),
@@ -159,63 +151,59 @@ where
         let mut model = models[i].lock();
         // Early messages from fast neighbours, waiting for their round.
         let mut stash: Vec<Envelope> = Vec::new();
-        for (round, (topo, active)) in contexts.iter().enumerate() {
+        for (round, topo) in topologies.iter().enumerate() {
             if stop.load(Ordering::SeqCst) {
                 break;
             }
             let mut mixed_now = 0u64;
             let mut staleness_now = 0.0f64;
-            if active[i] {
-                // Pull the wires before training: frames that landed while
-                // this node was mixing or evaluating get their arrival
-                // stamped now, so the measured flight latency reflects the
-                // wire, not the receiver's own busy time (the cross-check
-                // oracle models busy time as compute, not link latency).
-                stash.extend(network.drain(i, SimTime::MAX, None).envelopes);
-                let wall = Instant::now();
-                let neighbors = active_neighbors(topo, active, i);
-                let outbound = state
-                    .train_and_build(&mut model, i, params, &config, round, &neighbors, None)?;
-                let now = network.now();
-                tracer.emit(TraceEvent::Train {
+            // Pull the wires before training: frames that landed while this
+            // node was mixing or evaluating get their arrival stamped now, so
+            // the measured flight latency reflects the wire, not the
+            // receiver's own busy time (the cross-check oracle models busy
+            // time as compute, not link latency).
+            stash.extend(network.drain(i, SimTime::MAX, None).envelopes);
+            let wall = Instant::now();
+            let neighbors = topo.graph.neighbors(i);
+            let outbound =
+                state.train_and_build(&mut model, i, params, &config, round, neighbors, None)?;
+            let now = network.now();
+            tracer.emit(TraceEvent::Train {
+                t_ns: now.0,
+                node: i as u32,
+                round: round as u32,
+                compute_ns: wall.elapsed().as_nanos() as u64,
+            });
+            fan_out(outbound, neighbors, |to, msg| {
+                network.send(PendingSend {
+                    from: i,
+                    to,
+                    payload: msg.bytes,
+                    breakdown: msg.breakdown,
+                    sent: now,
+                    // The true arrival instant is the receiver's to stamp;
+                    // `arrives == sent` is the send-side view.
+                    arrives: now,
+                    sent_round: round,
+                });
+            })?;
+            let inbox = gather(&*network, &channel, &stop, &mut stash, i, round, neighbors);
+            let now = network.now();
+            for env in &inbox {
+                let staleness_s = now.since(env.sent).as_secs_f64();
+                staleness_now += staleness_s;
+                mixed_now += 1;
+                tracer.emit(TraceEvent::MsgMixed {
                     t_ns: now.0,
                     node: i as u32,
+                    from: env.from as u32,
                     round: round as u32,
-                    compute_ns: wall.elapsed().as_nanos() as u64,
+                    sent_round: env.sent_round as u32,
+                    staleness_s,
                 });
-                fan_out(outbound, &neighbors, |to, msg| {
-                    network.send(PendingSend {
-                        from: i,
-                        to,
-                        payload: msg.bytes,
-                        breakdown: msg.breakdown,
-                        sent: now,
-                        // The true arrival instant is the receiver's to
-                        // stamp; `arrives == sent` is the send-side view.
-                        arrives: now,
-                        sent_round: round,
-                    });
-                })?;
-                let inbox = gather(&*network, &channel, &stop, &mut stash, i, round, &neighbors);
-                let now = network.now();
-                for env in &inbox {
-                    let staleness_s = now.since(env.sent).as_secs_f64();
-                    staleness_now += staleness_s;
-                    mixed_now += 1;
-                    tracer.emit(TraceEvent::MsgMixed {
-                        t_ns: now.0,
-                        node: i as u32,
-                        from: env.from as u32,
-                        round: round as u32,
-                        sent_round: env.sent_round as u32,
-                        staleness_s,
-                    });
-                }
-                state.mix_lockstep(i, params, round, topo, &inbox, &config.robust)?;
             }
+            state.mix_lockstep(i, params, round, topo, &inbox, &config.robust)?;
             let evaluating = eval_due(&config, round);
-            // Inactive nodes evaluate too — same as the barrier scheduler,
-            // where every node's (possibly unchanged) model joins the mean.
             let eval = evaluating
                 .then(|| state.evaluate(&mut model, params, &test, config.eval_test_samples));
 

@@ -123,13 +123,16 @@ pub struct TrainConfig {
     /// uniform compute, instantaneous links.
     #[serde(default)]
     pub heterogeneity: HeterogeneityProfile,
-    /// Fault injection and bounded staleness for
-    /// [`ExecutionMode::EventDriven`]: a crash/recovery plan plus message
-    /// TTL/staleness caps. The default is a strict no-op — event-driven
-    /// runs reproduce their fault-free results bit-for-bit. Non-degenerate
-    /// values are rejected under [`ExecutionMode::BulkSynchronous`]; project
-    /// a fault timeline onto barrier rounds with
-    /// [`crate::participation::FaultParticipation`] instead.
+    /// Who is absent when, and how old a message may get: a crash/recovery
+    /// plan plus message TTL/staleness caps. The plan is the one description
+    /// of node churn and runs on both virtual clocks — the event scheduler
+    /// crashes a node mid-round (inbox and in-flight messages destroyed, the
+    /// node resumes its own round counter), the barrier scheduler samples
+    /// the plan at round starts (a down node skips whole rounds and is not
+    /// addressed); the channel transport has no virtual clock and rejects
+    /// it. Staleness caps need messages that arrive late, so they are
+    /// [`ExecutionMode::EventDriven`] only. The default is a strict no-op:
+    /// runs reproduce their fault-free results bit-for-bit.
     #[serde(default)]
     pub faults: FaultConfig,
     /// Evaluate every this many *virtual seconds* in event-driven runs
@@ -370,10 +373,11 @@ impl TrainConfig {
             .validate()
             .map_err(JwinsError::InvalidConfig)?;
         self.faults.validate().map_err(JwinsError::InvalidConfig)?;
-        if self.execution == ExecutionMode::BulkSynchronous && !self.faults.is_noop() {
+        if self.execution == ExecutionMode::BulkSynchronous && !self.faults.staleness.is_unbounded()
+        {
             return Err(JwinsError::InvalidConfig(
-                "fault plans and staleness caps require event-driven execution; project \
-                 the timeline onto barrier rounds with FaultParticipation instead"
+                "staleness caps act on messages that arrive late; barrier rounds deliver \
+                 everything sent, so they require event-driven execution"
                     .into(),
             ));
         }
@@ -427,6 +431,13 @@ impl TrainConfig {
                 return Err(JwinsError::InvalidConfig(
                     "eval_interval_s schedules checkpoints on the virtual clock; \
                      the channel transport has no event queue to carry them"
+                        .into(),
+                ));
+            }
+            if !self.faults.plan.is_noop() {
+                return Err(JwinsError::InvalidConfig(
+                    "a fault plan is a virtual-time schedule; the channel transport \
+                     has no virtual clock to replay it on — run it on TransportKind::Sim"
                         .into(),
                 ));
             }
@@ -553,21 +564,27 @@ mod tests {
 
     #[test]
     fn faults_require_event_driven_execution() {
+        // Plans need a virtual clock, staleness caps the event one.
         use jwins_fault::{FaultOutage, FaultPlan, StalenessPolicy};
         let faults = FaultConfig {
             plan: FaultPlan::Scripted(vec![FaultOutage::new(0, 1.0, 1.0)]),
             staleness: StalenessPolicy::default(),
         };
         let c = TrainConfig::new(3).with_faults(faults.clone());
-        assert!(c.validate().is_err(), "faults under the barrier rejected");
+        assert!(c.validate().is_ok(), "the barrier replays a plan");
         let c = TrainConfig::new(3)
             .with_event_driven(HeterogeneityProfile::default())
-            .with_faults(faults);
+            .with_faults(faults.clone());
         assert!(c.validate().is_ok());
-        // A staleness cap alone is also event-driven-only.
+        let mut c = TrainConfig::new(3).with_faults(faults);
+        c.transport = TransportKind::Channel(ChannelTransportConfig::default());
+        assert!(c.validate().is_err(), "the channel has no virtual clock");
+        // A staleness cap is event-driven-only.
         let mut c = TrainConfig::new(3);
         c.faults.staleness = StalenessPolicy::drop_after_rounds(2);
         assert!(c.validate().is_err());
+        c = c.with_event_driven(HeterogeneityProfile::default());
+        assert!(c.validate().is_ok());
         // Degenerate fault configs are fine anywhere.
         assert!(TrainConfig::new(3).validate().is_ok());
     }

@@ -6,15 +6,21 @@
 //! results do not depend on the worker count. Why this is its own scheduler
 //! over [`super::round`] and not a degenerate event schedule is answered in
 //! the [`super`] docs.
+//!
+//! The fault plan is sampled at round starts: before a round, every crash
+//! and recovery due by then is replayed in timeline order, and a node that
+//! is down sits the round out — it neither trains nor sends, nobody sends to
+//! it, and it keeps its model. An outage that begins and ends between two
+//! round starts costs no round.
 
-use super::round::{active_neighbors, eval_due, fan_out, Scoreboard, ATTACK_SALT};
+use super::round::{eval_due, fan_out, Scoreboard};
 use super::{attack_kind, Run};
 use crate::metrics::RunResult;
-use crate::{JwinsError, Result};
-use jwins_adversary::{AttackBehavior, AttackTimeline};
+use crate::Result;
+use jwins_adversary::AttackBehavior;
 use jwins_net::PendingSend;
 use jwins_nn::model::Model;
-use jwins_sim::SimTime;
+use jwins_sim::{LifecycleEvent, LifecycleTracker, SimTime};
 use jwins_trace::TraceEvent;
 
 /// Runs every configured round (or until the target accuracy is hit),
@@ -26,29 +32,57 @@ where
 {
     let (config, network, tracer) = (run.config, run.network, run.tracer);
     let n = run.cells.len();
-    let attacks = AttackTimeline::expand(&config.attack, n, config.seed ^ ATTACK_SALT)
-        .map_err(JwinsError::InvalidConfig)?;
+    // The events the event scheduler queues, replayed at round boundaries.
+    let mut faults = run.faults.events().into_iter().peekable();
+    let mut recoveries_left = vec![0usize; n];
+    for fault in faults.clone().filter(|f| !f.event.is_crash()) {
+        recoveries_left[fault.event.node()] += 1;
+    }
+    let mut lifecycle = LifecycleTracker::new(n);
     let mut alpha_history = Vec::new();
     let mut sim_time = 0.0f64;
     for round in 0..config.rounds {
         let topo = run.topology.topology(round);
-        let active: Vec<bool> = (0..n)
-            .map(|i| run.participation.is_active(round, i))
-            .collect();
-        // Attack windows are virtual-time spans; resolve them at the
-        // round's start time, sequentially. Inactive nodes skip the
-        // round entirely, keeping their last model.
+        // Fault and attack plans are virtual-time schedules; resolve them at
+        // the round's start time, sequentially.
         let t_start = SimTime::from_secs_f64(sim_time);
+        while let Some(fault) = faults.next_if(|f| f.at <= t_start) {
+            match fault.event {
+                LifecycleEvent::Crash { node } => {
+                    lifecycle.crash(node);
+                    tracer.emit(TraceEvent::NodeCrash {
+                        t_ns: t_start.0,
+                        node: node as u32,
+                        epoch: lifecycle.epoch(node),
+                        permanent: recoveries_left[node] == 0,
+                    });
+                }
+                LifecycleEvent::Recover { node } => {
+                    recoveries_left[node] -= 1;
+                    run.rejoin(&mut lifecycle, node, fault.rejoin, t_start);
+                }
+            }
+        }
+        board.tally.crashes = lifecycle.crashes();
+        board.tally.rejoins = lifecycle.recoveries();
+        // Down nodes skip the round entirely, keeping their last model.
+        let alive = lifecycle.alive_flags().to_vec();
         let batch: Vec<(usize, Option<AttackBehavior>)> = (0..n)
-            .filter(|&i| active[i])
-            .map(|i| (i, attacks.behavior_at(i, t_start)))
+            .filter(|&i| alive[i])
+            .map(|i| (i, run.attacks.behavior_at(i, t_start)))
             .collect();
         // A phase's job outlives this loop body as far as the workers can
         // tell, so it owns the round's context instead of borrowing it.
         let built = {
             let topo = topo.clone();
             run.batch(batch.clone(), move |i, model, node, params, attack| {
-                let neighbors = active_neighbors(&topo, &active, i);
+                let neighbors: Vec<usize> = topo
+                    .graph
+                    .neighbors(i)
+                    .iter()
+                    .copied()
+                    .filter(|&j| alive[j])
+                    .collect();
                 let outbound =
                     node.train_and_build(model, i, params, config, round, &neighbors, attack)?;
                 Ok((neighbors, outbound))
@@ -77,7 +111,14 @@ where
             let mut node_bytes = 0u64;
             fan_out(outbound, &neighbors, |to, msg| {
                 node_bytes += msg.bytes.len() as u64;
-                network.send(PendingSend::bulk(i, to, msg.bytes, msg.breakdown));
+                // Stamped with the round and its start, so a barrier trace
+                // runs on one monotone clock.
+                network.send(PendingSend {
+                    sent: t_start,
+                    arrives: t_start,
+                    sent_round: round,
+                    ..PendingSend::bulk(i, to, msg.bytes, msg.breakdown)
+                });
             })?;
             max_node_bytes = max_node_bytes.max(node_bytes);
         }

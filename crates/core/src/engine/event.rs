@@ -3,9 +3,9 @@
 //!
 //! Each node cycles through three events on the shared virtual clock:
 //!
-//! 1. `StartRound` — consult participation; an active node schedules
-//!    `TrainDone` after `compute_s / speed` seconds, an inactive one idles
-//!    for the same window;
+//! 1. `StartRound` — resolve the round's topology if this node is the first
+//!    to start it, and schedule `TrainDone` after `compute_s / speed`
+//!    seconds;
 //! 2. `TrainDone` — run the local half of the round program, then serialize
 //!    this round's messages over the uplink one neighbour at a time (each
 //!    arrives `latency + bytes/bandwidth` after its transmission starts) and
@@ -41,13 +41,13 @@
 //! channel) are the one non-deterministic payload;
 //! `TraceEvent::canonical` zeroes them.
 
-use super::round::{active_neighbors, eval_due, fan_out, weigh, Scoreboard, ATTACK_SALT};
-use super::{attack_kind, NodeSlot, Run};
+use super::round::{eval_due, fan_out, weigh, Scoreboard};
+use super::{attack_kind, Run};
 use crate::metrics::RunResult;
 use crate::strategy::{Outbound, ReceivedMessage};
-use crate::{JwinsError, Result};
-use jwins_adversary::{AttackBehavior, AttackTimeline};
-use jwins_fault::{CapAction, FaultTimeline, RejoinMode};
+use crate::Result;
+use jwins_adversary::AttackBehavior;
+use jwins_fault::{CapAction, RejoinMode};
 use jwins_net::{PendingSend, PurgeScope};
 use jwins_nn::model::Model;
 use jwins_sim::{
@@ -75,7 +75,6 @@ enum Ev {
     Mix {
         node: usize,
         round: usize,
-        trained: bool,
         epoch: u64,
     },
     Fault {
@@ -126,7 +125,6 @@ fn classify(ev: &Ev) -> Conflict {
 #[derive(Clone)]
 struct RoundCtx {
     topo: RoundTopology,
-    active: Arc<Vec<bool>>,
     avoided: Arc<Vec<u64>>,
 }
 
@@ -172,12 +170,12 @@ struct TrainProposal {
     saved_bytes: u64,
 }
 
-/// A live `Mix` in pop order: `(node, round, trained, epoch, fire time)`.
-type LiveMix = (usize, usize, bool, u64, SimTime);
+/// A live `Mix` in pop order: `(node, round, epoch, fire time)`.
+type LiveMix = (usize, usize, u64, SimTime);
 
-/// A proposed mix batch: the fire time of every live trained `Mix`, and
-/// the one round and topology they share (a mix class encodes its round) —
-/// `None` only when no mix in the batch trained.
+/// A proposed mix batch: the fire time of every live `Mix`, and the one
+/// round and topology they share (a mix class encodes its round) — `None`
+/// only when every mix in the batch was epoch-stale.
 struct MixBatch {
     items: Vec<(usize, SimTime)>,
     round: Option<(usize, RoundTopology)>,
@@ -221,17 +219,13 @@ pub(super) struct EventRun<'w, 'a, M: Model> {
     /// `Ordering::Window` changes the schedule, and only batch shapes.
     queue: ShardedEventQueue<Ev>,
     lifecycle: LifecycleTracker,
-    /// Per-round topology + participation cache: nodes at the same round
+    /// Per-round topology cache: nodes at the same round
     /// share one construction (dynamic topologies rebuild graph + MH weights
     /// per call — 2n calls per round without this). Entries are evicted once
     /// every node has completed the round, bounding memory by the
     /// fast/slow-node spread.
     round_ctx: HashMap<usize, RoundCtx>,
     board: Scoreboard,
-    /// Byzantine schedule, expanded once like the fault plan. A crashed node
-    /// can never inject: its TrainDone events are epoch-stale and it builds
-    /// no messages while down.
-    attacks: AttackTimeline,
     compute_time: Vec<SimTime>,
     completed: Vec<usize>,
     /// Rounds each node has passed — by mixing or by crash-abandonment. A
@@ -239,10 +233,9 @@ pub(super) struct EventRun<'w, 'a, M: Model> {
     /// every node contributes to every round's completion exactly once and
     /// `completed` still counts to `n` under churn.
     rounds_passed: Vec<usize>,
-    /// Per-(round, node) sharing fractions, filled as TrainDone/idle events
+    /// Per-(round, node) sharing fractions, filled as TrainDone events
     /// fire; only fully completed rounds are reported.
     alpha_rows: Vec<Vec<f64>>,
-    current_alpha: Vec<f64>,
     /// Queued StartRound/TrainDone/Mix events (the initial StartRounds
     /// count). Fault events scheduled far past the end of training must not
     /// keep evaluation checkpoints ticking, so EvalTick re-arms only while
@@ -265,13 +258,9 @@ where
     M: Model + Send,
     M::Sample: Send + Sync,
 {
-    pub(super) fn new(t: Run<'w, 'a, M>, board: Scoreboard) -> Result<Self> {
+    pub(super) fn new(t: Run<'w, 'a, M>, board: Scoreboard) -> Self {
         let n = t.cells.len();
         let config = t.config;
-        let fault_timeline = FaultTimeline::expand(&config.faults.plan, n, config.seed ^ 0xFA_17)
-            .map_err(JwinsError::InvalidConfig)?;
-        let attacks = AttackTimeline::expand(&config.attack, n, config.seed ^ ATTACK_SALT)
-            .map_err(JwinsError::InvalidConfig)?;
         // Cross-round messages (real heterogeneity, fault plans) are part of
         // the contract: every delivery carries its sender's round stamp, and
         // strategies with per-edge state version their handshakes by it (see
@@ -299,7 +288,7 @@ where
         // sequence number — and with it the queue's seeded tie-breaks —
         // exactly as before, preserving the bit-for-bit contract.
         let mut recoveries_scheduled = vec![0usize; n];
-        for tf in fault_timeline.events() {
+        for tf in t.faults.events() {
             let node = tf.event.node();
             let fault = Ev::Fault {
                 event: tf.event,
@@ -315,11 +304,10 @@ where
             queue.push(first, prio(RANK_EVAL, 0), 0, Ev::EvalTick);
         }
         let rounds = config.rounds;
-        Ok(Self {
+        Self {
             lifecycle: LifecycleTracker::new(n),
             round_ctx: HashMap::new(),
             board,
-            attacks,
             compute_time,
             completed: vec![0; rounds],
             rounds_passed: vec![0; n],
@@ -328,7 +316,6 @@ where
             } else {
                 Vec::new()
             },
-            current_alpha: vec![0.0; n],
             pending_work: n,
             recoveries_scheduled,
             productive_recoveries: 0,
@@ -337,7 +324,7 @@ where
             run_wall: Instant::now(),
             queue,
             t,
-        })
+        }
     }
 
     /// Pops and dispatches batches until the queue runs dry.
@@ -406,9 +393,6 @@ where
     /// `topology(round)` path, bit-for-bit as before repair existed.
     fn ctx_for(&mut self, round: usize, at: SimTime) -> &RoundCtx {
         if !self.round_ctx.contains_key(&round) {
-            let active: Vec<bool> = (0..self.t.cells.len())
-                .map(|j| self.t.participation.is_active(round, j))
-                .collect();
             let repaired = !self.t.config.repair.is_none();
             let (topo, avoided) = if repaired {
                 let live = self.live_set();
@@ -424,7 +408,6 @@ where
             });
             let ctx = RoundCtx {
                 topo,
-                active: Arc::new(active),
                 avoided: Arc::new(avoided),
             };
             self.round_ctx.insert(round, ctx);
@@ -585,22 +568,13 @@ where
             if !self.lifecycle.is_current(node, epoch) {
                 continue;
             }
-            let active = self.ctx_for(round, s.time).active[node];
+            // A round's topology is resolved (and, under repair, wired
+            // around whoever is down) when its first node starts it.
+            self.ctx_for(round, s.time);
             let end = s.time.plus(self.compute_time[node]);
             self.pending_work += 1;
-            if active {
-                let done = Ev::TrainDone { node, round, epoch };
-                self.push(end, RANK_TRAIN, node, done);
-            } else {
-                // Idle through the round window; no train, no I/O.
-                let idle = Ev::Mix {
-                    node,
-                    round,
-                    trained: false,
-                    epoch,
-                };
-                self.push(end, RANK_MIX, node, idle);
-            }
+            let done = Ev::TrainDone { node, round, epoch };
+            self.push(end, RANK_TRAIN, node, done);
         }
     }
 
@@ -645,7 +619,7 @@ where
                 round,
                 epoch,
                 at: s.time,
-                attack: self.attacks.behavior_at(node, s.time),
+                attack: self.t.attacks.behavior_at(node, s.time),
             };
             items.push((node, TrainItem { meta, ctx }));
         }
@@ -666,14 +640,14 @@ where
             items,
             move |node, model, state, params, TrainItem { meta, ctx }| {
                 let ctx = &ctxs[ctx].1;
-                let neighbors = active_neighbors(&ctx.topo, &ctx.active, node);
+                let neighbors = ctx.topo.graph.neighbors(node);
                 let outbound = state.train_and_build(
                     model,
                     node,
                     params,
                     config,
                     meta.round,
-                    &neighbors,
+                    neighbors,
                     meta.attack,
                 )?;
                 // Savings accounting: the bytes this node would have pushed
@@ -687,7 +661,7 @@ where
                 // arrives one link latency after its last byte.
                 let mut departure = meta.at;
                 let mut sends = Vec::with_capacity(neighbors.len());
-                fan_out(outbound, &neighbors, |to, msg| {
+                fan_out(outbound, neighbors, |to, msg| {
                     let link = links.link(node, to, link_seed);
                     let tx = link.serialize_secs(msg.bytes.len() as u64);
                     sends.push(PendingSend {
@@ -735,7 +709,6 @@ where
             }
             self.t.network.send_batch(proposal.sends);
             self.board.tally.bandwidth_saved_bytes += proposal.saved_bytes;
-            self.current_alpha[node] = proposal.alpha;
             if self.t.config.record_alphas {
                 self.alpha_rows[round][node] = proposal.alpha;
             }
@@ -743,7 +716,6 @@ where
             let mix = Ev::Mix {
                 node,
                 round,
-                trained: true,
                 epoch: proposal.meta.epoch,
             };
             self.push(proposal.mix_at, RANK_MIX, node, mix);
@@ -764,30 +736,22 @@ where
     }
 
     /// Propose: charge the pops, filter stale epochs, and resolve the round's
-    /// topology if any mix trained (idle ones touch nothing shared until
-    /// commit).
+    /// topology if any mix is live.
     fn propose_mix(&mut self, batch: Vec<Scheduled<Ev>>) -> (Vec<LiveMix>, MixBatch) {
         let mut live = Vec::with_capacity(batch.len());
         for s in batch {
-            let Ev::Mix {
-                node,
-                round,
-                trained,
-                epoch,
-            } = s.event
-            else {
+            let Ev::Mix { node, round, epoch } = s.event else {
                 unreachable!("batches are homogeneous by class")
             };
             self.pending_work -= 1;
             if self.lifecycle.is_current(node, epoch) {
-                live.push((node, round, trained, epoch, s.time));
+                live.push((node, round, epoch, s.time));
             }
         }
-        let trained = || live.iter().filter(|&&(_, _, trained, ..)| trained);
-        let round = trained()
-            .next()
-            .map(|&(_, round, .., at)| (round, self.ctx_for(round, at).topo.clone()));
-        let items = trained().map(|&(node, .., at)| (node, at)).collect();
+        let round = live
+            .first()
+            .map(|&(_, round, _, at)| (round, self.ctx_for(round, at).topo.clone()));
+        let items = live.iter().map(|&(node, .., at)| (node, at)).collect();
         (live, MixBatch { items, round })
     }
 
@@ -868,45 +832,39 @@ where
     /// the discard-the-rest invariant explicit.
     fn commit_mix(&mut self, live: Vec<LiveMix>, proposals: Vec<MixProposal>) -> Result<()> {
         let tracer = self.t.tracer;
-        let mut proposals = proposals.into_iter();
-        for (node, round, trained, epoch, at) in live {
-            if trained {
-                let p = proposals.next().expect("one proposal per trained mix");
-                self.t.network.record_expired(node, p.expired);
-                if p.expired > 0 {
-                    tracer.emit(TraceEvent::MsgExpire {
-                        t_ns: at.0,
-                        node: node as u32,
-                        round: round as u32,
-                        count: p.expired,
-                    });
-                }
-                // Fold per message, not per event: the same non-associative
-                // float grouping as one-at-a-time execution.
-                let tally = &mut self.board.tally;
-                for &(from, sent_round, s) in &p.staleness {
-                    tally.total_staleness_s += s;
-                    tracer.emit(TraceEvent::MsgMixed {
-                        t_ns: at.0,
-                        node: node as u32,
-                        from: from as u32,
-                        round: round as u32,
-                        sent_round: sent_round as u32,
-                        staleness_s: s,
-                    });
-                }
-                tally.mixed_messages += p.staleness.len() as u64;
-                if p.absorbed > 0.0 {
-                    tally.downweight_mass += p.absorbed;
-                }
-                let mut slot = self.t.cells[node].lock();
-                slot.state
-                    .drain_stats(node, round, at.0, tracer, &mut tally.mass_clipped);
-            } else if self.t.config.record_alphas {
-                // Idle rounds carry the node's previous fraction, mirroring
-                // the barrier scheduler's snapshot.
-                self.alpha_rows[round][node] = self.current_alpha[node];
+        for ((node, round, epoch, at), p) in live.into_iter().zip(proposals) {
+            self.t.network.record_expired(node, p.expired);
+            if p.expired > 0 {
+                tracer.emit(TraceEvent::MsgExpire {
+                    t_ns: at.0,
+                    node: node as u32,
+                    round: round as u32,
+                    count: p.expired,
+                });
             }
+            // Fold per message, not per event: the same non-associative
+            // float grouping as one-at-a-time execution.
+            let tally = &mut self.board.tally;
+            for &(from, sent_round, s) in &p.staleness {
+                tally.total_staleness_s += s;
+                tracer.emit(TraceEvent::MsgMixed {
+                    t_ns: at.0,
+                    node: node as u32,
+                    from: from as u32,
+                    round: round as u32,
+                    sent_round: sent_round as u32,
+                    staleness_s: s,
+                });
+            }
+            tally.mixed_messages += p.staleness.len() as u64;
+            if p.absorbed > 0.0 {
+                tally.downweight_mass += p.absorbed;
+            }
+            let mass_clipped = &mut tally.mass_clipped;
+            self.t.cells[node]
+                .lock()
+                .state
+                .drain_stats(node, round, at.0, tracer, mass_clipped);
             self.rounds_passed[node] = round + 1;
             if self.pass_round(round, at)? {
                 break;
@@ -1003,22 +961,8 @@ where
         if self.lifecycle.is_alive(node) {
             return;
         }
-        // Pick the re-sync donor *before* marking the node alive, so the
-        // tracker's lowest-indexed-live query cannot hand the rejoiner its
-        // own stale model.
-        let donor = if rejoin == RejoinMode::Resync {
-            self.lifecycle.first_alive()
-        } else {
-            None
-        };
-        self.lifecycle.recover(node);
+        self.t.rejoin(&mut self.lifecycle, node, rejoin, at);
         let epoch = self.lifecycle.epoch(node);
-        self.t.tracer.emit(TraceEvent::NodeRejoin {
-            t_ns: at.0,
-            node: node as u32,
-            epoch,
-            resync_from: donor.map(|d| d as u32),
-        });
         let round = self.rounds_passed[node];
         let resumes = round < self.t.config.rounds;
         if resumes {
@@ -1029,17 +973,6 @@ where
         // survive.
         let arrived = PurgeScope::ArrivedBy { node, deadline: at };
         self.kill(arrived, node, at, KillReason::RejoinArrived);
-        // Re-synced rejoin: adopt the current model of the lowest-indexed
-        // live peer (deterministic); fall back to a warm restart if fully
-        // alone.
-        if let Some(donor) = donor {
-            // `donor` was alive while `node` was not: two distinct cells.
-            let donor = self.t.cells[donor].lock();
-            let mut slot = self.t.cells[node].lock();
-            let NodeSlot { state, params } = &mut *slot;
-            crate::arena::copy_node(donor.params, params);
-            state.strategy.init(params);
-        }
         // Re-admission runs through the same repair policy: in-progress
         // rounds re-resolve with the node back in the live set (repair-added
         // detour edges drop out; their in-flight messages are invalidated).

@@ -11,22 +11,24 @@
 //! - `barrier` — **bulk-synchronous** (the paper's round structure): train,
 //!   deliver and mix phases separated by barriers, nodes in parallel inside
 //!   a phase; a round costs [`jwins_net::TimeModel::round_seconds`] of the
-//!   busiest node's bytes.
+//!   busiest node's bytes. The fault plan is sampled at round starts: a node
+//!   that is down skips the round.
 //! - `event` — **event-driven**
 //!   ([`crate::config::ExecutionMode::EventDriven`]): a virtual clock on
 //!   `jwins_sim`'s discrete-event queue. Each local round costs
 //!   `compute_s / speed` simulated seconds, messages are serialized over the
 //!   sender's uplink and arrive `latency + bytes/bandwidth` later, and a
 //!   node mixes whatever has *arrived* by its local clock — possibly stale
-//!   messages, whose age feeds the staleness policy and metric. Adds fault
-//!   replay, lifecycle epochs and topology repair.
+//!   messages, whose age feeds the staleness policy and metric. Replays the
+//!   fault plan mid-round (lifecycle epochs, destroyed messages) and adds
+//!   topology repair.
 //! - `crate::channel_driver` — **real threads**: one OS thread per node over
 //!   real channels, the wall clock, and a bounded wait in place of the
 //!   barrier.
 //!
 //! Under a degenerate heterogeneity profile (uniform compute, instantaneous
 //! links) the barrier and event schedulers produce bit-identical models and
-//! bytes. `barrier` is nevertheless kept as its own ~100-line scheduler
+//! bytes. `barrier` is nevertheless kept as its own ~150-line scheduler
 //! rather than a degenerate event schedule: the two clocks differ by design
 //! (`tests/event_driven.rs` compares "modulo time"), the repo benchmark pins
 //! the barrier clock's `sim_time_s`, and all three golden trace fixtures are
@@ -70,8 +72,7 @@
 //! phases —
 //!
 //! 1. **propose** (sequential): charge the pops, drop stale-epoch events
-//!    (see [`jwins_sim::LifecycleTracker`]), resolve per-round topology and
-//!    participation;
+//!    (see [`jwins_sim::LifecycleTracker`]), resolve per-round topology;
 //! 2. **execute** (parallel): run the expensive per-node work — τ SGD steps
 //!    and message building for `TrainDone`, mailbox drain plus mixing for
 //!    `Mix` — on the run's resident workers ([`workers`]), with every
@@ -134,17 +135,18 @@ pub mod workers;
 use crate::arena::ParamArena;
 use crate::config::{ExecutionMode, TrainConfig, TransportKind};
 use crate::metrics::RunResult;
-use crate::participation::{AlwaysOn, ParticipationModel};
 use crate::strategy::ShareStrategy;
 use crate::{JwinsError, Result};
 use event::EventRun;
-use jwins_adversary::AttackBehavior;
+use jwins_adversary::{AttackBehavior, AttackTimeline};
 use jwins_data::batch::BatchSampler;
+use jwins_fault::{FaultTimeline, RejoinMode};
 use jwins_net::{LossModel, SimNetwork, ThreadChannelTransport, Transport};
 use jwins_nn::model::Model;
+use jwins_sim::{LifecycleTracker, SimTime};
 use jwins_topology::dynamic::TopologyProvider;
 use jwins_trace::{AttackKind, TraceEvent, TraceSink, Tracer};
-use round::{NodeScore, NodeState, Scoreboard};
+use round::{NodeScore, NodeState, Scoreboard, ATTACK_SALT, FAULT_SALT};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use workers::Workers;
@@ -153,7 +155,6 @@ use workers::Workers;
 pub struct TrainerBuilder<M: Model> {
     config: TrainConfig,
     topology: Option<Box<dyn TopologyProvider>>,
-    participation: Box<dyn ParticipationModel>,
     test: Vec<M::Sample>,
     /// Every node's initial parameters, read from its model as it is added.
     arena: ParamArena,
@@ -177,15 +178,6 @@ impl<M: Model> TrainerBuilder<M> {
     #[must_use]
     pub fn topology(mut self, provider: impl TopologyProvider + 'static) -> Self {
         self.topology = Some(Box::new(provider));
-        self
-    }
-
-    /// Sets the participation model (default: every node active every
-    /// round). Inactive nodes neither train nor communicate and receive no
-    /// messages — they rejoin later with their last local model.
-    #[must_use]
-    pub fn participation(mut self, model: impl ParticipationModel + 'static) -> Self {
-        self.participation = Box::new(model);
         self
     }
 
@@ -281,8 +273,9 @@ impl<M: Model> TrainerBuilder<M> {
     /// # Errors
     ///
     /// Fails when the configuration is invalid, the topology is missing or
-    /// its node count disagrees with the number of nodes added, or the
-    /// nodes' models differ in parameter count.
+    /// its node count disagrees with the number of nodes added, the nodes'
+    /// models differ in parameter count, or the fault or attack plan names a
+    /// node outside the cluster.
     pub fn build(mut self) -> Result<Trainer<M>> {
         self.config.validate()?;
         let topology = self
@@ -306,6 +299,14 @@ impl<M: Model> TrainerBuilder<M> {
         if let Some(mismatch) = self.mismatch {
             return Err(JwinsError::InvalidConfig(mismatch));
         }
+        // Both plans are expanded here, where the cluster size is first
+        // known, so a plan naming a node outside it is a configuration error
+        // like any other; the schedulers only replay the timelines.
+        let (config, seed) = (&self.config, self.config.seed);
+        let faults = FaultTimeline::expand(&config.faults.plan, n, seed ^ FAULT_SALT)
+            .map_err(JwinsError::InvalidConfig)?;
+        let attacks = AttackTimeline::expand(&config.attack, n, seed ^ ATTACK_SALT)
+            .map_err(JwinsError::InvalidConfig)?;
         // Decided here, not as nodes arrive: `keep_distinct_init` may be
         // called after them.
         if self.sync_init {
@@ -376,7 +377,8 @@ impl<M: Model> TrainerBuilder<M> {
             network: Arc::from(network),
             test: Arc::new(self.test),
             topology,
-            participation: self.participation,
+            faults,
+            attacks,
             nodes,
             models: self.models.into_iter().map(workers::Cell::new).collect(),
             arena: self.arena,
@@ -426,7 +428,9 @@ fn node_cells<'a, M: Model>(
 struct Run<'w, 'a, M: Model> {
     config: &'a TrainConfig,
     topology: &'a dyn TopologyProvider,
-    participation: &'a dyn ParticipationModel,
+    /// The fault and attack plans as the builder expanded them.
+    faults: &'a FaultTimeline,
+    attacks: &'a AttackTimeline,
     network: &'a Arc<dyn Transport>,
     test: &'a [M::Sample],
     tracer: &'a Arc<Tracer>,
@@ -464,6 +468,33 @@ where
         )
     }
 
+    /// Replays one recovery of the fault plan at `at`: marks `node` alive
+    /// again and, on a [`RejoinMode::Resync`] rejoin, has it adopt the
+    /// current model of the lowest-indexed live peer (a warm restart if it is
+    /// fully alone). The donor is picked *before* the node is marked alive,
+    /// so the tracker cannot hand the rejoiner its own stale model.
+    fn rejoin(&self, lifecycle: &mut LifecycleTracker, node: usize, mode: RejoinMode, at: SimTime) {
+        let donor = match mode {
+            RejoinMode::Resync => lifecycle.first_alive(),
+            _ => None,
+        };
+        lifecycle.recover(node);
+        self.tracer.emit(TraceEvent::NodeRejoin {
+            t_ns: at.0,
+            node: node as u32,
+            epoch: lifecycle.epoch(node),
+            resync_from: donor.map(|d| d as u32),
+        });
+        if let Some(donor) = donor {
+            // `donor` was alive while `node` was not: two distinct cells.
+            let donor = self.cells[donor].lock();
+            let mut slot = self.cells[node].lock();
+            let NodeSlot { state, params } = &mut *slot;
+            crate::arena::copy_node(donor.params, params);
+            state.strategy.init(params);
+        }
+    }
+
     /// Evaluates all nodes on the shared test set (possibly subsampled),
     /// one [`NodeScore`] per node in node order — batch outputs, so the
     /// float merges downstream cannot depend on which worker finished first.
@@ -480,7 +511,11 @@ where
 pub struct Trainer<M: Model> {
     pub(crate) config: TrainConfig,
     pub(crate) topology: Box<dyn TopologyProvider>,
-    pub(crate) participation: Box<dyn ParticipationModel>,
+    /// [`TrainConfig::faults`]' plan, expanded for this cluster: who is down
+    /// when. The barrier and event schedulers replay it.
+    pub(crate) faults: FaultTimeline,
+    /// [`TrainConfig::attack`], expanded likewise.
+    pub(crate) attacks: AttackTimeline,
     pub(crate) network: Arc<dyn Transport>,
     pub(crate) nodes: Vec<NodeState<M>>,
     /// The model workspaces, one per worker of the parallel phases:
@@ -510,7 +545,6 @@ impl<M: Model> Trainer<M> {
         TrainerBuilder {
             config,
             topology: None,
-            participation: Box::new(AlwaysOn),
             test: Vec::new(),
             arena: ParamArena::new(),
             models: VecDeque::new(),
@@ -564,7 +598,8 @@ impl<M: Model> Trainer<M> {
             let run = Run {
                 config: &self.config,
                 topology: &*self.topology,
-                participation: &*self.participation,
+                faults: &self.faults,
+                attacks: &self.attacks,
                 network: &self.network,
                 test: &self.test,
                 tracer: &self.tracer,
@@ -574,7 +609,7 @@ impl<M: Model> Trainer<M> {
             };
             match self.config.execution {
                 ExecutionMode::BulkSynchronous => barrier::run_sync(&run, board),
-                ExecutionMode::EventDriven => EventRun::new(run, board).and_then(EventRun::run),
+                ExecutionMode::EventDriven => EventRun::new(run, board).run(),
             }
         })
     }
@@ -622,28 +657,44 @@ impl<M: Model> Trainer<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RoundRecord;
     use crate::strategies::FullSharing;
     use jwins_data::images::{cifar_like, ImageConfig};
+    use jwins_fault::{FaultOutage, FaultPlan};
     use jwins_nn::models::mlp_classifier;
     use jwins_topology::dynamic::StaticTopology;
 
-    fn tiny_trainer(rounds: usize, lr: f32) -> Trainer<jwins_nn::models::ImageClassifier> {
+    type TinyTrainer = Trainer<jwins_nn::models::ImageClassifier>;
+
+    /// Four nodes on a degree-2 graph, each a small MLP sharing by
+    /// `strategy(node)`.
+    fn four_nodes_sharing(
+        cfg: TrainConfig,
+        mut strategy: impl FnMut(usize) -> Box<dyn ShareStrategy>,
+    ) -> TrainerBuilder<jwins_nn::models::ImageClassifier> {
         let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
+        Trainer::builder(cfg)
+            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
+            .test_set(data.test)
+            .nodes(data.node_train, |node| {
+                (mlp_classifier(2 * 8 * 8, &[8], 4, 7), strategy(node))
+            })
+    }
+
+    fn four_nodes(cfg: TrainConfig) -> TrainerBuilder<jwins_nn::models::ImageClassifier> {
+        four_nodes_sharing(cfg, |_| Box::new(FullSharing::new()))
+    }
+
+    fn full_sharing(cfg: TrainConfig) -> TinyTrainer {
+        four_nodes(cfg).build().unwrap()
+    }
+
+    fn tiny_trainer(rounds: usize, lr: f32) -> TinyTrainer {
         let mut cfg = TrainConfig::quick_test();
         cfg.rounds = rounds;
         cfg.lr = lr;
         cfg.eval_every = 0;
-        Trainer::builder(cfg)
-            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
-            .test_set(data.test)
-            .nodes(data.node_train, |_| {
-                (
-                    mlp_classifier(2 * 8 * 8, &[8], 4, 7),
-                    Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
-                )
-            })
-            .build()
-            .unwrap()
+        full_sharing(cfg)
     }
 
     #[test]
@@ -681,6 +732,27 @@ mod tests {
                 panic!("mismatched models must not build");
             };
             assert!(what.contains("node 2's model"), "{what}");
+        }
+    }
+
+    #[test]
+    fn builder_rejects_plans_naming_a_node_outside_the_cluster() {
+        use jwins_adversary::{AttackPlan, AttackWindow};
+        for execution in [ExecutionMode::BulkSynchronous, ExecutionMode::EventDriven] {
+            let mut base = TrainConfig::quick_test();
+            base.execution = execution;
+            assert!(four_nodes(base.clone()).build().is_ok());
+            let mut faulty = base.clone();
+            faulty.faults.plan = FaultPlan::Scripted(vec![FaultOutage::new(99, 1.0, 1.0)]);
+            let mut attacked = base;
+            let flip = AttackWindow::forever(99, AttackBehavior::SignFlip);
+            attacked.attack = AttackPlan::Scripted(vec![flip]);
+            for (cfg, what) in [(faulty, "outage node 99"), (attacked, "attack node 99")] {
+                let Err(JwinsError::InvalidConfig(why)) = four_nodes(cfg).build() else {
+                    panic!("{what} must not build under {execution:?}");
+                };
+                assert!(why.contains(what), "{why}");
+            }
         }
     }
 
@@ -791,9 +863,7 @@ mod tests {
     /// place and returns final per-node params plus the result —
     /// `Trainer::run` consumes the trainer, so the node state would not be
     /// inspectable through it.
-    fn run_and_reclaim(
-        mut trainer: Trainer<jwins_nn::models::ImageClassifier>,
-    ) -> (Vec<Vec<f32>>, RunResult) {
+    fn run_and_reclaim(mut trainer: TinyTrainer) -> (Vec<Vec<f32>>, RunResult) {
         let result = trainer.run_scheduled().unwrap();
         let params = (0..trainer.node_count())
             .map(|i| trainer.node_params(i).to_vec())
@@ -827,22 +897,11 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         let mk = |threads: usize| {
-            let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
             let mut cfg = TrainConfig::quick_test();
             cfg.rounds = 4;
             cfg.lr = 0.1;
             cfg.threads = threads;
-            Trainer::builder(cfg)
-                .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
-                .test_set(data.test)
-                .nodes(data.node_train, |_| {
-                    (
-                        mlp_classifier(2 * 8 * 8, &[8], 4, 7),
-                        Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
-                    )
-                })
-                .build()
-                .unwrap()
+            full_sharing(cfg)
         };
         let a = mk(1).run().unwrap();
         let b = mk(4).run().unwrap();
@@ -858,43 +917,24 @@ mod tests {
         // Regression: the factory index is the engine's node id. Strategies
         // like PowerGossip orient edges by it, so 0, 2, 4, … (the old bug)
         // silently desynchronized per-edge state between endpoints.
-        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
         let mut seen = Vec::new();
-        let _ = Trainer::builder(TrainConfig::quick_test())
-            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
-            .test_set(data.test)
-            .nodes(data.node_train, |node| {
-                seen.push(node);
-                (
-                    mlp_classifier(2 * 8 * 8, &[8], 4, 7),
-                    Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
-                )
-            })
-            .build()
-            .unwrap();
+        let _ = four_nodes_sharing(TrainConfig::quick_test(), |node| {
+            seen.push(node);
+            Box::new(FullSharing::new())
+        });
         assert_eq!(seen, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn per_edge_strategy_trains_end_to_end() {
         use crate::strategies::{PowerGossip, PowerGossipConfig};
-        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
         let mut cfg = TrainConfig::quick_test();
         cfg.rounds = 15;
         cfg.lr = 0.1;
-        let trainer = Trainer::builder(cfg)
-            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
-            .test_set(data.test)
-            .nodes(data.node_train, |node| {
-                (
-                    mlp_classifier(2 * 8 * 8, &[8], 4, 7),
-                    Box::new(PowerGossip::new(PowerGossipConfig::default(), node, 42))
-                        as Box<dyn ShareStrategy>,
-                )
-            })
-            .build()
-            .unwrap();
-        let result = trainer.run().unwrap();
+        let trainer = four_nodes_sharing(cfg, |node| {
+            Box::new(PowerGossip::new(PowerGossipConfig::default(), node, 42))
+        });
+        let result = trainer.build().unwrap().run().unwrap();
         let last = result.final_record().unwrap();
         assert!(last.test_accuracy > 0.3, "accuracy {}", last.test_accuracy);
         // Per-edge rank-1 messages are far smaller than the model.
@@ -908,22 +948,11 @@ mod tests {
 
     #[test]
     fn lossy_links_still_train_broadcast_strategies() {
-        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
         let mut cfg = TrainConfig::quick_test();
         cfg.rounds = 12;
         cfg.lr = 0.1;
         cfg.message_loss = 0.2;
-        let trainer = Trainer::builder(cfg)
-            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
-            .test_set(data.test)
-            .nodes(data.node_train, |_| {
-                (
-                    mlp_classifier(2 * 8 * 8, &[8], 4, 7),
-                    Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
-                )
-            })
-            .build()
-            .unwrap();
+        let trainer = full_sharing(cfg);
         let result = trainer.run().unwrap();
         // 20% of deliveries vanish; renormalized averaging shrugs it off.
         assert!(result.total_traffic.messages_dropped > 0);
@@ -934,31 +963,39 @@ mod tests {
         assert!(result.final_record().unwrap().test_accuracy > 0.3);
     }
 
+    /// A barrier run of [`four_nodes`] under `plan`, one second per round
+    /// (so outages read in rounds), with its trace.
+    fn churned(rounds: usize, plan: FaultPlan) -> (RunResult, Vec<TraceEvent>) {
+        let mut cfg = TrainConfig::quick_test();
+        cfg.rounds = rounds;
+        cfg.lr = 0.05;
+        cfg.eval_every = 1;
+        cfg.time_model = jwins_net::TimeModel::fixed_round(1.0);
+        cfg.faults.plan = plan;
+        let sink = jwins_trace::MemorySink::new();
+        let trainer = four_nodes(cfg).trace_sink(Box::new(sink.clone()));
+        (trainer.build().unwrap().run().unwrap(), sink.events())
+    }
+
+    fn outage(node: usize, at_s: f64, down_s: f64) -> FaultPlan {
+        FaultPlan::Scripted(vec![FaultOutage::new(node, at_s, down_s)])
+    }
+
+    /// The crashes and rejoins of a trace, in order.
+    fn lifecycle(trace: &[TraceEvent]) -> Vec<TraceEvent> {
+        let kept = |e: &&TraceEvent| {
+            matches!(
+                e,
+                TraceEvent::NodeCrash { .. } | TraceEvent::NodeRejoin { .. }
+            )
+        };
+        trace.iter().filter(kept).copied().collect()
+    }
+
     #[test]
     fn scripted_outage_pauses_node_traffic() {
-        use crate::participation::{Outage, ScriptedOutages};
-        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
-        let mut cfg = TrainConfig::quick_test();
-        cfg.rounds = 6;
-        cfg.lr = 0.05;
-        let run = |outages: ScriptedOutages| {
-            Trainer::builder(cfg.clone())
-                .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
-                .participation(outages)
-                .test_set(data.test.clone())
-                .nodes(data.node_train.clone(), |_| {
-                    (
-                        mlp_classifier(2 * 8 * 8, &[8], 4, 7),
-                        Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
-                    )
-                })
-                .build()
-                .unwrap()
-                .run()
-                .unwrap()
-        };
-        let full = run(ScriptedOutages::default());
-        let churned = run(ScriptedOutages::default().with_outage(Outage::new(3, 1, 5)));
+        let (full, _) = churned(6, FaultPlan::None);
+        let (churned, _) = churned(6, outage(3, 1.0, 4.0));
         // The absent node neither sends nor receives for 4 of 6 rounds.
         assert!(
             churned.total_traffic.bytes_sent < full.total_traffic.bytes_sent,
@@ -972,54 +1009,157 @@ mod tests {
     }
 
     #[test]
+    fn barrier_outage_sits_out_exactly_its_rounds() {
+        let (full, _) = churned(40, FaultPlan::None);
+        let (result, trace) = churned(40, outage(3, 5.0, 20.0));
+        // Down over [5 s, 25 s): rounds 5–24 carry no message from or to
+        // node 3, every other round its full degree-2 fan-out and fan-in.
+        let mut touching = [0; 40];
+        for event in &trace {
+            match *event {
+                TraceEvent::MsgSend {
+                    from, to, round, ..
+                } if from == 3 || to == 3 => touching[round as usize] += 1,
+                _ => {}
+            }
+        }
+        for (round, &messages) in touching.iter().enumerate() {
+            let expected = if (5..25).contains(&round) { 0 } else { 4 };
+            assert_eq!(messages, expected, "round {round}");
+        }
+        assert_eq!(
+            full.total_traffic.messages_sent - result.total_traffic.messages_sent,
+            20 * 4
+        );
+        let last = result.final_record().unwrap();
+        assert_eq!((last.crashes, last.rejoins), (1, 1));
+        // One crash, one rejoin, stamped on the barrier clock — on which the
+        // whole trace is monotone (what `trace_report --check` asks).
+        assert!(trace.windows(2).all(|w| w[0].t_ns() <= w[1].t_ns()));
+        let crash = TraceEvent::NodeCrash {
+            t_ns: SimTime::from_secs_f64(5.0).0,
+            node: 3,
+            epoch: 1,
+            permanent: false,
+        };
+        let rejoin = TraceEvent::NodeRejoin {
+            t_ns: SimTime::from_secs_f64(25.0).0,
+            node: 3,
+            epoch: 1,
+            resync_from: None,
+        };
+        assert_eq!(lifecycle(&trace), vec![crash, rejoin]);
+    }
+
+    #[test]
+    fn barrier_permanent_crash_never_rejoins() {
+        let (result, trace) = churned(8, outage(2, 3.0, f64::INFINITY));
+        let last = result.final_record().unwrap();
+        assert_eq!((last.crashes, last.rejoins), (1, 0));
+        let crash = TraceEvent::NodeCrash {
+            t_ns: SimTime::from_secs_f64(3.0).0,
+            node: 2,
+            epoch: 1,
+            permanent: true,
+        };
+        assert_eq!(lifecycle(&trace), vec![crash]);
+    }
+
+    #[test]
+    fn barrier_outage_inside_one_round_costs_no_round() {
+        let (full, _) = churned(6, FaultPlan::None);
+        let (blip, _) = churned(6, outage(1, 2.2, 0.3));
+        assert_eq!(full.total_traffic, blip.total_traffic);
+        assert_eq!(full.records.len(), blip.records.len());
+        for (a, b) in full.records.iter().zip(&blip.records) {
+            // Both events are replayed at the start of round 3.
+            let counted = RoundRecord {
+                crashes: u64::from(b.round >= 3),
+                rejoins: u64::from(b.round >= 3),
+                ..a.clone()
+            };
+            assert_eq!(&counted, b);
+        }
+        assert_eq!(blip.final_record().unwrap().crashes, 1);
+    }
+
+    #[test]
+    fn barrier_rejoin_resyncs_from_the_lowest_live_node_or_restarts_warm() {
+        // No edges and a vanishing learning rate: every node keeps the
+        // parameters it was given, so a copy shows.
+        let run = |rejoin: RejoinMode| {
+            let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
+            let mut cfg = TrainConfig::quick_test();
+            cfg.rounds = 6;
+            cfg.lr = 1e-9;
+            cfg.time_model = jwins_net::TimeModel::fixed_round(1.0);
+            // Node 0 is still down when node 3 returns: the donor is node 1.
+            cfg.faults.plan = FaultPlan::Scripted(vec![
+                FaultOutage::new(0, 1.0, f64::INFINITY),
+                FaultOutage {
+                    rejoin,
+                    ..FaultOutage::new(3, 1.0, 2.0)
+                },
+            ]);
+            let graph = jwins_topology::Graph::from_edges(4, &[]).unwrap();
+            let trainer = Trainer::builder(cfg)
+                .topology(StaticTopology::new(graph))
+                .test_set(data.test)
+                .nodes(data.node_train, |node| {
+                    (
+                        mlp_classifier(2 * 8 * 8, &[8], 4, 7 + node as u64),
+                        Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
+                    )
+                })
+                .keep_distinct_init()
+                .build()
+                .unwrap();
+            let before: Vec<Vec<f32>> = (0..4).map(|i| trainer.node_params(i).to_vec()).collect();
+            (before, run_and_reclaim(trainer).0)
+        };
+        let close = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-6);
+        let (before, after) = run(RejoinMode::Resync);
+        assert!(!close(&before[3], &before[1]), "inits must be distinct");
+        assert!(close(&after[3], &before[1]), "adopted node 1's model");
+        let (before, after) = run(RejoinMode::Warm);
+        assert!(close(&after[3], &before[3]), "kept its own model");
+    }
+
+    #[test]
     fn sparsifying_strategy_survives_churn() {
-        use crate::participation::RandomDropout;
         use crate::strategies::{Jwins, JwinsConfig};
-        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
         let mut cfg = TrainConfig::quick_test();
         cfg.rounds = 10;
         cfg.lr = 0.05;
-        let trainer = Trainer::builder(cfg)
-            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
-            .participation(RandomDropout::new(0.4, 11))
-            .test_set(data.test)
-            .nodes(data.node_train, |node| {
-                (
-                    mlp_classifier(2 * 8 * 8, &[8], 4, 7),
-                    Box::new(Jwins::new(JwinsConfig::paper_default(), 100 + node as u64))
-                        as Box<dyn ShareStrategy>,
-                )
-            })
-            .build()
-            .unwrap();
+        cfg.time_model = jwins_net::TimeModel::fixed_round(1.0);
+        // Down 40 % of the time, one round at a stretch on average.
+        cfg.faults.plan = FaultPlan::RandomChurn {
+            mean_up_s: 1.5,
+            mean_down_s: 1.0,
+            horizon_s: 10.0,
+            rejoin: RejoinMode::Warm,
+        };
+        let trainer = four_nodes_sharing(cfg, |node| {
+            Box::new(Jwins::new(JwinsConfig::paper_default(), 100 + node as u64))
+        });
         // Protocol bookkeeping (pending rounds, accumulation resets) must
         // tolerate nodes skipping rounds entirely.
-        let result = trainer.run().unwrap();
+        let result = trainer.build().unwrap().run().unwrap();
         assert_eq!(result.rounds_run, 10);
+        assert!(result.final_record().unwrap().crashes > 0, "nobody left");
     }
 
     #[test]
     fn event_driven_degenerate_profile_matches_sync_bitwise() {
         use jwins_sim::HeterogeneityProfile;
         let build = |execution: ExecutionMode| {
-            let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
             let mut cfg = TrainConfig::quick_test();
             cfg.rounds = 8;
             cfg.lr = 0.1;
             cfg.eval_every = 2;
             cfg.execution = execution;
             cfg.heterogeneity = HeterogeneityProfile::default();
-            Trainer::builder(cfg)
-                .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
-                .test_set(data.test)
-                .nodes(data.node_train, |_| {
-                    (
-                        mlp_classifier(2 * 8 * 8, &[8], 4, 7),
-                        Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
-                    )
-                })
-                .build()
-                .unwrap()
+            full_sharing(cfg)
         };
         let sync = build(ExecutionMode::BulkSynchronous).run().unwrap();
         let event = build(ExecutionMode::EventDriven).run().unwrap();
@@ -1040,7 +1180,6 @@ mod tests {
     #[test]
     fn stragglers_slow_the_clock_and_create_staleness() {
         use jwins_sim::HeterogeneityProfile;
-        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
         let mut cfg = TrainConfig::quick_test();
         cfg.rounds = 6;
         cfg.lr = 0.1;
@@ -1050,17 +1189,7 @@ mod tests {
         // One node 4x slower over thin links: messages now spend real time
         // in flight and fast nodes mix stale models.
         cfg.heterogeneity = HeterogeneityProfile::stragglers(0.25, 4.0, 0.01, 64_000.0);
-        let trainer = Trainer::builder(cfg)
-            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
-            .test_set(data.test)
-            .nodes(data.node_train, |_| {
-                (
-                    mlp_classifier(2 * 8 * 8, &[8], 4, 7),
-                    Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
-                )
-            })
-            .build()
-            .unwrap();
+        let trainer = full_sharing(cfg);
         let result = trainer.run().unwrap();
         assert_eq!(result.rounds_run, 6);
         let last = result.final_record().unwrap();
@@ -1078,25 +1207,16 @@ mod tests {
         // to run PowerGossip under any non-degenerate profile. Now the
         // async run must complete, stay finite, and actually learn.
         let build = |heterogeneity: HeterogeneityProfile| {
-            let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
             let mut cfg = TrainConfig::quick_test();
             cfg.rounds = 15;
             cfg.lr = 0.1;
             cfg.eval_every = 1;
             cfg.execution = ExecutionMode::EventDriven;
             cfg.heterogeneity = heterogeneity;
-            Trainer::builder(cfg)
-                .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
-                .test_set(data.test)
-                .nodes(data.node_train, |node| {
-                    (
-                        mlp_classifier(2 * 8 * 8, &[8], 4, 7),
-                        Box::new(PowerGossip::new(PowerGossipConfig::default(), node, 42))
-                            as Box<dyn ShareStrategy>,
-                    )
-                })
-                .build()
-                .unwrap()
+            let trainer = four_nodes_sharing(cfg, |node| {
+                Box::new(PowerGossip::new(PowerGossipConfig::default(), node, 42))
+            });
+            trainer.build().unwrap()
         };
         let result = build(HeterogeneityProfile::stragglers(0.25, 4.0, 0.01, 1e6))
             .run()
@@ -1127,7 +1247,6 @@ mod tests {
     fn event_driven_replays_identically_and_ignores_thread_count() {
         use jwins_sim::HeterogeneityProfile;
         let run = |threads: usize| {
-            let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
             let mut cfg = TrainConfig::quick_test();
             cfg.rounds = 5;
             cfg.lr = 0.1;
@@ -1135,19 +1254,7 @@ mod tests {
             cfg.eval_every = 1;
             cfg.execution = ExecutionMode::EventDriven;
             cfg.heterogeneity = HeterogeneityProfile::stragglers(0.5, 3.0, 0.002, 1.0e6);
-            Trainer::builder(cfg)
-                .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
-                .test_set(data.test)
-                .nodes(data.node_train, |_| {
-                    (
-                        mlp_classifier(2 * 8 * 8, &[8], 4, 7),
-                        Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
-                    )
-                })
-                .build()
-                .unwrap()
-                .run()
-                .unwrap()
+            full_sharing(cfg).run().unwrap()
         };
         let a = run(1);
         let b = run(1);
@@ -1225,23 +1332,12 @@ mod tests {
 
     #[test]
     fn early_stop_on_target() {
-        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
         let mut cfg = TrainConfig::quick_test();
         cfg.rounds = 50;
         cfg.lr = 0.1;
         cfg.eval_every = 1;
         cfg.target_accuracy = Some(0.3);
-        let trainer = Trainer::builder(cfg)
-            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
-            .test_set(data.test)
-            .nodes(data.node_train, |_| {
-                (
-                    mlp_classifier(2 * 8 * 8, &[8], 4, 7),
-                    Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
-                )
-            })
-            .build()
-            .unwrap();
+        let trainer = full_sharing(cfg);
         let result = trainer.run().unwrap();
         let hit = result
             .reached_target

@@ -28,6 +28,11 @@ use std::sync::Arc;
 /// expansion, compute speeds, link jitter, queue tie-breaks and loss draws.
 pub(crate) const ATTACK_SALT: u64 = 0x4174_636B; // "Atck"
 
+/// Seed salt for fault-plan expansion. The builder expands the plan once
+/// with it, so one plan and one seed give one outage timeline whichever
+/// scheduler replays it.
+pub(crate) const FAULT_SALT: u64 = 0xFA_17;
+
 /// Per-node training state: what a node must remember between its turns,
 /// apart from its flat parameters. Those live in the trainer's
 /// [`crate::arena::ParamArena`] — one contiguous buffer indexed by node id —
@@ -40,16 +45,6 @@ pub(crate) struct NodeState<M: Model> {
     pub(crate) strategy: Box<dyn ShareStrategy>,
     pub(crate) last_train_loss: f32,
     pub(crate) last_alpha: f64,
-}
-
-/// Active neighbours of `i` this round, in sorted order.
-pub(crate) fn active_neighbors(topo: &RoundTopology, active: &[bool], i: usize) -> Vec<usize> {
-    topo.graph
-        .neighbors(i)
-        .iter()
-        .copied()
-        .filter(|&j| active[j])
-        .collect()
 }
 
 /// Whether completing `round` cluster-wide is an evaluation point.

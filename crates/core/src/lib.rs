@@ -23,7 +23,6 @@
 //! - [`cutoff::AlphaDistribution`]: the randomized communication cut-off.
 //! - [`scaling::ScoreScaling`]: per-layer adaptive importance scores (§VI
 //!   future work).
-//! - [`participation`]: node churn models (dropouts, scripted outages).
 //! - [`sparsify`]: TopK selection over importance scores.
 //! - [`average`]: renormalized partial averaging of sparse vectors.
 //! - [`engine::Trainer`]: the decentralized training engine — one per-node
@@ -34,8 +33,10 @@
 //!   on `jwins_sim`) where heterogeneous nodes mix whatever neighbour
 //!   messages have arrived by their local virtual clock, and one OS thread
 //!   per node over real channels ([`config::TransportKind::Channel`]).
-//! - [`config::TrainConfig`], [`metrics`]: experiment configuration and
-//!   round-by-round records (including mix staleness under async gossip).
+//! - [`config::TrainConfig`], [`metrics`]: experiment configuration —
+//!   including [`config::TrainConfig::faults`], the one description of which
+//!   nodes are absent when — and round-by-round records (mix staleness
+//!   under async gossip, crashes and rejoins under churn).
 //!
 //! # Example: two sparsification strategies on a toy task
 //!
@@ -76,7 +77,6 @@ pub mod crosscheck;
 pub mod cutoff;
 pub mod engine;
 pub mod metrics;
-pub mod participation;
 pub mod scaling;
 mod scratch;
 pub mod sparsify;

@@ -68,8 +68,7 @@ pub enum FaultPlan {
     Scripted(Vec<FaultOutage>),
     /// Per-node alternating up/down intervals with exponentially distributed
     /// durations, generated until `horizon_s`. Node 0 is kept always-up so
-    /// the cluster never goes fully dark (mirroring
-    /// `jwins::participation::RandomDropout`).
+    /// the cluster never goes fully dark.
     RandomChurn {
         /// Mean up-time between failures, in seconds (`> 0`).
         mean_up_s: f64,
@@ -376,14 +375,6 @@ impl FaultTimeline {
             .iter()
             .any(|iv| iv.node == node && iv.start <= t && t < iv.end)
     }
-
-    /// Whether `node` is down at any point of `[from, until)` — the
-    /// round-window query behind the barrier engine's participation bridge.
-    pub fn is_down_during(&self, node: usize, from: SimTime, until: SimTime) -> bool {
-        self.intervals
-            .iter()
-            .any(|iv| iv.node == node && iv.start < until && from < iv.end)
-    }
 }
 
 #[cfg(test)]
@@ -410,8 +401,6 @@ mod tests {
         assert_eq!(events[1].at, SimTime::from_secs_f64(1.5));
         assert!(t.is_down_at(2, SimTime::from_secs_f64(1.2)));
         assert!(!t.is_down_at(2, SimTime::from_secs_f64(1.5)), "half-open");
-        assert!(t.is_down_during(2, SimTime::ZERO, SimTime::from_secs_f64(1.1)));
-        assert!(!t.is_down_during(2, SimTime::ZERO, SimTime::from_secs_f64(1.0)));
     }
 
     #[test]

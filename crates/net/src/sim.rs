@@ -24,7 +24,7 @@ use std::collections::HashMap;
 /// Dropped messages are still metered as sent (the sender paid for the
 /// bytes) but never reach the receiver's mailbox; the drop is counted in
 /// [`TrafficStats::messages_dropped`]. Node-level churn is a different
-/// failure mode — see the engine's participation models.
+/// failure mode — see the fault plan (`jwins_fault::FaultPlan`).
 ///
 /// # Example
 ///

@@ -31,6 +31,18 @@ impl TimeModel {
         }
     }
 
+    /// Every round costs exactly `round_s` seconds whatever is sent: compute
+    /// only, over links too fast to register. Lets a virtual-time schedule
+    /// (a fault plan, an attack window) be written in rounds. The bandwidth
+    /// is the largest finite one rather than ∞, which JSON cannot carry.
+    pub fn fixed_round(round_s: f64) -> Self {
+        Self {
+            compute_s: round_s,
+            bandwidth_bps: f64::MAX,
+            latency_s: 0.0,
+        }
+    }
+
     /// Seconds one synchronous round takes when the busiest node sends
     /// `max_node_bytes` in total.
     ///
@@ -63,6 +75,15 @@ mod tests {
         };
         assert!((m.round_seconds(2000) - (1.0 + 0.5 + 2.0)).abs() < 1e-12);
         assert!((m.round_seconds(0) - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fixed_rounds_ignore_bytes_and_survive_json() {
+        let m = TimeModel::fixed_round(1.0);
+        assert_eq!(m.round_seconds(0), 1.0);
+        assert_eq!(m.round_seconds(u64::MAX), 1.0);
+        let back: TimeModel = serde::json::from_str(&serde::json::to_string(&m)).unwrap();
+        assert_eq!(back, m);
     }
 
     #[test]

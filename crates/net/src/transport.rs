@@ -95,8 +95,9 @@ pub struct PendingSend {
 }
 
 impl PendingSend {
-    /// A barrier-mode send: both stamps at [`SimTime::ZERO`] and round 0,
-    /// i.e. immediately drainable — the bulk-synchronous semantics.
+    /// An unstamped send: both stamps at [`SimTime::ZERO`] and round 0, i.e.
+    /// immediately drainable (the barrier scheduler overwrites the stamps
+    /// with its round and the round's start).
     pub fn bulk(from: usize, to: usize, payload: Bytes, breakdown: ByteBreakdown) -> Self {
         Self {
             from,

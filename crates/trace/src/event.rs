@@ -165,7 +165,7 @@ pub enum TraceEvent {
         /// Virtual compute duration (τ local steps at this node's speed).
         compute_ns: u64,
     },
-    /// A round context was resolved (topology + participation + repair).
+    /// A round context was resolved (topology + repair).
     RoundResolve {
         /// Virtual time of the resolution.
         t_ns: u64,

@@ -5,7 +5,6 @@
 use jwins::config::TrainConfig;
 use jwins::cutoff::AlphaDistribution;
 use jwins::engine::Trainer;
-use jwins::participation::{Outage, RandomDropout, ScriptedOutages};
 use jwins::scaling::ScoreScaling;
 use jwins::strategies::{
     ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, PowerGossip, PowerGossipConfig,
@@ -13,6 +12,8 @@ use jwins::strategies::{
 };
 use jwins::strategy::ShareStrategy;
 use jwins_data::images::{cifar_like, ImageConfig};
+use jwins_fault::{FaultOutage, FaultPlan, RejoinMode};
+use jwins_net::TimeModel;
 use jwins_nn::model::Model;
 use jwins_nn::models::{gn_lenet, mlp_classifier, ImageClassifier};
 use jwins_topology::dynamic::StaticTopology;
@@ -28,6 +29,15 @@ fn config(rounds: usize) -> TrainConfig {
     cfg.eval_every = 0;
     cfg.eval_test_samples = 96;
     cfg.threads = 2;
+    cfg
+}
+
+/// [`config`] under a fault plan, on one-second rounds so the plan's times
+/// read as rounds.
+fn churned(rounds: usize, plan: FaultPlan) -> TrainConfig {
+    let mut cfg = config(rounds);
+    cfg.time_model = TimeModel::fixed_round(1.0);
+    cfg.faults.plan = plan;
     cfg
 }
 
@@ -138,13 +148,18 @@ fn random_model_walk_spends_one_edge_per_round() {
 #[test]
 fn jwins_outlives_choco_under_heavy_churn() {
     // The §V claim: replica-free JWINS degrades gracefully where CHOCO's
-    // stale neighbour aggregate does not. Heavy churn, same budget.
-    let dropout = RandomDropout::new(0.5, 21);
+    // stale neighbour aggregate does not. Heavy churn (every node but node
+    // 0 down half the time, a round at a stretch on average), same budget.
+    let plan = FaultPlan::RandomChurn {
+        mean_up_s: 1.0,
+        mean_down_s: 1.0,
+        horizon_s: 40.0,
+        rejoin: RejoinMode::Warm,
+    };
     let data = cifar_like(&ImageConfig::tiny(), NODES, 2, 11);
     let run = |jwins: bool| {
-        Trainer::builder(config(40))
+        Trainer::builder(churned(40, plan.clone()))
             .topology(StaticTopology::random_regular(NODES, 2, 5).expect("feasible"))
-            .participation(dropout)
             .test_set(data.test.clone())
             .nodes(data.node_train.clone(), |node| {
                 let strategy: Box<dyn ShareStrategy> = if jwins {
@@ -175,10 +190,9 @@ fn jwins_outlives_choco_under_heavy_churn() {
 #[test]
 fn scripted_outage_node_rejoins_and_catches_up() {
     let data = cifar_like(&ImageConfig::tiny(), NODES, 2, 11);
-    let outages = ScriptedOutages::default().with_outage(Outage::new(2, 5, 25));
-    let result = Trainer::builder(config(40))
+    let outage = FaultPlan::Scripted(vec![FaultOutage::new(2, 5.0, 20.0)]);
+    let result = Trainer::builder(churned(40, outage))
         .topology(StaticTopology::random_regular(NODES, 2, 5).expect("feasible"))
-        .participation(outages)
         .test_set(data.test)
         .nodes(data.node_train, |node| {
             (

@@ -6,9 +6,12 @@
 //!    strict no-op: event-driven runs reproduce the pre-fault-engine results
 //!    **bit-for-bit**, both against a default config under real
 //!    heterogeneity and against the bulk-synchronous engine under a
-//!    degenerate profile (the `tests/event_driven.rs` contract);
+//!    degenerate profile (the `tests/event_driven.rs` contract); a no-op
+//!    plan is a no-op on the barrier scheduler too;
 //! 2. mid-round crashes kill in-flight messages, recoveries rejoin (warm or
-//!    re-synced), and the whole thing stays deterministic;
+//!    re-synced), and the whole thing stays deterministic; one plan and one
+//!    seed give one outage sequence on the barrier and the event scheduler,
+//!    and a churned barrier run is a pure function of its serialized config;
 //! 3. the staleness policy is airtight: no message older than the cap is
 //!    ever mixed (verified by a round-stamping probe strategy), TTL drops
 //!    are metered separately from link-loss drops, and down-weighting moves
@@ -24,10 +27,11 @@ use jwins::strategies::FullSharing;
 use jwins::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
 use jwins_data::images::{cifar_like, ImageConfig};
 use jwins_fault::{CapAction, FaultConfig, FaultOutage, FaultPlan, RejoinMode, StalenessPolicy};
-use jwins_net::ByteBreakdown;
+use jwins_net::{ByteBreakdown, TimeModel};
 use jwins_nn::models::mlp_classifier;
 use jwins_sim::{ComputeProfile, HeterogeneityProfile, LinkProfile};
 use jwins_topology::dynamic::StaticTopology;
+use jwins_trace::{MemorySink, TraceEvent};
 
 fn straggler_profile() -> HeterogeneityProfile {
     HeterogeneityProfile::stragglers(0.25, 4.0, 0.002, 1.0e6)
@@ -46,9 +50,14 @@ fn base_config(heterogeneity: HeterogeneityProfile, faults: FaultConfig) -> Trai
 }
 
 fn run_full_sharing(cfg: TrainConfig, nodes: usize) -> RunResult {
+    run_traced(cfg, nodes, MemorySink::new())
+}
+
+fn run_traced(cfg: TrainConfig, nodes: usize, sink: MemorySink) -> RunResult {
     let data = cifar_like(&ImageConfig::tiny(), nodes, 2, 11);
     Trainer::builder(cfg)
         .topology(StaticTopology::random_regular(nodes, 2, 13).unwrap())
+        .trace_sink(Box::new(sink))
         .test_set(data.test)
         .nodes(data.node_train, |_| {
             (
@@ -82,8 +91,9 @@ fn degenerate_faults() -> FaultConfig {
 }
 
 /// Acceptance criterion: the degenerate fault config reproduces the
-/// fault-engine-free event-driven results bit-for-bit, under real
-/// heterogeneity.
+/// fault-engine-free results bit-for-bit — on the event scheduler under real
+/// heterogeneity, and on the barrier scheduler (which replays a plan at
+/// round starts) for every plan that injects nothing, at any thread count.
 #[test]
 fn degenerate_fault_config_is_a_bitwise_noop() {
     let plain = run_full_sharing(base_config(straggler_profile(), FaultConfig::default()), 8);
@@ -93,6 +103,116 @@ fn degenerate_fault_config_is_a_bitwise_noop() {
         "profile must actually create staleness for the comparison to bite"
     );
     assert_bitwise_equal(&plain, &spelled);
+
+    let barrier = |faults: FaultConfig, threads: usize| {
+        let mut cfg = base_config(HeterogeneityProfile::default(), faults);
+        cfg.execution = ExecutionMode::BulkSynchronous;
+        cfg.threads = threads;
+        run_full_sharing(cfg, 6)
+    };
+    let plain = barrier(FaultConfig::default(), 1);
+    let nobody = FaultPlan::CorrelatedOutage {
+        fraction: 0.0,
+        at_s: 2.0,
+        down_s: 3.0,
+        rejoin: RejoinMode::Resync,
+    };
+    for threads in [1, 2] {
+        for plan in [
+            FaultPlan::None,
+            FaultPlan::Scripted(Vec::new()),
+            nobody.clone(),
+        ] {
+            let mut faults = degenerate_faults();
+            faults.plan = plan;
+            assert_bitwise_equal(&plain, &barrier(faults, threads));
+        }
+    }
+}
+
+/// A churned barrier run is a pure function of its configuration: the config
+/// survives JSON with its plan, and re-runs — at another thread count — to
+/// the same records, which count the outages.
+#[test]
+fn barrier_churn_survives_serde_and_replays() {
+    let faults = FaultConfig {
+        plan: FaultPlan::Scripted(vec![
+            FaultOutage::new(2, 1.5, 3.0),
+            FaultOutage {
+                rejoin: RejoinMode::Resync,
+                ..FaultOutage::new(4, 2.0, 2.5)
+            },
+        ]),
+        ..FaultConfig::default()
+    };
+    let mut cfg = base_config(HeterogeneityProfile::default(), faults);
+    cfg.execution = ExecutionMode::BulkSynchronous;
+    cfg.time_model = TimeModel::fixed_round(1.0);
+    cfg.threads = 1;
+    let mut back: TrainConfig = serde::json::from_str(&serde::json::to_string(&cfg)).unwrap();
+    assert_eq!(back.faults, cfg.faults);
+    assert_eq!(back.time_model, cfg.time_model);
+    back.threads = 2;
+    let first = run_full_sharing(cfg, 6);
+    assert_bitwise_equal(&first, &run_full_sharing(back, 6));
+    let last = first.final_record().unwrap();
+    assert_eq!((last.crashes, last.rejoins), (2, 2));
+}
+
+/// `(node, is_crash)` of every lifecycle event in a trace, in order.
+fn lifecycle(sink: &MemorySink) -> Vec<(u32, bool)> {
+    sink.events()
+        .iter()
+        .filter_map(|event| match *event {
+            TraceEvent::NodeCrash { node, .. } => Some((node, true)),
+            TraceEvent::NodeRejoin { node, .. } => Some((node, false)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// One plan and one seed give one outage timeline on both virtual clocks:
+/// the barrier and the event scheduler replay the same crashes and rejoins
+/// in the same order and count them alike. The *trajectories* are not
+/// expected to agree — a down barrier node skips the cluster's rounds, a
+/// down event node abandons one round and resumes its own round counter.
+#[test]
+fn one_plan_gives_one_outage_sequence_on_both_schedulers() {
+    let plans = [
+        FaultPlan::Scripted(vec![
+            FaultOutage::new(3, 2.5, 4.0),
+            FaultOutage::new(1, 4.0, 0.25),
+            FaultOutage::new(5, 6.0, f64::INFINITY),
+        ]),
+        // Every crash and recovery falls well inside the 30 one-second
+        // rounds, so neither scheduler ends before the plan does.
+        FaultPlan::RandomChurn {
+            mean_up_s: 6.0,
+            mean_down_s: 1.5,
+            horizon_s: 15.0,
+            rejoin: RejoinMode::Resync,
+        },
+    ];
+    for plan in plans {
+        let run = |execution: ExecutionMode| {
+            let faults = FaultConfig {
+                plan: plan.clone(),
+                ..FaultConfig::default()
+            };
+            let mut cfg = base_config(HeterogeneityProfile::default(), faults);
+            cfg.rounds = 30;
+            cfg.execution = execution;
+            cfg.time_model = TimeModel::fixed_round(1.0);
+            let sink = MemorySink::new();
+            let result = run_traced(cfg, 6, sink.clone());
+            let last = result.records.last().unwrap();
+            (lifecycle(&sink), last.crashes, last.rejoins)
+        };
+        let barrier = run(ExecutionMode::BulkSynchronous);
+        let event = run(ExecutionMode::EventDriven);
+        assert!(barrier.1 >= 3, "the plan must crash someone: {plan:?}");
+        assert_eq!(barrier, event, "{plan:?}");
+    }
 }
 
 /// The `tests/event_driven.rs` contract still holds through the fault
