@@ -16,13 +16,17 @@
 //! now that its per-edge state is round-versioned and async-safe): a barrier
 //! baseline run fixes a target accuracy (90% of its final accuracy); both
 //! substrates then run to that target and report simulated time, rounds and
-//! bytes at the moment it is reached, plus the async run's mean staleness.
+//! bytes at the moment it is reached, plus the async run's mean staleness —
+//! and, beside the host seconds each run took, how many windows the event
+//! scheduler executed and how wide they were (exact counts; the barrier has
+//! none).
 //!
 //! `JWINS_SMOKE=1` shrinks the round budget for the CI `bench-smoke` job.
 
 use jwins::config::ExecutionMode;
 use jwins::strategies::{ChocoConfig, JwinsConfig, PowerGossipConfig};
 use jwins_bench::{banner, fmt_bytes, run_cifar, save_csv, Algo, RunCfg, Scale};
+use jwins_metrics::{MetricsRegistry, DEFAULT_WINDOW_S};
 use jwins_sim::HeterogeneityProfile;
 
 /// 25% of nodes 4× slower; 100 Mbit/s, 5 ms links (the sync TimeModel's
@@ -45,7 +49,8 @@ fn main() {
     }
     let mut csv = String::from(
         "strategy,mode,rounds_run,final_accuracy,target_accuracy,\
-         time_to_target_s,bytes_per_node_at_target,mean_staleness_s\n",
+         time_to_target_s,bytes_per_node_at_target,mean_staleness_s,wall_s,batches,\
+         mean_batch_width\n",
     );
     let algos = [
         ("full-sharing", Algo::Full),
@@ -92,14 +97,23 @@ fn main() {
                 // round's compute is the straggler's 4× slowdown.
                 cfg.train.time_model = jwins_net::TimeModel::edge_100mbit(0.05 * 4.0);
             }
+            // The event scheduler's `ExecuteBatch` windows (the barrier
+            // emits none): how wide the straggler schedule let it execute.
+            let memory = jwins_trace::MemorySink::new();
+            cfg.trace_memory = Some(memory.clone());
+            let start = std::time::Instant::now();
             let result = run_cifar(scale, &algo, &cfg, 2);
+            let wall = start.elapsed().as_secs_f64();
+            let registry = MetricsRegistry::from_events(DEFAULT_WINDOW_S, &memory.events());
+            let (batches, mean_batch_width) = jwins_bench::batch_shape(&registry);
             let last = result.final_record().expect("at least one evaluation");
             let (time_s, bytes) = result
                 .reached_target
                 .map_or((f64::NAN, f64::NAN), |h| (h.sim_time_s, h.bytes_per_node));
             println!(
                 "  {mode_name:<14} rounds {:>4}  acc {:.3}  t_target {:>9.1}s  \
-                 bytes/node {:>10}  staleness {:>7.3}s",
+                 bytes/node {:>10}  staleness {:>7.3}s  wall {wall:>6.2}s  \
+                 batches {batches:>5}  mean width {mean_batch_width:>6.3}",
                 result.rounds_run,
                 last.test_accuracy,
                 time_s,
@@ -111,7 +125,8 @@ fn main() {
                 last.mean_staleness_s,
             );
             csv.push_str(&format!(
-                "{label},{mode_name},{},{:.6},{:.6},{:.3},{:.0},{:.4}\n",
+                "{label},{mode_name},{},{:.6},{:.6},{:.3},{:.0},{:.4},{wall:.4},{batches},\
+                 {mean_batch_width:.4}\n",
                 result.rounds_run, last.test_accuracy, target, time_s, bytes, last.mean_staleness_s,
             ));
         }

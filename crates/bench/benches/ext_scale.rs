@@ -67,7 +67,8 @@ fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// Fully-random per-node compute speeds: with probability 1 no two nodes
-/// finish a round at the same instant, so strict ordering cannot batch.
+/// finish a round at the same instant, so only the links' 2 ms of latency
+/// lets strict ordering execute two events together.
 fn random_speeds() -> HeterogeneityProfile {
     HeterogeneityProfile {
         compute: ComputeProfile::LogNormal { sigma: 0.5 },
@@ -169,7 +170,8 @@ fn main() {
     );
     let mut csv = String::from(
         "section,nodes,rounds,shards,ordering,threads,wall_s,events_per_s,peak_rss_mb,\
-         final_accuracy,propose_s,execute_s,commit_s,marginal_kib_per_node\n",
+         final_accuracy,propose_s,execute_s,commit_s,marginal_kib_per_node,batches,\
+         mean_batch_width\n",
     );
     let mut rss_per_node: Vec<(usize, f64)> = Vec::new();
     for &nodes in sizes {
@@ -192,7 +194,7 @@ fn main() {
         );
         csv.push_str(&format!(
             "scale,{nodes},{rounds},{shards},strict,0,{wall:.4},{eps:.1},{rss_mb:.1},{accuracy:.6},\
-             {propose_s:.4},{execute_s:.4},{commit_s:.4},\n"
+             {propose_s:.4},{execute_s:.4},{commit_s:.4},,,\n"
         ));
     }
     // What one more node costs: ΔVmHWM / Δnodes between the first and the
@@ -208,7 +210,7 @@ fn main() {
                 "\nmarginal peak RSS: {marginal_kib:.2} KiB per node ({n_small} → {n_big} nodes)"
             );
             csv.push_str(&format!(
-                "scale_marginal,{},{rounds},,strict,0,,,,,,,,{marginal_kib:.3}\n",
+                "scale_marginal,{},{rounds},,strict,0,,,,,,,,{marginal_kib:.3},,\n",
                 n_big - n_small
             ));
             assert!(
@@ -221,10 +223,11 @@ fn main() {
     }
 
     // ---- Part 2: ordering modes under fully-random per-node speeds.
-    // Strict cannot batch here (no two events share a timestamp); Window
-    // admits a bounded skew and refills the worker pool. The skew is a
-    // tenth of the median round time — far below anything that could move
-    // a mix deadline.
+    // No two events share a timestamp here: Strict executes together what
+    // fires within one link latency (2 ms — exact), Window within its skew
+    // (5 ms, a tenth of the median round time — deterministic, but a mix
+    // may miss a message sent less than the skew before it). The batch
+    // counts and widths printed beside the wall time are what each buys.
     let (ord_nodes, ord_rounds) = if smoke { (256, 2) } else { (2000, 4) };
     let skew = Ordering::Window {
         max_skew_ns: 5_000_000, // 5 ms against a 50 ms median compute time
@@ -234,8 +237,16 @@ fn main() {
          log-normal speeds:"
     );
     println!(
-        "{:>24} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10}",
-        "mode", "wall s", "events/s", "accuracy", "propose s", "execute s", "commit s"
+        "{:>24} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>9} {:>11}",
+        "mode",
+        "wall s",
+        "events/s",
+        "accuracy",
+        "propose s",
+        "execute s",
+        "commit s",
+        "batches",
+        "mean width"
     );
     let mut strict_result: Option<RunResult> = None;
     let mut window_result: Option<RunResult> = None;
@@ -251,10 +262,13 @@ fn main() {
         let events = event_count(ord_nodes, ord_rounds);
         let eps = events as f64 / wall;
         let accuracy = result.final_record().map_or(f64::NAN, |r| r.test_accuracy);
-        let [propose_s, execute_s, commit_s] = phase_seconds(&metrics.registry());
+        let registry = metrics.registry();
+        let [propose_s, execute_s, commit_s] = phase_seconds(&registry);
+        let (batches, mean_batch_width) = jwins_bench::batch_shape(&registry);
         println!(
             "{label:>24} {wall:>10.2} {eps:>12.0} {accuracy:>10.4} \
-             {propose_s:>10.3} {execute_s:>10.3} {commit_s:>10.3}"
+             {propose_s:>10.3} {execute_s:>10.3} {commit_s:>10.3} {batches:>9} \
+             {mean_batch_width:>11.3}"
         );
         let ord_name = if matches!(ordering, Ordering::Strict) {
             "strict"
@@ -263,7 +277,7 @@ fn main() {
         };
         csv.push_str(&format!(
             "ordering,{ord_nodes},{ord_rounds},{shards},{ord_name},8,{wall:.4},{eps:.1},,{accuracy:.6},\
-             {propose_s:.4},{execute_s:.4},{commit_s:.4},\n"
+             {propose_s:.4},{execute_s:.4},{commit_s:.4},,{batches},{mean_batch_width:.4}\n"
         ));
         match (ordering, shards) {
             (Ordering::Strict, 1) => strict_result = Some(result),

@@ -449,6 +449,15 @@ pub fn phase_seconds(metrics: &jwins_metrics::MetricsRegistry) -> [f64; 3] {
     .map(|ns| ns as f64 * 1e-9)
 }
 
+/// How many `ExecuteBatch` windows a run executed and how many events one
+/// held on average — the width the worker pool was offered. Both repeat
+/// exactly for a configuration, whatever the thread count or the host.
+pub fn batch_shape(metrics: &jwins_metrics::MetricsRegistry) -> (u64, f64) {
+    let facts = metrics.run_facts();
+    let mean_width = facts.batch_width_sum as f64 / facts.batches.max(1) as f64;
+    (facts.batches, mean_width)
+}
+
 /// Formats bytes as a human unit.
 pub fn fmt_bytes(bytes: f64) -> String {
     const GIB: f64 = 1024.0 * 1024.0 * 1024.0;

@@ -192,13 +192,15 @@ pub struct TrainConfig {
     /// shrinks the per-heap working set at large node counts.
     #[serde(default)]
     pub shards: usize,
-    /// Commit-order contract of the event loop
-    /// ([`jwins_sim::Ordering::Strict`] by default — bit-identical to the
-    /// global single-heap engine). [`jwins_sim::Ordering::Window`] lets one
-    /// execute batch span events up to `max_skew_ns` of virtual time apart,
-    /// restoring wide parallel batches under fully-random per-node speeds
-    /// at the cost of a bounded reordering (an event may miss effects
-    /// committed less than the skew before it fires). Requires
+    /// How far the event loop may execute ahead of its commits
+    /// ([`jwins_sim::Ordering::Strict`] by default: only as far as the
+    /// smallest link latency proves exact — the observable run is the
+    /// single-heap, one-event-at-a-time schedule).
+    /// [`jwins_sim::Ordering::Window`] widens that horizon to at least
+    /// `max_skew_ns` of virtual time, restoring wide parallel windows under
+    /// fully-random per-node speeds over short or jittered links at the
+    /// cost of a bounded reordering (an event may miss effects committed
+    /// less than the skew before it fires). Requires
     /// [`ExecutionMode::EventDriven`] on [`TransportKind::Sim`].
     #[serde(default)]
     pub ordering: jwins_sim::Ordering,

@@ -28,21 +28,88 @@
 //! scheduler — which is why a degenerate heterogeneity profile (with a no-op
 //! fault config) reproduces bulk-synchronous results bit-for-bit.
 //!
-//! Independent simultaneous events (same kind — same round, for mixes — on
-//! disjoint nodes) execute as one parallel batch whose side effects are
-//! buffered and committed in pop order: [`EventRun::on_train`] and
-//! [`EventRun::on_mix`] are each a propose / execute / commit triple. See
-//! the [`super`] docs for the full contract and why `threads` cannot change
-//! any result.
+//! # Execute ahead, commit in queue order
 //!
-//! Every trace emit sits in sequential propose/commit code and only *reads*
+//! The *commit* order is the queue's total order, one event at a time — the
+//! schedule a single-heap, single-thread loop would produce. What runs in
+//! parallel is the expensive, node-local half of `TrainDone` and `Mix`
+//! events, executed *ahead* of their commit inside a **window**: the queue
+//! head and every following event of the same kind that is simultaneous with
+//! it or fires strictly less than the horizon `H` after it. The network's
+//! latency is the lookahead. With `f` the head's fire time (the earliest
+//! uncommitted event) and `L` the smallest link latency, three facts make
+//! executing a window member at `τ < f + H` before the commits that precede
+//! it *exact*:
+//!
+//! (a) every send is stamped `arrives = departure + tx + latency` with
+//!     `departure ≥` its sender's fire time, so nothing an uncommitted event
+//!     will send can have arrived by `τ < f + L`; and a drain keeps
+//!     un-arrived envelopes in push order, so draining *before* those pushes
+//!     leaves the same mailbox as draining after them. A train reads no
+//!     mailbox at all.
+//! (b) a node has exactly one pending event (`StartRound → TrainDone → Mix →
+//!     …`, the next pushed when the previous commits), so a window's members
+//!     sit on pairwise-distinct nodes; and a round costs at least its
+//!     compute time, so with `H = min(L, min compute_time)` no node passes
+//!     two rounds inside a window: a train scheduled after the window was
+//!     gathered fires past its end. What a window's commits set off in
+//!     between — a train's `Mix`, a mix's `StartRound` — touches only a node
+//!     the rest of the window does not hold, and completes no round the
+//!     closing rule below did not see coming.
+//! (c) faults and `EvalTick` touch cluster state: a window never extends
+//!     past one, and they are handled with nothing executed ahead.
+//!
+//! **The closing rule.** Completing an evaluated round reads every node's
+//! parameters, so nothing may have executed past the event that completes
+//! it. While a window is gathered, the live events of each evaluated round
+//! are counted — trains as well as mixes, because a train's `Mix` can land
+//! inside the same window — and the member with which `completed[round] +
+//! count` reaches the node count is the window's last. The n-th completer
+//! of an evaluated round therefore always commits with nothing executed
+//! ahead; on a target hit the queue is cleared with `ready` empty, exactly
+//! where the one-at-a-time schedule stops.
+//!
+//! **The loop** ([`EventRun::run`]): `ready` holds executed, uncommitted
+//! proposals sorted by the queue's own `(time, rank, node)` key.
+//!
+//! ```text
+//! loop:
+//!   if ready.front() precedes queue.peek():  commit it (one event)
+//!   else pop the queue head:
+//!     StartRound       → handle inline
+//!     Fault, EvalTick  → handle (ready is empty)
+//!     TrainDone, Mix   → gather its window (same kind; simultaneous or < H
+//!                        later; stop at ready.front()'s key, at WINDOW_CAP
+//!                        events, after a closing member), execute it on the
+//!                        workers, push its proposals on the front of ready
+//! ```
+//!
+//! A commit schedules follow-ups (a train's `Mix` lands `Σtx` later, a
+//! mix's `StartRound` at the same instant). If one precedes `ready.front()`
+//! it is simply the next queue head and gets a *nested* window bounded by
+//! `ready.front()`'s key.
+//!
+//! `H` and the cap are derived, never configured. `H` is
+//! [`jwins_sim::LinkProfile::min_latency_s`] in nanoseconds — zero for
+//! instant and log-normal links, where only simultaneous events share a
+//! window — clamped to the smallest compute time.
+//! [`jwins_sim::Ordering::Window`] runs the same loop with `max(H,
+//! max_skew_ns)` under the same clamp: a member may then miss a message sent
+//! less than `max_skew_ns` before it fires, which is that mode's documented
+//! trade, and the run stays a pure function of `(seed, max_skew_ns)`.
+//! [`WINDOW_CAP`] bounds executed-but-uncommitted work (see its docs for
+//! the measurements behind the value).
+//!
+//! Every trace emit sits in sequential gather/commit code and only *reads*
 //! engine state, so tracing can never perturb RNG draws, event order or any
-//! `RoundRecord` bit. Wall-clock phase timings (the `ExecuteBatch` side
+//! `RoundRecord` bit. One `ExecuteBatch` is emitted per window, when its
+//! last member commits. Wall-clock phase timings (the `ExecuteBatch` side
 //! channel) are the one non-deterministic payload;
 //! `TraceEvent::canonical` zeroes them.
 
 use super::round::{eval_due, fan_out, weigh, Scoreboard};
 use super::{attack_kind, Run};
+use crate::config::TrainConfig;
 use crate::metrics::RunResult;
 use crate::strategy::{Outbound, ReceivedMessage};
 use crate::Result;
@@ -50,13 +117,11 @@ use jwins_adversary::AttackBehavior;
 use jwins_fault::{CapAction, RejoinMode};
 use jwins_net::{PendingSend, PurgeScope};
 use jwins_nn::model::Model;
-use jwins_sim::{
-    Conflict, LifecycleEvent, LifecycleTracker, Scheduled, ShardedEventQueue, SimTime,
-};
+use jwins_sim::{LifecycleEvent, LifecycleTracker, Scheduled, ShardedEventQueue, SimTime};
 use jwins_topology::dynamic::RoundTopology;
 use jwins_topology::repair::{dead_neighbor_counts, LiveSet};
 use jwins_trace::{BatchClass, KillReason, TraceEvent};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -84,6 +149,19 @@ enum Ev {
     EvalTick,
 }
 
+impl Ev {
+    /// The node-local work a `TrainDone` or `Mix` stands for — `(kind, node,
+    /// round, epoch)`, the two kinds that execute ahead in windows. Starts
+    /// only schedule; fault replay and checkpoints touch cluster state.
+    fn work(&self) -> Option<(BatchClass, usize, usize, u64)> {
+        match *self {
+            Ev::TrainDone { node, round, epoch } => Some((BatchClass::Train, node, round, epoch)),
+            Ev::Mix { node, round, epoch } => Some((BatchClass::Mix, node, round, epoch)),
+            Ev::StartRound { .. } | Ev::Fault { .. } | Ev::EvalTick => None,
+        }
+    }
+}
+
 const RANK_FAULT: u64 = 0;
 const RANK_TRAIN: u64 = 1;
 const RANK_MIX: u64 = 2;
@@ -94,28 +172,65 @@ fn prio(rank: u64, node: usize) -> u64 {
     (rank << 32) | node as u64
 }
 
-/// Per-node events batch with same-kind events on other nodes; fault replay
-/// and checkpoints touch cluster state and run alone. Mix classes
-/// additionally encode the *round*: a round's completion evaluates all
-/// nodes, so a mix must never share a batch (and thus an execute phase) with
-/// a mix of a different round — the n-th completer of a round is then always
-/// the last item of its batch, with every other aggregate of that round
-/// already committed and no foreign-round aggregate executed early.
-fn classify(ev: &Ev) -> Conflict {
-    match *ev {
-        Ev::StartRound { node, .. } => Conflict::Exclusive {
-            class: RANK_START,
-            node,
-        },
-        Ev::TrainDone { node, .. } => Conflict::Exclusive {
-            class: RANK_TRAIN,
-            node,
-        },
-        Ev::Mix { node, round, .. } => Conflict::Exclusive {
-            class: (RANK_MIX << 32) | round as u64,
-            node,
-        },
-        Ev::Fault { .. } | Ev::EvalTick => Conflict::Solo,
+/// An event's place in the commit order: `(fire time, prio(rank, node))`,
+/// the queue's own key up to its seeded tie-break. Two keys can only be equal
+/// for one node's live event and a stale-epoch leftover of the same kind,
+/// and a stale event does nothing but count itself out — either order gives
+/// the same run.
+type Key = (SimTime, u64);
+
+/// Most events one window pops: the bound on executed-but-uncommitted work
+/// (one `TrainProposal` of ≈ 400 B with its sends per member). Measured,
+/// not guessed, on the repo benchmark's `event_scale` (16 384 nodes, `H` =
+/// 5 ms, where the horizon alone would gather windows of 4 096 / 12 288 /
+/// 16 384): five alternating passes of five children per cap on the 2-vCPU
+/// reference host, medians, against the simultaneous-only parent commit
+/// (`wall_s` 1.297 s, `peak_rss_mb` 40.88):
+///
+/// | cap | `wall_s` | `peak_rss_mb` |
+/// |---|---|---|
+/// | 256 | 1.426 s (× 1.10: twice the dispatches) | 40.70 |
+/// | 1 024 | 1.263 s (× 0.97) | 41.04 (+ 0.4 %) |
+/// | 2 048 | 1.255 s (× 0.97) | 41.44 (+ 1.4 %) |
+/// | 4 096 | 1.162 s (× 0.90) | 42.23 (+ 3.3 %) |
+/// | none | 1.123 s (× 0.87) | 46.13 (+ 12.8 %: 12 288 proposals alive at once) |
+///
+/// 1 024 is the smallest cap that leaves `event_scale` no slower and the
+/// largest that keeps its resident set within 1 %; the wider ones buy their
+/// seconds with memory, which is that workload's scarcer metric. No window
+/// of `mlp_full_async` is wider than 8, so the cap cannot move it.
+const WINDOW_CAP: usize = 1024;
+
+/// How far execution may run ahead of commit (see the module docs). Both
+/// numbers are derived from the configuration; neither is part of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Lookahead {
+    /// `H` in nanoseconds: a window holds its head, the events simultaneous
+    /// with it, and those firing strictly less than this after it.
+    horizon_ns: u64,
+    /// Most events one window pops.
+    cap: usize,
+}
+
+impl Lookahead {
+    /// The reference schedule the lookahead is proved against: every window
+    /// is one event, executed when it is the earliest uncommitted one.
+    #[cfg(test)]
+    pub(super) const ONE_AT_A_TIME: Lookahead = Lookahead {
+        horizon_ns: 0,
+        cap: 1,
+    };
+
+    /// `H = min(max(L, window skew), min compute_time)`. `L` converts like
+    /// `arrives` does (`SimTime::from_secs_f64` is monotone and `tx ≥ 0`, so
+    /// no message beats `departure + L` nanoseconds); the clamp is fact (b).
+    fn derive(config: &TrainConfig, compute_time: &[SimTime]) -> Self {
+        let latency = SimTime::from_secs_f64(config.heterogeneity.links.min_latency_s()).0;
+        let round = compute_time.iter().map(|t| t.0).min().unwrap_or(0);
+        Self {
+            horizon_ns: latency.max(config.ordering.max_skew_ns()).min(round),
+            cap: WINDOW_CAP,
+        }
     }
 }
 
@@ -128,40 +243,35 @@ struct RoundCtx {
     avoided: Arc<Vec<u64>>,
 }
 
-/// The sequential identity of a live `TrainDone`: what commit needs back.
-#[derive(Clone, Copy)]
-struct TrainMeta {
+/// The sequential identity of a live `TrainDone` or `Mix`: what commit
+/// needs back.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Meta {
     node: usize,
     round: usize,
     epoch: u64,
-    /// This event's own fire time — the batch head's under Strict, up to
-    /// `max_skew_ns` later under Window.
+    /// This event's own fire time — up to the horizon after its window's
+    /// head.
     at: SimTime,
     /// Byzantine behavior covering this node at train-completion time
-    /// (`None` for honest nodes — the overwhelmingly common case).
+    /// (`None` for mixes and for honest nodes — the overwhelmingly common
+    /// case).
     attack: Option<AttackBehavior>,
 }
 
-// Work items and buffered proposals of the two expensive event kinds.
-// Proposals are everything an event wants to do to *shared* state; they are
-// applied at commit, in the queue's pop order.
-struct TrainItem {
-    meta: TrainMeta,
-    /// Index into the batch's [`TrainBatch::ctxs`].
-    ctx: usize,
-}
-
-/// A proposed train batch. Its events may sit in different rounds (the
-/// class ignores the round), so the batch carries each distinct round's
-/// context once and the items point into that list — nothing is cloned per
-/// item.
-struct TrainBatch {
-    items: Vec<(usize, TrainItem)>,
+/// A gathered window, ready to execute. Its members may sit in different
+/// rounds, so it carries each distinct round's context once and the items
+/// point into that list — nothing is cloned per item.
+struct Batch {
+    /// `(node, (identity, index into `ctxs`))`, in queue order.
+    items: Vec<(usize, (Meta, usize))>,
     ctxs: Vec<(usize, RoundCtx)>,
 }
 
+// Buffered proposals of the two expensive event kinds: everything an event
+// wants to do to *shared* state, applied at commit, in the queue's order.
 struct TrainProposal {
-    meta: TrainMeta,
+    meta: Meta,
     sends: Vec<PendingSend>,
     mix_at: SimTime,
     alpha: f64,
@@ -170,18 +280,8 @@ struct TrainProposal {
     saved_bytes: u64,
 }
 
-/// A live `Mix` in pop order: `(node, round, epoch, fire time)`.
-type LiveMix = (usize, usize, u64, SimTime);
-
-/// A proposed mix batch: the fire time of every live `Mix`, and the one
-/// round and topology they share (a mix class encodes its round) — `None`
-/// only when every mix in the batch was epoch-stale.
-struct MixBatch {
-    items: Vec<(usize, SimTime)>,
-    round: Option<(usize, RoundTopology)>,
-}
-
 struct MixProposal {
+    meta: Meta,
     // Per *message*, in drain order: `(from, sent_round, staleness_s)`. The
     // global accumulator folds the staleness terms one at a time at commit,
     // so the float-addition grouping is identical to processing events
@@ -191,8 +291,138 @@ struct MixProposal {
     expired: u64,
 }
 
-/// The head of a popped batch: `(fire time, node, round)`.
-type Head = (SimTime, usize, usize);
+/// An executed, uncommitted event.
+enum Ready {
+    Train(TrainProposal),
+    Mix(MixProposal),
+}
+
+impl Ready {
+    fn key(&self) -> Key {
+        match self {
+            Ready::Train(p) => (p.meta.at, prio(RANK_TRAIN, p.meta.node)),
+            Ready::Mix(p) => (p.meta.at, prio(RANK_MIX, p.meta.node)),
+        }
+    }
+}
+
+/// A window some of whose members are still in `ready`: what its one
+/// `ExecuteBatch` will report. Windows nest like a stack — a nested window's
+/// members all precede what is left of the window around it.
+struct OpenWindow {
+    class: BatchClass,
+    /// The head's node and round.
+    head: (usize, usize),
+    width: u32,
+    /// `queue.len() + ready.len()` right after the window was popped.
+    depth: u32,
+    /// Members not yet committed.
+    left: u32,
+    /// Wall-clock offsets from run start: gather began, gather ended,
+    /// execute ended.
+    walls: [Duration; 3],
+    /// Wall time of this window's own commits (nested windows keep theirs).
+    commit: Duration,
+}
+
+/// The closing rule (module docs): counts a window's live events per
+/// *evaluated* round against the nodes that have yet to complete it.
+struct Closing<'r> {
+    config: &'r TrainConfig,
+    completed: &'r [usize],
+    nodes: usize,
+    /// `(evaluated round, this window's live events of it so far)`.
+    counts: Vec<(usize, usize)>,
+}
+
+impl<'r> Closing<'r> {
+    fn new(config: &'r TrainConfig, completed: &'r [usize], nodes: usize) -> Self {
+        Self {
+            config,
+            completed,
+            nodes,
+            counts: Vec::new(),
+        }
+    }
+
+    /// Counts one live event of `round`; `true` when every node that has not
+    /// completed the round now has an event in the window, i.e. this one may
+    /// be followed by the round's evaluation and must be the last member.
+    fn closes(&mut self, round: usize) -> bool {
+        if !eval_due(self.config, round) {
+            return false;
+        }
+        let known = self.counts.iter().rposition(|&(r, _)| r == round);
+        let at = known.unwrap_or_else(|| {
+            self.counts.push((round, 0));
+            self.counts.len() - 1
+        });
+        self.counts[at].1 += 1;
+        self.completed[round] + self.counts[at].1 >= self.nodes
+    }
+}
+
+/// What [`pop_window`] took off the queue.
+struct Window {
+    class: BatchClass,
+    /// Events popped, stale ones included.
+    popped: usize,
+    /// Fire time of the last event popped.
+    last: SimTime,
+    /// The current-epoch members, in queue order.
+    live: Vec<Meta>,
+}
+
+/// Pops the window that `first` — the queue head, already popped — opens:
+/// `first` and every following event of its kind that fires with it or
+/// strictly less than the horizon after it, stopping at the first event of
+/// another kind, at `before` (the key of the earliest executed, uncommitted
+/// event), at the cap, and after a member that [`Closing::closes`] its
+/// round. Stale-epoch events are popped and dropped.
+fn pop_window(
+    queue: &mut ShardedEventQueue<Ev>,
+    first: Scheduled<Ev>,
+    lookahead: Lookahead,
+    before: Option<Key>,
+    lifecycle: &LifecycleTracker,
+    mut closing: Closing<'_>,
+) -> Window {
+    let head = first.time;
+    let (class, ..) = first.event.work().expect("a window opens on node work");
+    let follows = |next: &Scheduled<&Ev>| {
+        next.event.work().is_some_and(|(kind, ..)| kind == class)
+            && (next.time == head || next.time.0 - head.0 < lookahead.horizon_ns)
+            && before.is_none_or(|bound| (next.time, next.priority) < bound)
+    };
+    let mut window = Window {
+        class,
+        popped: 0,
+        last: head,
+        live: Vec::new(),
+    };
+    let mut next = Some(first);
+    while let Some(member) = next.take() {
+        window.popped += 1;
+        window.last = member.time;
+        let (_, node, round, epoch) = member.event.work().expect("checked by `follows`");
+        if lifecycle.is_current(node, epoch) {
+            window.live.push(Meta {
+                node,
+                round,
+                epoch,
+                at: member.time,
+                attack: None,
+            });
+            if closing.closes(round) {
+                break;
+            }
+        }
+        if window.popped < lookahead.cap && queue.peek().is_some_and(|n| follows(&n)) {
+            next = queue.pop();
+        }
+    }
+    window
+}
 
 /// The mean size of the messages a node sends this round — what one avoided
 /// dead neighbour would have cost.
@@ -209,15 +439,22 @@ fn per_message_bytes(outbound: &Outbound) -> u64 {
     }
 }
 
-/// The state of one event-driven run: queue, lifecycle, round-context cache
-/// and counters, with one handler per event class.
+/// The state of one event-driven run: queue, executed-ahead proposals,
+/// lifecycle, round-context cache and counters, with one handler per event
+/// kind.
 pub(super) struct EventRun<'w, 'a, M: Model> {
     t: Run<'w, 'a, M>,
     /// The sharded queue preserves the single-heap total order exactly
     /// (global sequence counter + seeded tie-break, min over shard heads),
-    /// so the shard count is a pure data-structure knob; only
-    /// `Ordering::Window` changes the schedule, and only batch shapes.
+    /// so the shard count is a pure data-structure knob.
     queue: ShardedEventQueue<Ev>,
+    /// Executed, uncommitted events, sorted by [`Ready::key`]: a window's
+    /// proposals go on the front (everything in a window precedes what was
+    /// ready before it) and commits take the front.
+    ready: VecDeque<Ready>,
+    /// The windows `ready` holds members of, innermost last.
+    windows: Vec<OpenWindow>,
+    lookahead: Lookahead,
     lifecycle: LifecycleTracker,
     /// Per-round topology cache: nodes at the same round
     /// share one construction (dynamic topologies rebuild graph + MH weights
@@ -239,7 +476,9 @@ pub(super) struct EventRun<'w, 'a, M: Model> {
     /// Queued StartRound/TrainDone/Mix events (the initial StartRounds
     /// count). Fault events scheduled far past the end of training must not
     /// keep evaluation checkpoints ticking, so EvalTick re-arms only while
-    /// training events remain — not while the queue is non-empty.
+    /// training events remain — not while the queue is non-empty. Only read
+    /// with `ready` empty, where executed-ahead pops have all been matched
+    /// by their commits' pushes.
     pending_work: usize,
     /// Scheduled recoveries per node, and how many of the currently-down
     /// nodes will resume actual training when they fire: a down node with
@@ -248,7 +487,10 @@ pub(super) struct EventRun<'w, 'a, M: Model> {
     /// drained its queue.
     recoveries_scheduled: Vec<usize>,
     productive_recoveries: usize,
+    /// Fire time of the latest event taken off the queue.
     last_time: SimTime,
+    /// Most events pending at once in the one-at-a-time schedule: queued
+    /// plus executed-ahead.
     queue_hwm: u32,
     run_wall: Instant,
 }
@@ -258,7 +500,9 @@ where
     M: Model + Send,
     M::Sample: Send + Sync,
 {
-    pub(super) fn new(t: Run<'w, 'a, M>, board: Scoreboard) -> Self {
+    /// `lookahead` is `None` outside tests: the horizon and the cap are
+    /// derived here from the link profile and the compute times.
+    pub(super) fn new(t: Run<'w, 'a, M>, board: Scoreboard, lookahead: Option<Lookahead>) -> Self {
         let n = t.cells.len();
         let config = t.config;
         // Cross-round messages (real heterogeneity, fault plans) are part of
@@ -266,7 +510,7 @@ where
         // strategies with per-edge state version their handshakes by it (see
         // the edge-state versioning contract on `ShareStrategy`), so no
         // strategy needs to be refused here.
-        let compute_time = config
+        let compute_time: Vec<SimTime> = config
             .heterogeneity
             .compute
             .speeds(n, config.seed ^ 0xC0_FFEE)
@@ -305,6 +549,9 @@ where
         }
         let rounds = config.rounds;
         Self {
+            ready: VecDeque::new(),
+            windows: Vec::new(),
+            lookahead: lookahead.unwrap_or_else(|| Lookahead::derive(config, &compute_time)),
             lifecycle: LifecycleTracker::new(n),
             round_ctx: HashMap::new(),
             board,
@@ -320,40 +567,81 @@ where
             recoveries_scheduled,
             productive_recoveries: 0,
             last_time: SimTime::ZERO,
-            queue_hwm: queue.len() as u32,
+            queue_hwm: 0,
             run_wall: Instant::now(),
             queue,
             t,
         }
     }
 
-    /// Pops and dispatches batches until the queue runs dry.
+    /// Whether the earliest executed-ahead event is the next to commit —
+    /// it precedes everything still queued.
+    fn ready_is_next(&self) -> bool {
+        let Some(ready) = self.ready.front().map(Ready::key) else {
+            return false;
+        };
+        self.queue
+            .peek()
+            .is_none_or(|head| ready <= (head.time, head.priority))
+    }
+
+    /// Folds the pending-event count — queued plus executed-ahead, the queue
+    /// depth of the one-at-a-time schedule — into the run's high-water mark.
+    /// Called before every event leaves that set.
+    fn note_depth(&mut self) {
+        let pending = self.queue.len() + self.ready.len();
+        self.queue_hwm = self.queue_hwm.max(pending as u32);
+    }
+
+    /// The loop of the module docs: commit what was executed ahead while it
+    /// is next in the queue's order, otherwise take the queue head, until
+    /// both run dry.
     pub(super) fn run(mut self) -> Result<RunResult> {
         loop {
-            let batch = self.queue.pop_independent_batch(classify);
-            let (Some(first), Some(last)) = (batch.first(), batch.last()) else {
+            if self.ready_is_next() {
+                self.commit_ready()?;
+                continue;
+            }
+            self.note_depth();
+            let Some(head) = self.queue.pop() else {
                 break;
             };
-            // Reconstruct the pre-pop depth: the popped batch was still
-            // queued when this iteration began.
-            self.queue_hwm = self.queue_hwm.max((self.queue.len() + batch.len()) as u32);
-            let (time, head) = (first.time, first.event);
-            // Under `Ordering::Window` a batch spans fire times; the run's
-            // last event time is the batch tail's (equal to the head's under
-            // Strict, where batches are simultaneous).
-            self.last_time = last.time;
-            match head {
-                Ev::StartRound { .. } => self.on_start(batch),
-                Ev::TrainDone { node, round, .. } => self.on_train(batch, (time, node, round))?,
-                Ev::Mix { node, round, .. } => self.on_mix(batch, (time, node, round))?,
-                Ev::Fault { event, rejoin } => match event {
-                    LifecycleEvent::Crash { node } => self.on_crash(node, time)?,
-                    LifecycleEvent::Recover { node } => self.on_recover(node, rejoin, time),
-                },
-                Ev::EvalTick => self.on_eval_tick(time)?,
-            }
+            self.last_time = self.last_time.max(head.time);
+            self.on_head(head)?;
         }
         self.finish()
+    }
+
+    /// Fact (c) and the closing rule, checked where they matter: whoever
+    /// reads or rewires cluster state — a fault, a checkpoint, an evaluation
+    /// — does so with every executed event committed.
+    fn assert_nothing_ahead(&self) {
+        assert!(
+            self.ready.is_empty(),
+            "an event was executed past one that touches cluster state"
+        );
+    }
+
+    /// Handles the queue head: a start inline, cluster-state events alone,
+    /// node work by opening its window.
+    fn on_head(&mut self, head: Scheduled<Ev>) -> Result<()> {
+        let time = head.time;
+        match head.event {
+            Ev::StartRound { node, round, epoch } => self.on_start(node, round, epoch, time),
+            Ev::TrainDone { .. } | Ev::Mix { .. } => self.open_window(head)?,
+            Ev::Fault { event, rejoin } => {
+                self.assert_nothing_ahead();
+                match event {
+                    LifecycleEvent::Crash { node } => self.on_crash(node, time)?,
+                    LifecycleEvent::Recover { node } => self.on_recover(node, rejoin, time),
+                }
+            }
+            Ev::EvalTick => {
+                self.assert_nothing_ahead();
+                self.on_eval_tick(time)?;
+            }
+        }
+        Ok(())
     }
 
     fn push(&mut self, at: SimTime, rank: u64, node: usize, event: Ev) {
@@ -491,6 +779,9 @@ where
 
     /// Evaluates every node and records the point; `true` on target hit.
     fn score(&mut self, round: usize, at: SimTime, checkpoint: bool) -> Result<bool> {
+        // An evaluation reads every node's parameters: none of them may
+        // belong to an event still to come.
+        self.assert_nothing_ahead();
         let scores = self.t.evaluate()?;
         self.board.tally.crashes = self.lifecycle.crashes();
         self.board.tally.rejoins = self.lifecycle.recoveries();
@@ -500,12 +791,11 @@ where
     }
 
     /// Round-completion bookkeeping, entered when a node *passes* a round
-    /// (its Mix fired, or a crash abandoned its round in progress): the last
-    /// of the `n` passes triggers the round's evaluation point and, on
-    /// target hit, the early stop. Returns `true` when the run just stopped
-    /// — the caller must commit nothing further from the current batch,
-    /// mirroring how the sequential schedule leaves simultaneous events to
-    /// die in the cleared queue.
+    /// (its Mix committed, or a crash abandoned its round in progress): the
+    /// last of the `n` passes triggers the round's evaluation point and, on
+    /// target hit, the early stop. Returns `true` when the run just stopped:
+    /// the queue is cleared, and the closing rule has kept `ready` empty, so
+    /// later events die unexecuted exactly as in the one-at-a-time schedule.
     fn pass_round(&mut self, round: usize, at: SimTime) -> Result<bool> {
         self.completed[round] += 1;
         if self.completed[round] < self.t.cells.len() {
@@ -525,105 +815,132 @@ where
         Ok(stop)
     }
 
-    /// Reports one executed batch and its wall-clock phase split (`walls`:
-    /// start, end of propose, end of execute; commit ends now). Train
-    /// batches may span rounds (the class ignores the round) and report the
-    /// head's; mix batches are single-round by construction. The shard id is
-    /// the head node's.
-    fn emit_batch(
-        &self,
-        class: BatchClass,
-        head: Head,
-        width: u32,
-        depth: u32,
-        walls: [Duration; 3],
-    ) {
-        if width == 0 {
-            return;
-        }
-        let (time, node, round) = head;
-        let [start, proposed, executed] = walls;
+    /// Reports one window — its wall-clock phase split included — when its
+    /// last member has committed, stamped with that member's fire time `at`
+    /// so the trace stays monotone in virtual time across nested windows.
+    /// The round and the shard are the head's.
+    fn emit_batch(&self, window: &OpenWindow, at: SimTime) {
+        let (node, round) = window.head;
+        let [start, gathered, executed] = window.walls;
         self.t.tracer.emit(TraceEvent::ExecuteBatch {
-            t_ns: time.0,
-            class,
+            t_ns: at.0,
+            class: window.class,
             round: round as u32,
-            width,
-            queue_depth: depth,
+            width: window.width,
+            queue_depth: window.depth,
             shard: self.queue.shard_of(node) as u32,
             wall_start_ns: start.as_nanos() as u64,
-            propose_ns: (proposed - start).as_nanos() as u64,
-            execute_ns: (executed - proposed).as_nanos() as u64,
-            commit_ns: (self.run_wall.elapsed() - executed).as_nanos() as u64,
+            propose_ns: (gathered - start).as_nanos() as u64,
+            execute_ns: (executed - gathered).as_nanos() as u64,
+            commit_ns: window.commit.as_nanos() as u64,
         });
     }
 
-    /// `StartRound`: pure scheduling — no compute worth parallelizing;
-    /// processed in pop order like a one-at-a-time loop.
-    fn on_start(&mut self, batch: Vec<Scheduled<Ev>>) {
-        for s in batch {
-            let Ev::StartRound { node, round, epoch } = s.event else {
-                unreachable!("batches are homogeneous by class")
-            };
-            self.pending_work -= 1;
-            if !self.lifecycle.is_current(node, epoch) {
-                continue;
-            }
-            // A round's topology is resolved (and, under repair, wired
-            // around whoever is down) when its first node starts it.
-            self.ctx_for(round, s.time);
-            let end = s.time.plus(self.compute_time[node]);
-            self.pending_work += 1;
-            let done = Ev::TrainDone { node, round, epoch };
-            self.push(end, RANK_TRAIN, node, done);
+    /// `StartRound`: pure scheduling — nothing worth executing ahead.
+    fn on_start(&mut self, node: usize, round: usize, epoch: u64, at: SimTime) {
+        self.pending_work -= 1;
+        if !self.lifecycle.is_current(node, epoch) {
+            return;
         }
+        // A round's topology is resolved (and, under repair, wired around
+        // whoever is down) when its first node starts it.
+        self.ctx_for(round, at);
+        let end = at.plus(self.compute_time[node]);
+        self.pending_work += 1;
+        let done = Ev::TrainDone { node, round, epoch };
+        self.push(end, RANK_TRAIN, node, done);
     }
 
-    fn on_train(&mut self, batch: Vec<Scheduled<Ev>>, head: Head) -> Result<()> {
+    /// Gathers the window `first` opens, executes it on the workers and
+    /// queues its proposals for commit. Gathering is sequential: it charges
+    /// the pops, drops stale epochs and resolves round contexts (the cache
+    /// is only touched from sequential code).
+    fn open_window(&mut self, first: Scheduled<Ev>) -> Result<()> {
         let start = self.run_wall.elapsed();
-        let items = self.propose_train(batch);
-        let (width, depth) = (items.items.len() as u32, self.queue.len() as u32);
-        let proposed = self.run_wall.elapsed();
-        let proposals = self.execute_train(items)?;
-        let executed = self.run_wall.elapsed();
-        self.commit_train(proposals);
-        let walls = [start, proposed, executed];
-        self.emit_batch(BatchClass::Train, head, width, depth, walls);
-        Ok(())
-    }
-
-    /// Propose: charge the pops, filter stale epochs, and resolve round
-    /// contexts up front (the cache is only touched here, sequentially).
-    fn propose_train(&mut self, batch: Vec<Scheduled<Ev>>) -> TrainBatch {
-        let mut items = Vec::with_capacity(batch.len());
+        let closing = Closing::new(self.t.config, &self.completed, self.t.cells.len());
+        let before = self.ready.front().map(Ready::key);
+        let window = pop_window(
+            &mut self.queue,
+            first,
+            self.lookahead,
+            before,
+            &self.lifecycle,
+            closing,
+        );
+        self.pending_work -= window.popped;
+        self.last_time = self.last_time.max(window.last);
+        let Some(&Meta { node, round, .. }) = window.live.first() else {
+            return Ok(());
+        };
+        let train = window.class == BatchClass::Train;
+        let mut items = Vec::with_capacity(window.live.len());
         let mut ctxs: Vec<(usize, RoundCtx)> = Vec::new();
-        for s in batch {
-            let Ev::TrainDone { node, round, epoch } = s.event else {
-                unreachable!("batches are homogeneous by class")
-            };
-            self.pending_work -= 1;
-            if !self.lifecycle.is_current(node, epoch) {
-                continue;
-            }
+        for mut meta in window.live {
             // Neighbouring events almost always share a round: look from
             // the back, resolve (and clone the context's `Arc`s) once per
             // distinct round.
-            let ctx = match ctxs.iter().rposition(|&(r, _)| r == round) {
+            let ctx = match ctxs.iter().rposition(|&(r, _)| r == meta.round) {
                 Some(known) => known,
                 None => {
-                    ctxs.push((round, self.ctx_for(round, s.time).clone()));
+                    ctxs.push((meta.round, self.ctx_for(meta.round, meta.at).clone()));
                     ctxs.len() - 1
                 }
             };
-            let meta = TrainMeta {
-                node,
-                round,
-                epoch,
-                at: s.time,
-                attack: self.t.attacks.behavior_at(node, s.time),
-            };
-            items.push((node, TrainItem { meta, ctx }));
+            if train {
+                meta.attack = self.t.attacks.behavior_at(meta.node, meta.at);
+            }
+            items.push((meta.node, (meta, ctx)));
         }
-        TrainBatch { items, ctxs }
+        let width = items.len() as u32;
+        let depth = (self.queue.len() + self.ready.len()) as u32;
+        let gathered = self.run_wall.elapsed();
+        let batch = Batch { items, ctxs };
+        let proposals = if train {
+            self.execute_train(batch)?
+        } else {
+            self.execute_mix(batch)?
+        };
+        let executed = self.run_wall.elapsed();
+        for proposal in proposals.into_iter().rev() {
+            self.ready.push_front(proposal);
+        }
+        self.windows.push(OpenWindow {
+            class: window.class,
+            head: (node, round),
+            width,
+            depth,
+            left: width,
+            walls: [start, gathered, executed],
+            commit: Duration::ZERO,
+        });
+        Ok(())
+    }
+
+    /// Commits executed-ahead events, one at a time, for as long as the next
+    /// one belongs to the innermost open window and precedes the queue head
+    /// — the stretch is timed as one and the window reported when its last
+    /// member has committed.
+    fn commit_ready(&mut self) -> Result<()> {
+        let began = self.run_wall.elapsed();
+        let mut window = self.windows.pop().expect("a ready event has its window");
+        let mut at = SimTime::ZERO;
+        while window.left > 0 && self.ready_is_next() {
+            self.note_depth();
+            window.left -= 1;
+            let proposal = self.ready.pop_front().expect("ready_is_next saw it");
+            at = proposal.key().0;
+            match proposal {
+                Ready::Train(proposal) => self.commit_train(proposal),
+                Ready::Mix(proposal) => self.commit_mix(proposal)?,
+            }
+        }
+        window.commit += self.run_wall.elapsed() - began;
+        if window.left == 0 {
+            self.emit_batch(&window, at);
+        } else {
+            self.windows.push(window);
+        }
+        Ok(())
     }
 
     /// Execute: the local half of the round program on the resident
@@ -631,14 +948,13 @@ where
     /// appends, metering, the Mix schedule — is buffered into the proposal
     /// instead. The job owns the batch's contexts and borrows only the
     /// run-long configuration.
-    fn execute_train(&self, batch: TrainBatch) -> Result<Vec<TrainProposal>> {
-        let TrainBatch { items, ctxs } = batch;
+    fn execute_train(&self, batch: Batch) -> Result<Vec<Ready>> {
+        let Batch { items, ctxs } = batch;
         let config = self.t.config;
         let links = &config.heterogeneity.links;
         let link_seed = config.seed ^ 0x11_4B;
-        self.t.batch(
-            items,
-            move |node, model, state, params, TrainItem { meta, ctx }| {
+        self.t
+            .batch(items, move |node, model, state, params, (meta, ctx)| {
                 let ctx = &ctxs[ctx].1;
                 let neighbors = ctx.topo.graph.neighbors(node);
                 let outbound = state.train_and_build(
@@ -675,101 +991,66 @@ where
                     });
                     departure = departure.after_secs(tx);
                 })?;
-                Ok(TrainProposal {
+                Ok(Ready::Train(TrainProposal {
                     meta,
                     sends,
                     mix_at: departure,
                     alpha: state.last_alpha,
                     saved_bytes,
-                })
-            },
-        )
+                }))
+            })
     }
 
-    /// Commit in pop order: mailbox append order, loss-model link sequences
-    /// and the Mix schedule replay the sequential interleaving exactly.
-    fn commit_train(&mut self, proposals: Vec<TrainProposal>) {
-        for proposal in proposals {
-            let TrainMeta { node, round, .. } = proposal.meta;
-            let t_ns = proposal.meta.at.0;
-            self.t.tracer.emit(TraceEvent::Train {
-                t_ns,
+    /// Commit: mailbox append order, loss-model link sequences and the Mix
+    /// schedule replay the one-at-a-time interleaving exactly.
+    fn commit_train(&mut self, proposal: TrainProposal) {
+        let Meta {
+            node,
+            round,
+            epoch,
+            at,
+            attack,
+        } = proposal.meta;
+        self.t.tracer.emit(TraceEvent::Train {
+            t_ns: at.0,
+            node: node as u32,
+            round: round as u32,
+            compute_ns: self.compute_time[node].0,
+        });
+        if let Some(behavior) = attack {
+            self.board.tally.attacks_injected += 1;
+            self.t.tracer.emit(TraceEvent::AttackInject {
+                t_ns: at.0,
                 node: node as u32,
                 round: round as u32,
-                compute_ns: self.compute_time[node].0,
+                kind: attack_kind(behavior),
             });
-            if let Some(behavior) = proposal.meta.attack {
-                self.board.tally.attacks_injected += 1;
-                self.t.tracer.emit(TraceEvent::AttackInject {
-                    t_ns,
-                    node: node as u32,
-                    round: round as u32,
-                    kind: attack_kind(behavior),
-                });
-            }
-            self.t.network.send_batch(proposal.sends);
-            self.board.tally.bandwidth_saved_bytes += proposal.saved_bytes;
-            if self.t.config.record_alphas {
-                self.alpha_rows[round][node] = proposal.alpha;
-            }
-            self.pending_work += 1;
-            let mix = Ev::Mix {
-                node,
-                round,
-                epoch: proposal.meta.epoch,
-            };
-            self.push(proposal.mix_at, RANK_MIX, node, mix);
         }
-    }
-
-    fn on_mix(&mut self, batch: Vec<Scheduled<Ev>>, head: Head) -> Result<()> {
-        let start = self.run_wall.elapsed();
-        let (live, mixes) = self.propose_mix(batch);
-        let (width, depth) = (mixes.items.len() as u32, self.queue.len() as u32);
-        let proposed = self.run_wall.elapsed();
-        let proposals = self.execute_mix(mixes)?;
-        let executed = self.run_wall.elapsed();
-        self.commit_mix(live, proposals)?;
-        let walls = [start, proposed, executed];
-        self.emit_batch(BatchClass::Mix, head, width, depth, walls);
-        Ok(())
-    }
-
-    /// Propose: charge the pops, filter stale epochs, and resolve the round's
-    /// topology if any mix is live.
-    fn propose_mix(&mut self, batch: Vec<Scheduled<Ev>>) -> (Vec<LiveMix>, MixBatch) {
-        let mut live = Vec::with_capacity(batch.len());
-        for s in batch {
-            let Ev::Mix { node, round, epoch } = s.event else {
-                unreachable!("batches are homogeneous by class")
-            };
-            self.pending_work -= 1;
-            if self.lifecycle.is_current(node, epoch) {
-                live.push((node, round, epoch, s.time));
-            }
+        self.t.network.send_batch(proposal.sends);
+        self.board.tally.bandwidth_saved_bytes += proposal.saved_bytes;
+        if self.t.config.record_alphas {
+            self.alpha_rows[round][node] = proposal.alpha;
         }
-        let round = live
-            .first()
-            .map(|&(_, round, _, at)| (round, self.ctx_for(round, at).topo.clone()));
-        let items = live.iter().map(|&(node, .., at)| (node, at)).collect();
-        (live, MixBatch { items, round })
+        self.pending_work += 1;
+        let mix = Ev::Mix { node, round, epoch };
+        self.push(proposal.mix_at, RANK_MIX, node, mix);
     }
 
-    /// Execute: drain and mix on the resident workers. Mailboxes are per-node, so
-    /// disjoint drains cannot race; expiry counters and the shared staleness
-    /// accumulators are deferred into the proposal because float sums must
-    /// be committed in pop order — and not at all for events discarded by
-    /// an early stop.
-    fn execute_mix(&self, batch: MixBatch) -> Result<Vec<MixProposal>> {
-        let (items, Some((round, topo))) = (batch.items, batch.round) else {
-            return Ok(Vec::new());
-        };
+    /// Execute: drain and mix on the resident workers. Mailboxes are
+    /// per-node, so disjoint drains cannot race, and nothing a window member
+    /// drains can be missing (fact (a)); expiry counters and the shared
+    /// staleness accumulators are deferred into the proposal because float
+    /// sums must be committed in queue order.
+    fn execute_mix(&self, batch: Batch) -> Result<Vec<Ready>> {
+        let Batch { items, ctxs } = batch;
         let staleness = self.t.config.faults.staleness;
         let ttl = staleness.ttl().map(SimTime::from_secs_f64);
         let has_cap = staleness.has_cap();
         let robust = &self.t.config.robust;
         let network = self.t.network;
-        self.t.batch(items, move |node, _, state, params, at| {
+        self.t.batch(items, move |node, _, state, params, item| {
+            let (meta, ctx): (Meta, usize) = item;
+            let (topo, round, at) = (&ctxs[ctx].1.topo, meta.round, meta.at);
             let drained = network.drain(node, at, ttl);
             let (inbox, mut expired) = (drained.envelopes, drained.expired);
             let mut received = Vec::with_capacity(inbox.len());
@@ -780,7 +1061,7 @@ where
                 // under this round's topology carries no mixing weight;
                 // drop it (dynamic graphs only — static topologies never
                 // hit this).
-                let Some(base) = weigh(&topo, node, env.from) else {
+                let Some(base) = weigh(topo, node, env.from) else {
                     continue;
                 };
                 let factor = if has_cap {
@@ -818,66 +1099,69 @@ where
                 self_weight += absorbed;
             }
             state.mix(params, round, self_weight, &received, robust)?;
-            Ok(MixProposal {
+            Ok(Ready::Mix(MixProposal {
+                meta,
                 staleness: staleness_terms,
                 absorbed,
                 expired,
-            })
+            }))
         })
     }
 
-    /// Commit in pop order. An early stop breaks out: since a batch is
-    /// single-round and the stop fires at the round's n-th completer, the
-    /// trigger is necessarily the batch's last item — the break just keeps
-    /// the discard-the-rest invariant explicit.
-    fn commit_mix(&mut self, live: Vec<LiveMix>, proposals: Vec<MixProposal>) -> Result<()> {
+    /// Commit: fold what the mix buffered, pass the round, start the next —
+    /// unless this mix completed an evaluated round on target and the run
+    /// just stopped.
+    fn commit_mix(&mut self, proposal: MixProposal) -> Result<()> {
         let tracer = self.t.tracer;
-        for ((node, round, epoch, at), p) in live.into_iter().zip(proposals) {
-            self.t.network.record_expired(node, p.expired);
-            if p.expired > 0 {
-                tracer.emit(TraceEvent::MsgExpire {
-                    t_ns: at.0,
-                    node: node as u32,
-                    round: round as u32,
-                    count: p.expired,
-                });
-            }
-            // Fold per message, not per event: the same non-associative
-            // float grouping as one-at-a-time execution.
-            let tally = &mut self.board.tally;
-            for &(from, sent_round, s) in &p.staleness {
-                tally.total_staleness_s += s;
-                tracer.emit(TraceEvent::MsgMixed {
-                    t_ns: at.0,
-                    node: node as u32,
-                    from: from as u32,
-                    round: round as u32,
-                    sent_round: sent_round as u32,
-                    staleness_s: s,
-                });
-            }
-            tally.mixed_messages += p.staleness.len() as u64;
-            if p.absorbed > 0.0 {
-                tally.downweight_mass += p.absorbed;
-            }
-            let mass_clipped = &mut tally.mass_clipped;
-            self.t.cells[node]
-                .lock()
-                .state
-                .drain_stats(node, round, at.0, tracer, mass_clipped);
-            self.rounds_passed[node] = round + 1;
-            if self.pass_round(round, at)? {
-                break;
-            }
-            if round + 1 < self.t.config.rounds {
-                self.pending_work += 1;
-                let next = Ev::StartRound {
-                    node,
-                    round: round + 1,
-                    epoch,
-                };
-                self.push(at, RANK_START, node, next);
-            }
+        let Meta {
+            node,
+            round,
+            epoch,
+            at,
+            ..
+        } = proposal.meta;
+        self.t.network.record_expired(node, proposal.expired);
+        if proposal.expired > 0 {
+            tracer.emit(TraceEvent::MsgExpire {
+                t_ns: at.0,
+                node: node as u32,
+                round: round as u32,
+                count: proposal.expired,
+            });
+        }
+        // Fold per message, not per event: the same non-associative
+        // float grouping as one-at-a-time execution.
+        let tally = &mut self.board.tally;
+        for &(from, sent_round, s) in &proposal.staleness {
+            tally.total_staleness_s += s;
+            tracer.emit(TraceEvent::MsgMixed {
+                t_ns: at.0,
+                node: node as u32,
+                from: from as u32,
+                round: round as u32,
+                sent_round: sent_round as u32,
+                staleness_s: s,
+            });
+        }
+        tally.mixed_messages += proposal.staleness.len() as u64;
+        if proposal.absorbed > 0.0 {
+            tally.downweight_mass += proposal.absorbed;
+        }
+        let mass_clipped = &mut tally.mass_clipped;
+        self.t.cells[node]
+            .lock()
+            .state
+            .drain_stats(node, round, at.0, tracer, mass_clipped);
+        self.rounds_passed[node] = round + 1;
+        let stopped = self.pass_round(round, at)?;
+        if !stopped && round + 1 < self.t.config.rounds {
+            self.pending_work += 1;
+            let next = Ev::StartRound {
+                node,
+                round: round + 1,
+                epoch,
+            };
+            self.push(at, RANK_START, node, next);
         }
         Ok(())
     }
@@ -949,8 +1233,7 @@ where
             self.productive_recoveries += 1;
         }
         if round < rounds {
-            // A solo event is its whole batch: on early stop there is
-            // nothing further to discard.
+            // On early stop there is nothing further to discard.
             self.pass_round(round, at)?;
         }
         Ok(())
@@ -1024,5 +1307,249 @@ where
         Ok(self
             .board
             .finish(self.last_time.0, self.queue_hwm, self.alpha_rows))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jwins_sim::Ordering;
+
+    const NODES: usize = 8;
+
+    fn queue() -> ShardedEventQueue<Ev> {
+        ShardedEventQueue::new(7, 4, Ordering::Strict)
+    }
+
+    fn train(queue: &mut ShardedEventQueue<Ev>, at: u64, node: usize, round: usize) {
+        let event = Ev::TrainDone {
+            node,
+            round,
+            epoch: 0,
+        };
+        queue.push(SimTime(at), prio(RANK_TRAIN, node), node, event);
+    }
+
+    fn mix(queue: &mut ShardedEventQueue<Ev>, at: u64, node: usize, round: usize) {
+        let event = Ev::Mix {
+            node,
+            round,
+            epoch: 0,
+        };
+        queue.push(SimTime(at), prio(RANK_MIX, node), node, event);
+    }
+
+    /// Ten rounds, every second one evaluated (rounds 1, 3, … and the last).
+    fn config() -> TrainConfig {
+        let mut config = TrainConfig::quick_test();
+        config.rounds = 10;
+        config.eval_every = 2;
+        config
+    }
+
+    /// Opens the window at the head of `queue`: `(node, round)` of its live
+    /// members and how many events it popped.
+    fn window(
+        queue: &mut ShardedEventQueue<Ev>,
+        lookahead: Lookahead,
+        before: Option<Key>,
+        completed: &[usize],
+        lifecycle: &LifecycleTracker,
+    ) -> (Vec<(usize, usize)>, usize) {
+        let config = config();
+        let first = queue.pop().expect("a head to open on");
+        let closing = Closing::new(&config, completed, NODES);
+        let window = pop_window(queue, first, lookahead, before, lifecycle, closing);
+        let live = window.live.iter().map(|m| (m.node, m.round)).collect();
+        (live, window.popped)
+    }
+
+    const AHEAD: Lookahead = Lookahead {
+        horizon_ns: 100,
+        cap: 4,
+    };
+
+    #[test]
+    fn a_window_is_one_kind_within_the_horizon_and_the_cap() {
+        let (alive, idle) = (LifecycleTracker::new(NODES), [0; 10]);
+        let mut q = queue();
+        // Simultaneous with the head, inside the horizon, exactly at it.
+        for (at, node) in [(1000, 0), (1000, 1), (1099, 2), (1100, 3)] {
+            train(&mut q, at, node, 0);
+        }
+        let (live, popped) = window(&mut q, AHEAD, None, &idle, &alive);
+        assert_eq!(live, vec![(0, 0), (1, 0), (2, 0)], "strictly less than H");
+        assert_eq!((popped, q.len()), (3, 1));
+        // A mix inside the horizon ends a train window; the mix window after
+        // it may span rounds.
+        let mut q = queue();
+        train(&mut q, 1000, 0, 0);
+        mix(&mut q, 1010, 1, 0);
+        mix(&mut q, 1020, 2, 4);
+        train(&mut q, 1030, 3, 0);
+        assert_eq!(window(&mut q, AHEAD, None, &idle, &alive).0, vec![(0, 0)]);
+        let (live, _) = window(&mut q, AHEAD, None, &idle, &alive);
+        assert_eq!(live, vec![(1, 0), (2, 4)]);
+        // Never more than the cap, however many would fit.
+        let mut q = queue();
+        for node in 0..NODES {
+            train(&mut q, 1000 + node as u64, node, 0);
+        }
+        let (live, popped) = window(&mut q, AHEAD, None, &idle, &alive);
+        assert_eq!((live.len(), popped, q.len()), (4, 4, 4));
+        // `H = 0`: only what is simultaneous with the head.
+        let strict = Lookahead {
+            horizon_ns: 0,
+            cap: 4,
+        };
+        let mut q = queue();
+        for (at, node) in [(1000, 0), (1000, 1), (1001, 2)] {
+            mix(&mut q, at, node, 0);
+        }
+        let (live, _) = window(&mut q, strict, None, &idle, &alive);
+        assert_eq!(live, vec![(0, 0), (1, 0)]);
+        // The reference schedule: one event, whatever follows.
+        let (live, popped) = window(&mut q, Lookahead::ONE_AT_A_TIME, None, &idle, &alive);
+        assert_eq!((live, popped), (vec![(2, 0)], 1));
+    }
+
+    #[test]
+    fn a_window_never_spans_a_solo_event_a_start_or_the_ready_front() {
+        let (alive, idle) = (LifecycleTracker::new(NODES), [0; 10]);
+        let solos = [
+            (prio(RANK_EVAL, 0), Ev::EvalTick),
+            (
+                prio(RANK_FAULT, 5),
+                Ev::Fault {
+                    event: LifecycleEvent::Crash { node: 5 },
+                    rejoin: RejoinMode::Warm,
+                },
+            ),
+            (
+                prio(RANK_START, 5),
+                Ev::StartRound {
+                    node: 5,
+                    round: 0,
+                    epoch: 0,
+                },
+            ),
+        ];
+        for (rank, solo) in solos {
+            let mut q = queue();
+            train(&mut q, 1000, 0, 0);
+            train(&mut q, 1010, 1, 0);
+            q.push(SimTime(1020), rank, 5, solo);
+            train(&mut q, 1030, 2, 0);
+            let (live, _) = window(&mut q, AHEAD, None, &idle, &alive);
+            assert_eq!(live, vec![(0, 0), (1, 0)], "{solo:?}");
+            assert_eq!(q.len(), 2);
+        }
+        // A nested window stops short of what was executed before it.
+        let mut q = queue();
+        for (at, node) in [(1000, 0), (1010, 1), (1020, 2)] {
+            mix(&mut q, at, node, 0);
+        }
+        let before = Some((SimTime(1020), prio(RANK_TRAIN, 7)));
+        let (live, _) = window(&mut q, AHEAD, before, &idle, &alive);
+        assert_eq!(live, vec![(0, 0), (1, 0)], "a train at 1020 precedes a mix");
+    }
+
+    #[test]
+    fn a_window_holds_one_live_event_per_node() {
+        // Node 1 crashed and rejoined: its old train is still queued beside
+        // the new one. Both are popped, only the current epoch's is kept.
+        let mut lifecycle = LifecycleTracker::new(NODES);
+        lifecycle.crash(1);
+        lifecycle.recover(1);
+        let epoch = lifecycle.epoch(1);
+        let mut q = queue();
+        train(&mut q, 1000, 0, 0);
+        train(&mut q, 1005, 1, 0);
+        let rejoined = Ev::TrainDone {
+            node: 1,
+            round: 1,
+            epoch,
+        };
+        q.push(SimTime(1010), prio(RANK_TRAIN, 1), 1, rejoined);
+        let (live, popped) = window(&mut q, AHEAD, None, &[0; 10], &lifecycle);
+        assert_eq!(live, vec![(0, 0), (1, 1)]);
+        assert_eq!(popped, 3);
+    }
+
+    #[test]
+    fn the_event_that_can_complete_an_evaluated_round_is_a_windows_last() {
+        let alive = LifecycleTracker::new(NODES);
+        let wide = Lookahead {
+            horizon_ns: 100,
+            cap: 64,
+        };
+        // Round 1 is evaluated and six nodes have completed it: the second
+        // of its events closes the window, whatever its kind and whatever
+        // sits between.
+        let mut completed = [0; 10];
+        completed[1] = NODES - 2;
+        type Push = fn(&mut ShardedEventQueue<Ev>, u64, usize, usize);
+        for push in [train as Push, mix as Push] {
+            let mut q = queue();
+            push(&mut q, 1000, 0, 1);
+            push(&mut q, 1010, 1, 2);
+            push(&mut q, 1020, 2, 1);
+            push(&mut q, 1030, 3, 2);
+            let (live, _) = window(&mut q, wide, None, &completed, &alive);
+            assert_eq!(live, vec![(0, 1), (1, 2), (2, 1)]);
+            assert_eq!(q.len(), 1, "node 3 waits for the evaluation");
+        }
+        // Round 2 is not evaluated: completing it closes nothing.
+        completed[2] = NODES - 1;
+        let mut q = queue();
+        for (at, node, round) in [(1000, 0, 2), (1010, 1, 3), (1020, 2, 3)] {
+            train(&mut q, at, node, round);
+        }
+        let (live, _) = window(&mut q, wide, None, &completed, &alive);
+        assert_eq!(live.len(), 3);
+        // A stale event counts for nothing: its node passed the round when
+        // it crashed.
+        let mut lifecycle = LifecycleTracker::new(NODES);
+        lifecycle.crash(0);
+        let mut q = queue();
+        for (at, node) in [(1000, 0), (1010, 1), (1020, 2), (1030, 3)] {
+            mix(&mut q, at, node, 1);
+        }
+        let (live, popped) = window(&mut q, wide, None, &completed, &lifecycle);
+        assert_eq!(live, vec![(1, 1), (2, 1)]);
+        assert_eq!(popped, 3);
+    }
+
+    #[test]
+    fn the_horizon_is_the_smallest_latency_clamped_to_the_shortest_round() {
+        use jwins_sim::{HeterogeneityProfile, LinkProfile};
+        let ms = |ms: f64| SimTime::from_secs_f64(ms / 1000.0);
+        let mut config = config();
+        config.heterogeneity = HeterogeneityProfile::stragglers(0.25, 4.0, 0.005, 12.5e6);
+        let horizon = |config: &TrainConfig, compute: &[SimTime]| {
+            let lookahead = Lookahead::derive(config, compute);
+            assert_eq!(lookahead.cap, WINDOW_CAP);
+            lookahead.horizon_ns
+        };
+        assert_eq!(horizon(&config, &[ms(50.0), ms(200.0)]), 5_000_000);
+        assert_eq!(horizon(&config, &[ms(50.0), ms(1.0)]), 1_000_000);
+        // A window skew widens the horizon, under the same clamp.
+        config.ordering = Ordering::Window {
+            max_skew_ns: 8_000_000,
+        };
+        assert_eq!(horizon(&config, &[ms(50.0), ms(200.0)]), 8_000_000);
+        assert_eq!(horizon(&config, &[ms(6.0), ms(200.0)]), 6_000_000);
+        config.ordering = Ordering::Window { max_skew_ns: 1 };
+        assert_eq!(horizon(&config, &[ms(50.0)]), 5_000_000);
+        // Instant and log-normal links promise nothing.
+        config.ordering = Ordering::Strict;
+        config.heterogeneity.links = LinkProfile::Instant;
+        assert_eq!(horizon(&config, &[ms(50.0)]), 0);
+        config.heterogeneity.links = LinkProfile::LogNormal {
+            latency_s: 0.005,
+            bandwidth_bps: 12.5e6,
+            sigma: 0.3,
+        };
+        assert_eq!(horizon(&config, &[ms(50.0)]), 0);
     }
 }

@@ -41,8 +41,8 @@
 //! batch never has more items than there are nodes), in one
 //! [`std::thread::scope`] around the whole barrier or event schedule; the
 //! calling thread is a worker too, and no thread is created afterwards.
-//! Every parallel step — a barrier phase, an event batch's execute phase, an
-//! evaluation — is one [`workers::Workers::batch`]: the items are cut into
+//! Every parallel step — a barrier phase, an event window's execute phase,
+//! an evaluation — is one [`workers::Workers::batch`]: the items are cut into
 //! chunks that workers *claim*, so the caller finishes a narrow batch before
 //! a helper has woken and a wide one balances itself, with no threshold to
 //! tune. A job may borrow only what outlives the pool (configuration,
@@ -63,30 +63,41 @@
 //!
 //! # Parallel event execution and the determinism contract
 //!
-//! The event loop executes *batches*: at each step it pops the maximal run
-//! of simultaneous same-kind events on pairwise-distinct nodes
-//! ([`jwins_sim::ShardedEventQueue::pop_independent_batch`]; mix batches are
-//! additionally same-*round*, so a round-completion evaluation can never
-//! observe an aggregate of a different round that the one-at-a-time
-//! schedule would have run later) and drives each batch through three
-//! phases —
+//! The event loop *commits* one event at a time, in the queue's seeded total
+//! order — the schedule of a single-heap, single-thread simulator — and
+//! *executes ahead* of its commits inside the network's lookahead. The
+//! expensive, node-local half of a `TrainDone` (τ SGD steps, message
+//! building) or `Mix` (mailbox drain, aggregation) runs on the resident
+//! workers ([`workers`]) in **windows**: the queue head plus every following
+//! event of its kind that is simultaneous with it or fires less than `H`
+//! after it, `H = min(smallest link latency, smallest compute time)`. Each
+//! window goes through three phases —
 //!
-//! 1. **propose** (sequential): charge the pops, drop stale-epoch events
-//!    (see [`jwins_sim::LifecycleTracker`]), resolve per-round topology;
-//! 2. **execute** (parallel): run the expensive per-node work — τ SGD steps
-//!    and message building for `TrainDone`, mailbox drain plus mixing for
-//!    `Mix` — on the run's resident workers ([`workers`]), with every
-//!    shared-state side effect buffered (outgoing messages as
-//!    [`jwins_net::PendingSend`], expiry/staleness counters in per-event
-//!    proposals);
-//! 3. **commit** (sequential, in the queue's pop order): apply the buffered
-//!    sends, fold the float accumulators, schedule follow-up events, and
-//!    take round-completion evaluation points.
+//! 1. **gather** (sequential): pop the window, drop stale-epoch events (see
+//!    [`jwins_sim::LifecycleTracker`]), resolve per-round topology;
+//! 2. **execute** (parallel): run the per-node work with every shared-state
+//!    side effect buffered (outgoing messages as [`jwins_net::PendingSend`],
+//!    expiry/staleness counters in per-event proposals);
+//! 3. **commit** (sequential, one event per turn of the loop, interleaved in
+//!    queue order with everything those commits schedule): apply the
+//!    buffered sends, fold the float accumulators, schedule follow-up
+//!    events, and take round-completion evaluation points.
 //!
-//! Because a batch is a contiguous prefix of the queue's seeded total order
-//! and commits replay that order exactly, the observable run is a pure
-//! function of the configuration. Concretely, these knobs **may not**
-//! change any result, bit for bit:
+//! Executing ahead is exact, not approximately right — three facts,
+//! spelled out in the `event` module docs: (a) a message sent at `t` arrives
+//! no earlier than `t + latency`, so nothing an uncommitted event will send
+//! can be due at a window member, and an early drain leaves the mailbox as
+//! a late one would; (b) a node has one pending event and a round takes at
+//! least its compute time, so no node passes two rounds inside a window;
+//! (c) faults and checkpoints touch cluster state and are never crossed.
+//! One rule closes a window early: the event that can complete an
+//! *evaluated* round is its window's last member, so an evaluation never
+//! sees parameters of an event still to come. The observable run is
+//! therefore a pure function of the configuration, identical to executing
+//! every event when it is the earliest uncommitted one — which is how the
+//! tests prove it (`engine::tests::lookahead_*` run the same loop with
+//! `H = 0` and windows of one as the reference). Concretely, these knobs
+//! **may not** change any result, bit for bit:
 //!
 //! - [`crate::config::TrainConfig::threads`] (1, 2, 8, or 0 = all cores) —
 //!   workers only split the execute phase of already-independent events,
@@ -104,26 +115,28 @@
 //! - [`crate::config::TrainConfig::seed`] — drives initial weights, batch
 //!   order, queue tie-breaks, loss draws and fault expansion;
 //! - [`crate::config::TrainConfig::ordering`] — `Window { max_skew_ns }`
-//!   lets a batch absorb events within a bounded virtual-time skew of its
-//!   head (each still executes at its own timestamp), trading strict
-//!   commit interleaving for batch width under fully-random speeds;
-//!   `Strict` (the default) is bit-identical to the pre-sharding engine;
+//!   widens the horizon to `max(H, max_skew_ns)` (still under the
+//!   compute-time clamp): a member may then execute without a message sent
+//!   less than `max_skew_ns` before it fires, trading agreement with the
+//!   strict schedule for width when latencies are short or unbounded
+//!   below; `Strict` (the default) commits exactly the single-heap schedule;
 //! - the heterogeneity profile, fault plan, staleness policy, topology and
 //!   every learning hyperparameter.
 //!
-//! The contract is enforced by tests: `tests/parallel_determinism.rs`
-//! replays a fault + staleness workload at `threads` ∈ {1, 2, 8} and
-//! asserts identical `RoundRecord` streams; `engine::tests::`
-//! `event_driven_replays_identically_and_ignores_thread_count` covers the
-//! straggler path, `tests/event_driven.rs` pins event-vs-barrier
-//! bit-equality on degenerate profiles, and the `jwins_sim` proptests pin
-//! the batch/pop equivalence itself. The batch width also bounds the
-//! attainable speedup: nodes whose clocks drift apart (fully random
-//! per-node speeds) yield singleton batches, while class-structured
-//! profiles (e.g. [`jwins_sim::HeterogeneityProfile::stragglers`]) keep
-//! same-speed cohorts aligned and batch wide — see the `ext_parallel`
-//! bench, and `ext_scale` for the windowed-ordering escape hatch at large
-//! node counts.
+//! The contract is enforced by tests: `engine::tests::lookahead_*` compare
+//! against the one-at-a-time schedule (stragglers, early stop on an
+//! evaluated round, rounds shorter than the latency, crash + resync under
+//! repair, loss, expiry, per-edge messages on a dynamic topology);
+//! `tests/parallel_determinism.rs` replays a fault + staleness workload at
+//! `threads` ∈ {1, 2, 8} and asserts identical `RoundRecord` streams;
+//! `tests/event_driven.rs` pins event-vs-barrier bit-equality on degenerate
+//! profiles, and the two golden trace fixtures pin the commit order itself.
+//! The window width bounds the attainable speedup: with instant or
+//! log-normal links `H = 0` and only simultaneous events share a window
+//! (class-structured profiles such as
+//! [`jwins_sim::HeterogeneityProfile::stragglers`] keep same-speed cohorts
+//! aligned; fully random speeds yield singletons) — see the `ext_parallel`
+//! bench, and `ext_scale`, which prints the width each ordering mode got.
 
 #![warn(clippy::too_many_lines)]
 
@@ -450,8 +463,8 @@ where
     /// Executes one closure per `(node, item)` pair on the resident workers
     /// — the event scheduler's *execute* phase, a barrier phase, an
     /// evaluation — with the worker's model workspace and the node's state
-    /// and parameters. Items carry distinct node ids (the queue's
-    /// independent-batch contract). Outputs come back in item order and the
+    /// and parameters. Items carry distinct node ids (a node has one pending
+    /// event). Outputs come back in item order and the
     /// first error *in item order* wins regardless of thread timing, so both
     /// results and failures are independent of thread count.
     fn batch<T, P, F>(&self, items: Vec<(usize, T)>, f: F) -> Result<Vec<P>>
@@ -592,8 +605,20 @@ impl<M: Model> Trainer<M> {
         M: Send,
         M::Sample: Send + Sync,
     {
+        self.run_with(None)
+    }
+
+    /// [`Self::run_scheduled`] with the event scheduler's lookahead fixed to
+    /// `lookahead` instead of derived — `Some` only in tests, which compare
+    /// against the one-event-at-a-time schedule.
+    fn run_with(&mut self, lookahead: Option<event::Lookahead>) -> Result<RunResult>
+    where
+        M: Send,
+        M::Sample: Send + Sync,
+    {
         let board = Scoreboard::new(self);
         let cells = node_cells(&mut self.nodes, &mut self.arena);
+        crate::scratch::reserve(self.models.len());
         workers::with_workers(self.models.len(), |pool| {
             let run = Run {
                 config: &self.config,
@@ -609,7 +634,7 @@ impl<M: Model> Trainer<M> {
             };
             match self.config.execution {
                 ExecutionMode::BulkSynchronous => barrier::run_sync(&run, board),
-                ExecutionMode::EventDriven => EventRun::new(run, board).run(),
+                ExecutionMode::EventDriven => EventRun::new(run, board, lookahead).run(),
             }
         })
     }
@@ -1328,6 +1353,228 @@ mod tests {
                 < 1e-9,
             "per-node accuracies are consistent with the cluster mean"
         );
+    }
+
+    /// Eight nodes of 536 parameters each on `topology`, sharing by
+    /// `strategy(node)`, traced into `sink`.
+    fn eight_nodes(
+        cfg: TrainConfig,
+        topology: impl TopologyProvider + 'static,
+        mut strategy: impl FnMut(usize) -> Box<dyn ShareStrategy>,
+        sink: &jwins_trace::MemorySink,
+    ) -> TinyTrainer {
+        let data = cifar_like(&ImageConfig::tiny(), 8, 2, 5);
+        Trainer::builder(cfg)
+            .topology(topology)
+            .test_set(data.test)
+            .nodes(data.node_train, |node| {
+                (mlp_classifier(2 * 8 * 8, &[4], 4, 7), strategy(node))
+            })
+            .trace_sink(Box::new(sink.clone()))
+            .build()
+            .unwrap()
+    }
+
+    /// The `mlp_full_async` shape of the repo benchmark at test size: a
+    /// quarter of the nodes 4× slower, 5 ms / 100 Mbit/s links.
+    fn straggler_config(rounds: usize) -> TrainConfig {
+        let mut cfg = TrainConfig::quick_test();
+        cfg.rounds = rounds;
+        cfg.lr = 0.1;
+        cfg.eval_every = 2;
+        cfg.execution = ExecutionMode::EventDriven;
+        cfg.heterogeneity = jwins_sim::HeterogeneityProfile::stragglers(0.25, 4.0, 0.005, 12.5e6);
+        cfg
+    }
+
+    /// Everything of a run that a schedule could change: the result, the
+    /// trace without its `ExecuteBatch` lines, their count, and every
+    /// node's final parameters.
+    struct Observed {
+        result: RunResult,
+        trace: Vec<TraceEvent>,
+        batches: usize,
+        params: Vec<Vec<f32>>,
+    }
+
+    fn observe(
+        build: &dyn Fn(usize, &jwins_trace::MemorySink) -> TinyTrainer,
+        threads: usize,
+        lookahead: Option<event::Lookahead>,
+    ) -> Observed {
+        let sink = jwins_trace::MemorySink::new();
+        let mut trainer = build(threads, &sink);
+        let result = trainer.run_with(lookahead).unwrap();
+        let (batches, trace): (Vec<_>, Vec<_>) = sink
+            .events()
+            .into_iter()
+            .partition(|e| matches!(e, TraceEvent::ExecuteBatch { .. }));
+        Observed {
+            result,
+            trace,
+            batches: batches.len(),
+            params: (0..trainer.node_count())
+                .map(|i| trainer.node_params(i).to_vec())
+                .collect(),
+        }
+    }
+
+    /// Runs `build(threads, sink)` under the derived lookahead and under the
+    /// one-event-at-a-time reference (`H = 0`, cap 1), for one and two
+    /// threads, and asserts the two schedules indistinguishable: records,
+    /// traffic, early stop, the trace modulo `ExecuteBatch`, final
+    /// parameters. Returns the two `ExecuteBatch` counts (threads = 2).
+    fn assert_lookahead_is_exact(
+        what: &str,
+        build: &dyn Fn(usize, &jwins_trace::MemorySink) -> TinyTrainer,
+    ) -> (usize, Observed) {
+        let mut last = None;
+        for threads in [1, 2] {
+            let ahead = observe(build, threads, None);
+            let reference = observe(build, threads, Some(event::Lookahead::ONE_AT_A_TIME));
+            let (a, r) = (&ahead.result, &reference.result);
+            assert_eq!(a.records, r.records, "{what}, threads {threads}");
+            assert_eq!(a.total_traffic, r.total_traffic, "{what}");
+            assert_eq!(a.rounds_run, r.rounds_run, "{what}");
+            assert_eq!(a.reached_target, r.reached_target, "{what}");
+            assert_eq!(a.alpha_history, r.alpha_history, "{what}");
+            assert_eq!(ahead.trace, reference.trace, "{what}, threads {threads}");
+            let bits = |params: &[Vec<f32>]| -> Vec<Vec<u32>> {
+                let node = |p: &Vec<f32>| p.iter().map(|v| v.to_bits()).collect();
+                params.iter().map(node).collect()
+            };
+            assert_eq!(bits(&ahead.params), bits(&reference.params), "{what}");
+            // One event per window in the reference: nothing stale, so one
+            // `ExecuteBatch` per executed train or mix.
+            assert!(ahead.batches <= reference.batches, "{what}");
+            last = Some((ahead.batches, reference));
+        }
+        last.expect("two thread counts ran")
+    }
+
+    #[test]
+    fn lookahead_is_exact_under_stragglers_and_uniform_links() {
+        let ring = || StaticTopology::random_regular(8, 4, 3).unwrap();
+        let (windows, reference) = assert_lookahead_is_exact("stragglers", &|threads, sink| {
+            let mut cfg = straggler_config(6);
+            cfg.threads = threads;
+            eight_nodes(cfg, ring(), |_| Box::new(FullSharing::new()), sink)
+        });
+        // The test is not vacuous: the six fast nodes' events, microseconds
+        // apart, share windows — the reference executed them one by one.
+        assert_eq!(reference.batches, 2 * 8 * 6);
+        assert!(
+            windows * 2 < reference.batches,
+            "{windows} windows for {} events",
+            reference.batches
+        );
+        assert!(reference.result.final_record().unwrap().mean_staleness_s > 0.0);
+    }
+
+    #[test]
+    fn lookahead_never_runs_past_an_evaluation_that_stops_the_run() {
+        // Every round is evaluated and the target is hit mid-run: whatever
+        // executed ahead of the stopping evaluation would show in the final
+        // parameters, and whatever executed ahead of any evaluation in its
+        // record.
+        let (_, reference) = assert_lookahead_is_exact("early stop", &|threads, sink| {
+            let mut cfg = straggler_config(30);
+            cfg.threads = threads;
+            cfg.eval_every = 1;
+            cfg.lr = 0.01;
+            cfg.target_accuracy = Some(0.95);
+            let ring = StaticTopology::random_regular(8, 4, 3).unwrap();
+            eight_nodes(cfg, ring, |_| Box::new(FullSharing::new()), sink)
+        });
+        let stopped = reference.result.rounds_run;
+        assert!(reference.result.reached_target.is_some(), "target not hit");
+        assert!((2..30).contains(&stopped), "stopped after {stopped} rounds");
+    }
+
+    #[test]
+    fn lookahead_is_clamped_to_the_shortest_round() {
+        // A fast node's round (1 ms of compute) is shorter than the link
+        // latency (5 ms), and that node rejoins far behind two stragglers
+        // whose 4 ms trains are pending: unclamped, a window opened by the
+        // rejoiner's round-r event would hold a straggler's train that fires
+        // after the rejoiner's round r+1 completes — and evaluates — inside
+        // that very window (fact (b)). Every second round is evaluated so
+        // that round r itself closes nothing.
+        use jwins_sim::ComputeProfile;
+        let (windows, reference) = assert_lookahead_is_exact("short rounds", &|threads, sink| {
+            let mut cfg = straggler_config(12);
+            cfg.threads = threads;
+            cfg.time_model.compute_s = 0.001;
+            let speeds = vec![1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.25, 0.25];
+            cfg.heterogeneity.compute = ComputeProfile::Explicit(speeds);
+            cfg.faults.plan = FaultPlan::Scripted(vec![FaultOutage::new(0, 0.0005, 0.0295)]);
+            let ring = StaticTopology::random_regular(8, 4, 3).unwrap();
+            eight_nodes(cfg, ring, |_| Box::new(FullSharing::new()), sink)
+        });
+        assert!(windows < reference.batches, "no window held two events");
+        assert_eq!(reference.result.final_record().unwrap().rejoins, 1);
+    }
+
+    #[test]
+    fn lookahead_is_exact_under_faults_loss_and_expiry() {
+        use jwins_fault::StalenessPolicy;
+        use jwins_topology::repair::RepairPolicy;
+        let ring = || StaticTopology::random_regular(8, 4, 3).unwrap();
+        let full = |_| Box::new(FullSharing::new()) as Box<dyn ShareStrategy>;
+        // A crash mid-round, a Resync rejoin, survivors re-wired meanwhile.
+        let (_, crashed) = assert_lookahead_is_exact("crash + resync", &|threads, sink| {
+            let mut cfg = straggler_config(8);
+            cfg.threads = threads;
+            cfg.eval_every = 1;
+            cfg.repair = RepairPolicy::DegreePreserving;
+            cfg.faults.plan = FaultPlan::Scripted(vec![FaultOutage {
+                rejoin: RejoinMode::Resync,
+                ..FaultOutage::new(2, 0.12, 0.2)
+            }]);
+            eight_nodes(cfg, ring(), full, sink)
+        });
+        let last = crashed.result.final_record().unwrap();
+        assert_eq!((last.crashes, last.rejoins), (1, 1));
+        assert!(last.edges_rewired > 0, "repair never ran");
+        // Per-link loss sequences advance at commit, in queue order.
+        let (_, lossy) = assert_lookahead_is_exact("message loss", &|threads, sink| {
+            let mut cfg = straggler_config(6);
+            cfg.threads = threads;
+            cfg.message_loss = 0.2;
+            eight_nodes(cfg, ring(), full, sink)
+        });
+        assert!(lossy.result.total_traffic.messages_dropped > 0);
+        // A TTL shorter than the stragglers' lag expires messages at drain,
+        // and a round cap down-weights what survives.
+        let (_, expiring) = assert_lookahead_is_exact("staleness ttl", &|threads, sink| {
+            let mut cfg = straggler_config(6);
+            cfg.threads = threads;
+            cfg.faults.staleness = StalenessPolicy {
+                ttl_s: Some(0.1),
+                ..StalenessPolicy::decay_after_rounds(1, 0.5)
+            };
+            eight_nodes(cfg, ring(), full, sink)
+        });
+        let last = expiring.result.final_record().unwrap();
+        assert!(last.messages_expired > 0, "the TTL never fired");
+    }
+
+    #[test]
+    fn lookahead_is_exact_for_per_edge_messages_on_a_dynamic_topology() {
+        use crate::strategies::{PowerGossip, PowerGossipConfig};
+        use jwins_topology::dynamic::DynamicRegular;
+        let (windows, reference) = assert_lookahead_is_exact("power gossip", &|threads, sink| {
+            let mut cfg = straggler_config(8);
+            cfg.threads = threads;
+            cfg.eval_every = 1;
+            let topology = DynamicRegular::new(8, 4, 11).unwrap();
+            let gossip = |node| {
+                let strategy = PowerGossip::new(PowerGossipConfig::default(), node, 42);
+                Box::new(strategy) as Box<dyn ShareStrategy>
+            };
+            eight_nodes(cfg, topology, gossip, sink)
+        });
+        assert!(windows < reference.batches, "no window held two events");
     }
 
     #[test]

@@ -9,22 +9,37 @@
 //! node run has 16 384 strategies and two workers). A worker runs one call
 //! at a time, so one set per *concurrent call* is exactly enough.
 //!
-//! The sets live in a process-wide pool rather than in thread-locals:
-//! [`with_scratch`] takes one out for the duration of a call and puts it
-//! back. The barrier and event schedulers' workers are resident for a whole
-//! run and would keep a thread-local warm, but the channel scheduler runs
-//! one thread per *node*, each alive for one run — a thread-local set there
-//! is the per-node multiplication all over again. A worker holds at most
-//! one set at a time, so the pool never grows past the number of workers
-//! that were ever inside a strategy at once; sets beyond one per core (the
-//! channel backend again) are dropped on return instead of pooled. With
-//! resident workers the same few sets simply circulate for the whole run.
+//! The sets live in a fixed array of **slots**, one cache-line-aligned
+//! `Mutex<Option<ShareScratch>>` each, rather than in thread-locals: the
+//! barrier and event schedulers' workers are resident for a whole run and
+//! would keep a thread-local warm, but the channel scheduler runs one thread
+//! per *node*, each alive for one run — a thread-local set there is the
+//! per-node multiplication all over again. A thread claims the lowest free
+//! slot the first time it needs a set and owns it until it exits (the claim
+//! is the only thread-local state, released by its destructor), so
+//! [`with_scratch`] takes the set out of the thread's own slot and puts it
+//! back: two uncontended locks on a line no other worker touches. One shared
+//! LIFO pool — what this replaced — made every worker write the same line
+//! four times per node-round and handed each the buffers another core had
+//! just warmed (on the 16 384-node benchmark workload a second worker
+//! bought no wall time: 1.37 µs per item alone, 2.4–2.6 µs with two).
+//!
+//! As many slots are open as the widest scheduler run announced
+//! ([`reserve`]: `min(threads, nodes)`, whatever the core count — eight
+//! workers on two cores keep eight sets, not two), and never fewer than one
+//! per core. A thread that finds every open slot owned — the channel
+//! backend's node threads beyond that count — allocates a set per call and
+//! drops it, so at most one set per open slot is ever pooled. A set returned
+//! to a slot that already holds one (a nested call on the same thread
+//! returned first) is dropped likewise.
 //!
 //! Nothing in a set outlives the call as *data*: every buffer is cleared or
 //! overwritten before it is read, so which set a call gets cannot change a
 //! result.
 
 use crate::average::PartialAverager;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// One worker's buffers. Fields are independent; a strategy uses the ones
@@ -46,26 +61,88 @@ pub(crate) struct ShareScratch {
     pub wire: Vec<u8>,
 }
 
-static POOL: Mutex<Vec<ShareScratch>> = Mutex::new(Vec::new());
+/// More workers than this share no slot: the rest allocate per call.
+const MAX_SLOTS: usize = 64;
 
-/// Most sets the pool keeps: one per core. Looked up once — the standard
-/// library reads cgroup files for it, far too slow for every call.
-fn pool_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+/// One pooled set on a cache line pair of its own, so a worker's take and
+/// return never invalidate another worker's.
+#[repr(align(128))]
+struct Slot(Mutex<Option<ShareScratch>>);
+
+static SLOTS: [Slot; MAX_SLOTS] = [const { Slot(Mutex::new(None)) }; MAX_SLOTS];
+
+/// `OWNED[i]` while a live thread holds slot `i`. Kept apart from the slots:
+/// threads looking for a free one read only this, which changes when a
+/// thread claims or exits, never per call.
+static OWNED: [AtomicBool; MAX_SLOTS] = [const { AtomicBool::new(false) }; MAX_SLOTS];
+
+/// The widest scheduler run announced so far.
+static RESERVED: AtomicUsize = AtomicUsize::new(0);
+
+/// Opens one slot per worker of a scheduler run about to start (capped at
+/// [`MAX_SLOTS`]); slots stay open for the life of the process.
+pub(crate) fn reserve(workers: usize) {
+    // Relaxed: the count publishes nothing, it only widens a search.
+    RESERVED.fetch_max(workers.min(MAX_SLOTS), Ordering::Relaxed);
 }
 
-/// Runs `f` with a scratch set taken from the pool (or a new one) and
-/// returns the set afterwards. Sets are not returned when `f` panics.
+/// Slots a thread may claim: one per announced worker, at least one per
+/// core. The core count is looked up once — the standard library reads
+/// cgroup files for it, far too slow for every call.
+fn open_slots() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    RESERVED.load(Ordering::Relaxed).max(cores.min(MAX_SLOTS))
+}
+
+/// This thread's slot, once it has one; released when the thread exits.
+struct Claim(Cell<Option<usize>>);
+
+thread_local! {
+    static CLAIM: Claim = const { Claim(Cell::new(None)) };
+}
+
+impl Claim {
+    /// The slot this thread owns, claiming the lowest free one first if it
+    /// owns none yet; `None` while every open slot is another thread's.
+    fn slot(&self) -> Option<&'static Slot> {
+        if self.0.get().is_none() {
+            // Acquire/Release on the flag pair a claim with the previous
+            // owner's release; the set itself is published by its mutex.
+            let free = OWNED[..open_slots()].iter().position(|owned| {
+                !owned.load(Ordering::Relaxed)
+                    && owned
+                        .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                        .is_ok()
+            });
+            self.0.set(free);
+        }
+        self.0.get().map(|index| &SLOTS[index])
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        if let Some(index) = self.0.get() {
+            OWNED[index].store(false, Ordering::Release);
+        }
+    }
+}
+
+/// Runs `f` with the scratch set of this thread's slot (or a new one) and
+/// returns the set there afterwards. Sets are not returned when `f` panics.
 pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut ShareScratch) -> R) -> R {
-    // A push or pop leaves the pool valid at every step, so a poisoned lock
-    // (a panic elsewhere while holding it) loses nothing.
-    let pool = || POOL.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut scratch = pool().pop().unwrap_or_default();
+    let slot = CLAIM.with(Claim::slot);
+    // A take or a put leaves the slot valid at every step, so a poisoned
+    // lock (a panic elsewhere while holding it) loses nothing.
+    let set = |slot: &'static Slot| slot.0.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut scratch = slot.and_then(|s| set(s).take()).unwrap_or_default();
     let result = f(&mut scratch);
-    let mut pool = pool();
-    if pool.len() < pool_cap() {
-        pool.push(scratch);
+    if let Some(slot) = slot {
+        let mut pooled = set(slot);
+        if pooled.is_none() {
+            *pooled = Some(scratch);
+        }
     }
     result
 }
@@ -73,16 +150,43 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut ShareScratch) -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     #[test]
     fn buffers_survive_between_calls_and_nest_without_sharing() {
+        // Other tests' workers hold slots too: open enough for everyone.
+        reserve(MAX_SLOTS);
+        with_scratch(|s| s.wire.extend([1, 2, 3]));
+        // Capacity is what persists; a strategy clears before use.
         with_scratch(|outer| {
-            outer.wire.extend([1, 2, 3]);
-            // A nested call (a second worker, in effect) gets another set.
+            assert!(outer.wire.capacity() >= 3);
+            // A nested call finds the slot empty and gets a set of its own;
+            // the slot keeps whichever comes back first.
             with_scratch(|inner| assert!(!std::ptr::eq(outer, inner)));
         });
-        // Capacity is what persists; a strategy clears before use.
-        let reused = (0..8).any(|_| with_scratch(|s| s.wire.capacity() >= 3));
-        assert!(reused);
+    }
+
+    #[test]
+    fn a_worker_gets_its_own_set_back_whatever_the_others_do() {
+        reserve(MAX_SLOTS);
+        let turn = Barrier::new(2);
+        std::thread::scope(|scope| {
+            for id in [7u8, 9] {
+                let turn = &turn;
+                scope.spawn(move || {
+                    with_scratch(|s| {
+                        s.wire.clear();
+                        s.wire.push(id);
+                        // Both sets are out at once, and go back in either
+                        // order; then both threads come for one again.
+                        turn.wait();
+                    });
+                    turn.wait();
+                    for _ in 0..4 {
+                        with_scratch(|s| assert_eq!(s.wire, [id]));
+                    }
+                });
+            }
+        });
     }
 }

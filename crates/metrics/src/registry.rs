@@ -186,6 +186,8 @@ pub struct RunFacts {
     pub commit_wall_ns: u64,
     /// Parallel execute batches observed.
     pub batches: u64,
+    /// Events those batches executed: the sum of their widths.
+    pub batch_width_sum: u64,
 }
 
 /// Streaming aggregation of a trace into per-node/per-edge totals, windowed
@@ -422,6 +424,7 @@ impl MetricsRegistry {
                 ..
             } => {
                 self.run.batches += 1;
+                self.run.batch_width_sum += u64::from(width);
                 self.run.propose_wall_ns += propose_ns;
                 self.run.execute_wall_ns += execute_ns;
                 self.run.commit_wall_ns += commit_ns;
@@ -993,6 +996,7 @@ mod tests {
         assert_eq!(edge.mixed, 1);
         assert_eq!(r.run_facts().rounds_run, 2);
         assert_eq!(r.run_facts().batches, 1);
+        assert_eq!(r.run_facts().batch_width_sum, 3);
         assert_eq!(r.run_facts().propose_wall_ns, 10);
         assert_eq!(r.run_facts().execute_wall_ns, 20);
         assert_eq!(r.run_facts().commit_wall_ns, 30);

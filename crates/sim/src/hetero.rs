@@ -235,6 +235,18 @@ impl LinkProfile {
         }
     }
 
+    /// A latency no link of this profile undercuts, in seconds: the
+    /// lookahead a conservative event scheduler may rely on (a message sent
+    /// at `t` arrives no earlier than `t + min_latency_s`). Log-normal links
+    /// report zero — a per-link factor `exp(N(0, sigma))` is unbounded above,
+    /// so `latency_s / factor` has no positive lower bound.
+    pub fn min_latency_s(&self) -> f64 {
+        match self {
+            LinkProfile::Instant | LinkProfile::LogNormal { .. } => 0.0,
+            LinkProfile::Uniform { latency_s, .. } => *latency_s,
+        }
+    }
+
     /// Whether every link is instantaneous.
     pub fn is_instant(&self) -> bool {
         matches!(self, LinkProfile::Instant)
@@ -383,6 +395,30 @@ mod tests {
         assert_eq!(profile.link(0, 1, 9), b);
         assert_ne!(a, b);
         assert!(a.bandwidth_bps > 0.0 && b.latency_s > 0.0);
+    }
+
+    #[test]
+    fn min_latency_is_a_floor_only_where_one_exists() {
+        assert_eq!(LinkProfile::Instant.min_latency_s(), 0.0);
+        let uniform = LinkProfile::Uniform {
+            latency_s: 0.005,
+            bandwidth_bps: 1e6,
+        };
+        assert_eq!(uniform.min_latency_s(), 0.005);
+        assert_eq!(uniform.link(3, 4, 9).latency_s, 0.005);
+        // Per-link factors are unbounded: some link always undercuts any
+        // positive floor, so the profile promises none.
+        let jittered = LinkProfile::LogNormal {
+            latency_s: 0.005,
+            bandwidth_bps: 1e6,
+            sigma: 0.5,
+        };
+        assert_eq!(jittered.min_latency_s(), 0.0);
+        let fastest = (0..64)
+            .map(|to| jittered.link(0, to + 1, 9).latency_s)
+            .fold(f64::INFINITY, f64::min);
+        assert!(fastest < 0.005, "median latency is not a floor: {fastest}");
+        assert!(fastest >= jittered.min_latency_s());
     }
 
     #[test]

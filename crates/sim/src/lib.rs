@@ -15,7 +15,10 @@
 //!   its seed. [`EventQueue::pop_independent_batch`] pops a maximal prefix
 //!   of simultaneous, same-[`Conflict`]-class events on pairwise-distinct
 //!   nodes, so an interpreter can execute them on worker threads and commit
-//!   their side effects in batch order without perturbing the schedule;
+//!   their side effects in batch order without perturbing the schedule
+//!   ([`ShardedEventQueue`] is the same order over per-node-group heaps; its
+//!   `peek`/`pop` drive the training engine, which commits one event at a
+//!   time and executes ahead inside [`LinkProfile::min_latency_s`]);
 //! - [`ComputeProfile`]/[`LinkProfile`]: per-node compute-speed and per-link
 //!   latency/bandwidth models, so a message's transfer time is
 //!   `latency + bytes / bandwidth` on *its* link and a straggler's round

@@ -14,38 +14,50 @@
 //! arbitrary interleavings of pushes, pops and clears (a cached head can
 //! only go stale between operations, never inside one).
 //!
-//! [`Ordering::Window`] is the throughput mode: `pop_independent_batch` may
-//! extend a batch past the head's fire time, up to `max_skew_ns` later, as
-//! long as the batch stays one conflict class on pairwise-distinct nodes.
-//! Under fully-random per-node speeds, strictly-simultaneous batches
-//! degenerate to singletons and serialize the worker pool; a bounded skew
-//! window restores wide batches at the cost of a bounded reordering: an
-//! event executed inside a window cannot observe side effects (messages,
-//! repairs) committed by earlier batch members less than `max_skew_ns`
-//! before it. The batch is still a prefix of the queue's total order, so
-//! runs remain bit-reproducible for a fixed `(seed, max_skew_ns)` — Window
-//! trades *agreement with the strict schedule* for parallelism, never
-//! run-to-run determinism.
+//! The training engine drives the queue with [`ShardedEventQueue::peek`] and
+//! [`ShardedEventQueue::pop`]: it commits events one at a time in this total
+//! order and executes ahead of its commits inside the network's lookahead
+//! (see `jwins::engine`), so [`Ordering`] there is a statement about how far
+//! ahead it may run, not about the pop sequence — which is the same under
+//! both modes. [`ShardedEventQueue::pop_independent_batch`] is the queue's
+//! own, simpler batching rule, kept for callers that want a ready-made
+//! independent batch: under [`Ordering::Window`] it may extend a batch past
+//! the head's fire time, up to `max_skew_ns` later, as long as the batch
+//! stays one conflict class on pairwise-distinct nodes. The batch is still a
+//! prefix of the queue's total order, so runs remain bit-reproducible for a
+//! fixed `(seed, max_skew_ns)` — Window trades *agreement with the strict
+//! schedule* for parallelism, never run-to-run determinism.
 
 use crate::clock::SimTime;
 use crate::queue::{splitmix64, Conflict, Scheduled};
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
-/// Commit-order contract for [`ShardedEventQueue::pop_independent_batch`].
+/// How far an interpreter may run ahead of the commit order.
+///
+/// The commit order itself is the queue's total order under both modes. In
+/// the training engine, events execute ahead of their commits in *windows*
+/// (`jwins::engine`); the mode bounds a window's reach. For
+/// [`ShardedEventQueue::pop_independent_batch`] it bounds a batch's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub enum Ordering {
-    /// Batches contain only simultaneous events; the pop sequence is
-    /// bit-identical to the global single-heap [`crate::EventQueue`].
+    /// Commit order is the single-heap order of [`crate::EventQueue`], and
+    /// every event sees exactly what it would see executed one at a time.
+    /// Batches are no longer only simultaneous: the engine also executes
+    /// together events closer than one link latency
+    /// ([`crate::LinkProfile::min_latency_s`]), which provably cannot
+    /// observe one another. `pop_independent_batch` batches only
+    /// simultaneous events.
     #[default]
     Strict,
-    /// Batches may span fire times up to `max_skew_ns` apart. Deterministic
-    /// for a fixed seed and skew, but *not* equivalent to the strict
-    /// schedule: an event may execute without seeing effects committed up
-    /// to `max_skew_ns` of virtual time before it fires.
+    /// Windows (and batches) may reach `max_skew_ns` past their head even
+    /// where no latency vouches for it. Deterministic for a fixed seed and
+    /// skew, but *not* equivalent to the strict schedule: an event may
+    /// execute without seeing effects committed less than `max_skew_ns` of
+    /// virtual time before it fires.
     Window {
         /// Maximum spread, in virtual nanoseconds, between the earliest and
-        /// latest fire time inside one batch.
+        /// latest fire time inside one window or batch.
         max_skew_ns: u64,
     },
 }
@@ -278,6 +290,22 @@ impl<E> ShardedEventQueue<E> {
         Some(self.pop_shard(shard))
     }
 
+    /// The next event in the global order, without removing it.
+    pub fn peek(&self) -> Option<Scheduled<&E>> {
+        if self.len == 0 {
+            return None;
+        }
+        let ((time, priority, ..), shard) = self.heads.min();
+        let head = self.shards[shard]
+            .peek()
+            .expect("the tree's winner has a head");
+        Some(Scheduled {
+            time,
+            priority,
+            event: &head.event,
+        })
+    }
+
     /// The fire time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         (self.len > 0).then(|| self.heads.min().0 .0)
@@ -470,8 +498,14 @@ mod tests {
         q.push(SimTime(2), 0, 1, 'b');
         q.push(SimTime(9), 0, 2, 'c');
         assert_eq!(q.peek_time(), Some(SimTime(2)));
-        assert_eq!(q.len(), 3);
+        let head = q.peek().expect("three events pending");
+        assert_eq!(
+            (head.time, head.priority, *head.event),
+            (SimTime(2), 0, 'b')
+        );
+        assert_eq!(q.len(), 3, "peeking removes nothing");
         q.clear();
+        assert!(q.peek().is_none());
         assert!(q.is_empty());
         assert!(q.pop().is_none());
     }
@@ -640,6 +674,12 @@ mod tests {
             assert_eq!(queue.is_empty(), model.pending.is_empty());
             let head = model.min().map(|i| model.pending[i].0 .0);
             assert_eq!(queue.peek_time(), head, "peek at step {}", step);
+            let next = model.min().map(|i| {
+                let ((time, priority, ..), event) = model.pending[i];
+                (time, priority, event)
+            });
+            let peeked = queue.peek().map(|s| (s.time, s.priority, *s.event));
+            assert_eq!(peeked, next, "peeked event at step {}", step);
             if let Some(global) = &global {
                 assert_eq!(queue.len(), global.len());
                 assert_eq!(queue.peek_time(), global.peek_time());

@@ -259,32 +259,37 @@ pub enum TraceEvent {
         /// entries.
         mass: f64,
     },
-    /// One parallel execute batch ran. The `wall_*`/`*_ns` phase fields are
-    /// host wall-clock (the nondeterministic side channel); everything else
-    /// is deterministic.
+    /// One window of the event scheduler — events executed in parallel ahead
+    /// of their commits — has fully committed. The `wall_*`/`*_ns` phase
+    /// fields are host wall-clock (the nondeterministic side channel);
+    /// everything else is deterministic.
     ExecuteBatch {
-        /// Virtual time of the batch.
+        /// Virtual time of the window's last member, whose commit this
+        /// event follows (windows nest, so the head's time could lie behind
+        /// events already traced).
         t_ns: u64,
-        /// The event class the batch carried.
+        /// The event class the window carried.
         class: BatchClass,
-        /// The round (mix batches are single-round; train batches report
-        /// the first item's round).
+        /// The head's round (a window may span rounds).
         round: u32,
-        /// Events in the batch after stale-epoch filtering.
+        /// Events in the window after stale-epoch filtering.
         width: u32,
-        /// Queue depth right after the batch was popped.
+        /// Pending events — queued, or executed ahead by an enclosing
+        /// window — right after the window was popped.
         queue_depth: u32,
         /// The event-queue shard the batch head was routed to (0 on the
         /// unsharded engine; absent in pre-shard traces, which parse as 0).
         #[serde(default)]
         shard: u32,
-        /// Wall-clock offset of the propose phase from run start (ns).
+        /// Wall-clock offset from run start at which gathering began (ns).
         wall_start_ns: u64,
-        /// Wall nanoseconds spent in the sequential propose phase.
+        /// Wall nanoseconds spent gathering the window, sequentially: queue
+        /// pops, stale-epoch filtering, round-context resolution.
         propose_ns: u64,
         /// Wall nanoseconds spent in the parallel execute phase.
         execute_ns: u64,
-        /// Wall nanoseconds spent in the sequential commit phase.
+        /// Wall nanoseconds spent committing this window's own members
+        /// (sequential; nested windows report theirs).
         commit_ns: u64,
     },
 }
