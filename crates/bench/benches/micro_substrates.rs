@@ -204,6 +204,46 @@ fn bench_float_codec(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // The index block at the two ends of the cut-off on the same probe: a
+    // full-budget share implies its indices (0 bits), a 10 % one pays
+    // Elias gamma for each. Decoded as the strategies consume them.
+    let coeffs = dwt.forward(&mlp).data;
+    let scores = dwt.forward(&reversed).data;
+    let full: Vec<u32> = (0..coeffs.len() as u32).collect();
+    let tenth = top_k_indices(&scores, coeffs.len().div_ceil(10));
+    let codec = SparseVecCodec::default();
+    let frame = |indices: &[u32]| codec.encode(indices, &gather(&coeffs, indices)).unwrap();
+    let (full_frame, tenth_frame) = (frame(&full), frame(&tenth));
+    let index_bits = |frame: &jwins_codec::sparse::EncodedSparseVec, count: usize| {
+        frame.metadata_bytes as f64 * 8.0 / count as f64
+    };
+    println!(
+        "codec/sparse index bits per coefficient: d=113418 full budget {:.2}  10% ({} of {}) {:.2}",
+        index_bits(&full_frame, full.len()),
+        tenth.len(),
+        full.len(),
+        index_bits(&tenth_frame, tenth.len()),
+    );
+    let mut group = c.benchmark_group("codec/sparse");
+    group.sample_size(30);
+    for (name, frame) in [("full-budget", &full_frame), ("10pct", &tenth_frame)] {
+        group.bench_function(format!("decode/{name}"), |b| {
+            // The fold `streaming_decode` times, plus the index.
+            b.iter(|| {
+                let (mut sum, mut last) = (0.0f64, 0u32);
+                codec
+                    .decode_each(black_box(frame.as_bytes()), |index, value| {
+                        sum += f64::from(value);
+                        last = index;
+                        Ok::<(), jwins_codec::CodecError>(())
+                    })
+                    .unwrap();
+                black_box((sum, last))
+            });
+        });
+    }
+    group.finish();
 }
 
 fn bench_peer_sampling(c: &mut Criterion) {

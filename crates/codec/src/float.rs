@@ -64,6 +64,23 @@
 //!
 //! # Layouts measured and rejected
 //!
+//! Every message the four `BENCHMARK.json` workloads encode at seed 42, in
+//! bits per value (`mlp_jwins` / `lenet_sync` / `mlp_full_async` /
+//! `event_scale`):
+//!
+//! | layout | bits per value | why not |
+//! |---|---|---|
+//! | this format (blocks of 64) | 27.73 / 27.94 / 27.55 / 28.32 | — |
+//! | patched frame-of-reference, escapes inline | 27.22 / 27.44 / 26.88 / 28.02 | 12 % of `mlp_jwins`'s values escape; a prototype decoded 3.4× slower (327 → 1 099 µs dense) and encoded 4.8× slower (302 → 1 458 µs) |
+//! | patched frame-of-reference, exception lists | 27.45 / 27.64 / 27.19 / 28.37 | gains less than inline escapes, and adds a second pass |
+//! | Rice offsets, best parameter per block | 27.02 / 27.37 / 26.59 / 27.89 | 2.0–2.4× slower decode (below) |
+//! | order-0 exponent entropy plus its table | 26.57 / 27.01 / 26.37 / 30.41 | the per-message table outweighs the gain on `event_scale`'s 25-value messages |
+//! | block sizes 16 / 32 / 48 / 64 / 96 / 128 / 256 on `mlp_jwins` | 28.03 / 27.75 / 27.71 / 27.73 / 27.81 / 27.89 / 28.03 | 64 stays: 48 saves 0.02 bits |
+//! | header inference (Δ`emax` plus a one-bit `tz`) | −0.53 / −0.49 / −0.62 / −0.56 % of the wire | the event workloads' arrivals move, and with them their fingerprints, for half a percent |
+//!
+//! No value layout measured pays for its decode cost; the index side did
+//! (`crate::sparse`, the implied frame).
+//!
 //! - **Rice-coded exponent offsets** (best parameter per block) instead of
 //!   the fixed `w` bits come to 27.04 / 26.61 / 27.39 / 27.93 bits per value
 //!   in the same workload order, 0.4–0.9 below this format. But the width

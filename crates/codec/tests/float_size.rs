@@ -31,19 +31,27 @@ fn trained_like_vectors_compress() {
     assert!(bits_per_value(&lenet) <= 28.5, "{}", bits_per_value(&lenet));
 }
 
-/// The densest frame there is — consecutive indices, all-zero values: one
-/// bit per index and one sign bit per value. `SparseVecCodec` rejects a
-/// declared count above four per byte before sizing anything by it, so this
-/// frame has to stay inside that bound.
+/// The densest frames there are — all-zero values, one sign bit each, at
+/// consecutive indices. `SparseVecCodec` rejects a declared count above
+/// four per byte (eight in an implied frame, which spends no bit on an
+/// index) before sizing anything by it, so both have to stay inside their
+/// bound: 1 000 indices from 1 cost a gamma bit each (3 for the first), and
+/// 1 000 indices from 0 are implied and cost none — 162 bytes in all, which
+/// only the implied frame's bound admits.
 #[test]
 fn all_zero_values_fit_the_sparse_frame_bound() {
-    let indices: Vec<u32> = (0..1000).collect();
     let values = vec![0.0f32; 1000];
+    let payload = (1000usize + 16 * 17).div_ceil(8);
     let codec = SparseVecCodec::default();
-    let encoded = codec.encode(&indices, &values).unwrap();
-    assert_eq!(encoded.payload_bytes, (1000usize + 16 * 17).div_ceil(8));
-    assert!(indices.len() <= 4 * encoded.len());
-    let (di, dv) = codec.decode(encoded.as_bytes()).unwrap();
-    assert_eq!(di, indices);
-    assert!(dv.iter().all(|v| v.to_bits() == 0));
+    // Metadata: a two-byte count, a one-byte `index_len`, the index block.
+    for (first, per_byte, metadata) in [(1u32, 4, 3 + 1002usize.div_ceil(8)), (0, 8, 3)] {
+        let indices: Vec<u32> = (first..first + 1000).collect();
+        let encoded = codec.encode(&indices, &values).unwrap();
+        assert_eq!(encoded.payload_bytes, payload);
+        assert_eq!(encoded.metadata_bytes, metadata, "indices from {first}");
+        assert!(indices.len() <= per_byte * encoded.len());
+        let (di, dv) = codec.decode(encoded.as_bytes()).unwrap();
+        assert_eq!(di, indices);
+        assert!(dv.iter().all(|v| v.to_bits() == 0));
+    }
 }

@@ -163,12 +163,62 @@ proptest! {
                     visited += 1;
                     Ok::<(), CodecError>(())
                 });
-                // The two entry points are one decoder.
+                // The three entry points are one decoder.
                 prop_assert_eq!(decoded.as_ref().map(|(i, _)| i.len()), streamed.as_ref().copied());
+                let compact = codec.decode_compact(&bytes);
+                prop_assert_eq!(
+                    compact.as_ref().map(|(_, v)| v.len()),
+                    decoded.as_ref().map(|(_, v)| v.len())
+                );
                 if let Ok((indices, values)) = decoded {
                     prop_assert_eq!(indices.len(), values.len());
                     prop_assert_eq!(indices.len(), visited);
                 }
+            }
+        }
+    }
+
+    /// Implied frames (`count > 0`, `index_len = 0`) as a peer may cut them:
+    /// a value block one byte short is `UnexpectedEof`, one with a byte
+    /// appended is `Corrupt`, and a count above eight per byte of the frame
+    /// is `Corrupt` before anything is sized by it.
+    #[test]
+    fn implied_frame_steered(
+        patterns in proptest::collection::vec(any::<u32>(), 1..200),
+        overdeclared in 1u64..1_000,
+    ) {
+        let values: Vec<f32> = patterns.iter().map(|&p| f32::from_bits(p)).collect();
+        let n = values.len();
+        for vc in [ValueCodec::Raw, ValueCodec::Block] {
+            let value_block = |values: &[f32]| match vc {
+                ValueCodec::Raw => RawFloatCodec.encode(values),
+                _ => BlockFloatCodec.encode(values),
+            };
+            let frame = |count: u64, value_block: &[u8]| {
+                let mut bytes = Vec::new();
+                varint::write_u64(&mut bytes, count);
+                varint::write_u64(&mut bytes, 0);
+                bytes.extend(value_block);
+                bytes
+            };
+            for ic in [IndexCodec::RawU32, IndexCodec::VarintDelta, IndexCodec::EliasGammaDelta] {
+                let codec = SparseVecCodec::new(ic, vc);
+                let whole = frame(n as u64, &value_block(&values));
+                let (indices, decoded) = codec.decode(&whole).unwrap();
+                prop_assert_eq!(indices, (0..n as u32).collect::<Vec<_>>());
+                prop_assert_eq!(bits(&decoded), bits(&values));
+                let short = &whole[..whole.len() - 1];
+                prop_assert_eq!(codec.decode(short), Err(CodecError::UnexpectedEof));
+                let mut longer = whole.clone();
+                longer.push(0xA5);
+                prop_assert!(matches!(codec.decode(&longer), Err(CodecError::Corrupt(_))));
+                let len = whole.len() as u64;
+                let absurd = frame(8 * (len + 2) + overdeclared, &value_block(&values));
+                prop_assert!(8 * (absurd.len() as u64) < 8 * (len + 2) + overdeclared);
+                prop_assert_eq!(
+                    codec.decode(&absurd),
+                    Err(CodecError::Corrupt("declared count exceeds buffer capacity"))
+                );
             }
         }
     }

@@ -106,6 +106,22 @@ fn default_sparse_vec_codec() {
     assert_eq!(bits(&dv), bits(&values));
 }
 
+/// A full-budget share: indices `0..5` are implied, so the frame is the
+/// count, an empty index block and the values — the same value block as
+/// `default_sparse_vec_codec`'s.
+#[test]
+fn implied_sparse_vec_frame() {
+    let indices = [0u32, 1, 2, 3, 4];
+    let values = [0.25f32, -1.5, 3.0, 0.125, -7.75];
+    let codec = SparseVecCodec::default();
+    let encoded = codec.encode(&indices, &values).unwrap();
+    assert_eq!(hex(encoded.as_bytes()), "05008139c02c14500f80");
+    assert_eq!((encoded.metadata_bytes, encoded.payload_bytes), (2, 8));
+    let (di, dv) = codec.decode(encoded.as_bytes()).unwrap();
+    assert_eq!(di, indices);
+    assert_eq!(bits(&dv), bits(&values));
+}
+
 #[test]
 fn qsgd() {
     let values = [0.3f32, -0.7, 0.1, 0.0, 2.0];

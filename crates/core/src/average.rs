@@ -13,6 +13,8 @@
 //! weighted average, so full-sharing is the exact special case (verified in
 //! the tests).
 
+use crate::strategy::Contribution;
+
 /// Accumulates sparse contributions into a weighted average over `own`.
 ///
 /// One averager can serve any number of averages: [`Self::reset`] starts the
@@ -123,6 +125,30 @@ impl PartialAverager {
             *den += weight;
         }
         Ok(())
+    }
+
+    /// Adds a decoded neighbour contribution with mixing weight `weight`:
+    /// the same [`Self::add_one`] steps a streaming decode of its message
+    /// takes, in the same order. Returns `false` when an index is out of
+    /// range; the average is then not to be used.
+    #[must_use = "an out-of-range index is a protocol violation to report"]
+    pub fn add_contribution(&mut self, contribution: &Contribution, weight: f64) -> bool {
+        let values = &contribution.values;
+        match &contribution.indices {
+            Some(indices) => indices
+                .iter()
+                .zip(values)
+                .all(|(&index, &value)| self.add_one(index, value, weight)),
+            // Indices `0..len`: each coordinate's `add_one` in a straight loop.
+            None if values.len() <= self.num.len() => {
+                for ((num, den), &v) in self.num.iter_mut().zip(&mut self.den).zip(values) {
+                    *num += f64::from(v) * weight;
+                    *den += weight;
+                }
+                true
+            }
+            None => false,
+        }
     }
 
     /// Finishes the average.

@@ -202,7 +202,9 @@ where
                     staleness_s,
                 });
             }
-            state.mix_lockstep(i, params, round, topo, &inbox, &config.robust)?;
+            // No barrier closes a round here, so nothing could own a slot
+            // its receivers share: each node decodes what it receives.
+            state.mix_lockstep(i, params, round, topo, &inbox, &[], &config.robust)?;
             let evaluating = eval_due(&config, round);
             let eval = evaluating
                 .then(|| state.evaluate(&mut model, params, &test, config.eval_test_samples));

@@ -12,10 +12,22 @@
 //! is down sits the round out — it neither trains nor sends, nobody sends to
 //! it, and it keeps its model. An outage that begins and ends between two
 //! round starts costs no round.
+//!
+//! Each broadcast is decoded once per round, not once per receiver: the mix
+//! phase's job owns one [`DecodeSlot`] per node that broadcast, the first
+//! receiver to reach a slot fills it, the others fold what it holds, and
+//! the job drops them all when the phase ends. JWINS folds a slot's
+//! contribution with the same steps, in the same inbox order, as the bytes
+//! it would have decoded itself, so sharing changes no bit — which
+//! `engine::tests::shared_decodes_*` check against [`Decodes::Private`].
+//! Every other strategy streams its messages and leaves its slots empty —
+//! a few words per sender, no decoded values.
+//! Per-edge messages differ by receiver and get no slot.
 
 use super::round::{eval_due, fan_out, Scoreboard};
 use super::{attack_kind, Run};
 use crate::metrics::RunResult;
+use crate::strategy::{DecodeSlot, Outbound};
 use crate::Result;
 use jwins_adversary::AttackBehavior;
 use jwins_net::PendingSend;
@@ -23,9 +35,24 @@ use jwins_nn::model::Model;
 use jwins_sim::{LifecycleEvent, LifecycleTracker, SimTime};
 use jwins_trace::TraceEvent;
 
+/// Who decodes a round's broadcasts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Decodes {
+    /// One decode per broadcast, shared by its receivers.
+    Shared,
+    /// Every receiver decodes for itself: the reference the tests compare
+    /// [`Decodes::Shared`] against.
+    #[cfg(test)]
+    Private,
+}
+
 /// Runs every configured round (or until the target accuracy is hit),
 /// leaving the trained node states in place.
-pub(super) fn run_sync<M>(run: &Run<'_, '_, M>, mut board: Scoreboard) -> Result<RunResult>
+pub(super) fn run_sync<M>(
+    run: &Run<'_, '_, M>,
+    mut board: Scoreboard,
+    decodes: Decodes,
+) -> Result<RunResult>
 where
     M: Model + Send,
     M::Sample: Send + Sync,
@@ -107,7 +134,14 @@ where
         }
         // Delivery, in node order; the busiest uplink prices the round.
         let mut max_node_bytes = 0u64;
+        let mut slots: Vec<Option<DecodeSlot>> = Vec::new();
+        if decodes == Decodes::Shared {
+            slots.resize_with(n, || None);
+        }
         for (&(i, _), (neighbors, outbound)) in batch.iter().zip(built) {
+            if let (Some(slot), Outbound::Broadcast(_)) = (slots.get_mut(i), &outbound) {
+                *slot = Some(DecodeSlot::new());
+            }
             let mut node_bytes = 0u64;
             fan_out(outbound, &neighbors, |to, msg| {
                 node_bytes += msg.bytes.len() as u64;
@@ -126,7 +160,7 @@ where
         run.batch(batch, move |i, _, node, params, _| {
             // No deadline, no TTL: barrier rounds deliver everything sent.
             let inbox = network.drain(i, SimTime::MAX, None).envelopes;
-            node.mix_lockstep(i, params, round, &topo, &inbox, &config.robust)
+            node.mix_lockstep(i, params, round, &topo, &inbox, &slots, &config.robust)
         })?;
         board.rounds_run = round + 1;
         let t_ns = SimTime::from_secs_f64(sim_time).0;

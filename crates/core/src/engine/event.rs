@@ -1092,6 +1092,7 @@ where
                     weight,
                     edge_weight: base,
                     bytes: &env.payload,
+                    decoded: None,
                 });
             }
             let mut self_weight = topo.weights.self_weight(node);

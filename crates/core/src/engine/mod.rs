@@ -605,13 +605,18 @@ impl<M: Model> Trainer<M> {
         M: Send,
         M::Sample: Send + Sync,
     {
-        self.run_with(None)
+        self.run_with(None, barrier::Decodes::Shared)
     }
 
     /// [`Self::run_scheduled`] with the event scheduler's lookahead fixed to
-    /// `lookahead` instead of derived — `Some` only in tests, which compare
-    /// against the one-event-at-a-time schedule.
-    fn run_with(&mut self, lookahead: Option<event::Lookahead>) -> Result<RunResult>
+    /// `lookahead` instead of derived, and the barrier's broadcasts decoded
+    /// as `decodes` says — `Some` and `Private` only in tests, which compare
+    /// against the one-event-at-a-time schedule and per-receiver decodes.
+    fn run_with(
+        &mut self,
+        lookahead: Option<event::Lookahead>,
+        decodes: barrier::Decodes,
+    ) -> Result<RunResult>
     where
         M: Send,
         M::Sample: Send + Sync,
@@ -633,7 +638,7 @@ impl<M: Model> Trainer<M> {
                 workers: pool,
             };
             match self.config.execution {
-                ExecutionMode::BulkSynchronous => barrier::run_sync(&run, board),
+                ExecutionMode::BulkSynchronous => barrier::run_sync(&run, board, decodes),
                 ExecutionMode::EventDriven => EventRun::new(run, board, lookahead).run(),
             }
         })
@@ -1404,7 +1409,9 @@ mod tests {
     ) -> Observed {
         let sink = jwins_trace::MemorySink::new();
         let mut trainer = build(threads, &sink);
-        let result = trainer.run_with(lookahead).unwrap();
+        let result = trainer
+            .run_with(lookahead, barrier::Decodes::Shared)
+            .unwrap();
         let (batches, trace): (Vec<_>, Vec<_>) = sink
             .events()
             .into_iter()
@@ -1575,6 +1582,60 @@ mod tests {
             eight_nodes(cfg, topology, gossip, sink)
         });
         assert!(windows < reference.batches, "no window held two events");
+    }
+
+    /// A broadcast decoded once for all its receivers folds exactly as the
+    /// bytes each would have decoded: same records, same trace, same
+    /// parameters, whatever the worker count and the robust rule, with a
+    /// sign-flipping node among the senders.
+    #[test]
+    fn shared_decodes_match_private_decodes() {
+        use crate::strategies::{Jwins, JwinsConfig};
+        use jwins_adversary::{AttackPlan, AttackWindow, Robust};
+        let jwins = |node: usize| {
+            let strategy = Jwins::new(JwinsConfig::paper_default(), 100 + node as u64);
+            Box::new(strategy) as Box<dyn ShareStrategy>
+        };
+        let full = |_| Box::new(FullSharing::new()) as Box<dyn ShareStrategy>;
+        type Factory<'f> = &'f dyn Fn(usize) -> Box<dyn ShareStrategy>;
+        let strategies: [(&str, Factory); 2] = [("jwins", &jwins), ("full sharing", &full)];
+        for (name, strategy) in strategies {
+            for robust in [Robust::None, Robust::Median] {
+                for threads in [1, 2, 8] {
+                    let run = |decodes| {
+                        let mut cfg = TrainConfig::quick_test();
+                        cfg.rounds = 8;
+                        cfg.lr = 0.1;
+                        cfg.eval_every = 2;
+                        cfg.threads = threads;
+                        cfg.robust = robust;
+                        cfg.record_alphas = true;
+                        let flip = AttackWindow::forever(3, AttackBehavior::SignFlip);
+                        cfg.attack = AttackPlan::Scripted(vec![flip]);
+                        let sink = jwins_trace::MemorySink::new();
+                        let topology = StaticTopology::random_regular(8, 4, 3).unwrap();
+                        let mut trainer = eight_nodes(cfg, topology, strategy, &sink);
+                        let result = trainer.run_with(None, decodes).unwrap();
+                        let params: Vec<Vec<u32>> = (0..8)
+                            .map(|i| trainer.node_params(i).iter().map(|v| v.to_bits()).collect())
+                            .collect();
+                        (result, sink.events(), params)
+                    };
+                    let what = format!("{name}, {robust:?}, threads {threads}");
+                    let (shared, shared_trace, shared_params) = run(barrier::Decodes::Shared);
+                    let (private, private_trace, private_params) = run(barrier::Decodes::Private);
+                    assert_eq!(shared.records, private.records, "{what}");
+                    assert_eq!(shared.total_traffic, private.total_traffic, "{what}");
+                    assert_eq!(shared_trace, private_trace, "{what}");
+                    assert_eq!(shared_params, private_params, "{what}");
+                    assert_eq!(shared.final_record().unwrap().attacks_injected, 8, "{what}");
+                    // Not vacuous for JWINS: full-budget shares, the
+                    // implied frames, went out.
+                    let full_budget = shared.alpha_history.iter().flatten().any(|&a| a == 1.0);
+                    assert!(full_budget, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::config::TrainConfig;
 use crate::engine::Trainer;
 use crate::metrics::{RoundRecord, RunResult, TargetHit};
-use crate::strategy::{OutMessage, Outbound, ReceivedMessage, ShareStrategy};
+use crate::strategy::{DecodeSlot, OutMessage, Outbound, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
 use jwins_adversary::{AttackBehavior, Robust};
 use jwins_data::batch::BatchSampler;
@@ -163,11 +163,14 @@ impl<M: Model> NodeState<M> {
 
     /// [`Self::mix`] for the lockstep schedulers (barrier, channel): every
     /// message in `inbox` was built for `round` and mixes at its full edge
-    /// weight.
+    /// weight. `slots[j]`, where there is one, is where sender `j`'s
+    /// broadcast is decoded for all its receivers; an empty `slots` has
+    /// every message decoded by its receiver alone.
     ///
     /// # Errors
     ///
     /// A sender outside the round's neighbour list is a protocol violation.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn mix_lockstep(
         &mut self,
         id: usize,
@@ -175,6 +178,7 @@ impl<M: Model> NodeState<M> {
         round: usize,
         topo: &RoundTopology,
         inbox: &[Envelope],
+        slots: &[Option<DecodeSlot>],
         robust: &Robust,
     ) -> Result<()> {
         let received: Vec<ReceivedMessage<'_>> = inbox
@@ -188,6 +192,7 @@ impl<M: Model> NodeState<M> {
                     weight,
                     edge_weight: weight,
                     bytes: &env.payload,
+                    decoded: slots.get(env.from).and_then(Option::as_ref),
                 })
             })
             .collect::<Result<_>>()?;
@@ -510,13 +515,21 @@ mod tests {
             sent_round: 0,
         };
         let err = node
-            .mix_lockstep(0, &mut params, 0, &topo, &[from(1), from(2)], &Robust::None)
+            .mix_lockstep(
+                0,
+                &mut params,
+                0,
+                &topo,
+                &[from(1), from(2)],
+                &[],
+                &Robust::None,
+            )
             .unwrap_err();
         assert!(
             matches!(err, JwinsError::Protocol("message from non-neighbour")),
             "{err}"
         );
-        node.mix_lockstep(0, &mut params, 0, &topo, &[from(1)], &Robust::None)
+        node.mix_lockstep(0, &mut params, 0, &topo, &[from(1)], &[], &Robust::None)
             .expect("a neighbour's message mixes");
     }
 }

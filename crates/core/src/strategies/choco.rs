@@ -228,6 +228,7 @@ mod tests {
                         weight: 0.5,
                         edge_weight: 0.5,
                         bytes: &mb.bytes,
+                        decoded: None,
                     }],
                 )
                 .unwrap();
@@ -242,6 +243,7 @@ mod tests {
                         weight: 0.5,
                         edge_weight: 0.5,
                         bytes: &ma.bytes,
+                        decoded: None,
                     }],
                 )
                 .unwrap();
@@ -330,6 +332,7 @@ mod tests {
                 weight: 0.5,
                 edge_weight: 0.5,
                 bytes: bad.as_bytes(),
+                decoded: None,
             }],
         );
         assert!(matches!(out, Err(JwinsError::Protocol(_))));

@@ -152,6 +152,7 @@ mod tests {
                     weight: 0.5,
                     edge_weight: 0.5,
                     bytes: &msg_b.bytes,
+                    decoded: None,
                 }],
             )
             .unwrap();
@@ -191,7 +192,8 @@ mod tests {
                     round: 0,
                     weight: 0.5,
                     edge_weight: 0.5,
-                    bytes: &bad
+                    bytes: &bad,
+                    decoded: None
                 }]
             )
             .is_err());
@@ -212,6 +214,7 @@ mod tests {
             weight,
             edge_weight: weight,
             bytes: &msg.bytes,
+            decoded: None,
         }
     }
 

@@ -24,7 +24,7 @@ use crate::cutoff::{AlphaDistribution, CutoffSampler};
 use crate::scaling::ScoreScaling;
 use crate::scratch::{with_scratch, ShareScratch};
 use crate::sparsify::{budget, gather_into, top_k_into};
-use crate::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
+use crate::strategy::{Contribution, OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
 use jwins_adversary::{Robust, RobustAccumulator, RobustStats};
 use jwins_codec::sparse::{IndexCodec, SparseVecCodec, ValueCodec};
@@ -173,12 +173,24 @@ impl Transform {
     }
 }
 
+/// The positions of the set bits of a bitmap, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(word, &bits)| {
+        let mut bits = bits;
+        std::iter::from_fn(move || {
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits.wrapping_sub(1);
+            (bit < 64).then_some(64 * word + bit)
+        })
+    })
+}
+
 /// The JWINS sharing strategy (one instance per node).
 ///
 /// Everything here is state that must survive between calls. The buffers a
 /// call only needs while it runs come from the worker's scratch
 /// (`crate::scratch`), so a node costs three coefficient-sized vectors plus
-/// its last selection, not a workspace of its own.
+/// a bit per coefficient for its last selection, not a workspace of its own.
 #[derive(Debug)]
 pub struct Jwins {
     config: JwinsConfig,
@@ -194,8 +206,9 @@ pub struct Jwins {
     pending_round: Option<usize>,
     /// `DWT(x^{t,τ})` — reused for averaging.
     own_coeffs: Vec<f32>,
-    /// Indices shared this round (to reset in `V`).
-    sent: Vec<u32>,
+    /// One bit per coefficient, set for those shared this round (to reset
+    /// in `V`): ⌈n/64⌉ words whatever the budget.
+    sent: Vec<u64>,
     dim: usize,
     last_alpha: f64,
     robust_stats: RobustStats,
@@ -269,6 +282,17 @@ impl Jwins {
         self.transform.forward_into(delta, work, coeffs);
     }
 
+    /// The decode of `msg` its other receivers share, if it has a slot this
+    /// codec filled (or fills now).
+    fn shared<'m>(&self, msg: &ReceivedMessage<'m>) -> Option<Result<&'m Contribution>> {
+        let codec = self.codec;
+        let decoded = msg.decoded?.decode_with(codec, || {
+            let (indices, values) = codec.decode_compact(msg.bytes)?;
+            Ok(Contribution { indices, values })
+        })?;
+        Some(decoded.as_ref().map_err(|e| e.clone().into()))
+    }
+
     fn add_to_scores(&mut self, coeffs: &[f32]) {
         for (s, d) in self.scores.iter_mut().zip(coeffs) {
             *s += d;
@@ -292,8 +316,8 @@ impl Jwins {
         let mut next = Vec::new();
         self.transform
             .inverse_into(&scratch.coeffs, &mut scratch.work, &mut next)?;
-        for &i in &self.sent {
-            self.scores[i as usize] = 0.0;
+        for i in set_bits(&self.sent) {
+            self.scores[i] = 0.0;
         }
         self.change_coeffs(scratch, &next, params);
         self.add_to_scores(&scratch.coeffs);
@@ -314,7 +338,9 @@ impl ShareStrategy for Jwins {
 
     fn init(&mut self, params: &[f32]) {
         self.dim = params.len();
-        self.scores = vec![0.0; self.transform.plan(self.dim)];
+        let coeffs = self.transform.plan(self.dim);
+        self.scores = vec![0.0; coeffs];
+        self.sent = vec![0; coeffs.div_ceil(64)];
         self.round_start = params.to_vec();
         self.pending_round = None;
     }
@@ -341,17 +367,20 @@ impl ShareStrategy for Jwins {
             let alpha = self.cutoff.next_alpha();
             self.last_alpha = alpha;
             let k = budget(self.scores.len(), alpha);
-            top_k_into(&self.scores, k, &mut scratch.order);
-            self.sent.clear();
-            self.sent.extend_from_slice(&scratch.order);
+            let selected = &mut scratch.order;
+            top_k_into(&self.scores, k, selected);
+            self.sent.fill(0);
+            for &i in selected.iter() {
+                self.sent[i as usize / 64] |= 1 << (i % 64);
+            }
             // Share DWT(x^{t,τ}) at the selected indices.
             self.transform
                 .forward_into(params, &mut scratch.work, &mut self.own_coeffs);
-            gather_into(&self.own_coeffs, &self.sent, &mut scratch.values);
+            gather_into(&self.own_coeffs, selected, &mut scratch.values);
             scratch.wire.clear();
             let split = self
                 .codec
-                .encode_into(&self.sent, &scratch.values, &mut scratch.wire)?;
+                .encode_into(selected, &scratch.values, &mut scratch.wire)?;
             self.pending_round = Some(round);
             Ok(OutMessage::copy_from(
                 &scratch.wire,
@@ -372,13 +401,21 @@ impl ShareStrategy for Jwins {
     ) -> Result<Vec<f32>> {
         self.take_pending(round)?;
         with_scratch(|scratch| {
-            // Average in the wavelet domain, renormalizing per coefficient.
-            // Each message is decoded straight into the average; an index is
-            // range-checked as it is consumed (raw index lists arrive in any
+            // Average in the wavelet domain, renormalizing per coefficient,
+            // message by message in inbox order. A broadcast decoded once for
+            // all its receivers is folded from its slot, anything else is
+            // decoded straight into the average; either way every index is
+            // range-checked as it is added (raw index lists arrive in any
             // order, so no single one vouches for the rest).
             let avg = &mut scratch.averager;
             avg.reset(&self.own_coeffs, self_weight);
             for msg in received {
+                if let Some(decoded) = self.shared(msg) {
+                    if !avg.add_contribution(decoded?, msg.weight) {
+                        return Err(INDEX_OUT_OF_RANGE);
+                    }
+                    continue;
+                }
                 self.codec.decode_each(msg.bytes, |index, value| {
                     if avg.add_one(index, value, msg.weight) {
                         Ok(())
@@ -417,15 +454,22 @@ impl ShareStrategy for Jwins {
         let mut acc = RobustAccumulator::new(&self.own_coeffs, self_weight, *rule);
         let len = acc.len();
         for msg in received {
+            let shared = self.shared(msg).transpose()?;
             let (indices, values) = acc.begin_sparse(msg.weight);
-            self.codec.decode_each(msg.bytes, |index, value| {
+            let mut push = |index: u32, value| {
                 if index as usize >= len {
                     return Err(INDEX_OUT_OF_RANGE);
                 }
                 indices.push(index);
                 values.push(value);
                 Ok(())
-            })?;
+            };
+            match shared {
+                Some(contribution) => contribution.pairs().try_for_each(|(i, v)| push(i, v))?,
+                None => {
+                    self.codec.decode_each(msg.bytes, push)?;
+                }
+            }
         }
         let (averaged, stats) = acc.finish();
         self.robust_stats.absorb(stats);
@@ -449,6 +493,14 @@ impl ShareStrategy for Jwins {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::DecodeSlot;
+
+    impl Jwins {
+        /// The coefficients `make_message` shared, as a list.
+        fn sent_indices(&self) -> Vec<u32> {
+            set_bits(&self.sent).map(|i| i as u32).collect()
+        }
+    }
 
     fn make_pair(config: JwinsConfig, dim: usize) -> (Jwins, Jwins, Vec<f32>, Vec<f32>) {
         let mut a = Jwins::new(config.clone(), 1);
@@ -482,6 +534,7 @@ mod tests {
                     weight: 0.5,
                     edge_weight: 0.5,
                     bytes: &msg_b.bytes,
+                    decoded: None,
                 }],
             )
             .unwrap();
@@ -535,7 +588,7 @@ mod tests {
         let (mut a, _, xa, _) = make_pair(config, 64);
         let x2: Vec<f32> = xa.iter().map(|v| v * 1.5 + 0.1).collect();
         let _ = a.make_message(0, &x2).unwrap();
-        let sent = a.sent.clone();
+        let sent = a.sent_indices();
         assert!(!sent.is_empty());
         let out = a.aggregate(0, &x2, 1.0, &[]).unwrap();
         // After a no-neighbour aggregate the model is (numerically) the same,
@@ -590,6 +643,7 @@ mod tests {
                     weight: 0.5,
                     edge_weight: 0.5,
                     bytes: &msg.bytes,
+                    decoded: None,
                 }],
             )
             .unwrap();
@@ -624,7 +678,8 @@ mod tests {
                     round: 0,
                     weight: 0.5,
                     edge_weight: 0.5,
-                    bytes: &garbage
+                    bytes: &garbage,
+                    decoded: None
                 }]
             )
             .is_err());
@@ -649,6 +704,7 @@ mod tests {
             weight: 0.5,
             edge_weight: 0.5,
             bytes: bad.as_bytes(),
+            decoded: None,
         }];
         let (mut a, _, xa, _) = make_pair(config.clone(), 30);
         let _ = a.make_message(0, &xa).unwrap();
@@ -684,7 +740,7 @@ mod tests {
         // A uniform change across the whole model.
         let x1 = vec![0.1f32; dim];
         let _ = s.make_message(0, &x1).unwrap();
-        let sent = s.sent.clone();
+        let sent = s.sent_indices();
         assert_eq!(sent.len(), 20);
         assert!(
             sent.iter().all(|&i| i >= 100),
@@ -728,6 +784,7 @@ mod tests {
                     weight: 0.5,
                     edge_weight: 0.5,
                     bytes: &msg.bytes,
+                    decoded: None,
                 }],
             )
             .unwrap();
@@ -735,6 +792,149 @@ mod tests {
         // α = 1 the result is still the exact average.
         for ((o, pa), pb) in out.iter().zip(&xa).zip(&xb) {
             assert!((o - (0.5 * pa + 0.5 * pb)).abs() < 1e-3);
+        }
+    }
+
+    /// The bitmap forgets a full-budget round: after α = 1 and then α = 0.1,
+    /// exactly the coefficients of the second selection were reset. The
+    /// identity transform and a lone node make every reset exact (the
+    /// average of one model is that model).
+    #[test]
+    fn scores_are_reset_exactly_where_the_last_selection_was() {
+        let dim = 200usize;
+        let fixed = |alpha| JwinsConfig {
+            alpha: AlphaDistribution::Fixed(alpha),
+            randomized_cutoff: false,
+            ..JwinsConfig::without_wavelet()
+        };
+        let mut s = Jwins::new(fixed(1.0), 4);
+        let x0: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.3).sin()).collect();
+        s.init(&x0);
+        assert_eq!(s.sent.len(), dim.div_ceil(64));
+        let x1: Vec<f32> = x0.iter().map(|v| v + 0.25).collect();
+        let _ = s.make_message(0, &x1).unwrap();
+        assert_eq!(s.sent_indices().len(), dim);
+        let x1 = s.aggregate(0, &x1, 1.0, &[]).unwrap();
+        assert!(s.scores().iter().all(|&v| v == 0.0));
+        s.cutoff = CutoffSampler::new(AlphaDistribution::Fixed(0.1), 4, false);
+        let x2: Vec<f32> = (0..dim)
+            .map(|i| x1[i] + 0.01 * (1 + i % 7) as f32)
+            .collect();
+        let _ = s.make_message(1, &x2).unwrap();
+        let _ = s.aggregate(1, &x2, 1.0, &[]).unwrap();
+        let sent = s.sent_indices();
+        assert_eq!(sent.len(), budget(dim, 0.1));
+        assert_eq!(s.sent.len(), dim.div_ceil(64));
+        for (i, &score) in s.scores().iter().enumerate() {
+            assert_eq!(score == 0.0, sent.contains(&(i as u32)), "coefficient {i}");
+        }
+    }
+
+    /// `b`'s round-0 message under `config`, and a fresh receiver built
+    /// the same way every call, so a private and a shared fold start equal.
+    fn one_broadcast(
+        config: &JwinsConfig,
+        dim: usize,
+    ) -> (OutMessage, impl Fn(u64) -> (Jwins, Vec<f32>)) {
+        let (_, mut b, _, xb) = make_pair(config.clone(), dim);
+        let msg = b.make_message(0, &xb).unwrap();
+        let config = config.clone();
+        let receiver = move |seed: u64| {
+            let mut r = Jwins::new(config.clone(), seed);
+            let x: Vec<f32> = (0..dim)
+                .map(|i| (i as f32 * 0.1 + seed as f32).sin())
+                .collect();
+            r.init(&x);
+            let x: Vec<f32> = x.iter().map(|v| v * 1.1).collect();
+            let _ = r.make_message(0, &x).unwrap();
+            (r, x)
+        };
+        (msg, receiver)
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn receivers_of_one_slot_fold_what_each_would_have_decoded() {
+        for alpha in [1.0, 0.1] {
+            let config = JwinsConfig {
+                alpha: AlphaDistribution::Fixed(alpha),
+                randomized_cutoff: false,
+                ..JwinsConfig::paper_default()
+            };
+            let (msg, receiver) = one_broadcast(&config, 300);
+            let slot = DecodeSlot::new();
+            let from = |decoded| ReceivedMessage {
+                from: 1,
+                round: 0,
+                weight: 0.3,
+                edge_weight: 0.3,
+                bytes: &msg.bytes,
+                decoded,
+            };
+            for seed in [7, 8] {
+                for robust in [None, Some(Robust::Median)] {
+                    let fold = |decoded| {
+                        let (mut r, x) = receiver(seed);
+                        match &robust {
+                            None => r.aggregate(0, &x, 0.7, &[from(decoded)]),
+                            Some(rule) => r.aggregate_robust(0, &x, 0.7, &[from(decoded)], rule),
+                        }
+                        .unwrap()
+                    };
+                    assert_eq!(
+                        bits(&fold(Some(&slot))),
+                        bits(&fold(None)),
+                        "alpha {alpha}, receiver {seed}, {robust:?}"
+                    );
+                }
+            }
+            // A full-budget share is kept as its values alone.
+            let Some(Ok(contribution)) = slot.decode_with(SparseVecCodec::default(), || {
+                unreachable!("the first receiver filled the slot")
+            }) else {
+                panic!("the slot holds the default codec's decode");
+            };
+            assert_eq!(contribution.indices.is_none(), alpha == 1.0);
+        }
+    }
+
+    #[test]
+    fn every_receiver_of_a_corrupt_broadcast_reports_its_error() {
+        let config = JwinsConfig::paper_default();
+        let (_, receiver) = one_broadcast(&config, 30);
+        let slot = DecodeSlot::new();
+        let garbage = [0x03u8, 0x00, 0xFF];
+        let errors: Vec<JwinsError> = [7, 8]
+            .into_iter()
+            .map(|seed| {
+                let (mut r, x) = receiver(seed);
+                let msg = ReceivedMessage {
+                    from: 1,
+                    round: 0,
+                    weight: 0.5,
+                    edge_weight: 0.5,
+                    bytes: &garbage,
+                    decoded: Some(&slot),
+                };
+                r.aggregate(0, &x, 0.5, &[msg]).unwrap_err()
+            })
+            .collect();
+        let (mut r, x) = receiver(9);
+        let private = ReceivedMessage {
+            from: 1,
+            round: 0,
+            weight: 0.5,
+            edge_weight: 0.5,
+            bytes: &garbage,
+            decoded: None,
+        };
+        let alone = r.aggregate(0, &x, 0.5, &[private]).unwrap_err();
+        for error in &errors {
+            assert!(matches!(error, JwinsError::Codec(_)), "{error}");
+            assert_eq!(error.to_string(), alone.to_string());
         }
     }
 

@@ -982,6 +982,7 @@ mod tests {
                     weight: w,
                     edge_weight: w,
                     bytes: &msg_b.bytes,
+                    decoded: None,
                 }],
             )
             .unwrap();
@@ -996,6 +997,7 @@ mod tests {
                     weight: w,
                     edge_weight: w,
                     bytes: &msg_a.bytes,
+                    decoded: None,
                 }],
             )
             .unwrap();
@@ -1224,7 +1226,8 @@ mod tests {
                     round: 0,
                     weight: 0.5,
                     edge_weight: 0.5,
-                    bytes: &bad_header
+                    bytes: &bad_header,
+                    decoded: None
                 }]
             )
             .is_err());
@@ -1240,7 +1243,8 @@ mod tests {
                     round: 1,
                     weight: 0.5,
                     edge_weight: 0.5,
-                    bytes: &truncated
+                    bytes: &truncated,
+                    decoded: None
                 }]
             )
             .is_err());
@@ -1266,6 +1270,7 @@ mod tests {
                     weight: 0.5,
                     edge_weight: 0.5,
                     bytes: &from_b.bytes,
+                    decoded: None,
                 }],
             )
             .expect("unaddressed peer's message is ignored, not an error");
@@ -1360,6 +1365,7 @@ mod tests {
                 weight: 0.5,
                 edge_weight: 0.5,
                 bytes: &m.bytes,
+                decoded: None,
             })
             .collect();
         node.aggregate(round, params, 0.5, &received).unwrap()
@@ -1467,6 +1473,7 @@ mod tests {
                 weight: 0.5,
                 edge_weight: 0.5,
                 bytes: &m_b0.bytes,
+                decoded: None,
             },
             ReceivedMessage {
                 from: 1,
@@ -1474,6 +1481,7 @@ mod tests {
                 weight: 0.5,
                 edge_weight: 0.5,
                 bytes: &m_b1.bytes,
+                decoded: None,
             },
         ];
         xa = a.aggregate(0, &xa, 0.5, &recv).unwrap();

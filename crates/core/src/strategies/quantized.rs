@@ -188,6 +188,7 @@ mod tests {
                     weight: 0.5,
                     edge_weight: 0.5,
                     bytes: &msg.bytes,
+                    decoded: None,
                 }],
             )
             .unwrap();
@@ -237,6 +238,7 @@ mod tests {
                         weight: 0.5,
                         edge_weight: 0.5,
                         bytes: &mb.bytes,
+                        decoded: None,
                     }],
                 )
                 .unwrap();
@@ -251,6 +253,7 @@ mod tests {
                         weight: 0.5,
                         edge_weight: 0.5,
                         bytes: &ma.bytes,
+                        decoded: None,
                     }],
                 )
                 .unwrap();
@@ -293,7 +296,8 @@ mod tests {
                     round: 0,
                     weight: 0.5,
                     edge_weight: 0.5,
-                    bytes: &garbage
+                    bytes: &garbage,
+                    decoded: None
                 }]
             )
             .is_err());

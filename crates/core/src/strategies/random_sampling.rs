@@ -207,6 +207,7 @@ mod tests {
                     weight: 0.5,
                     edge_weight: 0.5,
                     bytes: &msg.bytes,
+                    decoded: None,
                 }],
             )
             .unwrap();
@@ -246,7 +247,8 @@ mod tests {
                     round: 2,
                     weight: 0.5,
                     edge_weight: 0.5,
-                    bytes: &msg.bytes
+                    bytes: &msg.bytes,
+                    decoded: None
                 }]
             )
             .is_err());

@@ -206,6 +206,7 @@ mod tests {
                     weight: 0.5,
                     edge_weight: 0.5,
                     bytes: &msg.bytes,
+                    decoded: None,
                 }],
             )
             .unwrap();
@@ -253,7 +254,8 @@ mod tests {
                     round: 0,
                     weight: 1.0,
                     edge_weight: 1.0,
-                    bytes: &garbage
+                    bytes: &garbage,
+                    decoded: None
                 }]
             )
             .is_err());

@@ -11,7 +11,10 @@
 
 use crate::Result;
 use bytes::Bytes;
+use jwins_codec::sparse::SparseVecCodec;
+use jwins_codec::CodecError;
 use jwins_net::ByteBreakdown;
+use std::sync::OnceLock;
 
 /// A serialized broadcast message plus its byte composition.
 #[derive(Debug, Clone)]
@@ -93,6 +96,79 @@ pub struct ReceivedMessage<'a> {
     pub edge_weight: f64,
     /// Serialized message body.
     pub bytes: &'a [u8],
+    /// Where the receivers of one broadcast share its decode (see
+    /// [`DecodeSlot`]); `None` makes a receiver decode `bytes` itself.
+    /// Every message that carries the same slot carries the same bytes.
+    pub decoded: Option<&'a DecodeSlot>,
+}
+
+/// A neighbour's message, decoded: the values it carries and the
+/// coordinates they belong to.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Contribution {
+    /// The coordinate of each value, in wire order; `None` when they are
+    /// `0..values.len()` — a full-budget share, which carries no index list
+    /// on the wire and keeps none here.
+    pub indices: Option<Vec<u32>>,
+    /// The values, in wire order (one per index when there is a list).
+    pub values: Vec<f32>,
+}
+
+impl Contribution {
+    /// The `(index, value)` pairs in wire order, implied indices spelled
+    /// out — what a streaming decode of the message visits.
+    pub fn pairs(&self) -> impl Iterator<Item = (u32, f32)> + '_ {
+        let index = move |k: usize| self.indices.as_ref().map_or(k as u32, |list| list[k]);
+        self.values
+            .iter()
+            .enumerate()
+            .map(move |(k, &v)| (index(k), v))
+    }
+}
+
+/// One sparse broadcast's decode, made by whichever of its receivers gets
+/// to it first and read by all of them — the barrier scheduler gives every
+/// broadcast one for the length of a round's mix (each of `n` senders was
+/// otherwise decoded by every one of its neighbours). JWINS fills it; a
+/// strategy that streams its messages leaves it empty, which costs nothing.
+///
+/// The slot remembers the [`SparseVecCodec`] that filled it: a receiver
+/// configured with another codec finds `None` and decodes on its own, so
+/// which receiver came first never shows. A decode error is kept like a
+/// result and every receiver reports it.
+#[derive(Default)]
+pub struct DecodeSlot(OnceLock<(SparseVecCodec, Decoded)>);
+
+/// What a slot holds: a contribution, or why the bytes did not decode.
+type Decoded = std::result::Result<Contribution, CodecError>;
+
+impl DecodeSlot {
+    /// An empty slot.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The decode of this slot's message under `codec`, running `decode`
+    /// first if no receiver has; `None` when another codec filled the slot.
+    pub fn decode_with(
+        &self,
+        codec: SparseVecCodec,
+        decode: impl FnOnce() -> Decoded,
+    ) -> Option<&Decoded> {
+        let (filled_by, result) = self.0.get_or_init(|| (codec, decode()));
+        (*filled_by == codec).then_some(result)
+    }
+}
+
+impl std::fmt::Debug for DecodeSlot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = match self.0.get() {
+            None => "empty",
+            Some((_, Ok(_))) => "decoded",
+            Some((_, Err(_))) => "failed",
+        };
+        f.debug_tuple("DecodeSlot").field(&state).finish()
+    }
 }
 
 /// Pair-vs-fresh-fallback telemetry of an edge-stateful strategy since its
@@ -309,6 +385,45 @@ mod tests {
         );
         assert_eq!(&m.bytes[..], &[1, 2, 3]);
         assert_eq!(m.breakdown.total(), 3);
+    }
+
+    #[test]
+    fn a_slot_decodes_once_and_keeps_its_error_for_every_receiver() {
+        let slot = DecodeSlot::new();
+        let runs = std::sync::atomic::AtomicUsize::new(0);
+        let decode = || {
+            runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Err(CodecError::Corrupt("not a frame"))
+        };
+        let codec = SparseVecCodec::default();
+        let seen: Vec<_> = std::thread::scope(|scope| {
+            let receivers: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| slot.decode_with(codec, decode).cloned()))
+                .collect();
+            receivers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let failed = Some(Err(CodecError::Corrupt("not a frame")));
+        assert_eq!(seen, vec![failed.clone(), failed]);
+        assert_eq!(runs.into_inner(), 1);
+        assert_eq!(format!("{slot:?}"), "DecodeSlot(\"failed\")");
+        // A receiver with another codec is told to decode the bytes itself.
+        use jwins_codec::sparse::{IndexCodec, ValueCodec};
+        let other = SparseVecCodec::new(IndexCodec::RawU32, ValueCodec::Block);
+        assert!(slot.decode_with(other, || unreachable!()).is_none());
+    }
+
+    #[test]
+    fn a_contribution_spells_out_implied_indices() {
+        let implied = Contribution {
+            indices: None,
+            values: vec![0.5, -1.0],
+        };
+        assert_eq!(implied.pairs().collect::<Vec<_>>(), [(0, 0.5), (1, -1.0)]);
+        let listed = Contribution {
+            indices: Some(vec![3, 9]),
+            ..implied
+        };
+        assert_eq!(listed.pairs().collect::<Vec<_>>(), [(3, 0.5), (9, -1.0)]);
     }
 
     // The check is a debug_assert, so there is nothing to panic in release

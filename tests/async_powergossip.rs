@@ -314,6 +314,7 @@ mod half_handshake_faults {
                 weight: 0.5,
                 edge_weight: 0.5,
                 bytes: &m.bytes,
+                decoded: None,
             })
             .collect();
         node.aggregate(round, x, 0.5, &received).unwrap()

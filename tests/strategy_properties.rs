@@ -141,14 +141,20 @@ fn jwins_metadata_is_a_small_fraction_with_elias_gamma() {
 #[test]
 fn raw_metadata_roughly_doubles_traffic() {
     // The Figure-9 claim: without compression, metadata ≈ payload (both are
-    // 32-bit per shared value).
+    // 32-bit per shared value). A full-budget draw (α = 1) implies its
+    // indices under every index codec, so the paper's list without it is
+    // what compares the codecs.
+    let listed = || JwinsConfig {
+        alpha: AlphaDistribution::UniformList(vec![0.10, 0.15, 0.20, 0.25, 0.30, 0.40]),
+        ..JwinsConfig::paper_default()
+    };
     let gamma = run_with(6, false, |n| {
-        let mut cfg = JwinsConfig::paper_default();
+        let mut cfg = listed();
         cfg.value_codec = jwins_codec::sparse::ValueCodec::Raw;
         Box::new(Jwins::new(cfg, n as u64))
     });
     let raw = run_with(6, false, |n| {
-        let mut cfg = JwinsConfig::paper_default();
+        let mut cfg = listed();
         cfg.index_codec = IndexCodec::RawU32;
         cfg.value_codec = jwins_codec::sparse::ValueCodec::Raw;
         Box::new(Jwins::new(cfg, n as u64))
@@ -343,6 +349,7 @@ mod robust_mixing {
                 weight,
                 edge_weight: weight,
                 bytes,
+                decoded: None,
             })
             .collect();
         let mut me = factory();
@@ -386,6 +393,7 @@ mod robust_mixing {
                     weight,
                     edge_weight: weight,
                     bytes,
+                    decoded: None,
                 })
                 .collect();
             let mut plain = FullSharing::new();
@@ -518,6 +526,7 @@ mod adversarial_inputs {
             weight: 0.5,
             edge_weight: 0.5,
             bytes,
+            decoded: None,
         };
         // Must not panic; Err or Ok are both acceptable outcomes.
         let _ = strategy.aggregate(0, &x, 0.5, &[msg]);
@@ -582,6 +591,7 @@ mod adversarial_inputs {
                 weight: 0.5,
                 edge_weight: 0.5,
                 bytes,
+                decoded: None,
             };
             if robust {
                 receiver.aggregate_robust(0, &y, 0.5, &[msg], &Robust::Median)
@@ -659,6 +669,7 @@ mod adversarial_inputs {
                 weight: 0.5,
                 edge_weight: 0.5,
                 bytes: &msg.bytes,
+                decoded: None,
             }],
         )
         .expect("well-formed peer message accepted");
