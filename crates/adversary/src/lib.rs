@@ -37,6 +37,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod plan;
 mod robust;

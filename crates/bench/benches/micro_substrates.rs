@@ -19,7 +19,7 @@ use jwins_codec::sparse::{IndexCodec, SparseVecCodec, ValueCodec};
 use jwins_codec::{delta, lz};
 use jwins_fourier::fft_real;
 use jwins_nn::conv::Conv2d;
-use jwins_nn::layers::{Layer, Linear};
+use jwins_nn::layers::{AvgPool2d, Layer, Linear, Relu};
 use jwins_nn::model::Model;
 use jwins_nn::models::{gn_lenet, mlp_classifier, ClassSample};
 use jwins_nn::norm::GroupNorm;
@@ -350,6 +350,7 @@ fn class_batch(features: usize, classes: usize, len: usize) -> Vec<ClassSample> 
 /// `lenet_sync` (GN-LeNet width 8 on 3×12×12), `mlp_*` (432-256-10) and
 /// `event_scale` (16-1-4 at batch 2).
 fn bench_nn(c: &mut Criterion) {
+    println!("nn/kernel_set: {}", jwins_nn::kernel_set());
     let mut group = c.benchmark_group("nn");
     group.sample_size(30);
     let mut conv1 = Conv2d::new(3, 8, 3, 1, 1);
@@ -368,6 +369,15 @@ fn bench_nn(c: &mut Criterion) {
         &mut norm,
         &[8, 8, 12, 12],
     );
+    let mut pool = AvgPool2d::new(2);
+    bench_layer(
+        &mut group,
+        "avgpool_2x2_8x8_12x12_b8",
+        &mut pool,
+        &[8, 8, 12, 12],
+    );
+    let mut relu = Relu::new();
+    bench_layer(&mut group, "relu_8x8x12x12_b8", &mut relu, &[8, 8, 12, 12]);
     for batch in [8usize, 64] {
         let mut linear = Linear::new(432, 256, 3);
         let name = format!("linear_432to256_b{batch}");

@@ -12,6 +12,8 @@
 //! - output helpers that print paper-style rows and persist CSV series under
 //!   `target/experiments/`.
 
+#![deny(unsafe_code)]
+
 use jwins::config::TrainConfig;
 use jwins::engine::Trainer;
 use jwins::metrics::RunResult;

@@ -38,6 +38,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod bitio;
 pub mod delta;
 pub mod elias;

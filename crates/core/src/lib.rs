@@ -69,6 +69,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+
 pub(crate) mod arena;
 pub mod average;
 mod channel_driver;

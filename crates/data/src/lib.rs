@@ -34,6 +34,8 @@
 //! }
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod batch;
 pub mod images;
 pub mod partition;

@@ -55,6 +55,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod schedule;
 pub mod staleness;

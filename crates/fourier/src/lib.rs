@@ -21,6 +21,8 @@
 //! }
 //! ```
 
+#![deny(unsafe_code)]
+
 mod complex;
 
 pub use complex::Complex;

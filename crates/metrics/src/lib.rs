@@ -18,6 +18,7 @@
 //! (`tests/metrics_layer.rs` pins this with the trace-determinism harness).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod critical_path;
 pub mod diff;

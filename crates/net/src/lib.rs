@@ -24,6 +24,8 @@
 //! (compute + latency + bandwidth), preserving the *relative*
 //! time-to-accuracy comparisons of Figures 5–6.
 
+#![deny(unsafe_code)]
+
 pub mod channel;
 pub mod framing;
 pub mod meter;

@@ -18,6 +18,10 @@
 //!   over the output pixels, so the lanes are `OC_LANES` output channels
 //!   and the taps of a filter row advance together.
 //!
+//! The loops over the batch are `Kernel`s (`Forward`, `Backward`), so
+//! each runs as compiled for the baseline target or as its AVX2 twin
+//! (`crate::simd`); every helper they call is `#[inline(always)]`.
+//!
 //! Every floating-point reduction keeps the element order of the plain
 //! six-deep loop (kept as `reference` under `#[cfg(test)]` and compared bit
 //! for bit); "The SGD path" in `docs/ARCHITECTURE.md` states that order.
@@ -28,6 +32,7 @@
 use crate::init;
 use crate::layers::Layer;
 use crate::scratch::{self, carve};
+use crate::simd::{self, Kernel};
 use crate::tensor::Tensor;
 
 /// Wide positions one [`correlate`] step accumulates in registers.
@@ -105,10 +110,29 @@ impl Geometry {
     fn oc_blocks(&self) -> usize {
         self.out_ch.div_ceil(OC_LANES)
     }
+
+    /// Floats of workspace [`Backward`] carves: the weight-gradient chains,
+    /// the padded planes and the lane-major output gradient, plus — for the
+    /// input gradient — the flipped filters, the widened output gradient and
+    /// [`PLANES`] wide planes.
+    fn backward_scratch(&self, input_grad: bool) -> usize {
+        let params = self.oc_blocks() * self.in_ch * self.taps() * OC_LANES
+            + self.in_ch * self.padded_plane()
+            + self.oc_blocks() * self.oh * self.ow * OC_LANES;
+        if input_grad {
+            params
+                + self.out_ch * self.in_ch * self.taps()
+                + self.out_ch * self.grad_plane()
+                + PLANES * self.wide_in()
+        } else {
+            params
+        }
+    }
 }
 
 /// Where output channel `oc`'s value of `item` sits in a buffer laid out
 /// `[oc block][item][lane]` with `items` items per block.
+#[inline(always)]
 fn lane_index(oc: usize, item: usize, items: usize) -> usize {
     (oc / OC_LANES * items + item) * OC_LANES + oc % OC_LANES
 }
@@ -157,9 +181,35 @@ impl Conv2d {
         };
         (b, geo)
     }
+
+    /// Accumulates the parameter gradients of `grad_out` and, if
+    /// `input_grad`, returns the gradient with respect to the input.
+    fn backward_with(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
+        let input = self.cached_input.as_ref().expect("backward before forward");
+        let (b, geo) = self.geometry(input.shape());
+        assert_eq!(grad_out.len(), b * geo.out_ch * geo.oh * geo.ow);
+        let wlen = geo.out_ch * geo.in_ch * geo.taps();
+        let weight = &self.params[..wlen];
+        let (gw, gb) = self.grads.split_at_mut(wlen);
+        let mut gx = input_grad.then(|| vec![0.0f32; input.len()]);
+        scratch::with(geo.backward_scratch(input_grad), |scratch| {
+            simd::run(Backward {
+                geo,
+                weight,
+                gw,
+                gb,
+                x: input.data(),
+                gy: grad_out.data(),
+                gx: gx.as_deref_mut(),
+                scratch,
+            });
+        });
+        gx.map(|gx| Tensor::from_vec(input.shape(), gx))
+    }
 }
 
 /// Copies one sample's `[in_ch][h][w]` planes into zeroed padded planes.
+#[inline(always)]
 fn pad_planes(geo: &Geometry, x: &[f32], padded: &mut [f32]) {
     padded.fill(0.0);
     let planes = padded.chunks_exact_mut(geo.padded_plane());
@@ -176,6 +226,7 @@ fn pad_planes(geo: &Geometry, x: &[f32], padded: &mut [f32]) {
 /// that the flipped taps reach back into. Pixel `(oy, ox)` lands at
 /// `last_tap + (oy − pad)·wp + ox`; rows that touch no input pixel are
 /// dropped, everything else is zero.
+#[inline(always)]
 fn widen_grads(geo: &Geometry, gy: &[f32], wide: &mut [f32]) {
     wide.fill(0.0);
     let rows = geo.pad.saturating_sub(geo.k - 1)..geo.oh.min(geo.pad + geo.h);
@@ -259,6 +310,7 @@ fn correlate<const K: usize, const N: usize, const PER_SOURCE: bool>(
 /// [`correlate`] for destination planes `0..planes`, [`PLANES`] at a time
 /// into `wide` (`PLANES · wide_len` floats of workspace); every finished
 /// plane goes to `store(plane, wide positions)`.
+#[inline(always)]
 fn correlate_planes<const K: usize, const PER_SOURCE: bool>(
     geo: &Geometry,
     planes: usize,
@@ -292,6 +344,7 @@ fn correlate_planes<const K: usize, const PER_SOURCE: bool>(
 /// x[ic][oy + ky][ox + kx]` over `(oy, ox)` ascending, on padded planes.
 /// `KX` taps of a filter row (`KX` divides `k`) advance together, so
 /// `KX · OC_LANES` chains are in flight.
+#[inline(always)]
 fn weight_grads<const KX: usize>(
     geo: &Geometry,
     padded: &[f32],
@@ -331,39 +384,202 @@ macro_rules! with_kernel_size {
     };
 }
 
+/// [`Conv2d::forward`] over the batch: pad each sample, correlate it with
+/// the filters, add the bias.
+struct Forward<'a> {
+    geo: Geometry,
+    x: &'a [f32],
+    weight: &'a [f32],
+    bias: &'a [f32],
+    out: &'a mut [f32],
+    /// `in_ch` padded planes, then [`PLANES`] wide output planes.
+    scratch: &'a mut [f32],
+}
+
+impl Kernel for Forward<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Self {
+            geo,
+            x,
+            weight,
+            bias,
+            out,
+            scratch: mut rest,
+        } = self;
+        let out_plane = geo.oh * geo.ow;
+        let padded = carve(&mut rest, geo.in_ch * geo.padded_plane());
+        let samples = x.chunks_exact(geo.in_ch * geo.h * geo.w);
+        for (x, out) in samples.zip(out.chunks_exact_mut(geo.out_ch * out_plane)) {
+            pad_planes(&geo, x, padded);
+            let store = |oc: usize, wide: &[f32]| {
+                let rows = out[oc * out_plane..][..out_plane].chunks_exact_mut(geo.ow);
+                for (row, wide) in rows.zip(wide.chunks(geo.wp)) {
+                    for (o, &v) in row.iter_mut().zip(wide) {
+                        *o = v + bias[oc];
+                    }
+                }
+            };
+            with_kernel_size!(
+                geo.k,
+                correlate_planes::<_, true>(
+                    &geo,
+                    geo.out_ch,
+                    padded,
+                    geo.padded_plane(),
+                    weight,
+                    rest,
+                    store,
+                )
+            );
+        }
+    }
+}
+
+/// [`Conv2d`]'s backward pass over the batch: bias and weight gradients,
+/// and the input gradient where `gx` is given.
+struct Backward<'a> {
+    geo: Geometry,
+    weight: &'a [f32],
+    gw: &'a mut [f32],
+    gb: &'a mut [f32],
+    x: &'a [f32],
+    gy: &'a [f32],
+    gx: Option<&'a mut [f32]>,
+    /// [`Geometry::backward_scratch`] floats.
+    scratch: &'a mut [f32],
+}
+
+impl Kernel for Backward<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Self {
+            geo,
+            weight,
+            gw,
+            gb,
+            x,
+            gy,
+            mut gx,
+            scratch: mut rest,
+        } = self;
+        let (kk, out_plane, in_plane) = (geo.taps(), geo.oh * geo.ow, geo.h * geo.w);
+        let chains_per_block = geo.in_ch * kk;
+        // The weight gradients so far as chains with the output channel
+        // innermost (channels the last block lacks stay zero).
+        let chains = carve(&mut rest, geo.oc_blocks() * chains_per_block * OC_LANES);
+        chains.fill(0.0);
+        for (oc, gw) in gw.chunks_exact(chains_per_block).enumerate() {
+            for (at, &g) in gw.iter().enumerate() {
+                chains[lane_index(oc, at, chains_per_block)] = g;
+            }
+        }
+        let padded = carve(&mut rest, geo.in_ch * geo.padded_plane());
+        let gy_lanes = carve(&mut rest, geo.oc_blocks() * out_plane * OC_LANES);
+        gy_lanes.fill(0.0);
+        // For the input gradient: the filters as `[in_ch][out_ch]`, flipped
+        // in both axes, and the output gradient in wide layout.
+        let (flipped, gy_wide) = if gx.is_some() {
+            let flipped = carve(&mut rest, weight.len());
+            for oc in 0..geo.out_ch {
+                for ic in 0..geo.in_ch {
+                    for tap in 0..kk {
+                        let at = (oc * geo.in_ch + ic) * kk + tap;
+                        flipped[(ic * geo.out_ch + oc) * kk + kk - 1 - tap] = weight[at];
+                    }
+                }
+            }
+            (flipped, carve(&mut rest, geo.out_ch * geo.grad_plane()))
+        } else {
+            (&mut [][..], &mut [][..])
+        };
+
+        let samples = x.chunks_exact(geo.in_ch * in_plane);
+        let grads = gy.chunks_exact(geo.out_ch * out_plane);
+        for (s, (x, gy)) in samples.zip(grads).enumerate() {
+            // Bias and weight gradients, one block of channels at a time.
+            pad_planes(&geo, x, padded);
+            for (oc, gy) in gy.chunks_exact(out_plane).enumerate() {
+                for (pixel, &g) in gy.iter().enumerate() {
+                    gy_lanes[lane_index(oc, pixel, out_plane)] = g;
+                }
+            }
+            let (gy_lanes, _) = gy_lanes.as_chunks::<OC_LANES>();
+            let (chains, _) = chains.as_chunks_mut::<OC_LANES>();
+            let blocks = gy_lanes
+                .chunks_exact(out_plane)
+                .zip(chains.chunks_exact_mut(chains_per_block))
+                .zip(gb.chunks_mut(OC_LANES));
+            for ((gy, chains), gb) in blocks {
+                let mut sums = [0.0f32; OC_LANES];
+                for g in gy {
+                    for lane in 0..OC_LANES {
+                        sums[lane] += g[lane];
+                    }
+                }
+                for (gb, sum) in gb.iter_mut().zip(sums) {
+                    *gb += sum;
+                }
+                if geo.k.is_multiple_of(3) {
+                    weight_grads::<3>(&geo, padded, gy, chains);
+                } else {
+                    weight_grads::<1>(&geo, padded, gy, chains);
+                }
+            }
+
+            // Input gradient.
+            let Some(gx) = gx.as_deref_mut() else {
+                continue;
+            };
+            let gx = &mut gx[s * geo.in_ch * in_plane..][..geo.in_ch * in_plane];
+            widen_grads(&geo, gy, gy_wide);
+            let store = |ic: usize, wide: &[f32]| {
+                let rows = gx[ic * in_plane..][..in_plane].chunks_exact_mut(geo.w);
+                for (row, wide) in rows.zip(wide.chunks(geo.wp)) {
+                    row.copy_from_slice(&wide[geo.pad..][..geo.w]);
+                }
+            };
+            with_kernel_size!(
+                geo.k,
+                correlate_planes::<_, false>(
+                    &geo,
+                    geo.in_ch,
+                    gy_wide,
+                    geo.grad_plane(),
+                    flipped,
+                    rest,
+                    store,
+                )
+            );
+        }
+
+        for (oc, gw) in gw.chunks_exact_mut(chains_per_block).enumerate() {
+            for (at, gw) in gw.iter_mut().enumerate() {
+                *gw = chains[lane_index(oc, at, chains_per_block)];
+            }
+        }
+    }
+}
+
 impl Layer for Conv2d {
     fn forward(&mut self, input: Tensor, train: bool) -> Tensor {
         let (b, geo) = self.geometry(input.shape());
         let (weight, bias) = self.params.split_at(geo.out_ch * geo.in_ch * geo.taps());
-        let out_plane = geo.oh * geo.ow;
-        let mut out = vec![0.0f32; b * geo.out_ch * out_plane];
-        let padded_len = geo.in_ch * geo.padded_plane();
-        scratch::with(padded_len + PLANES * geo.wide_out(), |mut rest| {
-            let padded = carve(&mut rest, padded_len);
-            let samples = input.data().chunks_exact(geo.in_ch * geo.h * geo.w);
-            for (x, out) in samples.zip(out.chunks_exact_mut(geo.out_ch * out_plane)) {
-                pad_planes(&geo, x, padded);
-                let store = |oc: usize, wide: &[f32]| {
-                    let rows = out[oc * out_plane..][..out_plane].chunks_exact_mut(geo.ow);
-                    for (row, wide) in rows.zip(wide.chunks(geo.wp)) {
-                        for (o, &v) in row.iter_mut().zip(wide) {
-                            *o = v + bias[oc];
-                        }
-                    }
-                };
-                with_kernel_size!(
-                    geo.k,
-                    correlate_planes::<_, true>(
-                        &geo,
-                        geo.out_ch,
-                        padded,
-                        geo.padded_plane(),
-                        weight,
-                        rest,
-                        store,
-                    )
-                );
-            }
+        let mut out = vec![0.0f32; b * geo.out_ch * geo.oh * geo.ow];
+        let scratch_len = geo.in_ch * geo.padded_plane() + PLANES * geo.wide_out();
+        scratch::with(scratch_len, |scratch| {
+            simd::run(Forward {
+                geo,
+                x: input.data(),
+                weight,
+                bias,
+                out: &mut out,
+                scratch,
+            });
         });
         if train {
             self.cached_input = Some(input);
@@ -372,106 +588,12 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("backward before forward");
-        let (b, geo) = self.geometry(input.shape());
-        let (kk, out_plane, in_plane) = (geo.taps(), geo.oh * geo.ow, geo.h * geo.w);
-        assert_eq!(grad_out.len(), b * geo.out_ch * out_plane);
-        let chains_per_block = geo.in_ch * kk;
-        let wlen = geo.out_ch * chains_per_block;
-        let weight = &self.params[..wlen];
-        let (gw, gb) = self.grads.split_at_mut(wlen);
-        let mut gx = vec![0.0f32; input.len()];
+        self.backward_with(&grad_out, true)
+            .expect("the input gradient was asked for")
+    }
 
-        let chains_len = geo.oc_blocks() * chains_per_block * OC_LANES;
-        let padded_len = geo.in_ch * geo.padded_plane();
-        let lanes_len = geo.oc_blocks() * out_plane * OC_LANES;
-        let wide_len = geo.out_ch * geo.grad_plane();
-        let scratch_len =
-            chains_len + wlen + padded_len + lanes_len + wide_len + PLANES * geo.wide_in();
-        scratch::with(scratch_len, |mut rest| {
-            // The weight gradients so far as chains with the output channel
-            // innermost (channels the last block lacks stay zero), and the
-            // filters as `[in_ch][out_ch]`, flipped in both axes.
-            let chains = carve(&mut rest, chains_len);
-            chains.fill(0.0);
-            let flipped = carve(&mut rest, wlen);
-            for oc in 0..geo.out_ch {
-                for ic in 0..geo.in_ch {
-                    for tap in 0..kk {
-                        let at = (oc * geo.in_ch + ic) * kk + tap;
-                        chains[lane_index(oc, ic * kk + tap, chains_per_block)] = gw[at];
-                        flipped[(ic * geo.out_ch + oc) * kk + kk - 1 - tap] = weight[at];
-                    }
-                }
-            }
-            let padded = carve(&mut rest, padded_len);
-            let gy_lanes = carve(&mut rest, lanes_len);
-            gy_lanes.fill(0.0);
-            let gy_wide = carve(&mut rest, wide_len);
-
-            let samples = input.data().chunks_exact(geo.in_ch * in_plane);
-            let grads = grad_out.data().chunks_exact(geo.out_ch * out_plane);
-            let sinks = gx.chunks_exact_mut(geo.in_ch * in_plane);
-            for ((x, gy), gx) in samples.zip(grads).zip(sinks) {
-                // Bias and weight gradients, one block of channels at a time.
-                pad_planes(&geo, x, padded);
-                for (oc, gy) in gy.chunks_exact(out_plane).enumerate() {
-                    for (pixel, &g) in gy.iter().enumerate() {
-                        gy_lanes[lane_index(oc, pixel, out_plane)] = g;
-                    }
-                }
-                let (gy_lanes, _) = gy_lanes.as_chunks::<OC_LANES>();
-                let (chains, _) = chains.as_chunks_mut::<OC_LANES>();
-                let blocks = gy_lanes
-                    .chunks_exact(out_plane)
-                    .zip(chains.chunks_exact_mut(chains_per_block))
-                    .zip(gb.chunks_mut(OC_LANES));
-                for ((gy, chains), gb) in blocks {
-                    let mut sums = [0.0f32; OC_LANES];
-                    for g in gy {
-                        for lane in 0..OC_LANES {
-                            sums[lane] += g[lane];
-                        }
-                    }
-                    for (gb, sum) in gb.iter_mut().zip(sums) {
-                        *gb += sum;
-                    }
-                    if geo.k.is_multiple_of(3) {
-                        weight_grads::<3>(&geo, padded, gy, chains);
-                    } else {
-                        weight_grads::<1>(&geo, padded, gy, chains);
-                    }
-                }
-
-                // Input gradient.
-                widen_grads(&geo, gy, gy_wide);
-                let store = |ic: usize, wide: &[f32]| {
-                    let rows = gx[ic * in_plane..][..in_plane].chunks_exact_mut(geo.w);
-                    for (row, wide) in rows.zip(wide.chunks(geo.wp)) {
-                        row.copy_from_slice(&wide[geo.pad..][..geo.w]);
-                    }
-                };
-                with_kernel_size!(
-                    geo.k,
-                    correlate_planes::<_, false>(
-                        &geo,
-                        geo.in_ch,
-                        gy_wide,
-                        geo.grad_plane(),
-                        flipped,
-                        rest,
-                        store,
-                    )
-                );
-            }
-
-            for (oc, gw) in gw.chunks_exact_mut(chains_per_block).enumerate() {
-                for (at, gw) in gw.iter_mut().enumerate() {
-                    *gw = chains[lane_index(oc, at, chains_per_block)];
-                }
-            }
-        });
-        Tensor::from_vec(input.shape(), gx)
+    fn backward_params(&mut self, grad_out: Tensor) {
+        self.backward_with(&grad_out, false);
     }
 
     fn param_count(&self) -> usize {
@@ -671,7 +793,7 @@ mod tests {
         /// none to wider than the kernel, non-square images down to
         /// `h + 2·pad == k`, channel counts on both sides of the lane and
         /// plane blocks, and gradients full of the zeros the reference
-        /// skips.
+        /// skips — under both kernel sets.
         #[test]
         fn kernels_are_bit_identical_to_reference(
             seed in any::<u64>(),
@@ -689,29 +811,32 @@ mod tests {
             let shape = [b, in_ch, h, w];
             let out_len = b * out_ch * (h + 2 * pad + 1 - k) * (w + 2 * pad + 1 - k);
 
-            let mut conv = Conv2d::new(in_ch, out_ch, k, pad, seed);
-            let params = salted(conv.param_count(), seed ^ 1);
-            conv.params_mut().copy_from_slice(&params);
-            let mut ref_grads = vec![0.0f32; params.len()];
-            for pass in 0..2u64 {
-                let x = salted(b * in_ch * h * w, seed ^ (2 + pass));
-                let gy = if pass == 0 {
-                    relu_sparse(out_len, seed ^ 4)
-                } else {
-                    salted(out_len, seed ^ 5)
-                };
-                let y = conv.forward(Tensor::from_vec(&shape, x.clone()), true);
-                let y_ref = reference::forward(layer, &params, shape, &x);
-                prop_assert_eq!(bits(y.data()), bits(&y_ref));
-                let y_eval = conv.forward(Tensor::from_vec(&shape, x.clone()), false);
-                prop_assert_eq!(bits(y_eval.data()), bits(&y_ref));
+            simd::both_sets(|| {
+                let mut conv = Conv2d::new(in_ch, out_ch, k, pad, seed);
+                let params = salted(conv.param_count(), seed ^ 1);
+                conv.params_mut().copy_from_slice(&params);
+                let mut ref_grads = vec![0.0f32; params.len()];
+                for pass in 0..2u64 {
+                    let x = salted(b * in_ch * h * w, seed ^ (2 + pass));
+                    let gy = if pass == 0 {
+                        relu_sparse(out_len, seed ^ 4)
+                    } else {
+                        salted(out_len, seed ^ 5)
+                    };
+                    let y = conv.forward(Tensor::from_vec(&shape, x.clone()), true);
+                    let y_ref = reference::forward(layer, &params, shape, &x);
+                    prop_assert_eq!(bits(y.data()), bits(&y_ref));
+                    let y_eval = conv.forward(Tensor::from_vec(&shape, x.clone()), false);
+                    prop_assert_eq!(bits(y_eval.data()), bits(&y_ref));
 
-                let gx = conv.backward(Tensor::from_vec(y.shape(), gy.clone()));
-                let gx_ref = reference::backward(layer, &params, &mut ref_grads, shape, &x, &gy);
-                prop_assert_eq!(gx.shape(), &shape[..]);
-                prop_assert_eq!(bits(gx.data()), bits(&gx_ref));
-                prop_assert_eq!(bits(conv.grads()), bits(&ref_grads));
-            }
+                    let gx = conv.backward(Tensor::from_vec(y.shape(), gy.clone()));
+                    let gx_ref =
+                        reference::backward(layer, &params, &mut ref_grads, shape, &x, &gy);
+                    prop_assert_eq!(gx.shape(), &shape[..]);
+                    prop_assert_eq!(bits(gx.data()), bits(&gx_ref));
+                    prop_assert_eq!(bits(conv.grads()), bits(&ref_grads));
+                }
+            });
         }
     }
 }

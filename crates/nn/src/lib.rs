@@ -13,6 +13,8 @@
 //! chains side by side, never one chain split — so every output is
 //! bit-identical to the plain nested loops, which are kept as test oracles;
 //! "The SGD path" in `docs/ARCHITECTURE.md` states the summation order.
+//! Each loop nest also has an AVX2 + FMA twin of the same source, chosen
+//! per call from the CPU; [`kernel_set`] names the set in use.
 //!
 //! # Contents
 //!
@@ -38,6 +40,8 @@
 //! assert_eq!(grad.len(), model.param_count());
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod conv;
 pub mod gradcheck;
 pub mod init;
@@ -50,9 +54,11 @@ pub mod optim;
 pub mod recurrent;
 mod scratch;
 pub mod sequential;
+mod simd;
 pub mod tensor;
 #[cfg(test)]
 mod testdata;
 
 pub use model::{EvalMetrics, Model};
+pub use simd::kernel_set;
 pub use tensor::Tensor;

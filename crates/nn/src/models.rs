@@ -112,7 +112,7 @@ impl Model for ImageClassifier {
         let (x, targets) = self.batch_tensor(batch);
         let logits = self.net.forward(x, true);
         let (loss, grad) = softmax_cross_entropy(&logits, &targets);
-        let _ = self.net.backward(grad);
+        self.net.backward_params(grad);
         (loss, self.net.grads())
     }
 
@@ -684,6 +684,82 @@ mod tests {
             assert!(loss.is_nan());
             assert_eq!(grad.len(), m.param_count());
         }
+    }
+
+    /// The first layer's parameters-only backward accumulates the gradients
+    /// of the full backward bit for bit, over two passes.
+    #[test]
+    fn backward_params_accumulates_what_backward_does() {
+        use crate::testdata::{bits, salted};
+        let models = [
+            (gn_lenet(3, 8, 8, 10, 8, 5), vec![3, 8, 8], 10),
+            (mlp_classifier(12, &[9, 7], 4, 6), vec![12], 4),
+            (leaf_cnn(2, 8, 12, 4, 3, 16, 7), vec![2, 8, 12], 4),
+        ];
+        for (model, sample, classes) in models {
+            let initial = model.params();
+            let mut m = model;
+            let mut grads = |params_only: bool| {
+                m.set_params(&initial);
+                m.net.zero_grads();
+                let b = 9;
+                let mut shape = vec![b];
+                shape.extend_from_slice(&sample);
+                let len = shape.iter().product();
+                for pass in 0..2u64 {
+                    let x = Tensor::from_vec(&shape, salted(len, pass + 1));
+                    let _ = m.net.forward(x, true);
+                    let gy = Tensor::from_vec(&[b, classes], salted(b * classes, pass + 7));
+                    if params_only {
+                        m.net.backward_params(gy);
+                    } else {
+                        let _ = m.net.backward(gy);
+                    }
+                }
+                bits(&m.net.grads())
+            };
+            assert_eq!(grads(true), grads(false));
+        }
+    }
+
+    /// Five SGD steps and an evaluation of a GN-LeNet and an MLP give the
+    /// same parameters, losses and evaluation counters under both kernel
+    /// sets.
+    #[test]
+    fn kernel_sets_train_and_evaluate_alike() {
+        use crate::testdata::{bits, salted};
+        let run = |mut m: ImageClassifier, features: usize, classes: usize| {
+            let x = salted(11 * features, 3);
+            let batch: Vec<ClassSample> = x
+                .chunks(features)
+                .enumerate()
+                .map(|(s, x)| (x.to_vec(), s % classes))
+                .collect();
+            let mut opt = crate::optim::Sgd::new(0.1);
+            let mut params = m.params();
+            let mut losses = Vec::new();
+            for _ in 0..5 {
+                m.set_params(&params);
+                let (loss, grad) = m.loss_and_grad(&batch[..9]);
+                opt.step(&mut params, &grad);
+                losses.push(loss.to_bits());
+            }
+            m.set_params(&params);
+            let eval = m.evaluate(&batch);
+            (
+                bits(&params),
+                losses,
+                eval.loss_sum.to_bits(),
+                eval.count,
+                eval.correct,
+            )
+        };
+        let detected = run(gn_lenet(3, 12, 12, 10, 8, 42), 432, 10);
+        let portable = crate::simd::portable(|| run(gn_lenet(3, 12, 12, 10, 8, 42), 432, 10));
+        assert_eq!(detected, portable);
+        let detected = run(mlp_classifier(432, &[64], 10, 42), 432, 10);
+        let portable = crate::simd::portable(|| run(mlp_classifier(432, &[64], 10, 42), 432, 10));
+        assert_eq!(detected, portable);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! identically at train and eval time and needs no running statistics.
 
 use crate::layers::Layer;
+use crate::simd::{self, Kernel};
 use crate::tensor::Tensor;
 
 const EPS: f64 = 1e-5;
@@ -52,22 +53,37 @@ impl GroupNorm {
     }
 }
 
-impl Layer for GroupNorm {
-    fn forward(&mut self, mut input: Tensor, train: bool) -> Tensor {
-        let shape: [usize; 4] = input.shape().try_into().expect("expects [b,c,h,w]");
-        let [b, c, h, w] = shape;
-        assert_eq!(c, self.channels, "channel mismatch");
-        let ch_per_group = c / self.groups;
-        let gsize = ch_per_group * h * w; // elements per (sample, group)
-        let (gamma, beta) = self.params.split_at(c);
-        if train {
-            self.shape = shape;
-            self.xhat.resize(input.len(), 0.0);
-            self.inv_std.resize(b * self.groups, 0.0);
-        }
-        // (sample, group) slices tile the buffer in order: slice `sg` is
-        // sample `sg / groups`, group `sg % groups`.
-        for (sg, slice) in input.data_mut().chunks_exact_mut(gsize).enumerate() {
+/// [`GroupNorm`]'s forward pass in place over `(sample, group)` slices of
+/// `ch_per_group` planes of `plane` floats; a training pass also keeps `x̂`
+/// and the inverse standard deviations in `cache`.
+struct Forward<'a> {
+    groups: usize,
+    plane: usize,
+    gamma: &'a [f32],
+    beta: &'a [f32],
+    x: &'a mut [f32],
+    cache: Option<(&'a mut [f32], &'a mut [f64])>,
+}
+
+impl Kernel for Forward<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Self {
+            groups,
+            plane,
+            gamma,
+            beta,
+            x,
+            mut cache,
+        } = self;
+        let ch_per_group = gamma.len() / groups;
+        // Elements per (sample, group). The (sample, group) slices tile the
+        // buffer in order: slice `sg` is sample `sg / groups`, group
+        // `sg % groups`.
+        let gsize = ch_per_group * plane;
+        for (sg, slice) in x.chunks_exact_mut(gsize).enumerate() {
             let mean = slice.iter().map(|&v| f64::from(v)).sum::<f64>() / gsize as f64;
             let var = slice
                 .iter()
@@ -78,42 +94,59 @@ impl Layer for GroupNorm {
             for v in slice.iter_mut() {
                 *v = ((f64::from(*v) - mean) * istd) as f32;
             }
-            if train {
-                self.inv_std[sg] = istd;
-                self.xhat[sg * gsize..(sg + 1) * gsize].copy_from_slice(slice);
+            if let Some((xhat, inv_std)) = cache.as_mut() {
+                inv_std[sg] = istd;
+                xhat[sg * gsize..(sg + 1) * gsize].copy_from_slice(slice);
             }
-            let first_ch = sg % self.groups * ch_per_group;
-            for (j, plane) in slice.chunks_exact_mut(h * w).enumerate() {
+            let first_ch = sg % groups * ch_per_group;
+            for (j, plane) in slice.chunks_exact_mut(plane).enumerate() {
                 let (gamma, beta) = (gamma[first_ch + j], beta[first_ch + j]);
                 for v in plane {
                     *v = gamma * *v + beta;
                 }
             }
         }
-        input
     }
+}
 
-    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
-        let [b, c, h, w] = self.shape;
-        assert!(
-            b * c * h * w == grad_out.len() && grad_out.len() == self.xhat.len(),
-            "backward before forward"
-        );
-        let ch_per_group = c / self.groups;
-        let gsize = ch_per_group * h * w;
-        let gamma = &self.params[..c];
-        let (ggamma, gbeta) = self.grads.split_at_mut(c);
-        let slices = grad_out
-            .data_mut()
-            .chunks_exact_mut(gsize)
-            .zip(self.xhat.chunks_exact(gsize));
+/// [`GroupNorm`]'s backward pass: accumulates `gγ`, `gβ` and turns `gy`
+/// into the input gradient in place.
+struct Backward<'a> {
+    groups: usize,
+    plane: usize,
+    gamma: &'a [f32],
+    ggamma: &'a mut [f32],
+    gbeta: &'a mut [f32],
+    gy: &'a mut [f32],
+    xhat: &'a [f32],
+    inv_std: &'a [f64],
+}
+
+impl Kernel for Backward<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Self {
+            groups,
+            plane,
+            gamma,
+            ggamma,
+            gbeta,
+            gy,
+            xhat,
+            inv_std,
+        } = self;
+        let ch_per_group = gamma.len() / groups;
+        let gsize = ch_per_group * plane;
+        let slices = gy.chunks_exact_mut(gsize).zip(xhat.chunks_exact(gsize));
         for (sg, (gys, xhats)) in slices.enumerate() {
-            let first_ch = sg % self.groups * ch_per_group;
+            let first_ch = sg % groups * ch_per_group;
             // Per-group reductions of gxhat and gxhat·xhat; the per-channel
             // ones go straight into the parameter gradients.
             let mut sum_gxh = 0.0f64;
             let mut sum_gxh_xh = 0.0f64;
-            let planes = gys.chunks_exact(h * w).zip(xhats.chunks_exact(h * w));
+            let planes = gys.chunks_exact(plane).zip(xhats.chunks_exact(plane));
             for (j, (gys, xhats)) in planes.enumerate() {
                 let ch = first_ch + j;
                 let gamma = f64::from(gamma[ch]);
@@ -128,8 +161,8 @@ impl Layer for GroupNorm {
                 (ggamma[ch], gbeta[ch]) = (ggamma_ch, gbeta_ch);
             }
             let m = gsize as f64;
-            let scale = self.inv_std[sg] / m;
-            let planes = gys.chunks_exact_mut(h * w).zip(xhats.chunks_exact(h * w));
+            let scale = inv_std[sg] / m;
+            let planes = gys.chunks_exact_mut(plane).zip(xhats.chunks_exact(plane));
             for (j, (gys, xhats)) in planes.enumerate() {
                 let gamma = f64::from(gamma[first_ch + j]);
                 for (gy, &xh) in gys.iter_mut().zip(xhats) {
@@ -138,6 +171,51 @@ impl Layer for GroupNorm {
                 }
             }
         }
+    }
+}
+
+impl Layer for GroupNorm {
+    fn forward(&mut self, mut input: Tensor, train: bool) -> Tensor {
+        let shape: [usize; 4] = input.shape().try_into().expect("expects [b,c,h,w]");
+        let [b, c, h, w] = shape;
+        assert_eq!(c, self.channels, "channel mismatch");
+        let (gamma, beta) = self.params.split_at(c);
+        let cache = if train {
+            self.shape = shape;
+            self.xhat.resize(input.len(), 0.0);
+            self.inv_std.resize(b * self.groups, 0.0);
+            Some((&mut self.xhat[..], &mut self.inv_std[..]))
+        } else {
+            None
+        };
+        simd::run(Forward {
+            groups: self.groups,
+            plane: h * w,
+            gamma,
+            beta,
+            x: input.data_mut(),
+            cache,
+        });
+        input
+    }
+
+    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
+        let [b, c, h, w] = self.shape;
+        assert!(
+            b * c * h * w == grad_out.len() && grad_out.len() == self.xhat.len(),
+            "backward before forward"
+        );
+        let (ggamma, gbeta) = self.grads.split_at_mut(c);
+        simd::run(Backward {
+            groups: self.groups,
+            plane: h * w,
+            gamma: &self.params[..c],
+            ggamma,
+            gbeta,
+            gy: grad_out.data_mut(),
+            xhat: &self.xhat,
+            inv_std: &self.inv_std,
+        });
         grad_out
     }
 
@@ -301,7 +379,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Outputs, input gradients and parameter gradients accumulated over
-        /// two passes equal the reference loops bit for bit.
+        /// two passes equal the reference loops bit for bit, under both
+        /// kernel sets.
         #[test]
         fn group_norm_is_bit_identical_to_reference(
             seed in any::<u64>(),
@@ -311,30 +390,32 @@ mod tests {
         ) {
             let c = groups * ch_per_group;
             let shape = [b, c, h, w];
-            let mut gn = GroupNorm::new(groups, c);
-            let params = salted(2 * c, seed ^ 1);
-            gn.params_mut().copy_from_slice(&params);
-            let mut ref_grads = vec![0.0f32; 2 * c];
-            for pass in 0..2u64 {
-                let x = salted(b * c * h * w, seed ^ (2 + pass));
-                let gy = if pass == 0 {
-                    relu_sparse(x.len(), seed ^ 4)
-                } else {
-                    salted(x.len(), seed ^ 5)
-                };
-                let y = gn.forward(Tensor::from_vec(&shape, x.clone()), true);
-                let (y_ref, xhat, inv_std) = reference::forward(groups, &params, shape, &x);
-                prop_assert_eq!(bits(y.data()), bits(&y_ref));
-                let y_eval = gn.forward(Tensor::from_vec(&shape, x.clone()), false);
-                prop_assert_eq!(bits(y_eval.data()), bits(&y_ref));
+            simd::both_sets(|| {
+                let mut gn = GroupNorm::new(groups, c);
+                let params = salted(2 * c, seed ^ 1);
+                gn.params_mut().copy_from_slice(&params);
+                let mut ref_grads = vec![0.0f32; 2 * c];
+                for pass in 0..2u64 {
+                    let x = salted(b * c * h * w, seed ^ (2 + pass));
+                    let gy = if pass == 0 {
+                        relu_sparse(x.len(), seed ^ 4)
+                    } else {
+                        salted(x.len(), seed ^ 5)
+                    };
+                    let y = gn.forward(Tensor::from_vec(&shape, x.clone()), true);
+                    let (y_ref, xhat, inv_std) = reference::forward(groups, &params, shape, &x);
+                    prop_assert_eq!(bits(y.data()), bits(&y_ref));
+                    let y_eval = gn.forward(Tensor::from_vec(&shape, x.clone()), false);
+                    prop_assert_eq!(bits(y_eval.data()), bits(&y_ref));
 
-                let gx = gn.backward(Tensor::from_vec(&shape, gy.clone()));
-                let cache = (&xhat[..], &inv_std[..]);
-                let gx_ref =
-                    reference::backward(groups, &params, &mut ref_grads, shape, cache, &gy);
-                prop_assert_eq!(bits(gx.data()), bits(&gx_ref));
-                prop_assert_eq!(bits(gn.grads()), bits(&ref_grads));
-            }
+                    let gx = gn.backward(Tensor::from_vec(&shape, gy.clone()));
+                    let cache = (&xhat[..], &inv_std[..]);
+                    let gx_ref =
+                        reference::backward(groups, &params, &mut ref_grads, shape, cache, &gy);
+                    prop_assert_eq!(bits(gx.data()), bits(&gx_ref));
+                    prop_assert_eq!(bits(gn.grads()), bits(&ref_grads));
+                }
+            });
         }
     }
 }

@@ -52,6 +52,19 @@ impl Sequential {
             .fold(grad_out, |g, layer| layer.backward(g))
     }
 
+    /// [`Self::backward`] for the parameter gradients alone: the first
+    /// layer's input gradient, which nobody reads, is not computed (see
+    /// [`Layer::backward_params`]). The gradients are the same bits.
+    pub fn backward_params(&mut self, grad_out: Tensor) {
+        if let Some((first, rest)) = self.layers.split_first_mut() {
+            let grad = rest
+                .iter_mut()
+                .rev()
+                .fold(grad_out, |g, layer| layer.backward(g));
+            first.backward_params(grad);
+        }
+    }
+
     /// Total trainable parameters.
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(|l| l.param_count()).sum()

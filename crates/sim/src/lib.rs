@@ -68,6 +68,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod clock;
 pub mod hetero;

@@ -30,6 +30,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod dynamic;
 pub mod gen;
 pub mod peer_sampling;

@@ -35,6 +35,7 @@
 //!   export of the propose/execute/commit spans.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod chrome;
 mod event;

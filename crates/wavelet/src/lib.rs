@@ -40,6 +40,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod family;
 pub mod multilevel;
 pub mod transform;

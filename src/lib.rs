@@ -1,5 +1,8 @@
 //! Umbrella crate for the JWINS reproduction: re-exports every sub-crate so the
 //! examples and integration tests can use a single dependency.
+
+#![deny(unsafe_code)]
+
 pub use jwins as core;
 pub use jwins_codec as codec;
 pub use jwins_data as data;
