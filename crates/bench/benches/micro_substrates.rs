@@ -10,7 +10,7 @@
 //! `cargo bench --bench micro_substrates -- nn/` runs one group.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use jwins::average::PartialAverager;
+use jwins::average::{DenseAverager, PartialAverager};
 use jwins::engine::workers::{with_workers, Cell};
 use jwins::sparsify::{gather, top_k_indices};
 use jwins_codec::float::{BlockFloatCodec, FloatCodec, RawFloatCodec};
@@ -204,6 +204,37 @@ fn bench_float_codec(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // A full-sharing mix of one message: decoded value by value into
+    // per-coordinate numerators and denominators (how `FullSharing` folded
+    // before), against a block at a time into one denominator (how it folds).
+    let wire = BlockFloatCodec.encode(&mlp);
+    let weight = 0.2;
+    let mut group = c.benchmark_group("codec/dense/decode_fold");
+    group.sample_size(30);
+    let (mut num, mut den) = (vec![0.0f64; mlp.len()], vec![0.0f64; mlp.len()]);
+    group.bench_function("per_value_113418", |b| {
+        b.iter(|| {
+            let mut decoder = BlockFloatCodec::decoder(black_box(&wire));
+            for (num, den) in num.iter_mut().zip(&mut den) {
+                *num += f64::from(decoder.next_value().unwrap()) * weight;
+                *den += weight;
+            }
+            decoder.finish().unwrap();
+        });
+    });
+    let mut avg = DenseAverager::default();
+    avg.reset(&mlp, weight);
+    group.bench_function("block_113418", |b| {
+        b.iter(|| {
+            let mut decoder = BlockFloatCodec::decoder(black_box(&wire));
+            avg.add_blocks(weight, |block| decoder.next_values(block))
+                .unwrap();
+            decoder.finish().unwrap();
+        });
+    });
+    group.finish();
+    black_box((num, den, avg));
 
     // The index block at the two ends of the cut-off on the same probe: a
     // full-budget share implies its indices (0 bits), a 10 % one pays

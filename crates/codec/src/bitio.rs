@@ -164,6 +164,13 @@ impl<'a> BitReader<'a> {
         self.pos
     }
 
+    /// The whole stream, for a caller that reads ahead of the cursor at
+    /// [`Self::bit_pos`] by itself and then [`Self::skip`]s what it read.
+    #[inline]
+    pub(crate) fn data(&self) -> &'a [u8] {
+        self.data
+    }
+
     /// The next 64 bits from the cursor on, left-aligned. Bits past the end
     /// of the stream — and the low `pos % 8` bits — read as zero, so at
     /// least [`Self::PEEK_MAX`] bits are real wherever that many remain.

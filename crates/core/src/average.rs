@@ -11,9 +11,11 @@
 //!
 //! With everyone sending everything this reduces to the standard D-PSGD
 //! weighted average, so full-sharing is the exact special case (verified in
-//! the tests).
+//! the tests). [`DenseAverager`] is that case on its own: every coordinate's
+//! denominator is then the same sum, kept once.
 
 use crate::strategy::Contribution;
+use jwins_codec::float::BlockFloatCodec;
 
 /// Accumulates sparse contributions into a weighted average over `own`.
 ///
@@ -106,27 +108,6 @@ impl PartialAverager {
         }
     }
 
-    /// [`Self::add_dense`] from a source that yields the contribution one
-    /// coordinate at a time (a streaming float decoder), so the decoded
-    /// vector is never materialised. `next` is called once per coordinate,
-    /// in order.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first error `next` returns; coordinates before it have
-    /// been added.
-    pub fn add_dense_with<E>(
-        &mut self,
-        weight: f64,
-        mut next: impl FnMut() -> Result<f32, E>,
-    ) -> Result<(), E> {
-        for (num, den) in self.num.iter_mut().zip(&mut self.den) {
-            *num += f64::from(next()?) * weight;
-            *den += weight;
-        }
-        Ok(())
-    }
-
     /// Adds a decoded neighbour contribution with mixing weight `weight`:
     /// the same [`Self::add_one`] steps a streaming decode of its message
     /// takes, in the same order. Returns `false` when an index is out of
@@ -163,6 +144,71 @@ impl PartialAverager {
     pub fn finish_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.extend(self.num.iter().zip(&self.den).map(|(n, d)| (n / d) as f32));
+    }
+}
+
+/// A weighted average whose contributions all cover every coordinate — full
+/// sharing. Each coordinate's denominator is then the same chain
+/// `((w_ii + w_1) + w_2) + …`, so one `f64` stands in for
+/// [`PartialAverager`]'s per-coordinate array and the result has the same
+/// bits as [`PartialAverager::add_dense`] on every contribution.
+#[derive(Debug, Default)]
+pub struct DenseAverager {
+    num: Vec<f64>,
+    den: f64,
+}
+
+impl DenseAverager {
+    /// Coordinates per [`Self::add_blocks`] fill: one block of the float
+    /// codec, so a fill is one block decode.
+    const BLOCK: usize = BlockFloatCodec::BLOCK;
+
+    /// Starts an average over `own` with its self-weight, reusing the
+    /// allocation of the last one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self_weight` is not positive, as [`PartialAverager::new`].
+    pub fn reset(&mut self, own: &[f32], self_weight: f64) {
+        assert!(self_weight > 0.0, "self weight must be positive");
+        self.num.clear();
+        self.num
+            .extend(own.iter().map(|&v| f64::from(v) * self_weight));
+        self.den = self_weight;
+    }
+
+    /// Adds a neighbour's contribution with mixing weight `weight`, taking
+    /// its values 64 at a time — one float-codec block — from `fill` (the
+    /// last fill may be shorter), in order: a decoder writes each block
+    /// into a stack buffer and the block is folded before the next is
+    /// decoded, so the contribution is never materialised.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first error `fill` returns; the average is then not to
+    /// be used.
+    pub fn add_blocks<E>(
+        &mut self,
+        weight: f64,
+        mut fill: impl FnMut(&mut [f32]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut buffer = [0.0f32; Self::BLOCK];
+        for num in self.num.chunks_mut(Self::BLOCK) {
+            let block = &mut buffer[..num.len()];
+            fill(block)?;
+            for (num, &v) in num.iter_mut().zip(&*block) {
+                *num += f64::from(v) * weight;
+            }
+        }
+        self.den += weight;
+        Ok(())
+    }
+
+    /// Writes the average over `out` (any content, any length), leaving the
+    /// averager ready for [`Self::reset`].
+    pub fn finish_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.extend(self.num.iter().map(|n| (n / self.den) as f32));
     }
 }
 
@@ -230,24 +276,40 @@ mod tests {
         assert_eq!(out, vec![17.5]);
     }
 
+    /// A slice as [`DenseAverager::add_blocks`] pulls it: one block per
+    /// fill, failing once it runs dry.
+    fn blocks_of<'a>(values: &'a [f32]) -> impl FnMut(&mut [f32]) -> Result<(), &'static str> + 'a {
+        let mut rest = values;
+        move |block: &mut [f32]| {
+            if rest.len() < block.len() {
+                return Err("ran dry");
+            }
+            let (head, tail) = rest.split_at(block.len());
+            block.copy_from_slice(head);
+            rest = tail;
+            Ok(())
+        }
+    }
+
     #[test]
     fn streamed_dense_contribution_equals_the_slice_form() {
-        let own = [1.0f32, -2.0, 0.5];
-        let theirs = [4.0f32, 0.25, -8.0];
+        // Two blocks and a tail.
+        let own: Vec<f32> = (0..150).map(|i| (i as f32 - 70.0) * 0.3).collect();
+        let theirs: Vec<f32> = own.iter().map(|v| 4.0 - v * 1.7).collect();
         let mut by_slice = PartialAverager::new(&own, 0.4);
         by_slice.add_dense(&theirs, 0.6);
-        let mut streamed = PartialAverager::new(&own, 0.4);
-        let mut source = theirs.iter();
-        streamed
-            .add_dense_with(0.6, || source.next().copied().ok_or("ran dry"))
-            .unwrap();
-        assert_eq!(by_slice.finish(), streamed.finish());
+        let mut streamed = DenseAverager::default();
+        streamed.reset(&own, 0.4);
+        streamed.add_blocks(0.6, blocks_of(&theirs)).unwrap();
+        let mut out = Vec::new();
+        streamed.finish_into(&mut out);
+        assert_eq!(by_slice.finish(), out);
 
         // A source that fails stops the fold and reports its error.
-        let mut short = PartialAverager::new(&own, 0.4);
-        let mut source = theirs[..2].iter();
+        let mut short = DenseAverager::default();
+        short.reset(&own, 0.4);
         assert_eq!(
-            short.add_dense_with(0.6, || source.next().copied().ok_or("ran dry")),
+            short.add_blocks(0.6, blocks_of(&theirs[..100])),
             Err("ran dry")
         );
     }
@@ -259,6 +321,59 @@ mod tests {
     }
 
     proptest! {
+        /// One denominator is the per-coordinate ones, bit for bit: the
+        /// scalar fold equals `add_dense` + `finish_into` under
+        /// Metropolis–Hastings weights (a node of degree `deg` keeps
+        /// `1 − Σ w_ij`) and under arbitrary positive ones.
+        #[test]
+        fn dense_averager_equals_per_coordinate_denominators(
+            own in proptest::collection::vec(any::<f32>(), 0..300),
+            degrees in proptest::collection::vec(1usize..8, 0..6),
+            random_weights in proptest::collection::vec(1e-6f64..4.0, 7..8),
+            metropolis_hastings in any::<bool>(),
+            seed in any::<u32>(),
+        ) {
+            let own_degree = degrees.len();
+            let weights: Vec<f64> = if metropolis_hastings {
+                degrees
+                    .iter()
+                    .map(|&d| 1.0 / (1 + own_degree.max(d)) as f64)
+                    .collect()
+            } else {
+                random_weights[..degrees.len()].to_vec()
+            };
+            let self_weight = if metropolis_hastings {
+                1.0 - weights.iter().sum::<f64>()
+            } else {
+                random_weights[6]
+            };
+            let contributions: Vec<Vec<f32>> = (0..degrees.len() as u32)
+                .map(|j| {
+                    own.iter()
+                        .enumerate()
+                        .map(|(i, v)| {
+                            let mix = (i as u32 ^ seed).wrapping_mul(j + 3);
+                            f32::from_bits(v.to_bits() ^ (mix & 0x807F_FFFF))
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut oracle = PartialAverager::new(&own, self_weight);
+            let mut dense = DenseAverager::default();
+            dense.reset(&own, self_weight);
+            for (values, &w) in contributions.iter().zip(&weights) {
+                oracle.add_dense(values, w);
+                dense.add_blocks(w, blocks_of(values)).unwrap();
+            }
+            let (mut expected, mut got) = (vec![1.0; 3], vec![2.0; 5]);
+            oracle.finish_into(&mut expected);
+            dense.finish_into(&mut got);
+            prop_assert_eq!(expected.len(), got.len());
+            for (e, g) in expected.iter().zip(&got) {
+                prop_assert_eq!(e.to_bits(), g.to_bits());
+            }
+        }
+
         /// Consensus safety: the average always lies inside the convex hull
         /// of the contributed values, coordinate-wise.
         #[test]

@@ -1,9 +1,10 @@
 //! Reusable buffers for the share path — one set per worker, none per node.
 //!
 //! Building and folding a message needs a transform workspace, an averager
-//! (`num`/`den`), a TopK permutation buffer, coefficient-sized `f32`
-//! temporaries and an encode buffer: several times the model size, live
-//! only inside one `make_message` or `aggregate` call. Allocated per call
+//! (`num`, and `den` unless every contribution is dense), a TopK
+//! permutation buffer, coefficient-sized `f32` temporaries and an encode
+//! buffer: several times the model size, live only inside one
+//! `make_message` or `aggregate` call. Allocated per call
 //! they cost a page fault per 4 KiB on every node every round; kept per
 //! node they would multiply the resident set by the node count (a 16 384-
 //! node run has 16 384 strategies and two workers). A worker runs one call
@@ -37,7 +38,7 @@
 //! overwritten before it is read, so which set a call gets cannot change a
 //! result.
 
-use crate::average::PartialAverager;
+use crate::average::{DenseAverager, PartialAverager};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -50,6 +51,9 @@ pub(crate) struct ShareScratch {
     pub work: Vec<f64>,
     /// The partial average being built in `aggregate`.
     pub averager: PartialAverager,
+    /// The dense average full sharing builds in `aggregate`: the same
+    /// numerators, one denominator.
+    pub dense: DenseAverager,
     /// Coefficient-domain temporary: a transform's output, then the
     /// finished average.
     pub coeffs: Vec<f32>,

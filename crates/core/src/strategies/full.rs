@@ -73,12 +73,12 @@ impl ShareStrategy for FullSharing {
         received: &[ReceivedMessage<'_>],
     ) -> Result<Vec<f32>> {
         with_scratch(|scratch| {
-            let avg = &mut scratch.averager;
+            let avg = &mut scratch.dense;
             avg.reset(params, self_weight);
             for msg in received {
-                // Decoded straight into the average, one value at a time.
+                // Decoded into the average one codec block at a time.
                 let mut values = open_message(msg.bytes, params.len())?;
-                avg.add_dense_with(msg.weight, || values.next_value())?;
+                avg.add_blocks(msg.weight, |block| values.next_values(block))?;
                 values.finish()?;
             }
             let mut next = Vec::new();
@@ -107,10 +107,8 @@ impl ShareStrategy for FullSharing {
         for msg in received {
             let mut values = open_message(msg.bytes, params.len())?;
             let sink = acc.begin_dense(msg.weight);
-            sink.reserve(params.len());
-            for _ in 0..params.len() {
-                sink.push(values.next_value()?);
-            }
+            sink.resize(params.len(), 0.0);
+            values.next_values(sink)?;
             values.finish()?;
         }
         let (out, stats) = acc.finish();
@@ -127,6 +125,8 @@ impl ShareStrategy for FullSharing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::average::PartialAverager;
+    use proptest::prelude::*;
 
     fn roundtrip_message(params: &[f32]) -> OutMessage {
         let mut s = FullSharing::new();
@@ -262,5 +262,143 @@ mod tests {
         assert_eq!(stats.clipped, 1);
         assert!(stats.mass > 0.0);
         assert!(s.robust_stats().is_none(), "drain resets");
+    }
+
+    /// The fold this strategy used before it decoded by block: one
+    /// `next_value` per coordinate into per-coordinate denominators. The
+    /// oracle for [`FullSharing::aggregate`], errors included.
+    fn per_value_aggregate(
+        params: &[f32],
+        self_weight: f64,
+        received: &[ReceivedMessage<'_>],
+    ) -> Result<Vec<f32>> {
+        let mut avg = PartialAverager::new(params, self_weight);
+        for msg in received {
+            let mut values = open_message(msg.bytes, params.len())?;
+            let decoded = (0..params.len())
+                .map(|_| values.next_value())
+                .collect::<std::result::Result<Vec<f32>, _>>()?;
+            values.finish()?;
+            avg.add_dense(&decoded, msg.weight);
+        }
+        Ok(avg.finish())
+    }
+
+    /// The same for [`FullSharing::aggregate_robust`].
+    fn per_value_robust(
+        params: &[f32],
+        self_weight: f64,
+        received: &[ReceivedMessage<'_>],
+        rule: Robust,
+    ) -> Result<Vec<f32>> {
+        let mut acc = RobustAccumulator::new(params, self_weight, rule);
+        for msg in received {
+            let mut values = open_message(msg.bytes, params.len())?;
+            let sink = acc.begin_dense(msg.weight);
+            for _ in 0..params.len() {
+                sink.push(values.next_value()?);
+            }
+            values.finish()?;
+        }
+        Ok(acc.finish().0)
+    }
+
+    /// Results by bit pattern, errors by message.
+    fn outcome(result: Result<Vec<f32>>) -> std::result::Result<Vec<u32>, String> {
+        result
+            .map(|v| v.into_iter().map(f32::to_bits).collect())
+            .map_err(|e| e.to_string())
+    }
+
+    /// How one neighbour's message is damaged before it arrives.
+    #[derive(Debug, Clone, Copy)]
+    enum Damage {
+        None,
+        /// Encoded from a vector one longer or shorter.
+        WrongDimension(bool),
+        /// Cut to this fraction of its length.
+        Truncated(f64),
+        /// One byte XORed with a non-zero mask.
+        Flipped(f64, u8),
+        /// One byte appended.
+        Appended(u8),
+    }
+
+    fn damage() -> impl Strategy<Value = Damage> {
+        prop_oneof![
+            Just(Damage::None),
+            any::<bool>().prop_map(Damage::WrongDimension),
+            (0.0f64..1.0).prop_map(Damage::Truncated),
+            (0.0f64..1.0, 1u8..=255).prop_map(|(at, mask)| Damage::Flipped(at, mask)),
+            any::<u8>().prop_map(Damage::Appended),
+        ]
+    }
+
+    fn damaged_message(values: &[f32], damage: Damage) -> Vec<u8> {
+        let encode = |v: &[f32]| roundtrip_message(v).bytes.to_vec();
+        let mut bytes = match damage {
+            Damage::WrongDimension(true) => encode(&[values, &[1.0]].concat()),
+            Damage::WrongDimension(false) => encode(&values[..values.len() - 1]),
+            _ => encode(values),
+        };
+        match damage {
+            Damage::Truncated(at) => bytes.truncate((bytes.len() as f64 * at) as usize),
+            Damage::Flipped(at, mask) => {
+                let i = ((bytes.len() as f64 * at) as usize).min(bytes.len() - 1);
+                bytes[i] ^= mask;
+            }
+            Damage::Appended(byte) => bytes.push(byte),
+            Damage::None | Damage::WrongDimension(_) => {}
+        }
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Block decoding with one denominator gives what the per-value fold
+        /// gave: the same bits, or the same error, whatever a neighbour's
+        /// message is — across block boundaries and a partial last block.
+        #[test]
+        fn aggregate_matches_the_per_value_fold(
+            own in proptest::collection::vec(any::<f32>(), 2..300),
+            damages in proptest::collection::vec(damage(), 0..4),
+            weights in proptest::collection::vec(0.01f64..1.0, 4..5),
+            median in any::<bool>(),
+        ) {
+            let messages: Vec<Vec<u8>> = damages
+                .iter()
+                .enumerate()
+                .map(|(j, &d)| {
+                    let theirs: Vec<f32> = own.iter().map(|v| v * (j as f32 + 0.5) - 1.0).collect();
+                    damaged_message(&theirs, d)
+                })
+                .collect();
+            let received: Vec<ReceivedMessage<'_>> = messages
+                .iter()
+                .zip(&weights)
+                .enumerate()
+                .map(|(j, (bytes, &weight))| ReceivedMessage {
+                    from: j + 1,
+                    round: 0,
+                    weight,
+                    edge_weight: weight,
+                    bytes,
+                    decoded: None,
+                })
+                .collect();
+            let self_weight = 1.0 - weights[..received.len()].iter().sum::<f64>() / 4.0;
+            let mut s = FullSharing::new();
+            s.init(&own);
+            prop_assert_eq!(
+                outcome(s.aggregate(0, &own, self_weight, &received)),
+                outcome(per_value_aggregate(&own, self_weight, &received))
+            );
+            let rule = if median { Robust::Median } else { Robust::None };
+            prop_assert_eq!(
+                outcome(s.aggregate_robust(0, &own, self_weight, &received, &rule)),
+                outcome(per_value_robust(&own, self_weight, &received, rule))
+            );
+        }
     }
 }
