@@ -12,7 +12,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use jwins::average::{DenseAverager, PartialAverager};
 use jwins::engine::workers::{with_workers, Cell};
-use jwins::sparsify::{gather, top_k_indices};
+use jwins::sparsify::{budget, gather, top_k_indices, top_k_into};
 use jwins_codec::float::{BlockFloatCodec, FloatCodec, RawFloatCodec};
 use jwins_codec::quantize::Qsgd;
 use jwins_codec::sparse::{IndexCodec, SparseVecCodec, ValueCodec};
@@ -40,6 +40,7 @@ fn model_vector(n: usize) -> Vec<f32> {
 }
 
 fn bench_wavelet(c: &mut Criterion) {
+    println!("wavelet/kernel_set: {}", jwins_wavelet::kernel_set());
     let x = model_vector(DIM);
     let mut group = c.benchmark_group("wavelet");
     group.sample_size(20);
@@ -324,6 +325,26 @@ fn bench_selection_and_mixing(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("topk_64k", frac), &k, |b, &k| {
             b.iter(|| black_box(top_k_indices(&scores, k)));
         });
+    }
+    // JWINS's own selection, into a reused buffer as `Jwins` makes it: the
+    // DWT of a model-like vector at d = 113 418, where the sampled bracket
+    // finds the cut (the threshold path), and the same scores on a coarse
+    // grid, where many keys tie at the cut (the partition fallback).
+    let dwt = Dwt::new(Wavelet::sym2(), 4).unwrap();
+    let wavelet = dwt.forward(&trained::trained_like(&trained::MLP)).data;
+    let tied: Vec<f32> = wavelet.iter().map(|v| (v * 64.0).round()).collect();
+    let mut selected = Vec::new();
+    for (path, scores, alpha) in [
+        ("threshold", &wavelet, 0.1),
+        ("threshold", &wavelet, 0.4),
+        ("tie", &tied, 0.1),
+    ] {
+        let k = budget(scores.len(), alpha);
+        group.bench_with_input(
+            BenchmarkId::new(format!("topk_113418_{path}"), alpha),
+            &k,
+            |b, &k| b.iter(|| top_k_into(black_box(scores), k, &mut selected)),
+        );
     }
     let own = model_vector(DIM);
     let indices: Vec<u32> = (0..DIM as u32 / 3).map(|i| i * 3).collect();

@@ -2,7 +2,7 @@
 //!
 //! Building and folding a message needs a transform workspace, an averager
 //! (`num`, and `den` unless every contribution is dense), a TopK
-//! permutation buffer, coefficient-sized `f32` temporaries and an encode
+//! index buffer, coefficient-sized `f32` temporaries and an encode
 //! buffer: several times the model size, live only inside one
 //! `make_message` or `aggregate` call. Allocated per call
 //! they cost a page fault per 4 KiB on every node every round; kept per
@@ -59,7 +59,8 @@ pub(crate) struct ShareScratch {
     pub coeffs: Vec<f32>,
     /// Parameter-domain temporary: model deltas, then gathered values.
     pub values: Vec<f32>,
-    /// TopK's index permutation (`0..n` before selection).
+    /// TopK's index buffer: its working keys or permutation, then the
+    /// selection.
     pub order: Vec<u32>,
     /// The wire image under construction; copied out at its exact size.
     pub wire: Vec<u8>,

@@ -23,6 +23,10 @@
 //! Internally all arithmetic is `f64`; the public API speaks `f32` because
 //! model parameters (and the bytes on the wire) are 32-bit.
 //!
+//! Analysis runs as an AVX2 + FMA twin of its portable loop where the CPU
+//! has both, chosen at run time with the same bits; [`kernel_set`] names
+//! the set in use.
+//!
 //! # Example
 //!
 //! ```
@@ -44,10 +48,12 @@
 
 pub mod family;
 pub mod multilevel;
+mod simd;
 pub mod transform;
 
 pub use family::Wavelet;
 pub use multilevel::{CoeffLayout, Dwt, WaveletCoeffs};
+pub use simd::kernel_set;
 
 use std::error::Error;
 use std::fmt;

@@ -416,6 +416,27 @@ mod tests {
         }
     }
 
+    /// A whole forward transform at JWINS's d = 113 418 and at lengths
+    /// with an odd level, into a dirty workspace, is the reference under
+    /// both kernel sets.
+    #[test]
+    fn forward_is_bit_identical_under_both_kernel_sets() {
+        for (name, levels) in [("sym2", 4), ("db4", 3), ("haar", 5), ("sym8", 2)] {
+            let dwt = Dwt::new(Wavelet::by_name(name).unwrap(), levels).unwrap();
+            for n in [113_418usize, 99_999, 1_571, 33] {
+                let x = ramp(n);
+                let layout = dwt.layout_for(n);
+                let expected = bits(&reference_forward(&dwt, &x));
+                crate::simd::both_sets(|| {
+                    let mut work = vec![f64::NAN; 5];
+                    let mut out = vec![f32::NAN; 9];
+                    dwt.forward_into(&x, &layout, &mut work, &mut out);
+                    assert_eq!(bits(&out), expected, "{name} n={n}");
+                });
+            }
+        }
+    }
+
     #[test]
     fn zero_levels_rejected() {
         assert_eq!(
