@@ -10,17 +10,12 @@
 //!    the sweep the marginal KiB of peak RSS one more node costs. The
 //!    workload is a tiny MLP on synthetic features so the event loop, not
 //!    the math, dominates.
-//! 2. **Ordering modes** — under fully-random per-node speeds
-//!    (`ComputeProfile::LogNormal`) no two events share a timestamp, so
-//!    `Ordering::Strict` degenerates to singleton batches and the worker
-//!    pool starves. `Ordering::Window` admits a bounded virtual-time skew
-//!    into each batch to widen it; both modes' throughput is printed, and
-//!    every run asserts the relaxed mode lands within one accuracy point
-//!    of strict.
-//!
-//! Strict mode at any shard count is bit-identical to the original single
-//! heap (`tests/scale_determinism.rs` pins this); only `Window` is allowed
-//! to reorder, and only within `max_skew_ns`.
+//! 2. **Fully-random speeds** — under `ComputeProfile::LogNormal` no two
+//!    events share a timestamp, so only the links' latency lets the engine
+//!    execute events together. The window count and mean width it gets are
+//!    printed for one shard and for sixteen, and the two runs are asserted
+//!    bit-identical: the shard count is structural
+//!    (`tests/scale_determinism.rs` pins the same at small scale).
 //!
 //! Peak RSS is read from `/proc/self/status` (`VmHWM`), which is a
 //! process-lifetime high-water mark — the sweep therefore runs node counts
@@ -35,7 +30,7 @@ use jwins_bench::{banner, phase_seconds, Scale};
 use jwins_data::images::{cifar_like, ImageConfig};
 use jwins_metrics::{MetricsSink, DEFAULT_WINDOW_S};
 use jwins_nn::models::{mlp_classifier, ClassSample};
-use jwins_sim::{ComputeProfile, HeterogeneityProfile, LinkProfile, Ordering};
+use jwins_sim::{ComputeProfile, HeterogeneityProfile, LinkProfile};
 use jwins_topology::dynamic::StaticTopology;
 use std::time::Instant;
 
@@ -68,7 +63,7 @@ fn peak_rss_bytes() -> Option<u64> {
 
 /// Fully-random per-node compute speeds: with probability 1 no two nodes
 /// finish a round at the same instant, so only the links' 2 ms of latency
-/// lets strict ordering execute two events together.
+/// lets the engine execute two events together.
 fn random_speeds() -> HeterogeneityProfile {
     HeterogeneityProfile {
         compute: ComputeProfile::LogNormal { sigma: 0.5 },
@@ -83,7 +78,6 @@ fn run_scale(
     nodes: usize,
     rounds: usize,
     shards: usize,
-    ordering: Ordering,
     threads: usize,
     hetero: HeterogeneityProfile,
 ) -> (RunResult, MetricsSink) {
@@ -110,7 +104,6 @@ fn run_scale(
     cfg.execution = ExecutionMode::EventDriven;
     cfg.heterogeneity = hetero;
     cfg.shards = shards;
-    cfg.ordering = ordering;
     // The propose/execute/commit split of every case comes from the trace's
     // ExecuteBatch records, folded by a metrics sink as they arrive: keeping
     // the trace would show up in the peak RSS this bench reports. The
@@ -140,8 +133,8 @@ fn main() {
     banner(
         "ext_scale — sharded event engine from 1k to 100k nodes",
         "per-shard heaps + arena-backed node state keep events/sec flat and \
-         memory sublinear as the node count grows; Window ordering recovers \
-         batch parallelism under fully-random speeds",
+         memory sublinear as the node count grows, and any shard count \
+         replays the same schedule",
     );
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -169,7 +162,7 @@ fn main() {
         "commit s"
     );
     let mut csv = String::from(
-        "section,nodes,rounds,shards,ordering,threads,wall_s,events_per_s,peak_rss_mb,\
+        "section,nodes,rounds,shards,threads,wall_s,events_per_s,peak_rss_mb,\
          final_accuracy,propose_s,execute_s,commit_s,marginal_kib_per_node,batches,\
          mean_batch_width\n",
     );
@@ -180,7 +173,7 @@ fn main() {
         let shards = (nodes / 64).max(1);
         let hetero = HeterogeneityProfile::stragglers(0.25, 4.0, 0.005, 12.5e6);
         let start = Instant::now();
-        let (result, metrics) = run_scale(nodes, rounds, shards, Ordering::Strict, 0, hetero);
+        let (result, metrics) = run_scale(nodes, rounds, shards, 0, hetero);
         let wall = start.elapsed().as_secs_f64();
         let events = event_count(nodes, rounds);
         let eps = events as f64 / wall;
@@ -193,7 +186,7 @@ fn main() {
              {propose_s:>10.3} {execute_s:>10.3} {commit_s:>10.3}"
         );
         csv.push_str(&format!(
-            "scale,{nodes},{rounds},{shards},strict,0,{wall:.4},{eps:.1},{rss_mb:.1},{accuracy:.6},\
+            "scale,{nodes},{rounds},{shards},0,{wall:.4},{eps:.1},{rss_mb:.1},{accuracy:.6},\
              {propose_s:.4},{execute_s:.4},{commit_s:.4},,,\n"
         ));
     }
@@ -210,7 +203,7 @@ fn main() {
                 "\nmarginal peak RSS: {marginal_kib:.2} KiB per node ({n_small} → {n_big} nodes)"
             );
             csv.push_str(&format!(
-                "scale_marginal,{},{rounds},,strict,0,,,,,,,,{marginal_kib:.3},,\n",
+                "scale_marginal,{},{rounds},,0,,,,,,,,{marginal_kib:.3},,\n",
                 n_big - n_small
             ));
             assert!(
@@ -222,23 +215,18 @@ fn main() {
         }
     }
 
-    // ---- Part 2: ordering modes under fully-random per-node speeds.
-    // No two events share a timestamp here: Strict executes together what
-    // fires within one link latency (2 ms — exact), Window within its skew
-    // (5 ms, a tenth of the median round time — deterministic, but a mix
-    // may miss a message sent less than the skew before it). The batch
-    // counts and widths printed beside the wall time are what each buys.
-    let (ord_nodes, ord_rounds) = if smoke { (256, 2) } else { (2000, 4) };
-    let skew = Ordering::Window {
-        max_skew_ns: 5_000_000, // 5 ms against a 50 ms median compute time
-    };
+    // ---- Part 2: fully-random per-node speeds.
+    // No two events share a timestamp here: the engine executes together
+    // only what fires within one link latency (2 ms — exact). The batch
+    // counts and widths printed beside the wall time are what that buys.
+    let (random_nodes, random_rounds) = if smoke { (256, 2) } else { (2000, 4) };
     println!(
-        "\nordering modes @ {ord_nodes} nodes, {ord_rounds} rounds, 8 threads, \
-         log-normal speeds:"
+        "\nfully-random (log-normal) speeds @ {random_nodes} nodes, {random_rounds} rounds, \
+         8 threads:"
     );
     println!(
         "{:>24} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>9} {:>11}",
-        "mode",
+        "queue",
         "wall s",
         "events/s",
         "accuracy",
@@ -248,18 +236,12 @@ fn main() {
         "batches",
         "mean width"
     );
-    let mut strict_result: Option<RunResult> = None;
-    let mut window_result: Option<RunResult> = None;
-    for (label, shards, ordering) in [
-        ("strict/1-shard (heap)", 1usize, Ordering::Strict),
-        ("strict/16-shard", 16, Ordering::Strict),
-        ("window/16-shard", 16, skew),
-    ] {
+    let mut base: Option<RunResult> = None;
+    for (label, shards) in [("1-shard (heap)", 1usize), ("16-shard", 16)] {
         let start = Instant::now();
-        let (result, metrics) =
-            run_scale(ord_nodes, ord_rounds, shards, ordering, 8, random_speeds());
+        let (result, metrics) = run_scale(random_nodes, random_rounds, shards, 8, random_speeds());
         let wall = start.elapsed().as_secs_f64();
-        let events = event_count(ord_nodes, ord_rounds);
+        let events = event_count(random_nodes, random_rounds);
         let eps = events as f64 / wall;
         let accuracy = result.final_record().map_or(f64::NAN, |r| r.test_accuracy);
         let registry = metrics.registry();
@@ -270,46 +252,20 @@ fn main() {
              {propose_s:>10.3} {execute_s:>10.3} {commit_s:>10.3} {batches:>9} \
              {mean_batch_width:>11.3}"
         );
-        let ord_name = if matches!(ordering, Ordering::Strict) {
-            "strict"
-        } else {
-            "window"
-        };
         csv.push_str(&format!(
-            "ordering,{ord_nodes},{ord_rounds},{shards},{ord_name},8,{wall:.4},{eps:.1},,{accuracy:.6},\
+            "random_speeds,{random_nodes},{random_rounds},{shards},8,{wall:.4},{eps:.1},,{accuracy:.6},\
              {propose_s:.4},{execute_s:.4},{commit_s:.4},,{batches},{mean_batch_width:.4}\n"
         ));
-        match (ordering, shards) {
-            (Ordering::Strict, 1) => strict_result = Some(result),
-            (Ordering::Window { .. }, _) => window_result = Some(result),
-            _ => {
-                // The 16-shard strict run must replay the 1-shard schedule
-                // bit for bit: sharding is structural, not semantic.
-                if let Some(base) = &strict_result {
-                    base.assert_bit_identical(&result, "strict 1-shard vs 16-shard");
-                    println!("{:>24} strict shard counts are bit-identical", "");
-                }
+        // The 16-shard run must replay the 1-shard schedule bit for bit:
+        // sharding is structural, not semantic.
+        match &base {
+            None => base = Some(result),
+            Some(base) => {
+                base.assert_bit_identical(&result, "1-shard vs 16-shard");
+                println!("{:>24} shard counts are bit-identical", "");
             }
         }
     }
-    let strict_run = strict_result.expect("strict baseline ran");
-    let window_run = window_result.expect("window run ran");
-
-    // Relaxed ordering must not cost (meaningful) accuracy: the skew is
-    // bounded well below the mix deadline, so the final model should land
-    // within a point of strict on every configuration, smoke included.
-    let strict_acc = strict_run
-        .final_record()
-        .map_or(f64::NAN, |r| r.test_accuracy);
-    let window_acc = window_run
-        .final_record()
-        .map_or(f64::NAN, |r| r.test_accuracy);
-    assert!(
-        (strict_acc - window_acc).abs() <= 0.01,
-        "window ordering drifted from strict: {window_acc:.4} vs {strict_acc:.4} \
-         (must agree within 0.01)"
-    );
-    println!("\nwindow vs strict final accuracy: {window_acc:.4} vs {strict_acc:.4} (within 0.01)");
 
     jwins_bench::save_csv("ext_scale", &csv);
 }

@@ -5,7 +5,7 @@
 //! batch dispatch by width). These quantify the share path's design choices
 //! (wavelet family, metadata codec, value codec), the SGD path's kernels and
 //! what the engine adds around them; `docs/ARCHITECTURE.md`, "The share
-//! path", "The SGD path" and "Scale & ordering modes", describe them.
+//! path", "The SGD path" and "Scale & ordering", describe them.
 //!
 //! `cargo bench --bench micro_substrates -- nn/` runs one group.
 

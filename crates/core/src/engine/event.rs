@@ -92,13 +92,9 @@
 //! `H` and the cap are derived, never configured. `H` is
 //! [`jwins_sim::LinkProfile::min_latency_s`] in nanoseconds — zero for
 //! instant and log-normal links, where only simultaneous events share a
-//! window — clamped to the smallest compute time.
-//! [`jwins_sim::Ordering::Window`] runs the same loop with `max(H,
-//! max_skew_ns)` under the same clamp: a member may then miss a message sent
-//! less than `max_skew_ns` before it fires, which is that mode's documented
-//! trade, and the run stays a pure function of `(seed, max_skew_ns)`.
-//! [`WINDOW_CAP`] bounds executed-but-uncommitted work (see its docs for
-//! the measurements behind the value).
+//! window — clamped to the smallest compute time. [`WINDOW_CAP`] bounds
+//! executed-but-uncommitted work (see its docs for the measurements behind
+//! the value).
 //!
 //! Every trace emit sits in sequential gather/commit code and only *reads*
 //! engine state, so tracing can never perturb RNG draws, event order or any
@@ -221,14 +217,14 @@ impl Lookahead {
         cap: 1,
     };
 
-    /// `H = min(max(L, window skew), min compute_time)`. `L` converts like
+    /// `H = min(L, min compute_time)`. `L` converts like
     /// `arrives` does (`SimTime::from_secs_f64` is monotone and `tx ≥ 0`, so
     /// no message beats `departure + L` nanoseconds); the clamp is fact (b).
     fn derive(config: &TrainConfig, compute_time: &[SimTime]) -> Self {
         let latency = SimTime::from_secs_f64(config.heterogeneity.links.min_latency_s()).0;
         let round = compute_time.iter().map(|t| t.0).min().unwrap_or(0);
         Self {
-            horizon_ns: latency.max(config.ordering.max_skew_ns()).min(round),
+            horizon_ns: latency.min(round),
             cap: WINDOW_CAP,
         }
     }
@@ -1534,16 +1530,7 @@ mod tests {
         };
         assert_eq!(horizon(&config, &[ms(50.0), ms(200.0)]), 5_000_000);
         assert_eq!(horizon(&config, &[ms(50.0), ms(1.0)]), 1_000_000);
-        // A window skew widens the horizon, under the same clamp.
-        config.ordering = Ordering::Window {
-            max_skew_ns: 8_000_000,
-        };
-        assert_eq!(horizon(&config, &[ms(50.0), ms(200.0)]), 8_000_000);
-        assert_eq!(horizon(&config, &[ms(6.0), ms(200.0)]), 6_000_000);
-        config.ordering = Ordering::Window { max_skew_ns: 1 };
-        assert_eq!(horizon(&config, &[ms(50.0)]), 5_000_000);
         // Instant and log-normal links promise nothing.
-        config.ordering = Ordering::Strict;
         config.heterogeneity.links = LinkProfile::Instant;
         assert_eq!(horizon(&config, &[ms(50.0)]), 0);
         config.heterogeneity.links = LinkProfile::LogNormal {

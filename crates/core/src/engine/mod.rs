@@ -114,12 +114,6 @@
 //!
 //! - [`crate::config::TrainConfig::seed`] — drives initial weights, batch
 //!   order, queue tie-breaks, loss draws and fault expansion;
-//! - [`crate::config::TrainConfig::ordering`] — `Window { max_skew_ns }`
-//!   widens the horizon to `max(H, max_skew_ns)` (still under the
-//!   compute-time clamp): a member may then execute without a message sent
-//!   less than `max_skew_ns` before it fires, trading agreement with the
-//!   strict schedule for width when latencies are short or unbounded
-//!   below; `Strict` (the default) commits exactly the single-heap schedule;
 //! - the heterogeneity profile, fault plan, staleness policy, topology and
 //!   every learning hyperparameter.
 //!
@@ -136,7 +130,8 @@
 //! (class-structured profiles such as
 //! [`jwins_sim::HeterogeneityProfile::stragglers`] keep same-speed cohorts
 //! aligned; fully random speeds yield singletons) — see the `ext_parallel`
-//! bench, and `ext_scale`, which prints the width each ordering mode got.
+//! bench, and `ext_scale`, which prints the window count and mean width
+//! under fully-random speeds.
 
 #![warn(clippy::too_many_lines)]
 

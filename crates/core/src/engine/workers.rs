@@ -354,7 +354,8 @@ mod tests {
     }
 
     /// `width` distinct ids in an order that is neither ascending nor
-    /// descending (37 is coprime to 64), as a `Window` batch may arrive.
+    /// descending (37 is coprime to 64), as a window's members arrive in
+    /// queue order rather than node order.
     fn scattered(width: usize) -> Vec<(usize, usize)> {
         (0..width).map(|k| ((k * 37 + 5) % 64, k)).collect()
     }

@@ -59,43 +59,6 @@ impl SimTime {
     }
 }
 
-/// A monotone virtual clock: the "now" of one simulation actor or of the
-/// global event loop.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VirtualClock {
-    now: SimTime,
-}
-
-impl VirtualClock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advances to `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the past — the discrete-event invariant that time
-    /// never runs backwards is a correctness property, not a recoverable
-    /// error.
-    pub fn advance_to(&mut self, t: SimTime) {
-        assert!(t >= self.now, "virtual clock cannot run backwards");
-        self.now = t;
-    }
-
-    /// Advances by `secs` seconds and returns the new now.
-    pub fn advance_by_secs(&mut self, secs: f64) -> SimTime {
-        self.now = self.now.after_secs(secs);
-        self.now
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,21 +77,5 @@ mod tests {
         assert_eq!(t.after_secs(5.0), SimTime(u64::MAX));
         assert_eq!(SimTime(3).since(SimTime(10)), SimTime(0));
         assert_eq!(SimTime(10).since(SimTime(3)), SimTime(7));
-    }
-
-    #[test]
-    fn clock_is_monotone() {
-        let mut c = VirtualClock::new();
-        c.advance_to(SimTime(5));
-        c.advance_by_secs(1.0);
-        assert_eq!(c.now(), SimTime(1_000_000_005));
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn clock_rejects_time_travel() {
-        let mut c = VirtualClock::new();
-        c.advance_to(SimTime(5));
-        c.advance_to(SimTime(4));
     }
 }

@@ -7,18 +7,20 @@
 //! behind such gaps — stragglers, heterogeneous links, and gossip that
 //! proceeds without waiting. This crate supplies the missing substrate:
 //!
-//! - [`SimTime`]/[`VirtualClock`]: integer-nanosecond virtual time, so event
-//!   ordering never depends on float rounding;
-//! - [`EventQueue`]: a binary-heap scheduler with *seeded, stable*
-//!   tie-breaking — equal-time events are ordered by caller priority, then a
-//!   seeded hash, then insertion order, making every run a pure function of
-//!   its seed. [`EventQueue::pop_independent_batch`] pops a maximal prefix
-//!   of simultaneous, same-[`Conflict`]-class events on pairwise-distinct
-//!   nodes, so an interpreter can execute them on worker threads and commit
-//!   their side effects in batch order without perturbing the schedule
-//!   ([`ShardedEventQueue`] is the same order over per-node-group heaps; its
-//!   `peek`/`pop` drive the training engine, which commits one event at a
-//!   time and executes ahead inside [`LinkProfile::min_latency_s`]);
+//! - [`SimTime`]: integer-nanosecond virtual time, so event ordering never
+//!   depends on float rounding;
+//! - [`ShardedEventQueue`]: the event queue — per-node-group binary heaps
+//!   behind one winner-tree merge, with *seeded, stable* tie-breaking:
+//!   equal-time events are ordered by caller priority, then a seeded hash,
+//!   then insertion order, making every run a pure function of its seed
+//!   and never of the shard count. Its `peek`/`pop` drive the training
+//!   engine, which commits one event at a time and executes ahead inside
+//!   [`LinkProfile::min_latency_s`];
+//!   [`ShardedEventQueue::pop_independent_batch`] pops a maximal prefix of
+//!   simultaneous, same-[`Conflict`]-class events on pairwise-distinct
+//!   nodes, so an interpreter can execute them on worker threads and
+//!   commit their side effects in batch order without perturbing the
+//!   schedule;
 //! - [`ComputeProfile`]/[`LinkProfile`]: per-node compute-speed and per-link
 //!   latency/bandwidth models, so a message's transfer time is
 //!   `latency + bytes / bandwidth` on *its* link and a straggler's round
@@ -35,11 +37,11 @@
 //! # Example
 //!
 //! Schedule three simultaneous per-node events and one global one, then pop
-//! them the way the engine does — independent batches first, the global
+//! them as independent batches — the per-node events together, the global
 //! event alone:
 //!
 //! ```
-//! use jwins_sim::{Conflict, EventQueue, SimTime};
+//! use jwins_sim::{Conflict, Ordering, ShardedEventQueue, SimTime};
 //!
 //! #[derive(Debug, PartialEq)]
 //! enum Ev {
@@ -52,12 +54,13 @@
 //!     Ev::Checkpoint => Conflict::Solo,
 //! };
 //!
-//! let mut queue = EventQueue::new(42);
+//! // Seed 42, events routed over two shards by node id.
+//! let mut queue = ShardedEventQueue::new(42, 2, Ordering::Strict);
 //! for node in 0..3 {
 //!     // priority encodes (phase << 32) | node, the engine's convention
-//!     queue.push(SimTime(10), (1 << 32) | node as u64, Ev::Train { node });
+//!     queue.push(SimTime(10), (1 << 32) | node as u64, node, Ev::Train { node });
 //! }
-//! queue.push(SimTime(10), 2 << 32, Ev::Checkpoint);
+//! queue.push(SimTime(10), 2 << 32, 0, Ev::Checkpoint);
 //!
 //! let batch = queue.pop_independent_batch(classify);
 //! assert_eq!(batch.len(), 3, "disjoint-node trains pop together");
@@ -76,8 +79,8 @@ pub mod lifecycle;
 pub mod queue;
 pub mod shard;
 
-pub use clock::{SimTime, VirtualClock};
+pub use clock::SimTime;
 pub use hetero::{ComputeProfile, HeterogeneityProfile, LinkParams, LinkProfile};
 pub use lifecycle::{LifecycleEvent, LifecycleTracker};
-pub use queue::{Conflict, EventQueue, Scheduled};
+pub use queue::{Conflict, Scheduled};
 pub use shard::{Ordering, ShardedEventQueue};

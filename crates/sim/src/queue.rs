@@ -1,6 +1,6 @@
-//! The discrete-event scheduler: a binary heap keyed by virtual time with
-//! seeded, stable tie-breaking, plus a conflict-aware batch pop for
-//! deterministic parallel execution.
+//! The event queue's vocabulary: the [`Scheduled`] event it returns, the
+//! [`Conflict`] class its batch pop groups by, and the seeded tie-break
+//! hash. The queue itself is [`crate::ShardedEventQueue`].
 //!
 //! Three keys order events:
 //!
@@ -14,18 +14,19 @@
 //!    replayable from the seed alone; insertion index breaks any final ties
 //!    so the order is total.
 //!
-//! [`EventQueue::pop_independent_batch`] pops a maximal *prefix* of that
-//! total order whose events are simultaneous, share a [`Conflict`] class and
-//! touch pairwise-distinct nodes. Because the batch is a contiguous prefix,
-//! executing its events concurrently and committing their side effects in
-//! batch order is observably identical to popping them one at a time — the
-//! foundation of the engine's thread-count-invariance guarantee.
+//! [`crate::ShardedEventQueue::pop_independent_batch`] pops a maximal
+//! *prefix* of that total order whose events are simultaneous, share a
+//! [`Conflict`] class and touch pairwise-distinct nodes. Because the batch is
+//! a contiguous prefix, executing its events concurrently and committing
+//! their side effects in batch order is observably identical to popping them
+//! one at a time. The tests below pin the order and the batch boundaries on
+//! one heap and on several.
 
 use crate::clock::SimTime;
-use std::collections::BinaryHeap;
 
 /// How an event interacts with simulation state, as reported to
-/// [`EventQueue::pop_independent_batch`] by the caller's classifier.
+/// [`crate::ShardedEventQueue::pop_independent_batch`] by the caller's
+/// classifier.
 ///
 /// The classification is a *promise* from the interpreter: an
 /// [`Conflict::Exclusive`] event may read and write only state owned by its
@@ -49,7 +50,7 @@ pub enum Conflict {
     Solo,
 }
 
-/// One scheduled event, as returned by [`EventQueue::pop`].
+/// One scheduled event, as returned by [`crate::ShardedEventQueue::pop`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scheduled<E> {
     /// When the event fires.
@@ -60,49 +61,7 @@ pub struct Scheduled<E> {
     pub event: E,
 }
 
-#[derive(Debug)]
-struct HeapEntry<E> {
-    time: SimTime,
-    priority: u64,
-    tie: u64,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-
-impl<E> Eq for HeapEntry<E> {}
-
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert so the smallest key pops first.
-        (other.time, other.priority, other.tie, other.seq).cmp(&(
-            self.time,
-            self.priority,
-            self.tie,
-            self.seq,
-        ))
-    }
-}
-
-/// A deterministic event queue over virtual time.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<HeapEntry<E>>,
-    seed: u64,
-    next_seq: u64,
-}
-
+/// The tie-break hash of `seed ^ insertion index`.
 pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -110,151 +69,67 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl<E> EventQueue<E> {
-    /// An empty queue whose same-key tie-breaks are derived from `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            seed,
-            next_seq: 0,
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules `event` at `time` with same-time rank `priority`.
-    pub fn push(&mut self, time: SimTime, priority: u64, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(HeapEntry {
-            time,
-            priority,
-            tie: splitmix64(self.seed ^ seq),
-            seq,
-            event,
-        });
-    }
-
-    /// Removes and returns the next event in (time, priority, seeded-tie)
-    /// order.
-    pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.heap.pop().map(|e| Scheduled {
-            time: e.time,
-            priority: e.priority,
-            event: e.event,
-        })
-    }
-
-    /// The fire time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Pops the maximal batch of *independent* simultaneous events: the
-    /// longest prefix of the queue's total order whose events all fire at
-    /// the head's time, classify as [`Conflict::Exclusive`] with the head's
-    /// class, and touch pairwise-distinct nodes. A [`Conflict::Solo`] head
-    /// (or an empty queue) yields a batch of at most one event.
-    ///
-    /// The batch is returned in exact pop order, so an interpreter that
-    /// executes the batch concurrently and commits side effects in batch
-    /// order reproduces the one-at-a-time schedule bit for bit — including
-    /// the seeded tie-breaks, which stay inside the queue untouched. The
-    /// prefix stops at the first event that fires later, has a different
-    /// class, is `Solo`, or repeats an already-claimed node (a stale
-    /// duplicate); that event simply heads the next batch.
-    pub fn pop_independent_batch<F>(&mut self, classify: F) -> Vec<Scheduled<E>>
-    where
-        F: Fn(&E) -> Conflict,
-    {
-        let Some(first) = self.pop() else {
-            return Vec::new();
-        };
-        let time = first.time;
-        let Conflict::Exclusive { class, node } = classify(&first.event) else {
-            return vec![first];
-        };
-        let mut claimed = std::collections::HashSet::new();
-        claimed.insert(node);
-        let mut batch = vec![first];
-        while let Some(head) = self.heap.peek() {
-            if head.time != time {
-                break;
-            }
-            match classify(&head.event) {
-                Conflict::Exclusive { class: c, node } if c == class => {
-                    if !claimed.insert(node) {
-                        break;
-                    }
-                }
-                _ => break,
-            }
-            let entry = self.heap.pop().expect("peeked entry exists");
-            batch.push(Scheduled {
-                time: entry.time,
-                priority: entry.priority,
-                event: entry.event,
-            });
-        }
-        batch
-    }
-
-    /// Discards all pending events (used on early stop).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{Ordering, ShardedEventQueue};
+
+    /// One heap, a few, and more shards than most tests have events: every
+    /// test runs at each and must see the same order.
+    const SHARDS: [usize; 3] = [1, 3, 16];
+
+    fn queue<E>(seed: u64, shards: usize) -> ShardedEventQueue<E> {
+        ShardedEventQueue::new(seed, shards, Ordering::Strict)
+    }
+
+    fn drain<E>(q: &mut ShardedEventQueue<E>) -> Vec<E> {
+        std::iter::from_fn(|| q.pop().map(|s| s.event)).collect()
+    }
 
     #[test]
     fn orders_by_time_then_priority() {
-        let mut q = EventQueue::new(7);
-        q.push(SimTime(30), 0, "late");
-        q.push(SimTime(10), 5, "early-low-rank");
-        q.push(SimTime(10), 1, "early-high-rank");
-        q.push(SimTime(20), 0, "middle");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-        assert_eq!(
-            order,
-            ["early-high-rank", "early-low-rank", "middle", "late"]
-        );
+        for shards in SHARDS {
+            let mut q = queue(7, shards);
+            q.push(SimTime(30), 0, 0, "late");
+            q.push(SimTime(10), 5, 1, "early-low-rank");
+            q.push(SimTime(10), 1, 2, "early-high-rank");
+            q.push(SimTime(20), 0, 3, "middle");
+            assert_eq!(
+                drain(&mut q),
+                ["early-high-rank", "early-low-rank", "middle", "late"],
+                "{shards} shards"
+            );
+        }
     }
 
     #[test]
     fn equal_keys_replay_identically_per_seed() {
-        let run = |seed: u64| {
-            let mut q = EventQueue::new(seed);
+        let run = |seed: u64, shards: usize| {
+            let mut q = queue(seed, shards);
             for i in 0..32 {
-                q.push(SimTime(1), 0, i);
+                q.push(SimTime(1), 0, i, i);
             }
-            std::iter::from_fn(|| q.pop().map(|s| s.event)).collect::<Vec<i32>>()
+            drain(&mut q)
         };
-        assert_eq!(run(1), run(1));
-        assert_eq!(run(9), run(9));
-        // Different seeds permute simultaneous events differently.
-        assert_ne!(run(1), run(2));
+        for shards in SHARDS {
+            assert_eq!(run(1, shards), run(1, 1), "{shards} shards");
+            assert_eq!(run(9, shards), run(9, 1), "{shards} shards");
+            // Different seeds permute simultaneous events differently.
+            assert_ne!(run(1, shards), run(2, shards));
+        }
     }
 
     #[test]
     fn seeded_tie_break_is_a_permutation() {
-        let mut q = EventQueue::new(3);
-        for i in 0..100 {
-            q.push(SimTime(5), 0, i);
+        for shards in SHARDS {
+            let mut q = queue(3, shards);
+            for i in 0..100 {
+                q.push(SimTime(5), 0, i, i);
+            }
+            let mut popped = drain(&mut q);
+            popped.sort_unstable();
+            assert_eq!(popped, (0..100).collect::<Vec<_>>(), "{shards} shards");
         }
-        let mut popped: Vec<u32> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-        popped.sort_unstable();
-        assert_eq!(popped, (0..100).collect::<Vec<_>>());
     }
 
     /// Encodes the engine's priority convention for batch tests.
@@ -264,28 +139,26 @@ mod tests {
 
     #[test]
     fn batch_pops_simultaneous_same_class_distinct_nodes() {
-        let mut q = EventQueue::new(11);
-        for node in 0..4 {
-            q.push(SimTime(5), prio(1, node), ("train", node));
+        for shards in SHARDS {
+            let mut q = queue(11, shards);
+            for node in 0..4 {
+                q.push(SimTime(5), prio(1, node), node, ("train", node));
+            }
+            q.push(SimTime(5), prio(2, 0), 0, ("mix", 0)); // later class
+            q.push(SimTime(9), prio(1, 9), 9, ("train", 9)); // later time
+            let batch =
+                q.pop_independent_batch(|&(_, node)| Conflict::Exclusive { class: 1, node });
+            assert_eq!(
+                batch.iter().map(|s| s.event.1).collect::<Vec<_>>(),
+                vec![0, 1, 2, 3],
+                "all four simultaneous trains batch, in priority (node id) order"
+            );
+            assert_eq!(q.len(), 2, "the later class and later time stay queued");
         }
-        q.push(SimTime(5), prio(2, 0), ("mix", 0)); // later class
-        q.push(SimTime(9), prio(1, 9), ("train", 9)); // later time
-        let batch = q.pop_independent_batch(|&(_, node)| Conflict::Exclusive { class: 1, node });
-        assert_eq!(batch.len(), 4, "all four simultaneous trains batch");
-        assert_eq!(
-            batch.iter().map(|s| s.event.1).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3],
-            "priority (node id) order is preserved"
-        );
-        assert_eq!(q.len(), 2, "the later class and later time stay queued");
     }
 
     #[test]
     fn batch_stops_at_class_boundary_and_solo_events_run_alone() {
-        let mut q = EventQueue::new(0);
-        q.push(SimTime(1), prio(0, 3), (0u64, 3usize)); // class 0 = solo
-        q.push(SimTime(1), prio(1, 0), (1, 0));
-        q.push(SimTime(1), prio(1, 1), (1, 1));
         let classify = |&(class, node): &(u64, usize)| {
             if class == 0 {
                 Conflict::Solo
@@ -293,26 +166,36 @@ mod tests {
                 Conflict::Exclusive { class, node }
             }
         };
-        let solo = q.pop_independent_batch(classify);
-        assert_eq!(solo.len(), 1);
-        assert_eq!(solo[0].event, (0, 3));
-        let pair = q.pop_independent_batch(classify);
-        assert_eq!(pair.len(), 2);
-        assert!(q.pop_independent_batch(classify).is_empty());
+        for shards in SHARDS {
+            let mut q = queue(0, shards);
+            q.push(SimTime(1), prio(0, 3), 3, (0u64, 3usize)); // class 0 = solo
+            q.push(SimTime(1), prio(1, 0), 0, (1, 0));
+            q.push(SimTime(1), prio(1, 1), 1, (1, 1));
+            q.push(SimTime(1), prio(2, 2), 2, (2, 2)); // later class
+            let solo = q.pop_independent_batch(classify);
+            assert_eq!(solo.len(), 1);
+            assert_eq!(solo[0].event, (0, 3));
+            assert_eq!(q.pop_independent_batch(classify).len(), 2);
+            assert_eq!(q.pop_independent_batch(classify).len(), 1);
+            assert!(q.pop_independent_batch(classify).is_empty());
+        }
     }
 
     #[test]
     fn batch_stops_at_duplicate_node() {
         // Two same-time same-class events on one node (a stale epoch
         // duplicate): the second must head its own batch, never share one.
-        let mut q = EventQueue::new(3);
-        q.push(SimTime(2), prio(1, 0), 'a');
-        q.push(SimTime(2), prio(1, 0), 'b');
-        let first = q.pop_independent_batch(|_| Conflict::Exclusive { class: 1, node: 0 });
-        assert_eq!(first.len(), 1);
-        let second = q.pop_independent_batch(|_| Conflict::Exclusive { class: 1, node: 0 });
-        assert_eq!(second.len(), 1);
-        assert_ne!(first[0].event, second[0].event);
+        for shards in SHARDS {
+            let mut q = queue(3, shards);
+            q.push(SimTime(2), prio(1, 0), 0, 'a');
+            q.push(SimTime(2), prio(1, 0), 0, 'b');
+            let classify = |_: &char| Conflict::Exclusive { class: 1, node: 0 };
+            let first = q.pop_independent_batch(classify);
+            assert_eq!(first.len(), 1);
+            let second = q.pop_independent_batch(classify);
+            assert_eq!(second.len(), 1);
+            assert_ne!(first[0].event, second[0].event);
+        }
     }
 
     use proptest::prelude::*;
@@ -320,8 +203,9 @@ mod tests {
     proptest! {
         /// Batched popping is a pure re-grouping of the sequential pop
         /// order: flattened batches replay the one-at-a-time sequence
-        /// exactly (tie-breaks included), no batch mixes times or classes,
-        /// and no batch contains two events on the same node.
+        /// exactly (tie-breaks included) at every shard count, no batch
+        /// mixes times or classes, and no batch contains two events on the
+        /// same node.
         #[test]
         fn batches_partition_the_sequential_order(
             seed in proptest::any::<u64>(),
@@ -335,57 +219,47 @@ mod tests {
                     Conflict::Exclusive { class, node }
                 }
             };
-            let mut plain = EventQueue::new(seed);
-            let mut batched = EventQueue::new(seed);
-            for (i, &(t, class, node)) in events.iter().enumerate() {
-                let priority = (class << 32) | node as u64;
-                plain.push(SimTime(t), priority, (i, class, node));
-                batched.push(SimTime(t), priority, (i, class, node));
-            }
-            let sequential: Vec<_> =
-                std::iter::from_fn(|| plain.pop().map(|s| s.event)).collect();
-            let mut flattened = Vec::new();
-            loop {
-                let batch = batched.pop_independent_batch(classify);
-                if batch.is_empty() {
-                    break;
+            let fill = |shards: usize| {
+                let mut q = queue(seed, shards);
+                for (i, &(t, class, node)) in events.iter().enumerate() {
+                    q.push(SimTime(t), prio(class, node), node, (i, class, node));
                 }
-                let time = batch[0].time;
-                let head = classify(&batch[0].event);
-                let mut nodes = std::collections::HashSet::new();
-                for s in &batch {
-                    prop_assert_eq!(s.time, time, "batch mixes fire times");
-                    if batch.len() > 1 {
-                        let c = classify(&s.event);
-                        prop_assert!(
-                            matches!((head, c), (
-                                Conflict::Exclusive { class: a, .. },
-                                Conflict::Exclusive { class: b, .. },
-                            ) if a == b),
-                            "batch mixes classes: {:?} vs {:?}", head, c
-                        );
-                        let (_, _, node) = s.event;
-                        prop_assert!(
-                            nodes.insert(node),
-                            "batch contains node {} twice", node
-                        );
+                q
+            };
+            let sequential = drain(&mut fill(1));
+            for shards in SHARDS {
+                let mut batched = fill(shards);
+                let mut flattened = Vec::new();
+                loop {
+                    let batch = batched.pop_independent_batch(classify);
+                    if batch.is_empty() {
+                        break;
                     }
+                    let time = batch[0].time;
+                    let head = classify(&batch[0].event);
+                    let mut nodes = std::collections::HashSet::new();
+                    for s in &batch {
+                        prop_assert_eq!(s.time, time, "batch mixes fire times");
+                        if batch.len() > 1 {
+                            let c = classify(&s.event);
+                            prop_assert!(
+                                matches!((head, c), (
+                                    Conflict::Exclusive { class: a, .. },
+                                    Conflict::Exclusive { class: b, .. },
+                                ) if a == b),
+                                "batch mixes classes: {:?} vs {:?}", head, c
+                            );
+                            let (_, _, node) = s.event;
+                            prop_assert!(
+                                nodes.insert(node),
+                                "batch contains node {} twice", node
+                            );
+                        }
+                    }
+                    flattened.extend(batch.into_iter().map(|s| s.event));
                 }
-                flattened.extend(batch.into_iter().map(|s| s.event));
+                prop_assert_eq!(&flattened, &sequential, "{} shards", shards);
             }
-            prop_assert_eq!(flattened, sequential);
         }
-    }
-
-    #[test]
-    fn peek_and_clear() {
-        let mut q = EventQueue::new(0);
-        assert!(q.is_empty());
-        q.push(SimTime(4), 0, ());
-        q.push(SimTime(2), 0, ());
-        assert_eq!(q.peek_time(), Some(SimTime(2)));
-        assert_eq!(q.len(), 2);
-        q.clear();
-        assert!(q.pop().is_none());
     }
 }

@@ -1,75 +1,43 @@
-//! A sharded event scheduler for large-node-count runs.
+//! The event queue: a sharded, seeded total order over virtual time.
 //!
 //! [`ShardedEventQueue`] splits the pending-event set across per-node-group
-//! binary heaps (shard = `node % shards`) while preserving the *global*
-//! total order of [`crate::queue::EventQueue`]: one shared insertion
-//! counter drives the same seeded tie-break hash, and every pop takes the
-//! minimum over shard heads under the identical
-//! `(time, priority, tie, seq)` key. The minimum comes from a winner tree
+//! binary heaps (shard = `node % shards`) while keeping *one* total order:
+//! one shared insertion counter drives the seeded tie-break hash (see
+//! [`crate::queue`]), and every pop takes the minimum over shard heads under
+//! the `(time, priority, tie, seq)` key. The minimum comes from a winner tree
 //! that caches the head keys, so a pop costs `O(log shards)` on top of its
-//! own heap's `O(log(n/shards))` instead of a scan of every shard. With
-//! [`Ordering::Strict`] the pop sequence — and therefore every downstream
-//! batch, commit, and trace — is bit-identical to the single-heap queue for
-//! any shard count; the proptests below pin that equivalence under
-//! arbitrary interleavings of pushes, pops and clears (a cached head can
-//! only go stale between operations, never inside one).
+//! own heap's `O(log(n/shards))` instead of a scan of every shard. The pop
+//! sequence — and therefore every downstream batch, commit, and trace — is
+//! the same for any shard count; the proptests below pin it against a
+//! flat-list model under arbitrary interleavings of pushes, pops and clears
+//! (a cached head can only go stale between operations, never inside one).
 //!
 //! The training engine drives the queue with [`ShardedEventQueue::peek`] and
 //! [`ShardedEventQueue::pop`]: it commits events one at a time in this total
 //! order and executes ahead of its commits inside the network's lookahead
-//! (see `jwins::engine`), so [`Ordering`] there is a statement about how far
-//! ahead it may run, not about the pop sequence — which is the same under
-//! both modes. [`ShardedEventQueue::pop_independent_batch`] is the queue's
-//! own, simpler batching rule, kept for callers that want a ready-made
-//! independent batch: under [`Ordering::Window`] it may extend a batch past
-//! the head's fire time, up to `max_skew_ns` later, as long as the batch
-//! stays one conflict class on pairwise-distinct nodes. The batch is still a
-//! prefix of the queue's total order, so runs remain bit-reproducible for a
-//! fixed `(seed, max_skew_ns)` — Window trades *agreement with the strict
-//! schedule* for parallelism, never run-to-run determinism.
+//! (see `jwins::engine`). [`ShardedEventQueue::pop_independent_batch`] is the
+//! queue's own, simpler batching rule — simultaneous events of one conflict
+//! class on pairwise-distinct nodes — kept for callers that want a
+//! ready-made independent batch.
 
 use crate::clock::SimTime;
 use crate::queue::{splitmix64, Conflict, Scheduled};
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
-/// How far an interpreter may run ahead of the commit order.
+/// The commit order of an event loop: the queue's total order.
 ///
-/// The commit order itself is the queue's total order under both modes. In
-/// the training engine, events execute ahead of their commits in *windows*
-/// (`jwins::engine`); the mode bounds a window's reach. For
-/// [`ShardedEventQueue::pop_independent_batch`] it bounds a batch's.
+/// `Strict` is the only mode; the type stays so that configurations and
+/// callers that name it keep compiling.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub enum Ordering {
-    /// Commit order is the single-heap order of [`crate::EventQueue`], and
-    /// every event sees exactly what it would see executed one at a time.
-    /// Batches are no longer only simultaneous: the engine also executes
+    /// Every event commits in the queue's total order and sees exactly what
+    /// it would see executed one at a time. The engine still executes
     /// together events closer than one link latency
     /// ([`crate::LinkProfile::min_latency_s`]), which provably cannot
-    /// observe one another. `pop_independent_batch` batches only
-    /// simultaneous events.
+    /// observe one another.
     #[default]
     Strict,
-    /// Windows (and batches) may reach `max_skew_ns` past their head even
-    /// where no latency vouches for it. Deterministic for a fixed seed and
-    /// skew, but *not* equivalent to the strict schedule: an event may
-    /// execute without seeing effects committed less than `max_skew_ns` of
-    /// virtual time before it fires.
-    Window {
-        /// Maximum spread, in virtual nanoseconds, between the earliest and
-        /// latest fire time inside one window or batch.
-        max_skew_ns: u64,
-    },
-}
-
-impl Ordering {
-    /// The batch time-spread bound: zero under [`Ordering::Strict`].
-    pub fn max_skew_ns(self) -> u64 {
-        match self {
-            Ordering::Strict => 0,
-            Ordering::Window { max_skew_ns } => max_skew_ns,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -179,15 +147,14 @@ impl HeadTree {
 
 /// A deterministic event queue sharded by node id.
 ///
-/// Same contract as [`crate::EventQueue`] — seeded total order, conflict-
-/// aware batch pop — but pending events live in `shards` independent heaps
-/// merged by a winner tree over their heads, so a push costs
-/// `O(log(n/shards))` (plus a tree walk only when it lowers its shard's
-/// head) and a pop `O(log(n/shards) + log(shards))`; neither ever scans the
-/// shards. `push` takes the node that owns the event (routing is
-/// `node % shards`; events with no owning node may pass any stable id)
-/// purely as a placement hint: pops always take the global minimum across
-/// shard heads, so shard count never changes the schedule.
+/// A seeded total order with a conflict-aware batch pop. Pending events
+/// live in `shards` independent heaps merged by a winner tree over their
+/// heads, so a push costs `O(log(n/shards))` (plus a tree walk only when it
+/// lowers its shard's head) and a pop `O(log(n/shards) + log(shards))`;
+/// neither ever scans the shards. `push` takes the node that owns the event
+/// (routing is `node % shards`; events with no owning node may pass any
+/// stable id) purely as a placement hint: pops always take the global
+/// minimum across shard heads, so shard count never changes the schedule.
 #[derive(Debug)]
 pub struct ShardedEventQueue<E> {
     shards: Vec<BinaryHeap<ShardEntry<E>>>,
@@ -195,7 +162,6 @@ pub struct ShardedEventQueue<E> {
     seed: u64,
     next_seq: u64,
     len: usize,
-    ordering: Ordering,
     /// `claimed[node] == batch_stamp` marks a node taken by the batch being
     /// popped; bumping the stamp releases every claim at once. Grows to the
     /// largest node id a classifier has reported (ids are dense).
@@ -205,8 +171,9 @@ pub struct ShardedEventQueue<E> {
 
 impl<E> ShardedEventQueue<E> {
     /// An empty queue with `shards` heaps (clamped to at least one) whose
-    /// tie-breaks are derived from `seed`, popping batches under `ordering`.
-    pub fn new(seed: u64, shards: usize, ordering: Ordering) -> Self {
+    /// tie-breaks are derived from `seed`. [`Ordering::Strict`] is the only
+    /// ordering there is.
+    pub fn new(seed: u64, shards: usize, _ordering: Ordering) -> Self {
         let shards = shards.max(1);
         Self {
             shards: (0..shards).map(|_| BinaryHeap::new()).collect(),
@@ -214,7 +181,6 @@ impl<E> ShardedEventQueue<E> {
             seed,
             next_seq: 0,
             len: 0,
-            ordering,
             claimed: Vec::new(),
             batch_stamp: 0,
         }
@@ -223,11 +189,6 @@ impl<E> ShardedEventQueue<E> {
     /// Number of shards (always at least one).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The configured commit-order mode.
-    pub fn ordering(&self) -> Ordering {
-        self.ordering
     }
 
     /// The shard that owns events routed by `node`.
@@ -321,14 +282,18 @@ impl<E> ShardedEventQueue<E> {
         fresh
     }
 
-    /// Pops the maximal batch of *independent* events: the longest prefix
-    /// of the global total order whose events classify as
-    /// [`Conflict::Exclusive`] with the head's class, touch pairwise-
-    /// distinct nodes, and fire within the ordering mode's time window of
-    /// the head ([`Ordering::Strict`]: exactly the head's time — identical
-    /// to [`crate::EventQueue::pop_independent_batch`];
-    /// [`Ordering::Window`]: at most `max_skew_ns` later). A
-    /// [`Conflict::Solo`] head yields a batch of at most one event.
+    /// Pops the maximal batch of *independent* simultaneous events: the
+    /// longest prefix of the global total order whose events fire at the
+    /// head's time, classify as [`Conflict::Exclusive`] with the head's
+    /// class, and touch pairwise-distinct nodes. A [`Conflict::Solo`] head
+    /// (or an empty queue) yields a batch of at most one event.
+    ///
+    /// The batch is returned in exact pop order, so an interpreter that
+    /// executes it concurrently and commits side effects in batch order
+    /// reproduces the one-at-a-time schedule bit for bit. The prefix stops
+    /// at the first event that fires later, has a different class, is
+    /// `Solo`, or repeats an already-claimed node (a stale duplicate); that
+    /// event simply heads the next batch.
     ///
     /// Claimed nodes are tracked in a vector indexed by node id, so the ids
     /// a classifier reports should be dense: the queue keeps one word per
@@ -341,7 +306,6 @@ impl<E> ShardedEventQueue<E> {
             return Vec::new();
         };
         let time = first.time;
-        let skew = self.ordering.max_skew_ns();
         let Conflict::Exclusive { class, node } = classify(&first.event) else {
             return vec![first];
         };
@@ -350,9 +314,7 @@ impl<E> ShardedEventQueue<E> {
         let mut batch = vec![first];
         while self.len > 0 {
             let ((head_time, ..), shard) = self.heads.min();
-            // The head follows `first` in the total order, so its time is
-            // never earlier; the spread below cannot underflow.
-            if head_time.0.saturating_sub(time.0) > skew {
+            if head_time != time {
                 break;
             }
             let head = self.shards[shard].peek().expect("winner has a head");
@@ -382,7 +344,6 @@ impl<E> ShardedEventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::EventQueue;
 
     fn prio(class: u64, node: usize) -> u64 {
         (class << 32) | node as u64
@@ -390,11 +351,11 @@ mod tests {
 
     #[test]
     fn strict_pop_matches_global_queue_by_hand() {
-        let mut global = EventQueue::new(99);
+        let mut global = ShardedEventQueue::new(99, 1, Ordering::Strict);
         let mut sharded = ShardedEventQueue::new(99, 4, Ordering::Strict);
         for node in 0..12 {
             let t = SimTime((node as u64 * 7) % 3);
-            global.push(t, prio(1, node), node);
+            global.push(t, prio(1, node), node, node);
             sharded.push(t, prio(1, node), node, node);
         }
         let g: Vec<_> = std::iter::from_fn(|| global.pop().map(|s| s.event)).collect();
@@ -412,114 +373,33 @@ mod tests {
     }
 
     #[test]
-    fn window_batches_span_close_fire_times() {
-        // Four same-class events 10ns apart on distinct nodes: strict pops
-        // four singleton batches, a 35ns window pops one batch of four.
-        let fill = |q: &mut ShardedEventQueue<usize>| {
-            for node in 0..4 {
-                q.push(SimTime(100 + node as u64 * 10), prio(1, node), node, node);
-            }
-        };
-        let classify = |&node: &usize| Conflict::Exclusive { class: 1, node };
-
-        let mut strict = ShardedEventQueue::new(7, 2, Ordering::Strict);
-        fill(&mut strict);
-        assert_eq!(strict.pop_independent_batch(classify).len(), 1);
-
-        let mut window = ShardedEventQueue::new(7, 2, Ordering::Window { max_skew_ns: 35 });
-        fill(&mut window);
-        let batch = window.pop_independent_batch(classify);
-        assert_eq!(batch.len(), 4, "all four fall inside the window");
-        assert_eq!(
-            batch.iter().map(|s| s.event).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3],
-            "window batches preserve the total order"
-        );
-    }
-
-    #[test]
-    fn window_is_bounded_and_measured_from_the_head() {
-        let classify = |&node: &usize| Conflict::Exclusive { class: 1, node };
-        let mut q = ShardedEventQueue::new(7, 2, Ordering::Window { max_skew_ns: 15 });
-        q.push(SimTime(0), prio(1, 0), 0, 0);
-        q.push(SimTime(10), prio(1, 1), 1, 1);
-        // 20ns after the *head*, though only 10ns after its predecessor:
-        // the spread bound is head-anchored, so this starts a new batch.
-        q.push(SimTime(20), prio(1, 2), 2, 2);
-        let batch = q.pop_independent_batch(classify);
-        assert_eq!(
-            batch.iter().map(|s| s.event).collect::<Vec<_>>(),
-            vec![0, 1]
-        );
-        assert_eq!(q.pop_independent_batch(classify).len(), 1);
-    }
-
-    #[test]
-    fn window_still_respects_class_node_and_solo_boundaries() {
-        let classify = |&(class, node): &(u64, usize)| {
-            if class == 0 {
-                Conflict::Solo
-            } else {
-                Conflict::Exclusive { class, node }
-            }
-        };
-        let mut q = ShardedEventQueue::new(3, 4, Ordering::Window { max_skew_ns: 1_000 });
-        q.push(SimTime(0), prio(1, 0), 0, (1, 0));
-        q.push(SimTime(5), prio(1, 0), 0, (1, 0)); // duplicate node
-        q.push(SimTime(6), prio(1, 1), 1, (1, 1));
-        let batch = q.pop_independent_batch(classify);
-        assert_eq!(batch.len(), 1, "duplicate node ends the batch");
-        assert_eq!(q.pop_independent_batch(classify).len(), 2);
-
-        let mut q = ShardedEventQueue::new(3, 4, Ordering::Window { max_skew_ns: 1_000 });
-        q.push(SimTime(0), prio(0, 0), 0, (0, 0)); // solo
-        q.push(SimTime(1), prio(1, 1), 1, (1, 1));
-        assert_eq!(
-            q.pop_independent_batch(classify).len(),
-            1,
-            "solo runs alone"
-        );
-
-        let mut q = ShardedEventQueue::new(3, 4, Ordering::Window { max_skew_ns: 1_000 });
-        q.push(SimTime(0), prio(1, 0), 0, (1, 0));
-        q.push(SimTime(1), prio(2, 1), 1, (2, 1)); // different class
-        assert_eq!(
-            q.pop_independent_batch(classify).len(),
-            1,
-            "class boundary ends the batch even inside the window"
-        );
-    }
-
-    #[test]
     fn peek_len_and_clear_track_all_shards() {
-        let mut q = ShardedEventQueue::new(0, 3, Ordering::Strict);
-        assert!(q.is_empty());
-        q.push(SimTime(4), 0, 0, 'a');
-        q.push(SimTime(2), 0, 1, 'b');
-        q.push(SimTime(9), 0, 2, 'c');
-        assert_eq!(q.peek_time(), Some(SimTime(2)));
-        let head = q.peek().expect("three events pending");
-        assert_eq!(
-            (head.time, head.priority, *head.event),
-            (SimTime(2), 0, 'b')
-        );
-        assert_eq!(q.len(), 3, "peeking removes nothing");
-        q.clear();
-        assert!(q.peek().is_none());
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
+        for shards in [1, 3] {
+            let mut q = ShardedEventQueue::new(0, shards, Ordering::Strict);
+            assert!(q.is_empty());
+            q.push(SimTime(4), 0, 0, 'a');
+            q.push(SimTime(2), 0, 1, 'b');
+            q.push(SimTime(9), 0, 2, 'c');
+            assert_eq!(q.peek_time(), Some(SimTime(2)));
+            let head = q.peek().expect("three events pending");
+            assert_eq!(
+                (head.time, head.priority, *head.event),
+                (SimTime(2), 0, 'b')
+            );
+            assert_eq!(q.len(), 3, "peeking removes nothing");
+            q.clear();
+            assert!(q.peek().is_none());
+            assert!(q.is_empty());
+            assert!(q.pop().is_none());
+        }
     }
 
     #[test]
     fn ordering_serde_round_trip_and_default() {
         assert_eq!(Ordering::default(), Ordering::Strict);
-        for mode in [Ordering::Strict, Ordering::Window { max_skew_ns: 250 }] {
-            let text = serde::json::to_string(&mode);
-            let back: Ordering = serde::json::from_str(&text).unwrap();
-            assert_eq!(back, mode);
-        }
-        assert_eq!(Ordering::Strict.max_skew_ns(), 0);
-        assert_eq!(Ordering::Window { max_skew_ns: 9 }.max_skew_ns(), 9);
+        let text = serde::json::to_string(&Ordering::Strict);
+        let back: Ordering = serde::json::from_str(&text).unwrap();
+        assert_eq!(back, Ordering::Strict);
     }
 
     use proptest::prelude::*;
@@ -561,7 +441,7 @@ mod tests {
             Some((time, priority, event))
         }
 
-        fn pop_batch(&mut self, skew: u64) -> Vec<(SimTime, u64, TestEvent)> {
+        fn pop_batch(&mut self) -> Vec<(SimTime, u64, TestEvent)> {
             let Some(first) = self.pop() else {
                 return Vec::new();
             };
@@ -572,7 +452,7 @@ mod tests {
             let mut batch = vec![first];
             while let Some(i) = self.min() {
                 let ((time, ..), event) = self.pending[i];
-                let fits = time.0 - first.0 .0 <= skew
+                let fits = time == first.0
                     && matches!(
                         classify_test(&event),
                         Conflict::Exclusive { class: c, node } if c == class && !nodes.contains(&node)
@@ -595,20 +475,18 @@ mod tests {
         (s.time, s.priority, s.event)
     }
 
-    /// Drives `queue` and the naive [`Model`] (and, under `Strict`, the
-    /// single-heap [`EventQueue`]) through one op sequence, comparing every
-    /// popped event, every batch boundary, `len()` and `peek_time()` after
-    /// every op. Ops interleave on purpose: a merge that caches head keys
-    /// can only be wrong when a push or pop lands between two reads of the
-    /// cache.
-    fn replay_ops(seed: u64, shards: usize, ordering: Ordering, ops: &[(u8, u64, u64, usize)]) {
-        let mut queue = ShardedEventQueue::new(seed, shards, ordering);
+    /// Drives `queue` and the naive [`Model`] through one op sequence,
+    /// comparing every popped event, every batch boundary, `len()` and
+    /// `peek_time()` after every op. Ops interleave on purpose: a merge that
+    /// caches head keys can only be wrong when a push or pop lands between
+    /// two reads of the cache.
+    fn replay_ops(seed: u64, shards: usize, ops: &[(u8, u64, u64, usize)]) {
+        let mut queue = ShardedEventQueue::new(seed, shards, Ordering::Strict);
         let mut model = Model {
             seed,
             next_seq: 0,
             pending: Vec::new(),
         };
-        let mut global = (ordering == Ordering::Strict).then(|| EventQueue::new(seed));
         let mut last_popped = 0usize;
         for (step, &(kind, t, class, node)) in ops.iter().enumerate() {
             let min = queue.peek_time();
@@ -617,9 +495,6 @@ mod tests {
                 let event = (step, class, node);
                 queue.push(SimTime(time), priority, node, event);
                 model.push(SimTime(time), priority, event);
-                if let Some(global) = &mut global {
-                    global.push(SimTime(time), priority, event);
-                }
             };
             match kind {
                 0..=5 => push(t, class, node),
@@ -635,9 +510,6 @@ mod tests {
                 10..=13 => {
                     let got = queue.pop().map(flat);
                     assert_eq!(got, model.pop(), "pop at step {step}");
-                    if let Some(global) = &mut global {
-                        assert_eq!(got, global.pop().map(flat));
-                    }
                     if let Some((.., event)) = got {
                         last_popped = event.2;
                     }
@@ -648,16 +520,7 @@ mod tests {
                         .into_iter()
                         .map(flat)
                         .collect();
-                    let expect = model.pop_batch(ordering.max_skew_ns());
-                    assert_eq!(&got, &expect, "batch at step {}", step);
-                    if let Some(global) = &mut global {
-                        let single: Vec<_> = global
-                            .pop_independent_batch(classify_test)
-                            .into_iter()
-                            .map(flat)
-                            .collect();
-                        assert_eq!(&got, &single);
-                    }
+                    assert_eq!(got, model.pop_batch(), "batch at step {}", step);
                     if let Some((.., event)) = got.last() {
                         last_popped = event.2;
                     }
@@ -665,9 +528,6 @@ mod tests {
                 _ => {
                     queue.clear();
                     model.pending.clear();
-                    if let Some(global) = &mut global {
-                        global.clear();
-                    }
                 }
             }
             assert_eq!(queue.len(), model.pending.len(), "len at step {}", step);
@@ -680,10 +540,6 @@ mod tests {
             });
             let peeked = queue.peek().map(|s| (s.time, s.priority, *s.event));
             assert_eq!(peeked, next, "peeked event at step {}", step);
-            if let Some(global) = &global {
-                assert_eq!(queue.len(), global.len());
-                assert_eq!(queue.peek_time(), global.peek_time());
-            }
         }
     }
 
@@ -692,7 +548,7 @@ mod tests {
 
         /// Arbitrary interleavings of push, push-into-the-shard-just-popped,
         /// push-below-the-minimum, pop, batch pop and clear replay the
-        /// single-heap queue exactly, at every shard count.
+        /// flat-list model exactly, at every shard count.
         #[test]
         fn strict_interleaved_ops_replay_the_global_queue(
             seed in proptest::any::<u64>(),
@@ -700,147 +556,55 @@ mod tests {
                 (0u8..20, 0u64..5, 0u64..3, 0usize..12), 1..96),
         ) {
             for shards in SHARD_COUNTS {
-                replay_ops(seed, shards, Ordering::Strict, &ops);
-            }
-        }
-
-        /// The same interleavings under `Window`: every batch is exactly
-        /// what one-at-a-time pops under the window rule produce.
-        #[test]
-        fn window_interleaved_ops_replay_one_at_a_time_pops(
-            seed in proptest::any::<u64>(),
-            skew in 0u64..4,
-            ops in proptest::collection::vec(
-                (0u8..20, 0u64..5, 0u64..3, 0usize..12), 1..96),
-        ) {
-            for shards in SHARD_COUNTS {
-                replay_ops(seed, shards, Ordering::Window { max_skew_ns: skew }, &ops);
+                replay_ops(seed, shards, &ops);
             }
         }
     }
 
     proptest! {
-        /// The heart of the Strict contract: for any seed, shard count and
-        /// event interleaving, the sharded queue's sequential pops AND its
-        /// independent batches replay the global single-heap queue exactly —
-        /// same events, same order, same grouping.
+        /// The heart of the contract: for any seed, shard count and event
+        /// interleaving, the sharded queue's sequential pops AND its
+        /// independent batches replay the single-heap (one-shard) queue
+        /// exactly — same events, same order, same grouping.
         #[test]
         fn strict_sharded_replays_the_global_queue(
             seed in proptest::any::<u64>(),
-            shards in 1usize..8,
+            shards in 2usize..8,
             events in proptest::collection::vec(
                 (0u64..4, 0u64..3, 0usize..6), 1..48),
         ) {
-            let classify = |&(_, class, node): &(usize, u64, usize)| {
-                if class == 0 {
-                    Conflict::Solo
-                } else {
-                    Conflict::Exclusive { class, node }
+            let fill = |shards: usize| {
+                let mut q = ShardedEventQueue::new(seed, shards, Ordering::Strict);
+                for (i, &(t, class, node)) in events.iter().enumerate() {
+                    q.push(SimTime(t), prio(class, node), node, (i, class, node));
                 }
+                q
             };
-            let mut global = EventQueue::new(seed);
-            let mut plain = ShardedEventQueue::new(seed, shards, Ordering::Strict);
-            let mut batched = ShardedEventQueue::new(seed, shards, Ordering::Strict);
-            for (i, &(t, class, node)) in events.iter().enumerate() {
-                let priority = (class << 32) | node as u64;
-                global.push(SimTime(t), priority, (i, class, node));
-                plain.push(SimTime(t), priority, node, (i, class, node));
-                batched.push(SimTime(t), priority, node, (i, class, node));
-            }
-            // One-at-a-time pops agree with the global heap.
+            // One-at-a-time pops agree with the single heap.
+            let (mut global, mut plain) = (fill(1), fill(shards));
             let reference: Vec<_> =
                 std::iter::from_fn(|| global.pop().map(|s| s.event)).collect();
             let popped: Vec<_> =
                 std::iter::from_fn(|| plain.pop().map(|s| s.event)).collect();
             prop_assert_eq!(&popped, &reference);
-            // Batch boundaries agree with the global heap's batch pop too.
-            let mut global = EventQueue::new(seed);
-            for (i, &(t, class, node)) in events.iter().enumerate() {
-                let priority = (class << 32) | node as u64;
-                global.push(SimTime(t), priority, (i, class, node));
-            }
+            // Batch boundaries agree with the single heap's batch pop too.
+            let (mut global, mut batched) = (fill(1), fill(shards));
             loop {
                 let expect: Vec<_> = global
-                    .pop_independent_batch(classify)
+                    .pop_independent_batch(classify_test)
                     .into_iter()
-                    .map(|s| (s.time, s.priority, s.event))
+                    .map(flat)
                     .collect();
                 let got: Vec<_> = batched
-                    .pop_independent_batch(classify)
+                    .pop_independent_batch(classify_test)
                     .into_iter()
-                    .map(|s| (s.time, s.priority, s.event))
+                    .map(flat)
                     .collect();
                 prop_assert_eq!(&got, &expect);
                 if expect.is_empty() {
                     break;
                 }
             }
-        }
-
-        /// Window batches are still prefixes of the total order: flattening
-        /// them replays the sequential pop sequence exactly, every batch is
-        /// one class on distinct nodes, and no batch spans more virtual
-        /// time than the configured skew.
-        #[test]
-        fn window_batches_partition_order_within_skew(
-            seed in proptest::any::<u64>(),
-            shards in 1usize..8,
-            skew in 0u64..5,
-            events in proptest::collection::vec(
-                (0u64..6, 0u64..3, 0usize..6), 1..48),
-        ) {
-            let classify = |&(_, class, node): &(usize, u64, usize)| {
-                if class == 0 {
-                    Conflict::Solo
-                } else {
-                    Conflict::Exclusive { class, node }
-                }
-            };
-            let ordering = Ordering::Window { max_skew_ns: skew };
-            let mut plain = ShardedEventQueue::new(seed, shards, ordering);
-            let mut batched = ShardedEventQueue::new(seed, shards, ordering);
-            for (i, &(t, class, node)) in events.iter().enumerate() {
-                let priority = (class << 32) | node as u64;
-                plain.push(SimTime(t), priority, node, (i, class, node));
-                batched.push(SimTime(t), priority, node, (i, class, node));
-            }
-            let sequential: Vec<_> =
-                std::iter::from_fn(|| plain.pop().map(|s| s.event)).collect();
-            let mut flattened = Vec::new();
-            loop {
-                let batch = batched.pop_independent_batch(classify);
-                if batch.is_empty() {
-                    break;
-                }
-                let head_time = batch[0].time;
-                let head = classify(&batch[0].event);
-                let mut nodes = std::collections::HashSet::new();
-                for s in &batch {
-                    prop_assert!(
-                        s.time.0 >= head_time.0
-                            && s.time.0 - head_time.0 <= skew,
-                        "batch spans {}ns > skew {}ns",
-                        s.time.0 - head_time.0, skew
-                    );
-                    if batch.len() > 1 {
-                        let c = classify(&s.event);
-                        prop_assert!(
-                            matches!((head, c), (
-                                Conflict::Exclusive { class: a, .. },
-                                Conflict::Exclusive { class: b, .. },
-                            ) if a == b),
-                            "batch mixes classes: {:?} vs {:?}", head, c
-                        );
-                        let (_, _, node) = s.event;
-                        prop_assert!(
-                            nodes.insert(node),
-                            "batch contains node {} twice", node
-                        );
-                    }
-                }
-                flattened.extend(batch.into_iter().map(|s| s.event));
-            }
-            prop_assert_eq!(flattened, sequential);
         }
     }
 }

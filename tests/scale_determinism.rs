@@ -1,13 +1,10 @@
-//! Shard-count and ordering invariance of the sharded event engine.
+//! Shard-count invariance of the sharded event engine.
 //!
 //! `TrainConfig::shards` routes events to per-node-group heaps behind a
 //! global merge; the contract is that it is *purely structural*: any shard
-//! count replays the single-heap schedule bit for bit under
-//! `Ordering::Strict`, at any thread count. These tests replay one
-//! fault-laden event-driven workload across the {threads} × {shards} grid
-//! and compare the full `RoundRecord` streams, then check that
-//! `Ordering::Window` — the only mode allowed to reorder — still converges
-//! to the same model when its skew bound is far below the mix deadline.
+//! count replays the single-heap schedule bit for bit, at any thread count.
+//! This test replays one fault-laden event-driven workload across the
+//! {threads} × {shards} grid and compares the full `RoundRecord` streams.
 
 use jwins::config::{ExecutionMode, TrainConfig};
 use jwins::engine::Trainer;
@@ -17,7 +14,7 @@ use jwins::strategy::ShareStrategy;
 use jwins_data::images::{cifar_like, ImageConfig};
 use jwins_fault::{FaultConfig, FaultOutage, FaultPlan, RejoinMode, StalenessPolicy};
 use jwins_nn::models::mlp_classifier;
-use jwins_sim::{HeterogeneityProfile, Ordering};
+use jwins_sim::HeterogeneityProfile;
 use jwins_topology::dynamic::StaticTopology;
 
 const NODES: usize = 12;
@@ -25,14 +22,13 @@ const NODES: usize = 12;
 /// Stragglers (wide batches), a crash+rejoin and mid-round checkpoints:
 /// the queue carries every event class, so a routing bug in any of them
 /// would break the comparison.
-fn scale_config(threads: usize, shards: usize, ordering: Ordering) -> TrainConfig {
+fn scale_config(threads: usize, shards: usize) -> TrainConfig {
     let mut cfg = TrainConfig::quick_test();
     cfg.rounds = 5;
     cfg.lr = 0.1;
     cfg.eval_every = 1;
     cfg.threads = threads;
     cfg.shards = shards;
-    cfg.ordering = ordering;
     cfg.execution = ExecutionMode::EventDriven;
     cfg.time_model.compute_s = 1.0;
     cfg.heterogeneity = HeterogeneityProfile::stragglers(0.25, 3.0, 0.002, 1.0e6);
@@ -47,9 +43,9 @@ fn scale_config(threads: usize, shards: usize, ordering: Ordering) -> TrainConfi
     cfg
 }
 
-fn run(threads: usize, shards: usize, ordering: Ordering) -> RunResult {
+fn run(threads: usize, shards: usize) -> RunResult {
     let data = cifar_like(&ImageConfig::tiny(), NODES, 2, 5);
-    Trainer::builder(scale_config(threads, shards, ordering))
+    Trainer::builder(scale_config(threads, shards))
         .topology(StaticTopology::random_regular(NODES, 3, 3).unwrap())
         .test_set(data.test)
         .nodes(data.node_train, |_node| {
@@ -67,46 +63,17 @@ fn run(threads: usize, shards: usize, ordering: Ordering) -> RunResult {
 #[test]
 fn strict_runs_are_identical_across_threads_and_shards() {
     // The single-heap, single-threaded run is the reference schedule.
-    let base = run(1, 0, Ordering::Strict);
+    let base = run(1, 0);
     let last = base.records.last().expect("records recorded");
     assert!(last.crashes >= 1, "crashes replayed: {}", last.crashes);
     assert!(last.rejoins >= 1, "rejoins replayed: {}", last.rejoins);
     for threads in [1usize, 2, 8] {
         for shards in [1usize, 4, 16] {
-            let result = run(threads, shards, Ordering::Strict);
+            let result = run(threads, shards);
             base.assert_bit_identical(
                 &result,
                 &format!("threads-1/shards-0 vs threads-{threads}/shards-{shards}"),
             );
         }
     }
-}
-
-#[test]
-fn window_ordering_converges_alongside_strict() {
-    // A 10 ms skew against a 1 s compute time: mix deadlines cannot move,
-    // so the relaxed schedule must reach the same accuracy neighbourhood.
-    let strict = run(2, 4, Ordering::Strict);
-    let window = run(
-        2,
-        4,
-        Ordering::Window {
-            max_skew_ns: 10_000_000,
-        },
-    );
-    let acc = |r: &RunResult| {
-        r.records
-            .last()
-            .map(|rec| rec.test_accuracy)
-            .expect("final record")
-    };
-    let (sa, wa) = (acc(&strict), acc(&window));
-    assert!(
-        (sa - wa).abs() <= 0.05,
-        "window accuracy {wa:.4} drifted from strict {sa:.4}"
-    );
-    // Window is the same run when the schedule never has skew to exploit:
-    // with zero-width batches forced by a zero skew it must equal strict.
-    let zero = run(2, 4, Ordering::Window { max_skew_ns: 1 });
-    strict.assert_bit_identical(&zero, "strict vs 1ns-window");
 }
