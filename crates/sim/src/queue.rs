@@ -132,6 +132,20 @@ mod tests {
         }
     }
 
+    #[test]
+    fn peek_and_clear() {
+        for shards in SHARDS {
+            let mut q = queue(0, shards);
+            assert!(q.is_empty());
+            q.push(SimTime(4), 0, 0, ());
+            q.push(SimTime(2), 0, 1, ());
+            assert_eq!(q.peek_time(), Some(SimTime(2)), "{shards} shards");
+            assert_eq!(q.len(), 2, "{shards} shards");
+            q.clear();
+            assert!(q.pop().is_none(), "{shards} shards");
+        }
+    }
+
     /// Encodes the engine's priority convention for batch tests.
     fn prio(class: u64, node: usize) -> u64 {
         (class << 32) | node as u64
