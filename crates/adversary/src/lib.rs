@@ -1,4 +1,5 @@
-//! Seeded Byzantine attack plans and robust aggregation for the engine.
+//! Seeded Byzantine attack plans and the robust aggregation rules the
+//! engine mixes with.
 //!
 //! Two halves, one contract each:
 //!
@@ -10,12 +11,13 @@
 //!   the sender's parameters, so attacks compose with faults, staleness,
 //!   churn and repair — and a crashed node, which builds no messages,
 //!   never injects.
-//! - [`Robust`] → [`RobustAccumulator`]: mixing-layer defenses
-//!   (trimmed-mean, coordinate-wise median, norm-clip) applied to
-//!   `ShareStrategy` decode output. Removed mass folds back into the
-//!   receiver's self-weight so the effective mixing row stays
-//!   row-stochastic — the same contract `StalenessPolicy::downweight_row`
-//!   keeps.
+//! - [`Robust`] → [`RobustStats`]: the mixing-layer defenses
+//!   (trimmed-mean, coordinate-wise median, norm-clip) a run configures,
+//!   and what one removed. The rules themselves run beside the plain
+//!   average in `jwins::average`, on the contributions each averaging
+//!   strategy decodes. Removed mass is renormalized over the surviving
+//!   entries so the effective mixing row stays row-stochastic — the same
+//!   contract `StalenessPolicy::downweight_row` keeps.
 //!
 //! ```
 //! use jwins_adversary::{AttackBehavior, AttackPlan, AttackTimeline};
@@ -43,4 +45,4 @@ mod plan;
 mod robust;
 
 pub use plan::{apply_behavior, AttackBehavior, AttackPlan, AttackTimeline, AttackWindow};
-pub use robust::{Robust, RobustAccumulator, RobustStats};
+pub use robust::{Robust, RobustStats};

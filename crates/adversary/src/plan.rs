@@ -11,7 +11,7 @@
 //! staleness, churn and repair (a crashed node builds no messages, hence
 //! injects nothing).
 
-use jwins_sim::SimTime;
+use jwins_sim::{splitmix64, SimTime};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -220,13 +220,6 @@ struct Interval {
 pub struct AttackTimeline {
     intervals: Vec<Interval>,
     seed: u64,
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Uniform draw in `[0, 1)` with 53 bits of precision.

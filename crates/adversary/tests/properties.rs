@@ -1,10 +1,9 @@
-//! Property tests for the adversary crate's two contracts: deterministic
-//! plan expansion and robust-rule screening bounds.
+//! Property tests for the adversary crate's attack plans: deterministic
+//! expansion, half-open windows and pure perturbations. The robust rules'
+//! screening bounds are tested where the rules run, in
+//! `crates/core/tests/properties.rs`.
 
-use jwins_adversary::{
-    apply_behavior, AttackBehavior, AttackPlan, AttackTimeline, AttackWindow, Robust,
-    RobustAccumulator,
-};
+use jwins_adversary::{apply_behavior, AttackBehavior, AttackPlan, AttackTimeline, AttackWindow};
 use jwins_sim::SimTime;
 use proptest::prelude::*;
 
@@ -84,122 +83,5 @@ proptest! {
         apply_behavior(behavior, seed, node, round, &mut b);
         prop_assert_eq!(&a, &b);
         prop_assert!(a.iter().all(|v| v.is_finite()));
-    }
-
-    /// Trimmed mean (deep enough to out-trim the attackers) and median
-    /// stay inside the coordinate range spanned by the honest inputs and
-    /// the node's own value, for any minority of arbitrarily-placed
-    /// Byzantine contributions (`f < n/2`).
-    #[test]
-    fn trimmed_mean_and_median_are_bounded_by_honest_range(
-        own in proptest::collection::vec(-5.0f32..5.0, 4..32),
-        honest_offsets in proptest::collection::vec(-1.0f32..1.0, 2..6),
-        byz_count in 1usize..3,
-        byz_value in prop_oneof![Just(-1.0e6f32), Just(1.0e6f32), -2.0f32..2.0],
-    ) {
-        // f < n/2: strictly more honest neighbors than Byzantine ones.
-        prop_assume!(honest_offsets.len() > byz_count);
-        let dim = own.len();
-        let honest: Vec<Vec<f32>> = honest_offsets
-            .iter()
-            .map(|o| own.iter().map(|v| v + o).collect())
-            .collect();
-        for rule in [Robust::TrimmedMean { trim: 0.49 }, Robust::Median] {
-            let mut acc = RobustAccumulator::new(&own, 1.0, rule);
-            for h in &honest {
-                acc.add_dense(h, 1.0);
-            }
-            for _ in 0..byz_count {
-                acc.add_dense(&vec![byz_value; dim], 1.0);
-            }
-            let (out, _) = acc.finish();
-            for k in 0..dim {
-                let mut lo = own[k];
-                let mut hi = own[k];
-                for h in &honest {
-                    lo = lo.min(h[k]);
-                    hi = hi.max(h[k]);
-                }
-                prop_assert!(
-                    out[k] >= lo - 1e-4 && out[k] <= hi + 1e-4,
-                    "{rule:?} coord {k}: {} outside honest range [{lo}, {hi}]",
-                    out[k]
-                );
-            }
-        }
-    }
-
-    /// Norm clipping caps the aggregate's deviation from the own vector at
-    /// `tau`, and leaves in-budget contributions untouched (identical to
-    /// plain averaging).
-    #[test]
-    fn norm_clip_never_increases_the_deviation(
-        own in proptest::collection::vec(-3.0f32..3.0, 2..32),
-        deltas in proptest::collection::vec(
-            (proptest::collection::vec(-10.0f32..10.0, 2..32), 0.1f64..2.0),
-            1..4
-        ),
-        tau in 0.1f64..5.0,
-    ) {
-        let mut clipped = RobustAccumulator::new(&own, 1.0, Robust::NormClip { tau });
-        let mut plain = RobustAccumulator::new(&own, 1.0, Robust::None);
-        let mut max_dev = 0.0f64;
-        for (delta, weight) in &deltas {
-            let contribution: Vec<f32> = own
-                .iter()
-                .zip(delta.iter().cycle())
-                .map(|(v, d)| v + d)
-                .collect();
-            let dev: f64 = contribution
-                .iter()
-                .zip(&own)
-                .map(|(c, o)| (f64::from(*c) - f64::from(*o)).powi(2))
-                .sum::<f64>()
-                .sqrt();
-            max_dev = max_dev.max(dev);
-            clipped.add_dense(&contribution, *weight);
-            plain.add_dense(&contribution, *weight);
-        }
-        let (out, stats) = clipped.finish();
-        let out_dev: f64 = out
-            .iter()
-            .zip(&own)
-            .map(|(c, o)| (f64::from(*c) - f64::from(*o)).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        prop_assert!(
-            out_dev <= tau + 1e-3,
-            "aggregate drifted {out_dev} > tau {tau}"
-        );
-        if max_dev <= tau {
-            // Nothing out of budget: the rule is exactly plain averaging.
-            prop_assert_eq!(stats.clipped, 0);
-            prop_assert_eq!(out, plain.finish().0);
-        }
-    }
-
-    /// Row-stochasticity: with every input equal to the own vector, all
-    /// rules return it unchanged — removed mass is renormalized into the
-    /// self entry, never lost.
-    #[test]
-    fn constant_input_is_a_fixed_point_of_every_rule(
-        own in proptest::collection::vec(-4.0f32..4.0, 1..48),
-        weights in proptest::collection::vec(0.05f64..2.0, 1..6),
-        rule_pick in 0usize..4,
-    ) {
-        let rule = match rule_pick {
-            0 => Robust::None,
-            1 => Robust::TrimmedMean { trim: 0.45 },
-            2 => Robust::Median,
-            _ => Robust::NormClip { tau: 0.5 },
-        };
-        let mut acc = RobustAccumulator::new(&own, 1.0, rule);
-        for w in &weights {
-            acc.add_dense(&own, *w);
-        }
-        let (out, _) = acc.finish();
-        for (o, v) in own.iter().zip(&out) {
-            prop_assert!((o - v).abs() < 1e-5, "{rule:?} moved {o} to {v}");
-        }
     }
 }

@@ -208,7 +208,8 @@ fn bench_float_codec(c: &mut Criterion) {
 
     // A full-sharing mix of one message: decoded value by value into
     // per-coordinate numerators and denominators (how `FullSharing` folded
-    // before), against a block at a time into one denominator (how it folds).
+    // once), against decoded a block at a time into a model-sized buffer
+    // and folded into one denominator (how it folds).
     let wire = BlockFloatCodec.encode(&mlp);
     let weight = 0.2;
     let mut group = c.benchmark_group("codec/dense/decode_fold");
@@ -226,12 +227,13 @@ fn bench_float_codec(c: &mut Criterion) {
     });
     let mut avg = DenseAverager::default();
     avg.reset(&mlp, weight);
+    let mut decoded = vec![0.0f32; mlp.len()];
     group.bench_function("block_113418", |b| {
         b.iter(|| {
             let mut decoder = BlockFloatCodec::decoder(black_box(&wire));
-            avg.add_blocks(weight, |block| decoder.next_values(block))
-                .unwrap();
+            decoder.next_values(&mut decoded).unwrap();
             decoder.finish().unwrap();
+            avg.add(&decoded, weight);
         });
     });
     group.finish();

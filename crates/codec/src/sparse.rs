@@ -206,6 +206,12 @@ impl Pull<u32> for VarintIndexDecoder<'_> {
     fn pull(&mut self) -> Result<u32> {
         let (delta, used) = varint::read_u64(self.rest)?;
         self.rest = &self.rest[used..];
+        // The encoder refuses a repeated index, so a zero delta after the
+        // first one is not a frame it wrote: it would count one neighbour
+        // twice on one coefficient.
+        if delta == 0 && self.prev.is_some() {
+            return Err(NOT_INCREASING);
+        }
         // A peer chooses `delta`: the sum can pass `u32` and `u64` alike.
         let index = u64::from(self.prev.unwrap_or(0))
             .checked_add(delta)
@@ -465,14 +471,41 @@ impl SparseVecCodec {
     ///
     /// As [`Self::decode`].
     pub fn decode_compact(&self, bytes: &[u8]) -> Result<(Option<Vec<u32>>, Vec<f32>)> {
+        let (mut indices, mut values) = (Vec::new(), Vec::new());
+        let implied = self.decode_compact_into(bytes, &mut indices, &mut values)?;
+        Ok(((!implied).then_some(indices), values))
+    }
+
+    /// [`Self::decode_compact`] over `indices` and `values` (any content,
+    /// any length), reusing their allocations. Returns whether the frame is
+    /// implied; its indices, `0..values.len()`, are then not written and
+    /// `indices` is left empty.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::decode`]; the buffers' contents are then unspecified.
+    pub fn decode_compact_into(
+        &self,
+        bytes: &[u8],
+        indices: &mut Vec<u32>,
+        values: &mut Vec<f32>,
+    ) -> Result<bool> {
         let frame = Self::frame(bytes)?;
-        if !frame.implied() {
-            return self
-                .decode(bytes)
-                .map(|(indices, values)| (Some(indices), values));
+        indices.clear();
+        if frame.implied() {
+            *values = (self.value_codec.as_codec()).decode(frame.value_block, frame.count)?;
+            return Ok(true);
         }
-        let values = (self.value_codec.as_codec()).decode(frame.value_block, frame.count)?;
-        Ok((None, values))
+        values.clear();
+        // `frame.count` is wire-influenced but bounded by the buffer length.
+        indices.reserve(frame.count);
+        values.reserve(frame.count);
+        self.visit(&frame, |index, value| {
+            indices.push(index);
+            values.push(value);
+            Ok::<(), CodecError>(())
+        })?;
+        Ok(false)
     }
 
     /// Decodes a buffer produced by [`Self::encode`] without materialising
@@ -668,6 +701,28 @@ mod tests {
         bytes.extend([0u8; 8]);
         let codec = SparseVecCodec::new(IndexCodec::VarintDelta, ValueCodec::Raw);
         assert!(matches!(codec.decode(&bytes), Err(CodecError::Corrupt(_))));
+    }
+
+    /// A hand-built frame repeating index 5 — one its encoder refuses —
+    /// is refused by its decoder too, whichever way it is decoded.
+    #[test]
+    fn varint_delta_repeated_index_is_rejected() {
+        let codec = SparseVecCodec::new(IndexCodec::VarintDelta, ValueCodec::Raw);
+        assert_eq!(codec.encode(&[5, 5], &[1.0, 2.0]), Err(NOT_INCREASING));
+        let mut bytes = vec![0x02, 0x02, 0x05, 0x00];
+        bytes.extend(1.0f32.to_le_bytes());
+        bytes.extend(2.0f32.to_le_bytes());
+        assert_eq!(codec.decode(&bytes), Err(NOT_INCREASING));
+        let mut visited = 0;
+        let each = codec.decode_each(&bytes, |_, _| {
+            visited += 1;
+            Ok::<(), CodecError>(())
+        });
+        assert_eq!(each, Err(NOT_INCREASING));
+        assert_eq!(visited, 1, "the first pair is visited, the repeat is not");
+        // Index 0 first is a zero delta too, and still fine.
+        let enc = codec.encode(&[0, 3], &[1.0, 2.0]).unwrap();
+        assert_eq!(codec.decode(enc.as_bytes()).unwrap().0, [0, 3]);
     }
 
     #[test]

@@ -13,9 +13,15 @@
 //! weighted average, so full-sharing is the exact special case (verified in
 //! the tests). [`DenseAverager`] is that case on its own: every coordinate's
 //! denominator is then the same sum, kept once.
+//! The robust rules ([`RobustAccumulator`]) sit beside them, and each
+//! averaging strategy's one mix folds its decoded [`Contribution`]s into
+//! whichever of the three its rule picks (`Fold`).
 
+#![warn(clippy::too_many_lines)]
+
+pub use crate::robust::RobustAccumulator;
 use crate::strategy::Contribution;
-use jwins_codec::float::BlockFloatCodec;
+use jwins_adversary::{Robust, RobustStats};
 
 /// Accumulates sparse contributions into a weighted average over `own`.
 ///
@@ -67,10 +73,8 @@ impl PartialAverager {
         self.num.is_empty()
     }
 
-    /// Adds one coordinate of a neighbour's contribution — the step a
-    /// streaming decoder feeds. Returns `false`, adding nothing, when
-    /// `index` is out of range: indices arrive off the wire, and this is
-    /// where each one is checked.
+    /// Adds one coordinate of a neighbour's contribution. Returns `false`,
+    /// adding nothing, when `index` is out of range.
     #[inline]
     #[must_use = "an out-of-range index is a protocol violation to report"]
     pub fn add_one(&mut self, index: u32, value: f32, weight: f64) -> bool {
@@ -102,33 +106,30 @@ impl PartialAverager {
     /// Panics if lengths mismatch.
     pub fn add_dense(&mut self, values: &[f32], weight: f64) {
         assert_eq!(values.len(), self.num.len(), "length mismatch");
+        self.add_prefix(values, weight);
+    }
+
+    /// Adds `values` at indices `0..values.len()`: each coordinate's
+    /// [`Self::add_one`] in a straight loop.
+    fn add_prefix(&mut self, values: &[f32], weight: f64) {
+        assert!(values.len() <= self.num.len(), "index out of range");
         for ((num, den), &v) in self.num.iter_mut().zip(&mut self.den).zip(values) {
             *num += f64::from(v) * weight;
             *den += weight;
         }
     }
 
-    /// Adds a decoded neighbour contribution with mixing weight `weight`:
-    /// the same [`Self::add_one`] steps a streaming decode of its message
-    /// takes, in the same order. Returns `false` when an index is out of
-    /// range; the average is then not to be used.
-    #[must_use = "an out-of-range index is a protocol violation to report"]
-    pub fn add_contribution(&mut self, contribution: &Contribution, weight: f64) -> bool {
-        let values = &contribution.values;
+    /// Adds a decoded neighbour contribution with mixing weight `weight`,
+    /// coordinate by coordinate in wire order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range — the strategy's decode checks
+    /// them.
+    pub fn add_contribution(&mut self, contribution: &Contribution, weight: f64) {
         match &contribution.indices {
-            Some(indices) => indices
-                .iter()
-                .zip(values)
-                .all(|(&index, &value)| self.add_one(index, value, weight)),
-            // Indices `0..len`: each coordinate's `add_one` in a straight loop.
-            None if values.len() <= self.num.len() => {
-                for ((num, den), &v) in self.num.iter_mut().zip(&mut self.den).zip(values) {
-                    *num += f64::from(v) * weight;
-                    *den += weight;
-                }
-                true
-            }
-            None => false,
+            Some(indices) => self.add_sparse(indices, &contribution.values, weight),
+            None => self.add_prefix(&contribution.values, weight),
         }
     }
 
@@ -159,10 +160,6 @@ pub struct DenseAverager {
 }
 
 impl DenseAverager {
-    /// Coordinates per [`Self::add_blocks`] fill: one block of the float
-    /// codec, so a fill is one block decode.
-    const BLOCK: usize = BlockFloatCodec::BLOCK;
-
     /// Starts an average over `own` with its self-weight, reusing the
     /// allocation of the last one.
     ///
@@ -177,31 +174,17 @@ impl DenseAverager {
         self.den = self_weight;
     }
 
-    /// Adds a neighbour's contribution with mixing weight `weight`, taking
-    /// its values 64 at a time — one float-codec block — from `fill` (the
-    /// last fill may be shorter), in order: a decoder writes each block
-    /// into a stack buffer and the block is folded before the next is
-    /// decoded, so the contribution is never materialised.
+    /// Adds a neighbour's dense contribution with mixing weight `weight`.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Stops at the first error `fill` returns; the average is then not to
-    /// be used.
-    pub fn add_blocks<E>(
-        &mut self,
-        weight: f64,
-        mut fill: impl FnMut(&mut [f32]) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let mut buffer = [0.0f32; Self::BLOCK];
-        for num in self.num.chunks_mut(Self::BLOCK) {
-            let block = &mut buffer[..num.len()];
-            fill(block)?;
-            for (num, &v) in num.iter_mut().zip(&*block) {
-                *num += f64::from(v) * weight;
-            }
+    /// Panics if lengths mismatch.
+    pub fn add(&mut self, values: &[f32], weight: f64) {
+        assert_eq!(values.len(), self.num.len(), "length mismatch");
+        for (num, &v) in self.num.iter_mut().zip(values) {
+            *num += f64::from(v) * weight;
         }
         self.den += weight;
-        Ok(())
     }
 
     /// Writes the average over `out` (any content, any length), leaving the
@@ -209,6 +192,62 @@ impl DenseAverager {
     pub fn finish_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.extend(self.num.iter().map(|n| (n / self.den) as f32));
+    }
+}
+
+/// Where one mix folds its neighbours' decoded contributions: a worker's
+/// plain averager under `Robust::None`, the rule's [`RobustAccumulator`]
+/// under any other.
+pub(crate) enum Fold<'a> {
+    /// Renormalized per coordinate: sparse shares.
+    Partial(&'a mut PartialAverager),
+    /// One denominator: every contribution covers every coordinate.
+    Dense(&'a mut DenseAverager),
+    /// Every contribution kept for the rule.
+    Robust(RobustAccumulator),
+}
+
+impl Fold<'_> {
+    /// Starts a mix over `own` with its self-weight: in this plain
+    /// averager under `Robust::None`, through the rule's accumulator
+    /// otherwise.
+    pub(crate) fn begin(self, own: &[f32], self_weight: f64, rule: Robust) -> Self {
+        match self {
+            Fold::Partial(avg) if rule.is_none() => {
+                avg.reset(own, self_weight);
+                Fold::Partial(avg)
+            }
+            Fold::Dense(avg) if rule.is_none() => {
+                avg.reset(own, self_weight);
+                Fold::Dense(avg)
+            }
+            _ => Fold::Robust(RobustAccumulator::new(own, self_weight, rule)),
+        }
+    }
+
+    /// Folds in a decoded contribution with mixing weight `weight`; the
+    /// decode has checked its indices (and, for [`Fold::Dense`], that it
+    /// covers every coordinate).
+    pub(crate) fn add(&mut self, contribution: &Contribution, weight: f64) {
+        match self {
+            Fold::Partial(avg) => avg.add_contribution(contribution, weight),
+            Fold::Dense(avg) => avg.add(&contribution.values, weight),
+            Fold::Robust(acc) => acc.add(contribution, weight),
+        }
+    }
+
+    /// Writes the average over `out` and adds what the rule removed to
+    /// `removed`.
+    pub(crate) fn finish_into(self, out: &mut Vec<f32>, removed: &mut RobustStats) {
+        match self {
+            Fold::Partial(avg) => avg.finish_into(out),
+            Fold::Dense(avg) => avg.finish_into(out),
+            Fold::Robust(acc) => {
+                let (average, stats) = acc.finish();
+                *out = average;
+                removed.absorb(stats);
+            }
+        }
     }
 }
 
@@ -276,42 +315,46 @@ mod tests {
         assert_eq!(out, vec![17.5]);
     }
 
-    /// A slice as [`DenseAverager::add_blocks`] pulls it: one block per
-    /// fill, failing once it runs dry.
-    fn blocks_of<'a>(values: &'a [f32]) -> impl FnMut(&mut [f32]) -> Result<(), &'static str> + 'a {
-        let mut rest = values;
-        move |block: &mut [f32]| {
-            if rest.len() < block.len() {
-                return Err("ran dry");
-            }
-            let (head, tail) = rest.split_at(block.len());
-            block.copy_from_slice(head);
-            rest = tail;
-            Ok(())
-        }
-    }
-
+    /// Under `Robust::None` a fold is the plain averager it starts in, bit
+    /// for bit; under a rule it is that rule's accumulator.
     #[test]
-    fn streamed_dense_contribution_equals_the_slice_form() {
-        // Two blocks and a tail.
+    fn a_fold_is_its_averager_or_its_rule() {
         let own: Vec<f32> = (0..150).map(|i| (i as f32 - 70.0) * 0.3).collect();
-        let theirs: Vec<f32> = own.iter().map(|v| 4.0 - v * 1.7).collect();
-        let mut by_slice = PartialAverager::new(&own, 0.4);
-        by_slice.add_dense(&theirs, 0.6);
-        let mut streamed = DenseAverager::default();
-        streamed.reset(&own, 0.4);
-        streamed.add_blocks(0.6, blocks_of(&theirs)).unwrap();
-        let mut out = Vec::new();
-        streamed.finish_into(&mut out);
-        assert_eq!(by_slice.finish(), out);
+        let dense = Contribution {
+            indices: None,
+            values: own.iter().map(|v| 4.0 - v * 1.7).collect(),
+        };
+        let sparse = Contribution {
+            indices: Some(vec![3, 7, 149]),
+            values: vec![1.5, -2.0, 9.0],
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut oracle = PartialAverager::new(&own, 0.4);
+        oracle.add_dense(&dense.values, 0.6);
+        let expected = oracle.finish();
+        let (mut partial, mut dense_avg) = (PartialAverager::default(), DenseAverager::default());
+        for fold in [Fold::Partial(&mut partial), Fold::Dense(&mut dense_avg)] {
+            let mut fold = fold.begin(&own, 0.4, Robust::None);
+            fold.add(&dense, 0.6);
+            let (mut out, mut removed) = (vec![7.0; 3], RobustStats::default());
+            fold.finish_into(&mut out, &mut removed);
+            assert_eq!(bits(&out), bits(&expected));
+            assert!(removed.is_zero());
+        }
 
-        // A source that fails stops the fold and reports its error.
-        let mut short = DenseAverager::default();
-        short.reset(&own, 0.4);
-        assert_eq!(
-            short.add_blocks(0.6, blocks_of(&theirs[..100])),
-            Err("ran dry")
-        );
+        let rule = Robust::NormClip { tau: 0.5 };
+        let mut acc = RobustAccumulator::new(&own, 0.4, rule);
+        acc.add(&dense, 0.6);
+        acc.add(&sparse, 0.1);
+        let (expected, stats) = acc.finish();
+        let mut fold = Fold::Partial(&mut partial).begin(&own, 0.4, rule);
+        fold.add(&dense, 0.6);
+        fold.add(&sparse, 0.1);
+        let (mut out, mut removed) = (Vec::new(), RobustStats::default());
+        fold.finish_into(&mut out, &mut removed);
+        assert_eq!(bits(&out), bits(&expected));
+        assert_eq!(removed, stats);
+        assert_eq!(removed.clipped, 2);
     }
 
     #[test]
@@ -363,7 +406,7 @@ mod tests {
             dense.reset(&own, self_weight);
             for (values, &w) in contributions.iter().zip(&weights) {
                 oracle.add_dense(values, w);
-                dense.add_blocks(w, blocks_of(values)).unwrap();
+                dense.add(values, w);
             }
             let (mut expected, mut got) = (vec![1.0; 3], vec![2.0; 5]);
             oracle.finish_into(&mut expected);

@@ -79,6 +79,7 @@ pub mod crosscheck;
 pub mod cutoff;
 pub mod engine;
 pub mod metrics;
+mod robust;
 pub mod scaling;
 mod scratch;
 pub mod sparsify;

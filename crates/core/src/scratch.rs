@@ -1,10 +1,10 @@
 //! Reusable buffers for the share path — one set per worker, none per node.
 //!
 //! Building and folding a message needs a transform workspace, an averager
-//! (`num`, and `den` unless every contribution is dense), a TopK
-//! index buffer, coefficient-sized `f32` temporaries and an encode
-//! buffer: several times the model size, live only inside one
-//! `make_message` or `aggregate` call. Allocated per call
+//! (`num`, and `den` unless every contribution is dense), the decoded
+//! message being folded, a TopK index buffer, coefficient-sized `f32`
+//! temporaries and an encode buffer: several times the model size, live
+//! only inside one `make_message` or `aggregate` call. Allocated per call
 //! they cost a page fault per 4 KiB on every node every round; kept per
 //! node they would multiply the resident set by the node count (a 16 384-
 //! node run has 16 384 strategies and two workers). A worker runs one call
@@ -39,6 +39,7 @@
 //! result.
 
 use crate::average::{DenseAverager, PartialAverager};
+use crate::strategy::Contribution;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -51,9 +52,12 @@ pub(crate) struct ShareScratch {
     pub work: Vec<f64>,
     /// The partial average being built in `aggregate`.
     pub averager: PartialAverager,
-    /// The dense average full sharing builds in `aggregate`: the same
-    /// numerators, one denominator.
+    /// The dense average full sharing and quantized sharing build in
+    /// `aggregate`: the same numerators, one denominator.
     pub dense: DenseAverager,
+    /// The neighbour message being folded, decoded: for full sharing a
+    /// model-sized value buffer, reused message after message.
+    pub decoded: Contribution,
     /// Coefficient-domain temporary: a transform's output, then the
     /// finished average.
     pub coeffs: Vec<f32>,

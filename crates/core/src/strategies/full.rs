@@ -5,23 +5,28 @@
 //! Fpzip "uniformly for all the model parameters and for all experiments and
 //! baselines") and aggregates with Metropolis–Hastings weights.
 
+use crate::average::Fold;
 use crate::scratch::with_scratch;
-use crate::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
+use crate::strategy::{Contribution, OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
-use jwins_adversary::{Robust, RobustAccumulator, RobustStats};
-use jwins_codec::float::{BlockFloatCodec, BlockFloatDecoder, FloatCodec};
+use jwins_adversary::{Robust, RobustStats};
+use jwins_codec::float::{BlockFloatCodec, FloatCodec};
 use jwins_codec::varint;
 use jwins_net::ByteBreakdown;
 
-/// Checks a message's header against the local dimension and returns a
-/// decoder positioned on its `dim` values; the caller pulls them and then
-/// calls `finish`, which rejects a message that goes on after them.
-fn open_message(bytes: &[u8], dim: usize) -> Result<BlockFloatDecoder<'_>> {
+/// Decodes a message's `dim` values over `decoded`, checking its header
+/// against the local dimension and rejecting a message that goes on after
+/// them.
+fn decode(bytes: &[u8], dim: usize, decoded: &mut Contribution) -> Result<()> {
     let (count, used) = varint::read_u64(bytes)?;
     if count != dim as u64 {
         return Err(JwinsError::Protocol("full-sharing dimension mismatch"));
     }
-    Ok(BlockFloatCodec::decoder(&bytes[used..]))
+    let mut values = BlockFloatCodec::decoder(&bytes[used..]);
+    decoded.indices = None;
+    decoded.values.resize(dim, 0.0);
+    values.next_values(&mut decoded.values)?;
+    Ok(values.finish()?)
 }
 
 /// Full-model broadcast with weighted averaging.
@@ -35,6 +40,27 @@ impl FullSharing {
     /// Creates the strategy.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// `aggregate` under `rule`: each message decoded whole into the
+    /// worker's scratch, then folded.
+    fn mix(
+        &mut self,
+        params: &[f32],
+        self_weight: f64,
+        received: &[ReceivedMessage<'_>],
+        rule: Robust,
+    ) -> Result<Vec<f32>> {
+        with_scratch(|scratch| {
+            let mut fold = Fold::Dense(&mut scratch.dense).begin(params, self_weight, rule);
+            for msg in received {
+                decode(msg.bytes, params.len(), &mut scratch.decoded)?;
+                fold.add(&scratch.decoded, msg.weight);
+            }
+            let mut next = Vec::new();
+            fold.finish_into(&mut next, &mut self.robust_stats);
+            Ok(next)
+        })
     }
 }
 
@@ -72,19 +98,7 @@ impl ShareStrategy for FullSharing {
         self_weight: f64,
         received: &[ReceivedMessage<'_>],
     ) -> Result<Vec<f32>> {
-        with_scratch(|scratch| {
-            let avg = &mut scratch.dense;
-            avg.reset(params, self_weight);
-            for msg in received {
-                // Decoded into the average one codec block at a time.
-                let mut values = open_message(msg.bytes, params.len())?;
-                avg.add_blocks(msg.weight, |block| values.next_values(block))?;
-                values.finish()?;
-            }
-            let mut next = Vec::new();
-            avg.finish_into(&mut next);
-            Ok(next)
-        })
+        self.mix(params, self_weight, received, Robust::None)
     }
 
     fn last_alpha(&self) -> f64 {
@@ -103,22 +117,11 @@ impl ShareStrategy for FullSharing {
         received: &[ReceivedMessage<'_>],
         rule: &Robust,
     ) -> Result<Vec<f32>> {
-        let mut acc = RobustAccumulator::new(params, self_weight, *rule);
-        for msg in received {
-            let mut values = open_message(msg.bytes, params.len())?;
-            let sink = acc.begin_dense(msg.weight);
-            sink.resize(params.len(), 0.0);
-            values.next_values(sink)?;
-            values.finish()?;
-        }
-        let (out, stats) = acc.finish();
-        self.robust_stats.absorb(stats);
-        Ok(out)
+        self.mix(params, self_weight, received, *rule)
     }
 
     fn robust_stats(&mut self) -> Option<RobustStats> {
-        let stats = std::mem::take(&mut self.robust_stats);
-        (!stats.is_zero()).then_some(stats)
+        self.robust_stats.take()
     }
 }
 
@@ -126,6 +129,7 @@ impl ShareStrategy for FullSharing {
 mod tests {
     use super::*;
     use crate::average::PartialAverager;
+    use jwins_codec::float::BlockFloatDecoder;
     use proptest::prelude::*;
 
     fn roundtrip_message(params: &[f32]) -> OutMessage {
@@ -264,43 +268,43 @@ mod tests {
         assert!(s.robust_stats().is_none(), "drain resets");
     }
 
+    /// Checks a message's header against the local dimension and returns a
+    /// decoder positioned on its values.
+    fn open_message(bytes: &[u8], dim: usize) -> Result<BlockFloatDecoder<'_>> {
+        let (count, used) = varint::read_u64(bytes)?;
+        if count != dim as u64 {
+            return Err(JwinsError::Protocol("full-sharing dimension mismatch"));
+        }
+        Ok(BlockFloatCodec::decoder(&bytes[used..]))
+    }
+
     /// The fold this strategy used before it decoded by block: one
-    /// `next_value` per coordinate into per-coordinate denominators. The
-    /// oracle for [`FullSharing::aggregate`], errors included.
-    fn per_value_aggregate(
+    /// `next_value` per coordinate into per-coordinate denominators (or,
+    /// under a rule, the rule's accumulator). The oracle for
+    /// [`FullSharing::aggregate`] and `aggregate_robust`, errors included.
+    fn per_value_fold(
         params: &[f32],
         self_weight: f64,
         received: &[ReceivedMessage<'_>],
+        rule: Robust,
     ) -> Result<Vec<f32>> {
-        let mut avg = PartialAverager::new(params, self_weight);
+        let mut avg = PartialAverager::default();
+        let mut fold = Fold::Partial(&mut avg).begin(params, self_weight, rule);
         for msg in received {
             let mut values = open_message(msg.bytes, params.len())?;
             let decoded = (0..params.len())
                 .map(|_| values.next_value())
                 .collect::<std::result::Result<Vec<f32>, _>>()?;
             values.finish()?;
-            avg.add_dense(&decoded, msg.weight);
+            let decoded = Contribution {
+                indices: None,
+                values: decoded,
+            };
+            fold.add(&decoded, msg.weight);
         }
-        Ok(avg.finish())
-    }
-
-    /// The same for [`FullSharing::aggregate_robust`].
-    fn per_value_robust(
-        params: &[f32],
-        self_weight: f64,
-        received: &[ReceivedMessage<'_>],
-        rule: Robust,
-    ) -> Result<Vec<f32>> {
-        let mut acc = RobustAccumulator::new(params, self_weight, rule);
-        for msg in received {
-            let mut values = open_message(msg.bytes, params.len())?;
-            let sink = acc.begin_dense(msg.weight);
-            for _ in 0..params.len() {
-                sink.push(values.next_value()?);
-            }
-            values.finish()?;
-        }
-        Ok(acc.finish().0)
+        let mut out = Vec::new();
+        fold.finish_into(&mut out, &mut RobustStats::default());
+        Ok(out)
     }
 
     /// Results by bit pattern, errors by message.
@@ -392,12 +396,12 @@ mod tests {
             s.init(&own);
             prop_assert_eq!(
                 outcome(s.aggregate(0, &own, self_weight, &received)),
-                outcome(per_value_aggregate(&own, self_weight, &received))
+                outcome(per_value_fold(&own, self_weight, &received, Robust::None))
             );
             let rule = if median { Robust::Median } else { Robust::None };
             prop_assert_eq!(
                 outcome(s.aggregate_robust(0, &own, self_weight, &received, &rule)),
-                outcome(per_value_robust(&own, self_weight, &received, rule))
+                outcome(per_value_fold(&own, self_weight, &received, rule))
             );
         }
     }

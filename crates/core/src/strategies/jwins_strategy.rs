@@ -20,14 +20,16 @@
 //! the current change only, and disabling the randomized cut-off shares the
 //! distribution mean every round.
 
+use crate::average::Fold;
 use crate::cutoff::{AlphaDistribution, CutoffSampler};
 use crate::scaling::ScoreScaling;
 use crate::scratch::{with_scratch, ShareScratch};
 use crate::sparsify::{budget, gather_into, top_k_into};
-use crate::strategy::{Contribution, OutMessage, ReceivedMessage, ShareStrategy};
+use crate::strategy::{close_round, Contribution, OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
-use jwins_adversary::{Robust, RobustAccumulator, RobustStats};
+use jwins_adversary::{Robust, RobustStats};
 use jwins_codec::sparse::{IndexCodec, SparseVecCodec, ValueCodec};
+use jwins_codec::CodecError;
 use jwins_net::ByteBreakdown;
 use jwins_wavelet::{CoeffLayout, Dwt, Wavelet};
 
@@ -282,15 +284,64 @@ impl Jwins {
         self.transform.forward_into(delta, work, coeffs);
     }
 
-    /// The decode of `msg` its other receivers share, if it has a slot this
-    /// codec filled (or fills now).
-    fn shared<'m>(&self, msg: &ReceivedMessage<'m>) -> Option<Result<&'m Contribution>> {
+    /// Decodes `msg` — from the slot its receivers share when this codec
+    /// filled it, else into `scratch` — and checks that every index is one
+    /// of this node's coefficients. The delta index codecs decode strictly
+    /// increasing indices or fail, so the last one vouches for the rest;
+    /// raw index lists arrive in any order, so each is checked.
+    fn decode<'a>(
+        &self,
+        msg: &ReceivedMessage<'a>,
+        scratch: &'a mut Contribution,
+    ) -> Result<&'a Contribution> {
         let codec = self.codec;
-        let decoded = msg.decoded?.decode_with(codec, || {
-            let (indices, values) = codec.decode_compact(msg.bytes)?;
-            Ok(Contribution { indices, values })
-        })?;
-        Some(decoded.as_ref().map_err(|e| e.clone().into()))
+        let shared = msg.decoded.and_then(|slot| {
+            slot.decode_with(codec, || {
+                let (indices, values) = codec.decode_compact(msg.bytes)?;
+                Ok(Contribution { indices, values })
+            })
+        });
+        let decoded = match shared {
+            Some(shared) => shared.as_ref().map_err(CodecError::clone)?,
+            None => {
+                let indices = scratch.indices.get_or_insert_with(Vec::new);
+                if codec.decode_compact_into(msg.bytes, indices, &mut scratch.values)? {
+                    scratch.indices = None;
+                }
+                scratch
+            }
+        };
+        let len = self.own_coeffs.len();
+        let in_range = match &decoded.indices {
+            Some(indices) if codec.index_codec() == IndexCodec::RawU32 => {
+                indices.iter().all(|&i| (i as usize) < len)
+            }
+            Some(indices) => indices.last().is_none_or(|&i| (i as usize) < len),
+            None => decoded.values.len() <= len,
+        };
+        in_range.then_some(decoded).ok_or(INDEX_OUT_OF_RANGE)
+    }
+
+    /// `aggregate` under `rule`, in the wavelet domain — a robust rule
+    /// screens coefficients where the sharing happens.
+    fn mix(
+        &mut self,
+        round: usize,
+        params: &[f32],
+        self_weight: f64,
+        received: &[ReceivedMessage<'_>],
+        rule: Robust,
+    ) -> Result<Vec<f32>> {
+        close_round(&mut self.pending_round, round)?;
+        with_scratch(|scratch| {
+            let mut fold =
+                Fold::Partial(&mut scratch.averager).begin(&self.own_coeffs, self_weight, rule);
+            for msg in received {
+                fold.add(self.decode(msg, &mut scratch.decoded)?, msg.weight);
+            }
+            fold.finish_into(&mut scratch.coeffs, &mut self.robust_stats);
+            self.commit_averaged(scratch, params)
+        })
     }
 
     fn add_to_scores(&mut self, coeffs: &[f32]) {
@@ -299,19 +350,10 @@ impl Jwins {
         }
     }
 
-    /// Closes the round `make_message` opened, or says why it cannot.
-    fn take_pending(&mut self, round: usize) -> Result<()> {
-        match self.pending_round.take() {
-            None => Err(JwinsError::Protocol("aggregate before make_message")),
-            Some(pending) if pending != round => Err(JwinsError::Protocol("round number mismatch")),
-            Some(_) => Ok(()),
-        }
-    }
-
     /// Inverts the averaged coefficients (`scratch.coeffs`) and applies the
-    /// eq-4 bookkeeping (sent-score reset, averaging change absorbed,
-    /// round-start advance) — shared by the plain and the robust aggregation
-    /// paths so the two differ only in how coefficients are averaged.
+    /// eq-4 bookkeeping: sent-score reset, averaging change absorbed (scaled
+    /// the same way as the training change, so score units match),
+    /// round-start advance.
     fn commit_averaged(&mut self, scratch: &mut ShareScratch, params: &[f32]) -> Result<Vec<f32>> {
         let mut next = Vec::new();
         self.transform
@@ -399,36 +441,7 @@ impl ShareStrategy for Jwins {
         self_weight: f64,
         received: &[ReceivedMessage<'_>],
     ) -> Result<Vec<f32>> {
-        self.take_pending(round)?;
-        with_scratch(|scratch| {
-            // Average in the wavelet domain, renormalizing per coefficient,
-            // message by message in inbox order. A broadcast decoded once for
-            // all its receivers is folded from its slot, anything else is
-            // decoded straight into the average; either way every index is
-            // range-checked as it is added (raw index lists arrive in any
-            // order, so no single one vouches for the rest).
-            let avg = &mut scratch.averager;
-            avg.reset(&self.own_coeffs, self_weight);
-            for msg in received {
-                if let Some(decoded) = self.shared(msg) {
-                    if !avg.add_contribution(decoded?, msg.weight) {
-                        return Err(INDEX_OUT_OF_RANGE);
-                    }
-                    continue;
-                }
-                self.codec.decode_each(msg.bytes, |index, value| {
-                    if avg.add_one(index, value, msg.weight) {
-                        Ok(())
-                    } else {
-                        Err(INDEX_OUT_OF_RANGE)
-                    }
-                })?;
-            }
-            avg.finish_into(&mut scratch.coeffs);
-            // Eq. (4) bookkeeping: sent scores reset, averaging change absorbed
-            // (scaled the same way as the training change, so score units match).
-            self.commit_averaged(scratch, params)
-        })
+        self.mix(round, params, self_weight, received, Robust::None)
     }
 
     fn last_alpha(&self) -> f64 {
@@ -447,41 +460,11 @@ impl ShareStrategy for Jwins {
         received: &[ReceivedMessage<'_>],
         rule: &Robust,
     ) -> Result<Vec<f32>> {
-        self.take_pending(round)?;
-        // Same per-coefficient renormalized average as `aggregate`, but the
-        // robust rule screens neighbor coefficients (in the wavelet domain —
-        // trimming happens where the sharing happens).
-        let mut acc = RobustAccumulator::new(&self.own_coeffs, self_weight, *rule);
-        let len = acc.len();
-        for msg in received {
-            let shared = self.shared(msg).transpose()?;
-            let (indices, values) = acc.begin_sparse(msg.weight);
-            let mut push = |index: u32, value| {
-                if index as usize >= len {
-                    return Err(INDEX_OUT_OF_RANGE);
-                }
-                indices.push(index);
-                values.push(value);
-                Ok(())
-            };
-            match shared {
-                Some(contribution) => contribution.pairs().try_for_each(|(i, v)| push(i, v))?,
-                None => {
-                    self.codec.decode_each(msg.bytes, push)?;
-                }
-            }
-        }
-        let (averaged, stats) = acc.finish();
-        self.robust_stats.absorb(stats);
-        with_scratch(|scratch| {
-            scratch.coeffs = averaged;
-            self.commit_averaged(scratch, params)
-        })
+        self.mix(round, params, self_weight, received, *rule)
     }
 
     fn robust_stats(&mut self) -> Option<RobustStats> {
-        let stats = std::mem::take(&mut self.robust_stats);
-        (!stats.is_zero()).then_some(stats)
+        self.robust_stats.take()
     }
 
     fn state_bytes(&self) -> usize {
@@ -718,6 +701,76 @@ mod tests {
             a.aggregate_robust(0, &xa, 0.5, &received, &Robust::Median),
             Err(JwinsError::Protocol(_))
         ));
+    }
+
+    /// Delta-coded indices increase, so their range check reads the last.
+    #[test]
+    fn an_out_of_range_last_delta_coded_index_is_a_protocol_error() {
+        for index_codec in [IndexCodec::EliasGammaDelta, IndexCodec::VarintDelta] {
+            let config = JwinsConfig {
+                index_codec,
+                ..JwinsConfig::paper_default()
+            };
+            let (mut a, _, xa, _) = make_pair(config.clone(), 30);
+            let _ = a.make_message(0, &xa).unwrap();
+            let past_the_end = a.own_coeffs.len() as u32;
+            let codec = SparseVecCodec::new(index_codec, config.value_codec);
+            let bad = codec
+                .encode(&[1, 2, past_the_end], &[0.5, 0.5, 0.5])
+                .expect("increasing indices encode");
+            let received = [ReceivedMessage {
+                from: 1,
+                round: 0,
+                weight: 0.5,
+                edge_weight: 0.5,
+                bytes: bad.as_bytes(),
+                decoded: None,
+            }];
+            assert!(matches!(
+                a.aggregate(0, &xa, 0.5, &received),
+                Err(JwinsError::Protocol(_))
+            ));
+        }
+    }
+
+    /// A message is decoded whole before its indices are checked, with or
+    /// without a slot: one that is both out of range and truncated fails
+    /// as a codec error, the same one both ways and under every rule.
+    #[test]
+    fn a_truncated_out_of_range_message_is_a_codec_error_either_way() {
+        let config = JwinsConfig {
+            index_codec: IndexCodec::RawU32,
+            ..JwinsConfig::paper_default()
+        };
+        let codec = SparseVecCodec::new(IndexCodec::RawU32, config.value_codec);
+        let mut bad = codec
+            .encode(&[1, 4_000_000, 2], &[0.5, 0.5, 0.5])
+            .expect("raw indices need no order")
+            .into_bytes();
+        bad.pop();
+        let mut errors = Vec::new();
+        for slotted in [false, true] {
+            for rule in [Robust::None, Robust::Median] {
+                let slot = DecodeSlot::new();
+                let received = [ReceivedMessage {
+                    from: 1,
+                    round: 0,
+                    weight: 0.5,
+                    edge_weight: 0.5,
+                    bytes: &bad,
+                    decoded: slotted.then_some(&slot),
+                }];
+                let (mut a, _, xa, _) = make_pair(config.clone(), 30);
+                let _ = a.make_message(0, &xa).unwrap();
+                let error = a
+                    .aggregate_robust(0, &xa, 0.5, &received, &rule)
+                    .unwrap_err();
+                assert!(matches!(error, JwinsError::Codec(_)), "{error}");
+                errors.push(error.to_string());
+            }
+        }
+        errors.dedup();
+        assert_eq!(errors.len(), 1, "{errors:?}");
     }
 
     #[test]

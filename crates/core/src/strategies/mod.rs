@@ -9,6 +9,12 @@
 //! | [`PowerGossip`] | per-edge low-rank comparator the paper cites but does not run (extension) |
 //! | [`QuantizedSharing`] | QSGD-quantized full sharing — the quantization family of §II-B (extension) |
 //! | [`RandomModelWalk`] | single-neighbour full-model gossip of §II-A (extension) |
+//!
+//! The four averaging strategies — full sharing, random sampling, JWINS and
+//! quantized — each decode a message in one place and mix in one body, which
+//! `aggregate` and `aggregate_robust` both call (`crate::average`'s fold).
+
+#![warn(clippy::too_many_lines)]
 
 mod choco;
 mod full;

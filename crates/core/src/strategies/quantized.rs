@@ -14,10 +14,11 @@
 //! the quantization error, which is exactly the behaviour the
 //! `ext_quantization` bench measures against JWINS at a matched byte budget.
 
-use crate::average::PartialAverager;
-use crate::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
+use crate::average::Fold;
+use crate::scratch::with_scratch;
+use crate::strategy::{close_round, OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
-use jwins_adversary::{Robust, RobustAccumulator, RobustStats};
+use jwins_adversary::{Robust, RobustStats};
 use jwins_codec::quantize::Qsgd;
 use jwins_net::ByteBreakdown;
 use rand::{Rng, SeedableRng};
@@ -72,6 +73,32 @@ impl QuantizedSharing {
     pub fn levels(&self) -> u32 {
         self.quantizer.levels()
     }
+
+    /// `aggregate` under `rule`: closes the round `make_message` opened,
+    /// then dequantizes each message into the worker's scratch and folds
+    /// it.
+    fn mix(
+        &mut self,
+        round: usize,
+        params: &[f32],
+        self_weight: f64,
+        received: &[ReceivedMessage<'_>],
+        rule: Robust,
+    ) -> Result<Vec<f32>> {
+        close_round(&mut self.pending_round, round)?;
+        with_scratch(|scratch| {
+            let decoded = &mut scratch.decoded;
+            decoded.indices = None;
+            let mut fold = Fold::Dense(&mut scratch.dense).begin(params, self_weight, rule);
+            for msg in received {
+                decoded.values = self.quantizer.decode(msg.bytes, self.dim)?;
+                fold.add(decoded, msg.weight);
+            }
+            let mut next = Vec::new();
+            fold.finish_into(&mut next, &mut self.robust_stats);
+            Ok(next)
+        })
+    }
 }
 
 impl ShareStrategy for QuantizedSharing {
@@ -108,17 +135,7 @@ impl ShareStrategy for QuantizedSharing {
         self_weight: f64,
         received: &[ReceivedMessage<'_>],
     ) -> Result<Vec<f32>> {
-        match self.pending_round.take() {
-            Some(r) if r == round => {}
-            Some(_) => return Err(JwinsError::Protocol("round number mismatch")),
-            None => return Err(JwinsError::Protocol("aggregate before make_message")),
-        }
-        let mut avg = PartialAverager::new(params, self_weight);
-        for msg in received {
-            let values = self.quantizer.decode(msg.bytes, self.dim)?;
-            avg.add_dense(&values, msg.weight);
-        }
-        Ok(avg.finish())
+        self.mix(round, params, self_weight, received, Robust::None)
     }
 
     fn last_alpha(&self) -> f64 {
@@ -137,24 +154,11 @@ impl ShareStrategy for QuantizedSharing {
         received: &[ReceivedMessage<'_>],
         rule: &Robust,
     ) -> Result<Vec<f32>> {
-        match self.pending_round.take() {
-            Some(r) if r == round => {}
-            Some(_) => return Err(JwinsError::Protocol("round number mismatch")),
-            None => return Err(JwinsError::Protocol("aggregate before make_message")),
-        }
-        let mut acc = RobustAccumulator::new(params, self_weight, *rule);
-        for msg in received {
-            let values = self.quantizer.decode(msg.bytes, self.dim)?;
-            acc.add_dense(&values, msg.weight);
-        }
-        let (out, stats) = acc.finish();
-        self.robust_stats.absorb(stats);
-        Ok(out)
+        self.mix(round, params, self_weight, received, *rule)
     }
 
     fn robust_stats(&mut self) -> Option<RobustStats> {
-        let stats = std::mem::take(&mut self.robust_stats);
-        (!stats.is_zero()).then_some(stats)
+        self.robust_stats.take()
     }
 }
 

@@ -11,11 +11,12 @@
 //! remaining coordinates receive no updates that round — which is why random
 //! sampling converges slower than JWINS at equal budget (Figures 4–5).
 
-use crate::average::PartialAverager;
+use crate::average::Fold;
+use crate::scratch::with_scratch;
 use crate::sparsify::budget;
-use crate::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
+use crate::strategy::{Contribution, OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
-use jwins_adversary::{Robust, RobustAccumulator, RobustStats};
+use jwins_adversary::{Robust, RobustStats};
 use jwins_codec::float::{BlockFloatCodec, FloatCodec};
 use jwins_codec::varint;
 use jwins_net::ByteBreakdown;
@@ -68,6 +69,46 @@ impl RandomSampling {
         idx.sort_unstable();
         idx
     }
+
+    /// `aggregate` under `rule`: the round's subset is every message's
+    /// indices, so each decode fills in only the values.
+    fn mix(
+        &mut self,
+        round: usize,
+        params: &[f32],
+        self_weight: f64,
+        received: &[ReceivedMessage<'_>],
+        rule: Robust,
+    ) -> Result<Vec<f32>> {
+        with_scratch(|scratch| {
+            let decoded = &mut scratch.decoded;
+            decoded.indices = Some(self.round_indices(round));
+            let mut fold = Fold::Partial(&mut scratch.averager).begin(params, self_weight, rule);
+            for msg in received {
+                decode(round, msg.bytes, decoded)?;
+                fold.add(decoded, msg.weight);
+            }
+            let mut next = Vec::new();
+            fold.finish_into(&mut next, &mut self.robust_stats);
+            Ok(next)
+        })
+    }
+}
+
+/// Decodes a neighbour's share of `round` into `decoded`'s values, checking
+/// its header against the round and the subset `decoded` already holds.
+fn decode(round: usize, bytes: &[u8], decoded: &mut Contribution) -> Result<()> {
+    let (msg_round, used1) = varint::read_u64(bytes)?;
+    if msg_round != round as u64 {
+        return Err(JwinsError::Protocol("random-sampling round mismatch"));
+    }
+    let (count, used2) = varint::read_u64(&bytes[used1..])?;
+    let subset = decoded.indices.as_ref().map_or(0, Vec::len);
+    if count as usize != subset {
+        return Err(JwinsError::Protocol("random-sampling subset size mismatch"));
+    }
+    decoded.values = BlockFloatCodec.decode(&bytes[used1 + used2..], subset)?;
+    Ok(())
 }
 
 impl ShareStrategy for RandomSampling {
@@ -109,21 +150,7 @@ impl ShareStrategy for RandomSampling {
         self_weight: f64,
         received: &[ReceivedMessage<'_>],
     ) -> Result<Vec<f32>> {
-        let indices = self.round_indices(round);
-        let mut avg = PartialAverager::new(params, self_weight);
-        for msg in received {
-            let (msg_round, used1) = varint::read_u64(msg.bytes)?;
-            if msg_round != round as u64 {
-                return Err(JwinsError::Protocol("random-sampling round mismatch"));
-            }
-            let (count, used2) = varint::read_u64(&msg.bytes[used1..])?;
-            if count as usize != indices.len() {
-                return Err(JwinsError::Protocol("random-sampling subset size mismatch"));
-            }
-            let values = BlockFloatCodec.decode(&msg.bytes[used1 + used2..], count as usize)?;
-            avg.add_sparse(&indices, &values, msg.weight);
-        }
-        Ok(avg.finish())
+        self.mix(round, params, self_weight, received, Robust::None)
     }
 
     fn last_alpha(&self) -> f64 {
@@ -142,28 +169,11 @@ impl ShareStrategy for RandomSampling {
         received: &[ReceivedMessage<'_>],
         rule: &Robust,
     ) -> Result<Vec<f32>> {
-        let indices = self.round_indices(round);
-        let mut acc = RobustAccumulator::new(params, self_weight, *rule);
-        for msg in received {
-            let (msg_round, used1) = varint::read_u64(msg.bytes)?;
-            if msg_round != round as u64 {
-                return Err(JwinsError::Protocol("random-sampling round mismatch"));
-            }
-            let (count, used2) = varint::read_u64(&msg.bytes[used1..])?;
-            if count as usize != indices.len() {
-                return Err(JwinsError::Protocol("random-sampling subset size mismatch"));
-            }
-            let values = BlockFloatCodec.decode(&msg.bytes[used1 + used2..], count as usize)?;
-            acc.add_sparse(&indices, &values, msg.weight);
-        }
-        let (out, stats) = acc.finish();
-        self.robust_stats.absorb(stats);
-        Ok(out)
+        self.mix(round, params, self_weight, received, *rule)
     }
 
     fn robust_stats(&mut self) -> Option<RobustStats> {
-        let stats = std::mem::take(&mut self.robust_stats);
-        (!stats.is_zero()).then_some(stats)
+        self.robust_stats.take()
     }
 }
 

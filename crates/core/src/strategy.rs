@@ -9,7 +9,7 @@
 //! remember between rounds (accumulated scores, CHOCO's replicas, RNG
 //! streams) lives inside its strategy instance — one per node.
 
-use crate::Result;
+use crate::{JwinsError, Result};
 use bytes::Bytes;
 use jwins_codec::sparse::SparseVecCodec;
 use jwins_codec::CodecError;
@@ -103,8 +103,10 @@ pub struct ReceivedMessage<'a> {
 }
 
 /// A neighbour's message, decoded: the values it carries and the
-/// coordinates they belong to.
-#[derive(Debug, Clone, PartialEq)]
+/// coordinates they belong to. Each averaging strategy decodes a message
+/// into one (in the worker's scratch, or from a [`DecodeSlot`]) and folds
+/// it into its mix (see `crate::average`).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Contribution {
     /// The coordinate of each value, in wire order; `None` when they are
     /// `0..values.len()` — a full-budget share, which carries no index list
@@ -114,23 +116,12 @@ pub struct Contribution {
     pub values: Vec<f32>,
 }
 
-impl Contribution {
-    /// The `(index, value)` pairs in wire order, implied indices spelled
-    /// out — what a streaming decode of the message visits.
-    pub fn pairs(&self) -> impl Iterator<Item = (u32, f32)> + '_ {
-        let index = move |k: usize| self.indices.as_ref().map_or(k as u32, |list| list[k]);
-        self.values
-            .iter()
-            .enumerate()
-            .map(move |(k, &v)| (index(k), v))
-    }
-}
-
 /// One sparse broadcast's decode, made by whichever of its receivers gets
 /// to it first and read by all of them — the barrier scheduler gives every
 /// broadcast one for the length of a round's mix (each of `n` senders was
 /// otherwise decoded by every one of its neighbours). JWINS fills it; a
-/// strategy that streams its messages leaves it empty, which costs nothing.
+/// strategy that decodes its messages on its own leaves it empty, which
+/// costs nothing.
 ///
 /// The slot remembers the [`SparseVecCodec`] that filled it: a receiver
 /// configured with another codec finds `None` and decodes on its own, so
@@ -168,6 +159,16 @@ impl std::fmt::Debug for DecodeSlot {
             Some((_, Err(_))) => "failed",
         };
         f.debug_tuple("DecodeSlot").field(&state).finish()
+    }
+}
+
+/// Closes the round `make_message` opened (`pending`) for the `aggregate`
+/// of `round`, or says why it cannot.
+pub(crate) fn close_round(pending: &mut Option<usize>, round: usize) -> Result<()> {
+    match pending.take() {
+        None => Err(JwinsError::Protocol("aggregate before make_message")),
+        Some(opened) if opened != round => Err(JwinsError::Protocol("round number mismatch")),
+        Some(_) => Ok(()),
     }
 }
 
@@ -320,7 +321,8 @@ pub trait ShareStrategy: Send {
     /// Whether this strategy can aggregate through a robust rule
     /// ([`aggregate_robust`]). True for strategies whose aggregation is a
     /// partial average over decoded neighbor values (full sharing, JWINS,
-    /// quantized, random sampling); false for algorithms whose update is
+    /// quantized, random sampling — whose one mix takes the rule as an
+    /// argument); false for algorithms whose update is
     /// not an average the mixing layer can re-order (CHOCO's error-feedback
     /// replicas, PowerGossip's pairwise low-rank update, random model walk)
     /// — `TrainConfig::validate` rejects those combinations up front.
@@ -331,11 +333,12 @@ pub trait ShareStrategy: Send {
     }
 
     /// [`aggregate`] with a robust rule applied to the decoded neighbor
-    /// contributions before averaging (see `jwins_adversary::Robust`).
-    /// Implementations must route decode output through a
-    /// `RobustAccumulator` in place of the plain partial averager, keep all
-    /// non-averaging bookkeeping identical, and stash the returned
-    /// `RobustStats` for [`robust_stats`] to drain.
+    /// contributions before averaging (see `jwins_adversary::Robust`). The
+    /// four averaging strategies implement both as one mix: the same decode
+    /// per message into the same fold (`crate::average`), which is the
+    /// plain averager under `Robust::None` and the rule otherwise, so the
+    /// two differ in nothing but the average — bookkeeping included. What
+    /// the rule removed is kept for [`robust_stats`] to drain.
     ///
     /// # Errors
     ///
@@ -353,7 +356,7 @@ pub trait ShareStrategy: Send {
         rule: &jwins_adversary::Robust,
     ) -> Result<Vec<f32>> {
         let _ = (round, params, self_weight, received, rule);
-        Err(crate::JwinsError::InvalidConfig(format!(
+        Err(JwinsError::InvalidConfig(format!(
             "strategy '{}' does not support robust aggregation",
             self.name()
         )))
@@ -410,20 +413,6 @@ mod tests {
         use jwins_codec::sparse::{IndexCodec, ValueCodec};
         let other = SparseVecCodec::new(IndexCodec::RawU32, ValueCodec::Block);
         assert!(slot.decode_with(other, || unreachable!()).is_none());
-    }
-
-    #[test]
-    fn a_contribution_spells_out_implied_indices() {
-        let implied = Contribution {
-            indices: None,
-            values: vec![0.5, -1.0],
-        };
-        assert_eq!(implied.pairs().collect::<Vec<_>>(), [(0, 0.5), (1, -1.0)]);
-        let listed = Contribution {
-            indices: Some(vec![3, 9]),
-            ..implied
-        };
-        assert_eq!(listed.pairs().collect::<Vec<_>>(), [(3, 0.5), (9, -1.0)]);
     }
 
     // The check is a debug_assert, so there is nothing to panic in release

@@ -7,7 +7,7 @@
 //! cluster is exactly as reproducible as its data split. The training
 //! engine replays the timeline's [`TimedFault`]s through its event queue.
 
-use jwins_sim::{LifecycleEvent, SimTime};
+use jwins_sim::{splitmix64, LifecycleEvent, SimTime};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -204,13 +204,6 @@ fn uniform01(rng: &mut ChaCha8Rng) -> f64 {
 /// Exponential draw with the given mean (inverse-CDF of `1 - u`).
 fn exponential(rng: &mut ChaCha8Rng, mean_s: f64) -> f64 {
     -mean_s * (1.0 - uniform01(rng)).ln()
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl FaultTimeline {

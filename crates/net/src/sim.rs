@@ -14,7 +14,7 @@ use crate::meter::TrafficStats;
 use crate::transport::{
     drain_mailbox, Drained, Envelope, PendingSend, PurgeReport, PurgeScope, Transport,
 };
-use jwins_sim::SimTime;
+use jwins_sim::{splitmix64, SimTime};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -71,15 +71,14 @@ impl LossModel {
     }
 
     fn drops(&self, from: usize, to: usize, sequence: u64) -> bool {
-        // SplitMix64 over (seed, from, to, sequence).
-        let mut z = self
+        // SplitMix64 over (seed, from, to, sequence); its own increment is
+        // the `from + 1`-th golden-ratio step.
+        let z = self
             .seed
-            .wrapping_add((from as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add((from as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .wrapping_add((to as u64 + 1).wrapping_mul(0xBF58_476D_1CE4_E5B9))
             .wrapping_add((sequence + 1).wrapping_mul(0x94D0_49BB_1331_11EB));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        let u = (z ^ (z >> 31)) as f64 / u64::MAX as f64;
+        let u = splitmix64(z) as f64 / u64::MAX as f64;
         u < self.probability
     }
 }
@@ -531,6 +530,39 @@ mod tests {
         }
         let from_zero = drain_all(&net, 1).iter().filter(|e| e.from == 0).count();
         assert_eq!(from_zero, run());
+    }
+
+    /// The loss hash written out inline, as it was before it called the
+    /// shared `splitmix64`.
+    fn inline_drops(loss: &LossModel, from: usize, to: usize, sequence: u64) -> bool {
+        let mut z = loss
+            .seed
+            .wrapping_add((from as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add((to as u64 + 1).wrapping_mul(0xBF58_476D_1CE4_E5B9))
+            .wrapping_add((sequence + 1).wrapping_mul(0x94D0_49BB_1331_11EB));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        let u = (z ^ (z >> 31)) as f64 / u64::MAX as f64;
+        u < loss.probability
+    }
+
+    #[test]
+    fn loss_hash_equals_the_inline_splitmix() {
+        let mut drops = 0;
+        for (probability, seed) in [(0.5, 3), (0.1, 0), (0.9, u64::MAX), (0.3, 1 << 63)] {
+            let loss = LossModel::new(probability, seed);
+            for from in [0, 1, 7, 16_383, usize::MAX - 1] {
+                for to in [0, 2, 9, 16_383] {
+                    for sequence in [0, 1, 2, 1_000, u64::MAX - 1] {
+                        let dropped = loss.drops(from, to, sequence);
+                        assert_eq!(dropped, inline_drops(&loss, from, to, sequence));
+                        drops += usize::from(dropped);
+                    }
+                }
+            }
+        }
+        // Both outcomes occur on the grid, so equality is not vacuous.
+        assert!(drops > 0 && drops < 400, "{drops} of 400 dropped");
     }
 
     #[test]

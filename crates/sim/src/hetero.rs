@@ -6,6 +6,7 @@
 //! concrete per-node/per-link parameters, so an experiment's hardware is as
 //! reproducible as its data split.
 
+use crate::splitmix64;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rand_distr::{Distribution, Normal};
@@ -192,13 +193,6 @@ pub enum LinkProfile {
         /// Log-scale spread of per-link capacity.
         sigma: f64,
     },
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl LinkProfile {

@@ -82,5 +82,5 @@ pub mod shard;
 pub use clock::SimTime;
 pub use hetero::{ComputeProfile, HeterogeneityProfile, LinkParams, LinkProfile};
 pub use lifecycle::{LifecycleEvent, LifecycleTracker};
-pub use queue::{Conflict, Scheduled};
+pub use queue::{splitmix64, Conflict, Scheduled};
 pub use shard::{Ordering, ShardedEventQueue};

@@ -61,8 +61,12 @@ pub struct Scheduled<E> {
     pub event: E,
 }
 
-/// The tie-break hash of `seed ^ insertion index`.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
+/// SplitMix64's output function over `z`: the workspace's one stateless
+/// 64-bit mixer. The event queues hash `seed ^ insertion index` with it
+/// for their tie-break; the fault, attack and heterogeneity plans and the
+/// network's loss model derive their per-node and per-link draws from it.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -84,6 +88,12 @@ mod tests {
 
     fn drain<E>(q: &mut ShardedEventQueue<E>) -> Vec<E> {
         std::iter::from_fn(|| q.pop().map(|s| s.event)).collect()
+    }
+
+    #[test]
+    fn splitmix_known_answers() {
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(1), 0x910A_2DEC_8902_5CC1);
     }
 
     #[test]
