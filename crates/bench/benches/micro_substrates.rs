@@ -190,19 +190,6 @@ fn bench_float_codec(c: &mut Criterion) {
                 BlockFloatCodec.encode_into(black_box(values), &mut wire);
             });
         });
-        // As the strategies consume it: folded into an accumulator, never
-        // materialised.
-        group.bench_function(format!("streaming_decode/{name}"), |b| {
-            b.iter(|| {
-                let mut decoder = BlockFloatCodec::decoder(black_box(&wire));
-                let mut sum = 0.0f64;
-                for _ in 0..values.len() {
-                    sum += f64::from(decoder.next_value().unwrap());
-                }
-                decoder.finish().unwrap();
-                black_box(sum)
-            });
-        });
     }
     group.finish();
 
@@ -241,7 +228,8 @@ fn bench_float_codec(c: &mut Criterion) {
 
     // The index block at the two ends of the cut-off on the same probe: a
     // full-budget share implies its indices (0 bits), a 10 % one pays
-    // Elias gamma for each. Decoded as the strategies consume them.
+    // Elias gamma for each. Decoded as the strategies consume them: into
+    // buffers reused from one message to the next.
     let coeffs = dwt.forward(&mlp).data;
     let scores = dwt.forward(&reversed).data;
     let full: Vec<u32> = (0..coeffs.len() as u32).collect();
@@ -261,19 +249,14 @@ fn bench_float_codec(c: &mut Criterion) {
     );
     let mut group = c.benchmark_group("codec/sparse");
     group.sample_size(30);
+    let (mut indices, mut values) = (Vec::new(), Vec::new());
     for (name, frame) in [("full-budget", &full_frame), ("10pct", &tenth_frame)] {
         group.bench_function(format!("decode/{name}"), |b| {
-            // The fold `streaming_decode` times, plus the index.
             b.iter(|| {
-                let (mut sum, mut last) = (0.0f64, 0u32);
                 codec
-                    .decode_each(black_box(frame.as_bytes()), |index, value| {
-                        sum += f64::from(value);
-                        last = index;
-                        Ok::<(), jwins_codec::CodecError>(())
-                    })
+                    .decode_compact_into(black_box(frame.as_bytes()), &mut indices, &mut values)
                     .unwrap();
-                black_box((sum, last))
+                black_box((&indices, &values));
             });
         });
     }

@@ -57,78 +57,36 @@ pub fn encode_gamma_into(indices: &[u32], w: &mut BitWriter) -> Result<()> {
 ///
 /// Fails on truncated streams or if a decoded index overflows `u32`.
 pub fn decode_gamma(bytes: &[u8], count: usize) -> Result<Vec<u32>> {
-    let mut r = BitReader::new(bytes);
-    decode_gamma_from(&mut r, count)
+    let mut out = Vec::new();
+    decode_gamma_from(&mut BitReader::new(bytes), count, &mut out)?;
+    Ok(out)
 }
 
-/// Same as [`decode_gamma`] but reads from an existing reader.
+/// Same as [`decode_gamma`] but reads from an existing reader and appends
+/// to `out`.
 ///
 /// # Errors
 ///
 /// Fails on truncated streams or if a decoded index overflows `u32`.
-pub fn decode_gamma_from(r: &mut BitReader<'_>, count: usize) -> Result<Vec<u32>> {
+pub fn decode_gamma_from(r: &mut BitReader<'_>, count: usize, out: &mut Vec<u32>) -> Result<()> {
     // `count` may be wire-influenced; growth is bounded by the
     // stream length, so cap only the eager pre-allocation.
-    let mut out = Vec::with_capacity(count.min(1 << 20));
+    out.reserve(count.min(1 << 20));
+    // The smallest index the stream can still hold (0, then the previous
+    // index plus one), so both the first code (`index + 1`) and every later
+    // one (`index − previous`) are `floor + code − 1`.
     let mut floor = 0u64;
     for _ in 0..count {
-        out.push(next_index(r, &mut floor)?);
+        // Gamma codes are at least 1; a peer can make the sum overflow.
+        let code = elias::read_gamma(r)?;
+        let index = floor
+            .checked_add(code - 1)
+            .and_then(|index| u32::try_from(index).ok())
+            .ok_or(CodecError::Corrupt("decoded index overflows u32"))?;
+        out.push(index);
+        floor = u64::from(index) + 1;
     }
-    Ok(out)
-}
-
-/// Decodes one index. `floor` is the smallest index the stream can still
-/// hold (0, then the previous index plus one), so both the first code
-/// (`index + 1`) and every later one (`index − previous`) are `floor +
-/// code − 1`.
-#[inline]
-fn next_index(r: &mut BitReader<'_>, floor: &mut u64) -> Result<u32> {
-    // Gamma codes are at least 1; a peer can make the sum overflow.
-    let code = elias::read_gamma(r)?;
-    let index = floor
-        .checked_add(code - 1)
-        .and_then(|index| u32::try_from(index).ok())
-        .ok_or(CodecError::Corrupt("decoded index overflows u32"))?;
-    *floor = u64::from(index) + 1;
-    Ok(index)
-}
-
-/// Streaming form of [`decode_gamma`]: one index per
-/// [`GammaIndexDecoder::next_index`] call.
-#[derive(Debug, Clone)]
-pub struct GammaIndexDecoder<'a> {
-    reader: BitReader<'a>,
-    floor: u64,
-}
-
-impl<'a> GammaIndexDecoder<'a> {
-    /// Starts decoding at the first byte of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self {
-            reader: BitReader::new(bytes),
-            floor: 0,
-        }
-    }
-
-    /// Decodes the next index.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated streams or if the index overflows `u32`.
-    #[inline]
-    pub fn next_index(&mut self) -> Result<u32> {
-        next_index(&mut self.reader, &mut self.floor)
-    }
-
-    /// Ends the decode after the last index: the stream may go on only with
-    /// the zero bits that pad its final byte.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Corrupt`] on anything else.
-    pub fn finish(self) -> Result<()> {
-        self.reader.expect_padding("bytes after the last index")
-    }
+    Ok(())
 }
 
 /// Exact encoded size, in bits, of [`encode_gamma`] for `indices` —
@@ -192,9 +150,6 @@ mod tests {
             decode_gamma(&bytes, 2),
             Err(CodecError::Corrupt(_))
         ));
-        let mut streamed = GammaIndexDecoder::new(&bytes);
-        assert_eq!(streamed.next_index(), Ok(1));
-        assert!(matches!(streamed.next_index(), Err(CodecError::Corrupt(_))));
     }
 
     #[test]

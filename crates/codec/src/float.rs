@@ -135,14 +135,27 @@ pub trait FloatCodec: std::fmt::Debug + Send + Sync {
         out.extend_from_slice(&self.encode(values));
     }
 
-    /// Decodes `bytes` as the encoding of exactly `count` floats.
+    /// Decodes `bytes` as the encoding of exactly `count` floats into `out`,
+    /// replacing its contents and reusing its allocation.
     ///
     /// # Errors
     ///
     /// Implementations fail with [`CodecError::UnexpectedEof`] on truncated
     /// input and with [`CodecError::Corrupt`] when `bytes` goes on after the
-    /// last value: a message is consumed whole or rejected.
-    fn decode(&self, bytes: &[u8], count: usize) -> Result<Vec<f32>>;
+    /// last value: a message is consumed whole or rejected. `out` is then
+    /// unspecified.
+    fn decode_into(&self, bytes: &[u8], count: usize, out: &mut Vec<f32>) -> Result<()>;
+
+    /// [`Self::decode_into`] a fresh vector.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::decode_into`].
+    fn decode(&self, bytes: &[u8], count: usize) -> Result<Vec<f32>> {
+        let mut out = Vec::new();
+        self.decode_into(bytes, count, &mut out)?;
+        Ok(out)
+    }
 
     /// Short stable name for logs and experiment output.
     fn name(&self) -> &'static str;
@@ -150,60 +163,9 @@ pub trait FloatCodec: std::fmt::Debug + Send + Sync {
 
 const TRAILING_BYTES: &str = "bytes after the last value";
 
-/// Pulls `count` values out of `next` into a fresh vector.
-fn collect_values(count: usize, mut next: impl FnMut() -> Result<f32>) -> Result<Vec<f32>> {
-    // `count` may be wire-influenced; growth is bounded by the
-    // stream length, so cap only the eager pre-allocation.
-    let mut out = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        out.push(next()?);
-    }
-    Ok(out)
-}
-
 /// Uncompressed little-endian `f32` serialization.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RawFloatCodec;
-
-impl RawFloatCodec {
-    /// Streaming decoder over `bytes`: one value per
-    /// [`RawFloatDecoder::next_value`] call.
-    pub fn decoder(bytes: &[u8]) -> RawFloatDecoder<'_> {
-        RawFloatDecoder { rest: bytes }
-    }
-}
-
-/// See [`RawFloatCodec::decoder`].
-#[derive(Debug, Clone)]
-pub struct RawFloatDecoder<'a> {
-    rest: &'a [u8],
-}
-
-impl RawFloatDecoder<'_> {
-    /// Decodes the next value.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::UnexpectedEof`] when fewer than four bytes remain.
-    #[inline]
-    pub fn next_value(&mut self) -> Result<f32> {
-        let (head, rest) = self
-            .rest
-            .split_first_chunk::<4>()
-            .ok_or(CodecError::UnexpectedEof)?;
-        self.rest = rest;
-        Ok(f32::from_le_bytes(*head))
-    }
-
-    /// Ends the decode after the last value.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Corrupt`] when bytes are left over.
-    pub fn finish(self) -> Result<()> {
-        crate::expect_empty(self.rest, TRAILING_BYTES)
-    }
-}
 
 impl FloatCodec for RawFloatCodec {
     fn encode(&self, values: &[f32]) -> Vec<u8> {
@@ -219,15 +181,20 @@ impl FloatCodec for RawFloatCodec {
         }
     }
 
-    fn decode(&self, bytes: &[u8], count: usize) -> Result<Vec<f32>> {
+    fn decode_into(&self, bytes: &[u8], count: usize, out: &mut Vec<f32>) -> Result<()> {
         // Checked up front so a short buffer never allocates for `count`.
-        if count.checked_mul(4).is_none_or(|need| bytes.len() < need) {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let mut decoder = Self::decoder(bytes);
-        let values = collect_values(count, || decoder.next_value())?;
-        decoder.finish()?;
-        Ok(values)
+        let need = count
+            .checked_mul(4)
+            .filter(|&need| need <= bytes.len())
+            .ok_or(CodecError::UnexpectedEof)?;
+        crate::expect_empty(&bytes[need..], TRAILING_BYTES)?;
+        out.clear();
+        out.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|chunk| f32::from_le_bytes(chunk.try_into().expect("four bytes"))),
+        );
+        Ok(())
     }
 
     fn name(&self) -> &'static str {
@@ -277,9 +244,8 @@ impl BlockFloatCodec {
     /// Values that share one header.
     pub const BLOCK: usize = 64;
 
-    /// Streaming decoder over `bytes`: one value per
-    /// [`BlockFloatDecoder::next_value`] call, so a consumer can fold values
-    /// into an accumulator without materialising them.
+    /// Decoder over `bytes`: one value per [`BlockFloatDecoder::next_value`]
+    /// call, or a run of them per [`BlockFloatDecoder::next_values`] call.
     pub fn decoder(bytes: &[u8]) -> BlockFloatDecoder<'_> {
         BlockFloatDecoder {
             reader: BitReader::new(bytes),
@@ -499,18 +465,18 @@ impl FloatCodec for BlockFloatCodec {
         *out = w.into_bytes();
     }
 
-    fn decode(&self, bytes: &[u8], count: usize) -> Result<Vec<f32>> {
+    fn decode_into(&self, bytes: &[u8], count: usize, out: &mut Vec<f32>) -> Result<()> {
         let mut decoder = Self::decoder(bytes);
         // Grown a block at a time: `count` may be wire-influenced, so past
         // the capped reservation the vector grows only as blocks decode.
-        let mut values = Vec::with_capacity(count.min(1 << 20));
-        while values.len() < count {
-            let start = values.len();
-            values.resize(count.min(start + Self::BLOCK), 0.0);
-            decoder.next_values(&mut values[start..])?;
+        out.clear();
+        out.reserve(count.min(1 << 20));
+        while out.len() < count {
+            let start = out.len();
+            out.resize(count.min(start + Self::BLOCK), 0.0);
+            decoder.next_values(&mut out[start..])?;
         }
-        decoder.finish()?;
-        Ok(values)
+        decoder.finish()
     }
 
     fn name(&self) -> &'static str {

@@ -39,6 +39,8 @@
 //! ```
 
 #![deny(unsafe_code)]
+// This crate parses every byte a peer sends; keep each parser short.
+#![warn(clippy::too_many_lines)]
 
 pub mod bitio;
 pub mod delta;

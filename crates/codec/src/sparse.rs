@@ -50,21 +50,23 @@
 //! Gamma stays; the implied frame was the index-side gain there was to
 //! take. The value side is in [`crate::float`]'s module docs.
 
-use crate::bitio::BitWriter;
-use crate::delta::{self, GammaIndexDecoder};
-use crate::float::{
-    BlockFloatCodec, BlockFloatDecoder, FloatCodec, RawFloatCodec, RawFloatDecoder,
-};
+use crate::bitio::{BitReader, BitWriter};
+use crate::delta;
+use crate::float::{BlockFloatCodec, FloatCodec, RawFloatCodec};
 use crate::varint;
 use crate::{CodecError, Result};
 
 const NOT_INCREASING: CodecError = CodecError::InvalidValue("indices must be strictly increasing");
+const TRAILING_INDEX_BYTES: &str = "bytes after the last index";
 
 /// How the sorted index array is serialized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum IndexCodec {
     /// Raw little-endian `u32` per index (the "no compression" bar of Fig. 9).
+    /// Like the delta codecs it carries strictly increasing indices only:
+    /// the encoder refuses others and the decoder rejects them, so no
+    /// frame can name one coefficient twice.
     RawU32,
     /// LEB128 varint per index delta (byte-aligned middle ground).
     VarintDelta,
@@ -83,10 +85,11 @@ impl IndexCodec {
     }
 
     /// Exact size of the index block, which the header carries in front of
-    /// it; also where the delta codecs reject unsorted input.
+    /// it; also where every codec rejects input that does not increase.
     fn encoded_len(&self, indices: &[u32]) -> Result<usize> {
         match self {
-            IndexCodec::RawU32 => Ok(indices.len() * 4),
+            IndexCodec::RawU32 if indices.is_sorted_by(|a, b| a < b) => Ok(indices.len() * 4),
+            IndexCodec::RawU32 => Err(NOT_INCREASING),
             IndexCodec::VarintDelta => {
                 let mut len = 0;
                 let mut prev = None;
@@ -129,137 +132,60 @@ impl IndexCodec {
             }
         }
     }
-}
 
-/// A decoder that yields one element per call; lets [`zip_each`] pair any
-/// index decoder with any value decoder in one monomorphised loop.
-trait Pull<T> {
-    fn pull(&mut self) -> Result<T>;
-
-    /// Called after the last element: an error unless the block is used up.
-    fn finish(self) -> Result<()>;
-}
-
-impl Pull<u32> for GammaIndexDecoder<'_> {
-    #[inline]
-    fn pull(&mut self) -> Result<u32> {
-        self.next_index()
-    }
-
-    fn finish(self) -> Result<()> {
-        GammaIndexDecoder::finish(self)
-    }
-}
-
-impl Pull<f32> for BlockFloatDecoder<'_> {
-    #[inline]
-    fn pull(&mut self) -> Result<f32> {
-        self.next_value()
-    }
-
-    fn finish(self) -> Result<()> {
-        BlockFloatDecoder::finish(self)
-    }
-}
-
-impl Pull<f32> for RawFloatDecoder<'_> {
-    #[inline]
-    fn pull(&mut self) -> Result<f32> {
-        self.next_value()
-    }
-
-    fn finish(self) -> Result<()> {
-        RawFloatDecoder::finish(self)
-    }
-}
-
-const TRAILING_INDEX_BYTES: &str = "bytes after the last index";
-
-/// [`IndexCodec::RawU32`] block, one index per pull.
-struct RawIndexDecoder<'a>(&'a [u8]);
-
-impl Pull<u32> for RawIndexDecoder<'_> {
-    #[inline]
-    fn pull(&mut self) -> Result<u32> {
-        let (head, rest) = self
-            .0
-            .split_first_chunk::<4>()
-            .ok_or(CodecError::UnexpectedEof)?;
-        self.0 = rest;
-        Ok(u32::from_le_bytes(*head))
-    }
-
-    fn finish(self) -> Result<()> {
-        crate::expect_empty(self.0, TRAILING_INDEX_BYTES)
-    }
-}
-
-/// [`IndexCodec::VarintDelta`] block, one index per pull.
-struct VarintIndexDecoder<'a> {
-    rest: &'a [u8],
-    /// `None` before the first index, which is stored as itself.
-    prev: Option<u32>,
-}
-
-impl Pull<u32> for VarintIndexDecoder<'_> {
-    #[inline]
-    fn pull(&mut self) -> Result<u32> {
-        let (delta, used) = varint::read_u64(self.rest)?;
-        self.rest = &self.rest[used..];
-        // The encoder refuses a repeated index, so a zero delta after the
-        // first one is not a frame it wrote: it would count one neighbour
-        // twice on one coefficient.
-        if delta == 0 && self.prev.is_some() {
-            return Err(NOT_INCREASING);
+    /// Decodes an index block of `count` strictly increasing indices into
+    /// `out`, replacing its contents. The block must end with the last
+    /// index (a bit stream: with the zero padding of its last byte).
+    fn decode_into(&self, block: &[u8], count: usize, out: &mut Vec<u32>) -> Result<()> {
+        out.clear();
+        // `count` is wire-influenced but bounded by the frame length.
+        out.reserve(count);
+        match self {
+            IndexCodec::RawU32 => {
+                let need = count
+                    .checked_mul(4)
+                    .filter(|&need| need <= block.len())
+                    .ok_or(CodecError::UnexpectedEof)?;
+                crate::expect_empty(&block[need..], TRAILING_INDEX_BYTES)?;
+                out.extend(
+                    block
+                        .chunks_exact(4)
+                        .map(|chunk| u32::from_le_bytes(chunk.try_into().expect("four bytes"))),
+                );
+                // The encoder refuses anything else; a repeat would count
+                // one neighbour twice on one coefficient.
+                if !out.is_sorted_by(|a, b| a < b) {
+                    return Err(NOT_INCREASING);
+                }
+                Ok(())
+            }
+            IndexCodec::VarintDelta => {
+                let mut rest = block;
+                for _ in 0..count {
+                    let (delta, used) = varint::read_u64(rest)?;
+                    rest = &rest[used..];
+                    // A zero delta after the first index repeats an index
+                    // (the first is stored as itself).
+                    let prev = out.last().copied();
+                    if delta == 0 && prev.is_some() {
+                        return Err(NOT_INCREASING);
+                    }
+                    // A peer chooses `delta`: the sum can pass `u32` and `u64` alike.
+                    let index = u64::from(prev.unwrap_or(0))
+                        .checked_add(delta)
+                        .and_then(|index| u32::try_from(index).ok())
+                        .ok_or(CodecError::Corrupt("index overflows u32"))?;
+                    out.push(index);
+                }
+                crate::expect_empty(rest, TRAILING_INDEX_BYTES)
+            }
+            IndexCodec::EliasGammaDelta => {
+                let mut reader = BitReader::new(block);
+                delta::decode_gamma_from(&mut reader, count, out)?;
+                reader.expect_padding(TRAILING_INDEX_BYTES)
+            }
         }
-        // A peer chooses `delta`: the sum can pass `u32` and `u64` alike.
-        let index = u64::from(self.prev.unwrap_or(0))
-            .checked_add(delta)
-            .and_then(|index| u32::try_from(index).ok())
-            .ok_or(CodecError::Corrupt("index overflows u32"))?;
-        self.prev = Some(index);
-        Ok(index)
     }
-
-    fn finish(self) -> Result<()> {
-        crate::expect_empty(self.rest, TRAILING_INDEX_BYTES)
-    }
-}
-
-/// The indices of an implied frame, `0..count`, one per pull. The frame
-/// header bounded `count` by the index space.
-struct ImpliedIndices(u32);
-
-impl Pull<u32> for ImpliedIndices {
-    #[inline]
-    fn pull(&mut self) -> Result<u32> {
-        let index = self.0;
-        // Wraps only after the last index of a frame of 2³² pairs.
-        self.0 = index.wrapping_add(1);
-        Ok(index)
-    }
-
-    fn finish(self) -> Result<()> {
-        Ok(())
-    }
-}
-
-/// Feeds `count` `(index, value)` pairs to `visit`, decoding the two blocks
-/// in lockstep, and checks that both end with the last pair.
-fn zip_each<E: From<CodecError>>(
-    count: usize,
-    mut indices: impl Pull<u32>,
-    mut values: impl Pull<f32>,
-    mut visit: impl FnMut(u32, f32) -> std::result::Result<(), E>,
-) -> std::result::Result<(), E> {
-    for _ in 0..count {
-        let index = indices.pull()?;
-        let value = values.pull()?;
-        visit(index, value)?;
-    }
-    indices.finish()?;
-    values.finish()?;
-    Ok(())
 }
 
 /// How the coefficient values are serialized.
@@ -451,15 +377,9 @@ impl SparseVecCodec {
     ///
     /// Fails on truncated or structurally invalid buffers.
     pub fn decode(&self, bytes: &[u8]) -> Result<(Vec<u32>, Vec<f32>)> {
-        let frame = Self::frame(bytes)?;
-        // `frame.count` is wire-influenced but bounded by the buffer length.
-        let mut indices = Vec::with_capacity(frame.count);
-        let mut values = Vec::with_capacity(frame.count);
-        self.visit(&frame, |index, value| {
-            indices.push(index);
-            values.push(value);
-            Ok::<(), CodecError>(())
-        })?;
+        let (indices, values) = self.decode_compact(bytes)?;
+        // The header bounded an implied frame's count by the index space.
+        let indices = indices.unwrap_or_else(|| (0..=u32::MAX).take(values.len()).collect());
         Ok((indices, values))
     }
 
@@ -481,6 +401,10 @@ impl SparseVecCodec {
     /// implied; its indices, `0..values.len()`, are then not written and
     /// `indices` is left empty.
     ///
+    /// The two blocks are decoded one after the other, each whole: first
+    /// the index block, then the value block. A frame corrupt in both
+    /// reports the index block's error.
+    ///
     /// # Errors
     ///
     /// As [`Self::decode`]; the buffers' contents are then unspecified.
@@ -491,40 +415,17 @@ impl SparseVecCodec {
         values: &mut Vec<f32>,
     ) -> Result<bool> {
         let frame = Self::frame(bytes)?;
-        indices.clear();
-        if frame.implied() {
-            *values = (self.value_codec.as_codec()).decode(frame.value_block, frame.count)?;
-            return Ok(true);
+        let implied = frame.implied();
+        if implied {
+            indices.clear();
+        } else {
+            self.index_codec
+                .decode_into(frame.index_block, frame.count, indices)?;
         }
-        values.clear();
-        // `frame.count` is wire-influenced but bounded by the buffer length.
-        indices.reserve(frame.count);
-        values.reserve(frame.count);
-        self.visit(&frame, |index, value| {
-            indices.push(index);
-            values.push(value);
-            Ok::<(), CodecError>(())
-        })?;
-        Ok(false)
-    }
-
-    /// Decodes a buffer produced by [`Self::encode`] without materialising
-    /// it: `visit(index, value)` runs once per pair, in wire order, and may
-    /// stop the decode with its own error (an index out of the consumer's
-    /// range, say). Returns the number of pairs visited.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated or structurally invalid buffers, or with the first
-    /// error `visit` returns; pairs before the failure have been visited.
-    pub fn decode_each<E: From<CodecError>>(
-        &self,
-        bytes: &[u8],
-        visit: impl FnMut(u32, f32) -> std::result::Result<(), E>,
-    ) -> std::result::Result<usize, E> {
-        let frame = Self::frame(bytes)?;
-        self.visit(&frame, visit)?;
-        Ok(frame.count)
+        self.value_codec
+            .as_codec()
+            .decode_into(frame.value_block, frame.count, values)?;
+        Ok(implied)
     }
 
     /// Parses and bounds-checks the header. Every length in it is chosen by
@@ -557,46 +458,6 @@ impl SparseVecCodec {
             index_block: &bytes[header..value_start],
             value_block: &bytes[value_start..],
         })
-    }
-
-    fn visit<E: From<CodecError>>(
-        &self,
-        frame: &Frame<'_>,
-        visit: impl FnMut(u32, f32) -> std::result::Result<(), E>,
-    ) -> std::result::Result<(), E> {
-        match self.value_codec {
-            ValueCodec::Raw => {
-                self.visit_with(frame, RawFloatCodec::decoder(frame.value_block), visit)
-            }
-            ValueCodec::Block => {
-                self.visit_with(frame, BlockFloatCodec::decoder(frame.value_block), visit)
-            }
-        }
-    }
-
-    fn visit_with<E: From<CodecError>>(
-        &self,
-        frame: &Frame<'_>,
-        values: impl Pull<f32>,
-        visit: impl FnMut(u32, f32) -> std::result::Result<(), E>,
-    ) -> std::result::Result<(), E> {
-        if frame.implied() {
-            return zip_each(frame.count, ImpliedIndices(0), values, visit);
-        }
-        let block = frame.index_block;
-        match self.index_codec {
-            IndexCodec::RawU32 => zip_each(frame.count, RawIndexDecoder(block), values, visit),
-            IndexCodec::VarintDelta => {
-                let indices = VarintIndexDecoder {
-                    rest: block,
-                    prev: None,
-                };
-                zip_each(frame.count, indices, values, visit)
-            }
-            IndexCodec::EliasGammaDelta => {
-                zip_each(frame.count, GammaIndexDecoder::new(block), values, visit)
-            }
-        }
     }
 }
 
@@ -704,60 +565,27 @@ mod tests {
     }
 
     /// A hand-built frame repeating index 5 — one its encoder refuses —
-    /// is refused by its decoder too, whichever way it is decoded.
+    /// is refused by its decoder too, raw or varint-delta coded.
     #[test]
     fn varint_delta_repeated_index_is_rejected() {
-        let codec = SparseVecCodec::new(IndexCodec::VarintDelta, ValueCodec::Raw);
-        assert_eq!(codec.encode(&[5, 5], &[1.0, 2.0]), Err(NOT_INCREASING));
-        let mut bytes = vec![0x02, 0x02, 0x05, 0x00];
-        bytes.extend(1.0f32.to_le_bytes());
-        bytes.extend(2.0f32.to_le_bytes());
-        assert_eq!(codec.decode(&bytes), Err(NOT_INCREASING));
-        let mut visited = 0;
-        let each = codec.decode_each(&bytes, |_, _| {
-            visited += 1;
-            Ok::<(), CodecError>(())
-        });
-        assert_eq!(each, Err(NOT_INCREASING));
-        assert_eq!(visited, 1, "the first pair is visited, the repeat is not");
+        let mut raw_block = 5u32.to_le_bytes().to_vec();
+        raw_block.extend(5u32.to_le_bytes());
+        for (ic, index_block) in [
+            (IndexCodec::VarintDelta, vec![0x05, 0x00]),
+            (IndexCodec::RawU32, raw_block),
+        ] {
+            let codec = SparseVecCodec::new(ic, ValueCodec::Raw);
+            assert_eq!(codec.encode(&[5, 5], &[1.0, 2.0]), Err(NOT_INCREASING));
+            let mut bytes = vec![0x02, index_block.len() as u8];
+            bytes.extend(index_block);
+            bytes.extend(1.0f32.to_le_bytes());
+            bytes.extend(2.0f32.to_le_bytes());
+            assert_eq!(codec.decode(&bytes), Err(NOT_INCREASING), "{ic:?}");
+        }
         // Index 0 first is a zero delta too, and still fine.
+        let codec = SparseVecCodec::new(IndexCodec::VarintDelta, ValueCodec::Raw);
         let enc = codec.encode(&[0, 3], &[1.0, 2.0]).unwrap();
         assert_eq!(codec.decode(enc.as_bytes()).unwrap().0, [0, 3]);
-    }
-
-    #[test]
-    fn decode_each_visits_pairs_in_wire_order_and_stops_on_visitor_error() {
-        let indices = vec![2u32, 5, 9, 40];
-        let values = vec![1.0f32, -2.0, 3.5, 0.25];
-        for codec in all_codecs() {
-            let enc = codec.encode(&indices, &values).unwrap();
-            let mut seen = Vec::new();
-            let count = codec
-                .decode_each(enc.as_bytes(), |i, v| {
-                    seen.push((i, v));
-                    Ok::<(), CodecError>(())
-                })
-                .unwrap();
-            assert_eq!(count, 4);
-            let expected: Vec<(u32, f32)> = indices
-                .iter()
-                .copied()
-                .zip(values.iter().copied())
-                .collect();
-            assert_eq!(seen, expected, "{codec:?}");
-
-            let mut visited = 0;
-            let stopped = codec.decode_each(enc.as_bytes(), |i, _| {
-                visited += 1;
-                if i >= 9 {
-                    Err(CodecError::Corrupt("visitor said no"))
-                } else {
-                    Ok(())
-                }
-            });
-            assert_eq!(stopped, Err(CodecError::Corrupt("visitor said no")));
-            assert_eq!(visited, 3);
-        }
     }
 
     #[test]
@@ -777,10 +605,8 @@ mod tests {
             assert!(codec.encode_into(&indices, &values[..2], &mut out).is_err());
             assert_eq!(out, before);
         }
-        let delta_codecs = [IndexCodec::VarintDelta, IndexCodec::EliasGammaDelta];
-        for ic in delta_codecs {
+        for codec in all_codecs() {
             let mut out = vec![7u8];
-            let codec = SparseVecCodec::new(ic, ValueCodec::Raw);
             assert!(codec.encode_into(&[5, 5], &[0.0, 0.0], &mut out).is_err());
             assert_eq!(out, vec![7u8]);
         }
@@ -823,6 +649,14 @@ mod tests {
             assert!(
                 matches!(codec.decode(&slack), Err(CodecError::Corrupt(_))),
                 "{codec:?} accepted slack behind the index block"
+            );
+            // Slack behind the indices and a value block one byte short:
+            // the index block is decoded first, so its error is the one.
+            slack.pop();
+            assert_eq!(
+                codec.decode(&slack),
+                Err(CodecError::Corrupt(TRAILING_INDEX_BYTES)),
+                "{codec:?}"
             );
         }
     }

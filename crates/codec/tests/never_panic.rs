@@ -147,6 +147,10 @@ proptest! {
         count in prop_oneof![0u64..64, any::<u64>()],
         index_len in prop_oneof![0u64..96, any::<u64>()],
         framed in any::<bool>(),
+        // What a reused buffer holds from the last message: any content,
+        // any length.
+        junk_indices in proptest::collection::vec(any::<u32>(), 0..80),
+        junk_values in proptest::collection::vec(any::<u32>(), 0..80),
     ) {
         let mut bytes = Vec::new();
         if framed {
@@ -158,22 +162,24 @@ proptest! {
             for vc in [ValueCodec::Raw, ValueCodec::Block] {
                 let codec = SparseVecCodec::new(ic, vc);
                 let decoded = codec.decode(&bytes);
-                let mut visited = 0usize;
-                let streamed = codec.decode_each(&bytes, |_, _| {
-                    visited += 1;
-                    Ok::<(), CodecError>(())
-                });
-                // The three entry points are one decoder.
-                prop_assert_eq!(decoded.as_ref().map(|(i, _)| i.len()), streamed.as_ref().copied());
                 let compact = codec.decode_compact(&bytes);
+                // The three entry points are one decoder.
                 prop_assert_eq!(
                     compact.as_ref().map(|(_, v)| v.len()),
                     decoded.as_ref().map(|(_, v)| v.len())
                 );
-                if let Ok((indices, values)) = decoded {
+                if let Ok((indices, values)) = &decoded {
                     prop_assert_eq!(indices.len(), values.len());
-                    prop_assert_eq!(indices.len(), visited);
                 }
+                // Decoding into reused buffers gives what fresh ones would,
+                // with `indices` left empty for an implied frame.
+                let mut indices = junk_indices.clone();
+                let mut values: Vec<f32> = junk_values.iter().map(|&p| f32::from_bits(p)).collect();
+                let reused = codec
+                    .decode_compact_into(&bytes, &mut indices, &mut values)
+                    .map(|implied| (implied, indices, bits(&values)));
+                let fresh = compact.map(|(i, v)| (i.is_none(), i.unwrap_or_default(), bits(&v)));
+                prop_assert_eq!(reused, fresh);
             }
         }
     }

@@ -156,18 +156,17 @@ impl ShareStrategy for ChocoSgd {
             Some(_) => return Err(JwinsError::Protocol("round number mismatch")),
             None => return Err(JwinsError::Protocol("aggregate before make_message")),
         }
-        // s_i += Σ_j w_ij q_j.
-        // Each index is range-checked as it is consumed: raw index lists
-        // arrive in any order, so no single one vouches for the rest.
-        let s = &mut self.s;
+        // s_i += Σ_j w_ij q_j. A message is decoded and checked whole
+        // before it adds anything; its indices increase, so the last one
+        // vouches for the rest.
         for msg in received {
-            self.codec.decode_each(msg.bytes, |index, value| {
-                let slot = s
-                    .get_mut(index as usize)
-                    .ok_or(JwinsError::Protocol("received index out of range"))?;
-                *slot += (msg.weight * f64::from(value)) as f32;
-                Ok::<(), JwinsError>(())
-            })?;
+            let (indices, values) = self.codec.decode(msg.bytes)?;
+            if indices.last().is_some_and(|&i| i as usize >= self.s.len()) {
+                return Err(JwinsError::Protocol("received index out of range"));
+            }
+            for (&i, &v) in indices.iter().zip(&values) {
+                self.s[i as usize] += (msg.weight * f64::from(v)) as f32;
+            }
         }
         // x ← x + γ (s − (1 − w_ii) x̂): the gossip step on the public copies.
         let gamma = self.config.gamma;
@@ -196,6 +195,7 @@ impl ShareStrategy for ChocoSgd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jwins_codec::float::{BlockFloatCodec, FloatCodec};
 
     /// Drives a fully connected pair through rounds of pure gossip (no
     /// gradients) and checks consensus — CHOCO's defining property.
@@ -308,10 +308,22 @@ mod tests {
         assert!(c.make_message(0, &params).is_err(), "double make_message");
     }
 
-    /// Same hole as in JWINS: only the last index of a message was
-    /// range-checked, and raw index lists are unordered.
+    /// One message from the neighbour, as `aggregate` receives it.
+    fn from_neighbour(bytes: &[u8]) -> [ReceivedMessage<'_>; 1] {
+        [ReceivedMessage {
+            from: 1,
+            round: 0,
+            weight: 0.5,
+            edge_weight: 0.5,
+            bytes,
+            decoded: None,
+        }]
+    }
+
+    /// Raw index lists must increase like the delta-coded ones: the codec
+    /// rejects a hand-built unsorted one before anything reads its indices.
     #[test]
-    fn out_of_range_index_in_the_middle_of_a_raw_message_is_a_protocol_error() {
+    fn an_unsorted_raw_message_is_a_codec_error() {
         let mut c = ChocoSgd::new(ChocoConfig {
             index_codec: IndexCodec::RawU32,
             ..ChocoConfig::budget_20()
@@ -319,23 +331,35 @@ mod tests {
         let params = vec![1.0f32; 8];
         c.init(&params);
         let _ = c.make_message(0, &params).unwrap();
-        let bad = SparseVecCodec::new(IndexCodec::RawU32, ValueCodec::Block)
-            .encode(&[1, 8, 2], &[0.5, 0.5, 0.5])
-            .expect("raw indices need no order");
-        let out = c.aggregate(
-            0,
-            &params,
-            0.5,
-            &[ReceivedMessage {
-                from: 1,
-                round: 0,
-                weight: 0.5,
-                edge_weight: 0.5,
-                bytes: bad.as_bytes(),
-                decoded: None,
-            }],
-        );
-        assert!(matches!(out, Err(JwinsError::Protocol(_))));
+        let mut bad = vec![3, 12];
+        for i in [1u32, 8, 2] {
+            bad.extend(i.to_le_bytes());
+        }
+        bad.extend(BlockFloatCodec.encode(&[0.5; 3]));
+        let out = c.aggregate(0, &params, 0.5, &from_neighbour(&bad));
+        assert!(matches!(out, Err(JwinsError::Codec(_))), "{out:?}");
+    }
+
+    /// A message whose last index is out of range adds none of its
+    /// in-range pairs to `s`.
+    #[test]
+    fn an_out_of_range_last_index_leaves_s_untouched() {
+        for index_codec in [IndexCodec::RawU32, IndexCodec::EliasGammaDelta] {
+            let mut c = ChocoSgd::new(ChocoConfig {
+                index_codec,
+                ..ChocoConfig::budget_20()
+            });
+            let params: Vec<f32> = (0..8).map(|i| i as f32).collect();
+            c.init(&params);
+            let _ = c.make_message(0, &params).unwrap();
+            let before = c.s.clone();
+            let bad = SparseVecCodec::new(index_codec, ValueCodec::Block)
+                .encode(&[1, 2, 8], &[0.5, 0.5, 0.5])
+                .unwrap();
+            let out = c.aggregate(0, &params, 0.5, &from_neighbour(bad.as_bytes()));
+            assert!(matches!(out, Err(JwinsError::Protocol(_))), "{out:?}");
+            assert_eq!(c.s, before, "{index_codec:?}");
+        }
     }
 
     #[test]

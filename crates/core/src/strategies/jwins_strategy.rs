@@ -286,9 +286,8 @@ impl Jwins {
 
     /// Decodes `msg` — from the slot its receivers share when this codec
     /// filled it, else into `scratch` — and checks that every index is one
-    /// of this node's coefficients. The delta index codecs decode strictly
-    /// increasing indices or fail, so the last one vouches for the rest;
-    /// raw index lists arrive in any order, so each is checked.
+    /// of this node's coefficients. Every index codec decodes strictly
+    /// increasing indices or fails, so the last one vouches for the rest.
     fn decode<'a>(
         &self,
         msg: &ReceivedMessage<'a>,
@@ -313,9 +312,6 @@ impl Jwins {
         };
         let len = self.own_coeffs.len();
         let in_range = match &decoded.indices {
-            Some(indices) if codec.index_codec() == IndexCodec::RawU32 => {
-                indices.iter().all(|&i| (i as usize) < len)
-            }
             Some(indices) => indices.last().is_none_or(|&i| (i as usize) < len),
             None => decoded.values.len() <= len,
         };
@@ -477,6 +473,7 @@ impl ShareStrategy for Jwins {
 mod tests {
     use super::*;
     use crate::strategy::DecodeSlot;
+    use jwins_codec::float::{BlockFloatCodec, FloatCodec};
 
     impl Jwins {
         /// The coefficients `make_message` shared, as a list.
@@ -668,45 +665,45 @@ mod tests {
             .is_err());
     }
 
-    /// Under `IndexCodec::RawU32` indices arrive in any order, so an
-    /// out-of-range index can sit in the middle of a message whose last
-    /// index is fine. It used to index straight into the averager.
+    /// Raw index lists must increase like the delta-coded ones: a
+    /// hand-built unsorted one is a codec error under every rule, before
+    /// anything reads its indices.
     #[test]
-    fn out_of_range_index_in_the_middle_of_a_raw_message_is_a_protocol_error() {
+    fn an_unsorted_raw_message_is_a_codec_error() {
         let config = JwinsConfig {
             index_codec: IndexCodec::RawU32,
             ..JwinsConfig::paper_default()
         };
-        let codec = SparseVecCodec::new(IndexCodec::RawU32, config.value_codec);
-        let bad = codec
-            .encode(&[1, 4_000_000, 2], &[0.5, 0.5, 0.5])
-            .expect("raw indices need no order");
+        let mut bad = vec![3, 12];
+        for i in [1u32, 4_000_000, 2] {
+            bad.extend(i.to_le_bytes());
+        }
+        bad.extend(BlockFloatCodec.encode(&[0.5; 3]));
         let received = [ReceivedMessage {
             from: 1,
             round: 0,
             weight: 0.5,
             edge_weight: 0.5,
-            bytes: bad.as_bytes(),
+            bytes: &bad,
             decoded: None,
         }];
-        let (mut a, _, xa, _) = make_pair(config.clone(), 30);
-        let _ = a.make_message(0, &xa).unwrap();
-        assert!(matches!(
-            a.aggregate(0, &xa, 0.5, &received),
-            Err(JwinsError::Protocol(_))
-        ));
-        let (mut a, _, xa, _) = make_pair(config, 30);
-        let _ = a.make_message(0, &xa).unwrap();
-        assert!(matches!(
-            a.aggregate_robust(0, &xa, 0.5, &received, &Robust::Median),
-            Err(JwinsError::Protocol(_))
-        ));
+        for rule in [Robust::None, Robust::Median] {
+            let (mut a, _, xa, _) = make_pair(config.clone(), 30);
+            let _ = a.make_message(0, &xa).unwrap();
+            let out = a.aggregate_robust(0, &xa, 0.5, &received, &rule);
+            assert!(matches!(out, Err(JwinsError::Codec(_))), "{out:?}");
+        }
     }
 
-    /// Delta-coded indices increase, so their range check reads the last.
+    /// Every index codec's indices increase, so the range check reads the
+    /// last.
     #[test]
     fn an_out_of_range_last_delta_coded_index_is_a_protocol_error() {
-        for index_codec in [IndexCodec::EliasGammaDelta, IndexCodec::VarintDelta] {
+        for index_codec in [
+            IndexCodec::EliasGammaDelta,
+            IndexCodec::VarintDelta,
+            IndexCodec::RawU32,
+        ] {
             let config = JwinsConfig {
                 index_codec,
                 ..JwinsConfig::paper_default()
@@ -744,8 +741,8 @@ mod tests {
         };
         let codec = SparseVecCodec::new(IndexCodec::RawU32, config.value_codec);
         let mut bad = codec
-            .encode(&[1, 4_000_000, 2], &[0.5, 0.5, 0.5])
-            .expect("raw indices need no order")
+            .encode(&[1, 2, 4_000_000], &[0.5, 0.5, 0.5])
+            .expect("increasing indices encode")
             .into_bytes();
         bad.pop();
         let mut errors = Vec::new();
