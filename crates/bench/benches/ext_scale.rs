@@ -1,7 +1,7 @@
-//! Extension: sharded event engine at large node counts.
+//! Extension: the event engine at large node counts.
 //!
-//! The event-driven engine now runs on a `ShardedEventQueue` (per-node-group
-//! heaps behind a global merge) and an arena-backed parameter store, so the
+//! The event-driven engine runs on one seeded event heap
+//! (`ShardedEventQueue`) and an arena-backed parameter store, so the
 //! simulator scales past the paper's 256-node ceiling. This bench measures
 //! two things:
 //!
@@ -13,9 +13,7 @@
 //! 2. **Fully-random speeds** — under `ComputeProfile::LogNormal` no two
 //!    events share a timestamp, so only the links' latency lets the engine
 //!    execute events together. The window count and mean width it gets are
-//!    printed for one shard and for sixteen, and the two runs are asserted
-//!    bit-identical: the shard count is structural
-//!    (`tests/scale_determinism.rs` pins the same at small scale).
+//!    printed.
 //!
 //! Peak RSS is read from `/proc/self/status` (`VmHWM`), which is a
 //! process-lifetime high-water mark — the sweep therefore runs node counts
@@ -77,7 +75,6 @@ fn random_speeds() -> HeterogeneityProfile {
 fn run_scale(
     nodes: usize,
     rounds: usize,
-    shards: usize,
     threads: usize,
     hetero: HeterogeneityProfile,
 ) -> (RunResult, MetricsSink) {
@@ -103,7 +100,6 @@ fn run_scale(
     cfg.threads = threads;
     cfg.execution = ExecutionMode::EventDriven;
     cfg.heterogeneity = hetero;
-    cfg.shards = shards;
     // The propose/execute/commit split of every case comes from the trace's
     // ExecuteBatch records, folded by a metrics sink as they arrive: keeping
     // the trace would show up in the peak RSS this bench reports. The
@@ -131,10 +127,9 @@ fn main() {
     let scale = Scale::from_env();
     let smoke = jwins_bench::smoke();
     banner(
-        "ext_scale — sharded event engine from 1k to 100k nodes",
-        "per-shard heaps + arena-backed node state keep events/sec flat and \
-         memory sublinear as the node count grows, and any shard count \
-         replays the same schedule",
+        "ext_scale — the event engine from 1k to 100k nodes",
+        "one event heap + arena-backed node state keep events/sec flat and \
+         memory sublinear as the node count grows",
     );
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -162,18 +157,17 @@ fn main() {
         "commit s"
     );
     let mut csv = String::from(
-        "section,nodes,rounds,shards,threads,wall_s,events_per_s,peak_rss_mb,\
+        "section,nodes,rounds,threads,wall_s,events_per_s,peak_rss_mb,\
          final_accuracy,propose_s,execute_s,commit_s,marginal_kib_per_node,batches,\
          mean_batch_width\n",
     );
     let mut rss_per_node: Vec<(usize, f64)> = Vec::new();
     for &nodes in sizes {
-        // Shard count scales with the run; stragglers keep cohorts
-        // time-aligned so strict batches stay wide even at scale.
-        let shards = (nodes / 64).max(1);
+        // Stragglers keep cohorts time-aligned so strict batches stay wide
+        // even at scale.
         let hetero = HeterogeneityProfile::stragglers(0.25, 4.0, 0.005, 12.5e6);
         let start = Instant::now();
-        let (result, metrics) = run_scale(nodes, rounds, shards, 0, hetero);
+        let (result, metrics) = run_scale(nodes, rounds, 0, hetero);
         let wall = start.elapsed().as_secs_f64();
         let events = event_count(nodes, rounds);
         let eps = events as f64 / wall;
@@ -186,7 +180,7 @@ fn main() {
              {propose_s:>10.3} {execute_s:>10.3} {commit_s:>10.3}"
         );
         csv.push_str(&format!(
-            "scale,{nodes},{rounds},{shards},0,{wall:.4},{eps:.1},{rss_mb:.1},{accuracy:.6},\
+            "scale,{nodes},{rounds},0,{wall:.4},{eps:.1},{rss_mb:.1},{accuracy:.6},\
              {propose_s:.4},{execute_s:.4},{commit_s:.4},,,\n"
         ));
     }
@@ -203,7 +197,7 @@ fn main() {
                 "\nmarginal peak RSS: {marginal_kib:.2} KiB per node ({n_small} → {n_big} nodes)"
             );
             csv.push_str(&format!(
-                "scale_marginal,{},{rounds},,0,,,,,,,,{marginal_kib:.3},,\n",
+                "scale_marginal,{},{rounds},0,,,,,,,,{marginal_kib:.3},,\n",
                 n_big - n_small
             ));
             assert!(
@@ -225,8 +219,7 @@ fn main() {
          8 threads:"
     );
     println!(
-        "{:>24} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>9} {:>11}",
-        "queue",
+        "{:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>9} {:>11}",
         "wall s",
         "events/s",
         "accuracy",
@@ -236,36 +229,23 @@ fn main() {
         "batches",
         "mean width"
     );
-    let mut base: Option<RunResult> = None;
-    for (label, shards) in [("1-shard (heap)", 1usize), ("16-shard", 16)] {
-        let start = Instant::now();
-        let (result, metrics) = run_scale(random_nodes, random_rounds, shards, 8, random_speeds());
-        let wall = start.elapsed().as_secs_f64();
-        let events = event_count(random_nodes, random_rounds);
-        let eps = events as f64 / wall;
-        let accuracy = result.final_record().map_or(f64::NAN, |r| r.test_accuracy);
-        let registry = metrics.registry();
-        let [propose_s, execute_s, commit_s] = phase_seconds(&registry);
-        let (batches, mean_batch_width) = jwins_bench::batch_shape(&registry);
-        println!(
-            "{label:>24} {wall:>10.2} {eps:>12.0} {accuracy:>10.4} \
-             {propose_s:>10.3} {execute_s:>10.3} {commit_s:>10.3} {batches:>9} \
-             {mean_batch_width:>11.3}"
-        );
-        csv.push_str(&format!(
-            "random_speeds,{random_nodes},{random_rounds},{shards},8,{wall:.4},{eps:.1},,{accuracy:.6},\
-             {propose_s:.4},{execute_s:.4},{commit_s:.4},,{batches},{mean_batch_width:.4}\n"
-        ));
-        // The 16-shard run must replay the 1-shard schedule bit for bit:
-        // sharding is structural, not semantic.
-        match &base {
-            None => base = Some(result),
-            Some(base) => {
-                base.assert_bit_identical(&result, "1-shard vs 16-shard");
-                println!("{:>24} shard counts are bit-identical", "");
-            }
-        }
-    }
+    let start = Instant::now();
+    let (result, metrics) = run_scale(random_nodes, random_rounds, 8, random_speeds());
+    let wall = start.elapsed().as_secs_f64();
+    let events = event_count(random_nodes, random_rounds);
+    let eps = events as f64 / wall;
+    let accuracy = result.final_record().map_or(f64::NAN, |r| r.test_accuracy);
+    let registry = metrics.registry();
+    let [propose_s, execute_s, commit_s] = phase_seconds(&registry);
+    let (batches, mean_batch_width) = jwins_bench::batch_shape(&registry);
+    println!(
+        "{wall:>10.2} {eps:>12.0} {accuracy:>10.4} {propose_s:>10.3} {execute_s:>10.3} \
+         {commit_s:>10.3} {batches:>9} {mean_batch_width:>11.3}"
+    );
+    csv.push_str(&format!(
+        "random_speeds,{random_nodes},{random_rounds},8,{wall:.4},{eps:.1},,{accuracy:.6},\
+         {propose_s:.4},{execute_s:.4},{commit_s:.4},,{batches},{mean_batch_width:.4}\n"
+    ));
 
     jwins_bench::save_csv("ext_scale", &csv);
 }

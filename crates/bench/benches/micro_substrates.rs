@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of every substrate on the JWINS hot path:
 //! wavelet transforms (by family and depth), FFT, entropy coders, float
 //! codecs, TopK selection, gossip mixing, the `jwins_nn` layers and the event
-//! engine's fixed costs (queue push/pop per event by shard count, one empty
+//! engine's fixed costs (queue push/pop per event by node count, one empty
 //! batch dispatch by width). These quantify the share path's design choices
 //! (wavelet family, metadata codec, value codec), the SGD path's kernels and
 //! what the engine adds around them; `docs/ARCHITECTURE.md`, "The share
@@ -448,21 +448,24 @@ fn bench_nn(c: &mut Criterion) {
 const SCALE_NODES: usize = 16_384;
 
 /// Median nanoseconds per event of `ShardedEventQueue::push` and
-/// `pop_independent_batch` on the schedule `benchmark/src/direct.rs` drives:
-/// every node always has one pending event, three quarters of the nodes fire
-/// every tick and one quarter every fourth.
-fn queue_costs(shards: usize) -> (f64, f64) {
+/// `pop_independent_batch` over `nodes` nodes on the schedule
+/// `benchmark/src/direct.rs` drives: every node always has one pending
+/// event, three quarters of the nodes fire every tick and one quarter every
+/// fourth. The tick count shrinks as the node count grows, so every size
+/// times about the same number of events.
+fn queue_costs(nodes: usize) -> (f64, f64) {
     const TICK_NS: u64 = 50_000_000;
-    const WARM_UP: usize = 20;
-    const SAMPLES: usize = 120;
+    let scale = SCALE_NODES as f64 / nodes as f64;
+    let warm_up = ((20.0 * scale) as usize).max(4);
+    let samples = ((120.0 * scale) as usize).max(8);
     let period = |node: usize| if node % 4 == 3 { 4 * TICK_NS } else { TICK_NS };
-    let mut queue: ShardedEventQueue<usize> = ShardedEventQueue::new(7, shards, Ordering::Strict);
-    for node in 0..SCALE_NODES {
+    let mut queue: ShardedEventQueue<usize> = ShardedEventQueue::new(7, 0, Ordering::Strict);
+    for node in 0..nodes {
         queue.push(SimTime(period(node)), node as u64, node, node);
     }
     let classify = |&node: &usize| Conflict::Exclusive { class: 1, node };
     let (mut push_ns, mut pop_ns) = (Vec::new(), Vec::new());
-    for sample in 0..WARM_UP + SAMPLES {
+    for sample in 0..warm_up + samples {
         let start = Instant::now();
         let batch = queue.pop_independent_batch(classify);
         let popped = start.elapsed();
@@ -474,7 +477,7 @@ fn queue_costs(shards: usize) -> (f64, f64) {
             queue.push(at, node as u64, node, node);
         }
         let pushed = start.elapsed();
-        if sample >= WARM_UP {
+        if sample >= warm_up {
             pop_ns.push(popped.as_nanos() as f64 / events);
             push_ns.push(pushed.as_nanos() as f64 / events);
         }
@@ -486,26 +489,31 @@ fn queue_costs(shards: usize) -> (f64, f64) {
     (median(&mut push_ns), median(&mut pop_ns))
 }
 
-/// The event queue per event at `event_scale`'s size. Sharding must not tax
-/// a pop: the last line prints the pop cost at every shard count side by
-/// side, and they should lie within 2× of each other (a linear scan of the
-/// shard heads made 256 shards 2× a single heap, and 4 096 far worse).
+/// The event queue (one heap) per event by node count: `event_scale`'s
+/// 2^14, then 2^18 and 2^20, where the heap outgrows the caches. The last
+/// line prints the pop cost at every size side by side. Under
+/// `JWINS_SMOKE=1` only 2^14 runs.
 fn bench_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim");
+    let sizes: &[usize] = if jwins_bench::smoke() {
+        &[SCALE_NODES]
+    } else {
+        &[SCALE_NODES, 1 << 18, 1 << 20]
+    };
     let mut pops = Vec::new();
-    for shards in [1usize, 16, 256, 4096] {
+    for &nodes in sizes {
         // Push and pop alternate on one live queue and are timed apart, so
         // the closure keeps its own clock instead of `Bencher::iter`; the
         // harness contributes the name filter.
-        group.bench_function(BenchmarkId::new("queue_16384", shards), |_| {
-            let (push, pop) = queue_costs(shards);
-            println!("sim/queue_push/16384x{shards:<27} {push:>10.1} ns/event");
-            println!("sim/queue_pop/16384x{shards:<28} {pop:>10.1} ns/event");
-            pops.push(format!("{shards}: {pop:.0}"));
+        group.bench_function(BenchmarkId::new("queue", nodes), |_| {
+            let (push, pop) = queue_costs(nodes);
+            println!("sim/queue_push/{nodes:<33} {push:>10.1} ns/event");
+            println!("sim/queue_pop/{nodes:<34} {pop:>10.1} ns/event");
+            pops.push(format!("{nodes}: {pop:.0}"));
         });
     }
     if !pops.is_empty() {
-        println!("sim/queue_pop ns/event by shards   {}", pops.join("   "));
+        println!("sim/queue_pop ns/event by nodes   {}", pops.join("   "));
     }
     group.finish();
 }

@@ -185,11 +185,9 @@ pub struct TrainConfig {
     /// pre-adversary engine (pinned by `tests/byzantine.rs`).
     #[serde(default)]
     pub attack: jwins_adversary::AttackPlan,
-    /// Event-queue shard count for [`ExecutionMode::EventDriven`] (`0` =
-    /// one shard, the pre-shard layout). Pending events are routed to shard
-    /// `node % shards`; pops always take the global minimum across shard
-    /// heads, so the shard count never changes the schedule — it only
-    /// shrinks the per-heap working set at large node counts.
+    /// Ignored: the event queue is one heap. The field stays settable so
+    /// that configurations naming it keep parsing; ROADMAP item 4A(c)
+    /// removes it.
     #[serde(default)]
     pub shards: usize,
     /// The event loop's commit order. [`jwins_sim::Ordering::Strict`] is
@@ -242,13 +240,6 @@ impl TrainConfig {
             robust: jwins_adversary::Robust::None,
             record_alphas: false,
         }
-    }
-
-    /// Fluent event-queue shard-count override (`0` = one shard).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
     }
 
     /// Fluent switch to event-driven execution under `profile`.
@@ -362,6 +353,9 @@ impl TrainConfig {
             .validate()
             .map_err(JwinsError::InvalidConfig)?;
         self.faults.validate().map_err(JwinsError::InvalidConfig)?;
+        self.time_model
+            .validate()
+            .map_err(JwinsError::InvalidConfig)?;
         if self.execution == ExecutionMode::BulkSynchronous && !self.faults.staleness.is_unbounded()
         {
             return Err(JwinsError::InvalidConfig(
@@ -499,12 +493,12 @@ mod tests {
         let c = TrainConfig::new(5).with_seed(7).with_lr(0.5);
         assert_eq!(c.seed, 7);
         assert_eq!(c.lr, 0.5);
-        let c = c.with_event_driven(HeterogeneityProfile::stragglers(0.25, 4.0, 0.005, 12.5e6));
+        let mut c = c.with_event_driven(HeterogeneityProfile::stragglers(0.25, 4.0, 0.005, 12.5e6));
         assert_eq!(c.execution, ExecutionMode::EventDriven);
         assert!(!c.heterogeneity.is_degenerate());
-        // Shards are a pure data-structure knob: valid under either engine.
-        assert!(c.with_shards(8).validate().is_ok());
-        assert!(TrainConfig::new(3).with_shards(64).validate().is_ok());
+        // Shards are ignored, and still accepted.
+        c.shards = 8;
+        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -529,6 +523,64 @@ mod tests {
         c.execution = ExecutionMode::BulkSynchronous;
         c.time_model.compute_s = 0.0;
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn time_models_the_clocks_cannot_run_are_rejected_in_both_modes() {
+        let base = TimeModel::default();
+        let bad = [
+            TimeModel {
+                bandwidth_bps: 0.0,
+                ..base
+            },
+            TimeModel {
+                bandwidth_bps: f64::NAN,
+                ..base
+            },
+            TimeModel {
+                latency_s: -1.0,
+                ..base
+            },
+            TimeModel {
+                compute_s: f64::NAN,
+                ..base
+            },
+        ];
+        let good = [
+            base,
+            TimeModel::edge_100mbit(0.2),
+            TimeModel::fixed_round(1.0),
+            TimeModel {
+                bandwidth_bps: f64::INFINITY,
+                ..base
+            },
+        ];
+        let barrier = TrainConfig::quick_test();
+        let event = TrainConfig::quick_test().with_event_driven(HeterogeneityProfile::default());
+        for mode in [barrier, event] {
+            for time_model in bad {
+                let c = TrainConfig {
+                    time_model,
+                    ..mode.clone()
+                };
+                assert!(
+                    c.validate().is_err(),
+                    "{time_model:?} under {:?}",
+                    c.execution
+                );
+            }
+            for time_model in good {
+                let c = TrainConfig {
+                    time_model,
+                    ..mode.clone()
+                };
+                assert!(
+                    c.validate().is_ok(),
+                    "{time_model:?} under {:?}",
+                    c.execution
+                );
+            }
+        }
     }
 
     #[test]

@@ -307,8 +307,8 @@ impl Ready {
 /// members all precede what is left of the window around it.
 struct OpenWindow {
     class: BatchClass,
-    /// The head's node and round.
-    head: (usize, usize),
+    /// The head's round.
+    round: usize,
     width: u32,
     /// `queue.len() + ready.len()` right after the window was popped.
     depth: u32,
@@ -440,9 +440,8 @@ fn per_message_bytes(outbound: &Outbound) -> u64 {
 /// kind.
 pub(super) struct EventRun<'w, 'a, M: Model> {
     t: Run<'w, 'a, M>,
-    /// The sharded queue preserves the single-heap total order exactly
-    /// (global sequence counter + seeded tie-break, min over shard heads),
-    /// so the shard count is a pure data-structure knob.
+    /// One heap in the seeded total order; `TrainConfig::shards` is
+    /// ignored.
     queue: ShardedEventQueue<Ev>,
     /// Executed, uncommitted events, sorted by [`Ready::key`]: a window's
     /// proposals go on the front (everything in a window precedes what was
@@ -814,17 +813,16 @@ where
     /// Reports one window — its wall-clock phase split included — when its
     /// last member has committed, stamped with that member's fire time `at`
     /// so the trace stays monotone in virtual time across nested windows.
-    /// The round and the shard are the head's.
+    /// The round is the head's; the queue is one heap, so the shard is 0.
     fn emit_batch(&self, window: &OpenWindow, at: SimTime) {
-        let (node, round) = window.head;
         let [start, gathered, executed] = window.walls;
         self.t.tracer.emit(TraceEvent::ExecuteBatch {
             t_ns: at.0,
             class: window.class,
-            round: round as u32,
+            round: window.round as u32,
             width: window.width,
             queue_depth: window.depth,
-            shard: self.queue.shard_of(node) as u32,
+            shard: 0,
             wall_start_ns: start.as_nanos() as u64,
             propose_ns: (gathered - start).as_nanos() as u64,
             execute_ns: (executed - gathered).as_nanos() as u64,
@@ -865,7 +863,7 @@ where
         );
         self.pending_work -= window.popped;
         self.last_time = self.last_time.max(window.last);
-        let Some(&Meta { node, round, .. }) = window.live.first() else {
+        let Some(&Meta { round, .. }) = window.live.first() else {
             return Ok(());
         };
         let train = window.class == BatchClass::Train;
@@ -902,7 +900,7 @@ where
         }
         self.windows.push(OpenWindow {
             class: window.class,
-            head: (node, round),
+            round,
             width,
             depth,
             left: width,
@@ -1315,7 +1313,7 @@ mod tests {
     const NODES: usize = 8;
 
     fn queue() -> ShardedEventQueue<Ev> {
-        ShardedEventQueue::new(7, 4, Ordering::Strict)
+        ShardedEventQueue::new(7, 0, Ordering::Strict)
     }
 
     fn train(queue: &mut ShardedEventQueue<Ev>, at: u64, node: usize, round: usize) {

@@ -103,11 +103,9 @@
 //!   workers only split the execute phase of already-independent events,
 //!   and which worker claims which chunk is invisible: outputs return in
 //!   item order and commit sequentially;
-//! - [`crate::config::TrainConfig::shards`] — the event queue
-//!   ([`jwins_sim::ShardedEventQueue`]) routes events to per-node-group
-//!   heaps but merges them (a winner tree over the shard heads) behind one
-//!   global insertion counter and tie hash, so any shard count replays the
-//!   identical total order (`tests/scale_determinism.rs`);
+//! - [`crate::config::TrainConfig::shards`] — simply ignored: the event
+//!   queue ([`jwins_sim::ShardedEventQueue`]) is one heap
+//!   (`tests/scale_determinism.rs`);
 //! - host core count / scheduler timing, for the same reason.
 //!
 //! These knobs **do** change results, deterministically:

@@ -1,6 +1,6 @@
 //! The real-concurrency backend: [`ThreadChannelTransport`].
 //!
-//! One crossbeam channel per directed edge, one peer session per node, and
+//! One crossbeam channel per directed edge, one mailbox per node, and
 //! *wall-clock* timestamps mapped onto the [`SimTime`] axis (nanoseconds
 //! since transport construction). The engine's channel driver runs one OS
 //! thread per node against this transport, so messages really do cross
@@ -8,11 +8,11 @@
 //! really arrive in nondeterministic order — the relaxed real-world regime
 //! the sim backend only models.
 //!
-//! Byte accounting is deliberately identical to [`crate::SimNetwork`]:
-//! the sender is charged at send time, the receiver credited at enqueue
-//! time, frame headers excluded — so a real run's `RoundRecord` traffic
-//! columns are directly comparable to the sim oracle's (the cross-check
-//! harness depends on this).
+//! Byte accounting is [`crate::SimNetwork`]'s, from the same mailbox core
+//! (`transport::MailboxCore`): the sender is charged at send time, the
+//! receiver credited at enqueue time, frame headers excluded — so a real
+//! run's `RoundRecord` traffic columns are directly comparable to the sim
+//! oracle's (the cross-check harness depends on this).
 //!
 //! What this backend does **not** provide: the loss model (a virtual-time
 //! construct; real links here are reliable channels) and any purge-driven
@@ -24,8 +24,7 @@
 use crate::framing::{self, FrameKind};
 use crate::meter::TrafficStats;
 use crate::transport::{
-    drain_mailbox, Drained, Envelope, MeasuredFlight, PendingSend, PurgeReport, PurgeScope,
-    Transport,
+    Drained, Envelope, MailboxCore, MeasuredFlight, PendingSend, PurgeReport, PurgeScope, Transport,
 };
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
@@ -33,25 +32,17 @@ use jwins_sim::SimTime;
 use parking_lot::Mutex;
 use std::time::Instant;
 
-/// One node's receiving state: the inbound channel ends for every sender,
-/// plus the mailbox of already-pulled (i.e. *arrived*) envelopes.
-struct Session {
-    /// Inbound wire, indexed by sending node.
-    inbound: Vec<Receiver<Bytes>>,
-    /// Arrived messages awaiting a drain.
-    mailbox: Mutex<Vec<Envelope>>,
-}
-
 /// An `n`-node transport over per-edge channels and wall-clock time.
 pub struct ThreadChannelTransport {
+    /// Mailboxes of already-pulled (i.e. *arrived*) envelopes, and the
+    /// traffic counters (same accounting as the sim backend).
+    core: MailboxCore,
     /// Wall-clock origin of the transport's [`SimTime`] axis.
     start: Instant,
     /// Outbound wire, indexed `[from][to]`.
     senders: Vec<Vec<Sender<Bytes>>>,
-    /// Per-node receiving sessions.
-    sessions: Vec<Session>,
-    /// Per-node traffic counters (same accounting as the sim backend).
-    stats: Vec<Mutex<TrafficStats>>,
+    /// Inbound wire, indexed `[to][from]`.
+    inbound: Vec<Vec<Receiver<Bytes>>>,
     /// Observational telemetry; sends emit `MsgSend` with wall stamps.
     tracer: Option<std::sync::Arc<jwins_trace::Tracer>>,
     /// Accumulated `(latency seconds, messages)` over every pulled message.
@@ -61,7 +52,7 @@ pub struct ThreadChannelTransport {
 impl std::fmt::Debug for ThreadChannelTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadChannelTransport")
-            .field("nodes", &self.sessions.len())
+            .field("nodes", &self.core.len())
             .field("now", &self.now())
             .finish_non_exhaustive()
     }
@@ -73,6 +64,7 @@ impl ThreadChannelTransport {
         let mut senders: Vec<Vec<Sender<Bytes>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
         let mut inbound: Vec<Vec<Receiver<Bytes>>> =
             (0..n).map(|_| Vec::with_capacity(n)).collect();
+        // From-major pushes leave each `inbound[to]` ordered by `from`.
         for outgoing in senders.iter_mut() {
             for incoming in inbound.iter_mut() {
                 let (tx, rx) = crossbeam::channel::unbounded();
@@ -80,23 +72,11 @@ impl ThreadChannelTransport {
                 incoming.push(rx);
             }
         }
-        // Re-index inbound from [to][push-order] to [to][from]: the pushes
-        // above happen from-major, so inbound[to] is already ordered by
-        // `from`. (Each inner loop pushes exactly one rx per `to`.)
-        let sessions = inbound
-            .into_iter()
-            .map(|inbound| Session {
-                inbound,
-                mailbox: Mutex::new(Vec::new()),
-            })
-            .collect();
         Self {
+            core: MailboxCore::new(n),
             start: Instant::now(),
             senders,
-            sessions,
-            stats: (0..n)
-                .map(|_| Mutex::new(TrafficStats::default()))
-                .collect(),
+            inbound,
             tracer: None,
             flight: Mutex::new((0.0, 0)),
         }
@@ -110,7 +90,7 @@ impl ThreadChannelTransport {
     /// recoverable network condition.
     fn admit(&self, expected_from: usize, node: usize, wire: Bytes) -> Envelope {
         let frame = framing::decode(&wire).expect("in-process frame must decode");
-        assert_eq!(frame.to, node, "frame routed to the wrong session");
+        assert_eq!(frame.to, node, "frame routed to the wrong node");
         assert_eq!(frame.from, expected_from, "frame on the wrong edge");
         // The monotone clock makes now >= sent across threads; max() guards
         // the stamp anyway so Envelope invariants hold unconditionally.
@@ -129,20 +109,26 @@ impl ThreadChannelTransport {
         }
     }
 
-    /// Pulls everything currently on `node`'s inbound wires into the given
+    /// Pulls everything currently on the `from → to` wire into `mailbox`,
+    /// in FIFO order.
+    fn pull_edge(&self, from: usize, to: usize, mailbox: &mut Vec<Envelope>) {
+        while let Ok(wire) = self.inbound[to][from].try_recv() {
+            mailbox.push(self.admit(from, to, wire));
+        }
+    }
+
+    /// Pulls everything currently on `node`'s inbound wires into its
     /// (already locked) mailbox, in sender order then per-edge FIFO order.
     fn pull_locked(&self, node: usize, mailbox: &mut Vec<Envelope>) {
-        for (from, rx) in self.sessions[node].inbound.iter().enumerate() {
-            while let Ok(wire) = rx.try_recv() {
-                mailbox.push(self.admit(from, node, wire));
-            }
+        for from in 0..self.inbound[node].len() {
+            self.pull_edge(from, node, mailbox);
         }
     }
 }
 
 impl Transport for ThreadChannelTransport {
     fn len(&self) -> usize {
-        self.sessions.len()
+        self.core.len()
     }
 
     fn set_tracer(&mut self, tracer: std::sync::Arc<jwins_trace::Tracer>) {
@@ -150,26 +136,16 @@ impl Transport for ThreadChannelTransport {
     }
 
     fn send(&self, send: PendingSend) {
+        self.core.charge(&send);
         let PendingSend {
             from,
             to,
             payload,
-            breakdown,
             sent,
             arrives,
             sent_round,
+            ..
         } = send;
-        assert!(
-            from < self.len() && to < self.len(),
-            "endpoint out of range"
-        );
-        assert!(arrives >= sent, "message cannot arrive before it was sent");
-        debug_assert_eq!(
-            breakdown.total(),
-            payload.len(),
-            "breakdown must account for every byte"
-        );
-        self.stats[from].lock().record_send(breakdown);
         if let Some(tracer) = &self.tracer {
             // The true arrival is unknowable at send time on a real wire;
             // the stamp mirrors the send (arrives_ns == t_ns), and the
@@ -183,133 +159,78 @@ impl Transport for ThreadChannelTransport {
                 arrives_ns: arrives.0,
             });
         }
-        self.stats[to].lock().record_receive(payload.len());
+        self.core.credit(to, payload.len());
         let wire = framing::encode(FrameKind::Gossip, from, to, sent_round, sent, &payload);
         self.senders[from][to]
             .send(wire)
-            .expect("peer session owned by this transport cannot hang up");
+            .expect("receiving end owned by this transport cannot hang up");
     }
 
     fn drain(&self, node: usize, deadline: SimTime, ttl: Option<SimTime>) -> Drained {
-        let mut mailbox = self.sessions[node].mailbox.lock();
+        let mut mailbox = self.core.mailbox(node).lock();
         self.pull_locked(node, &mut mailbox);
         // A MAX deadline means "everything that has arrived by now": TTL
-        // ages are measured at the wall clock, the only meaningful "now"
-        // when the caller gave no deadline.
-        let age_ref = if deadline == SimTime::MAX {
-            self.now()
-        } else {
-            deadline
-        };
-        drain_mailbox(&mut mailbox, deadline, age_ref, ttl)
+        // ages are measured at the wall clock.
+        MailboxCore::drain(&mut mailbox, deadline, self.now(), ttl)
     }
 
     fn record_expired(&self, node: usize, count: u64) {
-        if count == 0 {
-            return;
-        }
-        self.stats[node].lock().record_expired(count);
+        self.core.record_expired(node, count);
     }
 
     fn purge(&self, scope: PurgeScope) -> PurgeReport {
-        let kill_all = |node: usize, victims: Vec<Envelope>| -> PurgeReport {
-            let mut stats = self.stats[node].lock();
-            let mut report = PurgeReport::default();
-            for env in &victims {
-                stats.record_kill(env.payload.len());
-                report.messages += 1;
-                report.bytes += env.payload.len() as u64;
-            }
-            report
-        };
         match scope {
             PurgeScope::Inbox { node } => {
-                let victims = {
-                    let mut mailbox = self.sessions[node].mailbox.lock();
-                    self.pull_locked(node, &mut mailbox);
-                    std::mem::take(&mut *mailbox)
-                };
-                kill_all(node, victims)
+                let mut mailbox = self.core.mailbox(node).lock();
+                self.pull_locked(node, &mut mailbox);
+                self.core.kill(node, &mut mailbox, |_| true)
             }
             PurgeScope::ArrivedBy { node, deadline } => {
-                let mut victims = Vec::new();
-                {
-                    let mut mailbox = self.sessions[node].mailbox.lock();
-                    self.pull_locked(node, &mut mailbox);
-                    mailbox.retain(|env| {
-                        if env.arrives <= deadline {
-                            victims.push(env.clone());
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
-                kill_all(node, victims)
+                let mut mailbox = self.core.mailbox(node).lock();
+                self.pull_locked(node, &mut mailbox);
+                self.core
+                    .kill(node, &mut mailbox, |env| env.arrives <= deadline)
             }
             PurgeScope::InFlightFrom { from, cutoff: _ } => {
                 // On a real wire "in flight" is "still in the channel";
                 // the wall clock has no in-flight messages from the past,
                 // so the cutoff is implicit: everything unpulled dies.
-                assert!(from < self.len(), "endpoint out of range");
-                let mut report = PurgeReport::default();
-                for (to, session) in self.sessions.iter().enumerate() {
-                    let mut victims = Vec::new();
-                    while let Ok(wire) = session.inbound[from].try_recv() {
-                        victims.push(self.admit(from, to, wire));
-                    }
-                    let r = kill_all(to, victims);
-                    report.messages += r.messages;
-                    report.bytes += r.bytes;
-                }
-                report
+                self.core.check(from);
+                (0..self.len()).fold(PurgeReport::default(), |report, to| {
+                    let mut wire = Vec::new();
+                    self.pull_edge(from, to, &mut wire);
+                    report.plus(self.core.kill(to, &mut wire, |_| true))
+                })
             }
             PurgeScope::Link {
                 from,
                 to,
                 sent_round,
             } => {
-                assert!(
-                    from < self.len() && to < self.len(),
-                    "endpoint out of range"
-                );
-                let mut victims = Vec::new();
-                {
-                    let mut mailbox = self.sessions[to].mailbox.lock();
-                    // Pull the edge's channel so in-flight messages are
-                    // subject to the kill too, then filter the mailbox.
-                    while let Ok(wire) = self.sessions[to].inbound[from].try_recv() {
-                        mailbox.push(self.admit(from, to, wire));
-                    }
-                    mailbox.retain(|env| {
-                        if env.from == from && sent_round.is_none_or(|r| env.sent_round == r) {
-                            victims.push(env.clone());
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
-                kill_all(to, victims)
+                self.core.check(from);
+                self.core.check(to);
+                let mut mailbox = self.core.mailbox(to).lock();
+                // Pull the edge's channel so in-flight messages are subject
+                // to the kill too, then filter the mailbox.
+                self.pull_edge(from, to, &mut mailbox);
+                self.core.kill(to, &mut mailbox, |env| {
+                    env.from == from && sent_round.is_none_or(|r| env.sent_round == r)
+                })
             }
         }
     }
 
     fn pending(&self, node: usize) -> usize {
-        let session = &self.sessions[node];
-        session.mailbox.lock().len() + session.inbound.iter().map(|rx| rx.len()).sum::<usize>()
+        let queued = self.core.mailbox(node).lock().len();
+        queued + self.inbound[node].iter().map(|rx| rx.len()).sum::<usize>()
     }
 
     fn stats(&self, node: usize) -> TrafficStats {
-        *self.stats[node].lock()
+        self.core.stats(node)
     }
 
     fn total_stats(&self) -> TrafficStats {
-        let mut total = TrafficStats::default();
-        for s in &self.stats {
-            total.merge(&s.lock());
-        }
-        total
+        self.core.total_stats()
     }
 
     fn now(&self) -> SimTime {

@@ -20,10 +20,14 @@
 //!   ([`MeasuredFlight`]) the cross-check harness replays through the sim
 //!   oracle.
 //!
+//! Both backends meter, drain and purge through one shared mailbox core
+//! (see [`transport`]), so their accounting cannot drift apart.
+//!
 //! [`TimeModel`] converts measured bytes into simulated wall-clock time
 //! (compute + latency + bandwidth), preserving the *relative*
 //! time-to-accuracy comparisons of Figures 5–6.
 
+#![warn(clippy::too_many_lines)]
 #![deny(unsafe_code)]
 
 pub mod channel;

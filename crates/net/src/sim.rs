@@ -12,7 +12,7 @@
 
 use crate::meter::TrafficStats;
 use crate::transport::{
-    drain_mailbox, Drained, Envelope, PendingSend, PurgeReport, PurgeScope, Transport,
+    Drained, Envelope, MailboxCore, PendingSend, PurgeReport, PurgeScope, Transport,
 };
 use jwins_sim::{splitmix64, SimTime};
 use parking_lot::Mutex;
@@ -88,8 +88,7 @@ impl LossModel {
 /// backend.
 #[derive(Debug)]
 pub struct SimNetwork {
-    mailboxes: Vec<Mutex<Vec<Envelope>>>,
-    stats: Vec<Mutex<TrafficStats>>,
+    core: MailboxCore,
     loss: Option<LossModel>,
     /// Per-directed-link sequence numbers driving the loss hash.
     sequences: Mutex<HashMap<(usize, usize), u64>>,
@@ -104,10 +103,7 @@ impl SimNetwork {
     /// Creates a reliable network with `n` empty mailboxes.
     pub fn new(n: usize) -> Self {
         Self {
-            mailboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            stats: (0..n)
-                .map(|_| Mutex::new(TrafficStats::default()))
-                .collect(),
+            core: MailboxCore::new(n),
             loss: None,
             sequences: Mutex::new(HashMap::new()),
             tracer: None,
@@ -128,11 +124,22 @@ impl SimNetwork {
     pub fn loss_model(&self) -> Option<LossModel> {
         self.loss
     }
+
+    /// Whether the loss model drops the next message on `from → to`.
+    fn drops(&self, from: usize, to: usize) -> bool {
+        self.loss.is_some_and(|loss| {
+            let mut sequences = self.sequences.lock();
+            let counter = sequences.entry((from, to)).or_insert(0);
+            let sequence = *counter;
+            *counter += 1;
+            loss.drops(from, to, sequence)
+        })
+    }
 }
 
 impl Transport for SimNetwork {
     fn len(&self) -> usize {
-        self.mailboxes.len()
+        self.core.len()
     }
 
     fn set_tracer(&mut self, tracer: std::sync::Arc<jwins_trace::Tracer>) {
@@ -140,47 +147,28 @@ impl Transport for SimNetwork {
     }
 
     fn send(&self, send: PendingSend) {
+        self.core.charge(&send);
         let PendingSend {
             from,
             to,
             payload,
-            breakdown,
             sent,
             arrives,
             sent_round,
+            ..
         } = send;
-        assert!(
-            from < self.len() && to < self.len(),
-            "endpoint out of range"
-        );
-        assert!(arrives >= sent, "message cannot arrive before it was sent");
-        debug_assert_eq!(
-            breakdown.total(),
-            payload.len(),
-            "breakdown must account for every byte"
-        );
-        self.stats[from].lock().record_send(breakdown);
-        if let Some(loss) = &self.loss {
-            let sequence = {
-                let mut sequences = self.sequences.lock();
-                let counter = sequences.entry((from, to)).or_insert(0);
-                let current = *counter;
-                *counter += 1;
-                current
-            };
-            if loss.drops(from, to, sequence) {
-                self.stats[from].lock().record_drop();
-                if let Some(tracer) = &self.tracer {
-                    tracer.emit(jwins_trace::TraceEvent::MsgDrop {
-                        t_ns: sent.0,
-                        from: from as u32,
-                        to: to as u32,
-                        round: sent_round as u32,
-                        bytes: payload.len() as u64,
-                    });
-                }
-                return;
+        if self.drops(from, to) {
+            self.core.record_drop(from);
+            if let Some(tracer) = &self.tracer {
+                tracer.emit(jwins_trace::TraceEvent::MsgDrop {
+                    t_ns: sent.0,
+                    from: from as u32,
+                    to: to as u32,
+                    round: sent_round as u32,
+                    bytes: payload.len() as u64,
+                });
             }
+            return;
         }
         if let Some(tracer) = &self.tracer {
             tracer.emit(jwins_trace::TraceEvent::MsgSend {
@@ -192,8 +180,8 @@ impl Transport for SimNetwork {
                 arrives_ns: arrives.0,
             });
         }
-        self.stats[to].lock().record_receive(payload.len());
-        self.mailboxes[to].lock().push(Envelope {
+        self.core.credit(to, payload.len());
+        self.core.mailbox(to).lock().push(Envelope {
             from,
             payload,
             sent,
@@ -203,143 +191,56 @@ impl Transport for SimNetwork {
     }
 
     fn drain(&self, node: usize, deadline: SimTime, ttl: Option<SimTime>) -> Drained {
-        let mut mailbox = self.mailboxes[node].lock();
-        // A MAX deadline means "everything ever sent" (barrier mode, no
-        // clock): TTL ages, were a TTL given, measure at the sim's own
-        // now() — the time origin.
-        let age_ref = if deadline == SimTime::MAX {
-            self.now()
-        } else {
-            deadline
-        };
-        drain_mailbox(&mut mailbox, deadline, age_ref, ttl)
+        MailboxCore::drain(
+            &mut self.core.mailbox(node).lock(),
+            deadline,
+            self.now(),
+            ttl,
+        )
     }
 
     fn record_expired(&self, node: usize, count: u64) {
-        if count == 0 {
-            return;
-        }
-        self.stats[node].lock().record_expired(count);
+        self.core.record_expired(node, count);
     }
 
     fn purge(&self, scope: PurgeScope) -> PurgeReport {
+        let kill = |node: usize, dies: &dyn Fn(&Envelope) -> bool| {
+            self.core
+                .kill(node, &mut self.core.mailbox(node).lock(), dies)
+        };
         match scope {
-            PurgeScope::Inbox { node } => {
-                let envelopes = { std::mem::take(&mut *self.mailboxes[node].lock()) };
-                let mut stats = self.stats[node].lock();
-                let mut bytes = 0u64;
-                for env in &envelopes {
-                    stats.record_kill(env.payload.len());
-                    bytes += env.payload.len() as u64;
-                }
-                PurgeReport {
-                    messages: envelopes.len() as u64,
-                    bytes,
-                }
-            }
-            PurgeScope::ArrivedBy { node, deadline } => {
-                let mut killed_bytes: Vec<usize> = Vec::new();
-                {
-                    let mut mailbox = self.mailboxes[node].lock();
-                    mailbox.retain(|env| {
-                        if env.arrives <= deadline {
-                            killed_bytes.push(env.payload.len());
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
-                let mut stats = self.stats[node].lock();
-                let mut bytes = 0u64;
-                for b in &killed_bytes {
-                    stats.record_kill(*b);
-                    bytes += *b as u64;
-                }
-                PurgeReport {
-                    messages: killed_bytes.len() as u64,
-                    bytes,
-                }
-            }
+            PurgeScope::Inbox { node } => kill(node, &|_| true),
+            PurgeScope::ArrivedBy { node, deadline } => kill(node, &|env| env.arrives <= deadline),
             PurgeScope::InFlightFrom { from, cutoff } => {
-                assert!(from < self.len(), "endpoint out of range");
-                let mut report = PurgeReport::default();
-                for (to, mailbox) in self.mailboxes.iter().enumerate() {
-                    let mut killed_bytes: Vec<usize> = Vec::new();
-                    {
-                        let mut mailbox = mailbox.lock();
-                        mailbox.retain(|env| {
-                            if env.from == from && env.arrives > cutoff {
-                                killed_bytes.push(env.payload.len());
-                                false
-                            } else {
-                                true
-                            }
-                        });
-                    }
-                    if !killed_bytes.is_empty() {
-                        let mut stats = self.stats[to].lock();
-                        report.messages += killed_bytes.len() as u64;
-                        for bytes in killed_bytes {
-                            stats.record_kill(bytes);
-                            report.bytes += bytes as u64;
-                        }
-                    }
-                }
-                report
+                self.core.check(from);
+                (0..self.len()).fold(PurgeReport::default(), |report, to| {
+                    report.plus(kill(to, &|env| env.from == from && env.arrives > cutoff))
+                })
             }
             PurgeScope::Link {
                 from,
                 to,
                 sent_round,
             } => {
-                assert!(
-                    from < self.len() && to < self.len(),
-                    "endpoint out of range"
-                );
-                let mut killed_bytes: Vec<usize> = Vec::new();
-                {
-                    let mut mailbox = self.mailboxes[to].lock();
-                    mailbox.retain(|env| {
-                        if env.from == from && sent_round.is_none_or(|r| env.sent_round == r) {
-                            killed_bytes.push(env.payload.len());
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
-                if killed_bytes.is_empty() {
-                    return PurgeReport::default();
-                }
-                let mut stats = self.stats[to].lock();
-                let mut bytes = 0u64;
-                for b in &killed_bytes {
-                    stats.record_kill(*b);
-                    bytes += *b as u64;
-                }
-                PurgeReport {
-                    messages: killed_bytes.len() as u64,
-                    bytes,
-                }
+                self.core.check(from);
+                self.core.check(to);
+                kill(to, &|env| {
+                    env.from == from && sent_round.is_none_or(|r| env.sent_round == r)
+                })
             }
         }
     }
 
     fn pending(&self, node: usize) -> usize {
-        self.mailboxes[node].lock().len()
+        self.core.mailbox(node).lock().len()
     }
 
     fn stats(&self, node: usize) -> TrafficStats {
-        *self.stats[node].lock()
+        self.core.stats(node)
     }
 
     fn total_stats(&self) -> TrafficStats {
-        let mut total = TrafficStats::default();
-        for s in &self.stats {
-            total.merge(&s.lock());
-        }
-        total
+        self.core.total_stats()
     }
 
     fn now(&self) -> SimTime {

@@ -43,6 +43,40 @@ impl TimeModel {
         }
     }
 
+    /// Validates the model's parameters: a latency and a compute time that
+    /// are finite and non-negative, and a positive bandwidth (`f64::MAX`, as
+    /// [`TimeModel::fixed_round`] uses, and ∞ pass). Anything else would
+    /// make [`TimeModel::round_seconds`] panic or run the clock backwards or
+    /// into NaN.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable description of the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        let Self {
+            compute_s,
+            bandwidth_bps,
+            latency_s,
+        } = *self;
+        if !(latency_s >= 0.0 && latency_s.is_finite()) {
+            return Err(format!(
+                "time_model.latency_s {latency_s} must be finite and >= 0"
+            ));
+        }
+        // Written via partial_cmp so NaN is also rejected.
+        if bandwidth_bps.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+            return Err(format!(
+                "time_model.bandwidth_bps {bandwidth_bps} must be positive"
+            ));
+        }
+        if !(compute_s >= 0.0 && compute_s.is_finite()) {
+            return Err(format!(
+                "time_model.compute_s {compute_s} must be finite and >= 0"
+            ));
+        }
+        Ok(())
+    }
+
     /// Seconds one synchronous round takes when the busiest node sends
     /// `max_node_bytes` in total.
     ///

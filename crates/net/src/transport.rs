@@ -24,11 +24,17 @@
 //! [`crate::SimNetwork`] (virtual time, the determinism oracle) and the
 //! real-concurrency [`crate::ThreadChannelTransport`] (one OS thread per
 //! node, a crossbeam channel per directed edge, wall-clock stamps mapped
-//! onto [`SimTime`]).
+//! onto [`SimTime`]). Both keep their mailboxes and [`TrafficStats`] in one
+//! crate-private core, `MailboxCore`, which owns the contract's accounting:
+//! the send preconditions, the sender's charge and the receiver's credit,
+//! the drain, and the purge kill that reverses that credit. A backend adds
+//! only how a message reaches the mailbox (the sim's loss model, the
+//! channel backend's wires) and which messages a purge scope selects.
 
 use crate::meter::{ByteBreakdown, TrafficStats};
 use bytes::Bytes;
 use jwins_sim::SimTime;
+use parking_lot::Mutex;
 
 /// A delivered message.
 ///
@@ -186,6 +192,16 @@ pub struct PurgeReport {
     pub bytes: u64,
 }
 
+impl PurgeReport {
+    /// The two reports' totals.
+    pub(crate) fn plus(self, other: Self) -> Self {
+        Self {
+            messages: self.messages + other.messages,
+            bytes: self.bytes + other.bytes,
+        }
+    }
+}
+
 /// Wall-clock delivery latency observed by a real backend, aggregated over
 /// every message it moved — the measured profile the cross-check harness
 /// replays through the sim oracle.
@@ -314,36 +330,146 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// Shared drain core: partitions a mailbox at `deadline`, applies the TTL
-/// against `age_ref`, stable-sorts survivors by arrival. Both backends
-/// funnel through this so their deadline/TTL semantics cannot drift apart.
-pub(crate) fn drain_mailbox(
-    mailbox: &mut Vec<Envelope>,
-    deadline: SimTime,
-    age_ref: SimTime,
-    ttl: Option<SimTime>,
-) -> Drained {
-    let mut expired = 0u64;
-    let mut arrived = Vec::new();
-    // Grows with what has not arrived: a drained mailbox keeps no capacity
-    // for the backlog it just handed over.
-    let mut pending = Vec::new();
-    for env in mailbox.drain(..) {
-        if env.arrives <= deadline {
-            if ttl.is_some_and(|t| env.age_at(age_ref) > t) {
-                expired += 1;
-            } else {
-                arrived.push(env);
-            }
-        } else {
-            pending.push(env);
+/// The accounting both backends share: per node, the mailbox of delivered
+/// envelopes and the [`TrafficStats`]. A backend adds only what differs —
+/// how a message travels to the mailbox — so the [`Transport`] contract's
+/// metering (sender charged at send, receiver credited when the message is
+/// bound for its mailbox, credit reversed by a purge), its drain semantics
+/// and its purge reports are written once.
+///
+/// Lock order: a node's mailbox may be held while its stats are locked,
+/// never the other way round.
+#[derive(Debug)]
+pub(crate) struct MailboxCore {
+    mailboxes: Vec<Mutex<Vec<Envelope>>>,
+    stats: Vec<Mutex<TrafficStats>>,
+}
+
+impl MailboxCore {
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            mailboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+            stats: (0..n)
+                .map(|_| Mutex::new(TrafficStats::default()))
+                .collect(),
         }
     }
-    *mailbox = pending;
-    arrived.sort_by_key(|e| e.arrives); // stable: equal arrivals keep push order
-    Drained {
-        envelopes: arrived,
-        expired,
+
+    pub(crate) fn len(&self) -> usize {
+        self.mailboxes.len()
+    }
+
+    /// Checks the [`Transport::send`] preconditions and charges the sender.
+    pub(crate) fn charge(&self, send: &PendingSend) {
+        self.check(send.from);
+        self.check(send.to);
+        assert!(
+            send.arrives >= send.sent,
+            "message cannot arrive before it was sent"
+        );
+        debug_assert_eq!(
+            send.breakdown.total(),
+            send.payload.len(),
+            "breakdown must account for every byte"
+        );
+        self.stats[send.from].lock().record_send(send.breakdown);
+    }
+
+    /// Panics unless `node` is an endpoint of this network.
+    pub(crate) fn check(&self, node: usize) {
+        assert!(node < self.len(), "endpoint out of range");
+    }
+
+    /// Credits `to` with a message of `bytes` bound for its mailbox.
+    pub(crate) fn credit(&self, to: usize, bytes: usize) {
+        self.stats[to].lock().record_receive(bytes);
+    }
+
+    /// Counts a message the network lost on `from`'s behalf.
+    pub(crate) fn record_drop(&self, from: usize) {
+        self.stats[from].lock().record_drop();
+    }
+
+    pub(crate) fn mailbox(&self, node: usize) -> &Mutex<Vec<Envelope>> {
+        &self.mailboxes[node]
+    }
+
+    /// Partitions `mailbox` at `deadline`, applies the TTL, and stable-sorts
+    /// the survivors by arrival. A [`SimTime::MAX`] deadline measures TTL
+    /// ages at the backend's `now`.
+    pub(crate) fn drain(
+        mailbox: &mut Vec<Envelope>,
+        deadline: SimTime,
+        now: SimTime,
+        ttl: Option<SimTime>,
+    ) -> Drained {
+        let age_ref = if deadline == SimTime::MAX {
+            now
+        } else {
+            deadline
+        };
+        let mut expired = 0u64;
+        let mut arrived = Vec::new();
+        // Grows with what has not arrived: a drained mailbox keeps no
+        // capacity for the backlog it just handed over.
+        let mut pending = Vec::new();
+        for env in mailbox.drain(..) {
+            if env.arrives <= deadline {
+                if ttl.is_some_and(|t| env.age_at(age_ref) > t) {
+                    expired += 1;
+                } else {
+                    arrived.push(env);
+                }
+            } else {
+                pending.push(env);
+            }
+        }
+        *mailbox = pending;
+        arrived.sort_by_key(|e| e.arrives); // stable: equal arrivals keep push order
+        Drained {
+            envelopes: arrived,
+            expired,
+        }
+    }
+
+    /// Removes every envelope of `mailbox` (held for `node`) that `dies`
+    /// selects and reverses its receive credit in `node`'s stats.
+    pub(crate) fn kill(
+        &self,
+        node: usize,
+        mailbox: &mut Vec<Envelope>,
+        mut dies: impl FnMut(&Envelope) -> bool,
+    ) -> PurgeReport {
+        let mut report = PurgeReport::default();
+        let mut stats = self.stats[node].lock();
+        mailbox.retain(|env| {
+            if !dies(env) {
+                return true;
+            }
+            stats.record_kill(env.payload.len());
+            report.messages += 1;
+            report.bytes += env.payload.len() as u64;
+            false
+        });
+        report
+    }
+
+    pub(crate) fn record_expired(&self, node: usize, count: u64) {
+        if count > 0 {
+            self.stats[node].lock().record_expired(count);
+        }
+    }
+
+    pub(crate) fn stats(&self, node: usize) -> TrafficStats {
+        *self.stats[node].lock()
+    }
+
+    pub(crate) fn total_stats(&self) -> TrafficStats {
+        let mut total = TrafficStats::default();
+        for s in &self.stats {
+            total.merge(&s.lock());
+        }
+        total
     }
 }
 
@@ -379,7 +505,7 @@ mod tests {
             })
             .collect();
         let now = SimTime::from_secs_f64(1.0);
-        let drained = drain_mailbox(&mut mailbox, now, now, None);
+        let drained = MailboxCore::drain(&mut mailbox, now, now, None);
         assert_eq!(drained.envelopes.len(), 16 - in_flight);
         assert_eq!(mailbox.len(), in_flight);
         mailbox.capacity()

@@ -9,11 +9,10 @@
 //!
 //! - [`SimTime`]: integer-nanosecond virtual time, so event ordering never
 //!   depends on float rounding;
-//! - [`ShardedEventQueue`]: the event queue — per-node-group binary heaps
-//!   behind one winner-tree merge, with *seeded, stable* tie-breaking:
-//!   equal-time events are ordered by caller priority, then a seeded hash,
-//!   then insertion order, making every run a pure function of its seed
-//!   and never of the shard count. Its `peek`/`pop` drive the training
+//! - [`ShardedEventQueue`]: the event queue — one binary heap with
+//!   *seeded, stable* tie-breaking: equal-time events are ordered by caller
+//!   priority, then a seeded hash, then insertion order, making every run a
+//!   pure function of its seed. Its `peek`/`pop` drive the training
 //!   engine, which commits one event at a time and executes ahead inside
 //!   [`LinkProfile::min_latency_s`];
 //!   [`ShardedEventQueue::pop_independent_batch`] pops a maximal prefix of
@@ -54,8 +53,8 @@
 //!     Ev::Checkpoint => Conflict::Solo,
 //! };
 //!
-//! // Seed 42, events routed over two shards by node id.
-//! let mut queue = ShardedEventQueue::new(42, 2, Ordering::Strict);
+//! // Seed 42; the shard count (0) is ignored.
+//! let mut queue = ShardedEventQueue::new(42, 0, Ordering::Strict);
 //! for node in 0..3 {
 //!     // priority encodes (phase << 32) | node, the engine's convention
 //!     queue.push(SimTime(10), (1 << 32) | node as u64, node, Ev::Train { node });
@@ -71,6 +70,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 #![deny(unsafe_code)]
 
 pub mod clock;

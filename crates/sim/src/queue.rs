@@ -19,8 +19,7 @@
 //! [`Conflict`] class and touch pairwise-distinct nodes. Because the batch is
 //! a contiguous prefix, executing its events concurrently and committing
 //! their side effects in batch order is observably identical to popping them
-//! one at a time. The tests below pin the order and the batch boundaries on
-//! one heap and on several.
+//! one at a time. The tests below pin the order and the batch boundaries.
 
 use crate::clock::SimTime;
 
@@ -78,12 +77,8 @@ mod tests {
     use super::*;
     use crate::shard::{Ordering, ShardedEventQueue};
 
-    /// One heap, a few, and more shards than most tests have events: every
-    /// test runs at each and must see the same order.
-    const SHARDS: [usize; 3] = [1, 3, 16];
-
-    fn queue<E>(seed: u64, shards: usize) -> ShardedEventQueue<E> {
-        ShardedEventQueue::new(seed, shards, Ordering::Strict)
+    fn queue<E>(seed: u64) -> ShardedEventQueue<E> {
+        ShardedEventQueue::new(seed, 0, Ordering::Strict)
     }
 
     fn drain<E>(q: &mut ShardedEventQueue<E>) -> Vec<E> {
@@ -98,62 +93,53 @@ mod tests {
 
     #[test]
     fn orders_by_time_then_priority() {
-        for shards in SHARDS {
-            let mut q = queue(7, shards);
-            q.push(SimTime(30), 0, 0, "late");
-            q.push(SimTime(10), 5, 1, "early-low-rank");
-            q.push(SimTime(10), 1, 2, "early-high-rank");
-            q.push(SimTime(20), 0, 3, "middle");
-            assert_eq!(
-                drain(&mut q),
-                ["early-high-rank", "early-low-rank", "middle", "late"],
-                "{shards} shards"
-            );
-        }
+        let mut q = queue(7);
+        q.push(SimTime(30), 0, 0, "late");
+        q.push(SimTime(10), 5, 1, "early-low-rank");
+        q.push(SimTime(10), 1, 2, "early-high-rank");
+        q.push(SimTime(20), 0, 3, "middle");
+        assert_eq!(
+            drain(&mut q),
+            ["early-high-rank", "early-low-rank", "middle", "late"]
+        );
     }
 
     #[test]
     fn equal_keys_replay_identically_per_seed() {
-        let run = |seed: u64, shards: usize| {
-            let mut q = queue(seed, shards);
+        let run = |seed: u64| {
+            let mut q = queue(seed);
             for i in 0..32 {
                 q.push(SimTime(1), 0, i, i);
             }
             drain(&mut q)
         };
-        for shards in SHARDS {
-            assert_eq!(run(1, shards), run(1, 1), "{shards} shards");
-            assert_eq!(run(9, shards), run(9, 1), "{shards} shards");
-            // Different seeds permute simultaneous events differently.
-            assert_ne!(run(1, shards), run(2, shards));
-        }
+        assert_eq!(run(1), run(1));
+        assert_eq!(run(9), run(9));
+        // Different seeds permute simultaneous events differently.
+        assert_ne!(run(1), run(2));
     }
 
     #[test]
     fn seeded_tie_break_is_a_permutation() {
-        for shards in SHARDS {
-            let mut q = queue(3, shards);
-            for i in 0..100 {
-                q.push(SimTime(5), 0, i, i);
-            }
-            let mut popped = drain(&mut q);
-            popped.sort_unstable();
-            assert_eq!(popped, (0..100).collect::<Vec<_>>(), "{shards} shards");
+        let mut q = queue(3);
+        for i in 0..100 {
+            q.push(SimTime(5), 0, i, i);
         }
+        let mut popped = drain(&mut q);
+        popped.sort_unstable();
+        assert_eq!(popped, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn peek_and_clear() {
-        for shards in SHARDS {
-            let mut q = queue(0, shards);
-            assert!(q.is_empty());
-            q.push(SimTime(4), 0, 0, ());
-            q.push(SimTime(2), 0, 1, ());
-            assert_eq!(q.peek_time(), Some(SimTime(2)), "{shards} shards");
-            assert_eq!(q.len(), 2, "{shards} shards");
-            q.clear();
-            assert!(q.pop().is_none(), "{shards} shards");
-        }
+        let mut q = queue(0);
+        assert!(q.is_empty());
+        q.push(SimTime(4), 0, 0, ());
+        q.push(SimTime(2), 0, 1, ());
+        assert_eq!(q.peek_time(), Some(SimTime(2)));
+        assert_eq!(q.len(), 2);
+        q.clear();
+        assert!(q.pop().is_none());
     }
 
     /// Encodes the engine's priority convention for batch tests.
@@ -163,22 +149,19 @@ mod tests {
 
     #[test]
     fn batch_pops_simultaneous_same_class_distinct_nodes() {
-        for shards in SHARDS {
-            let mut q = queue(11, shards);
-            for node in 0..4 {
-                q.push(SimTime(5), prio(1, node), node, ("train", node));
-            }
-            q.push(SimTime(5), prio(2, 0), 0, ("mix", 0)); // later class
-            q.push(SimTime(9), prio(1, 9), 9, ("train", 9)); // later time
-            let batch =
-                q.pop_independent_batch(|&(_, node)| Conflict::Exclusive { class: 1, node });
-            assert_eq!(
-                batch.iter().map(|s| s.event.1).collect::<Vec<_>>(),
-                vec![0, 1, 2, 3],
-                "all four simultaneous trains batch, in priority (node id) order"
-            );
-            assert_eq!(q.len(), 2, "the later class and later time stay queued");
+        let mut q = queue(11);
+        for node in 0..4 {
+            q.push(SimTime(5), prio(1, node), node, ("train", node));
         }
+        q.push(SimTime(5), prio(2, 0), 0, ("mix", 0)); // later class
+        q.push(SimTime(9), prio(1, 9), 9, ("train", 9)); // later time
+        let batch = q.pop_independent_batch(|&(_, node)| Conflict::Exclusive { class: 1, node });
+        assert_eq!(
+            batch.iter().map(|s| s.event.1).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3],
+            "all four simultaneous trains batch, in priority (node id) order"
+        );
+        assert_eq!(q.len(), 2, "the later class and later time stay queued");
     }
 
     #[test]
@@ -190,36 +173,32 @@ mod tests {
                 Conflict::Exclusive { class, node }
             }
         };
-        for shards in SHARDS {
-            let mut q = queue(0, shards);
-            q.push(SimTime(1), prio(0, 3), 3, (0u64, 3usize)); // class 0 = solo
-            q.push(SimTime(1), prio(1, 0), 0, (1, 0));
-            q.push(SimTime(1), prio(1, 1), 1, (1, 1));
-            q.push(SimTime(1), prio(2, 2), 2, (2, 2)); // later class
-            let solo = q.pop_independent_batch(classify);
-            assert_eq!(solo.len(), 1);
-            assert_eq!(solo[0].event, (0, 3));
-            assert_eq!(q.pop_independent_batch(classify).len(), 2);
-            assert_eq!(q.pop_independent_batch(classify).len(), 1);
-            assert!(q.pop_independent_batch(classify).is_empty());
-        }
+        let mut q = queue(0);
+        q.push(SimTime(1), prio(0, 3), 3, (0u64, 3usize)); // class 0 = solo
+        q.push(SimTime(1), prio(1, 0), 0, (1, 0));
+        q.push(SimTime(1), prio(1, 1), 1, (1, 1));
+        q.push(SimTime(1), prio(2, 2), 2, (2, 2)); // later class
+        let solo = q.pop_independent_batch(classify);
+        assert_eq!(solo.len(), 1);
+        assert_eq!(solo[0].event, (0, 3));
+        assert_eq!(q.pop_independent_batch(classify).len(), 2);
+        assert_eq!(q.pop_independent_batch(classify).len(), 1);
+        assert!(q.pop_independent_batch(classify).is_empty());
     }
 
     #[test]
     fn batch_stops_at_duplicate_node() {
         // Two same-time same-class events on one node (a stale epoch
         // duplicate): the second must head its own batch, never share one.
-        for shards in SHARDS {
-            let mut q = queue(3, shards);
-            q.push(SimTime(2), prio(1, 0), 0, 'a');
-            q.push(SimTime(2), prio(1, 0), 0, 'b');
-            let classify = |_: &char| Conflict::Exclusive { class: 1, node: 0 };
-            let first = q.pop_independent_batch(classify);
-            assert_eq!(first.len(), 1);
-            let second = q.pop_independent_batch(classify);
-            assert_eq!(second.len(), 1);
-            assert_ne!(first[0].event, second[0].event);
-        }
+        let mut q = queue(3);
+        q.push(SimTime(2), prio(1, 0), 0, 'a');
+        q.push(SimTime(2), prio(1, 0), 0, 'b');
+        let classify = |_: &char| Conflict::Exclusive { class: 1, node: 0 };
+        let first = q.pop_independent_batch(classify);
+        assert_eq!(first.len(), 1);
+        let second = q.pop_independent_batch(classify);
+        assert_eq!(second.len(), 1);
+        assert_ne!(first[0].event, second[0].event);
     }
 
     use proptest::prelude::*;
@@ -227,7 +206,7 @@ mod tests {
     proptest! {
         /// Batched popping is a pure re-grouping of the sequential pop
         /// order: flattened batches replay the one-at-a-time sequence
-        /// exactly (tie-breaks included) at every shard count, no batch
+        /// exactly (tie-breaks included), no batch
         /// mixes times or classes, and no batch contains two events on the
         /// same node.
         #[test]
@@ -243,47 +222,45 @@ mod tests {
                     Conflict::Exclusive { class, node }
                 }
             };
-            let fill = |shards: usize| {
-                let mut q = queue(seed, shards);
+            let fill = || {
+                let mut q = queue(seed);
                 for (i, &(t, class, node)) in events.iter().enumerate() {
                     q.push(SimTime(t), prio(class, node), node, (i, class, node));
                 }
                 q
             };
-            let sequential = drain(&mut fill(1));
-            for shards in SHARDS {
-                let mut batched = fill(shards);
-                let mut flattened = Vec::new();
-                loop {
-                    let batch = batched.pop_independent_batch(classify);
-                    if batch.is_empty() {
-                        break;
-                    }
-                    let time = batch[0].time;
-                    let head = classify(&batch[0].event);
-                    let mut nodes = std::collections::HashSet::new();
-                    for s in &batch {
-                        prop_assert_eq!(s.time, time, "batch mixes fire times");
-                        if batch.len() > 1 {
-                            let c = classify(&s.event);
-                            prop_assert!(
-                                matches!((head, c), (
-                                    Conflict::Exclusive { class: a, .. },
-                                    Conflict::Exclusive { class: b, .. },
-                                ) if a == b),
-                                "batch mixes classes: {:?} vs {:?}", head, c
-                            );
-                            let (_, _, node) = s.event;
-                            prop_assert!(
-                                nodes.insert(node),
-                                "batch contains node {} twice", node
-                            );
-                        }
-                    }
-                    flattened.extend(batch.into_iter().map(|s| s.event));
+            let sequential = drain(&mut fill());
+            let mut batched = fill();
+            let mut flattened = Vec::new();
+            loop {
+                let batch = batched.pop_independent_batch(classify);
+                if batch.is_empty() {
+                    break;
                 }
-                prop_assert_eq!(&flattened, &sequential, "{} shards", shards);
+                let time = batch[0].time;
+                let head = classify(&batch[0].event);
+                let mut nodes = std::collections::HashSet::new();
+                for s in &batch {
+                    prop_assert_eq!(s.time, time, "batch mixes fire times");
+                    if batch.len() > 1 {
+                        let c = classify(&s.event);
+                        prop_assert!(
+                            matches!((head, c), (
+                                Conflict::Exclusive { class: a, .. },
+                                Conflict::Exclusive { class: b, .. },
+                            ) if a == b),
+                            "batch mixes classes: {:?} vs {:?}", head, c
+                        );
+                        let (_, _, node) = s.event;
+                        prop_assert!(
+                            nodes.insert(node),
+                            "batch contains node {} twice", node
+                        );
+                    }
+                }
+                flattened.extend(batch.into_iter().map(|s| s.event));
             }
+            prop_assert_eq!(&flattened, &sequential);
         }
     }
 }

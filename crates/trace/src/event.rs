@@ -277,8 +277,9 @@ pub enum TraceEvent {
         /// Pending events — queued, or executed ahead by an enclosing
         /// window — right after the window was popped.
         queue_depth: u32,
-        /// The event-queue shard the batch head was routed to (0 on the
-        /// unsharded engine; absent in pre-shard traces, which parse as 0).
+        /// Always 0: the event queue is one heap. Kept in the schema
+        /// because recorded traces carry it; absent in older traces, which
+        /// parse as 0.
         #[serde(default)]
         shard: u32,
         /// Wall-clock offset from run start at which gathering began (ns).
