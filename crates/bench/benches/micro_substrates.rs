@@ -13,6 +13,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use jwins::average::{DenseAverager, PartialAverager};
 use jwins::engine::workers::{with_workers, Cell};
 use jwins::sparsify::{budget, gather, top_k_indices, top_k_into};
+use jwins_codec::bitio::{BitReader, BitWriter};
 use jwins_codec::float::{BlockFloatCodec, FloatCodec, RawFloatCodec};
 use jwins_codec::quantize::Qsgd;
 use jwins_codec::sparse::{IndexCodec, SparseVecCodec, ValueCodec};
@@ -55,6 +56,20 @@ fn bench_wavelet(c: &mut Criterion) {
     group.bench_function("inverse_64k_sym2", |b| {
         b.iter(|| black_box(dwt.inverse(&coeffs).unwrap()));
     });
+    // Both directions at the benchmark's d = 113 418, into buffers reused
+    // from one call to the next as `Jwins` makes them.
+    let mlp = trained::trained_like(&trained::MLP);
+    let layout = dwt.layout_for(mlp.len());
+    let (mut work, mut coeffs, mut signal) = (Vec::new(), Vec::new(), Vec::new());
+    group.bench_function("forward_into_113418_sym2", |b| {
+        b.iter(|| dwt.forward_into(black_box(&mlp), &layout, &mut work, &mut coeffs));
+    });
+    group.bench_function("inverse_into_113418_sym2", |b| {
+        b.iter(|| {
+            dwt.inverse_into(black_box(&coeffs), &layout, &mut work, &mut signal)
+                .unwrap();
+        });
+    });
     for levels in [1usize, 2, 4, 6] {
         let dwt = Dwt::new(Wavelet::sym2(), levels).unwrap();
         group.bench_with_input(
@@ -91,6 +106,36 @@ fn bench_codecs(c: &mut Criterion) {
     let encoded = delta::encode_gamma(&indices).unwrap();
     group.bench_function("elias_gamma_decode_6k_indices", |b| {
         b.iter(|| black_box(delta::decode_gamma(&encoded, indices.len()).unwrap()));
+    });
+    // The index block alone, as JWINS sends it at its mean cut-off: a
+    // seeded selection of 36 % of the 113 420 coefficients, with gaps of
+    // every length gamma meets there.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let selection: Vec<u32> = (0..113_420u32)
+        .filter(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % 100 < 36
+        })
+        .collect();
+    let mut block = Vec::new();
+    group.bench_function("gamma_index_block/encode_113420_36pct", |b| {
+        b.iter(|| {
+            let mut w = BitWriter::appending(std::mem::take(&mut block));
+            delta::encode_gamma_into(black_box(&selection), &mut w).unwrap();
+            block = w.into_bytes();
+            block.clear();
+        });
+    });
+    let block = delta::encode_gamma(&selection).unwrap();
+    let mut decoded = Vec::new();
+    group.bench_function("gamma_index_block/decode_113420_36pct", |b| {
+        b.iter(|| {
+            decoded.clear();
+            let mut r = BitReader::new(black_box(&block));
+            delta::decode_gamma_from(&mut r, selection.len(), &mut decoded).unwrap();
+        });
     });
     group.bench_function("block_float_encode_6k", |b| {
         b.iter(|| black_box(BlockFloatCodec.encode(&values)));

@@ -84,14 +84,21 @@ impl IndexCodec {
         }
     }
 
-    /// Exact size of the index block, which the header carries in front of
-    /// it; also where every codec rejects input that does not increase.
-    fn encoded_len(&self, indices: &[u32]) -> Result<usize> {
+    /// Appends the index block, checking as it writes that every index is
+    /// above the one before: every codec carries strictly increasing
+    /// indices only. On an error `out` holds part of a block; the caller
+    /// truncates it.
+    fn encode_into(&self, indices: &[u32], out: &mut Vec<u8>) -> Result<()> {
         match self {
-            IndexCodec::RawU32 if indices.is_sorted_by(|a, b| a < b) => Ok(indices.len() * 4),
-            IndexCodec::RawU32 => Err(NOT_INCREASING),
+            IndexCodec::RawU32 => {
+                if !indices.is_sorted_by(|a, b| a < b) {
+                    return Err(NOT_INCREASING);
+                }
+                for &i in indices {
+                    out.extend_from_slice(&i.to_le_bytes());
+                }
+            }
             IndexCodec::VarintDelta => {
-                let mut len = 0;
                 let mut prev = None;
                 for &i in indices {
                     let delta = match prev {
@@ -99,38 +106,18 @@ impl IndexCodec {
                         Some(p) if i > p => i - p,
                         Some(_) => return Err(NOT_INCREASING),
                     };
-                    len += varint::encoded_len(u64::from(delta));
+                    varint::write_u64(out, u64::from(delta));
                     prev = Some(i);
-                }
-                Ok(len)
-            }
-            IndexCodec::EliasGammaDelta => Ok(delta::gamma_encoded_bits(indices)?.div_ceil(8)),
-        }
-    }
-
-    /// Appends the index block. `indices` passed [`Self::encoded_len`], so
-    /// nothing here can fail.
-    fn encode_into(&self, indices: &[u32], out: &mut Vec<u8>) {
-        match self {
-            IndexCodec::RawU32 => {
-                for &i in indices {
-                    out.extend_from_slice(&i.to_le_bytes());
-                }
-            }
-            IndexCodec::VarintDelta => {
-                let mut prev = 0u32;
-                for &i in indices {
-                    varint::write_u64(out, u64::from(i - prev));
-                    prev = i;
                 }
             }
             IndexCodec::EliasGammaDelta => {
                 let mut w = BitWriter::appending(std::mem::take(out));
-                delta::encode_gamma_into(indices, &mut w)
-                    .expect("encoded_len checked that the indices increase");
+                let written = delta::encode_gamma_into(indices, &mut w);
                 *out = w.into_bytes();
+                written?;
             }
         }
+        Ok(())
     }
 
     /// Decodes an index block of `count` strictly increasing indices into
@@ -330,7 +317,9 @@ impl SparseVecCodec {
     }
 
     /// [`Self::encode`] appending to `out` — header, index block and value
-    /// block are written in place, one after the other. `out` is untouched
+    /// block are written in place, one after the other, in one pass over
+    /// the indices: the index block goes behind room for the longest length
+    /// header and moves down once its length is known. `out` is untouched
     /// when encoding fails.
     ///
     /// # Errors
@@ -348,20 +337,23 @@ impl SparseVecCodec {
                 actual: values.len(),
             });
         }
-        let implied = is_prefix(indices);
-        let index_len = if implied {
-            0
-        } else {
-            self.index_codec.encoded_len(indices)?
-        };
         let start = out.len();
-        out.reserve(2 * varint::encoded_len(u64::MAX) + index_len);
         varint::write_u64(out, indices.len() as u64);
-        varint::write_u64(out, index_len as u64);
-        if !implied {
-            let index_start = out.len();
-            self.index_codec.encode_into(indices, out);
-            debug_assert_eq!(out.len() - index_start, index_len);
+        let len_at = out.len();
+        if is_prefix(indices) {
+            varint::write_u64(out, 0);
+        } else {
+            // The block's length is known once it is written: write it
+            // behind room for the longest length varint, then move it down
+            // behind the varint it needs.
+            let block_at = len_at + varint::encoded_len(u64::MAX);
+            out.resize(block_at, 0);
+            if let Err(error) = self.index_codec.encode_into(indices, out) {
+                out.truncate(start);
+                return Err(error);
+            }
+            let (len, used) = varint::encode((out.len() - block_at) as u64);
+            out.splice(len_at..block_at, len[..used].iter().copied());
         }
         let value_start = out.len();
         self.value_codec.as_codec().encode_into(values, out);
@@ -706,6 +698,42 @@ mod tests {
                 // An empty frame is no list of indices, implied or not.
                 prop_assert_eq!(compact.is_some(), values.is_empty());
                 prop_assert_eq!(bits(&cv), bits(&values));
+            }
+        }
+
+        /// The one-pass gamma frame refuses exactly the lists the size
+        /// pre-pass it replaced refused, leaves `out` as it was when it
+        /// does, and otherwise writes that size and `encode_gamma`'s block.
+        #[test]
+        fn gamma_frames_refuse_what_the_size_pass_refused(
+            mut list in proptest::collection::vec(prop_oneof![0u32..64, any::<u32>()], 0..80),
+            order in 0u8..3,
+        ) {
+            if order > 0 {
+                list.sort_unstable();
+            }
+            if order > 1 {
+                list.dedup();
+            }
+            let values = vec![0.5f32; list.len()];
+            let mut out = vec![0xA5, 0x5A];
+            let result = SparseVecCodec::default().encode_into(&list, &values, &mut out);
+            match delta::gamma_encoded_bits(&list) {
+                Err(error) => {
+                    prop_assert_eq!(result, Err(error));
+                    prop_assert_eq!(out, vec![0xA5, 0x5A]);
+                }
+                Ok(bits) => {
+                    prop_assert!(result.is_ok());
+                    let (count, index_len) = header(&out[2..]);
+                    prop_assert_eq!(count, list.len() as u64);
+                    if !is_prefix(&list) {
+                        let block = delta::encode_gamma(&list).unwrap();
+                        prop_assert_eq!(index_len, bits.div_ceil(8) as u64);
+                        let at = 2 + varint::encoded_len(count) + varint::encoded_len(index_len);
+                        prop_assert_eq!(&out[at..at + block.len()], &block[..]);
+                    }
+                }
             }
         }
 

@@ -9,18 +9,24 @@ use crate::{CodecError, Result};
 
 /// Appends the LEB128 encoding of `value` to `out` and returns the number of
 /// bytes written (1–10).
-pub fn write_u64(out: &mut Vec<u8>, mut value: u64) -> usize {
-    let mut written = 0;
-    loop {
-        let byte = (value & 0x7F) as u8;
+pub fn write_u64(out: &mut Vec<u8>, value: u64) -> usize {
+    let (bytes, len) = encode(value);
+    out.extend_from_slice(&bytes[..len]);
+    len
+}
+
+/// The LEB128 encoding of `value`: its first `len` bytes, and `len`.
+pub(crate) fn encode(mut value: u64) -> ([u8; 10], usize) {
+    let mut bytes = [0; 10];
+    for (len, byte) in bytes.iter_mut().enumerate() {
+        *byte = (value & 0x7F) as u8;
         value >>= 7;
-        written += 1;
         if value == 0 {
-            out.push(byte);
-            return written;
+            return (bytes, len + 1);
         }
-        out.push(byte | 0x80);
+        *byte |= 0x80;
     }
+    unreachable!("a u64 needs at most ten seven-bit groups")
 }
 
 /// Decodes one LEB128 integer from the front of `data`, returning the value

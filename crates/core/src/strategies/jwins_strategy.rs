@@ -175,24 +175,38 @@ impl Transform {
     }
 }
 
-/// The positions of the set bits of a bitmap, ascending.
-fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(word, &bits)| {
-        let mut bits = bits;
-        std::iter::from_fn(move || {
-            let bit = bits.trailing_zeros() as usize;
-            bits &= bits.wrapping_sub(1);
-            (bit < 64).then_some(64 * word + bit)
-        })
-    })
+/// Eq. (4)'s score update in one pass: `scores[i] = 0` where `sent` has
+/// bit `i` set, then `scores += change`. A sent score's bits are masked to
+/// +0.0 before the add, which is the `0.0 + c` the two passes computed, so
+/// no bit changes (−0.0 included).
+///
+/// The mask comes from a 32-bit half of a bitmap word per 32 scores: a
+/// 32-bit lane test is one the baseline target vectorises, and a 64-bit
+/// one or a per-score branch is not.
+fn reset_sent_and_add(scores: &mut [f32], sent: &[u64], change: &[f32]) {
+    let absorb = |scores: &mut [f32], change: &[f32], half: u32| {
+        for (j, (s, &c)) in scores.iter_mut().zip(change).enumerate() {
+            let keep = 0u32.wrapping_sub(u32::from(half & (1 << j) == 0));
+            *s = f32::from_bits(s.to_bits() & keep) + c;
+        }
+    };
+    let mut halves = sent
+        .iter()
+        .flat_map(|&word| [word as u32, (word >> 32) as u32]);
+    let (scores, scores_tail) = scores.as_chunks_mut::<32>();
+    let (change, change_tail) = change.as_chunks::<32>();
+    for ((scores, change), half) in scores.iter_mut().zip(change).zip(&mut halves) {
+        absorb(scores, change, half);
+    }
+    absorb(scores_tail, change_tail, halves.next().unwrap_or(0));
 }
 
 /// The JWINS sharing strategy (one instance per node).
 ///
 /// Everything here is state that must survive between calls. The buffers a
 /// call only needs while it runs come from the worker's scratch
-/// (`crate::scratch`), so a node costs three coefficient-sized vectors plus
-/// a bit per coefficient for its last selection, not a workspace of its own.
+/// (`crate::scratch`), so a node costs two coefficient-sized vectors plus a
+/// bit per coefficient for its last selection, not a workspace of its own.
 #[derive(Debug)]
 pub struct Jwins {
     config: JwinsConfig,
@@ -201,13 +215,20 @@ pub struct Jwins {
     cutoff: CutoffSampler,
     /// Accumulated importance scores `V_i` (coefficient domain).
     scores: Vec<f32>,
-    /// `x_i^{t,0}` — parameters at the start of the current round.
-    round_start: Vec<f32>,
+    /// One buffer with two lives, which `pending_round` keeps apart:
+    /// - from `init` or `aggregate` to the next `make_message`, `x_i^{t,0}`,
+    ///   the parameters at the start of the round, last read at the top of
+    ///   `make_message`;
+    /// - from there to `aggregate`, `DWT(x_i^{t,τ})`, the node's own
+    ///   coefficients, written after that read and last read by the fold,
+    ///   before `aggregate` writes `x_i^{t+1,0}` here.
+    ///
+    /// A failed `make_message` or `aggregate` clears it: the round start is
+    /// gone, and `make_message` refuses to run until `init` is called again.
+    round_buffer: Vec<f32>,
     /// The round `make_message` built for and `aggregate` has yet to close;
-    /// `own_coeffs` and `sent` belong to it.
+    /// `round_buffer`'s coefficients and `sent` belong to it.
     pending_round: Option<usize>,
-    /// `DWT(x^{t,τ})` — reused for averaging.
-    own_coeffs: Vec<f32>,
     /// One bit per coefficient, set for those shared this round (to reset
     /// in `V`): ⌈n/64⌉ words whatever the budget.
     sent: Vec<u64>,
@@ -245,9 +266,8 @@ impl Jwins {
             codec,
             cutoff,
             scores: Vec::new(),
-            round_start: Vec::new(),
+            round_buffer: Vec::new(),
             pending_round: None,
-            own_coeffs: Vec::new(),
             sent: Vec::new(),
             dim: 0,
             last_alpha: 0.0,
@@ -310,7 +330,7 @@ impl Jwins {
                 scratch
             }
         };
-        let len = self.own_coeffs.len();
+        let len = self.scores.len();
         let in_range = match &decoded.indices {
             Some(indices) => indices.last().is_none_or(|&i| (i as usize) < len),
             None => decoded.values.len() <= len,
@@ -328,16 +348,27 @@ impl Jwins {
         received: &[ReceivedMessage<'_>],
         rule: Robust,
     ) -> Result<Vec<f32>> {
-        close_round(&mut self.pending_round, round)?;
-        with_scratch(|scratch| {
-            let mut fold =
-                Fold::Partial(&mut scratch.averager).begin(&self.own_coeffs, self_weight, rule);
-            for msg in received {
-                fold.add(self.decode(msg, &mut scratch.decoded)?, msg.weight);
-            }
-            fold.finish_into(&mut scratch.coeffs, &mut self.robust_stats);
-            self.commit_averaged(scratch, params)
-        })
+        // Once a round is open the buffer holds coefficients, so whatever
+        // fails from here on, the round start is gone.
+        let opened = self.pending_round.is_some();
+        let mixed = close_round(&mut self.pending_round, round).and_then(|()| {
+            with_scratch(|scratch| {
+                let mut fold = Fold::Partial(&mut scratch.averager).begin(
+                    &self.round_buffer,
+                    self_weight,
+                    rule,
+                );
+                for msg in received {
+                    fold.add(self.decode(msg, &mut scratch.decoded)?, msg.weight);
+                }
+                fold.finish_into(&mut scratch.coeffs, &mut self.robust_stats);
+                self.commit_averaged(scratch, params)
+            })
+        });
+        if mixed.is_err() && opened {
+            self.round_buffer.clear();
+        }
+        mixed
     }
 
     fn add_to_scores(&mut self, coeffs: &[f32]) {
@@ -347,19 +378,17 @@ impl Jwins {
     }
 
     /// Inverts the averaged coefficients (`scratch.coeffs`) and applies the
-    /// eq-4 bookkeeping: sent-score reset, averaging change absorbed (scaled
-    /// the same way as the training change, so score units match),
-    /// round-start advance.
+    /// eq-4 bookkeeping: sent-score reset and averaging change absorbed
+    /// (scaled the same way as the training change, so score units match),
+    /// in one pass; then the round buffer takes the next round's start.
     fn commit_averaged(&mut self, scratch: &mut ShareScratch, params: &[f32]) -> Result<Vec<f32>> {
         let mut next = Vec::new();
         self.transform
             .inverse_into(&scratch.coeffs, &mut scratch.work, &mut next)?;
-        for i in set_bits(&self.sent) {
-            self.scores[i] = 0.0;
-        }
         self.change_coeffs(scratch, &next, params);
-        self.add_to_scores(&scratch.coeffs);
-        self.round_start.copy_from_slice(&next);
+        reset_sent_and_add(&mut self.scores, &self.sent, &scratch.coeffs);
+        self.round_buffer.clear();
+        self.round_buffer.extend_from_slice(&next);
         Ok(next)
     }
 }
@@ -379,7 +408,9 @@ impl ShareStrategy for Jwins {
         let coeffs = self.transform.plan(self.dim);
         self.scores = vec![0.0; coeffs];
         self.sent = vec![0; coeffs.div_ceil(64)];
-        self.round_start = params.to_vec();
+        // Sized for the longer of its two lives.
+        self.round_buffer = Vec::with_capacity(coeffs.max(self.dim));
+        self.round_buffer.extend_from_slice(params);
         self.pending_round = None;
     }
 
@@ -390,12 +421,17 @@ impl ShareStrategy for Jwins {
         if self.pending_round.is_some() {
             return Err(JwinsError::Protocol("make_message called twice in a round"));
         }
+        if self.round_buffer.is_empty() {
+            return Err(JwinsError::Protocol(
+                "a failed call lost the round start; call init",
+            ));
+        }
         if let Some(scaling) = &self.config.score_scaling {
             scaling.validate_dim(self.dim)?;
         }
         with_scratch(|scratch| {
             // Eq. (3): accumulate the local change in the coefficient domain.
-            self.change_coeffs(scratch, params, &self.round_start);
+            self.change_coeffs(scratch, params, &self.round_buffer);
             if self.config.accumulation {
                 self.add_to_scores(&scratch.coeffs);
             } else {
@@ -407,18 +443,30 @@ impl ShareStrategy for Jwins {
             let k = budget(self.scores.len(), alpha);
             let selected = &mut scratch.order;
             top_k_into(&self.scores, k, selected);
+            // The selection ascends: build each bitmap word in a register
+            // and store it once.
             self.sent.fill(0);
+            let (mut at, mut word) = (0, 0u64);
             for &i in selected.iter() {
-                self.sent[i as usize / 64] |= 1 << (i % 64);
+                let i = i as usize;
+                if i / 64 != at {
+                    self.sent[at] = word;
+                    (at, word) = (i / 64, 0);
+                }
+                word |= 1 << (i % 64);
             }
-            // Share DWT(x^{t,τ}) at the selected indices.
+            self.sent[at] = word;
+            // Share DWT(x^{t,τ}) at the selected indices. The round start
+            // was read above; the buffer holds the coefficients until the
+            // fold.
             self.transform
-                .forward_into(params, &mut scratch.work, &mut self.own_coeffs);
-            gather_into(&self.own_coeffs, selected, &mut scratch.values);
+                .forward_into(params, &mut scratch.work, &mut self.round_buffer);
+            gather_into(&self.round_buffer, selected, &mut scratch.values);
             scratch.wire.clear();
             let split = self
                 .codec
-                .encode_into(selected, &scratch.values, &mut scratch.wire)?;
+                .encode_into(selected, &scratch.values, &mut scratch.wire)
+                .inspect_err(|_| self.round_buffer.clear())?;
             self.pending_round = Some(round);
             Ok(OutMessage::copy_from(
                 &scratch.wire,
@@ -464,8 +512,10 @@ impl ShareStrategy for Jwins {
     }
 
     fn state_bytes(&self) -> usize {
-        // Accumulation vector V plus the round-start snapshot.
-        (self.scores.len() + self.round_start.len()) * std::mem::size_of::<f32>()
+        // V, the round buffer at the longer of its two lives, and the
+        // bitmap of the last selection.
+        let floats = self.scores.len() + self.scores.len().max(self.dim);
+        floats * std::mem::size_of::<f32>() + self.sent.len() * std::mem::size_of::<u64>()
     }
 }
 
@@ -478,7 +528,9 @@ mod tests {
     impl Jwins {
         /// The coefficients `make_message` shared, as a list.
         fn sent_indices(&self) -> Vec<u32> {
-            set_bits(&self.sent).map(|i| i as u32).collect()
+            (0..self.scores.len() as u32)
+                .filter(|&i| self.sent[i as usize / 64] & 1 << (i % 64) != 0)
+                .collect()
         }
     }
 
@@ -710,7 +762,8 @@ mod tests {
             };
             let (mut a, _, xa, _) = make_pair(config.clone(), 30);
             let _ = a.make_message(0, &xa).unwrap();
-            let past_the_end = a.own_coeffs.len() as u32;
+            // Between the calls the round buffer holds the coefficients.
+            let past_the_end = a.round_buffer.len() as u32;
             let codec = SparseVecCodec::new(index_codec, config.value_codec);
             let bad = codec
                 .encode(&[1, 2, past_the_end], &[0.5, 0.5, 0.5])
@@ -985,6 +1038,79 @@ mod tests {
         for error in &errors {
             assert!(matches!(error, JwinsError::Codec(_)), "{error}");
             assert_eq!(error.to_string(), alone.to_string());
+        }
+    }
+
+    /// The one-pass eq-4 update is the two passes it replaced, bit for bit:
+    /// every length around the 32-score halves and 64-bit words, any
+    /// bitmap, and scores and changes with signed zeros, NaNs and
+    /// infinities.
+    #[test]
+    fn one_pass_score_update_matches_reset_then_add() {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            -f32::INFINITY,
+            1.5,
+            -2.25,
+        ];
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in (0usize..200).chain([1_000, 4_097]) {
+            let mut value = || match next() % 4 {
+                0 => specials[(next() % specials.len() as u64) as usize],
+                _ => f32::from_bits(next() as u32),
+            };
+            let scores: Vec<f32> = (0..len).map(|_| value()).collect();
+            let change: Vec<f32> = (0..len).map(|_| value()).collect();
+            let sent: Vec<u64> = (0..len.div_ceil(64)).map(|_| next() & next()).collect();
+            let mut expected = scores.clone();
+            for (i, score) in expected.iter_mut().enumerate() {
+                if sent[i / 64] & 1 << (i % 64) != 0 {
+                    *score = 0.0;
+                }
+            }
+            for (score, c) in expected.iter_mut().zip(&change) {
+                *score += c;
+            }
+            let mut got = scores;
+            reset_sent_and_add(&mut got, &sent, &change);
+            assert_eq!(bits(&got), bits(&expected), "len {len}");
+        }
+    }
+
+    /// An aggregate that fails once a round is open — on a bad message or
+    /// the wrong round — has consumed the round start, so the node will
+    /// not build another message from it; `init` starts it over.
+    #[test]
+    fn a_failed_aggregate_leaves_no_round_start() {
+        let garbage = [0x03u8, 0x00, 0xFF];
+        let msg = ReceivedMessage {
+            from: 1,
+            round: 0,
+            weight: 0.5,
+            edge_weight: 0.5,
+            bytes: &garbage,
+            decoded: None,
+        };
+        for (round, received) in [(0, &[msg][..]), (1, &[])] {
+            let (mut a, _, xa, _) = make_pair(JwinsConfig::paper_default(), 30);
+            let _ = a.make_message(0, &xa).unwrap();
+            assert!(a.aggregate(round, &xa, 0.5, received).is_err());
+            assert!(matches!(
+                a.make_message(1, &xa),
+                Err(JwinsError::Protocol(_))
+            ));
+            a.init(&xa);
+            let _ = a.make_message(1, &xa).unwrap();
+            a.aggregate(1, &xa, 1.0, &[]).unwrap();
         }
     }
 

@@ -301,8 +301,8 @@ pub trait ShareStrategy: Send {
 
     /// Bytes of per-node algorithm state held between rounds (beyond the
     /// model itself). Backs the paper's memory-efficiency claim (§V):
-    /// JWINS keeps one accumulation vector, while CHOCO-style error feedback
-    /// keeps model replicas.
+    /// JWINS keeps its accumulation vector, one round buffer and a bit per
+    /// coefficient, while CHOCO-style error feedback keeps model replicas.
     fn state_bytes(&self) -> usize {
         0
     }

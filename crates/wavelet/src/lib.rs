@@ -23,9 +23,9 @@
 //! Internally all arithmetic is `f64`; the public API speaks `f32` because
 //! model parameters (and the bytes on the wire) are 32-bit.
 //!
-//! Analysis runs as an AVX2 + FMA twin of its portable loop where the CPU
-//! has both, chosen at run time with the same bits; [`kernel_set`] names
-//! the set in use.
+//! Analysis and synthesis run as AVX2 + FMA twins of their portable loops
+//! where the CPU has both, chosen at run time with the same bits;
+//! [`kernel_set`] names the set in use.
 //!
 //! # Example
 //!

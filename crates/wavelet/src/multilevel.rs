@@ -437,6 +437,25 @@ mod tests {
         }
     }
 
+    /// The same for the inverse, whose interior has its own twin.
+    #[test]
+    fn inverse_is_bit_identical_under_both_kernel_sets() {
+        for (name, levels) in [("sym2", 4), ("db4", 3), ("haar", 5), ("sym8", 2)] {
+            let dwt = Dwt::new(Wavelet::by_name(name).unwrap(), levels).unwrap();
+            for n in [113_418usize, 99_999, 1_571, 33] {
+                let coeffs = dwt.forward(&ramp(n));
+                let expected = bits(&reference_inverse(&dwt, &coeffs));
+                crate::simd::both_sets(|| {
+                    let mut work = vec![f64::NAN; 5];
+                    let mut out = vec![f32::NAN; 9];
+                    dwt.inverse_into(&coeffs.data, coeffs.layout(), &mut work, &mut out)
+                        .unwrap();
+                    assert_eq!(bits(&out), expected, "{name} n={n}");
+                });
+            }
+        }
+    }
+
     #[test]
     fn zero_levels_rejected() {
         assert_eq!(

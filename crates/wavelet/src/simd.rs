@@ -1,5 +1,5 @@
-//! Kernel sets: the analysis loop runs either as compiled for the baseline
-//! target or as an AVX2 + FMA twin of the same source.
+//! Kernel sets: the analysis and synthesis interiors run either as compiled
+//! for the baseline target or as AVX2 + FMA twins of the same source.
 //!
 //! A private copy of `jwins_nn`'s dispatcher (this crate depends on no
 //! other; a shared crate would be a new dependency edge). A loop is a value
@@ -62,7 +62,7 @@ fn current() -> Set {
     detected()
 }
 
-/// The kernel set this thread's wavelet analysis runs: `"avx2+fma"` on an
+/// The kernel set this thread's wavelet transforms run: `"avx2+fma"` on an
 /// x86-64 CPU with both, `"portable"` otherwise. Both give the same bits;
 /// logs print it to say which instructions a timing measured.
 pub fn kernel_set() -> &'static str {
