@@ -1,18 +1,23 @@
 //! Criterion microbenchmarks of every substrate on the JWINS hot path:
 //! wavelet transforms (by family and depth), FFT, entropy coders, float
-//! codecs, TopK selection, gossip mixing, the `jwins_nn` layers and the event
-//! engine's fixed costs (queue push/pop per event by node count, one empty
-//! batch dispatch by width). These quantify the share path's design choices
-//! (wavelet family, metadata codec, value codec), the SGD path's kernels and
-//! what the engine adds around them; `docs/ARCHITECTURE.md`, "The share
-//! path", "The SGD path" and "Scale & ordering", describe them.
+//! codecs, TopK selection, gossip mixing, the partial average, the
+//! `jwins_nn` layers and the event engine's fixed costs (queue push/pop per
+//! event by node count, one empty batch dispatch by width). These quantify
+//! the share path's design choices (wavelet family, metadata codec, value
+//! codec), the SGD path's kernels and what the engine adds around them;
+//! `docs/ARCHITECTURE.md`, "The share path", "The SGD path" and "Scale &
+//! ordering", describe them. Every group starts with a line naming the
+//! kernel sets it runs under.
 //!
 //! `cargo bench --bench micro_substrates -- nn/` runs one group.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use jwins::average::{DenseAverager, PartialAverager};
+use criterion::{
+    black_box, criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion,
+};
+use jwins::average::{partial_average_into, DenseAverager, PartialAverager};
 use jwins::engine::workers::{with_workers, Cell};
 use jwins::sparsify::{budget, gather, top_k_indices, top_k_into};
+use jwins::strategy::Contribution;
 use jwins_codec::bitio::{BitReader, BitWriter};
 use jwins_codec::float::{BlockFloatCodec, FloatCodec, RawFloatCodec};
 use jwins_codec::quantize::Qsgd;
@@ -28,6 +33,8 @@ use jwins_nn::Tensor;
 use jwins_sim::{Conflict, Ordering, ShardedEventQueue, SimTime};
 use jwins_topology::{gen, weights::MetropolisWeights};
 use jwins_wavelet::{Dwt, Wavelet};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 
 /// The trained-like vectors the codec's size tests pin.
@@ -36,14 +43,24 @@ mod trained;
 
 const DIM: usize = 65_536;
 
+/// Starts the group `name`, headed by the kernel sets its timings run
+/// under: both dispatchers' choice depends on the host.
+fn headed_group<'c>(c: &'c mut Criterion, name: &str) -> BenchmarkGroup<'c> {
+    println!(
+        "{name}/kernel_set: nn {}, wavelet {}",
+        jwins_nn::kernel_set(),
+        jwins_wavelet::kernel_set()
+    );
+    c.benchmark_group(name)
+}
+
 fn model_vector(n: usize) -> Vec<f32> {
     (0..n).map(|i| (i as f32 * 0.013).sin() * 0.3).collect()
 }
 
 fn bench_wavelet(c: &mut Criterion) {
-    println!("wavelet/kernel_set: {}", jwins_wavelet::kernel_set());
     let x = model_vector(DIM);
-    let mut group = c.benchmark_group("wavelet");
+    let mut group = headed_group(c, "wavelet");
     group.sample_size(20);
     for name in ["haar", "sym2", "db4", "sym8"] {
         let dwt = Dwt::new(Wavelet::by_name(name).unwrap(), 4).unwrap();
@@ -86,7 +103,7 @@ fn bench_wavelet(c: &mut Criterion) {
 fn bench_fft(c: &mut Criterion) {
     let x = model_vector(DIM);
     let x_odd = model_vector(DIM - 1); // Bluestein path
-    let mut group = c.benchmark_group("fft");
+    let mut group = headed_group(c, "fft");
     group.sample_size(20);
     group.bench_function("radix2_64k", |b| b.iter(|| black_box(fft_real(&x))));
     group.bench_function("bluestein_64k-1", |b| {
@@ -98,7 +115,7 @@ fn bench_fft(c: &mut Criterion) {
 fn bench_codecs(c: &mut Criterion) {
     let indices: Vec<u32> = (0..DIM as u32 / 10).map(|i| i * 10).collect();
     let values: Vec<f32> = model_vector(indices.len());
-    let mut group = c.benchmark_group("codec");
+    let mut group = headed_group(c, "codec");
     group.sample_size(30);
     group.bench_function("elias_gamma_encode_6k_indices", |b| {
         b.iter(|| black_box(delta::encode_gamma(&indices).unwrap()));
@@ -225,7 +242,7 @@ fn bench_float_codec(c: &mut Criterion) {
         bits_per_value(&mlp),
         bits_per_value(&selection),
     );
-    let mut group = c.benchmark_group("codec/float");
+    let mut group = headed_group(c, "codec/float");
     group.sample_size(30);
     for (name, values) in [("dense_113418", &mlp), ("sparse_41000", &selection)] {
         let mut wire = BlockFloatCodec.encode(values);
@@ -244,7 +261,7 @@ fn bench_float_codec(c: &mut Criterion) {
     // and folded into one denominator (how it folds).
     let wire = BlockFloatCodec.encode(&mlp);
     let weight = 0.2;
-    let mut group = c.benchmark_group("codec/dense/decode_fold");
+    let mut group = headed_group(c, "codec/dense/decode_fold");
     group.sample_size(30);
     let (mut num, mut den) = (vec![0.0f64; mlp.len()], vec![0.0f64; mlp.len()]);
     group.bench_function("per_value_113418", |b| {
@@ -292,7 +309,7 @@ fn bench_float_codec(c: &mut Criterion) {
         full.len(),
         index_bits(&tenth_frame, tenth.len()),
     );
-    let mut group = c.benchmark_group("codec/sparse");
+    let mut group = headed_group(c, "codec/sparse");
     group.sample_size(30);
     let (mut indices, mut values) = (Vec::new(), Vec::new());
     for (name, frame) in [("full-budget", &full_frame), ("10pct", &tenth_frame)] {
@@ -311,7 +328,7 @@ fn bench_float_codec(c: &mut Criterion) {
 fn bench_peer_sampling(c: &mut Criterion) {
     use jwins_topology::dynamic::TopologyProvider;
     use jwins_topology::peer_sampling::{PeerSampling, PeerSamplingConfig};
-    let mut group = c.benchmark_group("peer_sampling");
+    let mut group = headed_group(c, "peer_sampling");
     group.sample_size(20);
     group.bench_function("cyclon_round_96_nodes", |b| {
         let provider = PeerSampling::new(96, PeerSamplingConfig::default(), 3);
@@ -328,7 +345,7 @@ fn bench_peer_sampling(c: &mut Criterion) {
 fn bench_power_gossip_kernels(c: &mut Criterion) {
     use jwins::strategies::{PowerGossip, PowerGossipConfig};
     use jwins::strategy::ShareStrategy;
-    let mut group = c.benchmark_group("power_gossip");
+    let mut group = headed_group(c, "power_gossip");
     group.sample_size(20);
     // One full make_outbound over 4 edges at 64k params (256x256 matrix).
     let params = model_vector(DIM);
@@ -348,7 +365,7 @@ fn bench_power_gossip_kernels(c: &mut Criterion) {
 
 fn bench_selection_and_mixing(c: &mut Criterion) {
     let scores = model_vector(DIM);
-    let mut group = c.benchmark_group("selection");
+    let mut group = headed_group(c, "selection");
     group.sample_size(30);
     for frac in [10usize, 37] {
         let k = DIM * frac / 100;
@@ -376,18 +393,6 @@ fn bench_selection_and_mixing(c: &mut Criterion) {
             |b, &k| b.iter(|| top_k_into(black_box(scores), k, &mut selected)),
         );
     }
-    let own = model_vector(DIM);
-    let indices: Vec<u32> = (0..DIM as u32 / 3).map(|i| i * 3).collect();
-    let sparse_vals = model_vector(indices.len());
-    group.bench_function("partial_average_4_neighbours_64k", |b| {
-        b.iter(|| {
-            let mut avg = PartialAverager::new(&own, 0.2);
-            for _ in 0..4 {
-                avg.add_sparse(&indices, &sparse_vals, 0.2);
-            }
-            black_box(avg.finish())
-        });
-    });
     let graph = gen::random_regular(96, 4, 7).unwrap();
     group.bench_function("metropolis_weights_96x4", |b| {
         b.iter(|| black_box(MetropolisWeights::for_graph(&graph)));
@@ -397,6 +402,46 @@ fn bench_selection_and_mixing(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             black_box(gen::random_regular(96, 4, seed).unwrap())
+        });
+    });
+    group.finish();
+}
+
+/// A JWINS mix at the benchmark's d = 113 418: four neighbours, each
+/// sharing a seeded 36 % of the coefficients, under Metropolis–Hastings
+/// weights of a 4-regular graph. The tiled fold the strategies run against
+/// the streaming averager it replaced, both into buffers reused from one
+/// mix to the next.
+fn bench_average(c: &mut Criterion) {
+    let own = trained::trained_like(&trained::MLP);
+    let mut rng = ChaCha8Rng::seed_from_u64(36);
+    let contributions: Vec<Contribution> = (0..4)
+        .map(|_| {
+            let indices: Vec<u32> = (0..own.len() as u32)
+                .filter(|_| rng.gen_bool(0.36))
+                .collect();
+            let values = indices.iter().map(|_| rng.gen_range(-0.3..0.3)).collect();
+            Contribution {
+                indices: Some(indices),
+                values,
+            }
+        })
+        .collect();
+    let parts: Vec<_> = contributions.iter().map(|c| (c.view(), 0.2)).collect();
+    let mut group = headed_group(c, "average");
+    group.sample_size(30);
+    let mut out = Vec::new();
+    group.bench_function("tiled_113418_4x36pct", |b| {
+        b.iter(|| partial_average_into(black_box(&own), 0.2, &parts, &mut out));
+    });
+    let mut avg = PartialAverager::default();
+    group.bench_function("streaming_113418_4x36pct", |b| {
+        b.iter(|| {
+            avg.reset(black_box(&own), 0.2);
+            for c in &contributions {
+                avg.add_contribution(c, 0.2);
+            }
+            avg.finish_into(&mut out);
         });
     });
     group.finish();
@@ -432,8 +477,7 @@ fn class_batch(features: usize, classes: usize, len: usize) -> Vec<ClassSample> 
 /// `lenet_sync` (GN-LeNet width 8 on 3×12×12), `mlp_*` (432-256-10) and
 /// `event_scale` (16-1-4 at batch 2).
 fn bench_nn(c: &mut Criterion) {
-    println!("nn/kernel_set: {}", jwins_nn::kernel_set());
-    let mut group = c.benchmark_group("nn");
+    let mut group = headed_group(c, "nn");
     group.sample_size(30);
     let mut conv1 = Conv2d::new(3, 8, 3, 1, 1);
     bench_layer(
@@ -539,7 +583,7 @@ fn queue_costs(nodes: usize) -> (f64, f64) {
 /// line prints the pop cost at every size side by side. Under
 /// `JWINS_SMOKE=1` only 2^14 runs.
 fn bench_sim(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim");
+    let mut group = headed_group(c, "sim");
     let sizes: &[usize] = if jwins_bench::smoke() {
         &[SCALE_NODES]
     } else {
@@ -568,7 +612,7 @@ fn bench_sim(c: &mut Criterion) {
 fn bench_dispatch(c: &mut Criterion) {
     let cells: Vec<Cell<u64>> = (0..SCALE_NODES as u64).map(Cell::new).collect();
     let spaces = [Cell::new(()), Cell::new(())];
-    let mut group = c.benchmark_group("engine");
+    let mut group = headed_group(c, "engine");
     group.sample_size(30);
     with_workers(2, |pool| {
         for width in [2usize, 64, 4096] {
@@ -596,6 +640,7 @@ criterion_group!(
     bench_float_codec,
     bench_peer_sampling,
     bench_power_gossip_kernels,
-    bench_selection_and_mixing
+    bench_selection_and_mixing,
+    bench_average
 );
 criterion_main!(benches);

@@ -13,21 +13,138 @@
 //! weighted average, so full-sharing is the exact special case (verified in
 //! the tests). [`DenseAverager`] is that case on its own: every coordinate's
 //! denominator is then the same sum, kept once.
-//! The robust rules ([`RobustAccumulator`]) sit beside them, and each
-//! averaging strategy's one mix folds its decoded [`Contribution`]s into
-//! whichever of the three its rule picks (`Fold`).
+//!
+//! [`partial_average_into`] is the sparse case a tile at a time: it takes
+//! every decoded contribution at once and folds them into a [`TILE`]-sized
+//! numerator and denominator on the stack, so no `f64` array as long as the
+//! model is kept anywhere. [`PartialAverager`], which streams contributions
+//! into two such arrays, stays as its oracle.
+//!
+//! The robust rules ([`RobustAccumulator`]) sit beside them. JWINS and
+//! random sampling decode a whole inbox, then mix it with the tiled average
+//! or the rule (`partial_mix_into`); full and quantized sharing fold each
+//! decode as it comes, into the worker's [`DenseAverager`] or the rule's
+//! accumulator (`Fold`).
 
 #![warn(clippy::too_many_lines)]
 
 pub use crate::robust::RobustAccumulator;
-use crate::strategy::Contribution;
+use crate::strategy::{Contribution, ContributionView};
 use jwins_adversary::{Robust, RobustStats};
 
-/// Accumulates sparse contributions into a weighted average over `own`.
+/// Coordinates [`partial_average_into`] folds at a time: its numerators and
+/// denominators take 32 KiB of stack, which stays in L1 while every
+/// contribution's share of the tile is added.
+pub const TILE: usize = 2048;
+
+/// The renormalized partial average of `parts` — each a decoded
+/// contribution and its mixing weight, in inbox order — over `own` with its
+/// self-weight, written over `out` (any content, any length).
 ///
-/// One averager can serve any number of averages: [`Self::reset`] starts the
-/// next one in the buffers of the last, which is how the strategies use the
-/// averager of their worker's scratch (`crate::scratch`).
+/// Every coordinate sees the chain [`PartialAverager`] builds, `((own·w_ii +
+/// v₁·w₁) + v₂·w₂) + …` over `((w_ii + w₁) + w₂) + …` in the order of
+/// `parts`, so the result has its bits. The coordinates go a [`TILE`] at a
+/// time, with a cursor per listed part: a part's indices must ascend from
+/// one tile to the next (decoded indices strictly increase).
+///
+/// # Panics
+///
+/// Panics if `self_weight` is not positive, as [`PartialAverager::new`]; if
+/// a part's indices and values differ in length; and if an index is out of
+/// range or lies in a tile before one already passed.
+pub fn partial_average_into(
+    own: &[f32],
+    self_weight: f64,
+    parts: &[(ContributionView<'_>, f64)],
+    out: &mut Vec<f32>,
+) {
+    assert!(self_weight > 0.0, "self weight must be positive");
+    for (part, _) in parts {
+        match part.indices {
+            Some(indices) => assert_eq!(
+                indices.len(),
+                part.values.len(),
+                "index/value length mismatch"
+            ),
+            None => assert!(part.values.len() <= own.len(), "index out of range"),
+        }
+    }
+    out.clear();
+    out.reserve(own.len());
+    let mut cursors = vec![0usize; parts.len()];
+    let (mut num, mut den) = ([0.0f64; TILE], [0.0f64; TILE]);
+    for (tile, own) in own.chunks(TILE).enumerate() {
+        let (base, n) = (tile * TILE, own.len());
+        let (num, den) = (&mut num[..n], &mut den[..n]);
+        for ((num, den), &v) in num.iter_mut().zip(den.iter_mut()).zip(own) {
+            *num = f64::from(v) * self_weight;
+            *den = self_weight;
+        }
+        for ((part, weight), cursor) in parts.iter().zip(&mut cursors) {
+            let weight = *weight;
+            let Some(indices) = part.indices else {
+                let values = part.values.get(base..).unwrap_or_default();
+                for ((num, den), &v) in num.iter_mut().zip(den.iter_mut()).zip(values) {
+                    *num += f64::from(v) * weight;
+                    *den += weight;
+                }
+                continue;
+            };
+            // One unsigned compare ends the tile's run: an index past the
+            // tile, or (wrapping) before it, which the check below reports.
+            let mut taken = 0;
+            for (&i, &v) in indices[*cursor..].iter().zip(&part.values[*cursor..]) {
+                let k = (i as usize).wrapping_sub(base);
+                if k >= n {
+                    break;
+                }
+                num[k] += f64::from(v) * weight;
+                den[k] += weight;
+                taken += 1;
+            }
+            *cursor += taken;
+        }
+        out.extend(num.iter().zip(den.iter()).map(|(n, d)| (n / d) as f32));
+    }
+    for ((part, _), &cursor) in parts.iter().zip(&cursors) {
+        if let Some(&i) = part.indices.and_then(|indices| indices.get(cursor)) {
+            panic!("index {i} out of range or out of order");
+        }
+    }
+}
+
+/// Mixes decoded `parts` over `own` under `rule`: [`partial_average_into`]
+/// under `Robust::None`, the rule's [`RobustAccumulator`] under any other,
+/// whose removals are added to `removed`.
+pub(crate) fn partial_mix_into(
+    own: &[f32],
+    self_weight: f64,
+    parts: &[(ContributionView<'_>, f64)],
+    rule: Robust,
+    out: &mut Vec<f32>,
+    removed: &mut RobustStats,
+) {
+    if rule.is_none() {
+        partial_average_into(own, self_weight, parts, out);
+        return;
+    }
+    let mut acc = RobustAccumulator::new(own, self_weight, rule);
+    for &(part, weight) in parts {
+        acc.add(part, weight);
+    }
+    let (average, stats) = acc.finish();
+    *out = average;
+    removed.absorb(stats);
+}
+
+/// Accumulates sparse contributions into a weighted average over `own`, one
+/// at a time, in a numerator and a denominator array as long as `own`.
+///
+/// No strategy mixes with it any more — [`partial_average_into`] folds the
+/// same chains a tile at a time — but it is the plain statement of what
+/// they compute and the oracle the tiled average is tested against. One
+/// averager can serve any number of averages: [`Self::reset`] starts the
+/// next one in the buffers of the last.
 #[derive(Debug, Default)]
 pub struct PartialAverager {
     num: Vec<f64>,
@@ -195,12 +312,10 @@ impl DenseAverager {
     }
 }
 
-/// Where one mix folds its neighbours' decoded contributions: a worker's
-/// plain averager under `Robust::None`, the rule's [`RobustAccumulator`]
-/// under any other.
+/// Where full and quantized sharing fold each decoded contribution as it
+/// comes: a worker's [`DenseAverager`] under `Robust::None`, the rule's
+/// [`RobustAccumulator`] under any other.
 pub(crate) enum Fold<'a> {
-    /// Renormalized per coordinate: sparse shares.
-    Partial(&'a mut PartialAverager),
     /// One denominator: every contribution covers every coordinate.
     Dense(&'a mut DenseAverager),
     /// Every contribution kept for the rule.
@@ -208,15 +323,11 @@ pub(crate) enum Fold<'a> {
 }
 
 impl Fold<'_> {
-    /// Starts a mix over `own` with its self-weight: in this plain
+    /// Starts a mix over `own` with its self-weight: in this dense
     /// averager under `Robust::None`, through the rule's accumulator
     /// otherwise.
     pub(crate) fn begin(self, own: &[f32], self_weight: f64, rule: Robust) -> Self {
         match self {
-            Fold::Partial(avg) if rule.is_none() => {
-                avg.reset(own, self_weight);
-                Fold::Partial(avg)
-            }
             Fold::Dense(avg) if rule.is_none() => {
                 avg.reset(own, self_weight);
                 Fold::Dense(avg)
@@ -226,11 +337,9 @@ impl Fold<'_> {
     }
 
     /// Folds in a decoded contribution with mixing weight `weight`; the
-    /// decode has checked its indices (and, for [`Fold::Dense`], that it
-    /// covers every coordinate).
+    /// decode has checked that it covers every coordinate.
     pub(crate) fn add(&mut self, contribution: &Contribution, weight: f64) {
         match self {
-            Fold::Partial(avg) => avg.add_contribution(contribution, weight),
             Fold::Dense(avg) => avg.add(&contribution.values, weight),
             Fold::Robust(acc) => acc.add(contribution, weight),
         }
@@ -240,7 +349,6 @@ impl Fold<'_> {
     /// `removed`.
     pub(crate) fn finish_into(self, out: &mut Vec<f32>, removed: &mut RobustStats) {
         match self {
-            Fold::Partial(avg) => avg.finish_into(out),
             Fold::Dense(avg) => avg.finish_into(out),
             Fold::Robust(acc) => {
                 let (average, stats) = acc.finish();
@@ -255,6 +363,8 @@ impl Fold<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn reduces_to_weighted_average_when_dense() {
@@ -315,8 +425,9 @@ mod tests {
         assert_eq!(out, vec![17.5]);
     }
 
-    /// Under `Robust::None` a fold is the plain averager it starts in, bit
-    /// for bit; under a rule it is that rule's accumulator.
+    /// Under `Robust::None` a dense fold and a partial mix are the plain
+    /// averager, bit for bit; under a rule both are that rule's
+    /// accumulator.
     #[test]
     fn a_fold_is_its_averager_or_its_rule() {
         let own: Vec<f32> = (0..150).map(|i| (i as f32 - 70.0) * 0.3).collect();
@@ -332,22 +443,23 @@ mod tests {
         let mut oracle = PartialAverager::new(&own, 0.4);
         oracle.add_dense(&dense.values, 0.6);
         let expected = oracle.finish();
-        let (mut partial, mut dense_avg) = (PartialAverager::default(), DenseAverager::default());
-        for fold in [Fold::Partial(&mut partial), Fold::Dense(&mut dense_avg)] {
-            let mut fold = fold.begin(&own, 0.4, Robust::None);
-            fold.add(&dense, 0.6);
-            let (mut out, mut removed) = (vec![7.0; 3], RobustStats::default());
-            fold.finish_into(&mut out, &mut removed);
-            assert_eq!(bits(&out), bits(&expected));
-            assert!(removed.is_zero());
-        }
+        let mut dense_avg = DenseAverager::default();
+        let mut fold = Fold::Dense(&mut dense_avg).begin(&own, 0.4, Robust::None);
+        fold.add(&dense, 0.6);
+        let (mut out, mut removed) = (vec![7.0; 3], RobustStats::default());
+        fold.finish_into(&mut out, &mut removed);
+        assert_eq!(bits(&out), bits(&expected));
+        let parts = [(dense.view(), 0.6)];
+        partial_mix_into(&own, 0.4, &parts, Robust::None, &mut out, &mut removed);
+        assert_eq!(bits(&out), bits(&expected));
+        assert!(removed.is_zero());
 
         let rule = Robust::NormClip { tau: 0.5 };
         let mut acc = RobustAccumulator::new(&own, 0.4, rule);
         acc.add(&dense, 0.6);
         acc.add(&sparse, 0.1);
         let (expected, stats) = acc.finish();
-        let mut fold = Fold::Partial(&mut partial).begin(&own, 0.4, rule);
+        let mut fold = Fold::Dense(&mut dense_avg).begin(&own, 0.4, rule);
         fold.add(&dense, 0.6);
         fold.add(&sparse, 0.1);
         let (mut out, mut removed) = (Vec::new(), RobustStats::default());
@@ -355,6 +467,35 @@ mod tests {
         assert_eq!(bits(&out), bits(&expected));
         assert_eq!(removed, stats);
         assert_eq!(removed.clipped, 2);
+        let parts = [(dense.view(), 0.6), (sparse.view(), 0.1)];
+        let mut again = RobustStats::default();
+        partial_mix_into(&own, 0.4, &parts, rule, &mut out, &mut again);
+        assert_eq!(bits(&out), bits(&expected));
+        assert_eq!(again, stats);
+    }
+
+    /// The tiled average reports what the streaming averager rejects: an
+    /// index past the end, a prefix longer than the model, a list that
+    /// steps back a tile.
+    #[test]
+    fn the_tiled_average_rejects_what_does_not_fit() {
+        let own = vec![1.0f32; 2 * TILE + 5];
+        let run = |indices: Option<&[u32]>, values: &[f32]| {
+            let parts = [(ContributionView { indices, values }, 0.5)];
+            std::panic::catch_unwind(|| partial_average_into(&own, 0.5, &parts, &mut Vec::new()))
+                .is_err()
+        };
+        let end = own.len() as u32;
+        assert!(run(Some(&[3, end]), &[1.0, 1.0]));
+        assert!(run(Some(&[u32::MAX]), &[1.0]));
+        assert!(run(None, &vec![1.0; own.len() + 1]));
+        assert!(run(Some(&[TILE as u32 + 1, 4]), &[1.0, 1.0]));
+        assert!(run(Some(&[1, 2]), &[1.0]));
+        assert!(!run(Some(&[end - 1]), &[1.0]));
+        assert!(!run(None, &own));
+        // Within a tile the order is free: each coordinate still sees its
+        // parts in inbox order.
+        assert!(!run(Some(&[9, 4]), &[1.0, 1.0]));
     }
 
     #[test]
@@ -363,7 +504,117 @@ mod tests {
         let _ = PartialAverager::new(&[1.0], 0.0);
     }
 
+    /// An `f32` drawn so that each class the fold must carry bit for bit
+    /// turns up: signed zeros, NaN, infinities, subnormals and ordinary
+    /// numbers.
+    fn any_class(rng: &mut ChaCha8Rng) -> f32 {
+        const SPECIAL: [f32; 8] = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0e-40,
+            -3.0e-45,
+            f32::MIN_POSITIVE,
+        ];
+        if rng.gen_bool(0.2) {
+            SPECIAL[rng.gen_range(0..SPECIAL.len())]
+        } else {
+            rng.gen_range(-8.0f32..8.0)
+        }
+    }
+
+    /// One neighbour's contribution over `len` coordinates of the given
+    /// kind: 0 listed (random density, tile edges often in), 1 an implied
+    /// prefix shorter than a tile, 2 one longer than a tile where the model
+    /// allows, 3 empty (listed or implied).
+    fn contribution_of_kind(kind: u8, len: usize, rng: &mut ChaCha8Rng) -> Contribution {
+        let prefix = |m: usize, rng: &mut ChaCha8Rng| Contribution {
+            indices: None,
+            values: (0..m).map(|_| any_class(rng)).collect(),
+        };
+        match kind {
+            0 => {
+                let density = rng.gen_range(0.0..1.0);
+                let edge = TILE as u32 - 1..=TILE as u32 + 1;
+                let indices: Vec<u32> = (0..len as u32)
+                    .filter(|i| rng.gen_bool(density) || (edge.contains(i) && rng.gen_bool(0.7)))
+                    .collect();
+                let values = indices.iter().map(|_| any_class(rng)).collect();
+                Contribution {
+                    indices: Some(indices),
+                    values,
+                }
+            }
+            1 => {
+                let m = rng.gen_range(0..=len.min(TILE - 1));
+                prefix(m, rng)
+            }
+            2 => {
+                let m = if len > TILE {
+                    rng.gen_range(TILE + 1..=len)
+                } else {
+                    len
+                };
+                prefix(m, rng)
+            }
+            _ if rng.gen_bool(0.5) => prefix(0, rng),
+            _ => Contribution {
+                indices: Some(Vec::new()),
+                values: Vec::new(),
+            },
+        }
+    }
+
     proptest! {
+        /// The tiled average is the streaming averager, bit for bit:
+        /// `add_contribution` in inbox order, then `finish_into`, over
+        /// models from empty to three tiles and a remainder, listed,
+        /// implied-prefix and empty parts, values of every class and
+        /// Metropolis–Hastings or arbitrary weights.
+        #[test]
+        fn tiled_average_equals_the_streaming_averager(
+            len in prop_oneof![0usize..40, TILE - 2..TILE + 3, 0..3 * TILE + 300],
+            kinds in proptest::collection::vec(0u8..4, 0..7),
+            metropolis_hastings in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let own: Vec<f32> = (0..len).map(|_| any_class(&mut rng)).collect();
+            let contributions: Vec<Contribution> = kinds
+                .iter()
+                .map(|&kind| contribution_of_kind(kind, len, &mut rng))
+                .collect();
+            let own_degree = kinds.len();
+            let weights: Vec<f64> = (0..own_degree)
+                .map(|_| {
+                    if metropolis_hastings {
+                        1.0 / (1 + own_degree.max(rng.gen_range(1..8))) as f64
+                    } else {
+                        rng.gen_range(1e-6..4.0)
+                    }
+                })
+                .collect();
+            let self_weight = if metropolis_hastings {
+                1.0 - weights.iter().sum::<f64>()
+            } else {
+                rng.gen_range(1e-6..4.0)
+            };
+            let mut oracle = PartialAverager::new(&own, self_weight);
+            for (c, &w) in contributions.iter().zip(&weights) {
+                oracle.add_contribution(c, w);
+            }
+            let (mut expected, mut got) = (vec![1.0; 3], vec![2.0; 5]);
+            oracle.finish_into(&mut expected);
+            let parts: Vec<_> = contributions.iter().map(Contribution::view).zip(weights).collect();
+            partial_average_into(&own, self_weight, &parts, &mut got);
+            prop_assert_eq!(expected.len(), got.len());
+            for (k, (e, g)) in expected.iter().zip(&got).enumerate() {
+                prop_assert_eq!(e.to_bits(), g.to_bits(), "coordinate {}", k);
+            }
+        }
+
         /// One denominator is the per-coordinate ones, bit for bit: the
         /// scalar fold equals `add_dense` + `finish_into` under
         /// Metropolis–Hastings weights (a node of degree `deg` keeps

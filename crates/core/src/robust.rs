@@ -1,11 +1,11 @@
 //! The robust aggregation rules, beside the plain average.
 //!
 //! A [`RobustAccumulator`] is where a mix goes when its rule is not
-//! `Robust::None` (see `crate::average`'s `Fold`): it keeps every decoded
+//! `Robust::None` (see `crate::average`): it keeps every decoded
 //! neighbour contribution, and [`RobustAccumulator::finish`] applies the
 //! configured [`Robust`] rule before averaging. `Robust::None` and
-//! `Robust::NormClip` then average with the same [`PartialAverager`] the
-//! plain mixes use. The invariant shared with
+//! `Robust::NormClip` then average with the same [`partial_average_into`]
+//! the plain sparse mixes use. The invariant shared with
 //! `StalenessPolicy::downweight_row` is **row stochasticity**: any mass a
 //! rule removes (trimmed entries, clipped norm excess) is renormalized over
 //! the surviving entries — self included — so the effective mixing row
@@ -13,8 +13,8 @@
 
 #![warn(clippy::too_many_lines)]
 
-use crate::average::PartialAverager;
-use crate::strategy::Contribution;
+use crate::average::partial_average_into;
+use crate::strategy::{Contribution, ContributionView};
 use jwins_adversary::{Robust, RobustStats};
 
 /// A partial average with a robust rule applied at [`finish`].
@@ -55,10 +55,16 @@ impl RobustAccumulator {
         }
     }
 
-    /// Adds a decoded neighbour contribution with mixing weight `weight`.
-    /// Its indices must be in range — the strategy's decode checks them.
-    pub fn add(&mut self, contribution: &Contribution, weight: f64) {
-        self.contributions.push((contribution.clone(), weight));
+    /// Adds a decoded neighbour contribution with mixing weight `weight`,
+    /// copied. Its indices must be in range — the strategy's decode checks
+    /// them.
+    pub fn add<'a>(&mut self, contribution: impl Into<ContributionView<'a>>, weight: f64) {
+        let ContributionView { indices, values } = contribution.into();
+        let contribution = Contribution {
+            indices: indices.map(<[u32]>::to_vec),
+            values: values.to_vec(),
+        };
+        self.contributions.push((contribution, weight));
     }
 
     /// Applies the rule and returns the averaged vector plus what the rule
@@ -78,11 +84,12 @@ impl RobustAccumulator {
 
     /// Plain partial averaging: exactly the engine's default mixing.
     fn average(&self) -> Vec<f32> {
-        let mut avg = PartialAverager::new(&self.own, self.self_weight);
-        for (c, weight) in &self.contributions {
-            avg.add_contribution(c, *weight);
-        }
-        avg.finish()
+        let parts: Vec<_> = (self.contributions.iter())
+            .map(|(c, weight)| (c.view(), *weight))
+            .collect();
+        let mut out = Vec::new();
+        partial_average_into(&self.own, self.self_weight, &parts, &mut out);
+        out
     }
 
     /// Rescales each contribution's deviation from `own` to L2 norm at

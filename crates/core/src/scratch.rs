@@ -1,10 +1,12 @@
 //! Reusable buffers for the share path — one set per worker, none per node.
 //!
-//! Building and folding a message needs a transform workspace, an averager
-//! (`num`, and `den` unless every contribution is dense), the decoded
-//! message being folded, a TopK index buffer, coefficient-sized `f32`
+//! Building and folding a message needs a transform workspace, a dense
+//! averager's numerators (full and quantized sharing), the decoded
+//! messages being folded, a TopK index buffer, coefficient-sized `f32`
 //! temporaries and an encode buffer: several times the model size, live
-//! only inside one `make_message` or `aggregate` call. Allocated per call
+//! only inside one `make_message` or `aggregate` call. A sparse average
+//! needs no buffer here: `crate::average::partial_average_into` folds a
+//! tile at a time on the stack. Allocated per call
 //! they cost a page fault per 4 KiB on every node every round; kept per
 //! node they would multiply the resident set by the node count (a 16 384-
 //! node run has 16 384 strategies and two workers). A worker runs one call
@@ -38,7 +40,7 @@
 //! overwritten before it is read, so which set a call gets cannot change a
 //! result.
 
-use crate::average::{DenseAverager, PartialAverager};
+use crate::average::DenseAverager;
 use crate::strategy::Contribution;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -50,14 +52,15 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 pub(crate) struct ShareScratch {
     /// `Dwt::{forward,inverse}_into` workspace.
     pub work: Vec<f64>,
-    /// The partial average being built in `aggregate`.
-    pub averager: PartialAverager,
     /// The dense average full sharing and quantized sharing build in
-    /// `aggregate`: the same numerators, one denominator.
+    /// `aggregate`: one numerator per coordinate, one denominator.
     pub dense: DenseAverager,
-    /// The neighbour message being folded, decoded: for full sharing a
-    /// model-sized value buffer, reused message after message.
-    pub decoded: Contribution,
+    /// Decoded neighbour messages, reused call after call (see
+    /// [`decode_pool`]): JWINS and random sampling decode a whole inbox
+    /// here before they mix it, one contribution per message that has no
+    /// shared decode; full and quantized sharing decode each message into
+    /// the first and fold it before the next.
+    pub decoded: Vec<Contribution>,
     /// Coefficient-domain temporary: a transform's output, then the
     /// finished average.
     pub coeffs: Vec<f32>,
@@ -68,6 +71,16 @@ pub(crate) struct ShareScratch {
     pub order: Vec<u32>,
     /// The wire image under construction; copied out at its exact size.
     pub wire: Vec<u8>,
+}
+
+/// The first `n` contributions of a scratch `decoded` pool, made where it
+/// has fewer; the buffers of the ones it had are kept for the decodes to
+/// overwrite.
+pub(crate) fn decode_pool(pool: &mut Vec<Contribution>, n: usize) -> &mut [Contribution] {
+    if pool.len() < n {
+        pool.resize_with(n, Contribution::default);
+    }
+    &mut pool[..n]
 }
 
 /// More workers than this share no slot: the rest allocate per call.

@@ -6,7 +6,7 @@
 //! baselines") and aggregates with Metropolis–Hastings weights.
 
 use crate::average::Fold;
-use crate::scratch::with_scratch;
+use crate::scratch::{decode_pool, with_scratch};
 use crate::strategy::{Contribution, OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
 use jwins_adversary::{Robust, RobustStats};
@@ -52,10 +52,11 @@ impl FullSharing {
         rule: Robust,
     ) -> Result<Vec<f32>> {
         with_scratch(|scratch| {
+            let decoded = &mut decode_pool(&mut scratch.decoded, 1)[0];
             let mut fold = Fold::Dense(&mut scratch.dense).begin(params, self_weight, rule);
             for msg in received {
-                decode(msg.bytes, params.len(), &mut scratch.decoded)?;
-                fold.add(&scratch.decoded, msg.weight);
+                decode(msg.bytes, params.len(), decoded)?;
+                fold.add(decoded, msg.weight);
             }
             let mut next = Vec::new();
             fold.finish_into(&mut next, &mut self.robust_stats);
@@ -128,7 +129,7 @@ impl ShareStrategy for FullSharing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::average::PartialAverager;
+    use crate::average::{PartialAverager, RobustAccumulator};
     use jwins_codec::float::BlockFloatDecoder;
     use proptest::prelude::*;
 
@@ -288,8 +289,9 @@ mod tests {
         received: &[ReceivedMessage<'_>],
         rule: Robust,
     ) -> Result<Vec<f32>> {
-        let mut avg = PartialAverager::default();
-        let mut fold = Fold::Partial(&mut avg).begin(params, self_weight, rule);
+        let mut plain = PartialAverager::new(params, self_weight);
+        let mut robust =
+            (!rule.is_none()).then(|| RobustAccumulator::new(params, self_weight, rule));
         for msg in received {
             let mut values = open_message(msg.bytes, params.len())?;
             let decoded = (0..params.len())
@@ -300,11 +302,12 @@ mod tests {
                 indices: None,
                 values: decoded,
             };
-            fold.add(&decoded, msg.weight);
+            match &mut robust {
+                Some(acc) => acc.add(&decoded, msg.weight),
+                None => plain.add_contribution(&decoded, msg.weight),
+            }
         }
-        let mut out = Vec::new();
-        fold.finish_into(&mut out, &mut RobustStats::default());
-        Ok(out)
+        Ok(robust.map_or_else(|| plain.finish(), |acc| acc.finish().0))
     }
 
     /// Results by bit pattern, errors by message.

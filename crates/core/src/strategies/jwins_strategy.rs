@@ -20,10 +20,10 @@
 //! the current change only, and disabling the randomized cut-off shares the
 //! distribution mean every round.
 
-use crate::average::Fold;
+use crate::average::partial_mix_into;
 use crate::cutoff::{AlphaDistribution, CutoffSampler};
 use crate::scaling::ScoreScaling;
-use crate::scratch::{with_scratch, ShareScratch};
+use crate::scratch::{decode_pool, with_scratch, ShareScratch};
 use crate::sparsify::{budget, gather_into, top_k_into};
 use crate::strategy::{close_round, Contribution, OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
@@ -305,13 +305,14 @@ impl Jwins {
     }
 
     /// Decodes `msg` — from the slot its receivers share when this codec
-    /// filled it, else into `scratch` — and checks that every index is one
-    /// of this node's coefficients. Every index codec decodes strictly
-    /// increasing indices or fails, so the last one vouches for the rest.
+    /// filled it, else into the next contribution of `spare` — and checks
+    /// that every index is one of this node's coefficients. Every index
+    /// codec decodes strictly increasing indices or fails, so the last one
+    /// vouches for the rest.
     fn decode<'a>(
         &self,
         msg: &ReceivedMessage<'a>,
-        scratch: &'a mut Contribution,
+        spare: &mut std::slice::IterMut<'a, Contribution>,
     ) -> Result<&'a Contribution> {
         let codec = self.codec;
         let shared = msg.decoded.and_then(|slot| {
@@ -323,6 +324,7 @@ impl Jwins {
         let decoded = match shared {
             Some(shared) => shared.as_ref().map_err(CodecError::clone)?,
             None => {
+                let scratch = spare.next().expect("a pooled contribution per message");
                 let indices = scratch.indices.get_or_insert_with(Vec::new);
                 if codec.decode_compact_into(msg.bytes, indices, &mut scratch.values)? {
                     scratch.indices = None;
@@ -339,7 +341,9 @@ impl Jwins {
     }
 
     /// `aggregate` under `rule`, in the wavelet domain — a robust rule
-    /// screens coefficients where the sharing happens.
+    /// screens coefficients where the sharing happens. The whole inbox is
+    /// decoded first, in order, so the first message that fails is the
+    /// error; then it is mixed a tile at a time.
     fn mix(
         &mut self,
         round: usize,
@@ -353,15 +357,18 @@ impl Jwins {
         let opened = self.pending_round.is_some();
         let mixed = close_round(&mut self.pending_round, round).and_then(|()| {
             with_scratch(|scratch| {
-                let mut fold = Fold::Partial(&mut scratch.averager).begin(
+                let mut spare = decode_pool(&mut scratch.decoded, received.len()).iter_mut();
+                let parts = (received.iter())
+                    .map(|msg| Ok((self.decode(msg, &mut spare)?.view(), msg.weight)))
+                    .collect::<Result<Vec<_>>>()?;
+                partial_mix_into(
                     &self.round_buffer,
                     self_weight,
+                    &parts,
                     rule,
+                    &mut scratch.coeffs,
+                    &mut self.robust_stats,
                 );
-                for msg in received {
-                    fold.add(self.decode(msg, &mut scratch.decoded)?, msg.weight);
-                }
-                fold.finish_into(&mut scratch.coeffs, &mut self.robust_stats);
                 self.commit_averaged(scratch, params)
             })
         });
@@ -1039,6 +1046,48 @@ mod tests {
             assert!(matches!(error, JwinsError::Codec(_)), "{error}");
             assert_eq!(error.to_string(), alone.to_string());
         }
+    }
+
+    /// The whole inbox is decoded before anything is mixed, and the first
+    /// failure in inbox order is the error, whether the messages come
+    /// through slots or through the worker's pool: a corrupt middle
+    /// message wins over an out-of-range last one, and the round start is
+    /// gone either way.
+    #[test]
+    fn a_corrupt_middle_message_is_the_error_through_slots_or_the_pool() {
+        let config = JwinsConfig::paper_default();
+        let (good, receiver) = one_broadcast(&config, 30);
+        let garbage = [0x03u8, 0x00, 0xFF];
+        let out_of_range = SparseVecCodec::default()
+            .encode(&[1, 2, 4_000], &[0.5, 0.5, 0.5])
+            .expect("increasing indices encode")
+            .into_bytes();
+        let inbox = [&good.bytes[..], &garbage, &out_of_range];
+        let mut errors = Vec::new();
+        for slotted in [false, true] {
+            for rule in [Robust::None, Robust::Median] {
+                let slots = [DecodeSlot::new(), DecodeSlot::new(), DecodeSlot::new()];
+                let received: Vec<_> = (inbox.iter().zip(&slots).enumerate())
+                    .map(|(from, (bytes, slot))| ReceivedMessage {
+                        from: from + 1,
+                        round: 0,
+                        weight: 0.25,
+                        edge_weight: 0.25,
+                        bytes,
+                        decoded: slotted.then_some(slot),
+                    })
+                    .collect();
+                let (mut r, x) = receiver(7);
+                let error = r
+                    .aggregate_robust(0, &x, 0.25, &received, &rule)
+                    .unwrap_err();
+                assert!(matches!(error, JwinsError::Codec(_)), "{error}");
+                assert!(r.make_message(1, &x).is_err(), "the round start survived");
+                errors.push(error.to_string());
+            }
+        }
+        errors.dedup();
+        assert_eq!(errors.len(), 1, "{errors:?}");
     }
 
     /// The one-pass eq-4 update is the two passes it replaced, bit for bit:

@@ -15,7 +15,7 @@
 //! `ext_quantization` bench measures against JWINS at a matched byte budget.
 
 use crate::average::Fold;
-use crate::scratch::with_scratch;
+use crate::scratch::{decode_pool, with_scratch};
 use crate::strategy::{close_round, OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
 use jwins_adversary::{Robust, RobustStats};
@@ -87,7 +87,7 @@ impl QuantizedSharing {
     ) -> Result<Vec<f32>> {
         close_round(&mut self.pending_round, round)?;
         with_scratch(|scratch| {
-            let decoded = &mut scratch.decoded;
+            let decoded = &mut decode_pool(&mut scratch.decoded, 1)[0];
             decoded.indices = None;
             let mut fold = Fold::Dense(&mut scratch.dense).begin(params, self_weight, rule);
             for msg in received {

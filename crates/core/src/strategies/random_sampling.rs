@@ -11,10 +11,10 @@
 //! remaining coordinates receive no updates that round — which is why random
 //! sampling converges slower than JWINS at equal budget (Figures 4–5).
 
-use crate::average::Fold;
-use crate::scratch::with_scratch;
+use crate::average::partial_mix_into;
+use crate::scratch::{decode_pool, with_scratch};
 use crate::sparsify::budget;
-use crate::strategy::{Contribution, OutMessage, ReceivedMessage, ShareStrategy};
+use crate::strategy::{ContributionView, OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
 use jwins_adversary::{Robust, RobustStats};
 use jwins_codec::float::{BlockFloatCodec, FloatCodec};
@@ -71,7 +71,8 @@ impl RandomSampling {
     }
 
     /// `aggregate` under `rule`: the round's subset is every message's
-    /// indices, so each decode fills in only the values.
+    /// indices, so each decode fills in only the values. The whole inbox is
+    /// decoded first, in order, then mixed.
     fn mix(
         &mut self,
         round: usize,
@@ -80,35 +81,45 @@ impl RandomSampling {
         received: &[ReceivedMessage<'_>],
         rule: Robust,
     ) -> Result<Vec<f32>> {
+        let subset = self.round_indices(round);
         with_scratch(|scratch| {
-            let decoded = &mut scratch.decoded;
-            decoded.indices = Some(self.round_indices(round));
-            let mut fold = Fold::Partial(&mut scratch.averager).begin(params, self_weight, rule);
-            for msg in received {
-                decode(round, msg.bytes, decoded)?;
-                fold.add(decoded, msg.weight);
+            let pool = decode_pool(&mut scratch.decoded, received.len());
+            for (msg, decoded) in received.iter().zip(pool.iter_mut()) {
+                decode(round, msg.bytes, subset.len(), &mut decoded.values)?;
             }
+            let parts: Vec<_> = (pool.iter().zip(received))
+                .map(|(decoded, msg)| {
+                    let indices = Some(&subset[..]);
+                    let values = &decoded.values[..];
+                    (ContributionView { indices, values }, msg.weight)
+                })
+                .collect();
             let mut next = Vec::new();
-            fold.finish_into(&mut next, &mut self.robust_stats);
+            partial_mix_into(
+                params,
+                self_weight,
+                &parts,
+                rule,
+                &mut next,
+                &mut self.robust_stats,
+            );
             Ok(next)
         })
     }
 }
 
-/// Decodes a neighbour's share of `round` into `decoded`'s values, checking
-/// its header against the round and the subset `decoded` already holds.
-fn decode(round: usize, bytes: &[u8], decoded: &mut Contribution) -> Result<()> {
+/// Decodes a neighbour's share of `round` over `values`, checking its
+/// header against the round and the size of the round's subset.
+fn decode(round: usize, bytes: &[u8], subset: usize, values: &mut Vec<f32>) -> Result<()> {
     let (msg_round, used1) = varint::read_u64(bytes)?;
     if msg_round != round as u64 {
         return Err(JwinsError::Protocol("random-sampling round mismatch"));
     }
     let (count, used2) = varint::read_u64(&bytes[used1..])?;
-    let subset = decoded.indices.as_ref().map_or(0, Vec::len);
     if count as usize != subset {
         return Err(JwinsError::Protocol("random-sampling subset size mismatch"));
     }
-    decoded.values = BlockFloatCodec.decode(&bytes[used1 + used2..], subset)?;
-    Ok(())
+    Ok(BlockFloatCodec.decode_into(&bytes[used1 + used2..], subset, values)?)
 }
 
 impl ShareStrategy for RandomSampling {

@@ -116,6 +116,33 @@ pub struct Contribution {
     pub values: Vec<f32>,
 }
 
+impl Contribution {
+    /// The contribution, borrowed.
+    pub fn view(&self) -> ContributionView<'_> {
+        ContributionView {
+            indices: self.indices.as_deref(),
+            values: &self.values,
+        }
+    }
+}
+
+/// A [`Contribution`] borrowed from wherever it was decoded — a worker's
+/// pool, a [`DecodeSlot`], a round's shared index subset — which is what
+/// `crate::average::partial_average_into` folds.
+#[derive(Debug, Clone, Copy)]
+pub struct ContributionView<'a> {
+    /// As [`Contribution::indices`].
+    pub indices: Option<&'a [u32]>,
+    /// As [`Contribution::values`].
+    pub values: &'a [f32],
+}
+
+impl<'a> From<&'a Contribution> for ContributionView<'a> {
+    fn from(contribution: &'a Contribution) -> Self {
+        contribution.view()
+    }
+}
+
 /// One sparse broadcast's decode, made by whichever of its receivers gets
 /// to it first and read by all of them — the barrier scheduler gives every
 /// broadcast one for the length of a round's mix (each of `n` senders was

@@ -307,9 +307,58 @@ fn correlate<const K: usize, const N: usize, const PER_SOURCE: bool>(
     }
 }
 
+/// Where [`correlate_planes`] puts each finished plane, read in wide
+/// layout. Both sinks' `store` is `#[inline(always)]`, so it is compiled
+/// into the twin with the loop; as closures they were compiled out of line,
+/// as baseline code.
+trait PlaneSink {
+    /// Takes destination plane `plane` from its wide positions `wide`.
+    fn store(&mut self, plane: usize, wide: &[f32]);
+}
+
+/// [`Forward`]'s sink: one sample's output channel planes, plus the bias.
+struct BiasedOutput<'a> {
+    geo: &'a Geometry,
+    out: &'a mut [f32],
+    bias: &'a [f32],
+}
+
+impl PlaneSink for BiasedOutput<'_> {
+    #[inline(always)]
+    fn store(&mut self, oc: usize, wide: &[f32]) {
+        let (geo, bias) = (self.geo, self.bias[oc]);
+        let out_plane = geo.oh * geo.ow;
+        let rows = self.out[oc * out_plane..][..out_plane].chunks_exact_mut(geo.ow);
+        for (row, wide) in rows.zip(wide.chunks(geo.wp)) {
+            for (o, &v) in row.iter_mut().zip(wide) {
+                *o = v + bias;
+            }
+        }
+    }
+}
+
+/// [`Backward`]'s sink: one sample's input-gradient planes, the padding
+/// cropped off.
+struct CroppedGrads<'a> {
+    geo: &'a Geometry,
+    gx: &'a mut [f32],
+}
+
+impl PlaneSink for CroppedGrads<'_> {
+    #[inline(always)]
+    fn store(&mut self, ic: usize, wide: &[f32]) {
+        let geo = self.geo;
+        let in_plane = geo.h * geo.w;
+        let rows = self.gx[ic * in_plane..][..in_plane].chunks_exact_mut(geo.w);
+        for (row, wide) in rows.zip(wide.chunks(geo.wp)) {
+            row.copy_from_slice(&wide[geo.pad..][..geo.w]);
+        }
+    }
+}
+
 /// [`correlate`] for destination planes `0..planes`, [`PLANES`] at a time
 /// into `wide` (`PLANES · wide_len` floats of workspace); every finished
-/// plane goes to `store(plane, wide positions)`.
+/// plane goes to `sink.store(plane, wide positions)`.
 #[inline(always)]
 fn correlate_planes<const K: usize, const PER_SOURCE: bool>(
     geo: &Geometry,
@@ -318,7 +367,7 @@ fn correlate_planes<const K: usize, const PER_SOURCE: bool>(
     source_len: usize,
     coefs: &[f32],
     wide: &mut [f32],
-    mut store: impl FnMut(usize, &[f32]),
+    mut sink: impl PlaneSink,
 ) {
     let per_plane = sources.len() / source_len * geo.taps();
     let wide_len = wide.len() / PLANES;
@@ -333,7 +382,7 @@ fn correlate_planes<const K: usize, const PER_SOURCE: bool>(
             1
         };
         for (i, wide) in wide.chunks_exact(wide_len).take(n).enumerate() {
-            store(plane + i, wide);
+            sink.store(plane + i, wide);
         }
         plane += n;
     }
@@ -414,13 +463,10 @@ impl Kernel for Forward<'_> {
         let samples = x.chunks_exact(geo.in_ch * geo.h * geo.w);
         for (x, out) in samples.zip(out.chunks_exact_mut(geo.out_ch * out_plane)) {
             pad_planes(&geo, x, padded);
-            let store = |oc: usize, wide: &[f32]| {
-                let rows = out[oc * out_plane..][..out_plane].chunks_exact_mut(geo.ow);
-                for (row, wide) in rows.zip(wide.chunks(geo.wp)) {
-                    for (o, &v) in row.iter_mut().zip(wide) {
-                        *o = v + bias[oc];
-                    }
-                }
+            let sink = BiasedOutput {
+                geo: &geo,
+                out,
+                bias,
             };
             with_kernel_size!(
                 geo.k,
@@ -431,7 +477,7 @@ impl Kernel for Forward<'_> {
                     geo.padded_plane(),
                     weight,
                     rest,
-                    store,
+                    sink,
                 )
             );
         }
@@ -537,12 +583,7 @@ impl Kernel for Backward<'_> {
             };
             let gx = &mut gx[s * geo.in_ch * in_plane..][..geo.in_ch * in_plane];
             widen_grads(&geo, gy, gy_wide);
-            let store = |ic: usize, wide: &[f32]| {
-                let rows = gx[ic * in_plane..][..in_plane].chunks_exact_mut(geo.w);
-                for (row, wide) in rows.zip(wide.chunks(geo.wp)) {
-                    row.copy_from_slice(&wide[geo.pad..][..geo.w]);
-                }
-            };
+            let sink = CroppedGrads { geo: &geo, gx };
             with_kernel_size!(
                 geo.k,
                 correlate_planes::<_, false>(
@@ -552,7 +593,7 @@ impl Kernel for Backward<'_> {
                     geo.grad_plane(),
                     flipped,
                     rest,
-                    store,
+                    sink,
                 )
             );
         }
