@@ -17,12 +17,13 @@ use criterion::{
 use jwins::average::{partial_average_into, DenseAverager, PartialAverager};
 use jwins::engine::workers::{with_workers, Cell};
 use jwins::sparsify::{budget, gather, top_k_indices, top_k_into};
-use jwins::strategy::Contribution;
+use jwins::strategies::FullSharing;
+use jwins::strategy::{Contribution, ReceivedMessage, ShareStrategy};
 use jwins_codec::bitio::{BitReader, BitWriter};
 use jwins_codec::float::{BlockFloatCodec, FloatCodec, RawFloatCodec};
 use jwins_codec::quantize::Qsgd;
 use jwins_codec::sparse::{IndexCodec, SparseVecCodec, ValueCodec};
-use jwins_codec::{delta, lz};
+use jwins_codec::{delta, lz, varint};
 use jwins_fourier::fft_real;
 use jwins_nn::conv::Conv2d;
 use jwins_nn::layers::{AvgPool2d, Layer, Linear, Relu};
@@ -255,10 +256,10 @@ fn bench_float_codec(c: &mut Criterion) {
     }
     group.finish();
 
-    // A full-sharing mix of one message: decoded value by value into
+    // A full-sharing fold of one message: decoded value by value into
     // per-coordinate numerators and denominators (how `FullSharing` folded
-    // once), against decoded a block at a time into a model-sized buffer
-    // and folded into one denominator (how it folds).
+    // first), against decoded a block at a time into a model-sized buffer
+    // and folded into one denominator (how it folded next).
     let wire = BlockFloatCodec.encode(&mlp);
     let weight = 0.2;
     let mut group = headed_group(c, "codec/dense/decode_fold");
@@ -283,6 +284,53 @@ fn bench_float_codec(c: &mut Criterion) {
             decoder.next_values(&mut decoded).unwrap();
             decoder.finish().unwrap();
             avg.add(&decoded, weight);
+        });
+    });
+    // A whole mix of four neighbours (the repo benchmark's degree) under
+    // Metropolis–Hastings weights: each message decoded whole into a
+    // model-sized buffer and added to a `DenseAverager` (how `FullSharing`
+    // mixed once, its oracle now), against the strategy's own mix, which
+    // reads every message a tile at a time into the tile loop.
+    let wires: Vec<Vec<u8>> = (1..=4)
+        .map(|j| {
+            let theirs: Vec<f32> = mlp.iter().map(|v| v * (0.8 + 0.1 * j as f32)).collect();
+            let mut sender = FullSharing::new();
+            sender.init(&theirs);
+            sender.make_message(0, &theirs).unwrap().bytes.to_vec()
+        })
+        .collect();
+    let received: Vec<ReceivedMessage<'_>> = (wires.iter().enumerate())
+        .map(|(j, bytes)| ReceivedMessage {
+            from: j + 1,
+            round: 0,
+            weight: 0.2,
+            edge_weight: 0.2,
+            bytes,
+            decoded: None,
+        })
+        .collect();
+    group.bench_function("whole_113418", |b| {
+        b.iter(|| {
+            avg.reset(black_box(&mlp), 0.2);
+            for msg in &received {
+                let (_, header) = varint::read_u64(msg.bytes).unwrap();
+                let mut decoder = BlockFloatCodec::decoder(&msg.bytes[header..]);
+                decoder.next_values(&mut decoded).unwrap();
+                decoder.finish().unwrap();
+                avg.add(&decoded, msg.weight);
+            }
+            let mut next = Vec::new();
+            avg.finish_into(&mut next);
+            next
+        });
+    });
+    let mut strategy = FullSharing::new();
+    strategy.init(&mlp);
+    group.bench_function("tiled_113418", |b| {
+        b.iter(|| {
+            strategy
+                .aggregate(0, black_box(&mlp), 0.2, &received)
+                .unwrap()
         });
     });
     group.finish();

@@ -64,33 +64,83 @@ impl Qsgd {
         w.into_bytes()
     }
 
-    /// Reconstructs `count` values from a buffer produced by [`Self::encode`].
+    /// Reconstructs `count` values from a buffer produced by [`Self::encode`]:
+    /// [`Self::decoder`], then `count` values of it.
     ///
     /// # Errors
     ///
     /// Fails on truncated or corrupt streams.
     pub fn decode(&self, bytes: &[u8], count: usize) -> Result<Vec<f32>> {
-        let mut r = BitReader::new(bytes);
-        let norm = f32::from_bits(r.read_bits(32)? as u32);
-        if norm == 0.0 {
-            return Ok(vec![0.0; count]);
+        let mut values = self.decoder(bytes)?;
+        // `count` may be wire-influenced: grow a run at a time, so a stream
+        // too short for it fails before much is allocated.
+        const RUN: usize = 1 << 12;
+        let mut out = Vec::with_capacity(count.min(1 << 20));
+        while out.len() < count {
+            let start = out.len();
+            out.resize(start + (count - start).min(RUN), 0.0);
+            values.next_values(&mut out[start..])?;
         }
-        if !norm.is_finite() || norm < 0.0 {
+        Ok(out)
+    }
+
+    /// Decoder over a buffer produced by [`Self::encode`], its norm read and
+    /// checked: a run of values per [`QsgdDecoder::next_values`] call. The
+    /// stream carries no count and is not checked for trailing bytes; a
+    /// zero norm ends it, and the decoder then yields zeros.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::UnexpectedEof`] when the norm is cut,
+    /// [`CodecError::Corrupt`] when it is negative or not finite.
+    pub fn decoder<'a>(&self, bytes: &'a [u8]) -> Result<QsgdDecoder<'a>> {
+        let mut reader = BitReader::new(bytes);
+        let norm = f32::from_bits(reader.read_bits(32)? as u32);
+        if norm != 0.0 && (!norm.is_finite() || norm < 0.0) {
             return Err(CodecError::Corrupt("invalid norm"));
         }
-        // `count` may be wire-influenced; growth is bounded by the
-        // stream length, so cap only the eager pre-allocation.
-        let mut out = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            let negative = r.read_bit()?;
-            let level = elias::read_gamma(&mut r)? - 1;
+        Ok(QsgdDecoder {
+            reader,
+            norm,
+            levels: self.levels,
+        })
+    }
+}
+
+/// See [`Qsgd::decoder`].
+#[derive(Debug, Clone)]
+pub struct QsgdDecoder<'a> {
+    reader: BitReader<'a>,
+    /// 0 for a zero vector, whose stream ends with it.
+    norm: f32,
+    levels: u32,
+}
+
+impl QsgdDecoder<'_> {
+    /// Decodes the next `out.len()` values into `out`. On a bad stream the
+    /// values before the first bad one are written and the rest of `out`
+    /// is unspecified.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::UnexpectedEof`] on a truncated stream,
+    /// [`CodecError::Corrupt`] on a level above the quantizer's or an
+    /// overlong gamma code.
+    pub fn next_values(&mut self, out: &mut [f32]) -> Result<()> {
+        if self.norm == 0.0 {
+            out.fill(0.0);
+            return Ok(());
+        }
+        for value in out {
+            let negative = self.reader.read_bit()?;
+            let level = elias::read_gamma(&mut self.reader)? - 1;
             if level > u64::from(self.levels) {
                 return Err(CodecError::Corrupt("quantization level out of range"));
             }
-            let magnitude = norm * level as f32 / self.levels as f32;
-            out.push(if negative { -magnitude } else { magnitude });
+            let magnitude = self.norm * level as f32 / self.levels as f32;
+            *value = if negative { -magnitude } else { magnitude };
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -105,6 +155,7 @@ fn l2_norm(values: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Deterministic "uniform" stream for tests.
     fn halves() -> impl FnMut() -> f32 {
@@ -187,5 +238,139 @@ mod tests {
     #[should_panic(expected = "at least one level")]
     fn zero_levels_panics() {
         let _ = Qsgd::new(0);
+    }
+
+    /// The decode this module had before its cursor, value by value: the
+    /// values it produced before its first failure, and that failure.
+    fn per_value_decode(q: &Qsgd, bytes: &[u8], count: usize) -> (Vec<f32>, Option<CodecError>) {
+        let mut r = BitReader::new(bytes);
+        let mut out = Vec::new();
+        let norm = match r.read_bits(32) {
+            Ok(bits) => f32::from_bits(bits as u32),
+            Err(e) => return (out, Some(e)),
+        };
+        if norm == 0.0 {
+            return (vec![0.0; count], None);
+        }
+        if !norm.is_finite() || norm < 0.0 {
+            return (out, Some(CodecError::Corrupt("invalid norm")));
+        }
+        let mut next = || -> Result<f32> {
+            let negative = r.read_bit()?;
+            let level = elias::read_gamma(&mut r)? - 1;
+            if level > u64::from(q.levels) {
+                return Err(CodecError::Corrupt("quantization level out of range"));
+            }
+            let magnitude = norm * level as f32 / q.levels as f32;
+            Ok(if negative { -magnitude } else { magnitude })
+        };
+        for _ in 0..count {
+            match next() {
+                Ok(v) => out.push(v),
+                Err(e) => return (out, Some(e)),
+            }
+        }
+        (out, None)
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Where a test cuts the reads of a `count`-value decode: at `points`,
+    /// or every 2 048 values, the tile a dense mix folds at a time.
+    fn read_ends(count: usize, points: &[usize], tiles: bool) -> Vec<usize> {
+        let mut ends: Vec<usize> = if tiles {
+            (1..=count.div_ceil(2048))
+                .map(|t| (t * 2048).min(count))
+                .collect()
+        } else {
+            points.iter().map(|&p| p.min(count)).collect()
+        };
+        ends.push(count);
+        ends.sort_unstable();
+        ends.dedup();
+        ends
+    }
+
+    proptest! {
+        /// The cursor read in runs cut anywhere is the value-by-value
+        /// decode: the same values, and on a bad stream the same error in
+        /// the run that holds the first bad value, after the same values —
+        /// over truncated and flipped streams, zero norms, levels above the
+        /// decoder's and counts that cross 2 048-value tiles.
+        #[test]
+        fn cursor_runs_equal_the_per_value_decode(
+            len in prop_oneof![0usize..40, 2046usize..2051, 0usize..6500],
+            levels in 0usize..4,
+            narrower in 0u8..4,
+            zero in 0u8..5,
+            damage in 0u8..4,
+            at in 0.0f64..1.0,
+            mask in 1u8..=255,
+            extra in 0usize..3,
+            points in proptest::collection::vec(0usize..6600, 0..6),
+            tiles in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut state = seed | 1;
+            let mut uniform = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 40) as f32 / (1u64 << 24) as f32
+            };
+            let levels = [1u32, 3, 255, 4095][levels];
+            let (narrower, zero) = (narrower == 0, zero == 0);
+            let values: Vec<f32> = (0..len)
+                .map(|_| if zero { 0.0 } else { uniform() * 8.0 - 4.0 })
+                .collect();
+            let mut bytes = Qsgd::new(levels).encode(&values, &mut uniform);
+            match damage {
+                1 => bytes.truncate((bytes.len() as f64 * at) as usize),
+                2 => {
+                    let i = ((bytes.len() as f64 * at) as usize).min(bytes.len() - 1);
+                    bytes[i] ^= mask;
+                }
+                _ => {}
+            }
+            // A decoder with fewer levels than the encoder meets levels it
+            // cannot hold.
+            let q = Qsgd::new(if narrower { levels.div_ceil(4) } else { levels });
+            let count = len + extra % 2;
+            let (expected, error) = per_value_decode(&q, &bytes, count);
+
+            let whole = q.decode(&bytes, count);
+            match &error {
+                None => prop_assert_eq!(bits(&whole.unwrap()), bits(&expected)),
+                Some(e) => prop_assert_eq!(whole.unwrap_err(), e.clone()),
+            }
+
+            let mut got = vec![f32::NAN; count];
+            let mut outcome = None;
+            match q.decoder(&bytes) {
+                Err(e) => outcome = Some((0, e)),
+                Ok(mut cursor) => {
+                    let mut start = 0;
+                    for end in read_ends(count, &points, tiles) {
+                        if let Err(e) = cursor.next_values(&mut got[start..end]) {
+                            outcome = Some((start, e));
+                            break;
+                        }
+                        start = end;
+                    }
+                }
+            }
+            match (outcome, error) {
+                (None, None) => prop_assert_eq!(bits(&got), bits(&expected)),
+                (Some((start, e)), Some(error)) => {
+                    prop_assert_eq!(e, error);
+                    prop_assert!(start <= expected.len(), "failed in an earlier run");
+                    let m = expected.len();
+                    prop_assert_eq!(bits(&got[..m]), bits(&expected));
+                }
+                (outcome, error) => prop_assert!(false, "{:?} vs {:?}", outcome, error),
+            }
+        }
     }
 }

@@ -11,31 +11,177 @@
 //!
 //! With everyone sending everything this reduces to the standard D-PSGD
 //! weighted average, so full-sharing is the exact special case (verified in
-//! the tests). [`DenseAverager`] is that case on its own: every coordinate's
-//! denominator is then the same sum, kept once.
+//! the tests).
 //!
-//! [`partial_average_into`] is the sparse case a tile at a time: it takes
-//! every decoded contribution at once and folds them into a [`TILE`]-sized
-//! numerator and denominator on the stack, so no `f64` array as long as the
-//! model is kept anywhere. [`PartialAverager`], which streams contributions
-//! into two such arrays, stays as its oracle.
+//! Every strategy averages through one tile loop: the coordinates go a
+//! [`TILE`] at a time through a numerator and a denominator that long, and
+//! every contribution adds its share of the tile in inbox order (when every
+//! contribution is dense, one denominator serves the whole tile, as it did
+//! in [`DenseAverager`]). A part is
+//! a decoded contribution — listed indices or an implied prefix (JWINS,
+//! random sampling; [`partial_average_into`]) — or a dense message still on
+//! the wire, which decodes its next tile of values as it is added (full and
+//! quantized sharing; `dense_mix`). No array as long as the model is kept
+//! anywhere but the result; a worker keeps the tile buffers ([`Tiles`]).
+//! [`PartialAverager`] streams contributions into two model-sized arrays
+//! and [`DenseAverager`] keeps one numerator array and a scalar
+//! denominator; no strategy runs either, they are the oracles.
 //!
-//! The robust rules ([`RobustAccumulator`]) sit beside them. JWINS and
-//! random sampling decode a whole inbox, then mix it with the tiled average
-//! or the rule (`partial_mix_into`); full and quantized sharing fold each
-//! decode as it comes, into the worker's [`DenseAverager`] or the rule's
-//! accumulator (`Fold`).
+//! The robust rules ([`RobustAccumulator`]) sit beside them: under any rule
+//! but `Robust::None` the decoded messages are handed to the rule's
+//! accumulator instead (`partial_mix_into`, `dense_mix`).
 
 #![warn(clippy::too_many_lines)]
 
 pub use crate::robust::RobustAccumulator;
-use crate::strategy::{Contribution, ContributionView};
+use crate::scratch::{decode_pool, with_scratch};
+use crate::strategy::{Contribution, ContributionView, ReceivedMessage};
+use crate::Result;
 use jwins_adversary::{Robust, RobustStats};
+use jwins_codec::float::BlockFloatDecoder;
+use jwins_codec::quantize::QsgdDecoder;
 
-/// Coordinates [`partial_average_into`] folds at a time: its numerators and
-/// denominators take 32 KiB of stack, which stays in L1 while every
+/// Coordinates the tile loop folds at a time: its numerators, denominators
+/// and decoded values take 40 KiB, which stays in L1 while every
 /// contribution's share of the tile is added.
 pub const TILE: usize = 2048;
+
+/// The buffers of the tile loop: a [`TILE`] of numerators, of denominators
+/// and of decoded values (fewer for a smaller model). A worker keeps one
+/// set, so a mix neither allocates nor zeroes them; every tile overwrites
+/// what it reads.
+#[derive(Debug, Default)]
+pub struct Tiles {
+    num: Vec<f64>,
+    den: Vec<f64>,
+    values: Vec<f32>,
+}
+
+impl Tiles {
+    /// The three buffers, at least `n` long.
+    fn fit(&mut self, n: usize) -> (&mut [f64], &mut [f64], &mut [f32]) {
+        if self.num.len() < n {
+            self.num.resize(n, 0.0);
+            self.den.resize(n, 0.0);
+            self.values.resize(n, 0.0);
+        }
+        (&mut self.num, &mut self.den, &mut self.values)
+    }
+
+    /// The most elements any of the buffers has room for.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        let Self { num, den, values } = self;
+        num.capacity().max(den.capacity()).max(values.capacity())
+    }
+}
+
+/// One contribution to the tile loop, which adds its share of each tile in
+/// turn.
+trait TilePart {
+    /// Whether a part of this kind has a value for every coordinate. Every
+    /// coordinate's denominator is then the same chain, which the loop
+    /// keeps once, as `DenseAverager` did, and `add_tile` adds to the
+    /// numerators alone.
+    const DENSE: bool = false;
+
+    /// Adds this part's values for coordinates `base..base + num.len()` to
+    /// their chains, with mixing weight `weight`. `spare` (as long as
+    /// `num`) is free for the part to decode into.
+    fn add_tile(
+        &mut self,
+        base: usize,
+        weight: f64,
+        num: &mut [f64],
+        den: &mut [f64],
+        spare: &mut [f32],
+    ) -> Result<()>;
+}
+
+/// Writes the average of `parts` over `own` with its self-weight over `out`
+/// (any content, any length), a [`TILE`] at a time. Every coordinate sees
+/// the chain `((own·w_ii + v₁·w₁) + v₂·w₂) + …` over `((w_ii + w₁) + w₂) + …`
+/// in the order of `parts` (for dense parts one denominator chain serves
+/// every coordinate: the same bits). Stops at the first part that fails,
+/// `out` then unspecified.
+fn fold_tiles<P: TilePart>(
+    own: &[f32],
+    self_weight: f64,
+    parts: &mut [(P, f64)],
+    tiles: &mut Tiles,
+    out: &mut Vec<f32>,
+) -> Result<()> {
+    assert!(self_weight > 0.0, "self weight must be positive");
+    out.clear();
+    out.reserve(own.len());
+    let (num, den, spare) = tiles.fit(own.len().min(TILE));
+    let dense_den = P::DENSE.then(|| parts.iter().fold(self_weight, |d, &(_, w)| d + w));
+    for (tile, own) in own.chunks(TILE).enumerate() {
+        let n = own.len();
+        let (num, den, spare) = (&mut num[..n], &mut den[..n], &mut spare[..n]);
+        if P::DENSE {
+            for (num, &v) in num.iter_mut().zip(own) {
+                *num = f64::from(v) * self_weight;
+            }
+        } else {
+            for ((num, den), &v) in num.iter_mut().zip(den.iter_mut()).zip(own) {
+                *num = f64::from(v) * self_weight;
+                *den = self_weight;
+            }
+        }
+        for (part, weight) in parts.iter_mut() {
+            part.add_tile(tile * TILE, *weight, num, den, spare)?;
+        }
+        match dense_den {
+            Some(den) => out.extend(num.iter().map(|n| (n / den) as f32)),
+            None => out.extend(num.iter().zip(den.iter()).map(|(n, d)| (n / d) as f32)),
+        }
+    }
+    Ok(())
+}
+
+/// A decoded contribution in the tile loop, with the cursor of its listed
+/// indices.
+struct Decoded<'a> {
+    view: ContributionView<'a>,
+    cursor: usize,
+}
+
+impl TilePart for Decoded<'_> {
+    fn add_tile(
+        &mut self,
+        base: usize,
+        weight: f64,
+        num: &mut [f64],
+        den: &mut [f64],
+        _spare: &mut [f32],
+    ) -> Result<()> {
+        let ContributionView { indices, values } = self.view;
+        let Some(indices) = indices else {
+            let values = values.get(base..).unwrap_or_default();
+            for ((num, den), &v) in num.iter_mut().zip(den.iter_mut()).zip(values) {
+                *num += f64::from(v) * weight;
+                *den += weight;
+            }
+            return Ok(());
+        };
+        // One unsigned compare ends the tile's run: an index past the tile,
+        // or (wrapping) before it, which `partial_average_into` reports.
+        let n = num.len();
+        let mut taken = 0;
+        for (&i, &v) in indices[self.cursor..].iter().zip(&values[self.cursor..]) {
+            let k = (i as usize).wrapping_sub(base);
+            if k >= n {
+                break;
+            }
+            num[k] += f64::from(v) * weight;
+            den[k] += weight;
+            taken += 1;
+        }
+        self.cursor += taken;
+        Ok(())
+    }
+}
 
 /// The renormalized partial average of `parts` — each a decoded
 /// contribution and its mixing weight, in inbox order — over `own` with its
@@ -58,74 +204,57 @@ pub fn partial_average_into(
     parts: &[(ContributionView<'_>, f64)],
     out: &mut Vec<f32>,
 ) {
-    assert!(self_weight > 0.0, "self weight must be positive");
-    for (part, _) in parts {
-        match part.indices {
-            Some(indices) => assert_eq!(
-                indices.len(),
-                part.values.len(),
-                "index/value length mismatch"
-            ),
-            None => assert!(part.values.len() <= own.len(), "index out of range"),
-        }
-    }
-    out.clear();
-    out.reserve(own.len());
-    let mut cursors = vec![0usize; parts.len()];
-    let (mut num, mut den) = ([0.0f64; TILE], [0.0f64; TILE]);
-    for (tile, own) in own.chunks(TILE).enumerate() {
-        let (base, n) = (tile * TILE, own.len());
-        let (num, den) = (&mut num[..n], &mut den[..n]);
-        for ((num, den), &v) in num.iter_mut().zip(den.iter_mut()).zip(own) {
-            *num = f64::from(v) * self_weight;
-            *den = self_weight;
-        }
-        for ((part, weight), cursor) in parts.iter().zip(&mut cursors) {
-            let weight = *weight;
-            let Some(indices) = part.indices else {
-                let values = part.values.get(base..).unwrap_or_default();
-                for ((num, den), &v) in num.iter_mut().zip(den.iter_mut()).zip(values) {
-                    *num += f64::from(v) * weight;
-                    *den += weight;
-                }
-                continue;
-            };
-            // One unsigned compare ends the tile's run: an index past the
-            // tile, or (wrapping) before it, which the check below reports.
-            let mut taken = 0;
-            for (&i, &v) in indices[*cursor..].iter().zip(&part.values[*cursor..]) {
-                let k = (i as usize).wrapping_sub(base);
-                if k >= n {
-                    break;
-                }
-                num[k] += f64::from(v) * weight;
-                den[k] += weight;
-                taken += 1;
+    tiled_average_into(own, self_weight, parts, &mut Tiles::default(), out);
+}
+
+/// [`partial_average_into`] in a worker's tile buffers.
+fn tiled_average_into(
+    own: &[f32],
+    self_weight: f64,
+    parts: &[(ContributionView<'_>, f64)],
+    tiles: &mut Tiles,
+    out: &mut Vec<f32>,
+) {
+    let mut parts: Vec<_> = parts
+        .iter()
+        .map(|&(view, weight)| {
+            match view.indices {
+                Some(indices) => assert_eq!(
+                    indices.len(),
+                    view.values.len(),
+                    "index/value length mismatch"
+                ),
+                None => assert!(view.values.len() <= own.len(), "index out of range"),
             }
-            *cursor += taken;
-        }
-        out.extend(num.iter().zip(den.iter()).map(|(n, d)| (n / d) as f32));
-    }
-    for ((part, _), &cursor) in parts.iter().zip(&cursors) {
-        if let Some(&i) = part.indices.and_then(|indices| indices.get(cursor)) {
+            (Decoded { view, cursor: 0 }, weight)
+        })
+        .collect();
+    fold_tiles(own, self_weight, &mut parts, tiles, out).expect("a decoded part always adds");
+    for (part, _) in &parts {
+        if let Some(&i) = part
+            .view
+            .indices
+            .and_then(|indices| indices.get(part.cursor))
+        {
             panic!("index {i} out of range or out of order");
         }
     }
 }
 
 /// Mixes decoded `parts` over `own` under `rule`: [`partial_average_into`]
-/// under `Robust::None`, the rule's [`RobustAccumulator`] under any other,
-/// whose removals are added to `removed`.
+/// (in `tiles`) under `Robust::None`, the rule's [`RobustAccumulator`]
+/// under any other, whose removals are added to `removed`.
 pub(crate) fn partial_mix_into(
     own: &[f32],
     self_weight: f64,
     parts: &[(ContributionView<'_>, f64)],
     rule: Robust,
+    tiles: &mut Tiles,
     out: &mut Vec<f32>,
     removed: &mut RobustStats,
 ) {
     if rule.is_none() {
-        partial_average_into(own, self_weight, parts, out);
+        tiled_average_into(own, self_weight, parts, tiles, out);
         return;
     }
     let mut acc = RobustAccumulator::new(own, self_weight, rule);
@@ -135,6 +264,127 @@ pub(crate) fn partial_mix_into(
     let (average, stats) = acc.finish();
     *out = average;
     removed.absorb(stats);
+}
+
+/// A dense message on the wire — every coordinate, in order — read a run
+/// of values at a time: full sharing's block-float values, QSGD's levels.
+pub(crate) trait DenseCursor {
+    /// Decodes the next `out.len()` values into `out`.
+    fn next_values(&mut self, out: &mut [f32]) -> jwins_codec::Result<()>;
+    /// Checks what follows the last value.
+    fn finish(self) -> jwins_codec::Result<()>;
+}
+
+impl DenseCursor for BlockFloatDecoder<'_> {
+    fn next_values(&mut self, out: &mut [f32]) -> jwins_codec::Result<()> {
+        BlockFloatDecoder::next_values(self, out)
+    }
+
+    fn finish(self) -> jwins_codec::Result<()> {
+        BlockFloatDecoder::finish(self)
+    }
+}
+
+impl DenseCursor for QsgdDecoder<'_> {
+    fn next_values(&mut self, out: &mut [f32]) -> jwins_codec::Result<()> {
+        QsgdDecoder::next_values(self, out)
+    }
+
+    /// A QSGD stream is not checked past its last value.
+    fn finish(self) -> jwins_codec::Result<()> {
+        Ok(())
+    }
+}
+
+impl<C: DenseCursor> TilePart for C {
+    const DENSE: bool = true;
+
+    fn add_tile(
+        &mut self,
+        _base: usize,
+        weight: f64,
+        num: &mut [f64],
+        _den: &mut [f64],
+        spare: &mut [f32],
+    ) -> Result<()> {
+        self.next_values(spare)?;
+        for (num, &v) in num.iter_mut().zip(&*spare) {
+            *num += f64::from(v) * weight;
+        }
+        Ok(())
+    }
+}
+
+/// Reads a dense message's `len` values through `values`, a run of
+/// `buf.len()` at a time into `buf`, and checks its end.
+fn read_whole(mut values: impl DenseCursor, len: usize, buf: &mut [f32]) -> Result<()> {
+    let mut left = len;
+    while left > 0 {
+        let n = left.min(buf.len());
+        assert!(n > 0, "a dense read needs a buffer");
+        values.next_values(&mut buf[..n])?;
+        left -= n;
+    }
+    Ok(values.finish()?)
+}
+
+/// Mixes dense messages — each a header `open` checks, then the cursor it
+/// returns — over `own` under `rule`, in the worker's scratch, adding what
+/// the rule removed to `removed`.
+///
+/// Under `Robust::None` every message is opened first and the tile loop
+/// then reads each one's next tile of values as it adds it: no message is
+/// ever decoded whole. Under any other rule each message is decoded whole
+/// into the worker's first pooled contribution and handed to the rule's
+/// [`RobustAccumulator`]. Either way a message that does not decode is the
+/// error a message-by-message decode meets first: the plain mix that fails
+/// anywhere decodes the messages again in inbox order, a tile at a time, to
+/// find it.
+pub(crate) fn dense_mix<'m, C: DenseCursor>(
+    own: &[f32],
+    self_weight: f64,
+    received: &[ReceivedMessage<'m>],
+    rule: Robust,
+    open: impl Fn(&'m [u8]) -> Result<C>,
+    removed: &mut RobustStats,
+) -> Result<Vec<f32>> {
+    with_scratch(|scratch| {
+        if !rule.is_none() {
+            let entry = &mut decode_pool(&mut scratch.decoded, 1)[0];
+            entry.imply_indices();
+            let decoded = &mut entry.contribution;
+            decoded.values.resize(own.len(), 0.0);
+            let mut acc = RobustAccumulator::new(own, self_weight, rule);
+            for msg in received {
+                read_whole(open(msg.bytes)?, own.len(), &mut decoded.values)?;
+                acc.add(&*decoded, msg.weight);
+            }
+            let (average, stats) = acc.finish();
+            removed.absorb(stats);
+            return Ok(average);
+        }
+        let tiles = &mut scratch.tiles;
+        let mixed = (|| {
+            let mut cursors = (received.iter())
+                .map(|msg| Ok((open(msg.bytes)?, msg.weight)))
+                .collect::<Result<Vec<_>>>()?;
+            let mut next = Vec::new();
+            fold_tiles(own, self_weight, &mut cursors, tiles, &mut next)?;
+            for (values, _) in cursors {
+                values.finish()?;
+            }
+            Ok(next)
+        })();
+        mixed.or_else(|error| {
+            // The fold meets a late message's bad header before an early
+            // message's bad block: decode again in order for the first.
+            let (_, _, spare) = tiles.fit(own.len().min(TILE));
+            for msg in received {
+                read_whole(open(msg.bytes)?, own.len(), spare)?;
+            }
+            Err(error)
+        })
+    })
 }
 
 /// Accumulates sparse contributions into a weighted average over `own`, one
@@ -312,56 +562,13 @@ impl DenseAverager {
     }
 }
 
-/// Where full and quantized sharing fold each decoded contribution as it
-/// comes: a worker's [`DenseAverager`] under `Robust::None`, the rule's
-/// [`RobustAccumulator`] under any other.
-pub(crate) enum Fold<'a> {
-    /// One denominator: every contribution covers every coordinate.
-    Dense(&'a mut DenseAverager),
-    /// Every contribution kept for the rule.
-    Robust(RobustAccumulator),
-}
-
-impl Fold<'_> {
-    /// Starts a mix over `own` with its self-weight: in this dense
-    /// averager under `Robust::None`, through the rule's accumulator
-    /// otherwise.
-    pub(crate) fn begin(self, own: &[f32], self_weight: f64, rule: Robust) -> Self {
-        match self {
-            Fold::Dense(avg) if rule.is_none() => {
-                avg.reset(own, self_weight);
-                Fold::Dense(avg)
-            }
-            _ => Fold::Robust(RobustAccumulator::new(own, self_weight, rule)),
-        }
-    }
-
-    /// Folds in a decoded contribution with mixing weight `weight`; the
-    /// decode has checked that it covers every coordinate.
-    pub(crate) fn add(&mut self, contribution: &Contribution, weight: f64) {
-        match self {
-            Fold::Dense(avg) => avg.add(&contribution.values, weight),
-            Fold::Robust(acc) => acc.add(contribution, weight),
-        }
-    }
-
-    /// Writes the average over `out` and adds what the rule removed to
-    /// `removed`.
-    pub(crate) fn finish_into(self, out: &mut Vec<f32>, removed: &mut RobustStats) {
-        match self {
-            Fold::Dense(avg) => avg.finish_into(out),
-            Fold::Robust(acc) => {
-                let (average, stats) = acc.finish();
-                *out = average;
-                removed.absorb(stats);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategies::QuantizedSharing;
+    use crate::strategy::ShareStrategy;
+    use jwins_codec::float::{BlockFloatCodec, FloatCodec};
+    use jwins_codec::quantize::Qsgd;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -425,7 +632,7 @@ mod tests {
         assert_eq!(out, vec![17.5]);
     }
 
-    /// Under `Robust::None` a dense fold and a partial mix are the plain
+    /// Under `Robust::None` a dense mix and a partial mix are the plain
     /// averager, bit for bit; under a rule both are that rule's
     /// accumulator.
     #[test]
@@ -439,39 +646,49 @@ mod tests {
             indices: Some(vec![3, 7, 149]),
             values: vec![1.5, -2.0, 9.0],
         };
+        let wire = BlockFloatCodec.encode(&dense.values);
+        let inbox = [ReceivedMessage {
+            from: 1,
+            round: 0,
+            weight: 0.6,
+            edge_weight: 0.6,
+            bytes: &wire,
+            decoded: None,
+        }];
+        let open = |bytes| Ok(BlockFloatCodec::decoder(bytes));
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let mut oracle = PartialAverager::new(&own, 0.4);
-        oracle.add_dense(&dense.values, 0.6);
-        let expected = oracle.finish();
-        let mut dense_avg = DenseAverager::default();
-        let mut fold = Fold::Dense(&mut dense_avg).begin(&own, 0.4, Robust::None);
-        fold.add(&dense, 0.6);
-        let (mut out, mut removed) = (vec![7.0; 3], RobustStats::default());
-        fold.finish_into(&mut out, &mut removed);
+        let mut oracle = DenseAverager::default();
+        oracle.reset(&own, 0.4);
+        oracle.add(&dense.values, 0.6);
+        let mut expected = Vec::new();
+        oracle.finish_into(&mut expected);
+        let mut removed = RobustStats::default();
+        let out = dense_mix(&own, 0.4, &inbox, Robust::None, open, &mut removed).unwrap();
         assert_eq!(bits(&out), bits(&expected));
-        let parts = [(dense.view(), 0.6)];
-        partial_mix_into(&own, 0.4, &parts, Robust::None, &mut out, &mut removed);
+        let (parts, mut out) = ([(dense.view(), 0.6)], vec![7.0; 3]);
+        let (tiles, removed) = (&mut Tiles::default(), &mut removed);
+        partial_mix_into(&own, 0.4, &parts, Robust::None, tiles, &mut out, removed);
         assert_eq!(bits(&out), bits(&expected));
         assert!(removed.is_zero());
 
         let rule = Robust::NormClip { tau: 0.5 };
         let mut acc = RobustAccumulator::new(&own, 0.4, rule);
         acc.add(&dense, 0.6);
+        let (expected, stats) = acc.finish();
+        let mut removed = RobustStats::default();
+        let out = dense_mix(&own, 0.4, &inbox, rule, open, &mut removed).unwrap();
+        assert_eq!(bits(&out), bits(&expected));
+        assert_eq!((removed, removed.clipped), (stats, 1));
+
+        let mut acc = RobustAccumulator::new(&own, 0.4, rule);
+        acc.add(&dense, 0.6);
         acc.add(&sparse, 0.1);
         let (expected, stats) = acc.finish();
-        let mut fold = Fold::Dense(&mut dense_avg).begin(&own, 0.4, rule);
-        fold.add(&dense, 0.6);
-        fold.add(&sparse, 0.1);
-        let (mut out, mut removed) = (Vec::new(), RobustStats::default());
-        fold.finish_into(&mut out, &mut removed);
-        assert_eq!(bits(&out), bits(&expected));
-        assert_eq!(removed, stats);
-        assert_eq!(removed.clipped, 2);
         let parts = [(dense.view(), 0.6), (sparse.view(), 0.1)];
-        let mut again = RobustStats::default();
-        partial_mix_into(&own, 0.4, &parts, rule, &mut out, &mut again);
+        let (mut out, mut removed) = (Vec::new(), RobustStats::default());
+        partial_mix_into(&own, 0.4, &parts, rule, tiles, &mut out, &mut removed);
         assert_eq!(bits(&out), bits(&expected));
-        assert_eq!(again, stats);
+        assert_eq!((removed, removed.clipped), (stats, 2));
     }
 
     /// The tiled average reports what the streaming averager rejects: an
@@ -565,6 +782,47 @@ mod tests {
                 values: Vec::new(),
             },
         }
+    }
+
+    /// The mix quantized sharing had before it was tiled: every message
+    /// dequantized whole by [`Qsgd::decode`], then added to a
+    /// [`DenseAverager`] (or, under a rule, the rule's accumulator).
+    fn whole_decode_fold(
+        quantizer: Qsgd,
+        own: &[f32],
+        self_weight: f64,
+        received: &[ReceivedMessage<'_>],
+        rule: Robust,
+    ) -> Result<Vec<f32>> {
+        let mut plain = DenseAverager::default();
+        plain.reset(own, self_weight);
+        let mut robust = (!rule.is_none()).then(|| RobustAccumulator::new(own, self_weight, rule));
+        for msg in received {
+            let values = quantizer.decode(msg.bytes, own.len())?;
+            match &mut robust {
+                Some(acc) => acc.add(
+                    ContributionView {
+                        indices: None,
+                        values: &values,
+                    },
+                    msg.weight,
+                ),
+                None => plain.add(&values, msg.weight),
+            }
+        }
+        let mut out = Vec::new();
+        match robust {
+            Some(acc) => out = acc.finish().0,
+            None => plain.finish_into(&mut out),
+        }
+        Ok(out)
+    }
+
+    /// Results by bit pattern, errors by message.
+    fn outcome(result: Result<Vec<f32>>) -> std::result::Result<Vec<u32>, String> {
+        result
+            .map(|v| v.into_iter().map(f32::to_bits).collect())
+            .map_err(|e| e.to_string())
     }
 
     proptest! {
@@ -683,6 +941,73 @@ mod tests {
                 let hi = o.max(*t) + 1e-4;
                 prop_assert!(*r >= lo && *r <= hi);
             }
+        }
+
+        /// Quantized sharing's tiled mix gives what a whole decode and a
+        /// dense averager gave: the same bits, or the same error — across
+        /// tiles, with zero norms, levels the receiver cannot hold, and
+        /// messages truncated, flipped or lengthened.
+        #[test]
+        fn quantized_mix_matches_the_whole_decode_fold(
+            len in prop_oneof![1usize..300, TILE - 2..TILE + 3, 1..3 * TILE + 300],
+            damages in proptest::collection::vec((0u8..6, 0.0f64..1.0, 1u8..=255), 0..4),
+            weights in proptest::collection::vec(0.01f64..1.0, 4..5),
+            median in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let own: Vec<f32> = (0..len).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+            let messages: Vec<Vec<u8>> = damages
+                .iter()
+                .enumerate()
+                .map(|(j, &(damage, at, mask))| {
+                    let theirs: Vec<f32> = match damage {
+                        1 => vec![0.0; len],
+                        _ => own.iter().map(|v| v * (j as f32 + 0.5) - 1.0).collect(),
+                    };
+                    // Damage 2 encodes with more levels than the receiver's 15.
+                    let levels = if damage == 2 { 255 } else { 15 };
+                    let mut bytes = Qsgd::new(levels).encode(&theirs, || rng.gen_range(0.0f32..1.0));
+                    match damage {
+                        3 => bytes.truncate((bytes.len() as f64 * at) as usize),
+                        4 => {
+                            let i = ((bytes.len() as f64 * at) as usize).min(bytes.len() - 1);
+                            bytes[i] ^= mask;
+                        }
+                        5 => bytes.push(mask),
+                        _ => {}
+                    }
+                    bytes
+                })
+                .collect();
+            let received: Vec<ReceivedMessage<'_>> = messages
+                .iter()
+                .zip(&weights)
+                .enumerate()
+                .map(|(j, (bytes, &weight))| ReceivedMessage {
+                    from: j + 1,
+                    round: 0,
+                    weight,
+                    edge_weight: weight,
+                    bytes,
+                    decoded: None,
+                })
+                .collect();
+            let self_weight = 1.0 - weights[..received.len()].iter().sum::<f64>() / 4.0;
+            let mut s = QuantizedSharing::new(15, 1);
+            s.init(&own);
+            let oracle = |rule| whole_decode_fold(Qsgd::new(15), &own, self_weight, &received, rule);
+            let _ = s.make_message(0, &own).unwrap();
+            prop_assert_eq!(
+                outcome(s.aggregate(0, &own, self_weight, &received)),
+                outcome(oracle(Robust::None))
+            );
+            let rule = if median { Robust::Median } else { Robust::None };
+            let _ = s.make_message(1, &own).unwrap();
+            prop_assert_eq!(
+                outcome(s.aggregate_robust(1, &own, self_weight, &received, &rule)),
+                outcome(oracle(rule))
+            );
         }
     }
 }

@@ -1,12 +1,14 @@
 //! Reusable buffers for the share path — one set per worker, none per node.
 //!
-//! Building and folding a message needs a transform workspace, a dense
-//! averager's numerators (full and quantized sharing), the decoded
-//! messages being folded, a TopK index buffer, coefficient-sized `f32`
-//! temporaries and an encode buffer: several times the model size, live
-//! only inside one `make_message` or `aggregate` call. A sparse average
-//! needs no buffer here: `crate::average::partial_average_into` folds a
-//! tile at a time on the stack. Allocated per call
+//! Building and folding a message needs a transform workspace, the tile
+//! loop's buffers, the decoded messages being folded, a TopK index buffer,
+//! coefficient-sized `f32` temporaries and an encode buffer: several times
+//! the model size, live only inside one `make_message` or `aggregate` call.
+//! An average needs no model-sized buffer here: every strategy averages a
+//! [`TILE`](crate::average::TILE) of coordinates at a time in
+//! [`Tiles`] (40 KiB), and full and quantized sharing read each message a
+//! tile at a time there instead of decoding it whole (under a robust rule
+//! they still decode each message whole into the pool). Allocated per call
 //! they cost a page fault per 4 KiB on every node every round; kept per
 //! node they would multiply the resident set by the node count (a 16 384-
 //! node run has 16 384 strategies and two workers). A worker runs one call
@@ -40,7 +42,7 @@
 //! overwritten before it is read, so which set a call gets cannot change a
 //! result.
 
-use crate::average::DenseAverager;
+use crate::average::Tiles;
 use crate::strategy::Contribution;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -52,15 +54,16 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 pub(crate) struct ShareScratch {
     /// `Dwt::{forward,inverse}_into` workspace.
     pub work: Vec<f64>,
-    /// The dense average full sharing and quantized sharing build in
-    /// `aggregate`: one numerator per coordinate, one denominator.
-    pub dense: DenseAverager,
+    /// The tile loop's numerators, denominators and decoded values: every
+    /// plain average is made in them.
+    pub tiles: Tiles,
     /// Decoded neighbour messages, reused call after call (see
     /// [`decode_pool`]): JWINS and random sampling decode a whole inbox
     /// here before they mix it, one contribution per message that has no
     /// shared decode; full and quantized sharing decode each message into
-    /// the first and fold it before the next.
-    pub decoded: Vec<Contribution>,
+    /// the first and hand it to a robust rule before the next, and under
+    /// no rule never decode a message whole.
+    pub decoded: Vec<PooledDecode>,
     /// Coefficient-domain temporary: a transform's output, then the
     /// finished average.
     pub coeffs: Vec<f32>,
@@ -73,12 +76,72 @@ pub(crate) struct ShareScratch {
     pub wire: Vec<u8>,
 }
 
-/// The first `n` contributions of a scratch `decoded` pool, made where it
-/// has fewer; the buffers of the ones it had are kept for the decodes to
+impl ShareScratch {
+    /// The most elements any buffer of the set has room for.
+    #[cfg(test)]
+    pub(crate) fn largest_buffer(&self) -> usize {
+        let Self {
+            work,
+            tiles,
+            decoded,
+            coeffs,
+            values,
+            order,
+            wire,
+        } = self;
+        (decoded.iter())
+            .flat_map(|entry| {
+                let values = &entry.contribution.values;
+                [entry.index_buffer().capacity(), values.capacity()]
+            })
+            .chain([work.capacity(), tiles.capacity(), coeffs.capacity()])
+            .chain([values.capacity(), order.capacity(), wire.capacity()])
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// One contribution of a scratch `decoded` pool, and the index list its
+/// last decode did not need.
+#[derive(Debug, Default)]
+pub(crate) struct PooledDecode {
+    /// The decode.
+    pub contribution: Contribution,
+    /// The list buffer set aside while the contribution's indices are
+    /// implied, for the next listed decode to write into.
+    spare: Vec<u32>,
+}
+
+impl PooledDecode {
+    /// The buffers of a listed decode: an index list — the one set aside,
+    /// if the last decode implied its indices — and the values.
+    pub fn buffers(&mut self) -> (&mut Vec<u32>, &mut Vec<f32>) {
+        let Contribution { indices, values } = &mut self.contribution;
+        let spare = &mut self.spare;
+        (indices.get_or_insert_with(|| std::mem::take(spare)), values)
+    }
+
+    /// Makes the contribution's indices implied (`0..values.len()`),
+    /// setting its list buffer aside instead of freeing it.
+    pub fn imply_indices(&mut self) {
+        if let Some(list) = self.contribution.indices.take() {
+            self.spare = list;
+        }
+    }
+
+    /// The index list buffer, in the contribution or set aside.
+    #[cfg(test)]
+    pub(crate) fn index_buffer(&self) -> &Vec<u32> {
+        self.contribution.indices.as_ref().unwrap_or(&self.spare)
+    }
+}
+
+/// The first `n` entries of a scratch `decoded` pool, made where it has
+/// fewer; the buffers of the ones it had are kept for the decodes to
 /// overwrite.
-pub(crate) fn decode_pool(pool: &mut Vec<Contribution>, n: usize) -> &mut [Contribution] {
+pub(crate) fn decode_pool(pool: &mut Vec<PooledDecode>, n: usize) -> &mut [PooledDecode] {
     if pool.len() < n {
-        pool.resize_with(n, Contribution::default);
+        pool.resize_with(n, PooledDecode::default);
     }
     &mut pool[..n]
 }
@@ -172,7 +235,66 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut ShareScratch) -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::average::TILE;
+    use crate::strategies::{FullSharing, QuantizedSharing};
+    use crate::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
     use std::sync::Barrier;
+
+    /// `messages` as an inbox, each at weight 0.2.
+    fn inbox(messages: &[OutMessage]) -> Vec<ReceivedMessage<'_>> {
+        (messages.iter().enumerate())
+            .map(|(j, msg)| ReceivedMessage {
+                from: j + 1,
+                round: 0,
+                weight: 0.2,
+                edge_weight: 0.2,
+                bytes: &msg.bytes,
+                decoded: None,
+            })
+            .collect()
+    }
+
+    /// A plain full or quantized mix leaves no buffer as long as the model
+    /// in the worker's set: every message is read a tile at a time.
+    #[test]
+    fn a_dense_mix_keeps_no_model_sized_buffer() {
+        let dim = 3 * TILE + 5;
+        let own: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
+        let theirs = |j: usize| -> Vec<f32> { own.iter().map(|v| v * j as f32 - 0.5).collect() };
+        // Encoded before the set is emptied: full sharing builds its wire
+        // image there.
+        let mut full = FullSharing::new();
+        full.init(&own);
+        let full_inbox: Vec<OutMessage> = (1..=4)
+            .map(|j| full.make_message(0, &theirs(j)).unwrap())
+            .collect();
+        let quantized_inbox: Vec<OutMessage> = (1..=4)
+            .map(|j| {
+                let mut sender = QuantizedSharing::new(255, j as u64);
+                sender.init(&own);
+                sender.make_message(0, &theirs(j)).unwrap()
+            })
+            .collect();
+        let mut quantized = QuantizedSharing::new(255, 9);
+        quantized.init(&own);
+        let _ = quantized.make_message(0, &own).unwrap();
+
+        reserve(MAX_SLOTS);
+        with_scratch(|s| {
+            *s = ShareScratch::default();
+            s.wire.push(0xA5);
+        });
+        full.aggregate(0, &own, 0.2, &inbox(&full_inbox)).unwrap();
+        (quantized.aggregate(0, &own, 0.2, &inbox(&quantized_inbox))).unwrap();
+        with_scratch(|s| {
+            assert_eq!(s.wire, [0xA5], "the mixes ran in another set");
+            assert!(
+                s.largest_buffer() < dim,
+                "a buffer of {} elements",
+                s.largest_buffer()
+            );
+        });
+    }
 
     #[test]
     fn buffers_survive_between_calls_and_nest_without_sharing() {

@@ -5,28 +5,24 @@
 //! Fpzip "uniformly for all the model parameters and for all experiments and
 //! baselines") and aggregates with Metropolis–Hastings weights.
 
-use crate::average::Fold;
-use crate::scratch::{decode_pool, with_scratch};
-use crate::strategy::{Contribution, OutMessage, ReceivedMessage, ShareStrategy};
+use crate::average::dense_mix;
+use crate::scratch::with_scratch;
+use crate::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
 use jwins_adversary::{Robust, RobustStats};
-use jwins_codec::float::{BlockFloatCodec, FloatCodec};
+use jwins_codec::float::{BlockFloatCodec, BlockFloatDecoder, FloatCodec};
 use jwins_codec::varint;
 use jwins_net::ByteBreakdown;
 
-/// Decodes a message's `dim` values over `decoded`, checking its header
-/// against the local dimension and rejecting a message that goes on after
-/// them.
-fn decode(bytes: &[u8], dim: usize, decoded: &mut Contribution) -> Result<()> {
+/// Checks a message's header against the local dimension and returns a
+/// decoder on its `dim` values; its `finish` rejects a message that goes on
+/// after them.
+fn open(bytes: &[u8], dim: usize) -> Result<BlockFloatDecoder<'_>> {
     let (count, used) = varint::read_u64(bytes)?;
     if count != dim as u64 {
         return Err(JwinsError::Protocol("full-sharing dimension mismatch"));
     }
-    let mut values = BlockFloatCodec::decoder(&bytes[used..]);
-    decoded.indices = None;
-    decoded.values.resize(dim, 0.0);
-    values.next_values(&mut decoded.values)?;
-    Ok(values.finish()?)
+    Ok(BlockFloatCodec::decoder(&bytes[used..]))
 }
 
 /// Full-model broadcast with weighted averaging.
@@ -42,8 +38,8 @@ impl FullSharing {
         Self::default()
     }
 
-    /// `aggregate` under `rule`: each message decoded whole into the
-    /// worker's scratch, then folded.
+    /// `aggregate` under `rule`: under none, every message folded a tile
+    /// at a time as it decodes.
     fn mix(
         &mut self,
         params: &[f32],
@@ -51,17 +47,15 @@ impl FullSharing {
         received: &[ReceivedMessage<'_>],
         rule: Robust,
     ) -> Result<Vec<f32>> {
-        with_scratch(|scratch| {
-            let decoded = &mut decode_pool(&mut scratch.decoded, 1)[0];
-            let mut fold = Fold::Dense(&mut scratch.dense).begin(params, self_weight, rule);
-            for msg in received {
-                decode(msg.bytes, params.len(), decoded)?;
-                fold.add(decoded, msg.weight);
-            }
-            let mut next = Vec::new();
-            fold.finish_into(&mut next, &mut self.robust_stats);
-            Ok(next)
-        })
+        let open = |bytes| open(bytes, params.len());
+        dense_mix(
+            params,
+            self_weight,
+            received,
+            rule,
+            open,
+            &mut self.robust_stats,
+        )
     }
 }
 
@@ -129,9 +123,11 @@ impl ShareStrategy for FullSharing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::average::{PartialAverager, RobustAccumulator};
-    use jwins_codec::float::BlockFloatDecoder;
+    use crate::average::{PartialAverager, RobustAccumulator, TILE};
+    use crate::strategy::Contribution;
     use proptest::prelude::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn roundtrip_message(params: &[f32]) -> OutMessage {
         let mut s = FullSharing::new();
@@ -269,16 +265,6 @@ mod tests {
         assert!(s.robust_stats().is_none(), "drain resets");
     }
 
-    /// Checks a message's header against the local dimension and returns a
-    /// decoder positioned on its values.
-    fn open_message(bytes: &[u8], dim: usize) -> Result<BlockFloatDecoder<'_>> {
-        let (count, used) = varint::read_u64(bytes)?;
-        if count != dim as u64 {
-            return Err(JwinsError::Protocol("full-sharing dimension mismatch"));
-        }
-        Ok(BlockFloatCodec::decoder(&bytes[used..]))
-    }
-
     /// The fold this strategy used before it decoded by block: one
     /// `next_value` per coordinate into per-coordinate denominators (or,
     /// under a rule, the rule's accumulator). The oracle for
@@ -293,7 +279,7 @@ mod tests {
         let mut robust =
             (!rule.is_none()).then(|| RobustAccumulator::new(params, self_weight, rule));
         for msg in received {
-            let mut values = open_message(msg.bytes, params.len())?;
+            let mut values = open(msg.bytes, params.len())?;
             let decoded = (0..params.len())
                 .map(|_| values.next_value())
                 .collect::<std::result::Result<Vec<f32>, _>>()?;
@@ -363,16 +349,20 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Block decoding with one denominator gives what the per-value fold
-        /// gave: the same bits, or the same error, whatever a neighbour's
-        /// message is — across block boundaries and a partial last block.
+        /// The tiled fold gives what the per-value fold gave: the same
+        /// bits, or the same error, whatever a neighbour's message is —
+        /// across block and tile boundaries, with a partial last block and
+        /// tile, and damage in any tile.
         #[test]
         fn aggregate_matches_the_per_value_fold(
-            own in proptest::collection::vec(any::<f32>(), 2..300),
+            len in prop_oneof![2usize..300, TILE - 2..TILE + 3, 2..3 * TILE + 300],
             damages in proptest::collection::vec(damage(), 0..4),
             weights in proptest::collection::vec(0.01f64..1.0, 4..5),
             median in any::<bool>(),
+            seed in any::<u64>(),
         ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let own: Vec<f32> = (0..len).map(|_| any::<f32>().sample_value(&mut rng)).collect();
             let messages: Vec<Vec<u8>> = damages
                 .iter()
                 .enumerate()

@@ -23,7 +23,7 @@
 use crate::average::partial_mix_into;
 use crate::cutoff::{AlphaDistribution, CutoffSampler};
 use crate::scaling::ScoreScaling;
-use crate::scratch::{decode_pool, with_scratch, ShareScratch};
+use crate::scratch::{decode_pool, with_scratch, PooledDecode, ShareScratch};
 use crate::sparsify::{budget, gather_into, top_k_into};
 use crate::strategy::{close_round, Contribution, OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
@@ -312,7 +312,7 @@ impl Jwins {
     fn decode<'a>(
         &self,
         msg: &ReceivedMessage<'a>,
-        spare: &mut std::slice::IterMut<'a, Contribution>,
+        spare: &mut std::slice::IterMut<'a, PooledDecode>,
     ) -> Result<&'a Contribution> {
         let codec = self.codec;
         let shared = msg.decoded.and_then(|slot| {
@@ -324,12 +324,12 @@ impl Jwins {
         let decoded = match shared {
             Some(shared) => shared.as_ref().map_err(CodecError::clone)?,
             None => {
-                let scratch = spare.next().expect("a pooled contribution per message");
-                let indices = scratch.indices.get_or_insert_with(Vec::new);
-                if codec.decode_compact_into(msg.bytes, indices, &mut scratch.values)? {
-                    scratch.indices = None;
+                let entry = spare.next().expect("a pooled contribution per message");
+                let (indices, values) = entry.buffers();
+                if codec.decode_compact_into(msg.bytes, indices, values)? {
+                    entry.imply_indices();
                 }
-                scratch
+                &entry.contribution
             }
         };
         let len = self.scores.len();
@@ -366,6 +366,7 @@ impl Jwins {
                     self_weight,
                     &parts,
                     rule,
+                    &mut scratch.tiles,
                     &mut scratch.coeffs,
                     &mut self.robust_stats,
                 );
@@ -1046,6 +1047,57 @@ mod tests {
             assert!(matches!(error, JwinsError::Codec(_)), "{error}");
             assert_eq!(error.to_string(), alone.to_string());
         }
+    }
+
+    /// A decode of implied indices sets its pool entry's index buffer
+    /// aside, and the next listed decode into that entry writes into it:
+    /// the list is not allocated again. Each mix is the one a fresh pool
+    /// gives.
+    #[test]
+    fn an_implied_decode_keeps_the_entrys_index_buffer() {
+        let config = |alpha| JwinsConfig {
+            alpha: AlphaDistribution::Fixed(alpha),
+            randomized_cutoff: false,
+            ..JwinsConfig::paper_default()
+        };
+        let (listed, receiver) = one_broadcast(&config(0.1), 300);
+        let (implied, _) = one_broadcast(&config(1.0), 300);
+        let mix = |msg: &OutMessage| {
+            let (mut r, x) = receiver(7);
+            let from = ReceivedMessage {
+                from: 1,
+                round: 0,
+                weight: 0.3,
+                edge_weight: 0.3,
+                bytes: &msg.bytes,
+                decoded: None,
+            };
+            bits(&r.aggregate(0, &x, 0.7, &[from]).unwrap())
+        };
+        crate::scratch::reserve(usize::MAX);
+        let index_buffer = || {
+            with_scratch(|s| {
+                let list = s.decoded[0].index_buffer();
+                (list.as_ptr(), list.capacity())
+            })
+        };
+        let fresh = |msg: &OutMessage| {
+            with_scratch(|s| *s = ShareScratch::default());
+            mix(msg)
+        };
+        let (expected_listed, expected_implied) = (fresh(&listed), fresh(&implied));
+        let _ = fresh(&listed);
+        let buffer = index_buffer();
+        assert!(buffer.1 > 0);
+        assert_eq!(mix(&implied), expected_implied);
+        assert_eq!(
+            index_buffer(),
+            buffer,
+            "the implied decode dropped the list"
+        );
+        assert_eq!(mix(&listed), expected_listed);
+        assert_eq!(index_buffer(), buffer, "the listed decode allocated again");
+        with_scratch(|s| assert!(s.decoded[0].contribution.indices.is_some()));
     }
 
     /// The whole inbox is decoded before anything is mixed, and the first

@@ -14,8 +14,7 @@
 //! the quantization error, which is exactly the behaviour the
 //! `ext_quantization` bench measures against JWINS at a matched byte budget.
 
-use crate::average::Fold;
-use crate::scratch::{decode_pool, with_scratch};
+use crate::average::dense_mix;
 use crate::strategy::{close_round, OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
 use jwins_adversary::{Robust, RobustStats};
@@ -75,8 +74,8 @@ impl QuantizedSharing {
     }
 
     /// `aggregate` under `rule`: closes the round `make_message` opened,
-    /// then dequantizes each message into the worker's scratch and folds
-    /// it.
+    /// then, under no rule, folds every message a tile at a time as it
+    /// dequantizes.
     fn mix(
         &mut self,
         round: usize,
@@ -86,18 +85,16 @@ impl QuantizedSharing {
         rule: Robust,
     ) -> Result<Vec<f32>> {
         close_round(&mut self.pending_round, round)?;
-        with_scratch(|scratch| {
-            let decoded = &mut decode_pool(&mut scratch.decoded, 1)[0];
-            decoded.indices = None;
-            let mut fold = Fold::Dense(&mut scratch.dense).begin(params, self_weight, rule);
-            for msg in received {
-                decoded.values = self.quantizer.decode(msg.bytes, self.dim)?;
-                fold.add(decoded, msg.weight);
-            }
-            let mut next = Vec::new();
-            fold.finish_into(&mut next, &mut self.robust_stats);
-            Ok(next)
-        })
+        let quantizer = self.quantizer;
+        let open = |bytes| Ok(quantizer.decoder(bytes)?);
+        dense_mix(
+            params,
+            self_weight,
+            received,
+            rule,
+            open,
+            &mut self.robust_stats,
+        )
     }
 }
 

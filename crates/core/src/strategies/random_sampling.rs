@@ -85,12 +85,17 @@ impl RandomSampling {
         with_scratch(|scratch| {
             let pool = decode_pool(&mut scratch.decoded, received.len());
             for (msg, decoded) in received.iter().zip(pool.iter_mut()) {
-                decode(round, msg.bytes, subset.len(), &mut decoded.values)?;
+                decode(
+                    round,
+                    msg.bytes,
+                    subset.len(),
+                    &mut decoded.contribution.values,
+                )?;
             }
             let parts: Vec<_> = (pool.iter().zip(received))
                 .map(|(decoded, msg)| {
                     let indices = Some(&subset[..]);
-                    let values = &decoded.values[..];
+                    let values = &decoded.contribution.values[..];
                     (ContributionView { indices, values }, msg.weight)
                 })
                 .collect();
@@ -100,6 +105,7 @@ impl RandomSampling {
                 self_weight,
                 &parts,
                 rule,
+                &mut scratch.tiles,
                 &mut next,
                 &mut self.robust_stats,
             );
