@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of every substrate on the JWINS hot path:
 //! wavelet transforms (by family and depth), FFT, entropy coders, float
-//! codecs, TopK selection, gossip mixing, the partial average, the
+//! codecs, TopK selection, gossip mixing, the partial average, JWINS's
+//! whole mix (returned against written in place), the
 //! `jwins_nn` layers and the event engine's fixed costs (queue push/pop per
 //! event by node count, one empty batch dispatch by width). These quantify
 //! the share path's design choices (wavelet family, metadata codec, value
@@ -17,8 +18,9 @@ use criterion::{
 use jwins::average::{partial_average_into, DenseAverager, PartialAverager};
 use jwins::engine::workers::{with_workers, Cell};
 use jwins::sparsify::{budget, gather, top_k_indices, top_k_into};
-use jwins::strategies::FullSharing;
+use jwins::strategies::{FullSharing, Jwins, JwinsConfig};
 use jwins::strategy::{Contribution, ReceivedMessage, ShareStrategy};
+use jwins_adversary::Robust;
 use jwins_codec::bitio::{BitReader, BitWriter};
 use jwins_codec::float::{BlockFloatCodec, FloatCodec, RawFloatCodec};
 use jwins_codec::quantize::Qsgd;
@@ -495,6 +497,67 @@ fn bench_average(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two JWINS mixes at the benchmark's d = 113 418 on an inbox of four
+/// neighbours' shares, under Metropolis–Hastings weights of a 4-regular
+/// graph: `aggregate` plus the copy into the node's parameters (the
+/// engine's mix before `aggregate_into`), against `aggregate_into` writing
+/// them in place. Two nodes in the same state alternate, one per candidate,
+/// so minute-scale host drift cancels; each mix follows an untimed
+/// `make_message` that opens its round. Prints median µs per mix.
+fn bench_jwins_mix(c: &mut Criterion) {
+    let own = trained::trained_like(&trained::MLP);
+    let shifted = |by: f32| -> Vec<f32> { own.iter().map(|v| v * 0.9 + by).collect() };
+    let inbox: Vec<_> = (1..=4u64)
+        .map(|node| {
+            let mut peer = Jwins::new(JwinsConfig::paper_default(), node);
+            peer.init(&own);
+            let share = peer.make_message(0, &shifted(node as f32 * 0.01));
+            share.expect("a share encodes").bytes
+        })
+        .collect();
+    let received: Vec<_> = (inbox.iter().enumerate())
+        .map(|(j, bytes)| ReceivedMessage {
+            from: j + 1,
+            round: 0,
+            weight: 0.2,
+            edge_weight: 0.2,
+            bytes,
+            decoded: None,
+        })
+        .collect();
+    let mut group = headed_group(c, "jwins");
+    group.bench_function("mix_113418", |_| {
+        let (warm_up, samples) = (4, if jwins_bench::smoke() { 8 } else { 60 });
+        let mut nodes = [(); 2].map(|()| {
+            let mut node = Jwins::new(JwinsConfig::paper_default(), 0);
+            node.init(&own);
+            (node, shifted(0.0), Vec::new())
+        });
+        for round in 0..warm_up + samples {
+            for (candidate, (node, params, ns)) in nodes.iter_mut().enumerate() {
+                node.make_message(round, params).expect("a share encodes");
+                let start = Instant::now();
+                if candidate == 0 {
+                    let mixed = node.aggregate(round, params, 0.2, &received);
+                    params.copy_from_slice(&mixed.expect("the inbox decodes"));
+                } else {
+                    let mixed = node.aggregate_into(round, params, 0.2, &received, &Robust::None);
+                    mixed.expect("the inbox decodes");
+                }
+                if round >= warm_up {
+                    ns.push(start.elapsed().as_nanos() as f64);
+                }
+            }
+        }
+        for (name, (_, _, ns)) in ["aggregate", "aggregate_into"].iter().zip(&mut nodes) {
+            ns.sort_by(f64::total_cmp);
+            let us = ns[ns.len() / 2] / 1e3;
+            println!("jwins/mix_113418/{name:<32} {us:>10.1} µs/mix");
+        }
+    });
+    group.finish();
+}
+
 /// One layer's training forward (which also arms `backward`) and backward
 /// on a fixed input; both include handing the layer an owned tensor.
 fn bench_layer(
@@ -689,6 +752,7 @@ criterion_group!(
     bench_peer_sampling,
     bench_power_gossip_kernels,
     bench_selection_and_mixing,
-    bench_average
+    bench_average,
+    bench_jwins_mix
 );
 criterion_main!(benches);

@@ -73,9 +73,9 @@ fn gather(
     let deadline = Instant::now() + Duration::from_millis(channel.mix_wait_ms);
     loop {
         stash.extend(network.drain(node, SimTime::MAX, None).envelopes);
-        let complete = neighbors
-            .iter()
-            .all(|&j| stash.iter().any(|e| e.from == j && e.sent_round == round));
+        let complete = neighbors.iter().all(|&j| {
+            (stash.iter()).any(|e| e.from as usize == j && e.sent_round as usize == round)
+        });
         if complete || stop.load(Ordering::SeqCst) || Instant::now() >= deadline {
             break;
         }
@@ -87,7 +87,7 @@ fn gather(
     let mut inbox = Vec::new();
     let mut keep = Vec::new();
     for env in stash.drain(..) {
-        match env.sent_round.cmp(&round) {
+        match (env.sent_round as usize).cmp(&round) {
             std::cmp::Ordering::Equal => inbox.push(env),
             std::cmp::Ordering::Greater => keep.push(env),
             std::cmp::Ordering::Less => {}
@@ -196,9 +196,9 @@ where
                 tracer.emit(TraceEvent::MsgMixed {
                     t_ns: now.0,
                     node: i as u32,
-                    from: env.from as u32,
+                    from: env.from,
                     round: round as u32,
-                    sent_round: env.sent_round as u32,
+                    sent_round: env.sent_round,
                     staleness_s,
                 });
             }

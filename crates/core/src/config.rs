@@ -321,6 +321,13 @@ impl TrainConfig {
         if self.rounds == 0 {
             return Err(JwinsError::InvalidConfig("rounds must be positive".into()));
         }
+        // Envelopes and the trace stamp rounds as `u32`.
+        if u32::try_from(self.rounds).is_err() {
+            return Err(JwinsError::InvalidConfig(format!(
+                "rounds must be at most {}",
+                u32::MAX
+            )));
+        }
         if self.local_steps == 0 {
             return Err(JwinsError::InvalidConfig(
                 "local_steps must be positive".into(),
@@ -486,6 +493,15 @@ mod tests {
         let mut c = TrainConfig::new(1);
         c.message_loss = 1.0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn rounds_past_a_u32_stamp_are_rejected() {
+        // Validation only: nothing is allocated per round.
+        let last = u32::MAX as usize;
+        assert!(TrainConfig::new(last).validate().is_ok());
+        let err = TrainConfig::new(last + 1).validate().unwrap_err();
+        assert!(err.to_string().contains("rounds must be at most"), "{err}");
     }
 
     #[test]

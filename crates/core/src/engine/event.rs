@@ -282,7 +282,7 @@ struct MixProposal {
     // global accumulator folds the staleness terms one at a time at commit,
     // so the float-addition grouping is identical to processing events
     // singly; the provenance pair only feeds `TraceEvent::MsgMixed`.
-    staleness: Vec<(usize, usize, f64)>,
+    staleness: Vec<(u32, u32, f64)>,
     absorbed: f64,
     expired: u64,
 }
@@ -1055,7 +1055,8 @@ where
                 // under this round's topology carries no mixing weight;
                 // drop it (dynamic graphs only — static topologies never
                 // hit this).
-                let Some(base) = weigh(topo, node, env.from) else {
+                let (from, sent_round) = (env.from as usize, env.sent_round as usize);
+                let Some(base) = weigh(topo, node, from) else {
                     continue;
                 };
                 let factor = if has_cap {
@@ -1081,8 +1082,8 @@ where
                 absorbed += moved;
                 staleness_terms.push((env.from, env.sent_round, at.since(env.sent).as_secs_f64()));
                 received.push(ReceivedMessage {
-                    from: env.from,
-                    round: env.sent_round,
+                    from,
+                    round: sent_round,
                     weight,
                     edge_weight: base,
                     bytes: &env.payload,
@@ -1132,9 +1133,9 @@ where
             tracer.emit(TraceEvent::MsgMixed {
                 t_ns: at.0,
                 node: node as u32,
-                from: from as u32,
+                from,
                 round: round as u32,
-                sent_round: sent_round as u32,
+                sent_round,
                 staleness_s: s,
             });
         }

@@ -293,6 +293,13 @@ impl<M: Model> TrainerBuilder<M> {
                 "at least one node required".into(),
             ));
         }
+        // Envelopes and the trace stamp node ids as `u32`.
+        if u32::try_from(n).is_err() {
+            return Err(JwinsError::InvalidConfig(format!(
+                "at most {} nodes",
+                u32::MAX
+            )));
+        }
         if topology.nodes() != n {
             return Err(JwinsError::InvalidConfig(format!(
                 "topology has {} nodes but {n} were added",

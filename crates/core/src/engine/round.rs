@@ -150,15 +150,8 @@ impl<M: Model> NodeState<M> {
         received: &[ReceivedMessage<'_>],
         robust: &Robust,
     ) -> Result<()> {
-        let mixed = if robust.is_none() {
-            self.strategy
-                .aggregate(round, params, self_weight, received)?
-        } else {
-            self.strategy
-                .aggregate_robust(round, params, self_weight, received, robust)?
-        };
-        params.copy_from_slice(&mixed);
-        Ok(())
+        self.strategy
+            .aggregate_into(round, params, self_weight, received, robust)
     }
 
     /// [`Self::mix`] for the lockstep schedulers (barrier, channel): every
@@ -184,15 +177,16 @@ impl<M: Model> NodeState<M> {
         let received: Vec<ReceivedMessage<'_>> = inbox
             .iter()
             .map(|env| {
-                let weight = weigh(topo, id, env.from)
+                let from = env.from as usize;
+                let weight = weigh(topo, id, from)
                     .ok_or(JwinsError::Protocol("message from non-neighbour"))?;
                 Ok(ReceivedMessage {
-                    from: env.from,
+                    from,
                     round,
                     weight,
                     edge_weight: weight,
                     bytes: &env.payload,
-                    decoded: slots.get(env.from).and_then(Option::as_ref),
+                    decoded: slots.get(from).and_then(Option::as_ref),
                 })
             })
             .collect::<Result<_>>()?;

@@ -236,8 +236,10 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut ShareScratch) -> R) -> R {
 mod tests {
     use super::*;
     use crate::average::TILE;
-    use crate::strategies::{FullSharing, QuantizedSharing};
+    use crate::cutoff::AlphaDistribution;
+    use crate::strategies::{FullSharing, Jwins, JwinsConfig, QuantizedSharing};
     use crate::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
+    use jwins_wavelet::Dwt;
     use std::sync::Barrier;
 
     /// `messages` as an inbox, each at weight 0.2.
@@ -293,6 +295,46 @@ mod tests {
                 "a buffer of {} elements",
                 s.largest_buffer()
             );
+        });
+    }
+
+    /// A JWINS share at α = 1 of a model whose transform is longer than it
+    /// (n > d) keeps every buffer within `max(n, d)` elements, and the wire
+    /// image within the value codec's worst case: no buffer grows by
+    /// doubling from d to n.
+    #[test]
+    fn a_full_budget_jwins_share_sizes_each_buffer_exactly() {
+        let dim = 3 * TILE + 5;
+        let config = JwinsConfig {
+            alpha: AlphaDistribution::Fixed(1.0),
+            ..JwinsConfig::paper_default()
+        };
+        let (wavelet, levels) = config.wavelet.clone().expect("paper default transforms");
+        let n = Dwt::new(wavelet, levels)
+            .unwrap()
+            .layout_for(dim)
+            .coeff_len();
+        assert!(n > dim, "the case under test: {n} coefficients for {dim}");
+        let params: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut jwins = Jwins::new(config, 5);
+        jwins.init(&params);
+
+        reserve(MAX_SLOTS);
+        with_scratch(|s| *s = ShareScratch::default());
+        let moved: Vec<f32> = params.iter().map(|v| v * 0.9).collect();
+        let message = jwins.make_message(0, &moved).unwrap();
+        with_scratch(|s| {
+            let wire = std::mem::take(&mut s.wire);
+            assert!(
+                wire.len() >= message.bytes.len(),
+                "the share ran in another set"
+            );
+            // Two length varints, then every value at its full 32 bits
+            // with a 17-bit header per block of 64.
+            let worst = 2 * 10 + (n * 32 + n.div_ceil(64) * 17).div_ceil(8);
+            assert!(wire.capacity() <= worst, "{} > {worst}", wire.capacity());
+            let largest = s.largest_buffer();
+            assert!(largest <= n.max(dim), "a buffer of {largest} elements");
         });
     }
 

@@ -200,6 +200,8 @@ pub fn gather(values: &[f32], indices: &[u32]) -> Vec<f32> {
 /// Panics if an index is out of bounds.
 pub fn gather_into(values: &[f32], indices: &[u32], out: &mut Vec<f32>) {
     out.clear();
+    // Exact: a buffer one element short would otherwise double.
+    out.reserve_exact(indices.len());
     out.extend(indices.iter().map(|&i| values[i as usize]));
 }
 

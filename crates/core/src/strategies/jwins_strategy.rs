@@ -340,18 +340,19 @@ impl Jwins {
         in_range.then_some(decoded).ok_or(INDEX_OUT_OF_RANGE)
     }
 
-    /// `aggregate` under `rule`, in the wavelet domain — a robust rule
+    /// `aggregate_into` under `rule`, in the wavelet domain — a robust rule
     /// screens coefficients where the sharing happens. The whole inbox is
     /// decoded first, in order, so the first message that fails is the
-    /// error; then it is mixed a tile at a time.
+    /// error and `params` is not yet written; then it is mixed a tile at a
+    /// time.
     fn mix(
         &mut self,
         round: usize,
-        params: &[f32],
+        params: &mut [f32],
         self_weight: f64,
         received: &[ReceivedMessage<'_>],
         rule: Robust,
-    ) -> Result<Vec<f32>> {
+    ) -> Result<()> {
         // Once a round is open the buffer holds coefficients, so whatever
         // fails from here on, the round start is gone.
         let opened = self.pending_round.is_some();
@@ -385,19 +386,19 @@ impl Jwins {
         }
     }
 
-    /// Inverts the averaged coefficients (`scratch.coeffs`) and applies the
-    /// eq-4 bookkeeping: sent-score reset and averaging change absorbed
-    /// (scaled the same way as the training change, so score units match),
-    /// in one pass; then the round buffer takes the next round's start.
-    fn commit_averaged(&mut self, scratch: &mut ShareScratch, params: &[f32]) -> Result<Vec<f32>> {
-        let mut next = Vec::new();
+    /// Inverts the averaged coefficients (`scratch.coeffs`) into the round
+    /// buffer — free since the fold read the own coefficients — and applies
+    /// the eq-4 bookkeeping against `params`, still `x^{t,τ}`: sent-score
+    /// reset and averaging change absorbed (scaled the same way as the
+    /// training change, so score units match), in one pass. Then `params`
+    /// takes the next round's start, which the buffer keeps.
+    fn commit_averaged(&mut self, scratch: &mut ShareScratch, params: &mut [f32]) -> Result<()> {
         self.transform
-            .inverse_into(&scratch.coeffs, &mut scratch.work, &mut next)?;
-        self.change_coeffs(scratch, &next, params);
+            .inverse_into(&scratch.coeffs, &mut scratch.work, &mut self.round_buffer)?;
+        self.change_coeffs(scratch, &self.round_buffer, params);
         reset_sent_and_add(&mut self.scores, &self.sent, &scratch.coeffs);
-        self.round_buffer.clear();
-        self.round_buffer.extend_from_slice(&next);
-        Ok(next)
+        params.copy_from_slice(&self.round_buffer);
+        Ok(())
     }
 }
 
@@ -493,7 +494,22 @@ impl ShareStrategy for Jwins {
         self_weight: f64,
         received: &[ReceivedMessage<'_>],
     ) -> Result<Vec<f32>> {
-        self.mix(round, params, self_weight, received, Robust::None)
+        let mut next = params.to_vec();
+        self.mix(round, &mut next, self_weight, received, Robust::None)?;
+        Ok(next)
+    }
+
+    /// Mixes straight into `params`: nothing is written before the whole
+    /// inbox has decoded, so on `Err` `params` is unchanged.
+    fn aggregate_into(
+        &mut self,
+        round: usize,
+        params: &mut [f32],
+        self_weight: f64,
+        received: &[ReceivedMessage<'_>],
+        rule: &Robust,
+    ) -> Result<()> {
+        self.mix(round, params, self_weight, received, *rule)
     }
 
     fn last_alpha(&self) -> f64 {
@@ -512,7 +528,9 @@ impl ShareStrategy for Jwins {
         received: &[ReceivedMessage<'_>],
         rule: &Robust,
     ) -> Result<Vec<f32>> {
-        self.mix(round, params, self_weight, received, *rule)
+        let mut next = params.to_vec();
+        self.mix(round, &mut next, self_weight, received, *rule)?;
+        Ok(next)
     }
 
     fn robust_stats(&mut self) -> Option<RobustStats> {

@@ -225,8 +225,10 @@ impl PairingStats {
 /// folds in the neighbours' broadcasts.
 ///
 /// Protocol per round `t`: `make_message(t, params)` exactly once, then
-/// `aggregate(t, params, …)` exactly once. `init` is called once before
-/// round 0 with the (cluster-identical) initial parameters.
+/// one mix exactly once — `aggregate(t, params, …)`, or
+/// `aggregate_robust`, or the engine's `aggregate_into`, which writes the
+/// same result over `params`. `init` is called once before round 0 with
+/// the (cluster-identical) initial parameters.
 ///
 /// # Edge-state versioning contract (asynchronous delivery)
 ///
@@ -308,6 +310,46 @@ pub trait ShareStrategy: Send {
         self_weight: f64,
         received: &[ReceivedMessage<'_>],
     ) -> Result<Vec<f32>>;
+
+    /// The engine's mix: [`aggregate`] (or, under a robust `rule`,
+    /// [`aggregate_robust`]) written over `params` in place — what the
+    /// engine calls on a node's arena window, so a strategy that overrides
+    /// it needs no fresh vector per mix.
+    ///
+    /// The default calls the allocating method and copies its result.
+    /// Full sharing, quantized and random sampling keep it: their tile
+    /// fold can fail after it has written a tile, so folding into `params`
+    /// would break the contract below. JWINS overrides it.
+    ///
+    /// # Contract
+    ///
+    /// On `Ok`, `params` is bit for bit the vector [`aggregate`] (or
+    /// [`aggregate_robust`]) returns for the same call, and the strategy's
+    /// state is what that call leaves. On `Err`, `params` is bit-unchanged
+    /// and the error is the one that call returns.
+    ///
+    /// # Errors
+    ///
+    /// As [`aggregate`] and [`aggregate_robust`].
+    ///
+    /// [`aggregate`]: Self::aggregate
+    /// [`aggregate_robust`]: Self::aggregate_robust
+    fn aggregate_into(
+        &mut self,
+        round: usize,
+        params: &mut [f32],
+        self_weight: f64,
+        received: &[ReceivedMessage<'_>],
+        rule: &jwins_adversary::Robust,
+    ) -> Result<()> {
+        let mixed = if rule.is_none() {
+            self.aggregate(round, params, self_weight, received)?
+        } else {
+            self.aggregate_robust(round, params, self_weight, received, rule)?
+        };
+        params.copy_from_slice(&mixed);
+        Ok(())
+    }
 
     /// The sharing fraction used in the most recent `make_message`, in
     /// `[0, 1]` (1.0 for full sharing). Drives the Figure-3 plot.

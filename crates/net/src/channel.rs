@@ -100,13 +100,13 @@ impl ThreadChannelTransport {
             flight.0 += arrives.since(frame.sent).as_secs_f64();
             flight.1 += 1;
         }
-        Envelope {
-            from: frame.from,
-            payload: frame.payload,
-            sent: frame.sent,
+        Envelope::landed(
+            frame.from,
+            frame.payload,
+            frame.sent,
             arrives,
-            sent_round: frame.sent_round,
-        }
+            frame.sent_round,
+        )
     }
 
     /// Pulls everything currently on the `from → to` wire into `mailbox`,
@@ -214,7 +214,8 @@ impl Transport for ThreadChannelTransport {
                 // to the kill too, then filter the mailbox.
                 self.pull_edge(from, to, &mut mailbox);
                 self.core.kill(to, &mut mailbox, |env| {
-                    env.from == from && sent_round.is_none_or(|r| env.sent_round == r)
+                    env.from as usize == from
+                        && sent_round.is_none_or(|r| env.sent_round as usize == r)
                 })
             }
         }
@@ -389,7 +390,7 @@ mod tests {
         assert_eq!(report.messages, 2);
         assert_eq!(report.bytes, 4);
         let survivors = net.drain(2, SimTime::MAX, None).envelopes;
-        let tags: Vec<(usize, usize)> = survivors.iter().map(|e| (e.from, e.sent_round)).collect();
+        let tags: Vec<(u32, u32)> = survivors.iter().map(|e| (e.from, e.sent_round)).collect();
         assert!(tags.contains(&(0, 4)));
         assert!(tags.contains(&(1, 0)));
         assert_eq!(tags.len(), 2);

@@ -181,13 +181,10 @@ impl Transport for SimNetwork {
             });
         }
         self.core.credit(to, payload.len());
-        self.core.mailbox(to).lock().push(Envelope {
-            from,
-            payload,
-            sent,
-            arrives,
-            sent_round,
-        });
+        self.core
+            .mailbox(to)
+            .lock()
+            .push(Envelope::landed(from, payload, sent, arrives, sent_round));
     }
 
     fn drain(&self, node: usize, deadline: SimTime, ttl: Option<SimTime>) -> Drained {
@@ -214,7 +211,9 @@ impl Transport for SimNetwork {
             PurgeScope::InFlightFrom { from, cutoff } => {
                 self.core.check(from);
                 (0..self.len()).fold(PurgeReport::default(), |report, to| {
-                    report.plus(kill(to, &|env| env.from == from && env.arrives > cutoff))
+                    report.plus(kill(to, &|env| {
+                        env.from as usize == from && env.arrives > cutoff
+                    }))
                 })
             }
             PurgeScope::Link {
@@ -225,7 +224,8 @@ impl Transport for SimNetwork {
                 self.core.check(from);
                 self.core.check(to);
                 kill(to, &|env| {
-                    env.from == from && sent_round.is_none_or(|r| env.sent_round == r)
+                    env.from as usize == from
+                        && sent_round.is_none_or(|r| env.sent_round as usize == r)
                 })
             }
         }
@@ -609,8 +609,8 @@ mod tests {
             direct.send(mk(k));
         }
         batched.send_batch((0..64).map(mk).collect());
-        let a: Vec<usize> = drain_all(&direct, 1).iter().map(|e| e.sent_round).collect();
-        let b: Vec<usize> = drain_all(&batched, 1)
+        let a: Vec<u32> = drain_all(&direct, 1).iter().map(|e| e.sent_round).collect();
+        let b: Vec<u32> = drain_all(&batched, 1)
             .iter()
             .map(|e| e.sent_round)
             .collect();
@@ -705,7 +705,7 @@ mod tests {
         assert_eq!(net.pending(2), 2);
         assert_eq!(net.stats(2).messages_dropped, 1);
         let inbox = net.drain(2, SimTime(20), None).envelopes;
-        let froms: Vec<usize> = inbox.iter().map(|e| e.from).collect();
+        let froms: Vec<u32> = inbox.iter().map(|e| e.from).collect();
         assert_eq!(froms, vec![0, 1]);
     }
 

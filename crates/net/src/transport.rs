@@ -44,10 +44,17 @@ use parking_lot::Mutex;
 /// (`latency + bytes / bandwidth` on the sending link). The barrier-driven
 /// engine leaves both at [`SimTime::ZERO`], making every message immediately
 /// drainable — exactly the bulk-synchronous semantics.
+///
+/// Every message in flight is one envelope in a mailbox, so its size is
+/// paid per message: 40 bytes (the payload handle 16, two stamps 8 each,
+/// sender and round 4 each) beside the payload itself. The sender and the
+/// round are `u32`, as in the trace; the transports narrow
+/// [`PendingSend`]'s `usize` fields once, where a send lands in a mailbox,
+/// and readers widen them back.
 #[derive(Debug, Clone)]
 pub struct Envelope {
     /// Sending node.
-    pub from: usize,
+    pub from: u32,
     /// Serialized message body.
     pub payload: Bytes,
     /// Virtual send time.
@@ -57,10 +64,34 @@ pub struct Envelope {
     pub arrives: SimTime,
     /// The sender's local round when it sent this message (staleness
     /// accounting in asynchronous gossip; 0 in barrier mode).
-    pub sent_round: usize,
+    pub sent_round: u32,
 }
 
 impl Envelope {
+    /// The envelope a send lands as, its sender and round narrowed to
+    /// `u32`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` or `sent_round` exceeds `u32::MAX` (a run is
+    /// checked against both limits when it is built).
+    pub(crate) fn landed(
+        from: usize,
+        payload: Bytes,
+        sent: SimTime,
+        arrives: SimTime,
+        sent_round: usize,
+    ) -> Self {
+        let narrow = |value: usize| u32::try_from(value).expect("envelope stamps are u32");
+        Self {
+            from: narrow(from),
+            payload,
+            sent,
+            arrives,
+            sent_round: narrow(sent_round),
+        }
+    }
+
     /// The message's age at `now`: virtual time since the sender handed it
     /// to the network (saturating at zero for barrier-mode stamps).
     pub fn age_at(&self, now: SimTime) -> SimTime {
@@ -70,7 +101,7 @@ impl Envelope {
     /// The message's age in rounds when mixed at `round` (saturating: a
     /// message from a *future* local round has age zero).
     pub fn age_rounds(&self, round: usize) -> usize {
-        round.saturating_sub(self.sent_round)
+        round.saturating_sub(self.sent_round as usize)
     }
 }
 
@@ -251,7 +282,8 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
     ///
     /// # Panics
     ///
-    /// Panics if an endpoint is out of range or `arrives < sent`.
+    /// Panics if an endpoint is out of range, `arrives < sent`, or the
+    /// sender or round exceeds an [`Envelope`]'s `u32` stamp.
     fn send(&self, send: PendingSend);
 
     /// Executes a batch of committed sends in order — equivalent to calling
@@ -497,7 +529,7 @@ mod tests {
     fn capacity_after_drain(in_flight: usize) -> usize {
         let mut mailbox: Vec<Envelope> = (0..16)
             .map(|k| Envelope {
-                from: k,
+                from: k as u32,
                 payload: Bytes::new(),
                 sent: SimTime::ZERO,
                 arrives: SimTime::from_secs_f64(if k < in_flight { 2.0 } else { 0.5 }),
@@ -519,6 +551,24 @@ mod tests {
     #[test]
     fn a_mailbox_is_sized_by_what_is_still_in_flight() {
         assert!(capacity_after_drain(2) <= 4);
+    }
+
+    #[test]
+    fn an_envelope_is_40_bytes() {
+        // Paid once per message in flight: a new field shows here first.
+        assert_eq!(std::mem::size_of::<Envelope>(), 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "envelope stamps are u32")]
+    fn a_round_past_u32_does_not_land_truncated() {
+        let _ = Envelope::landed(
+            0,
+            Bytes::new(),
+            SimTime::ZERO,
+            SimTime::ZERO,
+            u32::MAX as usize + 1,
+        );
     }
 
     #[test]

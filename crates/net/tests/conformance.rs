@@ -200,7 +200,7 @@ fn purge_link_respects_the_round_filter() {
         assert_eq!(report.messages, 1, "{name}: only round 3 on the edge");
         assert_eq!(report.bytes, 2, "{name}");
         let survivors = net.drain(1, SimTime::MAX, None).envelopes;
-        let tags: Vec<(usize, usize)> = survivors.iter().map(|e| (e.from, e.sent_round)).collect();
+        let tags: Vec<(u32, u32)> = survivors.iter().map(|e| (e.from, e.sent_round)).collect();
         assert!(tags.contains(&(0, 4)), "{name}: other round survives");
         assert!(tags.contains(&(2, 3)), "{name}: other edge survives");
         assert_eq!(tags.len(), 2, "{name}");

@@ -147,6 +147,7 @@ impl Conv2d {
         assert!(kernel > 0, "kernel must be positive");
         let wlen = out_ch * in_ch * kernel * kernel;
         let mut params = init::kaiming_normal(in_ch * kernel * kernel, wlen, seed);
+        params.reserve_exact(out_ch);
         params.extend(std::iter::repeat_n(0.0f32, out_ch));
         let len = params.len();
         Self {
@@ -775,6 +776,13 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_fresh_conv_holds_no_untouched_parameter_capacity() {
+        let conv = Conv2d::new(3, 16, 5, 2, 0);
+        assert_eq!(conv.params.len(), 16 * 3 * 5 * 5 + 16);
+        assert_eq!(conv.params.capacity(), conv.params.len());
+    }
 
     #[test]
     fn identity_kernel_preserves_input() {

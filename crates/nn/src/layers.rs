@@ -98,6 +98,8 @@ impl Linear {
     pub fn new(in_features: usize, out_features: usize, seed: u64) -> Self {
         let mut params =
             init::xavier_uniform(in_features, out_features, in_features * out_features, seed);
+        // Exact, or the bias doubles the block the weights were built in.
+        params.reserve_exact(out_features);
         params.extend(std::iter::repeat_n(0.0f32, out_features)); // bias
         let len = params.len();
         Self {
@@ -876,6 +878,14 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_fresh_linear_holds_no_untouched_parameter_capacity() {
+        // The benchmark's 432×256 layer: the bias once doubled its block.
+        let l = Linear::new(432, 256, 0);
+        assert_eq!(l.params.len(), 432 * 256 + 256);
+        assert_eq!(l.params.capacity(), l.params.len());
+    }
 
     #[test]
     fn linear_forward_known() {

@@ -244,6 +244,7 @@ impl MatrixFactorization {
     /// Creates a model with `N(0, 0.1)` factors and zero biases.
     pub fn new(users: usize, items: usize, factors: usize, seed: u64) -> Self {
         let mut params = init::scaled_normal(0.1, users * factors, init::sub_seed(seed, 0));
+        params.reserve_exact(items * factors + users + items + 1);
         params.extend(init::scaled_normal(
             0.1,
             items * factors,

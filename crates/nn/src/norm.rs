@@ -39,8 +39,7 @@ impl GroupNorm {
             groups > 0 && channels.is_multiple_of(groups),
             "groups must divide channels"
         );
-        let mut params = vec![1.0f32; channels];
-        params.extend(std::iter::repeat_n(0.0f32, channels));
+        let params = [vec![1.0f32; channels], vec![0.0; channels]].concat();
         Self {
             groups,
             channels,

@@ -135,6 +135,7 @@ impl Lstm {
         let whh =
             init::xavier_uniform(hidden, hidden, 4 * hidden * hidden, init::sub_seed(seed, 1));
         let mut params = wih;
+        params.reserve_exact(whh.len() + 4 * hidden);
         params.extend(whh);
         // Bias: forget gate initialized to 1 (standard trick for gradient flow).
         let mut bias = vec![0.0f32; 4 * hidden];

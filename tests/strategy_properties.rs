@@ -675,3 +675,183 @@ mod adversarial_inputs {
         .expect("well-formed peer message accepted");
     }
 }
+
+mod aggregate_into_contract {
+    //! `ShareStrategy::aggregate_into`, the engine's mix, against the
+    //! allocating `aggregate` / `aggregate_robust`: two instances in the
+    //! same state get the same inbox, one through each path.
+    //!
+    //! - On success the parameters are bit-equal, and so is what the
+    //!   strategy does next (the next round's share and, for JWINS, its
+    //!   accumulated scores).
+    //! - On a damaged inbox both return the same error and `aggregate_into`
+    //!   leaves the parameters bit-unchanged — what re-running a failed
+    //!   mix over intact parameters relies on.
+    //!
+    //! JWINS overrides `aggregate_into`; full sharing, quantized and CHOCO
+    //! run the default, checked here the same way.
+
+    use jwins::average::TILE;
+    use jwins::strategies::{
+        ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, QuantizedSharing,
+    };
+    use jwins::strategy::{ReceivedMessage, ShareStrategy};
+    use jwins_adversary::Robust;
+    use proptest::prelude::*;
+
+    fn params(dim: usize, phase: f32) -> Vec<f32> {
+        (0..dim).map(|i| (i as f32 * 0.37 + phase).sin()).collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// How the middle message of the inbox is damaged.
+    #[derive(Debug, Clone, Copy)]
+    enum Damage {
+        /// Its last byte is cut off.
+        Truncated,
+        /// It was built by a model of another size: a sparse share indexes
+        /// past the receiver's coefficients, a dense one carries another
+        /// number of values.
+        Misfit,
+    }
+
+    /// Checks the contract for one strategy. `make(node)` builds a node's
+    /// strategy, `misfit(dim)` a share that does not fit a receiver of
+    /// `dim` parameters, and `state` reads what of a strategy's state the
+    /// next round depends on beyond its share.
+    fn check<S: ShareStrategy>(
+        make: impl Fn(u64) -> S,
+        misfit: impl Fn(usize) -> Vec<u8>,
+        state: impl Fn(&S) -> Vec<u32>,
+        dim: usize,
+        rule: &Robust,
+        damage: Option<Damage>,
+    ) {
+        let case = format!("dim {dim}, {rule:?}, {damage:?}");
+        let mut messages: Vec<Vec<u8>> = (1..=3u64)
+            .map(|node| {
+                let theirs = params(dim, node as f32);
+                let mut peer = make(node);
+                peer.init(&params(dim, 0.0));
+                peer.make_message(0, &theirs)
+                    .expect("encode")
+                    .bytes
+                    .to_vec()
+            })
+            .collect();
+        match damage {
+            Some(Damage::Truncated) => {
+                messages[1].pop();
+            }
+            Some(Damage::Misfit) => messages[1] = misfit(dim),
+            None => {}
+        }
+        let received: Vec<ReceivedMessage<'_>> = (messages.iter().enumerate())
+            .map(|(j, bytes)| ReceivedMessage {
+                from: j + 1,
+                round: 0,
+                weight: 0.2,
+                edge_weight: 0.2,
+                bytes,
+                decoded: None,
+            })
+            .collect();
+        let start = params(dim, 0.0);
+        let trained: Vec<f32> = start.iter().map(|v| v * 0.9 + 0.01).collect();
+        let (mut old, mut new) = (make(0), make(0));
+        for s in [&mut old, &mut new] {
+            s.init(&start);
+            s.make_message(0, &trained).expect("own share");
+        }
+        let returned = if rule.is_none() {
+            old.aggregate(0, &trained, 0.4, &received)
+        } else {
+            old.aggregate_robust(0, &trained, 0.4, &received, rule)
+        };
+        let mut in_place = trained.clone();
+        let written = new.aggregate_into(0, &mut in_place, 0.4, &received, rule);
+        match (returned, written) {
+            (Ok(returned), Ok(())) => {
+                assert!(damage.is_none(), "{case}: a damaged inbox mixed");
+                assert_eq!(bits(&returned), bits(&in_place), "{case}: parameters");
+                let moved: Vec<f32> = in_place.iter().map(|v| v * 0.8 - 0.02).collect();
+                let next_old = old.make_message(1, &moved).expect("next share").bytes;
+                let next_new = new.make_message(1, &moved).expect("next share").bytes;
+                assert_eq!(next_old, next_new, "{case}: next round's share");
+                assert_eq!(state(&old), state(&new), "{case}: state");
+            }
+            (Err(returned), Err(written)) => {
+                assert!(
+                    damage.is_some(),
+                    "{case}: an intact inbox failed: {returned}"
+                );
+                assert_eq!(returned.to_string(), written.to_string(), "{case}: error");
+                assert_eq!(bits(&in_place), bits(&trained), "{case}: written on error");
+            }
+            (returned, written) => panic!("{case}: {returned:?} vs {written:?}"),
+        }
+    }
+
+    /// A share of `dim` parameters `0, 1, 2, …` from a `make(0)`
+    /// initialised at zero.
+    fn ramp_share<S: ShareStrategy>(make: impl Fn(u64) -> S, dim: usize) -> Vec<u8> {
+        let mut sender = make(0);
+        sender.init(&vec![0.0; dim]);
+        let ramp: Vec<f32> = (0..dim).map(|i| i as f32).collect();
+        sender
+            .make_message(0, &ramp)
+            .expect("encode")
+            .bytes
+            .to_vec()
+    }
+
+    fn jwins(node: u64) -> Jwins {
+        Jwins::new(JwinsConfig::paper_default(), node)
+    }
+
+    /// A listed share of the largest tenth of a model more than twice as
+    /// large: every index is past the receiver's coefficients. TopK is
+    /// JWINS without the transform, on the same wire.
+    fn jwins_misfit(dim: usize) -> Vec<u8> {
+        ramp_share(|_| Jwins::new(JwinsConfig::topk(0.1), 0), 2 * dim + 64)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn jwins_mixes_in_place_as_it_returns(
+            dim in prop_oneof![2usize..300, (TILE - 2)..(TILE + 4), 300..(3 * TILE + 300)],
+            median in any::<bool>(),
+            damage in 0usize..3,
+        ) {
+            let rule = if median { Robust::Median } else { Robust::None };
+            let damage = [None, Some(Damage::Truncated), Some(Damage::Misfit)][damage];
+            check(jwins, jwins_misfit, |s: &Jwins| bits(s.scores()), dim, &rule, damage);
+        }
+
+        #[test]
+        fn the_default_mixes_in_place_as_it_returns(
+            dim in prop_oneof![2usize..300, (TILE - 2)..(TILE + 4), 300..(3 * TILE + 300)],
+            median in any::<bool>(),
+            damage in 0usize..3,
+        ) {
+            let rule = if median { Robust::Median } else { Robust::None };
+            let damage = [None, Some(Damage::Truncated), Some(Damage::Misfit)][damage];
+            let full = |_| FullSharing::new();
+            check(full, |d| ramp_share(full, d + 1), |_| Vec::new(), dim, &rule, damage);
+            // A QSGD stream carries no count, so only a short one misfits.
+            let quantized = |node| QuantizedSharing::new(255, node);
+            let short = |d: usize| ramp_share(quantized, d / 2);
+            check(quantized, short, |_| Vec::new(), dim, &rule, damage);
+            if rule.is_none() {
+                let choco = |_| ChocoSgd::new(ChocoConfig::budget_20());
+                let misfit = |d| ramp_share(choco, 2 * d + 64);
+                check(choco, misfit, |_| Vec::new(), dim, &rule, damage);
+            }
+        }
+    }
+}
