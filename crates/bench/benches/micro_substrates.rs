@@ -77,19 +77,37 @@ fn bench_wavelet(c: &mut Criterion) {
         b.iter(|| black_box(dwt.inverse(&coeffs).unwrap()));
     });
     // Both directions at the benchmark's d = 113 418, into buffers reused
-    // from one call to the next as `Jwins` makes them.
+    // from one call to the next as `Jwins` makes them: the tiled transforms
+    // against the level-by-level ones they replaced, each with its own
+    // workspace.
     let mlp = trained::trained_like(&trained::MLP);
     let layout = dwt.layout_for(mlp.len());
-    let (mut work, mut coeffs, mut signal) = (Vec::new(), Vec::new(), Vec::new());
-    group.bench_function("forward_into_113418_sym2", |b| {
-        b.iter(|| dwt.forward_into(black_box(&mlp), &layout, &mut work, &mut coeffs));
-    });
-    group.bench_function("inverse_into_113418_sym2", |b| {
+    let (mut coeffs, mut signal) = (Vec::new(), Vec::new());
+    let (mut levels_work, mut tiled_work) = (Vec::new(), Vec::new());
+    group.bench_function("forward_113418/levels", |b| {
         b.iter(|| {
-            dwt.inverse_into(black_box(&coeffs), &layout, &mut work, &mut signal)
+            dwt.forward_levels_into(black_box(&mlp), &layout, &mut levels_work, &mut coeffs);
+        });
+    });
+    group.bench_function("forward_113418/tiled", |b| {
+        b.iter(|| dwt.forward_into(black_box(&mlp), &layout, &mut tiled_work, &mut coeffs));
+    });
+    group.bench_function("inverse_113418/levels", |b| {
+        b.iter(|| {
+            (dwt.inverse_levels_into(black_box(&coeffs), &layout, &mut levels_work, &mut signal))
                 .unwrap();
         });
     });
+    group.bench_function("inverse_113418/tiled", |b| {
+        b.iter(|| {
+            (dwt.inverse_into(black_box(&coeffs), &layout, &mut tiled_work, &mut signal)).unwrap();
+        });
+    });
+    println!(
+        "wavelet/work_f64: levels {}, tiled {}",
+        levels_work.len(),
+        tiled_work.len()
+    );
     for levels in [1usize, 2, 4, 6] {
         let dwt = Dwt::new(Wavelet::sym2(), levels).unwrap();
         group.bench_with_input(

@@ -65,11 +65,13 @@ impl Qsgd {
     }
 
     /// Reconstructs `count` values from a buffer produced by [`Self::encode`]:
-    /// [`Self::decoder`], then `count` values of it.
+    /// [`Self::decoder`], then `count` values of it, then
+    /// [`QsgdDecoder::finish`].
     ///
     /// # Errors
     ///
-    /// Fails on truncated or corrupt streams.
+    /// Fails on truncated or corrupt streams, and on streams with more than
+    /// `count` values.
     pub fn decode(&self, bytes: &[u8], count: usize) -> Result<Vec<f32>> {
         let mut values = self.decoder(bytes)?;
         // `count` may be wire-influenced: grow a run at a time, so a stream
@@ -81,13 +83,14 @@ impl Qsgd {
             out.resize(start + (count - start).min(RUN), 0.0);
             values.next_values(&mut out[start..])?;
         }
+        values.finish()?;
         Ok(out)
     }
 
     /// Decoder over a buffer produced by [`Self::encode`], its norm read and
-    /// checked: a run of values per [`QsgdDecoder::next_values`] call. The
-    /// stream carries no count and is not checked for trailing bytes; a
-    /// zero norm ends it, and the decoder then yields zeros.
+    /// checked: a run of values per [`QsgdDecoder::next_values`] call, then
+    /// [`QsgdDecoder::finish`] to check the end. A zero norm ends the
+    /// stream, and the decoder then yields zeros.
     ///
     /// # Errors
     ///
@@ -144,6 +147,24 @@ impl QsgdDecoder<'_> {
     }
 }
 
+impl QsgdDecoder<'_> {
+    /// Checks what follows the last value read: nothing but the zero bits
+    /// that pad the last byte. A zero vector's stream ends at its norm.
+    ///
+    /// The stream carries no count, so this is what tells a stream with
+    /// more values than were read (a share from a larger model) from one
+    /// with as many. A zero vector carries no values at all: one from a
+    /// larger model still cannot be told apart from one of the right size.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Corrupt`] on a byte after the last value or a set
+    /// padding bit.
+    pub fn finish(self) -> Result<()> {
+        self.reader.expect_padding("bytes after the last value")
+    }
+}
+
 fn l2_norm(values: &[f32]) -> f32 {
     values
         .iter()
@@ -167,6 +188,46 @@ mod tests {
         let q = Qsgd::new(4);
         let bytes = q.encode(&[0.0; 8], halves());
         assert_eq!(q.decode(&bytes, 8).unwrap(), vec![0.0; 8]);
+    }
+
+    /// A stream with anything but zero padding after its last value is
+    /// corrupt: a trailing byte, a set padding bit, values left over (a
+    /// longer vector's stream read short), or a byte behind a zero norm.
+    #[test]
+    fn only_padding_may_follow_the_last_value() {
+        let q = Qsgd::new(15);
+        let values: Vec<f32> = (0..13).map(|i| (i as f32 - 6.0) / 3.0).collect();
+        let bytes = q.encode(&values, halves());
+        let decoded = q.decode(&bytes, values.len()).unwrap();
+        assert_eq!(decoded.len(), values.len());
+        let corrupt = CodecError::Corrupt("bytes after the last value");
+
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert_eq!(q.decode(&trailing, values.len()), Err(corrupt.clone()));
+
+        let mut decoder = q.decoder(&bytes).unwrap();
+        let mut out = vec![0.0; values.len()];
+        decoder.next_values(&mut out).unwrap();
+        let used = bytes.len() * 8 - decoder.reader.remaining_bits();
+        assert!(
+            !used.is_multiple_of(8),
+            "the last byte must have padding to set"
+        );
+        for bit in used % 8..8 {
+            let mut padded = bytes.clone();
+            *padded.last_mut().unwrap() |= 0x80 >> bit;
+            assert_eq!(q.decode(&padded, values.len()), Err(corrupt.clone()));
+        }
+
+        assert_eq!(q.decode(&bytes, values.len() - 1), Err(corrupt.clone()));
+
+        let zero = q.encode(&[0.0; 8], halves());
+        assert_eq!(zero.len(), 4);
+        assert_eq!(q.decode(&zero, 100).unwrap(), vec![0.0; 100]);
+        let mut behind_zero = zero;
+        behind_zero.push(0);
+        assert_eq!(q.decode(&behind_zero, 8), Err(corrupt));
     }
 
     #[test]
@@ -240,20 +301,39 @@ mod tests {
         let _ = Qsgd::new(0);
     }
 
+    /// [`per_value_decode`], then the end check a whole decode adds: only
+    /// zero bits of the last byte may follow the last value read.
+    fn checked_decode(q: &Qsgd, bytes: &[u8], count: usize) -> (Vec<f32>, Option<CodecError>) {
+        let (values, error, left) = per_value_decode_at(q, bytes, count);
+        let clean = left == 0 || (left < 8 && bytes[bytes.len() - 1] & ((1u8 << left) - 1) == 0);
+        let error = error.or((!clean).then_some(CodecError::Corrupt("bytes after the last value")));
+        (values, error)
+    }
+
     /// The decode this module had before its cursor, value by value: the
     /// values it produced before its first failure, and that failure.
     fn per_value_decode(q: &Qsgd, bytes: &[u8], count: usize) -> (Vec<f32>, Option<CodecError>) {
+        let (values, error, _) = per_value_decode_at(q, bytes, count);
+        (values, error)
+    }
+
+    /// [`per_value_decode`] and the bits it left unread.
+    fn per_value_decode_at(
+        q: &Qsgd,
+        bytes: &[u8],
+        count: usize,
+    ) -> (Vec<f32>, Option<CodecError>, usize) {
         let mut r = BitReader::new(bytes);
         let mut out = Vec::new();
         let norm = match r.read_bits(32) {
             Ok(bits) => f32::from_bits(bits as u32),
-            Err(e) => return (out, Some(e)),
+            Err(e) => return (out, Some(e), 0),
         };
         if norm == 0.0 {
-            return (vec![0.0; count], None);
+            return (vec![0.0; count], None, r.remaining_bits());
         }
         if !norm.is_finite() || norm < 0.0 {
-            return (out, Some(CodecError::Corrupt("invalid norm")));
+            return (out, Some(CodecError::Corrupt("invalid norm")), 0);
         }
         let mut next = || -> Result<f32> {
             let negative = r.read_bit()?;
@@ -267,10 +347,10 @@ mod tests {
         for _ in 0..count {
             match next() {
                 Ok(v) => out.push(v),
-                Err(e) => return (out, Some(e)),
+                Err(e) => return (out, Some(e), 0),
             }
         }
-        (out, None)
+        (out, None, r.remaining_bits())
     }
 
     fn bits(values: &[f32]) -> Vec<u32> {
@@ -298,7 +378,8 @@ mod tests {
         /// decode: the same values, and on a bad stream the same error in
         /// the run that holds the first bad value, after the same values —
         /// over truncated and flipped streams, zero norms, levels above the
-        /// decoder's and counts that cross 2 048-value tiles.
+        /// decoder's and counts that cross 2 048-value tiles. A whole
+        /// decode is that decode followed by the end check.
         #[test]
         fn cursor_runs_equal_the_per_value_decode(
             len in prop_oneof![0usize..40, 2046usize..2051, 0usize..6500],
@@ -340,10 +421,11 @@ mod tests {
             let count = len + extra % 2;
             let (expected, error) = per_value_decode(&q, &bytes, count);
 
+            // A whole decode also checks the end.
             let whole = q.decode(&bytes, count);
-            match &error {
-                None => prop_assert_eq!(bits(&whole.unwrap()), bits(&expected)),
-                Some(e) => prop_assert_eq!(whole.unwrap_err(), e.clone()),
+            match checked_decode(&q, &bytes, count) {
+                (values, None) => prop_assert_eq!(bits(&whole.unwrap()), bits(&values)),
+                (_, Some(e)) => prop_assert_eq!(whole.unwrap_err(), e),
             }
 
             let mut got = vec![f32::NAN; count];

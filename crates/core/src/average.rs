@@ -290,9 +290,8 @@ impl DenseCursor for QsgdDecoder<'_> {
         QsgdDecoder::next_values(self, out)
     }
 
-    /// A QSGD stream is not checked past its last value.
     fn finish(self) -> jwins_codec::Result<()> {
-        Ok(())
+        QsgdDecoder::finish(self)
     }
 }
 

@@ -2,8 +2,13 @@
 //!
 //! Building and folding a message needs a transform workspace, the tile
 //! loop's buffers, the decoded messages being folded, a TopK index buffer,
-//! coefficient-sized `f32` temporaries and an encode buffer: several times
+//! a coefficient-sized `f32` temporary and an encode buffer: a few times
 //! the model size, live only inside one `make_message` or `aggregate` call.
+//! The transform's workspace is not among the model-sized ones: the
+//! wavelet levels run a tile at a time, in a window per level, each half
+//! the one before (≈ 30 KiB for four `sym2` levels, whatever d). JWINS
+//! makes its model changes in place of the vector each is read against
+//! and gathers a share's values into the coefficient temporary.
 //! An average needs no model-sized buffer here: every strategy averages a
 //! [`TILE`](crate::average::TILE) of coordinates at a time in
 //! [`Tiles`] (40 KiB), and full and quantized sharing read each message a
@@ -64,11 +69,10 @@ pub(crate) struct ShareScratch {
     /// the first and hand it to a robust rule before the next, and under
     /// no rule never decode a message whole.
     pub decoded: Vec<PooledDecode>,
-    /// Coefficient-domain temporary: a transform's output, then the
-    /// finished average.
+    /// Coefficient-domain temporary: a change's transform, then the values
+    /// the share gathers, or the finished average. The changes
+    /// themselves are made in place of the vector they are read against.
     pub coeffs: Vec<f32>,
-    /// Parameter-domain temporary: model deltas, then gathered values.
-    pub values: Vec<f32>,
     /// TopK's index buffer: its working keys or permutation, then the
     /// selection.
     pub order: Vec<u32>,
@@ -85,7 +89,6 @@ impl ShareScratch {
             tiles,
             decoded,
             coeffs,
-            values,
             order,
             wire,
         } = self;
@@ -95,7 +98,7 @@ impl ShareScratch {
                 [entry.index_buffer().capacity(), values.capacity()]
             })
             .chain([work.capacity(), tiles.capacity(), coeffs.capacity()])
-            .chain([values.capacity(), order.capacity(), wire.capacity()])
+            .chain([order.capacity(), wire.capacity()])
             .max()
             .unwrap_or(0)
     }
@@ -239,6 +242,7 @@ mod tests {
     use crate::cutoff::AlphaDistribution;
     use crate::strategies::{FullSharing, Jwins, JwinsConfig, QuantizedSharing};
     use crate::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
+    use jwins_adversary::Robust;
     use jwins_wavelet::Dwt;
     use std::sync::Barrier;
 
@@ -336,6 +340,65 @@ mod tests {
             let largest = s.largest_buffer();
             assert!(largest <= n.max(dim), "a buffer of {largest} elements");
         });
+    }
+
+    /// A JWINS round — share, then mix four shares — at α = 1 and at
+    /// α = 0.1 keeps its transform workspace within a bound that does not
+    /// depend on d (a window per level, each half the one before), and its
+    /// selection to the budget. (At the larger d a level-by-level
+    /// workspace, ¾·d, is past the bound.)
+    #[test]
+    fn a_jwins_round_keeps_no_model_sized_transform_workspace() {
+        for dim in [3 * TILE + 5, 20 * TILE + 5] {
+            jwins_round_footprint(dim);
+        }
+    }
+
+    fn jwins_round_footprint(dim: usize) {
+        let (wavelet, levels) = (jwins_wavelet::Wavelet::sym2(), 4);
+        let bound = 2 * jwins_wavelet::TILE + 3 * levels * wavelet.filter_len();
+        let n = Dwt::new(wavelet.clone(), levels)
+            .unwrap()
+            .layout_for(dim)
+            .coeff_len();
+        let own: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
+        reserve(MAX_SLOTS);
+        with_scratch(|s| *s = ShareScratch::default());
+        for alpha in [1.0, 0.1, 1.0] {
+            let config = JwinsConfig {
+                wavelet: Some((wavelet.clone(), levels)),
+                alpha: AlphaDistribution::Fixed(alpha),
+                randomized_cutoff: false,
+                ..JwinsConfig::paper_default()
+            };
+            let shares: Vec<OutMessage> = (1..=4u64)
+                .map(|j| {
+                    let mut peer = Jwins::new(config.clone(), j);
+                    peer.init(&own);
+                    let theirs: Vec<f32> = own.iter().map(|v| v * j as f32 - 0.5).collect();
+                    peer.make_message(0, &theirs).unwrap()
+                })
+                .collect();
+            let mut jwins = Jwins::new(config, 9);
+            jwins.init(&own);
+            let moved: Vec<f32> = own.iter().map(|v| v * 0.9).collect();
+            let _ = jwins.make_message(0, &moved).unwrap();
+            let mut params = moved.clone();
+            let mixed = jwins.aggregate_into(0, &mut params, 0.2, &inbox(&shares), &Robust::None);
+            mixed.unwrap();
+            let k = crate::sparsify::budget(n, alpha);
+            with_scratch(|s| {
+                let work = s.work.capacity();
+                assert!(work > 0, "the round ran in another set");
+                assert!(
+                    work <= bound,
+                    "d = {dim}, α = {alpha}: {work} > {bound} f64"
+                );
+                let order = &s.order;
+                assert_eq!(order.len(), k, "d = {dim}, α = {alpha}");
+                assert!(order.capacity() <= n, "d = {dim}, α = {alpha}");
+            });
+        }
     }
 
     #[test]

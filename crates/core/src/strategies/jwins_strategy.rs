@@ -286,22 +286,15 @@ impl Jwins {
         &self.scores
     }
 
-    /// Leaves `DWT(scale(to − from))` in `scratch.coeffs`: the change both
+    /// Leaves `DWT(scale(delta))` in `scratch.coeffs`: the change both
     /// halves of a round add to the scores (eqs. 3 and 4), rebalanced per
-    /// layer when the §VI adaptive-score extension is on.
-    fn change_coeffs(&self, scratch: &mut ShareScratch, to: &[f32], from: &[f32]) {
-        let ShareScratch {
-            work,
-            coeffs,
-            values: delta,
-            ..
-        } = scratch;
-        delta.clear();
-        delta.extend(to.iter().zip(from).map(|(a, b)| a - b));
+    /// layer when the §VI adaptive-score extension is on. `delta` is the
+    /// buffer whose old contents the change was computed in place of.
+    fn change_coeffs(&self, scratch: &mut ShareScratch, delta: &mut [f32]) {
         if let Some(scaling) = &self.config.score_scaling {
             scaling.apply(delta);
         }
-        self.transform.forward_into(delta, work, coeffs);
+        (self.transform).forward_into(delta, &mut scratch.work, &mut scratch.coeffs);
     }
 
     /// Decodes `msg` — from the slot its receivers share when this codec
@@ -388,17 +381,37 @@ impl Jwins {
 
     /// Inverts the averaged coefficients (`scratch.coeffs`) into the round
     /// buffer — free since the fold read the own coefficients — and applies
-    /// the eq-4 bookkeeping against `params`, still `x^{t,τ}`: sent-score
-    /// reset and averaging change absorbed (scaled the same way as the
-    /// training change, so score units match), in one pass. Then `params`
+    /// the eq-4 bookkeeping against `params`, still `x^{t,τ}`: the
+    /// averaging change is made in place of it, its last read, and
+    /// absorbed with the sent-score reset (scaled the same way as the
+    /// training change, so score units match) in one pass. Then `params`
     /// takes the next round's start, which the buffer keeps.
     fn commit_averaged(&mut self, scratch: &mut ShareScratch, params: &mut [f32]) -> Result<()> {
         self.transform
             .inverse_into(&scratch.coeffs, &mut scratch.work, &mut self.round_buffer)?;
-        self.change_coeffs(scratch, &self.round_buffer, params);
+        for (change, &next) in params.iter_mut().zip(&self.round_buffer) {
+            *change = next - *change;
+        }
+        self.change_coeffs(scratch, params);
         reset_sent_and_add(&mut self.scores, &self.sent, &scratch.coeffs);
         params.copy_from_slice(&self.round_buffer);
         Ok(())
+    }
+
+    /// Sets `sent` to `selected`, an ascending list, a bitmap word at a
+    /// time in a register.
+    fn mark_sent(&mut self, selected: &[u32]) {
+        self.sent.fill(0);
+        let (mut at, mut word) = (0, 0u64);
+        for &i in selected {
+            let i = i as usize;
+            if i / 64 != at {
+                self.sent[at] = word;
+                (at, word) = (i / 64, 0);
+            }
+            word |= 1 << (i % 64);
+        }
+        self.sent[at] = word;
     }
 }
 
@@ -439,8 +452,15 @@ impl ShareStrategy for Jwins {
             scaling.validate_dim(self.dim)?;
         }
         with_scratch(|scratch| {
-            // Eq. (3): accumulate the local change in the coefficient domain.
-            self.change_coeffs(scratch, params, &self.round_buffer);
+            // Eq. (3): accumulate the local change in the coefficient
+            // domain. It is made in place of the round start, its last read;
+            // from here on the buffer holds no round start.
+            let mut delta = std::mem::take(&mut self.round_buffer);
+            for (start, &now) in delta.iter_mut().zip(params) {
+                *start = now - *start;
+            }
+            self.change_coeffs(scratch, &mut delta);
+            self.round_buffer = delta;
             if self.config.accumulation {
                 self.add_to_scores(&scratch.coeffs);
             } else {
@@ -450,31 +470,19 @@ impl ShareStrategy for Jwins {
             let alpha = self.cutoff.next_alpha();
             self.last_alpha = alpha;
             let k = budget(self.scores.len(), alpha);
-            let selected = &mut scratch.order;
-            top_k_into(&self.scores, k, selected);
-            // The selection ascends: build each bitmap word in a register
-            // and store it once.
-            self.sent.fill(0);
-            let (mut at, mut word) = (0, 0u64);
-            for &i in selected.iter() {
-                let i = i as usize;
-                if i / 64 != at {
-                    self.sent[at] = word;
-                    (at, word) = (i / 64, 0);
-                }
-                word |= 1 << (i % 64);
-            }
-            self.sent[at] = word;
-            // Share DWT(x^{t,τ}) at the selected indices. The round start
-            // was read above; the buffer holds the coefficients until the
-            // fold.
+            top_k_into(&self.scores, k, &mut scratch.order);
+            self.mark_sent(&scratch.order);
+            // Share DWT(x^{t,τ}) at the selected indices, from the buffer,
+            // which holds the coefficients until the fold. The change's
+            // coefficients were added to the scores: the values are
+            // gathered over them.
             self.transform
                 .forward_into(params, &mut scratch.work, &mut self.round_buffer);
-            gather_into(&self.round_buffer, selected, &mut scratch.values);
+            gather_into(&self.round_buffer, &scratch.order, &mut scratch.coeffs);
             scratch.wire.clear();
             let split = self
                 .codec
-                .encode_into(selected, &scratch.values, &mut scratch.wire)
+                .encode_into(&scratch.order, &scratch.coeffs, &mut scratch.wire)
                 .inspect_err(|_| self.round_buffer.clear())?;
             self.pending_round = Some(round);
             Ok(OutMessage::copy_from(
@@ -1158,6 +1166,50 @@ mod tests {
         }
         errors.dedup();
         assert_eq!(errors.len(), 1, "{errors:?}");
+    }
+
+    /// A full-budget share is `SparseVecCodec::encode` of every
+    /// coefficient, bytes and breakdown; its bitmap has exactly n bits set
+    /// (none past n, with n not a multiple of 64); and after the mix no
+    /// old score survives: the next round's scores are the transform of
+    /// the averaging change alone.
+    #[test]
+    fn a_full_budget_share_is_the_encode_of_every_coefficient() {
+        let config = JwinsConfig {
+            alpha: AlphaDistribution::Fixed(1.0),
+            randomized_cutoff: false,
+            ..JwinsConfig::paper_default()
+        };
+        let (mut a, mut b, xa, xb) = make_pair(config, 1000);
+        let n = a.scores.len();
+        assert_ne!(n % 64, 0, "the case under test: a partial last word");
+        let moved: Vec<f32> = xa.iter().map(|v| v * 1.1 - 0.05).collect();
+        let msg = a.make_message(0, &moved).unwrap();
+
+        let (wavelet, levels) = a.config.wavelet.clone().unwrap();
+        let dwt = Dwt::new(wavelet, levels).unwrap();
+        let all: Vec<u32> = (0..n as u32).collect();
+        let expected = a.codec.encode(&all, &dwt.forward(&moved).data).unwrap();
+        assert_eq!(&msg.bytes[..], expected.as_bytes());
+        assert_eq!(msg.breakdown.metadata, expected.metadata_bytes);
+        assert_eq!(msg.breakdown.payload, expected.payload_bytes);
+
+        let ones: u32 = a.sent.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(ones as usize, n);
+        assert_eq!(a.sent[n / 64] >> (n % 64), 0, "bits past n");
+
+        let theirs = b.make_message(0, &xb).unwrap();
+        let inbox = [ReceivedMessage {
+            from: 1,
+            round: 0,
+            weight: 0.5,
+            edge_weight: 0.5,
+            bytes: &theirs.bytes,
+            decoded: None,
+        }];
+        let next = a.aggregate(0, &moved, 0.5, &inbox).unwrap();
+        let change: Vec<f32> = next.iter().zip(&moved).map(|(x, m)| x - m).collect();
+        assert_eq!(bits(a.scores()), bits(&dwt.forward(&change).data));
     }
 
     /// The one-pass eq-4 update is the two passes it replaced, bit for bit:

@@ -18,7 +18,9 @@
 //! - [`multilevel::Dwt`]: `wavedec`/`waverec`-style multilevel transforms over
 //!   arbitrary-length vectors, with a [`multilevel::CoeffLayout`] describing
 //!   the `[cA_J | cD_J | … | cD_1]` packing so sparsifiers can operate on a
-//!   single flat coefficient vector.
+//!   single flat coefficient vector. The levels run a [`TILE`] at a time,
+//!   each handing its approximation on as it is made, so a transform's
+//!   workspace is a window per level, not a band as long as the signal.
 //!
 //! Internally all arithmetic is `f64`; the public API speaks `f32` because
 //! model parameters (and the bytes on the wire) are 32-bit.
@@ -49,11 +51,13 @@
 pub mod family;
 pub mod multilevel;
 mod simd;
+mod stream;
 pub mod transform;
 
 pub use family::Wavelet;
 pub use multilevel::{CoeffLayout, Dwt, WaveletCoeffs};
 pub use simd::kernel_set;
+pub use stream::TILE;
 
 use std::error::Error;
 use std::fmt;

@@ -12,6 +12,7 @@
 //! transform as one flat vector while the layout stays recoverable.
 
 use crate::family::Wavelet;
+use crate::stream;
 use crate::transform::{analyze_into, synthesize_into};
 use crate::WaveletError;
 
@@ -23,11 +24,11 @@ pub struct CoeffLayout {
     input_len: usize,
     /// Per level, from finest (level 1) to coarsest (level J): the length of
     /// the signal *entering* that level, pre-padding.
-    level_input_lens: Vec<usize>,
+    pub(crate) level_input_lens: Vec<usize>,
     /// Length of the final approximation band.
     approx_len: usize,
     /// Detail band lengths, finest (level 1) first.
-    detail_lens: Vec<usize>,
+    pub(crate) detail_lens: Vec<usize>,
 }
 
 impl CoeffLayout {
@@ -185,13 +186,15 @@ impl Dwt {
 
     /// [`Self::forward`] into caller-owned buffers: `out` is overwritten
     /// with the packed coefficients and `work` is scratch (any content, any
-    /// length; it grows to about ¾ of the signal length and is worth
-    /// keeping between calls). Nothing else is allocated.
+    /// length; it grows to a window per level, each about half the one before,
+    /// `2·`[`TILE`](crate::TILE)` + 3·levels·taps` `f64` at most whatever the
+    /// signal length, and is worth keeping between calls). Nothing else is allocated.
     ///
-    /// The first level reads `signal` as it is and every level writes its
-    /// detail band straight to its place in `out`; only the approximation
-    /// bands, which the next level reads, live in `work` — two regions used
-    /// alternately.
+    /// The levels run a tile at a time (`crate::stream`): the first
+    /// reads `signal` as it is, every level writes its detail band straight
+    /// to its place in `out`, and each approximation chunk goes on to the
+    /// next level as it is made. The coefficients are the bits
+    /// [`Self::forward_levels_into`] computes.
     ///
     /// # Panics
     ///
@@ -204,6 +207,14 @@ impl Dwt {
         work: &mut Vec<f64>,
         out: &mut Vec<f32>,
     ) {
+        if self.prepare_forward(signal, layout, out) {
+            stream::forward(&self.wavelet, signal, layout, work, out);
+        }
+    }
+
+    /// Checks `layout` against `signal` and sizes `out`; whether there is a
+    /// level to run (else `out` is the signal).
+    fn prepare_forward(&self, signal: &[f32], layout: &CoeffLayout, out: &mut Vec<f32>) -> bool {
         assert_eq!(
             layout.input_len,
             signal.len(),
@@ -212,10 +223,32 @@ impl Dwt {
         debug_assert_eq!(layout, &self.layout_for(signal.len()));
         // Approximation and detail ranges tile `out`; every slot is written.
         out.resize(layout.coeff_len(), 0.0);
-        let Some(&first_half) = layout.detail_lens.first() else {
+        if layout.levels() == 0 {
             out.copy_from_slice(signal);
+        }
+        layout.levels() > 0
+    }
+
+    /// [`Self::forward_into`] a whole level at a time, as it ran before it
+    /// was streamed: the approximation bands live in `work`, two regions
+    /// used alternately, about ¾ of the signal length. Kept as the oracle
+    /// the streamed transform is tested and timed against.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::forward_into`].
+    #[doc(hidden)]
+    pub fn forward_levels_into(
+        &self,
+        signal: &[f32],
+        layout: &CoeffLayout,
+        work: &mut Vec<f64>,
+        out: &mut Vec<f32>,
+    ) {
+        if !self.prepare_forward(signal, layout, out) {
             return;
-        };
+        }
+        let first_half = layout.detail_lens[0];
         let second_half = layout.detail_lens.get(1).copied().unwrap_or(0);
         let (mut src, mut dst) = ping_pong(work, first_half, second_half);
         analyze_into(
@@ -254,8 +287,10 @@ impl Dwt {
 
     /// [`Self::inverse`] into caller-owned buffers, the mirror image of
     /// [`Self::forward_into`]: detail bands are read from `coeffs` where they
-    /// lie, the last level writes `out` directly, and only the signals in
-    /// between pass through `work`.
+    /// lie, the last level writes `out` a tile at a time, and `work` holds
+    /// only the windows of the approximations in between (about half of
+    /// what the forward transform keeps). The signal is the bits
+    /// [`Self::inverse_levels_into`] computes.
     ///
     /// # Errors
     ///
@@ -268,6 +303,20 @@ impl Dwt {
         work: &mut Vec<f64>,
         out: &mut Vec<f32>,
     ) -> Result<(), WaveletError> {
+        if self.prepare_inverse(coeffs, layout, out)? {
+            stream::inverse(&self.wavelet, coeffs, layout, work, out);
+        }
+        Ok(())
+    }
+
+    /// Checks `coeffs` against `layout` and sizes `out`; whether there is a
+    /// level to run (else `out` is the coefficients).
+    fn prepare_inverse(
+        &self,
+        coeffs: &[f32],
+        layout: &CoeffLayout,
+        out: &mut Vec<f32>,
+    ) -> Result<bool, WaveletError> {
         if coeffs.len() != layout.coeff_len() {
             return Err(WaveletError::LayoutMismatch {
                 expected: layout.coeff_len(),
@@ -278,6 +327,25 @@ impl Dwt {
         out.resize(layout.input_len, 0.0);
         if layout.levels() == 0 {
             out.copy_from_slice(coeffs);
+        }
+        Ok(layout.levels() > 0)
+    }
+
+    /// [`Self::inverse_into`] a whole level at a time, as it ran before it
+    /// was streamed; the oracle, like [`Self::forward_levels_into`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::inverse_into`].
+    #[doc(hidden)]
+    pub fn inverse_levels_into(
+        &self,
+        coeffs: &[f32],
+        layout: &CoeffLayout,
+        work: &mut Vec<f64>,
+        out: &mut Vec<f32>,
+    ) -> Result<(), WaveletError> {
+        if !self.prepare_inverse(coeffs, layout, out)? {
             return Ok(());
         }
         // Level `l` reconstructs `level_input_lens[l - 1]` samples. Even
@@ -334,6 +402,7 @@ fn ping_pong(work: &mut Vec<f64>, first: usize, second: usize) -> (&mut [f64], &
 mod tests {
     use super::*;
     use crate::transform::reference;
+    use crate::TILE;
     use proptest::prelude::*;
 
     fn ramp(n: usize) -> Vec<f32> {
@@ -453,6 +522,84 @@ mod tests {
                     assert_eq!(bits(&out), expected, "{name} n={n}");
                 });
             }
+        }
+    }
+
+    /// Signal lengths the streamed transforms cut differently: shorter than
+    /// any filter, and either side of the forward's first-level steps
+    /// (`TILE` outputs, `2·TILE` samples) and the inverse's (`TILE`
+    /// samples).
+    fn stream_len() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            1usize..80,
+            (1usize..=6, -20i64..=20).prop_map(|(k, d)| (k as i64 * TILE as i64 + d) as usize),
+            (1usize..=3, -20i64..=20).prop_map(|(k, d)| (k as i64 * 2 * TILE as i64 + d) as usize),
+            80usize..10_000,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The streamed transforms are the level-by-level oracle bit for
+        /// bit — every family, odd lengths, lengths under the filter and
+        /// around step boundaries, depths the signal stops short of, any
+        /// values — under both kernel sets, into dirty reused buffers; and
+        /// a coefficient vector of the wrong length is the same error. The
+        /// workspace stays within a few filter lengths per level of the
+        /// oracle's, and of two tiles whatever the length.
+        #[test]
+        fn streamed_transforms_are_the_level_by_level_oracle(
+            n in stream_len(),
+            levels in 1usize..=12,
+            widx in 0usize..18,
+            seed in any::<u64>(),
+        ) {
+            let dwt = Dwt::new(Wavelet::by_name(Wavelet::all_names()[widx]).unwrap(), levels).unwrap();
+            let layout = dwt.layout_for(n);
+            let mut s = seed | 1;
+            let mut noise = |len: usize| -> Vec<f32> {
+                (0..len).map(|_| {
+                    s ^= s << 13; s ^= s >> 7; s ^= s << 17;
+                    ((s >> 16) as f32 / (1u64 << 48) as f32) * 8.0 - 4.0
+                }).collect()
+            };
+            let x = noise(n);
+            let coeffs = noise(layout.coeff_len());
+            let mut oracle_work = Vec::new();
+            let (mut expected_fwd, mut expected_inv) = (Vec::new(), Vec::new());
+            dwt.forward_levels_into(&x, &layout, &mut oracle_work, &mut expected_fwd);
+            dwt.inverse_levels_into(&coeffs, &layout, &mut oracle_work, &mut expected_inv).unwrap();
+            let short = &coeffs[..coeffs.len() - 1];
+            let slack = (3 * layout.levels() + 6) * dwt.wavelet().filter_len();
+            let most = oracle_work.len().min(2 * TILE) + slack;
+            let mut result = Ok(());
+            crate::simd::both_sets(|| {
+                if result.is_err() {
+                    return;
+                }
+                let mut work = vec![f64::NAN; 3];
+                let mut out = vec![f32::NAN; 5];
+                dwt.forward_into(&x, &layout, &mut work, &mut out);
+                let forward = bits(&out) == bits(&expected_fwd);
+                dwt.inverse_into(&coeffs, &layout, &mut work, &mut out).unwrap();
+                let inverse = bits(&out) == bits(&expected_inv);
+                let fits = work.len() <= most;
+                let error = dwt.inverse_into(short, &layout, &mut work, &mut out);
+                let oracle_error = dwt.inverse_levels_into(short, &layout, &mut oracle_work, &mut out);
+                result = if !forward {
+                    Err("forward")
+                } else if !inverse {
+                    Err("inverse")
+                } else if error != oracle_error || error.is_ok() {
+                    Err("layout mismatch")
+                } else if !fits {
+                    Err("workspace")
+                } else {
+                    Ok(())
+                };
+            });
+            prop_assert_eq!(result, Ok(()), "n={} levels={}", n, levels);
         }
     }
 

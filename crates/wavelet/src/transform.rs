@@ -147,31 +147,73 @@ pub(crate) fn analyze_into<I: Real, D: Real>(
     assert!(len >= 2, "analysis needs at least two samples");
     assert_eq!(approx.len(), half, "approx half has the wrong length");
     assert_eq!(detail.len(), half, "detail half has the wrong length");
+    let interior = analysis_interior(len, wavelet.filter_len());
+    analyze_run(
+        wavelet,
+        input,
+        &mut approx[..interior],
+        &mut detail[..interior],
+    );
+    analyze_edge(
+        wavelet,
+        len,
+        interior,
+        |j| input[j].widen(),
+        &mut approx[interior..],
+        &mut detail[interior..],
+    );
+}
+
+/// How many outputs of an analysis level over `len` samples read a window
+/// `input[2k .. 2k + taps]` that lies inside the input; the rest wrap.
+pub(crate) fn analysis_interior(len: usize, taps: usize) -> usize {
+    if len >= taps {
+        (len - taps) / 2 + 1
+    } else {
+        0
+    }
+}
+
+/// Analysis outputs `0..approx.len()` of `input`, output `p` reading
+/// `input[2p .. 2p + taps]`, which must lie inside `input`: the interior
+/// kernel under this thread's kernel set. A slice of a level's input gives
+/// the slice of its outputs, each with the bits of the whole level's.
+pub(crate) fn analyze_run<I: Real, D: Real>(
+    wavelet: &Wavelet,
+    input: &[I],
+    approx: &mut [f64],
+    detail: &mut [D],
+) {
     let h = wavelet.dec_lo();
     let g = wavelet.dec_hi();
-    let taps = h.len();
-    let interior = if len >= taps { (len - taps) / 2 + 1 } else { 0 };
-    with_taps!(
-        taps,
-        analyze_interior(
-            h,
-            g,
-            input,
-            &mut approx[..interior],
-            &mut detail[..interior]
-        )
-    );
-    let n = 2 * half;
-    for k in interior..half {
+    with_taps!(h.len(), analyze_interior(h, g, input, approx, detail));
+}
+
+/// Analysis outputs `first..` of a level over `len` samples, as many as
+/// `approx` holds: the ones whose window wraps, reading sample `j` of the
+/// level's unpadded input as `sample(j)`. They read the last `< taps`
+/// samples and, wrapped, the first `taps − 2`.
+pub(crate) fn analyze_edge<D: Real>(
+    wavelet: &Wavelet,
+    len: usize,
+    first: usize,
+    sample: impl Fn(usize) -> f64,
+    approx: &mut [f64],
+    detail: &mut [D],
+) {
+    let h = wavelet.dec_lo();
+    let g = wavelet.dec_hi();
+    let n = 2 * len.div_ceil(2);
+    for (k, (a_out, d_out)) in (first..).zip(approx.iter_mut().zip(detail)) {
         let mut a = 0.0;
         let mut d = 0.0;
-        for m in 0..taps {
-            let x = input[wrap(2 * k + m, n).min(len - 1)].widen();
+        for m in 0..h.len() {
+            let x = sample(wrap(2 * k + m, n).min(len - 1));
             a += h[m] * x;
             d += g[m] * x;
         }
-        approx[k] = a;
-        detail[k] = D::narrow(d);
+        *a_out = a;
+        *d_out = D::narrow(d);
     }
 }
 
@@ -204,21 +246,58 @@ pub(crate) fn synthesize_into<D: Real, O: Real>(
         out.len() == n || out.len() == n - 1,
         "synthesis output has the wrong length"
     );
+    let taps = wavelet.filter_len();
+    let reach = taps / 2;
+    let edge = synthesis_edge(half, taps);
+    let low = reach.min(half);
+    let high = half.saturating_sub(reach).max(low);
+    let written = edge.min(out.len());
+    synthesize_edge(
+        wavelet,
+        half,
+        (&approx[..low], &detail[..low]),
+        (&approx[high..], &detail[high..]),
+        &mut out[..written],
+    );
+    let first_pair = edge / 2;
+    let (pairs, last) = out.as_chunks_mut::<2>();
+    let pairs = pairs.get_mut(first_pair..).unwrap_or_default();
+    synthesize_run(wavelet, approx, detail, first_pair, pairs, last.first_mut());
+}
+
+/// How many leading outputs of a synthesis level over `half` coefficient
+/// pairs mix wrapped contributions of the last pairs into unwrapped ones of
+/// the first: [`synthesize_edge`] makes them, [`synthesize_run`] the rest.
+pub(crate) fn synthesis_edge(half: usize, taps: usize) -> usize {
+    (taps - 2).min(2 * half)
+}
+
+/// Synthesis outputs `0..out.len()` (at most [`synthesis_edge`]) of a level
+/// over `half` pairs. Only pairs within `taps / 2` of either end reach
+/// them: `head` holds the approximation and detail coefficients of the
+/// first `min(taps / 2, half)` pairs, `tail` those from
+/// `max(half − taps / 2, that)` to the end.
+pub(crate) fn synthesize_edge<D: Real, O: Real>(
+    wavelet: &Wavelet,
+    half: usize,
+    head: (&[f64], &[D]),
+    tail: (&[f64], &[D]),
+    out: &mut [O],
+) {
     let h = wavelet.dec_lo();
     let g = wavelet.dec_hi();
     let taps = h.len();
-    let reach = taps / 2;
-
-    // Outputs below `edge` mix unwrapped contributions of the first pairs
-    // with wrapped ones of the last; only pairs within `reach` of either
-    // end touch them.
-    let edge = (taps - 2).min(n);
-    let low = reach.min(half);
-    let high = half.saturating_sub(reach).max(low);
-    for (j, o) in out.iter_mut().take(edge).enumerate() {
+    let n = 2 * half;
+    let low = (taps / 2).min(half);
+    let high = half - tail.0.len();
+    for (j, o) in out.iter_mut().enumerate() {
         let mut acc = 0.0;
         for k in (0..low).chain(high..half) {
-            let (a, d) = (approx[k], detail[k].widen());
+            let (a, d) = if k < low {
+                (head.0[k], head.1[k].widen())
+            } else {
+                (tail.0[k - high], tail.1[k - high].widen())
+            };
             for m in 0..taps {
                 if wrap(2 * k + m, n) == j {
                     acc += h[m] * a + g[m] * d;
@@ -227,13 +306,29 @@ pub(crate) fn synthesize_into<D: Real, O: Real>(
         }
         *o = O::narrow(acc);
     }
+}
 
-    let first_pair = edge / 2;
-    let (pairs, last) = out.as_chunks_mut::<2>();
-    let pairs = pairs.get_mut(first_pair..).unwrap_or_default();
+/// Synthesis output pairs from `first_pair` — none of them an edge output —
+/// into `pairs`, plus the even half of the pair after them into `last`
+/// when the level drops its pad sample: the interior kernel under this
+/// thread's kernel set. Pair `i` gathers coefficient pairs
+/// `i + 1 − taps/2 ..= i` of `approx` and `detail`, so a window of them
+/// that starts at pair `w` serves output pairs from `w + taps/2 − 1`
+/// (passed as `first_pair` relative to `w`) with the bits of the whole
+/// level's.
+pub(crate) fn synthesize_run<D: Real, O: Real>(
+    wavelet: &Wavelet,
+    approx: &[f64],
+    detail: &[D],
+    first_pair: usize,
+    pairs: &mut [[O; 2]],
+    last: Option<&mut O>,
+) {
+    let h = wavelet.dec_lo();
+    let g = wavelet.dec_hi();
     with_taps!(
-        taps,
-        synthesize_interior(h, g, approx, detail, first_pair, pairs, last.first_mut())
+        h.len(),
+        synthesize_interior(h, g, approx, detail, first_pair, pairs, last)
     );
 }
 

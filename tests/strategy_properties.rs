@@ -843,10 +843,13 @@ mod aggregate_into_contract {
             let damage = [None, Some(Damage::Truncated), Some(Damage::Misfit)][damage];
             let full = |_| FullSharing::new();
             check(full, |d| ramp_share(full, d + 1), |_| Vec::new(), dim, &rule, damage);
-            // A QSGD stream carries no count, so only a short one misfits.
+            // A QSGD stream carries no count: a short one runs out, and a
+            // long one (non-zero norm) has values left after the last read.
             let quantized = |node| QuantizedSharing::new(255, node);
             let short = |d: usize| ramp_share(quantized, d / 2);
             check(quantized, short, |_| Vec::new(), dim, &rule, damage);
+            let long = |d: usize| ramp_share(quantized, 2 * d + 64);
+            check(quantized, long, |_| Vec::new(), dim, &rule, damage);
             if rule.is_none() {
                 let choco = |_| ChocoSgd::new(ChocoConfig::budget_20());
                 let misfit = |d| ramp_share(choco, 2 * d + 64);
