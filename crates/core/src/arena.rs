@@ -11,10 +11,8 @@
 //! pre-arena engine.
 //!
 //! Schedulers split the buffer into per-node `&mut` windows *once per run*
-//! ([`ParamArena::slices_mut`]): the barrier and event schedulers wrap each
-//! window in its node's cell (see `engine::workers`), the channel scheduler
-//! hands each to its node's thread. Nothing on a per-batch path walks the
-//! arena.
+//! ([`ParamArena::slices_mut`]) and wrap each window in its node's cell (see
+//! `engine::workers`). Nothing on a per-batch path walks the arena.
 
 /// One flat buffer holding every node's parameters, indexed by node id.
 #[derive(Debug, Clone)]

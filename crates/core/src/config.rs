@@ -23,64 +23,6 @@ pub enum ExecutionMode {
     EventDriven,
 }
 
-/// Which transport backend carries messages between nodes.
-///
-/// Orthogonal to [`ExecutionMode`]: the execution mode decides *when* a
-/// node trains and mixes (barrier rounds vs. a virtual event clock), the
-/// transport decides *what carries the bytes*. Only the combinations that
-/// keep a coherent clock are accepted — see [`TrainConfig::validate`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum TransportKind {
-    /// The deterministic in-process backend (`jwins_net::SimNetwork`):
-    /// per-node mailboxes on the virtual clock, byte-for-byte reproducible.
-    #[default]
-    Sim,
-    /// The real-concurrency backend (`jwins_net::ThreadChannelTransport`):
-    /// one OS thread per node, a framed channel per directed edge,
-    /// wall-clock timestamps. Results are *not* bit-reproducible — the
-    /// cross-check harness (`crate::crosscheck`) compares them against a
-    /// sim-oracle replay instead.
-    Channel(ChannelTransportConfig),
-}
-
-impl TransportKind {
-    /// Whether this is the real-concurrency channel backend.
-    pub fn is_real(&self) -> bool {
-        matches!(self, TransportKind::Channel(_))
-    }
-}
-
-/// Tuning knobs of the real-concurrency channel backend.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChannelTransportConfig {
-    /// Longest a node waits for the current round's neighbour messages
-    /// before mixing with whatever has arrived (milliseconds). Bounds the
-    /// damage of a slow peer; must be positive.
-    #[serde(default = "default_mix_wait_ms")]
-    pub mix_wait_ms: u64,
-    /// Sleep between inbox polls while waiting (microseconds).
-    #[serde(default = "default_poll_us")]
-    pub poll_us: u64,
-}
-
-fn default_mix_wait_ms() -> u64 {
-    500
-}
-
-fn default_poll_us() -> u64 {
-    200
-}
-
-impl Default for ChannelTransportConfig {
-    fn default() -> Self {
-        Self {
-            mix_wait_ms: default_mix_wait_ms(),
-            poll_us: default_poll_us(),
-        }
-    }
-}
-
 /// Knobs of one decentralized training run.
 ///
 /// Mirrors the paper's hyperparameter surface: rounds `T`, local steps `τ`,
@@ -112,12 +54,6 @@ pub struct TrainConfig {
     /// Execution substrate: barrier rounds or event-driven async gossip.
     #[serde(default)]
     pub execution: ExecutionMode,
-    /// Transport backend: the deterministic in-process simulator (default)
-    /// or real OS threads with framed channels. The same `TrainConfig`
-    /// (and seed) runs on either; the channel backend rejects
-    /// virtual-time-only features in [`Self::validate`].
-    #[serde(default)]
-    pub transport: TransportKind,
     /// Hardware heterogeneity (compute speeds, link capacities) for
     /// [`ExecutionMode::EventDriven`]. The default profile is degenerate:
     /// uniform compute, instantaneous links.
@@ -129,8 +65,7 @@ pub struct TrainConfig {
     /// crashes a node mid-round (inbox and in-flight messages destroyed, the
     /// node resumes its own round counter), the barrier scheduler samples
     /// the plan at round starts (a down node skips whole rounds and is not
-    /// addressed); the channel transport has no virtual clock and rejects
-    /// it. Staleness caps need messages that arrive late, so they are
+    /// addressed). Staleness caps need messages that arrive late, so they are
     /// [`ExecutionMode::EventDriven`] only. The default is a strict no-op:
     /// runs reproduce their fault-free results bit-for-bit.
     #[serde(default)]
@@ -225,7 +160,6 @@ impl TrainConfig {
             threads: 0,
             time_model: TimeModel::default(),
             execution: ExecutionMode::default(),
-            transport: TransportKind::default(),
             heterogeneity: HeterogeneityProfile::default(),
             faults: FaultConfig::default(),
             eval_interval_s: None,
@@ -261,13 +195,6 @@ impl TrainConfig {
             threads: 1,
             ..Self::new(3)
         }
-    }
-
-    /// Fluent transport-backend override.
-    #[must_use]
-    pub fn with_transport(mut self, transport: TransportKind) -> Self {
-        self.transport = transport;
-        self
     }
 
     /// Fluent fault/staleness override (event-driven runs only).
@@ -384,66 +311,6 @@ impl TrainConfig {
             {
                 return Err(JwinsError::InvalidConfig(
                     "eval_interval_s must be positive and finite".into(),
-                ));
-            }
-        }
-        if let TransportKind::Channel(channel) = self.transport {
-            // The channel backend runs on the wall clock; every feature
-            // whose semantics are defined on the *virtual* clock is
-            // meaningless (or non-deterministic in a way the cross-check
-            // harness cannot model) there, so the combinations are rejected
-            // up front rather than silently misbehaving mid-run.
-            if self.execution == ExecutionMode::EventDriven {
-                return Err(JwinsError::InvalidConfig(
-                    "the channel transport runs real threads on the wall clock; \
-                     event-driven execution schedules on the virtual clock — \
-                     pick one clock (TransportKind::Sim for event-driven runs)"
-                        .into(),
-                ));
-            }
-            if self.message_loss > 0.0 {
-                return Err(JwinsError::InvalidConfig(
-                    "message_loss draws from the simulator's per-link loss model; \
-                     the channel transport delivers reliably (like the paper's TCP) \
-                     and cannot replay seeded drops"
-                        .into(),
-                ));
-            }
-            if !self.heterogeneity.is_degenerate() {
-                return Err(JwinsError::InvalidConfig(
-                    "heterogeneity profiles scale the *virtual* clock; on the \
-                     channel transport latency is measured, not modelled — run \
-                     the profile on TransportKind::Sim"
-                        .into(),
-                ));
-            }
-            if self.eval_interval_s.is_some() {
-                return Err(JwinsError::InvalidConfig(
-                    "eval_interval_s schedules checkpoints on the virtual clock; \
-                     the channel transport has no event queue to carry them"
-                        .into(),
-                ));
-            }
-            if !self.faults.plan.is_noop() {
-                return Err(JwinsError::InvalidConfig(
-                    "a fault plan is a virtual-time schedule; the channel transport \
-                     has no virtual clock to replay it on — run it on TransportKind::Sim"
-                        .into(),
-                ));
-            }
-            if self.attack != jwins_adversary::AttackPlan::None {
-                return Err(JwinsError::InvalidConfig(
-                    "attack plans expand into virtual-time windows; on the wall \
-                     clock the schedule would be non-reproducible — inject \
-                     Byzantine behaviour on TransportKind::Sim"
-                        .into(),
-                ));
-            }
-            if channel.mix_wait_ms == 0 {
-                return Err(JwinsError::InvalidConfig(
-                    "channel transport mix_wait_ms must be positive (a zero wait \
-                     would mix before any neighbour message can arrive)"
-                        .into(),
                 ));
             }
         }
@@ -613,9 +480,6 @@ mod tests {
             .with_event_driven(HeterogeneityProfile::default())
             .with_faults(faults.clone());
         assert!(c.validate().is_ok());
-        let mut c = TrainConfig::new(3).with_faults(faults);
-        c.transport = TransportKind::Channel(ChannelTransportConfig::default());
-        assert!(c.validate().is_err(), "the channel has no virtual clock");
         // A staleness cap is event-driven-only.
         let mut c = TrainConfig::new(3);
         c.faults.staleness = StalenessPolicy::drop_after_rounds(2);
@@ -725,65 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn transport_round_trips_through_serde() {
-        let mut config = TrainConfig::new(4);
-        assert_eq!(config.transport, TransportKind::Sim);
-        config.transport = TransportKind::Channel(ChannelTransportConfig {
-            mix_wait_ms: 250,
-            poll_us: 50,
-        });
-        let text = serde::json::to_string(&config);
-        let back: TrainConfig = serde::json::from_str(&text).unwrap();
-        assert_eq!(back.transport, config.transport);
-        assert!(back.transport.is_real());
-    }
-
-    #[test]
-    fn channel_transport_rejects_virtual_time_features() {
-        let channel = || {
-            TrainConfig::new(3)
-                .with_transport(TransportKind::Channel(ChannelTransportConfig::default()))
-        };
-        assert!(channel().validate().is_ok());
-        // Event-driven execution is virtual-clock-only.
-        let mut c = channel();
-        c.execution = ExecutionMode::EventDriven;
-        assert!(c.validate().is_err());
-        // Seeded message loss is a simulator feature.
-        let mut c = channel();
-        c.message_loss = 0.1;
-        assert!(c.validate().is_err());
-        // Modelled heterogeneity scales the virtual clock.
-        let mut c = channel();
-        c.heterogeneity = HeterogeneityProfile::stragglers(0.25, 4.0, 0.01, 1e6);
-        assert!(c.validate().is_err());
-        // Virtual-time checkpoints need the event queue.
-        let mut c = channel();
-        c.eval_interval_s = Some(1.0);
-        assert!(c.validate().is_err());
-        // Attack windows are virtual-time spans.
-        let mut c = channel();
-        c.attack = jwins_adversary::AttackPlan::RandomFraction {
-            fraction: 0.25,
-            from_s: 0.0,
-            until_s: 10.0,
-            behavior: jwins_adversary::AttackBehavior::SignFlip,
-        };
-        assert!(c.validate().is_err());
-        // A zero wait can never collect a neighbour message.
-        let c =
-            TrainConfig::new(3).with_transport(TransportKind::Channel(ChannelTransportConfig {
-                mix_wait_ms: 0,
-                poll_us: 100,
-            }));
-        assert!(c.validate().is_err());
-        // All of these remain legal on the sim backend.
-        let mut c = TrainConfig::new(3);
-        c.message_loss = 0.1;
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
     fn bad_metrics_window_rejected() {
         let mut c = TrainConfig::new(3);
         c.metrics.window_s = 0.0;
@@ -803,7 +608,6 @@ mod tests {
             "target_accuracy":null,"record_alphas":false}"#;
         let config: TrainConfig = serde::json::from_str(text).unwrap();
         assert_eq!(config.execution, ExecutionMode::BulkSynchronous);
-        assert_eq!(config.transport, TransportKind::Sim);
         assert!(config.heterogeneity.is_degenerate());
         assert_eq!(config.time_model, jwins_net::TimeModel::default());
         assert!(config.faults.is_noop());
@@ -816,6 +620,19 @@ mod tests {
         assert_eq!(config.shards, 0);
         assert_eq!(config.ordering, jwins_sim::Ordering::Strict);
         assert!(config.validate().is_ok());
+        // Configs written while a transport could be chosen name one; the
+        // field is ignored, so they parse to the same configuration, which
+        // runs on the simulated network.
+        let plain = serde::json::to_string(&config);
+        for transport in [
+            r#""Sim""#,
+            r#"{"Channel":{"mix_wait_ms":500,"poll_us":200}}"#,
+        ] {
+            let named = text.replace('}', &format!(r#","transport":{transport}}}"#));
+            let parsed: TrainConfig = serde::json::from_str(&named).unwrap();
+            assert_eq!(serde::json::to_string(&parsed), plain, "{transport}");
+            assert!(parsed.validate().is_ok(), "{transport}");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::metrics::RunResult;
 use crate::strategy::{DecodeSlot, Outbound};
 use crate::Result;
 use jwins_adversary::AttackBehavior;
-use jwins_net::PendingSend;
+use jwins_net::{PendingSend, Transport};
 use jwins_nn::model::Model;
 use jwins_sim::{LifecycleEvent, LifecycleTracker, SimTime};
 use jwins_trace::TraceEvent;

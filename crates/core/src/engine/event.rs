@@ -111,7 +111,7 @@ use crate::strategy::{Outbound, ReceivedMessage};
 use crate::Result;
 use jwins_adversary::AttackBehavior;
 use jwins_fault::{CapAction, RejoinMode};
-use jwins_net::{PendingSend, PurgeScope};
+use jwins_net::{PendingSend, PurgeScope, Transport};
 use jwins_nn::model::Model;
 use jwins_sim::{LifecycleEvent, LifecycleTracker, Scheduled, ShardedEventQueue, SimTime};
 use jwins_topology::dynamic::RoundTopology;

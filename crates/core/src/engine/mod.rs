@@ -1,4 +1,4 @@
-//! The decentralized training engine: one round program, three schedulers.
+//! The decentralized training engine: one round program, two schedulers.
 //!
 //! What a node does in a round (paper §II-A, Alg. 1) — τ local SGD steps,
 //! build one strategy message, fan it out to the round's neighbours, mix what
@@ -22,9 +22,9 @@
 //!   messages, whose age feeds the staleness policy and metric. Replays the
 //!   fault plan mid-round (lifecycle epochs, destroyed messages) and adds
 //!   topology repair.
-//! - `crate::channel_driver` — **real threads**: one OS thread per node over
-//!   real channels, the wall clock, and a bounded wait in place of the
-//!   barrier.
+//!
+//! Both run on the virtual clock over one [`SimNetwork`], which carries the
+//! serialized payloads a socket would and meters them.
 //!
 //! Under a degenerate heterogeneity profile (uniform compute, instantaneous
 //! links) the barrier and event schedulers produce bit-identical models and
@@ -58,8 +58,8 @@
 //! (layer buffers, gradients, cached activations) whose results depend only
 //! on the parameters loaded into it, and every call into one starts with
 //! that load, so any instance can serve any node: the trainer keeps one per
-//! worker (`min(threads, nodes)`; one per node thread on the channel
-//! backend), and a worker holds its own for each chunk of a batch it claims.
+//! worker (`min(threads, nodes)`), and a worker holds its own for each
+//! chunk of a batch it claims.
 //!
 //! # Parallel event execution and the determinism contract
 //!
@@ -139,7 +139,7 @@ pub(crate) mod round;
 pub mod workers;
 
 use crate::arena::ParamArena;
-use crate::config::{ExecutionMode, TrainConfig, TransportKind};
+use crate::config::{ExecutionMode, TrainConfig};
 use crate::metrics::RunResult;
 use crate::strategy::ShareStrategy;
 use crate::{JwinsError, Result};
@@ -147,7 +147,7 @@ use event::EventRun;
 use jwins_adversary::{AttackBehavior, AttackTimeline};
 use jwins_data::batch::BatchSampler;
 use jwins_fault::{FaultTimeline, RejoinMode};
-use jwins_net::{LossModel, SimNetwork, ThreadChannelTransport, Transport};
+use jwins_net::{LossModel, SimNetwork, Transport};
 use jwins_nn::model::Model;
 use jwins_sim::{LifecycleTracker, SimTime};
 use jwins_topology::dynamic::TopologyProvider;
@@ -168,8 +168,7 @@ pub struct TrainerBuilder<M: Model> {
     /// soon as their parameters had been read (holding all of them until
     /// `build()` would set the run's peak memory at large node counts).
     models: VecDeque<M>,
-    /// One per worker thread (resolved once, here — never per node); no
-    /// limit on the channel backend, whose workers are its node threads.
+    /// One per worker thread (resolved once, here — never per node).
     workspaces: usize,
     /// The first node whose model disagrees with node 0's in size, if any.
     mismatch: Option<String>,
@@ -353,21 +352,13 @@ impl<M: Model> TrainerBuilder<M> {
                 last_alpha: 0.0,
             });
         }
-        // The transport is chosen here and never again: the engine speaks
-        // only the `Transport` trait from this point on, so both backends
-        // run the exact same round program.
-        let mut network: Box<dyn Transport> = match self.config.transport {
-            TransportKind::Sim => {
-                if self.config.message_loss > 0.0 {
-                    Box::new(SimNetwork::lossy(
-                        n,
-                        LossModel::new(self.config.message_loss, self.config.seed ^ 0x1055),
-                    ))
-                } else {
-                    Box::new(SimNetwork::new(n))
-                }
-            }
-            TransportKind::Channel(_) => Box::new(ThreadChannelTransport::new(n)),
+        let mut network = if self.config.message_loss > 0.0 {
+            SimNetwork::lossy(
+                n,
+                LossModel::new(self.config.message_loss, self.config.seed ^ 0x1055),
+            )
+        } else {
+            SimNetwork::new(n)
         };
         // File sinks are opened here so a bad trace path fails the build as
         // a configuration error rather than wedging mid-run.
@@ -387,7 +378,7 @@ impl<M: Model> TrainerBuilder<M> {
         let tracer = Arc::new(tracer);
         network.set_tracer(Arc::clone(&tracer));
         Ok(Trainer {
-            network: Arc::from(network),
+            network: Arc::new(network),
             test: Arc::new(self.test),
             topology,
             faults,
@@ -444,7 +435,7 @@ struct Run<'w, 'a, M: Model> {
     /// The fault and attack plans as the builder expanded them.
     faults: &'a FaultTimeline,
     attacks: &'a AttackTimeline,
-    network: &'a Arc<dyn Transport>,
+    network: &'a Arc<SimNetwork>,
     test: &'a [M::Sample],
     tracer: &'a Arc<Tracer>,
     /// Node `i`'s state and arena window; sequential code locks a cell
@@ -529,13 +520,12 @@ pub struct Trainer<M: Model> {
     pub(crate) faults: FaultTimeline,
     /// [`TrainConfig::attack`], expanded likewise.
     pub(crate) attacks: AttackTimeline,
-    pub(crate) network: Arc<dyn Transport>,
+    pub(crate) network: Arc<SimNetwork>,
     pub(crate) nodes: Vec<NodeState<M>>,
     /// The model workspaces, one per worker of the parallel phases:
     /// `min(threads, nodes)` of them, `threads` resolved once when the
     /// builder was created (`available_parallelism` reads cgroup files —
-    /// never per node or per round); one per node on the channel backend,
-    /// whose node threads are its workers.
+    /// never per node or per round).
     pub(crate) models: Vec<workers::Cell<M>>,
     /// Every node's flat parameters in one contiguous buffer (see
     /// [`ParamArena`]); `nodes[i]`'s window is `arena.node(i)`.
@@ -550,10 +540,9 @@ pub struct Trainer<M: Model> {
 impl<M: Model> Trainer<M> {
     /// Starts building a trainer.
     pub fn builder(config: TrainConfig) -> TrainerBuilder<M> {
-        let workspaces = match (config.transport, config.threads) {
-            (TransportKind::Channel(_), _) => usize::MAX,
-            (_, 0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            (_, threads) => threads,
+        let workspaces = match config.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads => threads,
         };
         TrainerBuilder {
             config,
@@ -623,7 +612,6 @@ impl<M: Model> Trainer<M> {
     {
         let board = Scoreboard::new(self);
         let cells = node_cells(&mut self.nodes, &mut self.arena);
-        crate::scratch::reserve(self.models.len());
         workers::with_workers(self.models.len(), |pool| {
             let run = Run {
                 config: &self.config,
@@ -664,15 +652,7 @@ impl<M: Model> Trainer<M> {
         // If anything below panics, the guard dumps the flight recorder's
         // tail to stderr before the process unwinds.
         let guard = jwins_trace::FlightDumpGuard::new(Arc::clone(&tracer));
-        let result = if self.config.transport.is_real() {
-            // The channel backend has no virtual clock to schedule either
-            // substrate on; its driver runs the round program on one OS
-            // thread per node (validation already pinned the execution
-            // mode to BulkSynchronous).
-            crate::channel_driver::run_channel(self)
-        } else {
-            self.run_scheduled()
-        };
+        let result = self.run_scheduled();
         drop(guard);
         if result.is_err() {
             // Protocol violations surface as errors, not panics; dump the

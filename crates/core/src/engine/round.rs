@@ -3,10 +3,10 @@
 //! What a node *does* in a round is the same under every scheduler: τ local
 //! SGD steps → build one strategy message (from a perturbed copy if the node
 //! is Byzantine this round) → fan it out to the round's neighbours → mix what
-//! arrived with Metropolis–Hastings weights → evaluate. The schedulers
-//! (`barrier`, `event`, `crate::channel_driver`) only decide *when* each
-//! step runs and on which clock; none of them calls a strategy itself, so
-//! this module is the single boundary where messages are built and mixed.
+//! arrived with Metropolis–Hastings weights → evaluate. The two schedulers
+//! (`barrier`, `event`) only decide *when* each step runs; neither calls a
+//! strategy itself, so this module is the single boundary where messages
+//! are built and mixed.
 //! [`Scoreboard`] is the matching single place where per-node metrics become
 //! a [`RoundRecord`].
 
@@ -17,7 +17,7 @@ use crate::strategy::{DecodeSlot, OutMessage, Outbound, ReceivedMessage, ShareSt
 use crate::{JwinsError, Result};
 use jwins_adversary::{AttackBehavior, Robust};
 use jwins_data::batch::BatchSampler;
-use jwins_net::{Envelope, Transport};
+use jwins_net::{Envelope, SimNetwork, Transport};
 use jwins_nn::model::{EvalMetrics, Model};
 use jwins_topology::dynamic::RoundTopology;
 use jwins_trace::{TraceEvent, Tracer};
@@ -154,7 +154,7 @@ impl<M: Model> NodeState<M> {
             .aggregate_into(round, params, self_weight, received, robust)
     }
 
-    /// [`Self::mix`] for the lockstep schedulers (barrier, channel): every
+    /// [`Self::mix`] for the lockstep scheduler (the barrier): every
     /// message in `inbox` was built for `round` and mixes at its full edge
     /// weight. `slots[j]`, where there is one, is where sender `j`'s
     /// broadcast is decoded for all its receivers; an empty `slots` has
@@ -292,7 +292,7 @@ pub(crate) struct Scoreboard {
     reached_target: Option<TargetHit>,
     target: Option<f64>,
     strategy: String,
-    network: Arc<dyn Transport>,
+    network: Arc<SimNetwork>,
     tracer: Arc<Tracer>,
 }
 
@@ -401,7 +401,7 @@ impl Scoreboard {
             rounds_run: self.rounds_run,
             reached_target: self.reached_target,
             alpha_history: alpha_rows.into_iter().take(self.rounds_run).collect(),
-            measured_latency_s: self.network.measured_flight().map(|f| f.mean_latency_s),
+            measured_latency_s: None,
         }
     }
 }

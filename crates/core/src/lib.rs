@@ -27,12 +27,12 @@
 //! - [`average`]: renormalized partial averaging of sparse vectors.
 //! - [`engine::Trainer`]: the decentralized training engine — one per-node
 //!   round program (train → build → fan out → mix with Metropolis–Hastings
-//!   weights → evaluate, over a byte-metered network) under three
-//!   schedulers: the paper's bulk-synchronous barrier, a discrete-event
-//!   asynchronous-gossip mode ([`config::ExecutionMode::EventDriven`], built
-//!   on `jwins_sim`) where heterogeneous nodes mix whatever neighbour
-//!   messages have arrived by their local virtual clock, and one OS thread
-//!   per node over real channels ([`config::TransportKind::Channel`]).
+//!   weights → evaluate, over a byte-metered network) under two schedulers
+//!   on one virtual clock: the paper's bulk-synchronous barrier, and a
+//!   discrete-event asynchronous-gossip mode
+//!   ([`config::ExecutionMode::EventDriven`], built on `jwins_sim`) where
+//!   heterogeneous nodes mix whatever neighbour messages have arrived by
+//!   their local virtual clock.
 //! - [`config::TrainConfig`], [`metrics`]: experiment configuration —
 //!   including [`config::TrainConfig::faults`], the one description of which
 //!   nodes are absent when — and round-by-round records (mix staleness
@@ -73,9 +73,7 @@
 
 pub(crate) mod arena;
 pub mod average;
-mod channel_driver;
 pub mod config;
-pub mod crosscheck;
 pub mod cutoff;
 pub mod engine;
 pub mod metrics;

@@ -151,12 +151,11 @@ pub struct RunResult {
     /// Per-round, per-node sharing fractions (only when
     /// `TrainConfig::record_alphas` is set).
     pub alpha_history: Vec<Vec<f64>>,
-    /// Mean in-flight message latency the transport *measured* during the
-    /// run, in seconds. `None` on the simulated backend (nothing is
-    /// measured — latency is modelled); `Some` on real-concurrency
-    /// backends, where the cross-check harness replays it through the sim
-    /// oracle (`crate::crosscheck`). Excluded from [`Self::assert_bit_identical`]:
-    /// it is a wall-clock observation, not part of the deterministic run.
+    /// Mean in-flight message latency a transport *measured* during the
+    /// run, in seconds: always `None`, because the simulated network models
+    /// latency rather than measuring it. Kept so that code building a
+    /// `RunResult` by hand still compiles. Excluded from
+    /// [`Self::assert_bit_identical`].
     pub measured_latency_s: Option<f64>,
 }
 

@@ -19,29 +19,17 @@
 //! node run has 16 384 strategies and two workers). A worker runs one call
 //! at a time, so one set per *concurrent call* is exactly enough.
 //!
-//! The sets live in a fixed array of **slots**, one cache-line-aligned
-//! `Mutex<Option<ShareScratch>>` each, rather than in thread-locals: the
-//! barrier and event schedulers' workers are resident for a whole run and
-//! would keep a thread-local warm, but the channel scheduler runs one thread
-//! per *node*, each alive for one run — a thread-local set there is the
-//! per-node multiplication all over again. A thread claims the lowest free
-//! slot the first time it needs a set and owns it until it exits (the claim
-//! is the only thread-local state, released by its destructor), so
-//! [`with_scratch`] takes the set out of the thread's own slot and puts it
-//! back: two uncontended locks on a line no other worker touches. One shared
-//! LIFO pool — what this replaced — made every worker write the same line
-//! four times per node-round and handed each the buffers another core had
-//! just warmed (on the 16 384-node benchmark workload a second worker
+//! Each thread keeps its set in a thread-local: the barrier and event
+//! schedulers' workers are resident for a whole run, so a worker's set
+//! stays warm from one call to the next, and no line of it is ever written
+//! by another worker. [`with_scratch`] takes the set out of the thread's
+//! cell, runs the call and puts it back. A nested call on the same thread
+//! finds the cell empty and gets a new set; whichever set comes back first
+//! is kept and the other dropped, so a thread pools at most one. One shared
+//! LIFO pool — what once stood here — made every worker write the same
+//! line four times per node-round and handed each the buffers another core
+//! had just warmed (on the 16 384-node benchmark workload a second worker
 //! bought no wall time: 1.37 µs per item alone, 2.4–2.6 µs with two).
-//!
-//! As many slots are open as the widest scheduler run announced
-//! ([`reserve`]: `min(threads, nodes)`, whatever the core count — eight
-//! workers on two cores keep eight sets, not two), and never fewer than one
-//! per core. A thread that finds every open slot owned — the channel
-//! backend's node threads beyond that count — allocates a set per call and
-//! drops it, so at most one set per open slot is ever pooled. A set returned
-//! to a slot that already holds one (a nested call on the same thread
-//! returned first) is dropped likewise.
 //!
 //! Nothing in a set outlives the call as *data*: every buffer is cleared or
 //! overwritten before it is read, so which set a call gets cannot change a
@@ -50,8 +38,6 @@
 use crate::average::Tiles;
 use crate::strategy::Contribution;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// One worker's buffers. Fields are independent; a strategy uses the ones
 /// it needs.
@@ -149,89 +135,21 @@ pub(crate) fn decode_pool(pool: &mut Vec<PooledDecode>, n: usize) -> &mut [Poole
     &mut pool[..n]
 }
 
-/// More workers than this share no slot: the rest allocate per call.
-const MAX_SLOTS: usize = 64;
-
-/// One pooled set on a cache line pair of its own, so a worker's take and
-/// return never invalidate another worker's.
-#[repr(align(128))]
-struct Slot(Mutex<Option<ShareScratch>>);
-
-static SLOTS: [Slot; MAX_SLOTS] = [const { Slot(Mutex::new(None)) }; MAX_SLOTS];
-
-/// `OWNED[i]` while a live thread holds slot `i`. Kept apart from the slots:
-/// threads looking for a free one read only this, which changes when a
-/// thread claims or exits, never per call.
-static OWNED: [AtomicBool; MAX_SLOTS] = [const { AtomicBool::new(false) }; MAX_SLOTS];
-
-/// The widest scheduler run announced so far.
-static RESERVED: AtomicUsize = AtomicUsize::new(0);
-
-/// Opens one slot per worker of a scheduler run about to start (capped at
-/// [`MAX_SLOTS`]); slots stay open for the life of the process.
-pub(crate) fn reserve(workers: usize) {
-    // Relaxed: the count publishes nothing, it only widens a search.
-    RESERVED.fetch_max(workers.min(MAX_SLOTS), Ordering::Relaxed);
-}
-
-/// Slots a thread may claim: one per announced worker, at least one per
-/// core. The core count is looked up once — the standard library reads
-/// cgroup files for it, far too slow for every call.
-fn open_slots() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    RESERVED.load(Ordering::Relaxed).max(cores.min(MAX_SLOTS))
-}
-
-/// This thread's slot, once it has one; released when the thread exits.
-struct Claim(Cell<Option<usize>>);
-
 thread_local! {
-    static CLAIM: Claim = const { Claim(Cell::new(None)) };
+    /// This thread's set, while no call has it out.
+    static SCRATCH: Cell<Option<ShareScratch>> = const { Cell::new(None) };
 }
 
-impl Claim {
-    /// The slot this thread owns, claiming the lowest free one first if it
-    /// owns none yet; `None` while every open slot is another thread's.
-    fn slot(&self) -> Option<&'static Slot> {
-        if self.0.get().is_none() {
-            // Acquire/Release on the flag pair a claim with the previous
-            // owner's release; the set itself is published by its mutex.
-            let free = OWNED[..open_slots()].iter().position(|owned| {
-                !owned.load(Ordering::Relaxed)
-                    && owned
-                        .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                        .is_ok()
-            });
-            self.0.set(free);
-        }
-        self.0.get().map(|index| &SLOTS[index])
-    }
-}
-
-impl Drop for Claim {
-    fn drop(&mut self) {
-        if let Some(index) = self.0.get() {
-            OWNED[index].store(false, Ordering::Release);
-        }
-    }
-}
-
-/// Runs `f` with the scratch set of this thread's slot (or a new one) and
-/// returns the set there afterwards. Sets are not returned when `f` panics.
+/// Runs `f` with this thread's scratch set (or a new one, if a call on this
+/// thread already has it out) and keeps the set for the thread's next call.
+/// A set is not returned when `f` panics.
 pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut ShareScratch) -> R) -> R {
-    let slot = CLAIM.with(Claim::slot);
-    // A take or a put leaves the slot valid at every step, so a poisoned
-    // lock (a panic elsewhere while holding it) loses nothing.
-    let set = |slot: &'static Slot| slot.0.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut scratch = slot.and_then(|s| set(s).take()).unwrap_or_default();
+    let mut scratch = SCRATCH.with(Cell::take).unwrap_or_default();
     let result = f(&mut scratch);
-    if let Some(slot) = slot {
-        let mut pooled = set(slot);
-        if pooled.is_none() {
-            *pooled = Some(scratch);
-        }
-    }
+    SCRATCH.with(|cell| {
+        let kept = cell.take();
+        cell.set(kept.or(Some(scratch)));
+    });
     result
 }
 
@@ -285,7 +203,6 @@ mod tests {
         quantized.init(&own);
         let _ = quantized.make_message(0, &own).unwrap();
 
-        reserve(MAX_SLOTS);
         with_scratch(|s| {
             *s = ShareScratch::default();
             s.wire.push(0xA5);
@@ -323,7 +240,6 @@ mod tests {
         let mut jwins = Jwins::new(config, 5);
         jwins.init(&params);
 
-        reserve(MAX_SLOTS);
         with_scratch(|s| *s = ShareScratch::default());
         let moved: Vec<f32> = params.iter().map(|v| v * 0.9).collect();
         let message = jwins.make_message(0, &moved).unwrap();
@@ -362,7 +278,6 @@ mod tests {
             .layout_for(dim)
             .coeff_len();
         let own: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
-        reserve(MAX_SLOTS);
         with_scratch(|s| *s = ShareScratch::default());
         for alpha in [1.0, 0.1, 1.0] {
             let config = JwinsConfig {
@@ -403,21 +318,26 @@ mod tests {
 
     #[test]
     fn buffers_survive_between_calls_and_nest_without_sharing() {
-        // Other tests' workers hold slots too: open enough for everyone.
-        reserve(MAX_SLOTS);
-        with_scratch(|s| s.wire.extend([1, 2, 3]));
-        // Capacity is what persists; a strategy clears before use.
-        with_scratch(|outer| {
-            assert!(outer.wire.capacity() >= 3);
-            // A nested call finds the slot empty and gets a set of its own;
-            // the slot keeps whichever comes back first.
-            with_scratch(|inner| assert!(!std::ptr::eq(outer, inner)));
+        let first = with_scratch(|s| {
+            s.wire.extend([1, 2, 3]);
+            s.wire.as_ptr()
         });
+        // The same buffers come back; a strategy clears before use.
+        with_scratch(|outer| {
+            assert_eq!(outer.wire.as_ptr(), first);
+            assert!(outer.wire.capacity() >= 3);
+            // A nested call finds the cell empty and gets a set of its own.
+            with_scratch(|inner| {
+                assert_eq!(inner.wire.capacity(), 0);
+                inner.wire.push(9);
+            });
+        });
+        // The cell keeps whichever set came back first: the nested call's.
+        with_scratch(|s| assert_eq!(s.wire, [9]));
     }
 
     #[test]
     fn a_worker_gets_its_own_set_back_whatever_the_others_do() {
-        reserve(MAX_SLOTS);
         let turn = Barrier::new(2);
         std::thread::scope(|scope| {
             for id in [7u8, 9] {

@@ -1100,7 +1100,6 @@ mod tests {
             };
             bits(&r.aggregate(0, &x, 0.7, &[from]).unwrap())
         };
-        crate::scratch::reserve(usize::MAX);
         let index_buffer = || {
             with_scratch(|s| {
                 let list = s.decoded[0].index_buffer();

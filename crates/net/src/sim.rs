@@ -6,9 +6,7 @@
 //! [`bytes::Bytes`], so broadcasting one message to `d` neighbours costs one
 //! allocation while still being counted `d` times by the meter — exactly
 //! like a TCP fan-out. Every observable — delivery sets, drain order, loss
-//! pattern, counters — is a pure function of the sends it was given, which
-//! is what makes this backend the determinism *oracle* the real
-//! [`crate::ThreadChannelTransport`] is cross-checked against.
+//! pattern, counters — is a pure function of the sends it was given.
 
 use crate::meter::TrafficStats;
 use crate::transport::{
@@ -84,8 +82,7 @@ impl LossModel {
 }
 
 /// An in-process virtual-time network between `n` nodes — the [`Transport`]
-/// the engine uses by default, and the determinism oracle for every other
-/// backend.
+/// the engine runs on.
 #[derive(Debug)]
 pub struct SimNetwork {
     core: MailboxCore,
@@ -188,12 +185,7 @@ impl Transport for SimNetwork {
     }
 
     fn drain(&self, node: usize, deadline: SimTime, ttl: Option<SimTime>) -> Drained {
-        MailboxCore::drain(
-            &mut self.core.mailbox(node).lock(),
-            deadline,
-            self.now(),
-            ttl,
-        )
+        MailboxCore::drain(&mut self.core.mailbox(node).lock(), deadline, ttl)
     }
 
     fn record_expired(&self, node: usize, count: u64) {
@@ -241,12 +233,6 @@ impl Transport for SimNetwork {
 
     fn total_stats(&self) -> TrafficStats {
         self.core.total_stats()
-    }
-
-    fn now(&self) -> SimTime {
-        // The sim has no clock of its own: the engine drives virtual time
-        // and passes it into drain/purge explicitly.
-        SimTime::ZERO
     }
 }
 
@@ -296,6 +282,8 @@ mod tests {
     #[test]
     fn send_and_drain() {
         let net = SimNetwork::new(3);
+        assert_eq!(net.len(), 3);
+        assert!(!net.is_empty());
         bulk(&net, 0, 1, Bytes::from(vec![1u8, 2, 3]), breakdown(2, 1));
         bulk(&net, 2, 1, Bytes::from(vec![4u8]), breakdown(1, 0));
         let inbox = drain_all(&net, 1);
@@ -798,14 +786,5 @@ mod tests {
             SimTime(5),
             0,
         );
-    }
-
-    #[test]
-    fn sim_clock_is_pinned_to_zero_and_unmeasured() {
-        let net = SimNetwork::new(1);
-        assert_eq!(net.now(), SimTime::ZERO);
-        assert!(net.measured_flight().is_none());
-        assert_eq!(net.len(), 1);
-        assert!(!net.is_empty());
     }
 }

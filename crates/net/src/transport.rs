@@ -1,8 +1,7 @@
 //! The engine↔network contract: [`Transport`].
 //!
-//! The training engine talks to exactly one object — a [`Transport`] — and
-//! never to a concrete network type. The trait captures the engine's actual
-//! needs as a small, coherent surface:
+//! The training engine reaches its network only through this trait, which
+//! captures the engine's actual needs as a small, coherent surface:
 //!
 //! - **committed sends**: every transmission is a fully priced
 //!   [`PendingSend`] (endpoints, bytes, virtual departure/arrival stamps),
@@ -20,16 +19,12 @@
 //!   attachable [`jwins_trace::Tracer`] that observes sends and drops
 //!   without ever affecting them.
 //!
-//! Two backends implement it: the deterministic in-memory
-//! [`crate::SimNetwork`] (virtual time, the determinism oracle) and the
-//! real-concurrency [`crate::ThreadChannelTransport`] (one OS thread per
-//! node, a crossbeam channel per directed edge, wall-clock stamps mapped
-//! onto [`SimTime`]). Both keep their mailboxes and [`TrafficStats`] in one
-//! crate-private core, `MailboxCore`, which owns the contract's accounting:
-//! the send preconditions, the sender's charge and the receiver's credit,
-//! the drain, and the purge kill that reverses that credit. A backend adds
-//! only how a message reaches the mailbox (the sim's loss model, the
-//! channel backend's wires) and which messages a purge scope selects.
+//! [`crate::SimNetwork`] implements it on the virtual clock. Its mailboxes
+//! and [`TrafficStats`] live in a crate-private core, `MailboxCore`, which
+//! owns the contract's accounting: the send preconditions, the sender's
+//! charge and the receiver's credit, the drain, and the purge kill that
+//! reverses that credit. The network adds only the loss model and which
+//! messages a purge scope selects.
 
 use crate::meter::{ByteBreakdown, TrafficStats};
 use bytes::Bytes;
@@ -233,17 +228,6 @@ impl PurgeReport {
     }
 }
 
-/// Wall-clock delivery latency observed by a real backend, aggregated over
-/// every message it moved — the measured profile the cross-check harness
-/// replays through the sim oracle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeasuredFlight {
-    /// Mean send→deliver latency in seconds.
-    pub mean_latency_s: f64,
-    /// Messages the mean was taken over.
-    pub messages: u64,
-}
-
 /// A network between `n` nodes, as the training engine sees one.
 ///
 /// # Contract
@@ -259,9 +243,7 @@ pub struct MeasuredFlight {
 /// - **Drain**: one call serves every engine mode. The barrier engine
 ///   passes `deadline = SimTime::MAX, ttl = None` ("everything ever
 ///   sent"); the event-driven engine passes the node's local virtual clock
-///   and the staleness TTL. A `SimTime::MAX` deadline measures TTL ages at
-///   the transport's [`Transport::now`] instead (the only meaningful "now"
-///   when no deadline was given).
+///   and the staleness TTL. TTL ages are measured at the deadline.
 /// - **Tracing** is strictly observational: a transport with a tracer
 ///   attached behaves bit-identically to one without.
 pub trait Transport: Send + Sync + std::fmt::Debug {
@@ -347,27 +329,13 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
 
     /// Cluster-wide traffic totals.
     fn total_stats(&self) -> TrafficStats;
-
-    /// The transport's own clock, mapped onto the virtual axis. The sim
-    /// backend has no clock of its own (the engine drives virtual time) and
-    /// always answers [`SimTime::ZERO`]; a real backend answers wall-clock
-    /// time since construction.
-    fn now(&self) -> SimTime;
-
-    /// The delivery-latency profile a real backend measured, if any — the
-    /// sim oracle's replay input. The sim backend answers `None` (its
-    /// latencies are *declared*, not measured).
-    fn measured_flight(&self) -> Option<MeasuredFlight> {
-        None
-    }
 }
 
-/// The accounting both backends share: per node, the mailbox of delivered
-/// envelopes and the [`TrafficStats`]. A backend adds only what differs —
-/// how a message travels to the mailbox — so the [`Transport`] contract's
-/// metering (sender charged at send, receiver credited when the message is
-/// bound for its mailbox, credit reversed by a purge), its drain semantics
-/// and its purge reports are written once.
+/// The network's accounting: per node, the mailbox of delivered envelopes
+/// and the [`TrafficStats`]. The [`Transport`] contract's metering (sender
+/// charged at send, receiver credited when the message is bound for its
+/// mailbox, credit reversed by a purge), its drain semantics and its purge
+/// reports are written here once.
 ///
 /// Lock order: a node's mailbox may be held while its stats are locked,
 /// never the other way round.
@@ -426,20 +394,13 @@ impl MailboxCore {
         &self.mailboxes[node]
     }
 
-    /// Partitions `mailbox` at `deadline`, applies the TTL, and stable-sorts
-    /// the survivors by arrival. A [`SimTime::MAX`] deadline measures TTL
-    /// ages at the backend's `now`.
+    /// Partitions `mailbox` at `deadline`, applies the TTL (ages measured
+    /// at the deadline), and stable-sorts the survivors by arrival.
     pub(crate) fn drain(
         mailbox: &mut Vec<Envelope>,
         deadline: SimTime,
-        now: SimTime,
         ttl: Option<SimTime>,
     ) -> Drained {
-        let age_ref = if deadline == SimTime::MAX {
-            now
-        } else {
-            deadline
-        };
         let mut expired = 0u64;
         let mut arrived = Vec::new();
         // Grows with what has not arrived: a drained mailbox keeps no
@@ -447,7 +408,7 @@ impl MailboxCore {
         let mut pending = Vec::new();
         for env in mailbox.drain(..) {
             if env.arrives <= deadline {
-                if ttl.is_some_and(|t| env.age_at(age_ref) > t) {
+                if ttl.is_some_and(|t| env.age_at(deadline) > t) {
                     expired += 1;
                 } else {
                     arrived.push(env);
@@ -537,7 +498,7 @@ mod tests {
             })
             .collect();
         let now = SimTime::from_secs_f64(1.0);
-        let drained = MailboxCore::drain(&mut mailbox, now, now, None);
+        let drained = MailboxCore::drain(&mut mailbox, now, None);
         assert_eq!(drained.envelopes.len(), 16 - in_flight);
         assert_eq!(mailbox.len(), in_flight);
         mailbox.capacity()

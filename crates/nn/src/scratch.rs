@@ -8,10 +8,8 @@
 //! more than the arithmetic of the smallest models. A thread runs one kernel
 //! at a time, so one buffer per thread is exactly enough. The barrier and
 //! event schedulers' workers are resident for a whole run, so a worker grows
-//! its buffer once and keeps it across every batch; the channel scheduler's
-//! per-node threads each grow one for their run: a few KiB beside a thread
-//! spawn (the share path's buffers are several model sizes, which is why
-//! those are pooled process-wide instead).
+//! its buffer once and keeps it across every batch (the share path keeps its
+//! larger buffer sets per thread the same way, in `jwins`'s own scratch).
 //!
 //! The buffer comes back with whatever the previous kernel left in it:
 //! callers write every element before they read it, so which thread runs a

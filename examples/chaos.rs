@@ -4,7 +4,6 @@
 //! ```sh
 //! cargo run --release --example chaos
 //! cargo run --release --example chaos -- --trace /tmp/chaos
-//! cargo run --release --example chaos -- --transport channel
 //! cargo run --release --example chaos -- --nodes 1000
 //! ```
 //!
@@ -26,19 +25,12 @@
 //! `MetricsSink` — the `TrainConfig::metrics` path, proven a bit-no-op by
 //! `tests/metrics_layer.rs`.
 //!
-//! With `--transport channel` the cluster runs on real OS threads (one per
-//! node) instead of the virtual-time sim. Fault injection, simulated
-//! stragglers and the event-driven clock are virtual-time features the
-//! real backend rejects, so they are dropped (with a printed note): the
-//! run shows the same 16-node gossip under real concurrency, measured
-//! flight latency included.
-//!
 //! With `--nodes N` the cluster scales past the default 16 nodes — the
 //! correlated outage still takes out a quarter of whatever is running.
 //! Above 16 nodes the per-node datasets cycle through 16 templates so
 //! data generation stays cheap at any scale.
 
-use jwins::config::{ChannelTransportConfig, ExecutionMode, TrainConfig, TransportKind};
+use jwins::config::{ExecutionMode, TrainConfig};
 use jwins::engine::Trainer;
 use jwins::strategies::FullSharing;
 use jwins::strategy::ShareStrategy;
@@ -143,83 +135,11 @@ fn run(
     trainer.run().expect("run completes")
 }
 
-/// The same 16-node cluster on real OS-thread channels. The fault engine,
-/// straggler profile and event-driven clock are virtual-time features —
-/// `TrainConfig::validate` rejects them on the real backend — so this arm
-/// drops them and shows the gossip itself under real concurrency.
-fn run_channel(nodes: usize, trace_jsonl: Option<String>, metrics_prefix: Option<&str>) {
-    let (node_train, test) = node_data(nodes, 42);
-    let mut cfg = TrainConfig::new(if smoke() { 8 } else { 30 });
-    cfg.local_steps = 1;
-    cfg.batch_size = 8;
-    cfg.lr = 0.02;
-    cfg.eval_every = 2;
-    cfg.eval_test_samples = 128;
-    cfg.transport = TransportKind::Channel(ChannelTransportConfig::default());
-    cfg.trace.jsonl_path = trace_jsonl.clone();
-    if let Some(prefix) = metrics_prefix {
-        cfg.metrics.prometheus_path = Some(format!("{prefix}.prom"));
-        cfg.metrics.csv_path = Some(format!("{prefix}.csv"));
-    }
-    let trainer = Trainer::builder(cfg)
-        .topology(StaticTopology::random_regular(nodes, 4, 7).expect("feasible graph"))
-        .test_set(test)
-        .nodes(node_train, |_| {
-            (
-                mlp_classifier(2 * 8 * 8, &[16], 4, 42),
-                Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
-            )
-        })
-        .build()
-        .expect("valid experiment");
-    let result = trainer.run().expect("run completes");
-    println!(
-        "== real OS-thread channels ({nodes} node threads) ==\n\
-         note: fault injection, simulated stragglers and the event-driven \
-         clock are\nvirtual-time features — dropped on the real backend, \
-         which measures the host\ninstead of modelling it.\n"
-    );
-    println!("round  accuracy  wall-time[s]  staleness[s]");
-    for r in &result.records {
-        println!(
-            "{:>5}  {:>8.3}  {:>12.2}  {:>12.4}",
-            r.round + 1,
-            r.test_accuracy,
-            r.sim_time_s,
-            r.mean_staleness_s
-        );
-    }
-    if let Some(latency) = result.measured_latency_s {
-        println!(
-            "\nmeasured mean flight latency: {:.3} ms — replay it in the sim \
-             with `jwins::crosscheck::oracle_profile`",
-            latency * 1e3
-        );
-    }
-    if let Some(jsonl) = &trace_jsonl {
-        println!(
-            "trace written to {jsonl} (wall-clock stamps from concurrent \
-             threads — summarize with `trace_report {jsonl}`, but `--check` \
-             expects virtual-time monotonicity and does not apply)"
-        );
-    }
-}
-
 fn main() {
     const TARGET: f64 = 0.9;
     let prefix = flag_value("--trace");
     let metrics = flag_value("--metrics");
     let nodes = node_count(16);
-    match flag_value("--transport").as_deref() {
-        Some("channel") => {
-            let jsonl = prefix.as_ref().map(|p| format!("{p}-channel.jsonl"));
-            let metrics_prefix = metrics.as_ref().map(|p| format!("{p}-channel"));
-            run_channel(nodes, jsonl, metrics_prefix.as_deref());
-            return;
-        }
-        None | Some("sim") => {}
-        Some(other) => panic!("--transport {other}: expected `sim` or `channel`"),
-    }
     println!(
         "chaos cluster: {nodes} nodes, a quarter of them 4x slower, 100 Mbit/s \
          links;\na quarter of the cluster crashes at t=6.5s and rejoins at t=14.5s\n"

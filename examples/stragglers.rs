@@ -4,7 +4,6 @@
 //! ```sh
 //! cargo run --release --example stragglers
 //! cargo run --release --example stragglers -- --trace /tmp/stragglers
-//! cargo run --release --example stragglers -- --transport channel
 //! cargo run --release --example stragglers -- --nodes 1000
 //! ```
 //!
@@ -21,17 +20,11 @@
 //! aggregation to `<prefix>-<mode>.prom` and `<prefix>-<mode>.csv` through
 //! the in-engine `MetricsSink` (`TrainConfig::metrics`).
 //!
-//! With `--transport channel` the same config runs on real OS threads
-//! instead: one thread per node, framed messages over in-process channels,
-//! wall-clock time. Straggler *injection* does not apply there — the real
-//! host is the time model — so the run reports measured flight latency and
-//! wall-clock rounds rather than the barrier-vs-async comparison.
-//!
 //! With `--nodes N` the cluster scales past the default 8 nodes (the
 //! sharded event engine handles thousands; above 16 nodes the per-node
 //! datasets cycle through 16 templates so data generation stays cheap).
 
-use jwins::config::{ChannelTransportConfig, ExecutionMode, TrainConfig, TransportKind};
+use jwins::config::{ExecutionMode, TrainConfig};
 use jwins::engine::Trainer;
 use jwins::strategies::FullSharing;
 use jwins::strategy::ShareStrategy;
@@ -136,81 +129,11 @@ fn run(
     trainer.run().expect("run completes")
 }
 
-/// The same cluster on the real-concurrency channel backend: no simulated
-/// stragglers (the host's actual scheduling jitter is the heterogeneity),
-/// wall-clock time instead of virtual time.
-fn run_channel(nodes: usize, trace_jsonl: Option<String>, metrics_prefix: Option<&str>) {
-    let (node_train, test) = node_data(nodes, 42);
-    let mut cfg = TrainConfig::new(if smoke() { 6 } else { 30 });
-    cfg.local_steps = 2;
-    cfg.batch_size = 8;
-    cfg.lr = 0.1;
-    cfg.eval_every = if smoke() { 2 } else { 5 };
-    cfg.eval_test_samples = 128;
-    cfg.transport = TransportKind::Channel(ChannelTransportConfig::default());
-    cfg.trace.jsonl_path = trace_jsonl.clone();
-    if let Some(prefix) = metrics_prefix {
-        cfg.metrics.prometheus_path = Some(format!("{prefix}.prom"));
-        cfg.metrics.csv_path = Some(format!("{prefix}.csv"));
-    }
-    let trainer = Trainer::builder(cfg)
-        .topology(StaticTopology::random_regular(nodes, degree(nodes), 7).expect("feasible graph"))
-        .test_set(test)
-        .nodes(node_train, |_| {
-            (
-                mlp_classifier(2 * 8 * 8, &[16], 4, 42),
-                Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
-            )
-        })
-        .build()
-        .expect("valid experiment");
-    let result = trainer.run().expect("run completes");
-    println!(
-        "== real OS-thread channels ({nodes} node threads) ==\n\
-         note: simulated stragglers/event-driven execution are virtual-time \
-         features;\nthe real backend measures the host instead of modelling it.\n"
-    );
-    println!("round  accuracy  wall-time[s]  staleness[s]");
-    for r in &result.records {
-        println!(
-            "{:>5}  {:>8.3}  {:>12.2}  {:>12.4}",
-            r.round + 1,
-            r.test_accuracy,
-            r.sim_time_s,
-            r.mean_staleness_s
-        );
-    }
-    if let Some(latency) = result.measured_latency_s {
-        println!(
-            "\nmeasured mean flight latency: {:.3} ms — feed it back to the sim \
-             oracle with `jwins::crosscheck::oracle_profile`",
-            latency * 1e3
-        );
-    }
-    if let Some(jsonl) = &trace_jsonl {
-        println!(
-            "trace written to {jsonl} (wall-clock stamps from concurrent \
-             threads — summarize with `trace_report {jsonl}`, but `--check` \
-             expects virtual-time monotonicity and does not apply)"
-        );
-    }
-}
-
 fn main() {
     const TARGET: f64 = 0.99;
     let prefix = flag_value("--trace");
     let metrics = flag_value("--metrics");
     let nodes = node_count(8);
-    match flag_value("--transport").as_deref() {
-        Some("channel") => {
-            let jsonl = prefix.as_ref().map(|p| format!("{p}-channel.jsonl"));
-            let metrics_prefix = metrics.as_ref().map(|p| format!("{p}-channel"));
-            run_channel(nodes, jsonl, metrics_prefix.as_deref());
-            return;
-        }
-        None | Some("sim") => {}
-        Some(other) => panic!("--transport {other}: expected `sim` or `channel`"),
-    }
     println!(
         "straggler cluster: {nodes} nodes, a quarter of them 4x slower, \
          100 Mbit/s links\n"

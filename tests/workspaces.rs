@@ -8,7 +8,7 @@
 //! with NaN as soon as a compute call returns — and count how many distinct
 //! instances are ever called.
 
-use jwins::config::{ChannelTransportConfig, ExecutionMode, TrainConfig, TransportKind};
+use jwins::config::{ExecutionMode, TrainConfig};
 use jwins::engine::Trainer;
 use jwins::metrics::RunResult;
 use jwins::strategies::FullSharing;
@@ -140,17 +140,4 @@ fn forgetful_models_change_nothing_and_at_most_one_per_thread_is_ever_called() {
             );
         }
     }
-}
-
-#[test]
-fn the_channel_backend_calls_exactly_one_instance_per_node_thread() {
-    let mut cfg = config(ExecutionMode::BulkSynchronous, 2);
-    cfg.transport = TransportKind::Channel(ChannelTransportConfig {
-        mix_wait_ms: 2_000,
-        poll_us: 100,
-    });
-    let (result, called) = forgetful_run(cfg);
-    assert_eq!(result.rounds_run, 4);
-    assert!(result.records.iter().all(|r| r.test_loss.is_finite()));
-    assert_eq!(called, (0..NODES).collect::<BTreeSet<usize>>());
 }
