@@ -40,6 +40,7 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(clippy::too_many_lines)]
 
 mod plan;
 mod robust;

@@ -12,8 +12,7 @@
 //! - **async**: fast nodes keep their own pace and mix slightly stale
 //!   models, finishing the same round budget in far less simulated time.
 //!
-//! Protocol (per strategy — full-sharing, JWINS, CHOCO-SGD, and PowerGossip
-//! now that its per-edge state is round-versioned and async-safe): a barrier
+//! Protocol (per strategy — full-sharing, JWINS and CHOCO-SGD): a barrier
 //! baseline run fixes a target accuracy (90% of its final accuracy); both
 //! substrates then run to that target and report simulated time, rounds and
 //! bytes at the moment it is reached, plus the async run's mean staleness —
@@ -24,7 +23,7 @@
 //! `JWINS_SMOKE=1` shrinks the round budget for the CI `bench-smoke` job.
 
 use jwins::config::ExecutionMode;
-use jwins::strategies::{ChocoConfig, JwinsConfig, PowerGossipConfig};
+use jwins::strategies::{ChocoConfig, JwinsConfig};
 use jwins_bench::{banner, fmt_bytes, run_cifar, save_csv, Algo, RunCfg, Scale};
 use jwins_metrics::{MetricsRegistry, DEFAULT_WINDOW_S};
 use jwins_sim::HeterogeneityProfile;
@@ -56,12 +55,6 @@ fn main() {
         ("full-sharing", Algo::Full),
         ("jwins", Algo::Jwins(JwinsConfig::paper_default())),
         ("choco@20%", Algo::Choco(ChocoConfig::budget_20())),
-        // The low-rank per-edge baseline: runnable under async gossip since
-        // its warm starts became round-versioned.
-        (
-            "power-gossip@r1",
-            Algo::PowerGossip(PowerGossipConfig::global(1)),
-        ),
     ];
     for (label, algo) in algos {
         // Phase 1: barrier baseline fixes the target for this strategy.

@@ -324,7 +324,6 @@ fn bench_float_codec(c: &mut Criterion) {
             from: j + 1,
             round: 0,
             weight: 0.2,
-            edge_weight: 0.2,
             bytes,
             decoded: None,
         })
@@ -405,27 +404,6 @@ fn bench_peer_sampling(c: &mut Criterion) {
             // Sequential rounds hit the incremental path (one shuffle each).
             round += 1;
             black_box(provider.topology(round))
-        });
-    });
-    group.finish();
-}
-
-fn bench_power_gossip_kernels(c: &mut Criterion) {
-    use jwins::strategies::{PowerGossip, PowerGossipConfig};
-    use jwins::strategy::ShareStrategy;
-    let mut group = headed_group(c, "power_gossip");
-    group.sample_size(20);
-    // One full make_outbound over 4 edges at 64k params (256x256 matrix).
-    let params = model_vector(DIM);
-    group.bench_function("make_outbound_64k_4edges_rank1", |b| {
-        let mut s = PowerGossip::new(PowerGossipConfig::global(1), 0, 7);
-        s.init(&params);
-        let mut round = 0usize;
-        b.iter(|| {
-            let out = s.make_outbound(round, &params, &[1, 2, 3, 4]).unwrap();
-            let next = s.aggregate(round, &params, 0.5, &[]).unwrap();
-            round += 1;
-            black_box((out, next))
         });
     });
     group.finish();
@@ -538,7 +516,6 @@ fn bench_jwins_mix(c: &mut Criterion) {
             from: j + 1,
             round: 0,
             weight: 0.2,
-            edge_weight: 0.2,
             bytes,
             decoded: None,
         })
@@ -768,7 +745,6 @@ criterion_group!(
     bench_codecs,
     bench_float_codec,
     bench_peer_sampling,
-    bench_power_gossip_kernels,
     bench_selection_and_mixing,
     bench_average,
     bench_jwins_mix

@@ -18,8 +18,8 @@ use jwins::config::TrainConfig;
 use jwins::engine::Trainer;
 use jwins::metrics::RunResult;
 use jwins::strategies::{
-    ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, PowerGossip, PowerGossipConfig,
-    QuantizedSharing, RandomModelWalk, RandomSampling,
+    ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, QuantizedSharing, RandomModelWalk,
+    RandomSampling,
 };
 use jwins::strategy::ShareStrategy;
 use jwins_data::images::{celeba_like, cifar_like, femnist_like, ImageConfig};
@@ -111,8 +111,6 @@ pub enum Algo {
     Jwins(JwinsConfig),
     /// CHOCO-SGD with a config.
     Choco(ChocoConfig),
-    /// PowerGossip with a config (extension).
-    PowerGossip(PowerGossipConfig),
     /// QSGD-quantized full sharing with this many levels (extension).
     Quantized(u32),
     /// Random model walk (extension).
@@ -135,12 +133,6 @@ impl Algo {
                 base.into()
             }
             Algo::Choco(c) => format!("choco@{:.0}%", c.fraction * 100.0),
-            Algo::PowerGossip(c) => match &c.layout {
-                jwins::strategies::MatrixLayout::GlobalSquare => {
-                    format!("power-gossip-glob@r{}", c.rank)
-                }
-                _ => format!("power-gossip@rank{}", c.rank),
-            },
             Algo::Quantized(levels) => format!("qsgd@{levels}"),
             Algo::Rmw => "random-model-walk".into(),
         }
@@ -156,9 +148,7 @@ impl Algo {
                 seed.wrapping_mul(0x9E37_79B9).wrapping_add(node as u64),
             )),
             Algo::Choco(c) => Box::new(ChocoSgd::new(c.clone())),
-            // The cluster-shared seed for PowerGossip's per-edge warm
-            // starts; node-distinct seeds for the stochastic strategies.
-            Algo::PowerGossip(c) => Box::new(PowerGossip::new(c.clone(), node, seed)),
+            // Node-distinct seeds for the stochastic strategies.
             Algo::Quantized(levels) => Box::new(QuantizedSharing::new(
                 *levels,
                 seed.wrapping_mul(0x85EB_CA6B).wrapping_add(node as u64),

@@ -31,8 +31,6 @@
 //! but `Robust::None` the decoded messages are handed to the rule's
 //! accumulator instead (`partial_mix_into`, `dense_mix`).
 
-#![warn(clippy::too_many_lines)]
-
 pub use crate::robust::RobustAccumulator;
 use crate::scratch::{decode_pool, with_scratch};
 use crate::strategy::{Contribution, ContributionView, ReceivedMessage};
@@ -650,7 +648,6 @@ mod tests {
             from: 1,
             round: 0,
             weight: 0.6,
-            edge_weight: 0.6,
             bytes: &wire,
             decoded: None,
         }];
@@ -987,7 +984,6 @@ mod tests {
                     from: j + 1,
                     round: 0,
                     weight,
-                    edge_weight: weight,
                     bytes,
                     decoded: None,
                 })

@@ -465,6 +465,9 @@ pub(super) struct EventRun<'w, 'a, M: Model> {
     /// every node contributes to every round's completion exactly once and
     /// `completed` still counts to `n` under churn.
     rounds_passed: Vec<usize>,
+    /// Nodes between a committed `TrainDone` and its `Mix`: their
+    /// strategy has a round open.
+    shared: Vec<bool>,
     /// Per-(round, node) sharing fractions, filled as TrainDone events
     /// fire; only fully completed rounds are reported.
     alpha_rows: Vec<Vec<f64>>,
@@ -501,10 +504,8 @@ where
         let n = t.cells.len();
         let config = t.config;
         // Cross-round messages (real heterogeneity, fault plans) are part of
-        // the contract: every delivery carries its sender's round stamp, and
-        // strategies with per-edge state version their handshakes by it (see
-        // the edge-state versioning contract on `ShareStrategy`), so no
-        // strategy needs to be refused here.
+        // the contract: every delivery carries its sender's round stamp
+        // (`ReceivedMessage::round`), so no strategy needs to be refused here.
         let compute_time: Vec<SimTime> = config
             .heterogeneity
             .compute
@@ -553,6 +554,7 @@ where
             compute_time,
             completed: vec![0; rounds],
             rounds_passed: vec![0; n],
+            shared: vec![false; n],
             alpha_rows: if config.record_alphas {
                 vec![vec![0.0; n]; rounds]
             } else {
@@ -734,17 +736,6 @@ where
                         sent_round: Some(round),
                     };
                     self.kill(scope, to, at, KillReason::RepairEdge);
-                }
-                // Live endpoints drop their per-edge strategy state for the
-                // removed connection: its pending handshakes can never
-                // complete, and if repair later restores the edge it must
-                // restart from the deterministic fresh state rather than a
-                // stale warm start.
-                for (end, other) in [(a, b), (b, a)] {
-                    if self.lifecycle.is_alive(end) {
-                        let mut slot = self.t.cells[end].lock();
-                        slot.state.strategy.forget_edge(other);
-                    }
                 }
             }
             let ctx = self.round_ctx.get_mut(&round).expect("key just listed");
@@ -1025,6 +1016,7 @@ where
         if self.t.config.record_alphas {
             self.alpha_rows[round][node] = proposal.alpha;
         }
+        self.shared[node] = true;
         self.pending_work += 1;
         let mix = Ev::Mix { node, round, epoch };
         self.push(proposal.mix_at, RANK_MIX, node, mix);
@@ -1085,7 +1077,6 @@ where
                     from,
                     round: sent_round,
                     weight,
-                    edge_weight: base,
                     bytes: &env.payload,
                     decoded: None,
                 });
@@ -1143,6 +1134,7 @@ where
         if proposal.absorbed > 0.0 {
             tally.downweight_mass += proposal.absorbed;
         }
+        self.shared[node] = false;
         let mass_clipped = &mut tally.mass_clipped;
         self.t.cells[node]
             .lock()
@@ -1194,18 +1186,6 @@ where
                 });
             }
         }
-        // A crash with no scheduled recovery is permanent: no handshake with
-        // this node can ever complete, so every other node drops its
-        // per-edge strategy state for it — otherwise stale warm starts would
-        // survive across lifecycle epochs and the state would leak for the
-        // rest of the run.
-        if permanent {
-            for (i, cell) in self.t.cells.iter().enumerate() {
-                if i != node {
-                    cell.lock().state.strategy.forget_edge(node);
-                }
-            }
-        }
         // Survivors re-wire around the hole: every round in progress is
         // re-resolved against the shrunken live set, and sends on
         // repair-removed edges die.
@@ -1222,6 +1202,15 @@ where
                 node: node as u32,
                 round: round as u32,
             });
+        }
+        // A round abandoned between its send and its mix leaves the
+        // strategy's round open (its `make_*` ran, its mix never will):
+        // restart the strategy on the node's current parameters, as a
+        // `Resync` rejoin does on the donor's, or the next round's `make_*`
+        // fails. No window spans a fault, so that send has committed.
+        if std::mem::take(&mut self.shared[node]) {
+            let slot = &mut *self.t.cells[node].lock();
+            slot.state.strategy.init(slot.params);
         }
         // A scheduled recovery that will resume training keeps the
         // checkpoint cadence alive through the outage.

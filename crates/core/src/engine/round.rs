@@ -184,7 +184,6 @@ impl<M: Model> NodeState<M> {
                     from,
                     round,
                     weight,
-                    edge_weight: weight,
                     bytes: &env.payload,
                     decoded: slots.get(from).and_then(Option::as_ref),
                 })
@@ -199,7 +198,7 @@ impl<M: Model> NodeState<M> {
         )
     }
 
-    /// Drains the strategy's pairing and robust-aggregation telemetry into
+    /// Drains the strategy's robust-aggregation telemetry into
     /// the trace, adding the clipped mass to `mass_clipped`. Called from
     /// sequential code only, and unconditionally (take-and-reset): the drain
     /// is part of the deterministic schedule whether or not any sink listens.
@@ -211,16 +210,6 @@ impl<M: Model> NodeState<M> {
         tracer: &Tracer,
         mass_clipped: &mut f64,
     ) {
-        if let Some(ps) = self.strategy.pairing_stats() {
-            tracer.emit(TraceEvent::StrategyPairing {
-                t_ns,
-                node: id as u32,
-                round: round as u32,
-                paired: ps.paired,
-                fresh_resets: ps.fresh_resets,
-                ignored: ps.ignored,
-            });
-        }
         if let Some(rs) = self.strategy.robust_stats() {
             *mass_clipped += rs.mass;
             tracer.emit(TraceEvent::RobustClip {
@@ -463,7 +452,7 @@ mod tests {
     }
 
     #[test]
-    fn weigh_is_the_edge_weight_or_none_for_a_stranger() {
+    fn weigh_is_the_mixing_weight_or_none_for_a_stranger() {
         let topo = path();
         assert_eq!(
             weigh(&topo, 0, 1),

@@ -17,8 +17,7 @@
 //! - [`strategies`]: [`strategies::FullSharing`] (D-PSGD),
 //!   [`strategies::RandomSampling`], [`strategies::Jwins`] (with ablation
 //!   switches covering TopK), and [`strategies::ChocoSgd`]; plus the
-//!   extensions [`strategies::PowerGossip`] (per-edge low-rank),
-//!   [`strategies::QuantizedSharing`] (QSGD) and
+//!   extensions [`strategies::QuantizedSharing`] (QSGD) and
 //!   [`strategies::RandomModelWalk`].
 //! - [`cutoff::AlphaDistribution`]: the randomized communication cut-off.
 //! - [`scaling::ScoreScaling`]: per-layer adaptive importance scores (§VI
@@ -70,6 +69,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![warn(clippy::too_many_lines)]
 
 pub(crate) mod arena;
 pub mod average;

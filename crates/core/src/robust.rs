@@ -11,8 +11,6 @@
 //! the surviving entries — self included — so the effective mixing row
 //! still sums to one and an all-honest, all-equal input is a fixed point.
 
-#![warn(clippy::too_many_lines)]
-
 use crate::average::partial_average_into;
 use crate::strategy::{Contribution, ContributionView};
 use jwins_adversary::{Robust, RobustStats};

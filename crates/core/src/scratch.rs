@@ -171,7 +171,6 @@ mod tests {
                 from: j + 1,
                 round: 0,
                 weight: 0.2,
-                edge_weight: 0.2,
                 bytes: &msg.bytes,
                 decoded: None,
             })

@@ -226,7 +226,6 @@ mod tests {
                         from: 1,
                         round,
                         weight: 0.5,
-                        edge_weight: 0.5,
                         bytes: &mb.bytes,
                         decoded: None,
                     }],
@@ -241,7 +240,6 @@ mod tests {
                         from: 0,
                         round,
                         weight: 0.5,
-                        edge_weight: 0.5,
                         bytes: &ma.bytes,
                         decoded: None,
                     }],
@@ -314,7 +312,6 @@ mod tests {
             from: 1,
             round: 0,
             weight: 0.5,
-            edge_weight: 0.5,
             bytes,
             decoded: None,
         }]

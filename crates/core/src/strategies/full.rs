@@ -151,7 +151,6 @@ mod tests {
                     from: 1,
                     round: 0,
                     weight: 0.5,
-                    edge_weight: 0.5,
                     bytes: &msg_b.bytes,
                     decoded: None,
                 }],
@@ -192,7 +191,6 @@ mod tests {
                     from: 0,
                     round: 0,
                     weight: 0.5,
-                    edge_weight: 0.5,
                     bytes: &bad,
                     decoded: None
                 }]
@@ -213,7 +211,6 @@ mod tests {
             from,
             round: 0,
             weight,
-            edge_weight: weight,
             bytes: &msg.bytes,
             decoded: None,
         }
@@ -379,7 +376,6 @@ mod tests {
                     from: j + 1,
                     round: 0,
                     weight,
-                    edge_weight: weight,
                     bytes,
                     decoded: None,
                 })

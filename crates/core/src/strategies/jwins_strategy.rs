@@ -598,7 +598,6 @@ mod tests {
                     from: 1,
                     round: 0,
                     weight: 0.5,
-                    edge_weight: 0.5,
                     bytes: &msg_b.bytes,
                     decoded: None,
                 }],
@@ -707,7 +706,6 @@ mod tests {
                     from: 1,
                     round: 0,
                     weight: 0.5,
-                    edge_weight: 0.5,
                     bytes: &msg.bytes,
                     decoded: None,
                 }],
@@ -743,7 +741,6 @@ mod tests {
                     from: 0,
                     round: 0,
                     weight: 0.5,
-                    edge_weight: 0.5,
                     bytes: &garbage,
                     decoded: None
                 }]
@@ -769,7 +766,6 @@ mod tests {
             from: 1,
             round: 0,
             weight: 0.5,
-            edge_weight: 0.5,
             bytes: &bad,
             decoded: None,
         }];
@@ -806,7 +802,6 @@ mod tests {
                 from: 1,
                 round: 0,
                 weight: 0.5,
-                edge_weight: 0.5,
                 bytes: bad.as_bytes(),
                 decoded: None,
             }];
@@ -840,7 +835,6 @@ mod tests {
                     from: 1,
                     round: 0,
                     weight: 0.5,
-                    edge_weight: 0.5,
                     bytes: &bad,
                     decoded: slotted.then_some(&slot),
                 }];
@@ -919,7 +913,6 @@ mod tests {
                     from: 1,
                     round: 0,
                     weight: 0.5,
-                    edge_weight: 0.5,
                     bytes: &msg.bytes,
                     decoded: None,
                 }],
@@ -1007,7 +1000,6 @@ mod tests {
                 from: 1,
                 round: 0,
                 weight: 0.3,
-                edge_weight: 0.3,
                 bytes: &msg.bytes,
                 decoded,
             };
@@ -1052,7 +1044,6 @@ mod tests {
                     from: 1,
                     round: 0,
                     weight: 0.5,
-                    edge_weight: 0.5,
                     bytes: &garbage,
                     decoded: Some(&slot),
                 };
@@ -1064,7 +1055,6 @@ mod tests {
             from: 1,
             round: 0,
             weight: 0.5,
-            edge_weight: 0.5,
             bytes: &garbage,
             decoded: None,
         };
@@ -1094,7 +1084,6 @@ mod tests {
                 from: 1,
                 round: 0,
                 weight: 0.3,
-                edge_weight: 0.3,
                 bytes: &msg.bytes,
                 decoded: None,
             };
@@ -1149,7 +1138,6 @@ mod tests {
                         from: from + 1,
                         round: 0,
                         weight: 0.25,
-                        edge_weight: 0.25,
                         bytes,
                         decoded: slotted.then_some(slot),
                     })
@@ -1202,7 +1190,6 @@ mod tests {
             from: 1,
             round: 0,
             weight: 0.5,
-            edge_weight: 0.5,
             bytes: &theirs.bytes,
             decoded: None,
         }];
@@ -1266,7 +1253,6 @@ mod tests {
             from: 1,
             round: 0,
             weight: 0.5,
-            edge_weight: 0.5,
             bytes: &garbage,
             decoded: None,
         };

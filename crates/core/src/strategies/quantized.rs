@@ -187,7 +187,6 @@ mod tests {
                     from: 1,
                     round: 0,
                     weight: 0.5,
-                    edge_weight: 0.5,
                     bytes: &msg.bytes,
                     decoded: None,
                 }],
@@ -237,7 +236,6 @@ mod tests {
                         from: 1,
                         round,
                         weight: 0.5,
-                        edge_weight: 0.5,
                         bytes: &mb.bytes,
                         decoded: None,
                     }],
@@ -252,7 +250,6 @@ mod tests {
                         from: 0,
                         round,
                         weight: 0.5,
-                        edge_weight: 0.5,
                         bytes: &ma.bytes,
                         decoded: None,
                     }],
@@ -296,7 +293,6 @@ mod tests {
                     from: 1,
                     round: 0,
                     weight: 0.5,
-                    edge_weight: 0.5,
                     bytes: &garbage,
                     decoded: None
                 }]

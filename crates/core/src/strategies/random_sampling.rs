@@ -70,31 +70,44 @@ impl RandomSampling {
         idx
     }
 
-    /// `aggregate` under `rule`: the round's subset is every message's
-    /// indices, so each decode fills in only the values. The whole inbox is
-    /// decoded first, in order, then mixed.
+    /// `aggregate` under `rule`: a message's indices are the subset of the
+    /// round it was built in ([`ReceivedMessage::round`] — under event-driven
+    /// gossip a neighbour's share may come from another round than the
+    /// receiver's), so each decode fills in only the values. Each distinct
+    /// round's subset is drawn once. The whole inbox is decoded first, in
+    /// order, then mixed.
     fn mix(
         &mut self,
-        round: usize,
         params: &[f32],
         self_weight: f64,
         received: &[ReceivedMessage<'_>],
         rule: Robust,
     ) -> Result<Vec<f32>> {
-        let subset = self.round_indices(round);
+        let mut subsets: Vec<(usize, Vec<u32>)> = Vec::new();
+        let which: Vec<usize> = (received.iter())
+            .map(|msg| {
+                subsets
+                    .iter()
+                    .position(|&(round, _)| round == msg.round)
+                    .unwrap_or_else(|| {
+                        subsets.push((msg.round, self.round_indices(msg.round)));
+                        subsets.len() - 1
+                    })
+            })
+            .collect();
         with_scratch(|scratch| {
             let pool = decode_pool(&mut scratch.decoded, received.len());
-            for (msg, decoded) in received.iter().zip(pool.iter_mut()) {
+            for ((msg, decoded), &k) in received.iter().zip(pool.iter_mut()).zip(&which) {
                 decode(
-                    round,
+                    msg.round,
                     msg.bytes,
-                    subset.len(),
+                    subsets[k].1.len(),
                     &mut decoded.contribution.values,
                 )?;
             }
-            let parts: Vec<_> = (pool.iter().zip(received))
-                .map(|(decoded, msg)| {
-                    let indices = Some(&subset[..]);
+            let parts: Vec<_> = (pool.iter().zip(received).zip(&which))
+                .map(|((decoded, msg), &k)| {
+                    let indices = Some(&subsets[k].1[..]);
                     let values = &decoded.contribution.values[..];
                     (ContributionView { indices, values }, msg.weight)
                 })
@@ -114,8 +127,9 @@ impl RandomSampling {
     }
 }
 
-/// Decodes a neighbour's share of `round` over `values`, checking its
-/// header against the round and the size of the round's subset.
+/// Decodes a neighbour's share of `round` (the message's own round stamp)
+/// over `values`, checking its header against that round and the size of
+/// its subset.
 fn decode(round: usize, bytes: &[u8], subset: usize, values: &mut Vec<f32>) -> Result<()> {
     let (msg_round, used1) = varint::read_u64(bytes)?;
     if msg_round != round as u64 {
@@ -162,12 +176,12 @@ impl ShareStrategy for RandomSampling {
 
     fn aggregate(
         &mut self,
-        round: usize,
+        _round: usize,
         params: &[f32],
         self_weight: f64,
         received: &[ReceivedMessage<'_>],
     ) -> Result<Vec<f32>> {
-        self.mix(round, params, self_weight, received, Robust::None)
+        self.mix(params, self_weight, received, Robust::None)
     }
 
     fn last_alpha(&self) -> f64 {
@@ -180,13 +194,13 @@ impl ShareStrategy for RandomSampling {
 
     fn aggregate_robust(
         &mut self,
-        round: usize,
+        _round: usize,
         params: &[f32],
         self_weight: f64,
         received: &[ReceivedMessage<'_>],
         rule: &Robust,
     ) -> Result<Vec<f32>> {
-        self.mix(round, params, self_weight, received, *rule)
+        self.mix(params, self_weight, received, *rule)
     }
 
     fn robust_stats(&mut self) -> Option<RobustStats> {
@@ -232,7 +246,6 @@ mod tests {
                     from: 1,
                     round: 3,
                     weight: 0.5,
-                    edge_weight: 0.5,
                     bytes: &msg.bytes,
                     decoded: None,
                 }],
@@ -247,6 +260,38 @@ mod tests {
                 assert_eq!(v, 0.0, "untouched coord {k} changed");
             }
         }
+    }
+
+    #[test]
+    fn a_message_from_another_round_mixes_at_its_own_rounds_subset() {
+        use crate::average::PartialAverager;
+        let dim = 64;
+        let mut sender = RandomSampling::new(0.25, 9);
+        let mut receiver = RandomSampling::new(0.25, 9);
+        let theirs: Vec<f32> = (0..dim).map(|i| i as f32 * 0.5 - 3.0).collect();
+        let mine: Vec<f32> = (0..dim).map(|i| 1.0 - i as f32 * 0.25).collect();
+        sender.init(&theirs);
+        receiver.init(&mine);
+        // A straggler's round-2 share reaches a receiver mixing round 5.
+        let stale = sender.make_message(2, &theirs).unwrap();
+        let received = [ReceivedMessage {
+            from: 1,
+            round: 2,
+            weight: 0.4,
+            bytes: &stale.bytes,
+            decoded: None,
+        }];
+        let out = receiver.aggregate(5, &mine, 0.6, &received).unwrap();
+        let subset = receiver.round_indices(2);
+        assert_ne!(subset, receiver.round_indices(5));
+        let values: Vec<f32> = subset.iter().map(|&i| theirs[i as usize]).collect();
+        let mut oracle = PartialAverager::new(&mine, 0.6);
+        oracle.add_sparse(&subset, &values, 0.4);
+        let expect = oracle.finish();
+        assert_eq!(
+            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            expect.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -273,7 +318,6 @@ mod tests {
                     from: 0,
                     round: 2,
                     weight: 0.5,
-                    edge_weight: 0.5,
                     bytes: &msg.bytes,
                     decoded: None
                 }]

@@ -204,7 +204,6 @@ mod tests {
                     from: 1,
                     round: 0,
                     weight: 0.5,
-                    edge_weight: 0.5,
                     bytes: &msg.bytes,
                     decoded: None,
                 }],
@@ -253,7 +252,6 @@ mod tests {
                     from: 1,
                     round: 0,
                     weight: 1.0,
-                    edge_weight: 1.0,
                     bytes: &garbage,
                     decoded: None
                 }]

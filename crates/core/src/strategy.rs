@@ -56,8 +56,7 @@ impl OutMessage {
 
 /// What a node sends in one round: either one broadcast for all neighbours
 /// (JWINS and the paper's baselines) or one message per neighbour
-/// (edge-based algorithms like PowerGossip, or random-model-walk's single
-/// random target).
+/// (random-model-walk's single random target).
 #[derive(Debug, Clone)]
 pub enum Outbound {
     /// The same message goes to every neighbour.
@@ -78,22 +77,12 @@ pub struct ReceivedMessage<'a> {
     /// execution this always equals the aggregation round; under
     /// event-driven asynchronous gossip it may lag behind it (a stale
     /// message) or run ahead of it (a fast neighbour's early message).
-    /// Strategies with per-round handshake state key on it — see the
-    /// edge-state versioning contract on [`ShareStrategy`].
+    /// Random sampling decodes each message at the subset of its own round.
     pub round: usize,
     /// Metropolis–Hastings weight `w_ij` of the edge for this round, with
-    /// any staleness down-weighting already applied — broadcast averaging
+    /// any staleness down-weighting already applied — the averaging
     /// strategies mix with this.
     pub weight: f64,
-    /// The same `w_ij` *before* staleness down-weighting (equal to
-    /// [`weight`] unless a decay policy touched the message). Strategies
-    /// whose update must apply with the *same* magnitude on both endpoints
-    /// (PowerGossip's antisymmetric pairwise update) use this: a one-sided
-    /// decay factor would break the cancellation across the pair and bias
-    /// the parameter mean, invisibly to any state-consistency check.
-    ///
-    /// [`weight`]: Self::weight
-    pub edge_weight: f64,
     /// Serialized message body.
     pub bytes: &'a [u8],
     /// Where the receivers of one broadcast share its decode (see
@@ -199,26 +188,19 @@ pub(crate) fn close_round(pending: &mut Option<usize>, round: usize) -> Result<(
     }
 }
 
-/// Pair-vs-fresh-fallback telemetry of an edge-stateful strategy since its
-/// last report (see [`ShareStrategy::pairing_stats`]). Counters are
-/// write-only with respect to the algorithm — no strategy decision may read
-/// them — so draining (or not draining) them can never change a result.
+/// Pair-vs-fresh-fallback counters of an edge-stateful strategy (see
+/// [`ShareStrategy::pairing_stats`]). No strategy in this crate reports
+/// any, and the engine no longer drains them: the type stays only because
+/// the repo benchmark's timing decorator names it, and ROADMAP item 4A(k)
+/// deletes it with that decorator's next change.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairingStats {
     /// Successfully paired exchanges (warm start preserved).
     pub paired: u64,
-    /// Fallbacks to the deterministic fresh edge state (divergence, desync,
-    /// overfull stash, engine-requested forget).
+    /// Fallbacks to a fresh edge state.
     pub fresh_resets: u64,
     /// Pre-advance leftovers ignored without a reset.
     pub ignored: u64,
-}
-
-impl PairingStats {
-    /// Whether any counter is non-zero (empty reports are not emitted).
-    pub fn any(&self) -> bool {
-        self.paired != 0 || self.fresh_resets != 0 || self.ignored != 0
-    }
 }
 
 /// Per-node communication algorithm: produces one broadcast per round and
@@ -228,34 +210,9 @@ impl PairingStats {
 /// one mix exactly once — `aggregate(t, params, …)`, or
 /// `aggregate_robust`, or the engine's `aggregate_into`, which writes the
 /// same result over `params`. `init` is called once before round 0 with
-/// the (cluster-identical) initial parameters.
-///
-/// # Edge-state versioning contract (asynchronous delivery)
-///
-/// Under event-driven asynchronous gossip the engine delivers whatever has
-/// *arrived* by a node's local clock, so `aggregate(t, …)` may receive
-/// messages whose [`ReceivedMessage::round`] differs from `t`, and one
-/// direction of an edge's exchange may be delayed, expired or lost while
-/// the other is delivered. A strategy that keeps *per-edge* state warm
-/// across rounds (PowerGossip's `P̂`/`Q̂` factors) must therefore version
-/// its per-edge handshakes instead of assuming round-aligned lockstep:
-///
-/// - every outbound edge message carries the version of the edge state it
-///   was computed from, and pairs on receipt only with the matching
-///   version's own half of the handshake (kept in a bounded round-keyed
-///   history);
-/// - a mismatched, expired or missing half-handshake must *fall back* to a
-///   deterministic fresh edge state (both endpoints can re-derive it from
-///   the shared seed) rather than corrupt the warm start — after at most a
-///   few exchanges both endpoints converge back to the fresh planes and
-///   re-pair;
-/// - [`forget_edge`] drops an edge's state entirely when the engine learns
-///   the edge is gone (permanent crash, topology repair).
-///
-/// Stateless broadcast strategies satisfy the contract trivially (they
-/// renormalize per received message) and need override nothing.
-///
-/// [`forget_edge`]: Self::forget_edge
+/// the (cluster-identical) initial parameters, and again whenever the
+/// node restarts: a `Resync` rejoin, or a crash between its `make_*` and
+/// its mix, which must leave no round open.
 pub trait ShareStrategy: Send {
     /// Stable name for logs and experiment output.
     fn name(&self) -> &'static str;
@@ -274,8 +231,8 @@ pub trait ShareStrategy: Send {
 
     /// Builds this round's outbound traffic given the neighbour list the
     /// engine will deliver to. The default delegates to [`make_message`] and
-    /// broadcasts; edge-based strategies (PowerGossip, random model walk)
-    /// override this instead.
+    /// broadcasts; an edge-based strategy (random model walk) overrides
+    /// this instead.
     ///
     /// `neighbors` is sorted and contains only neighbours that will actually
     /// receive (inactive nodes are already filtered out under churn).
@@ -357,13 +314,10 @@ pub trait ShareStrategy: Send {
         1.0
     }
 
-    /// Drops any per-edge state held for `peer`. The engine calls this when
-    /// it learns an edge is permanently gone — the peer crashed with no
-    /// recovery scheduled, or topology repair rewired around the connection
-    /// — so per-edge strategies neither leak state across lifecycle epochs
-    /// nor warm-start from a stale subspace if the edge later returns (a
-    /// returning edge restarts from the deterministic fresh state instead).
-    /// Broadcast strategies keep no per-edge state and ignore it.
+    /// Drops any per-edge state held for `peer`. Inert: the engine no
+    /// longer calls it and no strategy in this crate overrides it. It stays
+    /// only because the repo benchmark's timing decorator forwards it, and
+    /// ROADMAP item 4A(k) deletes it with that decorator's next change.
     fn forget_edge(&mut self, peer: usize) {
         let _ = peer;
     }
@@ -376,13 +330,11 @@ pub trait ShareStrategy: Send {
         0
     }
 
-    /// Takes (and resets) the pair-vs-fresh-fallback counters accumulated
-    /// since the last call, for run telemetry (`TraceEvent::StrategyPairing`
-    /// in `jwins_trace`). Edge-stateful strategies (PowerGossip) override
-    /// this; the default `None` marks a strategy with no pairing decisions
-    /// to report. Implementations must keep the counters write-only for the
-    /// algorithm itself — the engine may or may not drain them, and neither
-    /// choice is allowed to change any result.
+    /// Takes (and resets) pair-vs-fresh-fallback counters. Inert: the
+    /// engine no longer calls it and no strategy in this crate overrides
+    /// it. It stays only because the repo benchmark's timing decorator
+    /// forwards it, and ROADMAP item 4A(k) deletes it with that decorator's
+    /// next change.
     fn pairing_stats(&mut self) -> Option<PairingStats> {
         None
     }
@@ -393,8 +345,8 @@ pub trait ShareStrategy: Send {
     /// quantized, random sampling — whose one mix takes the rule as an
     /// argument); false for algorithms whose update is
     /// not an average the mixing layer can re-order (CHOCO's error-feedback
-    /// replicas, PowerGossip's pairwise low-rank update, random model walk)
-    /// — `TrainConfig::validate` rejects those combinations up front.
+    /// replicas, random model walk) — `TrainConfig::validate` rejects those
+    /// combinations up front.
     ///
     /// [`aggregate_robust`]: Self::aggregate_robust
     fn supports_robust(&self) -> bool {
@@ -432,11 +384,9 @@ pub trait ShareStrategy: Send {
     }
 
     /// Takes (and resets) what the robust rule removed since the last call,
-    /// for run telemetry (`TraceEvent::RobustClip`). Same write-only
-    /// contract as [`pairing_stats`]: the engine may or may not drain the
-    /// counters, and neither choice may change a result.
-    ///
-    /// [`pairing_stats`]: Self::pairing_stats
+    /// for run telemetry (`TraceEvent::RobustClip`). The counters are
+    /// write-only for the algorithm: the engine may or may not drain them,
+    /// and neither choice may change a result.
     fn robust_stats(&mut self) -> Option<jwins_adversary::RobustStats> {
         None
     }

@@ -35,6 +35,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![warn(clippy::too_many_lines)]
 
 pub mod batch;
 pub mod images;

@@ -56,6 +56,7 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(clippy::too_many_lines)]
 
 pub mod schedule;
 pub mod staleness;

@@ -22,6 +22,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![warn(clippy::too_many_lines)]
 
 mod complex;
 

@@ -172,12 +172,6 @@ pub struct RunFacts {
     pub rounds_completed: u64,
     /// Detour edges added by repair (summed over rewires).
     pub repair_edges_added: u64,
-    /// Strategy pairing totals: successful warm-start pairings.
-    pub pairing_paired: u64,
-    /// Strategy pairing totals: fresh-plane fallbacks.
-    pub pairing_fresh_resets: u64,
-    /// Strategy pairing totals: pre-advance leftovers ignored.
-    pub pairing_ignored: u64,
     /// Wall nanoseconds in the sequential propose phases.
     pub propose_wall_ns: u64,
     /// Wall nanoseconds in the parallel execute phases.
@@ -404,16 +398,6 @@ impl MetricsRegistry {
             TraceEvent::RepairRewire { edges_added, .. } => {
                 self.run.repair_edges_added += edges_added;
             }
-            TraceEvent::StrategyPairing {
-                paired,
-                fresh_resets,
-                ignored,
-                ..
-            } => {
-                self.run.pairing_paired += paired;
-                self.run.pairing_fresh_resets += fresh_resets;
-                self.run.pairing_ignored += ignored;
-            }
             TraceEvent::ExecuteBatch {
                 t_ns,
                 width,
@@ -493,8 +477,6 @@ impl MetricsRegistry {
                 self.nodes.values().map(|n| n.mass_clipped).sum(),
             ),
             ("repair_edges_added", self.run.repair_edges_added as f64),
-            ("pairing_paired", self.run.pairing_paired as f64),
-            ("pairing_fresh_resets", self.run.pairing_fresh_resets as f64),
             ("queue_depth_hwm", f64::from(self.run.queue_depth_hwm)),
         ]
     }

@@ -642,15 +642,6 @@ impl Layer for Conv2d {
         self.params.len()
     }
 
-    fn param_segments(&self) -> Vec<(usize, usize)> {
-        // Filter bank [out, in*k*k] then the bias column — the natural
-        // matricization PowerSGD/PowerGossip factorize.
-        vec![
-            (self.out_ch, self.in_ch * self.kernel * self.kernel),
-            (self.out_ch, 1),
-        ]
-    }
-
     fn params(&self) -> &[f32] {
         &self.params
     }

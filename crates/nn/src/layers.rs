@@ -66,20 +66,6 @@ pub trait Layer: Send + std::fmt::Debug {
 
     /// Clears accumulated gradients.
     fn zero_grads(&mut self) {}
-
-    /// Matrix shapes of the parameter blocks, in flat order; the `(rows,
-    /// cols)` products sum to [`Self::param_count`]. Low-rank compressors
-    /// (PowerGossip) factorize each block separately, which only pays off
-    /// when the shapes match the layer's natural matrices — the default
-    /// treats all parameters as one column vector, which a rank-1
-    /// factorization represents exactly (right for biases and norms).
-    fn param_segments(&self) -> Vec<(usize, usize)> {
-        if self.param_count() == 0 {
-            Vec::new()
-        } else {
-            vec![(self.param_count(), 1)]
-        }
-    }
 }
 
 /// Fully connected layer: `y = W x + b`, weights `[out, in]` row-major
@@ -353,14 +339,6 @@ impl Layer for Linear {
 
     fn param_count(&self) -> usize {
         self.params.len()
-    }
-
-    fn param_segments(&self) -> Vec<(usize, usize)> {
-        // Weight matrix [out, in] then the bias column.
-        vec![
-            (self.out_features, self.in_features),
-            (self.out_features, 1),
-        ]
     }
 
     fn params(&self) -> &[f32] {

@@ -41,6 +41,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![warn(clippy::too_many_lines)]
 
 pub mod conv;
 pub mod gradcheck;

@@ -62,13 +62,6 @@ impl ImageClassifier {
         self.net.layer_param_sizes()
     }
 
-    /// Matrix shapes of every parameter block (see
-    /// [`Sequential::param_segments`]). Feeds per-layer low-rank
-    /// compressors like PowerGossip.
-    pub fn param_segments(&self) -> Vec<(usize, usize)> {
-        self.net.param_segments()
-    }
-
     fn batch_tensor(&self, batch: &[ClassSample]) -> (Tensor, Vec<usize>) {
         let per: usize = self.input_shape.iter().product();
         let mut data = Vec::with_capacity(batch.len() * per);
@@ -259,19 +252,6 @@ impl MatrixFactorization {
         }
     }
 
-    /// Matrix shapes of the parameter blocks: factor matrices `[U×k]`,
-    /// `[I×k]`, then the bias columns — feeds per-layer low-rank
-    /// compressors like PowerGossip.
-    pub fn param_segments(&self) -> Vec<(usize, usize)> {
-        vec![
-            (self.users, self.factors),
-            (self.items, self.factors),
-            (self.users, 1),
-            (self.items, 1),
-            (1, 1),
-        ]
-    }
-
     fn predict(&self, user: usize, item: usize) -> f32 {
         let k = self.factors;
         let pu = &self.params[user * k..(user + 1) * k];
@@ -372,16 +352,6 @@ pub struct CharLstm {
 }
 
 impl CharLstm {
-    /// Matrix shapes of the parameter blocks across embedding, both LSTM
-    /// layers and the decoder head — feeds per-layer low-rank compressors.
-    pub fn param_segments(&self) -> Vec<(usize, usize)> {
-        let mut segs = self.emb.param_segments();
-        segs.extend(self.lstm1.param_segments());
-        segs.extend(self.lstm2.param_segments());
-        segs.extend(self.head.param_segments());
-        segs
-    }
-
     /// Creates the model for a `vocab`-symbol alphabet.
     pub fn new(vocab: usize, emb_dim: usize, hidden: usize, seed: u64) -> Self {
         Self {
@@ -498,35 +468,6 @@ impl Model for CharLstm {
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn param_segments_tile_every_model() {
-        use crate::model::Model;
-        let ic = gn_lenet(3, 16, 16, 10, 8, 1);
-        assert_eq!(
-            ic.param_segments()
-                .iter()
-                .map(|(r, c)| r * c)
-                .sum::<usize>(),
-            ic.param_count()
-        );
-        let mf = MatrixFactorization::new(12, 20, 4, 1);
-        assert_eq!(
-            mf.param_segments()
-                .iter()
-                .map(|(r, c)| r * c)
-                .sum::<usize>(),
-            mf.param_count()
-        );
-        let lstm = CharLstm::new(30, 8, 16, 1);
-        assert_eq!(
-            lstm.param_segments()
-                .iter()
-                .map(|(r, c)| r * c)
-                .sum::<usize>(),
-            lstm.param_count()
-        );
-    }
-
     use super::*;
     use crate::gradcheck::check_model;
 

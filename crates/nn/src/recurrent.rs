@@ -331,26 +331,6 @@ impl Lstm {
     }
 }
 
-impl Embedding {
-    /// Matrix shape of the embedding table, `(vocab, dim)` — feeds
-    /// per-layer low-rank compressors.
-    pub fn param_segments(&self) -> Vec<(usize, usize)> {
-        vec![(self.vocab, self.dim)]
-    }
-}
-
-impl Lstm {
-    /// Matrix shapes of the parameter blocks: `[W_ih: 4H×I][W_hh: 4H×H]
-    /// [bias: 4H×1]` — feeds per-layer low-rank compressors.
-    pub fn param_segments(&self) -> Vec<(usize, usize)> {
-        vec![
-            (4 * self.hidden, self.input_size),
-            (4 * self.hidden, self.hidden),
-            (4 * self.hidden, 1),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -78,16 +78,6 @@ impl Sequential {
         self.layers.iter().map(|l| l.param_count()).collect()
     }
 
-    /// Matrix shapes of every parameter block across all layers, in flat
-    /// order (see [`Layer::param_segments`]); products sum to
-    /// [`Self::param_count`]. Feeds low-rank per-layer compressors.
-    pub fn param_segments(&self) -> Vec<(usize, usize)> {
-        self.layers
-            .iter()
-            .flat_map(|l| l.param_segments())
-            .collect()
-    }
-
     /// Copies all parameters into a fresh flat vector (layer order).
     pub fn params(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());

@@ -31,6 +31,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![warn(clippy::too_many_lines)]
 
 pub mod dynamic;
 pub mod gen;

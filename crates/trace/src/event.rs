@@ -215,22 +215,6 @@ pub enum TraceEvent {
         /// Rounds re-resolved (1 for a fresh `RoundResolve`-path repair).
         rounds_refreshed: u32,
     },
-    /// A strategy's pair-vs-fresh-fallback decisions since its last report
-    /// (see `ShareStrategy::pairing_stats`; PowerGossip implements it).
-    StrategyPairing {
-        /// Virtual time of the report (the node's mix commit).
-        t_ns: u64,
-        /// The reporting node.
-        node: u32,
-        /// The node's round at the report.
-        round: u32,
-        /// Successfully paired exchanges.
-        paired: u64,
-        /// Fresh-plane fallbacks (divergence, desync, overfull stash).
-        fresh_resets: u64,
-        /// Pre-advance leftovers ignored without a reset.
-        ignored: u64,
-    },
     /// A Byzantine node perturbed the parameters it advertised for a round
     /// (injection happens at message-build time, right after the node's
     /// `Train` event; a crashed node builds no messages and never injects).
@@ -315,7 +299,6 @@ impl TraceEvent {
             | TraceEvent::RoundComplete { t_ns, .. }
             | TraceEvent::Eval { t_ns, .. }
             | TraceEvent::RepairRewire { t_ns, .. }
-            | TraceEvent::StrategyPairing { t_ns, .. }
             | TraceEvent::AttackInject { t_ns, .. }
             | TraceEvent::RobustClip { t_ns, .. }
             | TraceEvent::ExecuteBatch { t_ns, .. } => t_ns,
@@ -342,7 +325,6 @@ impl TraceEvent {
             TraceEvent::RoundComplete { .. } => "RoundComplete",
             TraceEvent::Eval { .. } => "Eval",
             TraceEvent::RepairRewire { .. } => "RepairRewire",
-            TraceEvent::StrategyPairing { .. } => "StrategyPairing",
             TraceEvent::AttackInject { .. } => "AttackInject",
             TraceEvent::RobustClip { .. } => "RobustClip",
             TraceEvent::ExecuteBatch { .. } => "ExecuteBatch",
@@ -481,14 +463,6 @@ mod tests {
                 live_version: 2,
                 edges_added: 3,
                 rounds_refreshed: 2,
-            },
-            TraceEvent::StrategyPairing {
-                t_ns: 2_000_000,
-                node: 7,
-                round: 4,
-                paired: 3,
-                fresh_resets: 1,
-                ignored: 0,
             },
             TraceEvent::AttackInject {
                 t_ns: 1_000_000,

@@ -2,7 +2,7 @@
 //!
 //! The engine's `RoundRecord` stream says *what* a run achieved; this crate
 //! records *why* — per-event lifecycle telemetry (crashes, kills, expiries,
-//! repair rewires, strategy pairing decisions) and per-batch execute records
+//! repair rewires, attacks and robust clipping) and per-batch execute records
 //! (batch width, queue depth, propose/execute/commit wall-nanos) — without
 //! ever being allowed to change a result.
 //!

@@ -47,6 +47,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![warn(clippy::too_many_lines)]
 
 pub mod family;
 pub mod multilevel;

@@ -41,7 +41,6 @@
 //! `2·TILE + 3·levels·taps` `f64` forward and about half that inverse,
 //! whatever the signal length, and within a few filter lengths per level
 //! of the level-by-level transform's ¾ of it on short signals.
-#![warn(clippy::too_many_lines)]
 
 use crate::multilevel::CoeffLayout;
 use crate::transform::{

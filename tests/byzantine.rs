@@ -19,7 +19,7 @@
 //!    the `trace_report --check` structural contract (parses clean, time
 //!    monotone, bracketed by RunStart/RunEnd).
 //! 6. **Unsupported combinations are rejected at build time.** A strategy
-//!    whose update cannot be re-ordered as an average (PowerGossip) plus a
+//!    whose update cannot be re-ordered as an average (CHOCO-SGD) plus a
 //!    robust rule is a configuration error, not a silent fallback.
 //! 7. **The defence works where it is claimed to.** Full sharing under a
 //!    25 % sign-flip attack: plain averaging collapses, trimmed mean and
@@ -28,7 +28,7 @@
 use jwins::config::{ExecutionMode, TrainConfig};
 use jwins::engine::Trainer;
 use jwins::metrics::RunResult;
-use jwins::strategies::{FullSharing, Jwins, JwinsConfig, PowerGossip, PowerGossipConfig};
+use jwins::strategies::{ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig};
 use jwins::strategy::ShareStrategy;
 use jwins::JwinsError;
 use jwins_adversary::{AttackBehavior, AttackPlan, AttackWindow, Robust};
@@ -346,8 +346,8 @@ fn golden_fixture_matches_fresh_run() {
 }
 
 /// Robust aggregation requires a strategy whose update is an average;
-/// PowerGossip's low-rank gossip is not, and the builder says so instead of
-/// silently skipping the defense.
+/// CHOCO-SGD's error-feedback update is not, and the builder says so instead
+/// of silently skipping the defense.
 #[test]
 fn robust_rule_with_unsupported_strategy_is_rejected_at_build() {
     let data = cifar_like(&ImageConfig::tiny(), NODES, 2, 5);
@@ -356,14 +356,14 @@ fn robust_rule_with_unsupported_strategy_is_rejected_at_build() {
     let err = Trainer::builder(cfg)
         .topology(StaticTopology::random_regular(NODES, 3, 3).unwrap())
         .test_set(data.test)
-        .nodes(data.node_train, |node| {
+        .nodes(data.node_train, |_| {
             let strategy: Box<dyn ShareStrategy> =
-                Box::new(PowerGossip::new(PowerGossipConfig::global(1), node, 7));
+                Box::new(ChocoSgd::new(ChocoConfig::budget_20()));
             (mlp_classifier(2 * 8 * 8, &[8], 4, 7), strategy)
         })
         .build()
         .map(|_| ())
-        .expect_err("PowerGossip cannot honor a robust rule");
+        .expect_err("CHOCO-SGD cannot honor a robust rule");
     assert!(
         matches!(err, JwinsError::InvalidConfig(ref what) if what.contains("robust")),
         "wrong error: {err}"

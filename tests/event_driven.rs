@@ -5,7 +5,7 @@
 //! 1. with a *degenerate* heterogeneity profile (uniform compute,
 //!    instantaneous links) it reproduces the bulk-synchronous engine
 //!    **bit-for-bit** — same accuracies, same losses, same traffic — for
-//!    sparsifying strategies too, not just full sharing;
+//!    sparsifying and per-edge strategies too, not just full sharing;
 //! 2. with real heterogeneity it stays **deterministic**: replays from the
 //!    same seed are identical, worker-thread count never changes results,
 //!    and staleness appears exactly when links/compute make messages late.
@@ -13,7 +13,7 @@
 use jwins::config::{ExecutionMode, TrainConfig};
 use jwins::engine::Trainer;
 use jwins::metrics::RunResult;
-use jwins::strategies::{ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig};
+use jwins::strategies::{ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, RandomModelWalk};
 use jwins::strategy::ShareStrategy;
 use jwins_data::images::{cifar_like, ImageConfig};
 use jwins_nn::models::mlp_classifier;
@@ -85,6 +85,10 @@ fn choco(_node: usize) -> Box<dyn ShareStrategy> {
     Box::new(ChocoSgd::new(ChocoConfig::budget_20()))
 }
 
+fn random_walk(node: usize) -> Box<dyn ShareStrategy> {
+    Box::new(RandomModelWalk::new(700 + node as u64))
+}
+
 #[test]
 fn degenerate_event_mode_reproduces_sync_for_full_sharing() {
     let sync = run_once(
@@ -133,6 +137,26 @@ fn degenerate_event_mode_reproduces_sync_for_choco() {
         1,
         choco,
     );
+    assert_bitwise_equal_modulo_time(&sync, &event);
+}
+
+/// A per-edge strategy: one message per node-round, on an edge the sender
+/// picks.
+#[test]
+fn degenerate_event_mode_reproduces_sync_for_random_model_walk() {
+    let sync = run_once(
+        ExecutionMode::BulkSynchronous,
+        HeterogeneityProfile::default(),
+        1,
+        random_walk,
+    );
+    let event = run_once(
+        ExecutionMode::EventDriven,
+        HeterogeneityProfile::default(),
+        1,
+        random_walk,
+    );
+    assert_eq!(sync.total_traffic.messages_sent, 6 * 8);
     assert_bitwise_equal_modulo_time(&sync, &event);
 }
 

@@ -7,15 +7,13 @@ use jwins::cutoff::AlphaDistribution;
 use jwins::engine::Trainer;
 use jwins::scaling::ScoreScaling;
 use jwins::strategies::{
-    ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, PowerGossip, PowerGossipConfig,
-    QuantizedSharing, RandomModelWalk,
+    ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, QuantizedSharing, RandomModelWalk,
 };
 use jwins::strategy::ShareStrategy;
 use jwins_data::images::{cifar_like, ImageConfig};
 use jwins_fault::{FaultOutage, FaultPlan, RejoinMode};
 use jwins_net::TimeModel;
-use jwins_nn::model::Model;
-use jwins_nn::models::{gn_lenet, mlp_classifier, ImageClassifier};
+use jwins_nn::models::{mlp_classifier, ImageClassifier};
 use jwins_topology::dynamic::StaticTopology;
 use jwins_topology::peer_sampling::{PeerSampling, PeerSamplingConfig};
 
@@ -58,38 +56,6 @@ fn build_and_run(
 
 fn tiny_model(seed: u64) -> ImageClassifier {
     mlp_classifier(2 * 8 * 8, &[12], 4, seed)
-}
-
-#[test]
-fn power_gossip_per_layer_learns_end_to_end() {
-    let img = ImageConfig::tiny();
-    let probe = gn_lenet(img.channels, img.height, img.width, img.classes, 4, 11);
-    let segments = probe.param_segments();
-    assert_eq!(
-        segments.iter().map(|(r, c)| r * c).sum::<usize>(),
-        probe.param_count(),
-        "segments must tile the parameter vector"
-    );
-    let data = cifar_like(&img, NODES, 2, 11);
-    let result = Trainer::builder(config(30))
-        .topology(StaticTopology::random_regular(NODES, 2, 5).expect("feasible"))
-        .test_set(data.test)
-        .nodes(data.node_train, |node| {
-            (
-                gn_lenet(img.channels, img.height, img.width, img.classes, 4, 11),
-                Box::new(PowerGossip::new(
-                    PowerGossipConfig::per_layer(2, segments.clone()),
-                    node,
-                    77,
-                )) as Box<dyn ShareStrategy>,
-            )
-        })
-        .build()
-        .expect("valid experiment")
-        .run()
-        .expect("run completes");
-    let acc = result.final_accuracy();
-    assert!(acc > 0.4, "per-layer PowerGossip stuck at {acc}");
 }
 
 #[test]

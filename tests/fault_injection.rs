@@ -23,7 +23,10 @@ use std::sync::Arc;
 use jwins::config::{ExecutionMode, TrainConfig};
 use jwins::engine::Trainer;
 use jwins::metrics::RunResult;
-use jwins::strategies::FullSharing;
+use jwins::strategies::{
+    ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, QuantizedSharing, RandomModelWalk,
+    RandomSampling,
+};
 use jwins::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
 use jwins_data::images::{cifar_like, ImageConfig};
 use jwins_fault::{CapAction, FaultConfig, FaultOutage, FaultPlan, RejoinMode, StalenessPolicy};
@@ -308,6 +311,92 @@ fn warm_and_resync_rejoins_diverge() {
         .zip(&resync.records)
         .any(|(w, r)| w.test_loss.to_bits() != r.test_loss.to_bits());
     assert!(diverged, "rejoin mode must affect the trajectory");
+}
+
+/// Uniform compute over slow links: every node's `TrainDone` fires at
+/// t = 1.0 but its `Mix` only after the serialized transfers, so a crash at
+/// t = 1.1 lands between the round's send and its mix. The `Warm` rejoin
+/// (the `FaultOutage` default) keeps the node's parameters; its strategy
+/// restarts, or the next round's `make_*` finds the abandoned one open.
+#[test]
+fn warm_rejoin_after_a_mid_round_crash_resumes_cleanly() {
+    type Factory = fn(usize) -> Box<dyn ShareStrategy>;
+    let strategies: [(&str, Factory); 6] = [
+        ("full sharing", |_| Box::new(FullSharing::new())),
+        ("jwins", |node| {
+            Box::new(Jwins::new(JwinsConfig::paper_default(), 100 + node as u64))
+        }),
+        ("choco", |_| {
+            Box::new(ChocoSgd::new(ChocoConfig::budget_20()))
+        }),
+        ("qsgd", |node| {
+            Box::new(QuantizedSharing::new(255, 200 + node as u64))
+        }),
+        ("random sampling", |_| {
+            Box::new(RandomSampling::new(0.37, 42))
+        }),
+        ("random walk", |node| {
+            Box::new(RandomModelWalk::new(300 + node as u64))
+        }),
+    ];
+    let mut aborted = Vec::new();
+    for (name, strategy) in strategies {
+        let data = cifar_like(&ImageConfig::tiny(), 4, 2, 5);
+        let mut cfg = TrainConfig::quick_test();
+        cfg.rounds = 6;
+        cfg.lr = 0.1;
+        cfg.eval_every = 0;
+        cfg.execution = ExecutionMode::EventDriven;
+        cfg.time_model.compute_s = 1.0;
+        cfg.heterogeneity = HeterogeneityProfile {
+            compute: ComputeProfile::Uniform,
+            links: LinkProfile::Uniform {
+                latency_s: 0.02,
+                bandwidth_bps: 1_000.0,
+            },
+        };
+        cfg.faults = FaultConfig {
+            plan: FaultPlan::Scripted(vec![FaultOutage::new(1, 1.1, 2.0)]),
+            ..FaultConfig::default()
+        };
+        let sink = MemorySink::new();
+        let run = Trainer::builder(cfg)
+            .topology(StaticTopology::random_regular(4, 2, 3).unwrap())
+            .test_set(data.test)
+            .trace_sink(Box::new(sink.clone()))
+            .nodes(data.node_train, |node| {
+                (mlp_classifier(2 * 8 * 8, &[8], 4, 7), strategy(node))
+            })
+            .build()
+            .unwrap()
+            .run();
+        let result = match run {
+            Ok(result) => result,
+            Err(e) => {
+                aborted.push(format!("{name}: {e}"));
+                continue;
+            }
+        };
+        assert_eq!(result.rounds_run, 6, "{name}");
+        let last = result.records.last().unwrap();
+        assert_eq!((last.crashes, last.rejoins), (1, 1), "{name}");
+        assert!(last.test_accuracy.is_finite(), "{name}");
+        // Not vacuous: node 1 sent round 0, then abandoned it.
+        let node_round = |e: &TraceEvent| match *e {
+            TraceEvent::Train { node, round, .. }
+            | TraceEvent::RoundAbandon { node, round, .. } => Some((e.kind_name(), node, round)),
+            _ => None,
+        };
+        let round_0: Vec<_> = (sink.events().iter().filter_map(node_round))
+            .filter(|&(_, node, round)| (node, round) == (1, 0))
+            .map(|(kind, ..)| kind)
+            .collect();
+        assert_eq!(round_0, ["Train", "RoundAbandon"], "{name}");
+    }
+    assert!(
+        aborted.is_empty(),
+        "warm rejoins aborted runs: {aborted:#?}"
+    );
 }
 
 #[test]

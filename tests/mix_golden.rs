@@ -94,7 +94,6 @@ fn pins<S: ShareStrategy>(
                 from: j + 1,
                 round: 0,
                 weight,
-                edge_weight: weight,
                 bytes: &msg.bytes,
                 decoded: slotted.then_some(slot),
             })

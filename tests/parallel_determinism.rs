@@ -11,7 +11,7 @@
 use jwins::config::{ExecutionMode, TrainConfig};
 use jwins::engine::Trainer;
 use jwins::metrics::RunResult;
-use jwins::strategies::{FullSharing, Jwins, JwinsConfig};
+use jwins::strategies::{FullSharing, Jwins, JwinsConfig, RandomModelWalk};
 use jwins::strategy::{OutMessage, Outbound, ReceivedMessage, ShareStrategy};
 use jwins_data::images::{cifar_like, ImageConfig};
 use jwins_fault::{FaultConfig, FaultOutage, FaultPlan, RejoinMode, StalenessPolicy};
@@ -58,18 +58,27 @@ fn chaos_config(threads: usize, staleness: StalenessPolicy) -> TrainConfig {
     cfg
 }
 
-fn run(threads: usize, staleness: StalenessPolicy, sparsify: bool) -> RunResult {
+type StrategyFactory = fn(usize) -> Box<dyn ShareStrategy>;
+
+fn full_sharing(_node: usize) -> Box<dyn ShareStrategy> {
+    Box::new(FullSharing::new())
+}
+
+fn jwins(node: usize) -> Box<dyn ShareStrategy> {
+    Box::new(Jwins::new(JwinsConfig::paper_default(), 100 + node as u64))
+}
+
+fn random_walk(node: usize) -> Box<dyn ShareStrategy> {
+    Box::new(RandomModelWalk::new(100 + node as u64))
+}
+
+fn run(threads: usize, staleness: StalenessPolicy, strategy: StrategyFactory) -> RunResult {
     let data = cifar_like(&ImageConfig::tiny(), NODES, 2, 5);
     Trainer::builder(chaos_config(threads, staleness))
         .topology(StaticTopology::random_regular(NODES, 3, 3).unwrap())
         .test_set(data.test)
         .nodes(data.node_train, |node| {
-            let strategy: Box<dyn ShareStrategy> = if sparsify {
-                Box::new(Jwins::new(JwinsConfig::paper_default(), 100 + node as u64))
-            } else {
-                Box::new(FullSharing::new())
-            };
-            (mlp_classifier(2 * 8 * 8, &[8], 4, 7), strategy)
+            (mlp_classifier(2 * 8 * 8, &[8], 4, 7), strategy(node))
         })
         .build()
         .unwrap()
@@ -77,26 +86,41 @@ fn run(threads: usize, staleness: StalenessPolicy, sparsify: bool) -> RunResult 
         .unwrap()
 }
 
+/// Full sharing broadcasts; the random model walk sends one per-edge
+/// message per round.
 #[test]
 fn fault_staleness_run_is_identical_at_1_2_and_8_threads() {
     let staleness = StalenessPolicy::drop_after_rounds(1);
-    let t1 = run(1, staleness, false);
-    let t2 = run(2, staleness, false);
-    let t8 = run(8, staleness, false);
-    // The workload must be non-degenerate, or the comparison proves little.
-    let last = t1.records.last().expect("records recorded");
-    assert!(last.crashes >= 2, "crashes replayed: {}", last.crashes);
-    assert!(last.rejoins >= 1, "rejoins replayed: {}", last.rejoins);
-    assert!(
-        t1.records.iter().any(|r| r.checkpoint),
-        "virtual-time checkpoints fired"
-    );
-    assert!(
-        t1.records.iter().any(|r| r.mean_staleness_s > 0.0),
-        "stale mixes observed"
-    );
-    t1.assert_bit_identical(&t2, "threads 1 vs 2");
-    t1.assert_bit_identical(&t8, "threads 1 vs 8");
+    let strategies: [(&str, StrategyFactory); 2] =
+        [("full sharing", full_sharing), ("random walk", random_walk)];
+    for (name, strategy) in strategies {
+        let t1 = run(1, staleness, strategy);
+        let t2 = run(2, staleness, strategy);
+        let t8 = run(8, staleness, strategy);
+        // The workload must be non-degenerate, or the comparison proves
+        // little.
+        let last = t1.records.last().expect("records recorded");
+        assert!(
+            last.crashes >= 2,
+            "{name}: crashes replayed: {}",
+            last.crashes
+        );
+        assert!(
+            last.rejoins >= 1,
+            "{name}: rejoins replayed: {}",
+            last.rejoins
+        );
+        assert!(
+            t1.records.iter().any(|r| r.checkpoint),
+            "{name}: virtual-time checkpoints fired"
+        );
+        assert!(
+            t1.records.iter().any(|r| r.mean_staleness_s > 0.0),
+            "{name}: stale mixes observed"
+        );
+        t1.assert_bit_identical(&t2, &format!("{name}: threads 1 vs 2"));
+        t1.assert_bit_identical(&t8, &format!("{name}: threads 1 vs 8"));
+    }
 }
 
 #[test]
@@ -104,8 +128,8 @@ fn decayed_staleness_and_sparsification_are_thread_invariant() {
     // Exponential down-weighting exercises the float-ordered commit of
     // absorbed mixing mass; JWINS exercises codec round-trips per message.
     let staleness = StalenessPolicy::decay_after_rounds(1, 0.5);
-    let t1 = run(1, staleness, true);
-    let t8 = run(8, staleness, true);
+    let t1 = run(1, staleness, jwins);
+    let t8 = run(8, staleness, jwins);
     assert!(
         t1.records.last().is_some_and(|r| r.downweight_mass > 0.0),
         "decay policy absorbed mass into self-weights"

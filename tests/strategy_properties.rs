@@ -347,7 +347,6 @@ mod robust_mixing {
                 from: i + 1,
                 round: 0,
                 weight,
-                edge_weight: weight,
                 bytes,
                 decoded: None,
             })
@@ -391,7 +390,6 @@ mod robust_mixing {
                     from: i + 1,
                     round: 0,
                     weight,
-                    edge_weight: weight,
                     bytes,
                     decoded: None,
                 })
@@ -503,8 +501,8 @@ mod adversarial_inputs {
     //! life).
 
     use jwins::strategies::{
-        ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, PowerGossip, PowerGossipConfig,
-        QuantizedSharing, RandomModelWalk, RandomSampling,
+        ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, QuantizedSharing, RandomModelWalk,
+        RandomSampling,
     };
     use jwins::strategy::{Outbound, ReceivedMessage, ShareStrategy};
     use jwins_adversary::Robust;
@@ -524,7 +522,6 @@ mod adversarial_inputs {
             from: 1,
             round: 0,
             weight: 0.5,
-            edge_weight: 0.5,
             bytes,
             decoded: None,
         };
@@ -544,12 +541,6 @@ mod adversarial_inputs {
         #[test]
         fn choco_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
             let mut s = ChocoSgd::new(ChocoConfig::budget_20());
-            deliver_garbage(&mut s, &bytes);
-        }
-
-        #[test]
-        fn power_gossip_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
-            let mut s = PowerGossip::new(PowerGossipConfig::global(1), 0, 7);
             deliver_garbage(&mut s, &bytes);
         }
 
@@ -589,7 +580,6 @@ mod adversarial_inputs {
                 from: 0,
                 round: 0,
                 weight: 0.5,
-                edge_weight: 0.5,
                 bytes,
                 decoded: None,
             };
@@ -667,7 +657,6 @@ mod adversarial_inputs {
                 from: 0,
                 round: 0,
                 weight: 0.5,
-                edge_weight: 0.5,
                 bytes: &msg.bytes,
                 decoded: None,
             }],
@@ -754,7 +743,6 @@ mod aggregate_into_contract {
                 from: j + 1,
                 round: 0,
                 weight: 0.2,
-                edge_weight: 0.2,
                 bytes,
                 decoded: None,
             })
