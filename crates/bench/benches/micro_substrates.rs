@@ -378,6 +378,30 @@ fn bench_float_codec(c: &mut Criterion) {
     );
     let mut group = headed_group(c, "codec/sparse");
     group.sample_size(30);
+    // The same frame — JWINS's mean cut-off on the same probe — encoded
+    // from an index list and from the bitmap `Jwins` selects into: the same
+    // bytes, one without a list.
+    let bitmap = {
+        let mut words = vec![0u64; coeffs.len().div_ceil(64)];
+        for &i in &indices {
+            words[i as usize / 64] |= 1 << (i % 64);
+        }
+        words
+    };
+    let mut wire = Vec::new();
+    group.bench_function("encode_113418/list", |b| {
+        b.iter(|| {
+            wire.clear();
+            let listed = black_box(&indices[..]);
+            codec.encode_into(listed, &selection, &mut wire).unwrap()
+        });
+    });
+    group.bench_function("encode_113418/bits", |b| {
+        b.iter(|| {
+            wire.clear();
+            (codec.encode_bitmap_into(black_box(&bitmap), &selection, &mut wire)).unwrap()
+        });
+    });
     let (mut indices, mut values) = (Vec::new(), Vec::new());
     for (name, frame) in [("full-budget", &full_frame), ("10pct", &tenth_frame)] {
         group.bench_function(format!("decode/{name}"), |b| {
@@ -409,6 +433,25 @@ fn bench_peer_sampling(c: &mut Criterion) {
     group.finish();
 }
 
+/// JWINS's selection at d = 113 418 and its mean cut-off, as a list (what
+/// CHOCO and the figures take) and into the bitmap `Jwins` keeps, both on
+/// one code path: the list is the bitmap read back.
+fn bench_sparsify(c: &mut Criterion) {
+    let dwt = Dwt::new(Wavelet::sym2(), 4).unwrap();
+    let scores = dwt.forward(&trained::trained_like(&trained::MLP)).data;
+    let k = budget(scores.len(), 0.36);
+    let mut group = headed_group(c, "sparsify");
+    group.sample_size(30);
+    group.bench_function("topk_113418/list", |b| {
+        b.iter(|| black_box(top_k_indices(black_box(&scores), k)));
+    });
+    let (mut keys, mut selected) = (Vec::new(), vec![0; scores.len().div_ceil(64)]);
+    group.bench_function("topk_113418/bits", |b| {
+        b.iter(|| top_k_into(black_box(&scores), k, &mut keys, &mut selected));
+    });
+    group.finish();
+}
+
 fn bench_selection_and_mixing(c: &mut Criterion) {
     let scores = model_vector(DIM);
     let mut group = headed_group(c, "selection");
@@ -426,7 +469,8 @@ fn bench_selection_and_mixing(c: &mut Criterion) {
     let dwt = Dwt::new(Wavelet::sym2(), 4).unwrap();
     let wavelet = dwt.forward(&trained::trained_like(&trained::MLP)).data;
     let tied: Vec<f32> = wavelet.iter().map(|v| (v * 64.0).round()).collect();
-    let mut selected = Vec::new();
+    let mut keys = Vec::new();
+    let mut selected = vec![0; wavelet.len().div_ceil(64)];
     for (path, scores, alpha) in [
         ("threshold", &wavelet, 0.1),
         ("threshold", &wavelet, 0.4),
@@ -436,7 +480,7 @@ fn bench_selection_and_mixing(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new(format!("topk_113418_{path}"), alpha),
             &k,
-            |b, &k| b.iter(|| top_k_into(black_box(scores), k, &mut selected)),
+            |b, &k| b.iter(|| top_k_into(black_box(scores), k, &mut keys, &mut selected)),
         );
     }
     let graph = gen::random_regular(96, 4, 7).unwrap();
@@ -745,6 +789,7 @@ criterion_group!(
     bench_codecs,
     bench_float_codec,
     bench_peer_sampling,
+    bench_sparsify,
     bench_selection_and_mixing,
     bench_average,
     bench_jwins_mix

@@ -35,10 +35,23 @@ pub fn encode_gamma(indices: &[u32]) -> Result<Vec<u8>> {
 ///
 /// Returns [`CodecError::InvalidValue`] if the input is not strictly increasing.
 pub fn encode_gamma_into(indices: &[u32], w: &mut BitWriter) -> Result<()> {
+    encode_gamma_from(indices.iter().copied(), w)
+}
+
+/// [`encode_gamma_into`] of indices in the order an iterator yields them —
+/// a list's or a bitmap's ([`crate::bitmap::ones`]).
+///
+/// # Errors
+///
+/// Returns [`CodecError::InvalidValue`] if the input is not strictly increasing.
+pub(crate) fn encode_gamma_from(
+    indices: impl IntoIterator<Item = u32>,
+    w: &mut BitWriter,
+) -> Result<()> {
     // The smallest index allowed next, as in `decode_gamma_from`: every
     // code is `index − floor + 1`.
     let mut floor = 0u64;
-    for &index in indices {
+    for index in indices {
         let index = u64::from(index);
         if index < floor {
             return Err(CodecError::InvalidValue(

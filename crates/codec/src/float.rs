@@ -255,8 +255,8 @@ impl BlockFloatCodec {
     }
 
     /// Most bytes the encoding of `count` values can take: every field at
-    /// its full 32 bits.
-    fn max_encoded_len(count: usize) -> usize {
+    /// its full 32 bits. [`FloatCodec::encode_into`] reserves this much.
+    pub fn max_encoded_len(count: usize) -> usize {
         (count * 32 + count.div_ceil(Self::BLOCK) * HEADER_BITS as usize).div_ceil(8)
     }
 }

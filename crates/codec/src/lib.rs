@@ -11,6 +11,7 @@
 //! # Modules
 //!
 //! - [`bitio`]: MSB-first bit writer/reader over byte buffers.
+//! - [`bitmap`]: index sets as a bit per index (a TopK selection).
 //! - [`elias`]: Elias gamma and Elias delta universal integer codes.
 //! - [`varint`]: LEB128 variable-length integers (baseline comparator).
 //! - [`delta`]: strictly-increasing index arrays ⇄ gamma-coded difference arrays.
@@ -43,6 +44,7 @@
 #![warn(clippy::too_many_lines)]
 
 pub mod bitio;
+pub mod bitmap;
 pub mod delta;
 pub mod elias;
 pub mod float;

@@ -23,7 +23,8 @@
 //!
 //! Every [`IndexCodec`] spends at least one bit on an index, so a frame with
 //! `count > 0` and an empty index block cannot be a list: it means the
-//! indices `0..count`. [`SparseVecCodec::encode_into`] writes that frame
+//! indices `0..count`. [`SparseVecCodec::encode_into`] (and
+//! [`SparseVecCodec::encode_bitmap_into`], from a bitmap) writes that frame
 //! whenever the selection is exactly `0..k` — whatever the index codec —
 //! and the decoder then takes indices from a counter. JWINS selects every
 //! coefficient when its randomized cut-off draws α = 1, one round in seven
@@ -51,6 +52,7 @@
 //! take. The value side is in [`crate::float`]'s module docs.
 
 use crate::bitio::{BitReader, BitWriter};
+use crate::bitmap;
 use crate::delta;
 use crate::float::{BlockFloatCodec, FloatCodec, RawFloatCodec};
 use crate::varint;
@@ -84,23 +86,25 @@ impl IndexCodec {
         }
     }
 
-    /// Appends the index block, checking as it writes that every index is
-    /// above the one before: every codec carries strictly increasing
-    /// indices only. On an error `out` holds part of a block; the caller
-    /// truncates it.
-    fn encode_into(&self, indices: &[u32], out: &mut Vec<u8>) -> Result<()> {
+    /// Appends the index block of `indices`, in the order the iterator
+    /// yields them, checking as it writes that every index is above the one
+    /// before: every codec carries strictly increasing indices only. On an
+    /// error `out` holds part of a block; the caller truncates it.
+    fn encode_into(&self, indices: impl IntoIterator<Item = u32>, out: &mut Vec<u8>) -> Result<()> {
         match self {
             IndexCodec::RawU32 => {
-                if !indices.is_sorted_by(|a, b| a < b) {
-                    return Err(NOT_INCREASING);
-                }
-                for &i in indices {
+                let mut floor = 0u64;
+                for i in indices {
+                    if u64::from(i) < floor {
+                        return Err(NOT_INCREASING);
+                    }
                     out.extend_from_slice(&i.to_le_bytes());
+                    floor = u64::from(i) + 1;
                 }
             }
             IndexCodec::VarintDelta => {
                 let mut prev = None;
-                for &i in indices {
+                for i in indices {
                     let delta = match prev {
                         None => i,
                         Some(p) if i > p => i - p,
@@ -112,7 +116,7 @@ impl IndexCodec {
             }
             IndexCodec::EliasGammaDelta => {
                 let mut w = BitWriter::appending(std::mem::take(out));
-                let written = delta::encode_gamma_into(indices, &mut w);
+                let written = delta::encode_gamma_from(indices, &mut w);
                 *out = w.into_bytes();
                 written?;
             }
@@ -331,29 +335,66 @@ impl SparseVecCodec {
         values: &[f32],
         out: &mut Vec<u8>,
     ) -> Result<ByteSplit> {
-        if indices.len() != values.len() {
+        let listed = (!is_prefix(indices)).then(|| indices.iter().copied());
+        self.encode_from(listed, indices.len(), values, out)
+    }
+
+    /// [`Self::encode_into`] of the indices a bitmap holds
+    /// ([`crate::bitmap`]), read in ascending order: the bytes are those of
+    /// encoding the same indices as a list, the implied frame included, and
+    /// no list is made.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::LengthMismatch`] if `values` does not hold one value
+    /// per set bit.
+    pub fn encode_bitmap_into(
+        &self,
+        selected: &[u64],
+        values: &[f32],
+        out: &mut Vec<u8>,
+    ) -> Result<ByteSplit> {
+        let count = bitmap::count(selected);
+        let listed = (!bitmap::is_prefix(selected, count)).then(|| bitmap::ones(selected));
+        self.encode_from(listed, count, values, out)
+    }
+
+    /// The one encoder behind both entry points: `count` pairs, whose
+    /// indices are `listed` in ascending order or, when `None`, `0..count`
+    /// (the implied frame).
+    fn encode_from(
+        &self,
+        listed: Option<impl Iterator<Item = u32>>,
+        count: usize,
+        values: &[f32],
+        out: &mut Vec<u8>,
+    ) -> Result<ByteSplit> {
+        if count != values.len() {
             return Err(CodecError::LengthMismatch {
-                expected: indices.len(),
+                expected: count,
                 actual: values.len(),
             });
         }
         let start = out.len();
-        varint::write_u64(out, indices.len() as u64);
+        varint::write_u64(out, count as u64);
         let len_at = out.len();
-        if is_prefix(indices) {
-            varint::write_u64(out, 0);
-        } else {
-            // The block's length is known once it is written: write it
-            // behind room for the longest length varint, then move it down
-            // behind the varint it needs.
-            let block_at = len_at + varint::encoded_len(u64::MAX);
-            out.resize(block_at, 0);
-            if let Err(error) = self.index_codec.encode_into(indices, out) {
-                out.truncate(start);
-                return Err(error);
+        match listed {
+            None => {
+                varint::write_u64(out, 0);
             }
-            let (len, used) = varint::encode((out.len() - block_at) as u64);
-            out.splice(len_at..block_at, len[..used].iter().copied());
+            Some(indices) => {
+                // The block's length is known once it is written: write it
+                // behind room for the longest length varint, then move it
+                // down behind the varint it needs.
+                let block_at = len_at + varint::encoded_len(u64::MAX);
+                out.resize(block_at, 0);
+                if let Err(error) = self.index_codec.encode_into(indices, out) {
+                    out.truncate(start);
+                    return Err(error);
+                }
+                let (len, used) = varint::encode((out.len() - block_at) as u64);
+                out.splice(len_at..block_at, len[..used].iter().copied());
+            }
         }
         let value_start = out.len();
         self.value_codec.as_codec().encode_into(values, out);
@@ -733,6 +774,59 @@ mod tests {
                         let at = 2 + varint::encoded_len(count) + varint::encoded_len(index_len);
                         prop_assert_eq!(&out[at..at + block.len()], &block[..]);
                     }
+                }
+            }
+        }
+
+        /// A frame encoded from a bitmap is byte for byte the frame of the
+        /// same indices as a list, under every codec: listed selections of
+        /// any density, a prefix (the implied frame), the empty set and a
+        /// set reaching the last bit of the last word. A value count that
+        /// is not the bitmap's is refused as the list's would be.
+        #[test]
+        fn a_bitmap_frame_is_the_list_frame(
+            words in proptest::collection::vec(any::<u64>(), 0..40),
+            sparsity in 0u32..4,
+            as_prefix in any::<bool>(),
+            len in 0usize..2_600,
+            last_bit in any::<bool>(),
+        ) {
+            let prefix = as_prefix.then_some(len);
+            let mut words: Vec<u64> = match prefix {
+                // `0..len`: an implied frame.
+                Some(len) => {
+                    let mut words = vec![0; words.len().max(len.div_ceil(64))];
+                    bitmap::set_prefix(&mut words, len);
+                    words
+                }
+                // Each further word ANDed in thins the set.
+                None => words
+                    .iter()
+                    .map(|&w| (1..=sparsity).fold(w, |w, j| w & w.rotate_left(7 * j)))
+                    .collect(),
+            };
+            if prefix.is_none() && last_bit {
+                words.push(1 << 63);
+            }
+            let list: Vec<u32> = bitmap::ones(&words).collect();
+            let values: Vec<f32> = list.iter().map(|&i| i as f32 * -0.75 + 0.5).collect();
+            for codec in all_codecs() {
+                let (mut from_list, mut from_bits) = (vec![0xA5], vec![0xA5]);
+                let split = codec.encode_into(&list, &values, &mut from_list).unwrap();
+                let bits_split = codec.encode_bitmap_into(&words, &values, &mut from_bits).unwrap();
+                prop_assert_eq!(&from_bits, &from_list, "{:?}", codec);
+                prop_assert_eq!(bits_split, split);
+                let implied = !list.is_empty() && header(&from_list[1..]).1 == 0;
+                prop_assert_eq!(implied, !list.is_empty() && is_prefix(&list));
+                prop_assert!(implied || prefix.unwrap_or(0) == 0);
+                if !values.is_empty() {
+                    let short = &values[1..];
+                    let mut out = vec![0xA5];
+                    prop_assert_eq!(
+                        codec.encode_bitmap_into(&words, short, &mut out),
+                        codec.encode_into(&list, short, &mut out)
+                    );
+                    prop_assert_eq!(out, vec![0xA5]);
                 }
             }
         }

@@ -1,14 +1,19 @@
 //! Reusable buffers for the share path — one set per worker, none per node.
 //!
 //! Building and folding a message needs a transform workspace, the tile
-//! loop's buffers, the decoded messages being folded, a TopK index buffer,
-//! a coefficient-sized `f32` temporary and an encode buffer: a few times
-//! the model size, live only inside one `make_message` or `aggregate` call.
-//! The transform's workspace is not among the model-sized ones: the
-//! wavelet levels run a tile at a time, in a window per level, each half
-//! the one before (≈ 30 KiB for four `sym2` levels, whatever d). JWINS
-//! makes its model changes in place of the vector each is read against
-//! and gathers a share's values into the coefficient temporary.
+//! loop's buffers, the decoded messages being folded, TopK's key buffer and
+//! a coefficient-sized `f32` temporary, live only inside one `make_message`
+//! or `aggregate` call. Only the temporary and the decodes are model-sized.
+//! The transform's workspace is not: the wavelet levels run a tile at a
+//! time, in a window per level, each half the one before (≈ 30 KiB for four
+//! `sym2` levels, whatever d). TopK keeps its 2 048-key sample and the
+//! bracket's keys (≈ 12 % of d at α = 0.4) and writes its selection as a
+//! bitmap into the node's own `sent` set, from which the share's values are
+//! gathered and its index block encoded: there is no index list. JWINS
+//! makes its model changes in place of the vector each is read against and
+//! gathers a share's values into the coefficient temporary. A share's wire
+//! image is not here either: each `make_message` encodes into a buffer of
+//! its own and copies it into the message at its exact size.
 //! An average needs no model-sized buffer here: every strategy averages a
 //! [`TILE`](crate::average::TILE) of coordinates at a time in
 //! [`Tiles`] (40 KiB), and full and quantized sharing read each message a
@@ -59,34 +64,38 @@ pub(crate) struct ShareScratch {
     /// the share gathers, or the finished average. The changes
     /// themselves are made in place of the vector they are read against.
     pub coeffs: Vec<f32>,
-    /// TopK's index buffer: its working keys or permutation, then the
-    /// selection.
-    pub order: Vec<u32>,
-    /// The wire image under construction; copied out at its exact size.
-    pub wire: Vec<u8>,
+    /// TopK's key buffer (`sparsify::top_k_into`): the sample, then the
+    /// bracket's keys — a few percent of the coefficients, whatever the
+    /// budget.
+    pub keys: Vec<u32>,
 }
 
 impl ShareScratch {
     /// The most elements any buffer of the set has room for.
     #[cfg(test)]
     pub(crate) fn largest_buffer(&self) -> usize {
+        let decodes = (self.decoded.iter()).flat_map(|entry| {
+            let values = &entry.contribution.values;
+            [entry.index_buffer().capacity(), values.capacity()]
+        });
+        decodes
+            .chain([self.coeffs.capacity(), self.largest_workspace()])
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The most elements any buffer has room for that is neither the
+    /// coefficient temporary nor a decode — the two model-sized kinds.
+    #[cfg(test)]
+    pub(crate) fn largest_workspace(&self) -> usize {
         let Self {
             work,
             tiles,
-            decoded,
-            coeffs,
-            order,
-            wire,
+            decoded: _,
+            coeffs: _,
+            keys,
         } = self;
-        (decoded.iter())
-            .flat_map(|entry| {
-                let values = &entry.contribution.values;
-                [entry.index_buffer().capacity(), values.capacity()]
-            })
-            .chain([work.capacity(), tiles.capacity(), coeffs.capacity()])
-            .chain([order.capacity(), wire.capacity()])
-            .max()
-            .unwrap_or(0)
+        work.capacity().max(tiles.capacity()).max(keys.capacity())
     }
 }
 
@@ -161,6 +170,7 @@ mod tests {
     use crate::strategies::{FullSharing, Jwins, JwinsConfig, QuantizedSharing};
     use crate::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
     use jwins_adversary::Robust;
+    use jwins_codec::sparse::SparseVecCodec;
     use jwins_wavelet::Dwt;
     use std::sync::Barrier;
 
@@ -184,8 +194,6 @@ mod tests {
         let dim = 3 * TILE + 5;
         let own: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
         let theirs = |j: usize| -> Vec<f32> { own.iter().map(|v| v * j as f32 - 0.5).collect() };
-        // Encoded before the set is emptied: full sharing builds its wire
-        // image there.
         let mut full = FullSharing::new();
         full.init(&own);
         let full_inbox: Vec<OutMessage> = (1..=4)
@@ -204,12 +212,12 @@ mod tests {
 
         with_scratch(|s| {
             *s = ShareScratch::default();
-            s.wire.push(0xA5);
+            s.keys.push(0xA5);
         });
         full.aggregate(0, &own, 0.2, &inbox(&full_inbox)).unwrap();
         (quantized.aggregate(0, &own, 0.2, &inbox(&quantized_inbox))).unwrap();
         with_scratch(|s| {
-            assert_eq!(s.wire, [0xA5], "the mixes ran in another set");
+            assert_eq!(s.keys, [0xA5], "the mixes ran in another set");
             assert!(
                 s.largest_buffer() < dim,
                 "a buffer of {} elements",
@@ -219,9 +227,9 @@ mod tests {
     }
 
     /// A JWINS share at α = 1 of a model whose transform is longer than it
-    /// (n > d) keeps every buffer within `max(n, d)` elements, and the wire
-    /// image within the value codec's worst case: no buffer grows by
-    /// doubling from d to n.
+    /// (n > d) keeps every buffer within `max(n, d)` elements — no buffer
+    /// grows by doubling from d to n — runs no selection (its keys stay
+    /// unallocated) and goes out as the implied frame.
     #[test]
     fn a_full_budget_jwins_share_sizes_each_buffer_exactly() {
         let dim = 3 * TILE + 5;
@@ -229,6 +237,7 @@ mod tests {
             alpha: AlphaDistribution::Fixed(1.0),
             ..JwinsConfig::paper_default()
         };
+        let codec = SparseVecCodec::new(config.index_codec, config.value_codec);
         let (wavelet, levels) = config.wavelet.clone().expect("paper default transforms");
         let n = Dwt::new(wavelet, levels)
             .unwrap()
@@ -242,26 +251,24 @@ mod tests {
         with_scratch(|s| *s = ShareScratch::default());
         let moved: Vec<f32> = params.iter().map(|v| v * 0.9).collect();
         let message = jwins.make_message(0, &moved).unwrap();
+        let (indices, values) = codec.decode_compact(&message.bytes).unwrap();
+        assert_eq!((indices, values.len()), (None, n), "an implied frame");
         with_scratch(|s| {
-            let wire = std::mem::take(&mut s.wire);
-            assert!(
-                wire.len() >= message.bytes.len(),
-                "the share ran in another set"
-            );
-            // Two length varints, then every value at its full 32 bits
-            // with a 17-bit header per block of 64.
-            let worst = 2 * 10 + (n * 32 + n.div_ceil(64) * 17).div_ceil(8);
-            assert!(wire.capacity() <= worst, "{} > {worst}", wire.capacity());
+            assert!(s.work.capacity() > 0, "the share ran in another set");
+            assert_eq!(s.keys.capacity(), 0, "a full budget selects no keys");
+            assert_eq!(s.coeffs.len(), n);
             let largest = s.largest_buffer();
             assert!(largest <= n.max(dim), "a buffer of {largest} elements");
         });
     }
 
-    /// A JWINS round — share, then mix four shares — at α = 1 and at
-    /// α = 0.1 keeps its transform workspace within a bound that does not
-    /// depend on d (a window per level, each half the one before), and its
-    /// selection to the budget. (At the larger d a level-by-level
-    /// workspace, ¾·d, is past the bound.)
+    /// A JWINS round — share, then mix four shares — at α = 1, 0.1 and
+    /// 0.4 keeps its transform workspace within a bound that does not
+    /// depend on d (a window per level, each half the one before), and at
+    /// the larger d no buffer but the coefficient temporary and the decodes
+    /// reaches d/4 elements: TopK keeps its sample and the bracket's keys,
+    /// and neither an index list nor a wire image stays in the set. (At the
+    /// larger d a level-by-level workspace, ¾·d, is past the bound.)
     #[test]
     fn a_jwins_round_keeps_no_model_sized_transform_workspace() {
         for dim in [3 * TILE + 5, 20 * TILE + 5] {
@@ -272,13 +279,9 @@ mod tests {
     fn jwins_round_footprint(dim: usize) {
         let (wavelet, levels) = (jwins_wavelet::Wavelet::sym2(), 4);
         let bound = 2 * jwins_wavelet::TILE + 3 * levels * wavelet.filter_len();
-        let n = Dwt::new(wavelet.clone(), levels)
-            .unwrap()
-            .layout_for(dim)
-            .coeff_len();
         let own: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
         with_scratch(|s| *s = ShareScratch::default());
-        for alpha in [1.0, 0.1, 1.0] {
+        for alpha in [1.0, 0.1, 0.4, 1.0] {
             let config = JwinsConfig {
                 wavelet: Some((wavelet.clone(), levels)),
                 alpha: AlphaDistribution::Fixed(alpha),
@@ -300,7 +303,6 @@ mod tests {
             let mut params = moved.clone();
             let mixed = jwins.aggregate_into(0, &mut params, 0.2, &inbox(&shares), &Robust::None);
             mixed.unwrap();
-            let k = crate::sparsify::budget(n, alpha);
             with_scratch(|s| {
                 let work = s.work.capacity();
                 assert!(work > 0, "the round ran in another set");
@@ -308,9 +310,13 @@ mod tests {
                     work <= bound,
                     "d = {dim}, α = {alpha}: {work} > {bound} f64"
                 );
-                let order = &s.order;
-                assert_eq!(order.len(), k, "d = {dim}, α = {alpha}");
-                assert!(order.capacity() <= n, "d = {dim}, α = {alpha}");
+                let largest = s.largest_workspace();
+                if dim > 4 * bound {
+                    assert!(
+                        largest < dim / 4,
+                        "d = {dim}, α = {alpha}: a buffer of {largest} elements"
+                    );
+                }
             });
         }
     }
@@ -318,40 +324,40 @@ mod tests {
     #[test]
     fn buffers_survive_between_calls_and_nest_without_sharing() {
         let first = with_scratch(|s| {
-            s.wire.extend([1, 2, 3]);
-            s.wire.as_ptr()
+            s.keys.extend([1, 2, 3]);
+            s.keys.as_ptr()
         });
         // The same buffers come back; a strategy clears before use.
         with_scratch(|outer| {
-            assert_eq!(outer.wire.as_ptr(), first);
-            assert!(outer.wire.capacity() >= 3);
+            assert_eq!(outer.keys.as_ptr(), first);
+            assert!(outer.keys.capacity() >= 3);
             // A nested call finds the cell empty and gets a set of its own.
             with_scratch(|inner| {
-                assert_eq!(inner.wire.capacity(), 0);
-                inner.wire.push(9);
+                assert_eq!(inner.keys.capacity(), 0);
+                inner.keys.push(9);
             });
         });
         // The cell keeps whichever set came back first: the nested call's.
-        with_scratch(|s| assert_eq!(s.wire, [9]));
+        with_scratch(|s| assert_eq!(s.keys, [9]));
     }
 
     #[test]
     fn a_worker_gets_its_own_set_back_whatever_the_others_do() {
         let turn = Barrier::new(2);
         std::thread::scope(|scope| {
-            for id in [7u8, 9] {
+            for id in [7u32, 9] {
                 let turn = &turn;
                 scope.spawn(move || {
                     with_scratch(|s| {
-                        s.wire.clear();
-                        s.wire.push(id);
+                        s.keys.clear();
+                        s.keys.push(id);
                         // Both sets are out at once, and go back in either
                         // order; then both threads come for one again.
                         turn.wait();
                     });
                     turn.wait();
                     for _ in 0..4 {
-                        with_scratch(|s| assert_eq!(s.wire, [id]));
+                        with_scratch(|s| assert_eq!(s.keys, [id]));
                     }
                 });
             }

@@ -1,29 +1,40 @@
 //! TopK selection over importance scores.
 //!
 //! JWINS parameter selection (paper §III-B) takes the `K` coefficients with
-//! the largest *absolute* accumulated score, and the sparse codec wants them
-//! in index order. [`top_k_into`] finds the cut by threshold instead of
-//! ordering indices, in four steps:
+//! the largest *absolute* accumulated score. [`top_k_into`] writes the
+//! selection as a bitmap — bit `i % 64` of word `i / 64` for coefficient
+//! `i` ([`jwins_codec::bitmap`]) — which `Jwins` keeps as its `sent` set,
+//! gathers its values from ([`gather_into`]) and encodes its frame from
+//! (`SparseVecCodec::encode_bitmap_into`): no index list is made on the way
+//! to the wire. It finds the cut by threshold instead of ordering indices,
+//! in four steps:
 //!
 //! 1. a strided sample of 2 048 keys brackets the `K`-th largest key;
 //! 2. one pass counts the keys under the bracket and collects the bracket's
-//!    own keys (a few percent of `d`);
+//!    own keys (a few percent of `d`; ≈ 12 % at α = 0.4);
 //! 3. `select_nth_unstable` over those gives the cut `t`;
-//! 4. one pass emits every index whose key is at least `t` — in index
-//!    order, so nothing is sorted.
+//! 4. one pass sets the bit of every index whose key is at least `t`.
 //!
-//! Both passes test 32 keys at a time into a bit mask without a branch and
-//! then visit only the mask's set bits. When exactly `K` keys reach `t` the
-//! selected set is the unique top `K`, so it is the set any exact method
-//! picks.
+//! Both passes test 32 keys at a time into a bit mask without a branch; the
+//! first then visits only the mask's set bits, the second stores the mask as
+//! half a bitmap word. When exactly `K` keys reach `t` the selected set is
+//! the unique top `K`, so it is the set any exact method picks. The sample
+//! and the bracket's keys are all the threshold path keeps in its key
+//! buffer.
 //!
 //! The partition it replaced stays as the fallback: `select_nth_unstable`
-//! over the `0..d` permutation, O(d), and a sort of the `K` survivors,
-//! O(K log K). It runs in three cases: the bracket misses the cut; more
-//! keys tie at `t` than the budget takes, so the tie must be broken as the
-//! partition always broke it; or there are fewer than 8 192 scores. (On
-//! wavelet-like scores the threshold path is already 1.5–2.4× faster at
-//! d = 8 192 and about even at 4 096, where the sample is half the input.)
+//! over a `0..d` permutation, O(d), made for the call and dropped after it,
+//! so a rare fallback leaves no buffer of `d` behind. It runs in three
+//! cases: the bracket misses the cut; more keys tie at `t` than the budget
+//! takes, so the tie must be broken as the partition always broke it; or
+//! there are fewer than 8 192 scores. (On wavelet-like scores the threshold
+//! path is already 1.5–2.4× faster at d = 8 192 and about even at 4 096,
+//! where the sample is half the input.)
+//!
+//! [`top_k_indices`] reads the same selection back as an ascending list,
+//! for callers that want one (CHOCO, the figures).
+
+use jwins_codec::bitmap;
 
 /// Keys the threshold path samples to bracket the cut.
 const SAMPLE: usize = 2_048;
@@ -35,45 +46,56 @@ const BLOCK: usize = 32;
 const THRESHOLD_MIN_LEN: usize = 4 * SAMPLE;
 
 /// Returns the indices of the `k` largest `|scores[i]|`, sorted ascending
-/// (the order the sparse codec requires).
+/// (the order the sparse codec requires): [`top_k_into`]'s selection as a
+/// list.
 ///
 /// Ties are broken arbitrarily but deterministically. A NaN score ranks
 /// below every number. `k >= len` returns all indices.
 pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<u32> {
-    let mut indices = Vec::new();
-    top_k_into(scores, k, &mut indices);
+    let mut selected = vec![0; scores.len().div_ceil(64)];
+    top_k_into(scores, k, &mut Vec::new(), &mut selected);
+    let mut indices = Vec::with_capacity(k.min(scores.len()));
+    indices.extend(bitmap::ones(&selected));
     indices
 }
 
-/// [`top_k_indices`] into a caller-owned buffer (any content, any length):
-/// `indices` is overwritten with the selection. Both paths work in it — the
-/// threshold path keeps its sample and the bracket's keys there, the
-/// fallback the `0..len` permutation — so it grows to `scores.len()` once
-/// and is worth keeping.
-pub fn top_k_into(scores: &[f32], k: usize, indices: &mut Vec<u32>) {
+/// Writes the indices of the `k` largest `|scores[i]|` into `selected` as
+/// a bitmap ([`jwins_codec::bitmap`]): their bits are set and every other
+/// bit — those past `scores.len()` too — is cleared. Ties and NaN as
+/// [`top_k_indices`]; `k >= len` selects every index.
+///
+/// `keys` is the threshold path's working buffer (any content, any length):
+/// it holds the 2 048-key sample, then the bracket's keys — a few percent of
+/// `scores.len()` — so it is worth keeping from one call to the next.
+///
+/// # Panics
+///
+/// Panics unless `selected` has `scores.len().div_ceil(64)` words.
+pub fn top_k_into(scores: &[f32], k: usize, keys: &mut Vec<u32>, selected: &mut [u64]) {
     let n = scores.len();
+    assert_eq!(
+        selected.len(),
+        n.div_ceil(64),
+        "a bitmap word per 64 scores"
+    );
     if k == 0 || k >= n {
-        indices.clear();
-        indices.extend(0..k.min(n) as u32);
+        bitmap::set_prefix(selected, k.min(n));
         return;
     }
-    if n < THRESHOLD_MIN_LEN || !threshold_select(scores, k, indices) {
-        partition_select(scores, k, indices);
+    if n < THRESHOLD_MIN_LEN || !threshold_select(scores, k, keys, selected) {
+        partition_select(scores, k, selected);
     }
 }
 
-/// The exact top `k` (`0 < k < scores.len()`) by threshold, in index order.
-/// Returns `false`, leaving `indices` holding anything, when the sampled
-/// bracket misses the cut or a tie at the cut makes the set ambiguous.
+/// The exact top `k` (`0 < k < scores.len()`) by threshold, into
+/// `selected`. Returns `false`, leaving `selected` and `keys` holding
+/// anything, when the sampled bracket misses the cut or a tie at the cut
+/// makes the set ambiguous.
 ///
-/// `indices` holds the sample, then the bracket's keys, then the selection;
-/// each fits in the `scores.len()` it reserves, so nothing is reallocated
-/// and nothing is written that is not read.
-fn threshold_select(scores: &[f32], k: usize, indices: &mut Vec<u32>) -> bool {
+/// `keys` holds the sample, then the bracket's keys.
+fn threshold_select(scores: &[f32], k: usize, keys: &mut Vec<u32>, selected: &mut [u64]) -> bool {
     let n = scores.len();
     debug_assert!(n >= THRESHOLD_MIN_LEN && 0 < k && k < n);
-    indices.clear();
-    indices.reserve(n);
     // The cut is the key at ascending position `below_cut`: that many keys
     // lie under it.
     let below_cut = n - k;
@@ -82,26 +104,27 @@ fn threshold_select(scores: &[f32], k: usize, indices: &mut Vec<u32>) -> bool {
     // a constant) of its expected sample rank to either side.
     let stride = n / SAMPLE;
     let sample = scores.iter().step_by(stride).take(SAMPLE);
-    indices.extend(sample.map(|&x| magnitude_key(x)));
+    keys.clear();
+    keys.extend(sample.map(|&x| magnitude_key(x)));
     let expected = below_cut * SAMPLE / n;
     let p = below_cut as f64 / n as f64;
     let margin = (4.0 * (SAMPLE as f64 * p * (1.0 - p)).sqrt()) as usize + 32;
     let hi_pos = expected + margin;
     let hi = if hi_pos < SAMPLE {
-        *indices.select_nth_unstable(hi_pos).1
+        *keys.select_nth_unstable(hi_pos).1
     } else {
         u32::MAX
     };
     // Everything before `hi_pos` is now at most `hi`.
     let lo = match expected.checked_sub(margin) {
-        Some(pos) => *indices[..hi_pos.min(SAMPLE)].select_nth_unstable(pos).1,
+        Some(pos) => *keys[..hi_pos.min(SAMPLE)].select_nth_unstable(pos).1,
         None => 0,
     };
 
     // Count the keys under the bracket and collect the bracket's keys. A
     // block's two masks are built without a branch; only the bracket's few
     // keys are visited one by one.
-    indices.clear();
+    keys.clear();
     let width = hi - lo;
     let mut below = 0;
     let (blocks, tail) = scores.as_chunks::<BLOCK>();
@@ -114,59 +137,64 @@ fn threshold_select(scores: &[f32], k: usize, indices: &mut Vec<u32>) -> bool {
         }
         below += under.count_ones() as usize;
         while within != 0 {
-            indices.push(magnitude_key(block[within.trailing_zeros() as usize]));
+            keys.push(magnitude_key(block[within.trailing_zeros() as usize]));
             within &= within - 1;
         }
     }
     for &x in tail {
         let key = magnitude_key(x);
         if key.wrapping_sub(lo) <= width {
-            indices.push(key);
+            keys.push(key);
         }
         below += usize::from(key < lo);
     }
-    if below_cut < below || below_cut >= below + indices.len() {
+    if below_cut < below || below_cut >= below + keys.len() {
         return false;
     }
-    let (under, &mut cut, _) = indices.select_nth_unstable(below_cut - below);
+    let (under, &mut cut, _) = keys.select_nth_unstable(below_cut - below);
     // Exactly `k` keys are `>= cut` unless one below the cut's position
     // equals it.
     if under.contains(&cut) {
         return false;
     }
 
-    // Emit every index whose key reaches the cut, in index order.
-    indices.clear();
-    for (b, block) in blocks.iter().enumerate() {
-        let mut reach = 0u32;
-        for (j, &x) in block.iter().enumerate() {
-            reach |= u32::from(magnitude_key(x) >= cut) << j;
+    // Set the bit of every index whose key reaches the cut: a block's mask
+    // is half a bitmap word. Pairs of blocks fill whole words; what is left
+    // — at most one block and the tail — fills the last.
+    let reach = |run: &[f32]| -> u64 {
+        let mut mask = 0u32;
+        for (j, &x) in run.iter().enumerate() {
+            mask |= u32::from(magnitude_key(x) >= cut) << j;
         }
-        while reach != 0 {
-            indices.push((b * BLOCK) as u32 + reach.trailing_zeros());
-            reach &= reach - 1;
-        }
+        u64::from(mask)
+    };
+    let (pairs, odd) = blocks.as_chunks::<2>();
+    let (words, last) = selected.split_at_mut(pairs.len());
+    for (word, [low, high]) in words.iter_mut().zip(pairs) {
+        *word = reach(low) | reach(high) << 32;
     }
-    let offset = blocks.len() * BLOCK;
-    for (j, &x) in tail.iter().enumerate() {
-        if magnitude_key(x) >= cut {
-            indices.push((offset + j) as u32);
-        }
+    if let [word] = last {
+        *word = match odd {
+            [block] => reach(block) | reach(tail) << 32,
+            _ => reach(tail),
+        };
     }
-    debug_assert_eq!(indices.len(), k);
+    debug_assert_eq!(bitmap::count(selected), k);
     true
 }
 
-/// The top `k` (`0 < k < scores.len()`) by partitioning the `0..len`
-/// permutation and sorting the survivors — any input, ties broken as the
-/// partition falls.
-fn partition_select(scores: &[f32], k: usize, indices: &mut Vec<u32>) {
-    indices.clear();
-    indices.extend(0..scores.len() as u32);
+/// The top `k` (`0 < k < scores.len()`) by partitioning a `0..len`
+/// permutation, into `selected` — any input, ties broken as the partition
+/// falls. The permutation is the call's own: a fallback leaves nothing of
+/// its size behind.
+fn partition_select(scores: &[f32], k: usize, selected: &mut [u64]) {
+    let mut order: Vec<u32> = (0..scores.len() as u32).collect();
     let rank = |i: u32| magnitude_key(scores[i as usize]);
-    indices.select_nth_unstable_by(k - 1, |&a, &b| rank(b).cmp(&rank(a)));
-    indices.truncate(k);
-    indices.sort_unstable();
+    order.select_nth_unstable_by(k - 1, |&a, &b| rank(b).cmp(&rank(a)));
+    selected.fill(0);
+    for &i in &order[..k] {
+        selected[i as usize / 64] |= 1 << (i % 64);
+    }
 }
 
 /// `|x|` as a key with a total order: the magnitude order on numbers (±0
@@ -175,8 +203,8 @@ fn partition_select(scores: &[f32], k: usize, indices: &mut Vec<u32>) {
 /// does, with the NaNs above ∞; adding 2³¹ + 2²³ − 1 moves ∞ to `u32::MAX`
 /// and wraps exactly the NaNs round to the bottom. As cheap as the float
 /// compare it replaced, which a bit test for NaN was not (≈ 1.2× the top-k
-/// time). Both paths rank by it, and the threshold path keeps keys in the
-/// `u32` index buffer.
+/// time). Both paths rank by it, and the threshold path keeps keys in its
+/// `u32` key buffer.
 #[inline]
 fn magnitude_key(x: f32) -> u32 {
     (x.to_bits() & 0x7FFF_FFFF).wrapping_add(0x807F_FFFF)
@@ -188,21 +216,20 @@ fn magnitude_key(x: f32) -> u32 {
 ///
 /// Panics if an index is out of bounds.
 pub fn gather(values: &[f32], indices: &[u32]) -> Vec<f32> {
-    let mut out = Vec::new();
-    gather_into(values, indices, &mut out);
-    out
+    indices.iter().map(|&i| values[i as usize]).collect()
 }
 
-/// [`gather`] over a caller-owned buffer (any content, any length).
+/// [`gather`] of the indices a bitmap selects ([`top_k_into`]'s output), in
+/// ascending order, over a caller-owned buffer (any content, any length).
 ///
 /// # Panics
 ///
-/// Panics if an index is out of bounds.
-pub fn gather_into(values: &[f32], indices: &[u32], out: &mut Vec<f32>) {
+/// Panics if a selected index is out of bounds.
+pub fn gather_into(values: &[f32], selected: &[u64], out: &mut Vec<f32>) {
     out.clear();
     // Exact: a buffer one element short would otherwise double.
-    out.reserve_exact(indices.len());
-    out.extend(indices.iter().map(|&i| values[i as usize]));
+    out.reserve_exact(bitmap::count(selected));
+    out.extend(bitmap::ones(selected).map(|i| values[i as usize]));
 }
 
 /// The ceiling of `fraction · len`, clamped to `[0, len]` — the budget `K`
@@ -250,6 +277,17 @@ mod tests {
     fn gather_follows_indices() {
         let values = [10.0f32, 20.0, 30.0];
         assert_eq!(gather(&values, &[0, 2]), vec![10.0, 30.0]);
+        let mut out = vec![1.0; 9];
+        gather_into(&values, &[0b101], &mut out);
+        assert_eq!(out, [10.0, 30.0]);
+        gather_into(&values, &[0], &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "a bitmap word per 64 scores")]
+    fn a_bitmap_of_the_wrong_length_is_refused() {
+        top_k_into(&[1.0; 65], 3, &mut Vec::new(), &mut [0]);
     }
 
     /// The comparator this module used before NaN was ranked: a partial
@@ -296,16 +334,28 @@ mod tests {
             .collect()
     }
 
-    /// The partition path over any `k`: the oracle the threshold path must
-    /// reproduce.
+    /// The partition as it selected into a list — the `0..len`
+    /// permutation partitioned, truncated to `k` and sorted — over any `k`:
+    /// the oracle the bitmap selection must reproduce.
     fn partition_oracle(scores: &[f32], k: usize) -> Vec<u32> {
-        let mut indices = Vec::new();
-        if k == 0 || k >= scores.len() {
-            indices.extend(0..k.min(scores.len()) as u32);
-        } else {
-            partition_select(scores, k, &mut indices);
+        let mut indices: Vec<u32> = (0..scores.len() as u32).collect();
+        if 0 < k && k < scores.len() {
+            let rank = |i: u32| magnitude_key(scores[i as usize]);
+            indices.select_nth_unstable_by(k - 1, |&a, &b| rank(b).cmp(&rank(a)));
+            indices.truncate(k);
+            indices.sort_unstable();
         }
+        indices.truncate(k);
         indices
+    }
+
+    /// `indices` (below `len`) as a bitmap of `len` bits.
+    fn as_bitmap(indices: &[u32], len: usize) -> Vec<u64> {
+        let mut words = vec![0; len.div_ceil(64)];
+        for &i in indices {
+            words[i as usize / 64] |= 1 << (i % 64);
+        }
+        words
     }
 
     /// `n` scores from `seed`: `kind` 0 is tie-heavy (a few distinct values,
@@ -359,12 +409,16 @@ mod tests {
     #[test]
     fn the_path_taken_is_the_one_intended() {
         let run = |scores: &[f32], k: usize| {
-            let mut indices = vec![7; 3];
-            let threshold = threshold_select(scores, k, &mut indices);
+            let n = scores.len();
+            let (mut keys, mut selected) = (vec![7; 3], vec![u64::MAX; n.div_ceil(64)]);
+            let threshold = threshold_select(scores, k, &mut keys, &mut selected);
             let expected = partition_oracle(scores, k);
             assert_eq!(top_k_indices(scores, k), expected, "k={k}");
             if threshold {
-                assert_eq!(indices, expected, "k={k} threshold");
+                assert_eq!(selected, as_bitmap(&expected, n), "k={k} threshold");
+                // The sample and the bracket, not a key per score.
+                let kept = keys.capacity();
+                assert!(kept <= n / 4, "k={k}: {kept} keys for {n} scores");
             }
             threshold
         };
@@ -442,28 +496,38 @@ mod tests {
             prop_assert!(min_selected >= max_unselected, "{} < {}", min_selected, max_unselected);
         }
 
-        /// The selection is the partition's, on either side of the
-        /// threshold path's cut-over, for tie-heavy, distinct and special
-        /// scores, at budgets 1, n − 1, n and between, into a buffer a
-        /// longer and a shorter call left behind.
+        /// The bitmap is the partition's selection, on either side of the
+        /// threshold path's cut-over and around multiples of 32 and 64
+        /// (a block and a bitmap word), for tie-heavy (ties at the cut, NaN,
+        /// ±0, ±∞), distinct and special scores, at budgets 0, 1, n − 1, n
+        /// and between, into key and bitmap buffers a longer and a shorter
+        /// call left behind, and with every bit past n cleared.
         #[test]
         fn topk_selects_as_the_partition_does(
             kind in 0u8..3,
-            long in any::<bool>(),
+            shape in 0u8..3,
             extra in 0usize..3_000,
             seed in any::<u64>(),
-            pick in 0usize..4,
+            pick in 0usize..5,
             frac in 0.0f64..1.0,
         ) {
-            let n = if long { THRESHOLD_MIN_LEN - 3 + extra } else { 1 + extra % 200 };
+            let n = match shape {
+                0 => 1 + extra % 200,
+                1 => THRESHOLD_MIN_LEN - 3 + extra,
+                _ => (32 * (1 + extra % 400) + seed as usize % 3).saturating_sub(1),
+            };
             let scores = scores_of(kind, n, seed);
-            let k = [1, n - 1, n, 1 + (frac * n as f64) as usize][pick];
+            let k = [0, 1, n.saturating_sub(1), n, 1 + (frac * n as f64) as usize][pick];
             let expected = partition_oracle(&scores, k);
+            prop_assert_eq!(top_k_indices(&scores, k), expected.clone());
             for earlier in [n + 517, 10] {
-                let mut indices = Vec::new();
-                top_k_into(&scores_of(1, earlier, seed ^ 3), earlier / 3, &mut indices);
-                top_k_into(&scores, k, &mut indices);
-                prop_assert_eq!(&indices, &expected);
+                let mut keys = Vec::new();
+                let mut old = vec![u64::MAX; earlier.div_ceil(64)];
+                top_k_into(&scores_of(1, earlier, seed ^ 3), earlier / 3, &mut keys, &mut old);
+                let mut selected = old;
+                selected.resize(n.div_ceil(64), u64::MAX);
+                top_k_into(&scores, k, &mut keys, &mut selected);
+                prop_assert_eq!(&selected, &as_bitmap(&expected, n));
             }
         }
 

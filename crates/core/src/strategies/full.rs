@@ -6,7 +6,6 @@
 //! baselines") and aggregates with Metropolis–Hastings weights.
 
 use crate::average::dense_mix;
-use crate::scratch::with_scratch;
 use crate::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
 use jwins_adversary::{Robust, RobustStats};
@@ -72,18 +71,22 @@ impl ShareStrategy for FullSharing {
         if self.dim == 0 {
             return Err(JwinsError::Protocol("init was not called"));
         }
-        with_scratch(|scratch| {
-            let wire = &mut scratch.wire;
-            wire.clear();
-            varint::write_u64(wire, params.len() as u64);
-            let header = wire.len();
-            BlockFloatCodec.encode_into(params, wire);
-            let breakdown = ByteBreakdown {
-                payload: wire.len() - header,
-                metadata: header,
-            };
-            Ok(OutMessage::copy_from(wire, breakdown))
-        })
+        // The wire image is this call's own: copied out at its exact size,
+        // it leaves nothing model-sized behind. Sized for the worst case
+        // at once, it is one allocation: grown from the header it was
+        // reallocated, and on `event_scale`'s 16 384 nodes the extra chunk
+        // sizes cost ≈ 0.2 MiB of peak RSS.
+        let count = params.len() as u64;
+        let worst = varint::encoded_len(count) + BlockFloatCodec::max_encoded_len(params.len());
+        let mut wire = Vec::with_capacity(worst);
+        varint::write_u64(&mut wire, count);
+        let header = wire.len();
+        BlockFloatCodec.encode_into(params, &mut wire);
+        let breakdown = ByteBreakdown {
+            payload: wire.len() - header,
+            metadata: header,
+        };
+        Ok(OutMessage::new(wire, breakdown))
     }
 
     fn aggregate(

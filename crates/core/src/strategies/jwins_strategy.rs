@@ -230,7 +230,8 @@ pub struct Jwins {
     /// `round_buffer`'s coefficients and `sent` belong to it.
     pending_round: Option<usize>,
     /// One bit per coefficient, set for those shared this round (to reset
-    /// in `V`): ⌈n/64⌉ words whatever the budget.
+    /// in `V`): ⌈n/64⌉ words whatever the budget. TopK selects into it,
+    /// and the share's values and index block are read from it.
     sent: Vec<u64>,
     dim: usize,
     last_alpha: f64,
@@ -397,22 +398,6 @@ impl Jwins {
         params.copy_from_slice(&self.round_buffer);
         Ok(())
     }
-
-    /// Sets `sent` to `selected`, an ascending list, a bitmap word at a
-    /// time in a register.
-    fn mark_sent(&mut self, selected: &[u32]) {
-        self.sent.fill(0);
-        let (mut at, mut word) = (0, 0u64);
-        for &i in selected {
-            let i = i as usize;
-            if i / 64 != at {
-                self.sent[at] = word;
-                (at, word) = (i / 64, 0);
-            }
-            word |= 1 << (i % 64);
-        }
-        self.sent[at] = word;
-    }
 }
 
 impl ShareStrategy for Jwins {
@@ -470,23 +455,24 @@ impl ShareStrategy for Jwins {
             let alpha = self.cutoff.next_alpha();
             self.last_alpha = alpha;
             let k = budget(self.scores.len(), alpha);
-            top_k_into(&self.scores, k, &mut scratch.order);
-            self.mark_sent(&scratch.order);
+            top_k_into(&self.scores, k, &mut scratch.keys, &mut self.sent);
             // Share DWT(x^{t,τ}) at the selected indices, from the buffer,
             // which holds the coefficients until the fold. The change's
             // coefficients were added to the scores: the values are
             // gathered over them.
             self.transform
                 .forward_into(params, &mut scratch.work, &mut self.round_buffer);
-            gather_into(&self.round_buffer, &scratch.order, &mut scratch.coeffs);
-            scratch.wire.clear();
+            gather_into(&self.round_buffer, &self.sent, &mut scratch.coeffs);
+            // The wire image is this call's own: copied out at its exact
+            // size, it leaves nothing model-sized behind.
+            let mut wire = Vec::new();
             let split = self
                 .codec
-                .encode_into(&scratch.order, &scratch.coeffs, &mut scratch.wire)
+                .encode_bitmap_into(&self.sent, &scratch.coeffs, &mut wire)
                 .inspect_err(|_| self.round_buffer.clear())?;
             self.pending_round = Some(round);
-            Ok(OutMessage::copy_from(
-                &scratch.wire,
+            Ok(OutMessage::new(
+                wire,
                 ByteBreakdown {
                     payload: split.payload_bytes,
                     metadata: split.metadata_bytes,

@@ -26,29 +26,21 @@ pub struct OutMessage {
 }
 
 impl OutMessage {
-    /// Wraps a buffer with its breakdown.
+    /// Wraps a buffer with its breakdown. The bytes are copied at their
+    /// exact size, so a buffer encoded with room to spare leaves none of
+    /// it in the message.
     ///
     /// # Panics
     ///
     /// Panics (debug) if the breakdown does not cover the buffer exactly.
     pub fn new(bytes: Vec<u8>, breakdown: ByteBreakdown) -> Self {
-        Self::copy_from(&bytes, breakdown)
-    }
-
-    /// [`Self::new`] from a borrowed buffer — what a strategy that encodes
-    /// into a reused buffer calls, so the message owns exactly its bytes.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::new`].
-    pub fn copy_from(bytes: &[u8], breakdown: ByteBreakdown) -> Self {
         debug_assert_eq!(
             breakdown.total(),
             bytes.len(),
             "breakdown must cover buffer"
         );
         Self {
-            bytes: Bytes::copy_from_slice(bytes),
+            bytes: Bytes::copy_from_slice(&bytes),
             breakdown,
         }
     }

@@ -161,7 +161,7 @@ pub fn cifar_like(
             test.push((noisy_sample(proto, cfg.noise, &mut rng), y));
         }
     }
-    let node_train = shard_by_label(&train, nodes, shards_per_node, seed ^ 0xA5A5);
+    let node_train = shard_by_label(train, nodes, shards_per_node, seed ^ 0xA5A5);
     Partitioned { node_train, test }
 }
 
@@ -203,7 +203,7 @@ pub fn femnist_like(
         }
     }
     Partitioned {
-        node_train: assign_clients(&client_data, nodes, seed ^ 0x5A5A),
+        node_train: assign_clients(client_data, nodes, seed ^ 0x5A5A),
         test,
     }
 }
@@ -249,7 +249,7 @@ pub fn celeba_like(
         test.push((x, y));
     }
     Partitioned {
-        node_train: assign_clients(&client_data, nodes, seed ^ 0x3C3C),
+        node_train: assign_clients(client_data, nodes, seed ^ 0x3C3C),
         test,
     }
 }

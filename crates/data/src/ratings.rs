@@ -120,7 +120,7 @@ pub fn movielens_like(cfg: &RatingConfig, nodes: usize, seed: u64) -> RatingData
         clients.push(mine);
     }
     // Nodes get whole users — the ML non-IID regime.
-    let node_train = assign_clients(&clients, nodes, seed ^ 0x7e7e);
+    let node_train = assign_clients(clients, nodes, seed ^ 0x7e7e);
     let _ = rng.gen::<u64>();
     RatingData {
         partitioned: Partitioned { node_train, test },

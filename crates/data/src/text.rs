@@ -155,7 +155,7 @@ pub fn shakespeare_like(
     );
     let test = windows(&test_stream, cfg.seq_len, cfg.test_windows);
     Partitioned {
-        node_train: assign_clients(&client_data, nodes, seed ^ 0x1b1b),
+        node_train: assign_clients(client_data, nodes, seed ^ 0x1b1b),
         test,
     }
 }

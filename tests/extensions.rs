@@ -268,17 +268,27 @@ fn jwins_tolerates_lossy_links() {
 }
 
 #[test]
-fn per_edge_and_broadcast_strategies_coexist_in_one_cluster() {
-    // Heterogeneous clusters are out of paper scope, but the engine should
-    // not corrupt state when protocols differ per node — messages are
-    // per-strategy opaque. Here all nodes run RMW except one full-sharing
-    // node, which must reject the walkers' smaller payloads... so instead
-    // mix RMW with RMW (different seeds) and verify plain mixed runs work.
-    let result = build_and_run(15, |node| {
+fn random_model_walk_on_every_node_sends_one_message_per_node_per_round() {
+    // Every node walks on a seed of its own; each round each sends its full
+    // model down exactly one edge and nothing on the others.
+    let rounds = 15;
+    let result = build_and_run(rounds, |node| {
         (
             tiny_model(3),
             Box::new(RandomModelWalk::new(node as u64)) as Box<dyn ShareStrategy>,
         )
     });
-    assert_eq!(result.rounds_run, 15);
+    assert_eq!(result.rounds_run, rounds);
+    let traffic = &result.total_traffic;
+    assert_eq!(traffic.messages_sent, (NODES * rounds) as u64);
+    assert_eq!(traffic.messages_dropped, 0);
+    assert_eq!(traffic.bytes_received, traffic.bytes_sent);
+    // A broadcast strategy on the same 2-regular graph sends on both edges.
+    let full = build_and_run(rounds, |_| {
+        (
+            tiny_model(3),
+            Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
+        )
+    });
+    assert_eq!(full.total_traffic.messages_sent, 2 * traffic.messages_sent);
 }
