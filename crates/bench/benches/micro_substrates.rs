@@ -23,7 +23,6 @@ use jwins::strategy::{Contribution, ReceivedMessage, ShareStrategy};
 use jwins_adversary::Robust;
 use jwins_codec::bitio::{BitReader, BitWriter};
 use jwins_codec::float::{BlockFloatCodec, FloatCodec, RawFloatCodec};
-use jwins_codec::quantize::Qsgd;
 use jwins_codec::sparse::{IndexCodec, SparseVecCodec, ValueCodec};
 use jwins_codec::{delta, lz, varint};
 use jwins_fourier::fft_real;
@@ -224,19 +223,6 @@ fn bench_codecs(c: &mut Criterion) {
     let packed = lz::compress(&delta_bytes);
     group.bench_function("lz77_decompress_index_deltas", |b| {
         b.iter(|| black_box(lz::decompress(&packed).unwrap()));
-    });
-
-    let qsgd = Qsgd::new(255);
-    group.bench_function("qsgd_encode_6k", |b| {
-        let mut s = 1u64;
-        b.iter(|| {
-            black_box(qsgd.encode(&values, || {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                (s >> 40) as f32 / (1u64 << 24) as f32
-            }))
-        });
     });
     group.finish();
 }

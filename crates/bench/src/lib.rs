@@ -18,8 +18,7 @@ use jwins::config::TrainConfig;
 use jwins::engine::Trainer;
 use jwins::metrics::RunResult;
 use jwins::strategies::{
-    ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, QuantizedSharing, RandomModelWalk,
-    RandomSampling,
+    ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, RandomModelWalk, RandomSampling,
 };
 use jwins::strategy::ShareStrategy;
 use jwins_data::images::{celeba_like, cifar_like, femnist_like, ImageConfig};
@@ -111,8 +110,6 @@ pub enum Algo {
     Jwins(JwinsConfig),
     /// CHOCO-SGD with a config.
     Choco(ChocoConfig),
-    /// QSGD-quantized full sharing with this many levels (extension).
-    Quantized(u32),
     /// Random model walk (extension).
     Rmw,
 }
@@ -133,7 +130,6 @@ impl Algo {
                 base.into()
             }
             Algo::Choco(c) => format!("choco@{:.0}%", c.fraction * 100.0),
-            Algo::Quantized(levels) => format!("qsgd@{levels}"),
             Algo::Rmw => "random-model-walk".into(),
         }
     }
@@ -148,11 +144,7 @@ impl Algo {
                 seed.wrapping_mul(0x9E37_79B9).wrapping_add(node as u64),
             )),
             Algo::Choco(c) => Box::new(ChocoSgd::new(c.clone())),
-            // Node-distinct seeds for the stochastic strategies.
-            Algo::Quantized(levels) => Box::new(QuantizedSharing::new(
-                *levels,
-                seed.wrapping_mul(0x85EB_CA6B).wrapping_add(node as u64),
-            )),
+            // A node-distinct seed for the walk.
             Algo::Rmw => Box::new(RandomModelWalk::new(
                 seed.wrapping_mul(0xC2B2_AE35).wrapping_add(node as u64),
             )),

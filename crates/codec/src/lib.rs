@@ -16,7 +16,6 @@
 //! - [`varint`]: LEB128 variable-length integers (baseline comparator).
 //! - [`delta`]: strictly-increasing index arrays ⇄ gamma-coded difference arrays.
 //! - [`float`]: lossless float codecs (raw little-endian and block-exponent).
-//! - [`quantize`]: QSGD-style stochastic uniform quantization (extension).
 //! - [`lz`]: greedy LZ77 dictionary coder (the general-purpose comparator
 //!   the paper evaluated before settling on Elias gamma).
 //! - [`sparse`]: end-to-end sparse vector encoding with byte accounting.
@@ -49,7 +48,6 @@ pub mod delta;
 pub mod elias;
 pub mod float;
 pub mod lz;
-pub mod quantize;
 pub mod sparse;
 pub mod varint;
 

@@ -7,11 +7,10 @@
 //! `block_float_codec_at_block_boundaries`) were bumped on purpose when the
 //! value codec changed from the Gorilla-style XOR coder, which inflated
 //! every payload of this repository by 6 %, to the block-exponent format of
-//! `jwins_codec::float`; the index and QSGD images did not move.
+//! `jwins_codec::float`; the index images did not move.
 
 use jwins_codec::delta;
 use jwins_codec::float::{BlockFloatCodec, FloatCodec};
-use jwins_codec::quantize::Qsgd;
 use jwins_codec::sparse::SparseVecCodec;
 
 fn hex(bytes: &[u8]) -> String {
@@ -120,16 +119,4 @@ fn implied_sparse_vec_frame() {
     let (di, dv) = codec.decode(encoded.as_bytes()).unwrap();
     assert_eq!(di, indices);
     assert_eq!(bits(&dv), bits(&values));
-}
-
-#[test]
-fn qsgd() {
-    let values = [0.3f32, -0.7, 0.1, 0.0, 2.0];
-    let quantizer = Qsgd::new(4);
-    let wire = quantizer.encode(&values, || 0.5);
-    assert_eq!(hex(&wire), "40091d8d2a5140");
-    let norm = f32::from_bits(0x4009_1d8d);
-    let decoded = quantizer.decode(&wire, values.len()).unwrap();
-    let expected = [norm * 0.25, -norm * 0.25, 0.0, 0.0, norm];
-    assert_eq!(bits(&decoded), bits(&expected));
 }

@@ -19,9 +19,9 @@
 //! contribution is dense, one denominator serves the whole tile, as it did
 //! in [`DenseAverager`]). A part is
 //! a decoded contribution — listed indices or an implied prefix (JWINS,
-//! random sampling; [`partial_average_into`]) — or a dense message still on
-//! the wire, which decodes its next tile of values as it is added (full and
-//! quantized sharing; `dense_mix`). No array as long as the model is kept
+//! random sampling; [`partial_average_into`]) — or a full-sharing message
+//! still on the wire, which decodes its next tile of values as it is added
+//! (`strategies::full`). No array as long as the model is kept
 //! anywhere but the result; a worker keeps the tile buffers ([`Tiles`]).
 //! [`PartialAverager`] streams contributions into two model-sized arrays
 //! and [`DenseAverager`] keeps one numerator array and a scalar
@@ -29,15 +29,12 @@
 //!
 //! The robust rules ([`RobustAccumulator`]) sit beside them: under any rule
 //! but `Robust::None` the decoded messages are handed to the rule's
-//! accumulator instead (`partial_mix_into`, `dense_mix`).
+//! accumulator instead (`partial_mix_into`, full sharing's mix).
 
 pub use crate::robust::RobustAccumulator;
-use crate::scratch::{decode_pool, with_scratch};
-use crate::strategy::{Contribution, ContributionView, ReceivedMessage};
+use crate::strategy::{Contribution, ContributionView};
 use crate::Result;
 use jwins_adversary::{Robust, RobustStats};
-use jwins_codec::float::BlockFloatDecoder;
-use jwins_codec::quantize::QsgdDecoder;
 
 /// Coordinates the tile loop folds at a time: its numerators, denominators
 /// and decoded values take 40 KiB, which stays in L1 while every
@@ -57,7 +54,7 @@ pub struct Tiles {
 
 impl Tiles {
     /// The three buffers, at least `n` long.
-    fn fit(&mut self, n: usize) -> (&mut [f64], &mut [f64], &mut [f32]) {
+    pub(crate) fn fit(&mut self, n: usize) -> (&mut [f64], &mut [f64], &mut [f32]) {
         if self.num.len() < n {
             self.num.resize(n, 0.0);
             self.den.resize(n, 0.0);
@@ -76,7 +73,7 @@ impl Tiles {
 
 /// One contribution to the tile loop, which adds its share of each tile in
 /// turn.
-trait TilePart {
+pub(crate) trait TilePart {
     /// Whether a part of this kind has a value for every coordinate. Every
     /// coordinate's denominator is then the same chain, which the loop
     /// keeps once, as `DenseAverager` did, and `add_tile` adds to the
@@ -102,7 +99,7 @@ trait TilePart {
 /// in the order of `parts` (for dense parts one denominator chain serves
 /// every coordinate: the same bits). Stops at the first part that fails,
 /// `out` then unspecified.
-fn fold_tiles<P: TilePart>(
+pub(crate) fn fold_tiles<P: TilePart>(
     own: &[f32],
     self_weight: f64,
     parts: &mut [(P, f64)],
@@ -262,126 +259,6 @@ pub(crate) fn partial_mix_into(
     let (average, stats) = acc.finish();
     *out = average;
     removed.absorb(stats);
-}
-
-/// A dense message on the wire — every coordinate, in order — read a run
-/// of values at a time: full sharing's block-float values, QSGD's levels.
-pub(crate) trait DenseCursor {
-    /// Decodes the next `out.len()` values into `out`.
-    fn next_values(&mut self, out: &mut [f32]) -> jwins_codec::Result<()>;
-    /// Checks what follows the last value.
-    fn finish(self) -> jwins_codec::Result<()>;
-}
-
-impl DenseCursor for BlockFloatDecoder<'_> {
-    fn next_values(&mut self, out: &mut [f32]) -> jwins_codec::Result<()> {
-        BlockFloatDecoder::next_values(self, out)
-    }
-
-    fn finish(self) -> jwins_codec::Result<()> {
-        BlockFloatDecoder::finish(self)
-    }
-}
-
-impl DenseCursor for QsgdDecoder<'_> {
-    fn next_values(&mut self, out: &mut [f32]) -> jwins_codec::Result<()> {
-        QsgdDecoder::next_values(self, out)
-    }
-
-    fn finish(self) -> jwins_codec::Result<()> {
-        QsgdDecoder::finish(self)
-    }
-}
-
-impl<C: DenseCursor> TilePart for C {
-    const DENSE: bool = true;
-
-    fn add_tile(
-        &mut self,
-        _base: usize,
-        weight: f64,
-        num: &mut [f64],
-        _den: &mut [f64],
-        spare: &mut [f32],
-    ) -> Result<()> {
-        self.next_values(spare)?;
-        for (num, &v) in num.iter_mut().zip(&*spare) {
-            *num += f64::from(v) * weight;
-        }
-        Ok(())
-    }
-}
-
-/// Reads a dense message's `len` values through `values`, a run of
-/// `buf.len()` at a time into `buf`, and checks its end.
-fn read_whole(mut values: impl DenseCursor, len: usize, buf: &mut [f32]) -> Result<()> {
-    let mut left = len;
-    while left > 0 {
-        let n = left.min(buf.len());
-        assert!(n > 0, "a dense read needs a buffer");
-        values.next_values(&mut buf[..n])?;
-        left -= n;
-    }
-    Ok(values.finish()?)
-}
-
-/// Mixes dense messages — each a header `open` checks, then the cursor it
-/// returns — over `own` under `rule`, in the worker's scratch, adding what
-/// the rule removed to `removed`.
-///
-/// Under `Robust::None` every message is opened first and the tile loop
-/// then reads each one's next tile of values as it adds it: no message is
-/// ever decoded whole. Under any other rule each message is decoded whole
-/// into the worker's first pooled contribution and handed to the rule's
-/// [`RobustAccumulator`]. Either way a message that does not decode is the
-/// error a message-by-message decode meets first: the plain mix that fails
-/// anywhere decodes the messages again in inbox order, a tile at a time, to
-/// find it.
-pub(crate) fn dense_mix<'m, C: DenseCursor>(
-    own: &[f32],
-    self_weight: f64,
-    received: &[ReceivedMessage<'m>],
-    rule: Robust,
-    open: impl Fn(&'m [u8]) -> Result<C>,
-    removed: &mut RobustStats,
-) -> Result<Vec<f32>> {
-    with_scratch(|scratch| {
-        if !rule.is_none() {
-            let entry = &mut decode_pool(&mut scratch.decoded, 1)[0];
-            entry.imply_indices();
-            let decoded = &mut entry.contribution;
-            decoded.values.resize(own.len(), 0.0);
-            let mut acc = RobustAccumulator::new(own, self_weight, rule);
-            for msg in received {
-                read_whole(open(msg.bytes)?, own.len(), &mut decoded.values)?;
-                acc.add(&*decoded, msg.weight);
-            }
-            let (average, stats) = acc.finish();
-            removed.absorb(stats);
-            return Ok(average);
-        }
-        let tiles = &mut scratch.tiles;
-        let mixed = (|| {
-            let mut cursors = (received.iter())
-                .map(|msg| Ok((open(msg.bytes)?, msg.weight)))
-                .collect::<Result<Vec<_>>>()?;
-            let mut next = Vec::new();
-            fold_tiles(own, self_weight, &mut cursors, tiles, &mut next)?;
-            for (values, _) in cursors {
-                values.finish()?;
-            }
-            Ok(next)
-        })();
-        mixed.or_else(|error| {
-            // The fold meets a late message's bad header before an early
-            // message's bad block: decode again in order for the first.
-            let (_, _, spare) = tiles.fit(own.len().min(TILE));
-            for msg in received {
-                read_whole(open(msg.bytes)?, own.len(), spare)?;
-            }
-            Err(error)
-        })
-    })
 }
 
 /// Accumulates sparse contributions into a weighted average over `own`, one
@@ -562,10 +439,8 @@ impl DenseAverager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::QuantizedSharing;
-    use crate::strategy::ShareStrategy;
-    use jwins_codec::float::{BlockFloatCodec, FloatCodec};
-    use jwins_codec::quantize::Qsgd;
+    use crate::strategies::FullSharing;
+    use crate::strategy::{ReceivedMessage, ShareStrategy};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -629,8 +504,8 @@ mod tests {
         assert_eq!(out, vec![17.5]);
     }
 
-    /// Under `Robust::None` a dense mix and a partial mix are the plain
-    /// averager, bit for bit; under a rule both are that rule's
+    /// Under `Robust::None` a full-sharing mix and a partial mix are the
+    /// plain averager, bit for bit; under a rule both are that rule's
     /// accumulator.
     #[test]
     fn a_fold_is_its_averager_or_its_rule() {
@@ -643,7 +518,9 @@ mod tests {
             indices: Some(vec![3, 7, 149]),
             values: vec![1.5, -2.0, 9.0],
         };
-        let wire = BlockFloatCodec.encode(&dense.values);
+        let mut full = FullSharing::new();
+        full.init(&own);
+        let wire = full.make_message(0, &dense.values).unwrap().bytes;
         let inbox = [ReceivedMessage {
             from: 1,
             round: 0,
@@ -651,18 +528,17 @@ mod tests {
             bytes: &wire,
             decoded: None,
         }];
-        let open = |bytes| Ok(BlockFloatCodec::decoder(bytes));
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut oracle = DenseAverager::default();
         oracle.reset(&own, 0.4);
         oracle.add(&dense.values, 0.6);
         let mut expected = Vec::new();
         oracle.finish_into(&mut expected);
-        let mut removed = RobustStats::default();
-        let out = dense_mix(&own, 0.4, &inbox, Robust::None, open, &mut removed).unwrap();
+        let out = full.aggregate(0, &own, 0.4, &inbox).unwrap();
         assert_eq!(bits(&out), bits(&expected));
+        assert!(full.robust_stats().is_none());
         let (parts, mut out) = ([(dense.view(), 0.6)], vec![7.0; 3]);
-        let (tiles, removed) = (&mut Tiles::default(), &mut removed);
+        let (tiles, removed) = (&mut Tiles::default(), &mut RobustStats::default());
         partial_mix_into(&own, 0.4, &parts, Robust::None, tiles, &mut out, removed);
         assert_eq!(bits(&out), bits(&expected));
         assert!(removed.is_zero());
@@ -671,9 +547,9 @@ mod tests {
         let mut acc = RobustAccumulator::new(&own, 0.4, rule);
         acc.add(&dense, 0.6);
         let (expected, stats) = acc.finish();
-        let mut removed = RobustStats::default();
-        let out = dense_mix(&own, 0.4, &inbox, rule, open, &mut removed).unwrap();
+        let out = full.aggregate_robust(0, &own, 0.4, &inbox, &rule).unwrap();
         assert_eq!(bits(&out), bits(&expected));
+        let removed = full.robust_stats().expect("the rule clipped");
         assert_eq!((removed, removed.clipped), (stats, 1));
 
         let mut acc = RobustAccumulator::new(&own, 0.4, rule);
@@ -778,47 +654,6 @@ mod tests {
                 values: Vec::new(),
             },
         }
-    }
-
-    /// The mix quantized sharing had before it was tiled: every message
-    /// dequantized whole by [`Qsgd::decode`], then added to a
-    /// [`DenseAverager`] (or, under a rule, the rule's accumulator).
-    fn whole_decode_fold(
-        quantizer: Qsgd,
-        own: &[f32],
-        self_weight: f64,
-        received: &[ReceivedMessage<'_>],
-        rule: Robust,
-    ) -> Result<Vec<f32>> {
-        let mut plain = DenseAverager::default();
-        plain.reset(own, self_weight);
-        let mut robust = (!rule.is_none()).then(|| RobustAccumulator::new(own, self_weight, rule));
-        for msg in received {
-            let values = quantizer.decode(msg.bytes, own.len())?;
-            match &mut robust {
-                Some(acc) => acc.add(
-                    ContributionView {
-                        indices: None,
-                        values: &values,
-                    },
-                    msg.weight,
-                ),
-                None => plain.add(&values, msg.weight),
-            }
-        }
-        let mut out = Vec::new();
-        match robust {
-            Some(acc) => out = acc.finish().0,
-            None => plain.finish_into(&mut out),
-        }
-        Ok(out)
-    }
-
-    /// Results by bit pattern, errors by message.
-    fn outcome(result: Result<Vec<f32>>) -> std::result::Result<Vec<u32>, String> {
-        result
-            .map(|v| v.into_iter().map(f32::to_bits).collect())
-            .map_err(|e| e.to_string())
     }
 
     proptest! {
@@ -937,72 +772,6 @@ mod tests {
                 let hi = o.max(*t) + 1e-4;
                 prop_assert!(*r >= lo && *r <= hi);
             }
-        }
-
-        /// Quantized sharing's tiled mix gives what a whole decode and a
-        /// dense averager gave: the same bits, or the same error — across
-        /// tiles, with zero norms, levels the receiver cannot hold, and
-        /// messages truncated, flipped or lengthened.
-        #[test]
-        fn quantized_mix_matches_the_whole_decode_fold(
-            len in prop_oneof![1usize..300, TILE - 2..TILE + 3, 1..3 * TILE + 300],
-            damages in proptest::collection::vec((0u8..6, 0.0f64..1.0, 1u8..=255), 0..4),
-            weights in proptest::collection::vec(0.01f64..1.0, 4..5),
-            median in any::<bool>(),
-            seed in any::<u64>(),
-        ) {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let own: Vec<f32> = (0..len).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-            let messages: Vec<Vec<u8>> = damages
-                .iter()
-                .enumerate()
-                .map(|(j, &(damage, at, mask))| {
-                    let theirs: Vec<f32> = match damage {
-                        1 => vec![0.0; len],
-                        _ => own.iter().map(|v| v * (j as f32 + 0.5) - 1.0).collect(),
-                    };
-                    // Damage 2 encodes with more levels than the receiver's 15.
-                    let levels = if damage == 2 { 255 } else { 15 };
-                    let mut bytes = Qsgd::new(levels).encode(&theirs, || rng.gen_range(0.0f32..1.0));
-                    match damage {
-                        3 => bytes.truncate((bytes.len() as f64 * at) as usize),
-                        4 => {
-                            let i = ((bytes.len() as f64 * at) as usize).min(bytes.len() - 1);
-                            bytes[i] ^= mask;
-                        }
-                        5 => bytes.push(mask),
-                        _ => {}
-                    }
-                    bytes
-                })
-                .collect();
-            let received: Vec<ReceivedMessage<'_>> = messages
-                .iter()
-                .zip(&weights)
-                .enumerate()
-                .map(|(j, (bytes, &weight))| ReceivedMessage {
-                    from: j + 1,
-                    round: 0,
-                    weight,
-                    bytes,
-                    decoded: None,
-                })
-                .collect();
-            let self_weight = 1.0 - weights[..received.len()].iter().sum::<f64>() / 4.0;
-            let mut s = QuantizedSharing::new(15, 1);
-            s.init(&own);
-            let oracle = |rule| whole_decode_fold(Qsgd::new(15), &own, self_weight, &received, rule);
-            let _ = s.make_message(0, &own).unwrap();
-            prop_assert_eq!(
-                outcome(s.aggregate(0, &own, self_weight, &received)),
-                outcome(oracle(Robust::None))
-            );
-            let rule = if median { Robust::Median } else { Robust::None };
-            let _ = s.make_message(1, &own).unwrap();
-            prop_assert_eq!(
-                outcome(s.aggregate_robust(1, &own, self_weight, &received, &rule)),
-                outcome(oracle(rule))
-            );
         }
     }
 }

@@ -56,7 +56,8 @@ pub struct TrainConfig {
     pub execution: ExecutionMode,
     /// Hardware heterogeneity (compute speeds, link capacities) for
     /// [`ExecutionMode::EventDriven`]. The default profile is degenerate:
-    /// uniform compute, instantaneous links.
+    /// uniform compute, instantaneous links; any other is rejected under
+    /// [`ExecutionMode::BulkSynchronous`].
     #[serde(default)]
     pub heterogeneity: HeterogeneityProfile,
     /// Who is absent when, and how old a message may get: a crash/recovery
@@ -76,7 +77,7 @@ pub struct TrainConfig {
     /// still mid-round. Checkpoint records carry
     /// [`crate::metrics::RoundRecord::checkpoint`] `= true` and never
     /// trigger early stop. `None` keeps the round-boundary cadence only;
-    /// ignored under [`ExecutionMode::BulkSynchronous`].
+    /// a value is rejected under [`ExecutionMode::BulkSynchronous`].
     #[serde(default)]
     pub eval_interval_s: Option<f64>,
     /// Liveness-aware topology repair for event-driven runs with a fault
@@ -305,6 +306,21 @@ impl TrainConfig {
                     .into(),
             ));
         }
+        if self.execution == ExecutionMode::BulkSynchronous && !self.heterogeneity.is_degenerate() {
+            return Err(JwinsError::InvalidConfig(
+                "a heterogeneity profile paces the event-driven clock; barrier rounds run on \
+                 the time model alone, so it requires event-driven execution"
+                    .into(),
+            ));
+        }
+        if self.execution == ExecutionMode::BulkSynchronous && self.eval_interval_s.is_some() {
+            return Err(JwinsError::InvalidConfig(
+                "eval_interval_s schedules checkpoints on the event-driven clock; barrier \
+                 rounds evaluate every eval_every rounds only, so it requires event-driven \
+                 execution"
+                    .into(),
+            ));
+        }
         if let Some(interval) = self.eval_interval_s {
             if interval.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
                 || !interval.is_finite()
@@ -514,12 +530,39 @@ mod tests {
             rejoin: jwins_fault::RejoinMode::Warm,
         };
         assert!(c.validate().is_err());
-        let mut c = TrainConfig::new(3);
+        let mut c = TrainConfig::new(3).with_event_driven(HeterogeneityProfile::default());
         c.eval_interval_s = Some(0.0);
         assert!(c.validate().is_err());
         c.eval_interval_s = Some(f64::NAN);
         assert!(c.validate().is_err());
         c.eval_interval_s = Some(2.5);
+        assert!(c.validate().is_ok());
+    }
+
+    /// The barrier scheduler reads neither a heterogeneity profile nor an
+    /// evaluation interval: a config that sets either under it is rejected
+    /// rather than run as if it were unset.
+    #[test]
+    fn event_clock_settings_require_event_driven_execution() {
+        let stragglers = HeterogeneityProfile::stragglers(0.25, 4.0, 0.005, 12.5e6);
+        let mut c = TrainConfig::new(3);
+        c.heterogeneity = stragglers.clone();
+        let err = c.validate().unwrap_err();
+        assert!(err.to_string().contains("heterogeneity profile"), "{err}");
+        c.execution = ExecutionMode::EventDriven;
+        assert!(c.validate().is_ok());
+
+        let mut c = TrainConfig::new(3);
+        c.eval_interval_s = Some(2.5);
+        let err = c.validate().unwrap_err();
+        assert!(err.to_string().contains("eval_interval_s"), "{err}");
+        c = c.with_event_driven(stragglers);
+        assert!(c.validate().is_ok());
+
+        // The degenerate profile and no interval are fine anywhere.
+        let mut c = TrainConfig::new(3);
+        c.heterogeneity = HeterogeneityProfile::default();
+        c.eval_interval_s = None;
         assert!(c.validate().is_ok());
     }
 

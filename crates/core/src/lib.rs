@@ -17,11 +17,8 @@
 //! - [`strategies`]: [`strategies::FullSharing`] (D-PSGD),
 //!   [`strategies::RandomSampling`], [`strategies::Jwins`] (with ablation
 //!   switches covering TopK), and [`strategies::ChocoSgd`]; plus the
-//!   extensions [`strategies::QuantizedSharing`] (QSGD) and
-//!   [`strategies::RandomModelWalk`].
+//!   extension [`strategies::RandomModelWalk`].
 //! - [`cutoff::AlphaDistribution`]: the randomized communication cut-off.
-//! - [`scaling::ScoreScaling`]: per-layer adaptive importance scores (§VI
-//!   future work).
 //! - [`sparsify`]: TopK selection over importance scores.
 //! - [`average`]: renormalized partial averaging of sparse vectors.
 //! - [`engine::Trainer`]: the decentralized training engine — one per-node
@@ -78,7 +75,6 @@ pub mod cutoff;
 pub mod engine;
 pub mod metrics;
 mod robust;
-pub mod scaling;
 mod scratch;
 pub mod sparsify;
 pub mod strategies;

@@ -16,9 +16,9 @@
 //! its own and copies it into the message at its exact size.
 //! An average needs no model-sized buffer here: every strategy averages a
 //! [`TILE`](crate::average::TILE) of coordinates at a time in
-//! [`Tiles`] (40 KiB), and full and quantized sharing read each message a
-//! tile at a time there instead of decoding it whole (under a robust rule
-//! they still decode each message whole into the pool). Allocated per call
+//! [`Tiles`] (40 KiB), and full sharing reads each message a tile at a
+//! time there instead of decoding it whole (under a robust rule it still
+//! decodes each message whole into the pool). Allocated per call
 //! they cost a page fault per 4 KiB on every node every round; kept per
 //! node they would multiply the resident set by the node count (a 16 384-
 //! node run has 16 384 strategies and two workers). A worker runs one call
@@ -56,9 +56,9 @@ pub(crate) struct ShareScratch {
     /// Decoded neighbour messages, reused call after call (see
     /// [`decode_pool`]): JWINS and random sampling decode a whole inbox
     /// here before they mix it, one contribution per message that has no
-    /// shared decode; full and quantized sharing decode each message into
-    /// the first and hand it to a robust rule before the next, and under
-    /// no rule never decode a message whole.
+    /// shared decode; full sharing decodes each message into the first
+    /// and hands it to a robust rule before the next, and under no rule
+    /// never decodes a message whole.
     pub decoded: Vec<PooledDecode>,
     /// Coefficient-domain temporary: a change's transform, then the values
     /// the share gathers, or the finished average. The changes
@@ -167,7 +167,7 @@ mod tests {
     use super::*;
     use crate::average::TILE;
     use crate::cutoff::AlphaDistribution;
-    use crate::strategies::{FullSharing, Jwins, JwinsConfig, QuantizedSharing};
+    use crate::strategies::{FullSharing, Jwins, JwinsConfig};
     use crate::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
     use jwins_adversary::Robust;
     use jwins_codec::sparse::SparseVecCodec;
@@ -187,8 +187,8 @@ mod tests {
             .collect()
     }
 
-    /// A plain full or quantized mix leaves no buffer as long as the model
-    /// in the worker's set: every message is read a tile at a time.
+    /// A plain full-sharing mix leaves no buffer as long as the model in
+    /// the worker's set: every message is read a tile at a time.
     #[test]
     fn a_dense_mix_keeps_no_model_sized_buffer() {
         let dim = 3 * TILE + 5;
@@ -199,25 +199,14 @@ mod tests {
         let full_inbox: Vec<OutMessage> = (1..=4)
             .map(|j| full.make_message(0, &theirs(j)).unwrap())
             .collect();
-        let quantized_inbox: Vec<OutMessage> = (1..=4)
-            .map(|j| {
-                let mut sender = QuantizedSharing::new(255, j as u64);
-                sender.init(&own);
-                sender.make_message(0, &theirs(j)).unwrap()
-            })
-            .collect();
-        let mut quantized = QuantizedSharing::new(255, 9);
-        quantized.init(&own);
-        let _ = quantized.make_message(0, &own).unwrap();
 
         with_scratch(|s| {
             *s = ShareScratch::default();
             s.keys.push(0xA5);
         });
         full.aggregate(0, &own, 0.2, &inbox(&full_inbox)).unwrap();
-        (quantized.aggregate(0, &own, 0.2, &inbox(&quantized_inbox))).unwrap();
         with_scratch(|s| {
-            assert_eq!(s.keys, [0xA5], "the mixes ran in another set");
+            assert_eq!(s.keys, [0xA5], "the mix ran in another set");
             assert!(
                 s.largest_buffer() < dim,
                 "a buffer of {} elements",

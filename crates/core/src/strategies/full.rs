@@ -5,7 +5,8 @@
 //! Fpzip "uniformly for all the model parameters and for all experiments and
 //! baselines") and aggregates with Metropolis–Hastings weights.
 
-use crate::average::dense_mix;
+use crate::average::{fold_tiles, RobustAccumulator, TilePart, TILE};
+use crate::scratch::{decode_pool, with_scratch};
 use crate::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
 use jwins_adversary::{Robust, RobustStats};
@@ -24,6 +25,41 @@ fn open(bytes: &[u8], dim: usize) -> Result<BlockFloatDecoder<'_>> {
     Ok(BlockFloatCodec::decoder(&bytes[used..]))
 }
 
+/// A message on the wire is a dense part of the tile loop: it decodes its
+/// next tile of values as it is added.
+impl TilePart for BlockFloatDecoder<'_> {
+    const DENSE: bool = true;
+
+    fn add_tile(
+        &mut self,
+        _base: usize,
+        weight: f64,
+        num: &mut [f64],
+        _den: &mut [f64],
+        spare: &mut [f32],
+    ) -> Result<()> {
+        self.next_values(spare)?;
+        for (num, &v) in num.iter_mut().zip(&*spare) {
+            *num += f64::from(v) * weight;
+        }
+        Ok(())
+    }
+}
+
+/// Reads a message of `dim` values, a run of `buf.len()` at a time into
+/// `buf`, and checks its end.
+fn read_whole(bytes: &[u8], dim: usize, buf: &mut [f32]) -> Result<()> {
+    let mut values = open(bytes, dim)?;
+    let mut left = dim;
+    while left > 0 {
+        let n = left.min(buf.len());
+        assert!(n > 0, "a message read needs a buffer");
+        values.next_values(&mut buf[..n])?;
+        left -= n;
+    }
+    Ok(values.finish()?)
+}
+
 /// Full-model broadcast with weighted averaging.
 #[derive(Debug, Default)]
 pub struct FullSharing {
@@ -37,8 +73,16 @@ impl FullSharing {
         Self::default()
     }
 
-    /// `aggregate` under `rule`: under none, every message folded a tile
-    /// at a time as it decodes.
+    /// `aggregate` under `rule`, in the worker's scratch.
+    ///
+    /// Under `Robust::None` every message's header is checked first and the
+    /// tile loop then reads each one's next tile of values as it adds it:
+    /// no message is ever decoded whole. Under any other rule each message
+    /// is decoded whole into the worker's first pooled contribution and
+    /// handed to the rule's [`RobustAccumulator`]. Either way a message
+    /// that does not decode is the error a message-by-message decode meets
+    /// first: the plain mix that fails anywhere decodes the messages again
+    /// in inbox order, a tile at a time, to find it.
     fn mix(
         &mut self,
         params: &[f32],
@@ -46,15 +90,45 @@ impl FullSharing {
         received: &[ReceivedMessage<'_>],
         rule: Robust,
     ) -> Result<Vec<f32>> {
-        let open = |bytes| open(bytes, params.len());
-        dense_mix(
-            params,
-            self_weight,
-            received,
-            rule,
-            open,
-            &mut self.robust_stats,
-        )
+        let dim = params.len();
+        with_scratch(|scratch| {
+            if !rule.is_none() {
+                let entry = &mut decode_pool(&mut scratch.decoded, 1)[0];
+                entry.imply_indices();
+                let decoded = &mut entry.contribution;
+                decoded.values.resize(dim, 0.0);
+                let mut acc = RobustAccumulator::new(params, self_weight, rule);
+                for msg in received {
+                    read_whole(msg.bytes, dim, &mut decoded.values)?;
+                    acc.add(&*decoded, msg.weight);
+                }
+                let (average, stats) = acc.finish();
+                self.robust_stats.absorb(stats);
+                return Ok(average);
+            }
+            let tiles = &mut scratch.tiles;
+            let mixed = (|| {
+                let mut cursors = (received.iter())
+                    .map(|msg| Ok((open(msg.bytes, dim)?, msg.weight)))
+                    .collect::<Result<Vec<_>>>()?;
+                let mut next = Vec::new();
+                fold_tiles(params, self_weight, &mut cursors, tiles, &mut next)?;
+                for (values, _) in cursors {
+                    values.finish()?;
+                }
+                Ok(next)
+            })();
+            mixed.or_else(|error| {
+                // The fold meets a late message's bad header before an
+                // early message's bad block: decode again in order for the
+                // first.
+                let (_, _, spare) = tiles.fit(dim.min(TILE));
+                for msg in received {
+                    read_whole(msg.bytes, dim, spare)?;
+                }
+                Err(error)
+            })
+        })
     }
 }
 

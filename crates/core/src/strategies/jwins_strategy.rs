@@ -22,7 +22,6 @@
 
 use crate::average::partial_mix_into;
 use crate::cutoff::{AlphaDistribution, CutoffSampler};
-use crate::scaling::ScoreScaling;
 use crate::scratch::{decode_pool, with_scratch, PooledDecode, ShareScratch};
 use crate::sparsify::{budget, gather_into, top_k_into};
 use crate::strategy::{close_round, Contribution, OutMessage, ReceivedMessage, ShareStrategy};
@@ -55,10 +54,6 @@ pub struct JwinsConfig {
     pub index_codec: IndexCodec,
     /// Value compression (the block-exponent coder stands in for Fpzip).
     pub value_codec: ValueCodec,
-    /// Optional per-layer importance scaling applied to the model change
-    /// before it enters the scores (the §VI "adaptive importance score"
-    /// future-work direction; `None` keeps the paper's unscaled ranking).
-    pub score_scaling: Option<ScoreScaling>,
 }
 
 impl JwinsConfig {
@@ -72,16 +67,6 @@ impl JwinsConfig {
             alpha: AlphaDistribution::paper_default(),
             index_codec: IndexCodec::EliasGammaDelta,
             value_codec: ValueCodec::Block,
-            score_scaling: None,
-        }
-    }
-
-    /// Paper default plus a per-layer importance scaling (the §VI
-    /// "adaptive importance score" extension).
-    pub fn with_score_scaling(scaling: ScoreScaling) -> Self {
-        Self {
-            score_scaling: Some(scaling),
-            ..Self::paper_default()
         }
     }
 
@@ -287,17 +272,6 @@ impl Jwins {
         &self.scores
     }
 
-    /// Leaves `DWT(scale(delta))` in `scratch.coeffs`: the change both
-    /// halves of a round add to the scores (eqs. 3 and 4), rebalanced per
-    /// layer when the §VI adaptive-score extension is on. `delta` is the
-    /// buffer whose old contents the change was computed in place of.
-    fn change_coeffs(&self, scratch: &mut ShareScratch, delta: &mut [f32]) {
-        if let Some(scaling) = &self.config.score_scaling {
-            scaling.apply(delta);
-        }
-        (self.transform).forward_into(delta, &mut scratch.work, &mut scratch.coeffs);
-    }
-
     /// Decodes `msg` — from the slot its receivers share when this codec
     /// filled it, else into the next contribution of `spare` — and checks
     /// that every index is one of this node's coefficients. Every index
@@ -384,8 +358,7 @@ impl Jwins {
     /// buffer — free since the fold read the own coefficients — and applies
     /// the eq-4 bookkeeping against `params`, still `x^{t,τ}`: the
     /// averaging change is made in place of it, its last read, and
-    /// absorbed with the sent-score reset (scaled the same way as the
-    /// training change, so score units match) in one pass. Then `params`
+    /// absorbed with the sent-score reset in one pass. Then `params`
     /// takes the next round's start, which the buffer keeps.
     fn commit_averaged(&mut self, scratch: &mut ShareScratch, params: &mut [f32]) -> Result<()> {
         self.transform
@@ -393,7 +366,7 @@ impl Jwins {
         for (change, &next) in params.iter_mut().zip(&self.round_buffer) {
             *change = next - *change;
         }
-        self.change_coeffs(scratch, params);
+        (self.transform).forward_into(params, &mut scratch.work, &mut scratch.coeffs);
         reset_sent_and_add(&mut self.scores, &self.sent, &scratch.coeffs);
         params.copy_from_slice(&self.round_buffer);
         Ok(())
@@ -433,9 +406,6 @@ impl ShareStrategy for Jwins {
                 "a failed call lost the round start; call init",
             ));
         }
-        if let Some(scaling) = &self.config.score_scaling {
-            scaling.validate_dim(self.dim)?;
-        }
         with_scratch(|scratch| {
             // Eq. (3): accumulate the local change in the coefficient
             // domain. It is made in place of the round start, its last read;
@@ -444,7 +414,7 @@ impl ShareStrategy for Jwins {
             for (start, &now) in delta.iter_mut().zip(params) {
                 *start = now - *start;
             }
-            self.change_coeffs(scratch, &mut delta);
+            (self.transform).forward_into(&delta, &mut scratch.work, &mut scratch.coeffs);
             self.round_buffer = delta;
             if self.config.accumulation {
                 self.add_to_scores(&scratch.coeffs);
@@ -835,80 +805,6 @@ mod tests {
         }
         errors.dedup();
         assert_eq!(errors.len(), 1, "{errors:?}");
-    }
-
-    #[test]
-    fn score_scaling_biases_selection_toward_boosted_segment() {
-        // Two equal "layers"; the second gets a 50× score boost. With an
-        // identity transform (no wavelet mixing) and a tight budget, the
-        // selected indices must concentrate in the boosted half.
-        let dim = 200;
-        let scaling = ScoreScaling::new(vec![(100, 1.0), (100, 50.0)]).unwrap();
-        let config = JwinsConfig {
-            wavelet: None,
-            alpha: AlphaDistribution::Fixed(0.1),
-            randomized_cutoff: false,
-            score_scaling: Some(scaling),
-            ..JwinsConfig::paper_default()
-        };
-        let mut s = Jwins::new(config, 5);
-        let x0 = vec![0.0f32; dim];
-        s.init(&x0);
-        // A uniform change across the whole model.
-        let x1 = vec![0.1f32; dim];
-        let _ = s.make_message(0, &x1).unwrap();
-        let sent = s.sent_indices();
-        assert_eq!(sent.len(), 20);
-        assert!(
-            sent.iter().all(|&i| i >= 100),
-            "boosted segment not preferred: {sent:?}"
-        );
-    }
-
-    #[test]
-    fn score_scaling_dim_mismatch_is_error() {
-        let scaling = ScoreScaling::new(vec![(7, 2.0)]).unwrap();
-        let config = JwinsConfig::with_score_scaling(scaling);
-        let mut s = Jwins::new(config, 1);
-        let x = vec![0.0f32; 10];
-        s.init(&x);
-        assert!(
-            s.make_message(0, &x).is_err(),
-            "7-param scaling on 10-param model"
-        );
-    }
-
-    #[test]
-    fn scaled_jwins_still_reconstructs_with_full_alpha() {
-        let dim = 96;
-        let scaling = ScoreScaling::inverse_size(&[32, 64]).unwrap();
-        let config = JwinsConfig {
-            alpha: AlphaDistribution::Fixed(1.0),
-            score_scaling: Some(scaling),
-            ..JwinsConfig::paper_default()
-        };
-        let (mut a, mut b, xa, xb) = make_pair(config, dim);
-        let _ = a.make_message(0, &xa).unwrap();
-        let msg = b.make_message(0, &xb).unwrap();
-        let out = a
-            .aggregate(
-                0,
-                &xa,
-                0.5,
-                &[ReceivedMessage {
-                    from: 1,
-                    round: 0,
-                    weight: 0.5,
-                    bytes: &msg.bytes,
-                    decoded: None,
-                }],
-            )
-            .unwrap();
-        // Scaling affects only the ranking, never the shared values: with
-        // α = 1 the result is still the exact average.
-        for ((o, pa), pb) in out.iter().zip(&xa).zip(&xb) {
-            assert!((o - (0.5 * pa + 0.5 * pb)).abs() < 1e-3);
-        }
     }
 
     /// The bitmap forgets a full-budget round: after α = 1 and then α = 0.1,

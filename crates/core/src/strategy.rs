@@ -266,9 +266,10 @@ pub trait ShareStrategy: Send {
     /// it needs no fresh vector per mix.
     ///
     /// The default calls the allocating method and copies its result.
-    /// Full sharing, quantized and random sampling keep it: their tile
-    /// fold can fail after it has written a tile, so folding into `params`
-    /// would break the contract below. JWINS overrides it.
+    /// Full sharing and random sampling keep it, and full sharing must: its
+    /// tile fold can fail after it has written a tile (a bad block, or a
+    /// trailing byte its last check meets), so folding into `params` would
+    /// break the contract below. JWINS overrides it.
     ///
     /// # Contract
     ///
@@ -334,8 +335,7 @@ pub trait ShareStrategy: Send {
     /// Whether this strategy can aggregate through a robust rule
     /// ([`aggregate_robust`]). True for strategies whose aggregation is a
     /// partial average over decoded neighbor values (full sharing, JWINS,
-    /// quantized, random sampling — whose one mix takes the rule as an
-    /// argument); false for algorithms whose update is
+    /// random sampling — whose one mix takes the rule as an argument); false for algorithms whose update is
     /// not an average the mixing layer can re-order (CHOCO's error-feedback
     /// replicas, random model walk) — `TrainConfig::validate` rejects those
     /// combinations up front.
@@ -347,7 +347,7 @@ pub trait ShareStrategy: Send {
 
     /// [`aggregate`] with a robust rule applied to the decoded neighbor
     /// contributions before averaging (see `jwins_adversary::Robust`). The
-    /// four averaging strategies implement both as one mix: the same decode
+    /// three averaging strategies implement both as one mix: the same decode
     /// per message into the same fold (`crate::average`), which is the
     /// plain averager under `Robust::None` and the rule otherwise, so the
     /// two differ in nothing but the average — bookkeeping included. What

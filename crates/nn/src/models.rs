@@ -56,12 +56,6 @@ impl ImageClassifier {
         self.classes
     }
 
-    /// Per-layer parameter counts of the wrapped network, in flat-vector
-    /// order (see [`Sequential::layer_param_sizes`]).
-    pub fn layer_param_sizes(&self) -> Vec<usize> {
-        self.net.layer_param_sizes()
-    }
-
     fn batch_tensor(&self, batch: &[ClassSample]) -> (Tensor, Vec<usize>) {
         let per: usize = self.input_shape.iter().product();
         let mut data = Vec::with_capacity(batch.len() * per);

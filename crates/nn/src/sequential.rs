@@ -70,14 +70,6 @@ impl Sequential {
         self.layers.iter().map(|l| l.param_count()).sum()
     }
 
-    /// Per-layer parameter counts, in flat-vector order. Layers without
-    /// parameters (activations, pooling) contribute a `0` entry, so the
-    /// sizes always sum to [`Self::param_count`]. Used to build per-layer
-    /// importance scalings over the flat vector.
-    pub fn layer_param_sizes(&self) -> Vec<usize> {
-        self.layers.iter().map(|l| l.param_count()).collect()
-    }
-
     /// Copies all parameters into a fresh flat vector (layer order).
     pub fn params(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());

@@ -1,7 +1,9 @@
 //! Prose that names code is checked: every backticked `jwins*::…::Name` in
 //! `README.md` and `docs/ARCHITECTURE.md` must name something declared under
-//! `crates/`. `cargo doc`'s intra-doc-link check sees neither file, so a
-//! deleted or misremembered item would otherwise stay in the prose for good.
+//! `crates/`, and every `cargo bench --bench NAME` there and in the CI
+//! workflow must name a `[[bench]]` target of `crates/bench`. `cargo doc`'s
+//! intra-doc-link check sees none of these files, so a deleted or
+//! misremembered item or harness would otherwise stay in the prose for good.
 
 use std::fs;
 use std::path::Path;
@@ -62,4 +64,50 @@ fn backticked_paths_name_declared_items() {
     }
     assert!(checked >= 20, "the scan went blind: {checked} paths found");
     assert!(dangling.is_empty(), "names missing code: {dangling:#?}");
+}
+
+#[test]
+fn bench_commands_name_declared_benches() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest = fs::read_to_string(root.join("crates/bench/Cargo.toml")).expect("manifest");
+    // The `name` that follows each `[[bench]]` header.
+    let benches: Vec<&str> = manifest
+        .split("[[bench]]")
+        .skip(1)
+        .filter_map(|table| {
+            let line = table.lines().find(|l| l.trim_start().starts_with("name"))?;
+            line.split('"').nth(1)
+        })
+        .collect();
+    assert!(
+        benches.len() >= 10,
+        "the manifest scan went blind: {benches:?}"
+    );
+    let (mut checked, mut dangling) = (0, Vec::new());
+    for doc in [
+        "README.md",
+        "docs/ARCHITECTURE.md",
+        ".github/workflows/ci.yml",
+    ] {
+        let text = fs::read_to_string(root.join(doc)).expect("readable doc");
+        // A command may wrap: the name is the next word, over any line break.
+        for rest in text.split("cargo bench --bench").skip(1) {
+            let rest = rest.trim_start();
+            let name = &rest[..rest
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len())];
+            checked += 1;
+            if !benches.contains(&name) {
+                dangling.push(format!("{doc}: `cargo bench --bench {name}`"));
+            }
+        }
+    }
+    assert!(
+        checked >= 10,
+        "the scan went blind: {checked} commands found"
+    );
+    assert!(
+        dangling.is_empty(),
+        "commands naming no bench: {dangling:#?}"
+    );
 }

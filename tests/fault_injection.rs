@@ -24,8 +24,7 @@ use jwins::config::{ExecutionMode, TrainConfig};
 use jwins::engine::Trainer;
 use jwins::metrics::RunResult;
 use jwins::strategies::{
-    ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, QuantizedSharing, RandomModelWalk,
-    RandomSampling,
+    ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, RandomModelWalk, RandomSampling,
 };
 use jwins::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
 use jwins_data::images::{cifar_like, ImageConfig};
@@ -321,16 +320,13 @@ fn warm_and_resync_rejoins_diverge() {
 #[test]
 fn warm_rejoin_after_a_mid_round_crash_resumes_cleanly() {
     type Factory = fn(usize) -> Box<dyn ShareStrategy>;
-    let strategies: [(&str, Factory); 6] = [
+    let strategies: [(&str, Factory); 5] = [
         ("full sharing", |_| Box::new(FullSharing::new())),
         ("jwins", |node| {
             Box::new(Jwins::new(JwinsConfig::paper_default(), 100 + node as u64))
         }),
         ("choco", |_| {
             Box::new(ChocoSgd::new(ChocoConfig::budget_20()))
-        }),
-        ("qsgd", |node| {
-            Box::new(QuantizedSharing::new(255, 200 + node as u64))
         }),
         ("random sampling", |_| {
             Box::new(RandomSampling::new(0.37, 42))

@@ -1,6 +1,6 @@
 //! Golden mix pins: what `aggregate` and `aggregate_robust` return for the
-//! four averaging strategies (full sharing, QSGD-quantized, random sampling
-//! and JWINS), hashed bit for bit with FNV-1a like
+//! three averaging strategies (full sharing, random sampling and JWINS),
+//! hashed bit for bit with FNV-1a like
 //! `crates/nn/tests/float_golden.rs`.
 //!
 //! The constants were generated before the strategies' plain and robust
@@ -13,7 +13,7 @@
 //! defended or undefended run's trajectory and must be made on purpose.
 
 use jwins::cutoff::AlphaDistribution;
-use jwins::strategies::{FullSharing, Jwins, JwinsConfig, QuantizedSharing, RandomSampling};
+use jwins::strategies::{FullSharing, Jwins, JwinsConfig, RandomSampling};
 use jwins::strategy::{DecodeSlot, ReceivedMessage, ShareStrategy};
 use jwins_adversary::Robust;
 
@@ -161,26 +161,6 @@ fn full_sharing_mix_is_pinned() {
             0x6afe899a910bb369,
             0x9a00af9ea148d714,
             0xdaddee8f738bcb0f,
-        ],
-    );
-}
-
-#[test]
-fn quantized_mix_is_pinned() {
-    let got = pins(
-        |node| QuantizedSharing::new(255, node as u64 + 3),
-        false,
-        |_| Vec::new(),
-    );
-    check(
-        "quantized",
-        got,
-        [
-            0x538bafa032f05d51,
-            0x538bafa032f05d51,
-            0x5e164e3e8094afa5,
-            0xfc8fe2b4a9037208,
-            0x46038a296a1d4d0b,
         ],
     );
 }

@@ -501,8 +501,7 @@ mod adversarial_inputs {
     //! life).
 
     use jwins::strategies::{
-        ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, QuantizedSharing, RandomModelWalk,
-        RandomSampling,
+        ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, RandomModelWalk, RandomSampling,
     };
     use jwins::strategy::{Outbound, ReceivedMessage, ShareStrategy};
     use jwins_adversary::Robust;
@@ -541,12 +540,6 @@ mod adversarial_inputs {
         #[test]
         fn choco_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
             let mut s = ChocoSgd::new(ChocoConfig::budget_20());
-            deliver_garbage(&mut s, &bytes);
-        }
-
-        #[test]
-        fn quantized_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
-            let mut s = QuantizedSharing::new(255, 5);
             deliver_garbage(&mut s, &bytes);
         }
 
@@ -677,13 +670,11 @@ mod aggregate_into_contract {
     //!   leaves the parameters bit-unchanged — what re-running a failed
     //!   mix over intact parameters relies on.
     //!
-    //! JWINS overrides `aggregate_into`; full sharing, quantized and CHOCO
-    //! run the default, checked here the same way.
+    //! JWINS overrides `aggregate_into`; full sharing and CHOCO run the
+    //! default, checked here the same way.
 
     use jwins::average::TILE;
-    use jwins::strategies::{
-        ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig, QuantizedSharing,
-    };
+    use jwins::strategies::{ChocoConfig, ChocoSgd, FullSharing, Jwins, JwinsConfig};
     use jwins::strategy::{ReceivedMessage, ShareStrategy};
     use jwins_adversary::Robust;
     use proptest::prelude::*;
@@ -705,7 +696,18 @@ mod aggregate_into_contract {
         /// past the receiver's coefficients, a dense one carries another
         /// number of values.
         Misfit,
+        /// One byte follows its last: a dense mix meets it only after every
+        /// tile is written, when it checks each message's end.
+        Appended,
     }
+
+    /// The damages a case draws from, by index.
+    const DAMAGES: [Option<Damage>; 4] = [
+        None,
+        Some(Damage::Truncated),
+        Some(Damage::Misfit),
+        Some(Damage::Appended),
+    ];
 
     /// Checks the contract for one strategy. `make(node)` builds a node's
     /// strategy, `misfit(dim)` a share that does not fit a receiver of
@@ -736,6 +738,7 @@ mod aggregate_into_contract {
                 messages[1].pop();
             }
             Some(Damage::Misfit) => messages[1] = misfit(dim),
+            Some(Damage::Appended) => messages[1].push(0),
             None => {}
         }
         let received: Vec<ReceivedMessage<'_>> = (messages.iter().enumerate())
@@ -814,10 +817,10 @@ mod aggregate_into_contract {
         fn jwins_mixes_in_place_as_it_returns(
             dim in prop_oneof![2usize..300, (TILE - 2)..(TILE + 4), 300..(3 * TILE + 300)],
             median in any::<bool>(),
-            damage in 0usize..3,
+            damage in 0usize..DAMAGES.len(),
         ) {
             let rule = if median { Robust::Median } else { Robust::None };
-            let damage = [None, Some(Damage::Truncated), Some(Damage::Misfit)][damage];
+            let damage = DAMAGES[damage];
             check(jwins, jwins_misfit, |s: &Jwins| bits(s.scores()), dim, &rule, damage);
         }
 
@@ -825,19 +828,12 @@ mod aggregate_into_contract {
         fn the_default_mixes_in_place_as_it_returns(
             dim in prop_oneof![2usize..300, (TILE - 2)..(TILE + 4), 300..(3 * TILE + 300)],
             median in any::<bool>(),
-            damage in 0usize..3,
+            damage in 0usize..DAMAGES.len(),
         ) {
             let rule = if median { Robust::Median } else { Robust::None };
-            let damage = [None, Some(Damage::Truncated), Some(Damage::Misfit)][damage];
+            let damage = DAMAGES[damage];
             let full = |_| FullSharing::new();
             check(full, |d| ramp_share(full, d + 1), |_| Vec::new(), dim, &rule, damage);
-            // A QSGD stream carries no count: a short one runs out, and a
-            // long one (non-zero norm) has values left after the last read.
-            let quantized = |node| QuantizedSharing::new(255, node);
-            let short = |d: usize| ramp_share(quantized, d / 2);
-            check(quantized, short, |_| Vec::new(), dim, &rule, damage);
-            let long = |d: usize| ramp_share(quantized, 2 * d + 64);
-            check(quantized, long, |_| Vec::new(), dim, &rule, damage);
             if rule.is_none() {
                 let choco = |_| ChocoSgd::new(ChocoConfig::budget_20());
                 let misfit = |d| ramp_share(choco, 2 * d + 64);
