@@ -144,7 +144,6 @@ impl Algo {
                 seed.wrapping_mul(0x9E37_79B9).wrapping_add(node as u64),
             )),
             Algo::Choco(c) => Box::new(ChocoSgd::new(c.clone())),
-            // A node-distinct seed for the walk.
             Algo::Rmw => Box::new(RandomModelWalk::new(
                 seed.wrapping_mul(0xC2B2_AE35).wrapping_add(node as u64),
             )),

@@ -558,12 +558,6 @@ mod tests {
         assert!(err.to_string().contains("eval_interval_s"), "{err}");
         c = c.with_event_driven(stragglers);
         assert!(c.validate().is_ok());
-
-        // The degenerate profile and no interval are fine anywhere.
-        let mut c = TrainConfig::new(3);
-        c.heterogeneity = HeterogeneityProfile::default();
-        c.eval_interval_s = None;
-        assert!(c.validate().is_ok());
     }
 
     #[test]
