@@ -30,7 +30,7 @@ use crate::metrics::RunResult;
 use crate::strategy::{DecodeSlot, Outbound};
 use crate::Result;
 use jwins_adversary::AttackBehavior;
-use jwins_net::{PendingSend, Transport};
+use jwins_net::Transport;
 use jwins_nn::model::Model;
 use jwins_sim::{LifecycleEvent, LifecycleTracker, SimTime};
 use jwins_trace::TraceEvent;
@@ -143,16 +143,11 @@ where
                 *slot = Some(DecodeSlot::new());
             }
             let mut node_bytes = 0u64;
-            fan_out(outbound, &neighbors, |to, msg| {
-                node_bytes += msg.bytes.len() as u64;
-                // Stamped with the round and its start, so a barrier trace
-                // runs on one monotone clock.
-                network.send(PendingSend {
-                    sent: t_start,
-                    arrives: t_start,
-                    sent_round: round,
-                    ..PendingSend::bulk(i, to, msg.bytes, msg.breakdown)
-                });
+            // Stamped with the round and its start, so a barrier trace runs
+            // on one monotone clock.
+            fan_out(outbound, &neighbors, i, round, t_start, |send| {
+                node_bytes += send.message.payload().len() as u64;
+                network.send(send);
             })?;
             max_node_bytes = max_node_bytes.max(node_bytes);
         }

@@ -104,6 +104,7 @@
 //! `TraceEvent::canonical` zeroes them.
 
 use super::round::{eval_due, fan_out, weigh, Scoreboard};
+use super::workers::Outputs;
 use super::{attack_kind, Run};
 use crate::config::TrainConfig;
 use crate::metrics::RunResult;
@@ -933,7 +934,7 @@ where
     /// appends, metering, the Mix schedule — is buffered into the proposal
     /// instead. The job owns the batch's contexts and borrows only the
     /// run-long configuration.
-    fn execute_train(&self, batch: Batch) -> Result<Vec<Ready>> {
+    fn execute_train(&self, batch: Batch) -> Result<Outputs<Ready>> {
         let Batch { items, ctxs } = batch;
         let config = self.t.config;
         let links = &config.heterogeneity.links;
@@ -962,20 +963,20 @@ where
                 // arrives one link latency after its last byte.
                 let mut departure = meta.at;
                 let mut sends = Vec::with_capacity(neighbors.len());
-                fan_out(outbound, neighbors, |to, msg| {
-                    let link = links.link(node, to, link_seed);
-                    let tx = link.serialize_secs(msg.bytes.len() as u64);
-                    sends.push(PendingSend {
-                        from: node,
-                        to,
-                        payload: msg.bytes,
-                        breakdown: msg.breakdown,
-                        sent: meta.at,
-                        arrives: departure.after_secs(tx + link.latency_s),
-                        sent_round: meta.round,
-                    });
-                    departure = departure.after_secs(tx);
-                })?;
+                fan_out(
+                    outbound,
+                    neighbors,
+                    node,
+                    meta.round,
+                    meta.at,
+                    |mut send| {
+                        let link = links.link(node, send.to, link_seed);
+                        let tx = link.serialize_secs(send.message.payload().len() as u64);
+                        send.arrives = departure.after_secs(tx + link.latency_s);
+                        departure = departure.after_secs(tx);
+                        sends.push(send);
+                    },
+                )?;
                 Ok(Ready::Train(TrainProposal {
                     meta,
                     sends,
@@ -1027,7 +1028,7 @@ where
     /// drains can be missing (fact (a)); expiry counters and the shared
     /// staleness accumulators are deferred into the proposal because float
     /// sums must be committed in queue order.
-    fn execute_mix(&self, batch: Batch) -> Result<Vec<Ready>> {
+    fn execute_mix(&self, batch: Batch) -> Result<Outputs<Ready>> {
         let Batch { items, ctxs } = batch;
         let staleness = self.t.config.faults.staleness;
         let ttl = staleness.ttl().map(SimTime::from_secs_f64);
@@ -1047,7 +1048,7 @@ where
                 // under this round's topology carries no mixing weight;
                 // drop it (dynamic graphs only — static topologies never
                 // hit this).
-                let (from, sent_round) = (env.from as usize, env.sent_round as usize);
+                let (from, sent_round) = (env.from() as usize, env.sent_round() as usize);
                 let Some(base) = weigh(topo, node, from) else {
                     continue;
                 };
@@ -1072,12 +1073,13 @@ where
                 // keeps the weight bit-unchanged).
                 let (weight, moved) = jwins_fault::apply_factor(base, factor);
                 absorbed += moved;
-                staleness_terms.push((env.from, env.sent_round, at.since(env.sent).as_secs_f64()));
+                let age = at.since(env.sent()).as_secs_f64();
+                staleness_terms.push((env.from(), env.sent_round(), age));
                 received.push(ReceivedMessage {
                     from,
                     round: sent_round,
                     weight,
-                    bytes: &env.payload,
+                    bytes: env.payload(),
                     decoded: None,
                 });
             }

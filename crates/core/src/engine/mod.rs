@@ -153,7 +153,7 @@ use jwins_trace::{AttackKind, TraceEvent, TraceSink, Tracer};
 use round::{NodeScore, NodeState, Scoreboard, ATTACK_SALT, FAULT_SALT};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use workers::Workers;
+use workers::{Outputs, Workers};
 
 /// Builder for [`Trainer`] (see [`Trainer::builder`]).
 pub struct TrainerBuilder<M: Model> {
@@ -455,7 +455,7 @@ where
     /// event). Outputs come back in item order and the
     /// first error *in item order* wins regardless of thread timing, so both
     /// results and failures are independent of thread count.
-    fn batch<T, P, F>(&self, items: Vec<(usize, T)>, f: F) -> Result<Vec<P>>
+    fn batch<T, P, F>(&self, items: Vec<(usize, T)>, f: F) -> Result<Outputs<P>>
     where
         T: Send + 'a,
         P: Send + 'a,
@@ -499,7 +499,7 @@ where
     /// Evaluates all nodes on the shared test set (possibly subsampled),
     /// one [`NodeScore`] per node in node order — batch outputs, so the
     /// float merges downstream cannot depend on which worker finished first.
-    fn evaluate(&self) -> Result<Vec<NodeScore>> {
+    fn evaluate(&self) -> Result<Outputs<NodeScore>> {
         let (test, cap) = (self.test, self.config.eval_test_samples);
         let all = (0..self.cells.len()).map(|i| (i, ())).collect();
         self.batch(all, move |_, model, node, params, ()| {
@@ -792,7 +792,11 @@ mod tests {
                         Ok((i, tag))
                     })
                     .unwrap();
-                assert_eq!(visited, all(), "threads = {threads}");
+                assert_eq!(
+                    visited.into_iter().collect::<Vec<_>>(),
+                    all(),
+                    "threads = {threads}"
+                );
                 for (i, cell) in cells.iter().enumerate() {
                     assert_eq!(cell.lock().params[0], i as f32);
                 }

@@ -11,14 +11,16 @@
 //! a [`RoundRecord`].
 
 use crate::config::TrainConfig;
+use crate::engine::workers::Outputs;
 use crate::engine::Trainer;
 use crate::metrics::{RoundRecord, RunResult, TargetHit};
 use crate::strategy::{DecodeSlot, OutMessage, Outbound, ReceivedMessage, ShareStrategy};
 use crate::{JwinsError, Result};
 use jwins_adversary::{AttackBehavior, Robust};
 use jwins_data::batch::BatchSampler;
-use jwins_net::{Envelope, SimNetwork, Transport};
+use jwins_net::{Envelope, Message, PendingSend, SimNetwork, Transport};
 use jwins_nn::model::{EvalMetrics, Model};
+use jwins_sim::SimTime;
 use jwins_topology::dynamic::RoundTopology;
 use jwins_trace::{TraceEvent, Tracer};
 use std::sync::Arc;
@@ -53,9 +55,12 @@ pub(crate) fn eval_due(config: &TrainConfig, round: usize) -> bool {
         || (config.eval_every > 0 && (round + 1).is_multiple_of(config.eval_every))
 }
 
-/// Expands what a node built into one `(to, message)` call per neighbour
-/// that gets one, in neighbour order. The count check runs before anything
-/// is emitted.
+/// Expands what `from` built in `round` into one [`PendingSend`] per
+/// neighbour that gets a message, in neighbour order, stamped as sent — and
+/// arriving — at `sent`; a caller that prices links overwrites the arrival.
+/// A broadcast is one [`Message`] record that all its receivers share, a
+/// per-edge outbound one record per message. The count check runs before
+/// anything is emitted.
 ///
 /// # Errors
 ///
@@ -63,12 +68,24 @@ pub(crate) fn eval_due(config: &TrainConfig, round: usize) -> bool {
 pub(crate) fn fan_out(
     outbound: Outbound,
     neighbors: &[usize],
-    mut emit: impl FnMut(usize, OutMessage),
+    from: usize,
+    round: usize,
+    sent: SimTime,
+    mut emit: impl FnMut(PendingSend),
 ) -> Result<()> {
+    let mut send = |to, message, breakdown| {
+        emit(PendingSend {
+            message,
+            to,
+            breakdown,
+            arrives: sent,
+        });
+    };
     match outbound {
-        Outbound::Broadcast(msg) => {
+        Outbound::Broadcast(OutMessage { bytes, breakdown }) => {
+            let message = Message::new(from, round, sent, bytes);
             for &to in neighbors {
-                emit(to, msg.clone());
+                send(to, Arc::clone(&message), breakdown);
             }
         }
         Outbound::PerEdge(messages) => {
@@ -78,8 +95,8 @@ pub(crate) fn fan_out(
                 ));
             }
             for (&to, msg) in neighbors.iter().zip(messages) {
-                if let Some(msg) = msg {
-                    emit(to, msg);
+                if let Some(OutMessage { bytes, breakdown }) = msg {
+                    send(to, Message::new(from, round, sent, bytes), breakdown);
                 }
             }
         }
@@ -177,14 +194,14 @@ impl<M: Model> NodeState<M> {
         let received: Vec<ReceivedMessage<'_>> = inbox
             .iter()
             .map(|env| {
-                let from = env.from as usize;
+                let from = env.from() as usize;
                 let weight = weigh(topo, id, from)
                     .ok_or(JwinsError::Protocol("message from non-neighbour"))?;
                 Ok(ReceivedMessage {
                     from,
                     round,
                     weight,
-                    bytes: &env.payload,
+                    bytes: env.payload(),
                     decoded: slots.get(from).and_then(Option::as_ref),
                 })
             })
@@ -309,11 +326,11 @@ impl Scoreboard {
         t_ns: u64,
         sim_time_s: f64,
         checkpoint: bool,
-        scores: &[NodeScore],
+        scores: &Outputs<NodeScore>,
     ) -> bool {
         let n = scores.len() as f64;
         let mut merged = EvalMetrics::default();
-        for score in scores {
+        for score in scores.iter() {
             merged.merge(&score.eval);
         }
         let total = self.network.total_stats();
@@ -413,12 +430,22 @@ mod tests {
         OutMessage::new(vec![7; len], breakdown)
     }
 
-    fn emitted(outbound: Outbound, neighbors: &[usize]) -> Result<Vec<(usize, usize)>> {
+    /// The sends `fan_out` emits, in order.
+    fn sends(outbound: Outbound, neighbors: &[usize]) -> Result<Vec<PendingSend>> {
         let mut seen = Vec::new();
-        fan_out(outbound, neighbors, |to, msg| {
-            seen.push((to, msg.bytes.len()))
+        fan_out(outbound, neighbors, 6, 2, SimTime(5), |send| {
+            seen.push(send)
         })?;
         Ok(seen)
+    }
+
+    /// `(to, bytes)` per emitted send.
+    fn emitted(outbound: Outbound, neighbors: &[usize]) -> Result<Vec<(usize, usize)>> {
+        let sends = sends(outbound, neighbors)?;
+        Ok(sends
+            .iter()
+            .map(|send| (send.to, send.message.payload().len()))
+            .collect())
     }
 
     #[test]
@@ -433,11 +460,29 @@ mod tests {
     }
 
     #[test]
+    fn a_broadcast_is_one_record_and_a_per_edge_message_one_each() {
+        let broadcast = sends(Outbound::Broadcast(message(3)), &[4, 1, 9]).unwrap();
+        assert!(broadcast
+            .iter()
+            .all(|send| Arc::ptr_eq(&send.message, &broadcast[0].message)));
+        assert_eq!(Arc::strong_count(&broadcast[0].message), 3);
+        let per_edge = Outbound::PerEdge(vec![Some(message(2)), Some(message(2))]);
+        let per_edge = sends(per_edge, &[4, 1]).unwrap();
+        assert!(!Arc::ptr_eq(&per_edge[0].message, &per_edge[1].message));
+        // Both stamps at the send time: the caller prices the link.
+        let net = SimNetwork::new(10);
+        net.send_batch(broadcast);
+        let env = &net.drain(4, SimTime::MAX, None).envelopes[0];
+        assert_eq!((env.from(), env.sent_round()), (6, 2));
+        assert_eq!((env.sent(), env.arrives()), (SimTime(5), SimTime(5)));
+    }
+
+    #[test]
     fn fan_out_rejects_a_per_edge_count_mismatch_before_sending_anything() {
         for neighbors in [&[4usize, 1][..], &[4, 1, 9, 2]] {
             let per_edge = Outbound::PerEdge(vec![Some(message(2)), None, Some(message(5))]);
             let mut sent = 0;
-            let err = fan_out(per_edge, neighbors, |_, _| sent += 1).unwrap_err();
+            let err = fan_out(per_edge, neighbors, 0, 0, SimTime::ZERO, |_| sent += 1).unwrap_err();
             assert!(
                 matches!(err, JwinsError::Protocol(what) if what.contains("per-edge message count")),
                 "{err}"
@@ -490,12 +535,13 @@ mod tests {
             last_train_loss: 0.0,
             last_alpha: 0.0,
         };
-        let from = |from| Envelope {
-            from,
-            payload: Bytes::clone(&msg.bytes),
-            sent: SimTime::ZERO,
-            arrives: SimTime::ZERO,
-            sent_round: 0,
+        let net = SimNetwork::new(3);
+        let inbox = |senders: &[usize]| {
+            for &from in senders {
+                let payload = Bytes::clone(&msg.bytes);
+                net.send(PendingSend::bulk(from, 0, payload, msg.breakdown));
+            }
+            net.drain(0, SimTime::MAX, None).envelopes
         };
         let err = node
             .mix_lockstep(
@@ -503,7 +549,7 @@ mod tests {
                 &mut params,
                 0,
                 &topo,
-                &[from(1), from(2)],
+                &inbox(&[1, 2]),
                 &[],
                 &Robust::None,
             )
@@ -512,7 +558,7 @@ mod tests {
             matches!(err, JwinsError::Protocol("message from non-neighbour")),
             "{err}"
         );
-        node.mix_lockstep(0, &mut params, 0, &topo, &[from(1)], &[], &Robust::None)
+        node.mix_lockstep(0, &mut params, 0, &topo, &inbox(&[1]), &[], &Robust::None)
             .expect("a neighbour's message mixes");
     }
 }

@@ -184,8 +184,8 @@ impl<'job> Workers<'job> {
 
     /// Executes `f` once per `(node, item)` pair with the content of the
     /// node's cell and the claiming worker's workspace, on every worker that
-    /// claims a chunk in time. Outputs come back in item order; the first
-    /// error in item order wins.
+    /// claims a chunk in time. Outputs come back in item order, as the
+    /// chunks produced them; the first error in item order wins.
     ///
     /// # Errors
     ///
@@ -204,7 +204,7 @@ impl<'job> Workers<'job> {
         spaces: &'job [Cell<S>],
         items: Vec<(usize, T)>,
         f: F,
-    ) -> Result<Vec<P>>
+    ) -> Result<Outputs<P>>
     where
         C: Send + 'job,
         S: Send + 'job,
@@ -222,6 +222,9 @@ impl<'job> Workers<'job> {
             let chunk: Vec<(usize, T)> = items.by_ref().take(per_chunk).collect();
             chunks.push(Mutex::new(Chunk::Todo(chunk)));
         }
+        // The emptied list still holds its buffer: free it before any item
+        // runs, not when the batch returns.
+        drop(items);
         let batch = Arc::new(Batch {
             cells,
             spaces,
@@ -244,15 +247,48 @@ impl<'job> Workers<'job> {
             // only now finds nothing to do.
             lock(&self.board).job = None;
         }
-        let mut out = Vec::with_capacity(width);
+        let mut out = Vec::with_capacity(batch.chunks.len());
         for chunk in &batch.chunks {
             match std::mem::replace(&mut *lock(chunk), Chunk::Claimed) {
-                Chunk::Finished(Ok(outputs)) => out.extend(outputs?),
+                Chunk::Finished(Ok(outputs)) => out.push(outputs?),
                 Chunk::Finished(Err(payload)) => resume_unwind(payload),
                 Chunk::Todo(_) | Chunk::Claimed => unreachable!("the batch has drained"),
             }
         }
-        Ok(out)
+        Ok(Outputs { chunks: out })
+    }
+}
+
+/// A batch's outputs in item order, kept in the vectors its chunks filled:
+/// reading them never needs a second, concatenated copy.
+#[derive(Debug)]
+pub struct Outputs<P> {
+    chunks: Vec<Vec<P>>,
+}
+
+impl<P> Outputs<P> {
+    /// Number of outputs (one per item).
+    pub fn len(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
+
+    /// Whether the batch had no items.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The outputs in item order.
+    pub fn iter(&self) -> impl Iterator<Item = &P> {
+        self.chunks.iter().flatten()
+    }
+}
+
+impl<P> IntoIterator for Outputs<P> {
+    type Item = P;
+    type IntoIter = std::iter::Flatten<std::vec::IntoIter<Vec<P>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.chunks.into_iter().flatten()
     }
 }
 
@@ -372,6 +408,8 @@ mod tests {
                         let got = pool
                             .batch(&cells, &spaces, items, |id, cell, (), k| Ok((id, k, *cell)))
                             .unwrap();
+                        assert!(got.iter().eq(&expect), "threads {threads}, width {width}");
+                        let got: Vec<_> = got.into_iter().collect();
                         assert_eq!(got, expect, "threads {threads}, width {width}");
                     }
                 }

@@ -33,4 +33,4 @@ pub mod transport;
 pub use meter::{ByteBreakdown, TrafficStats};
 pub use sim::{LossModel, SimNetwork};
 pub use time::TimeModel;
-pub use transport::{Drained, Envelope, PendingSend, PurgeReport, PurgeScope, Transport};
+pub use transport::{Drained, Envelope, Message, PendingSend, PurgeReport, PurgeScope, Transport};

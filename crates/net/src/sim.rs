@@ -2,10 +2,10 @@
 //!
 //! A [`SimNetwork`] connects `n` nodes on the *virtual* time axis. Senders
 //! enqueue [`Envelope`]s into the receiver's mailbox; receivers drain their
-//! mailbox at their local virtual clock. Payloads are reference-counted
-//! [`bytes::Bytes`], so broadcasting one message to `d` neighbours costs one
-//! allocation while still being counted `d` times by the meter — exactly
-//! like a TCP fan-out. Every observable — delivery sets, drain order, loss
+//! mailbox at their local virtual clock. A message is one shared
+//! [`Message`](crate::Message) record around a reference-counted [`bytes::Bytes`] payload,
+//! so broadcasting it to `d` neighbours stores its body and its stamps once
+//! while the meter still counts it `d` times — exactly like a TCP fan-out. Every observable — delivery sets, drain order, loss
 //! pattern, counters — is a pure function of the sends it was given.
 
 use crate::meter::TrafficStats;
@@ -146,42 +146,39 @@ impl Transport for SimNetwork {
     fn send(&self, send: PendingSend) {
         self.core.charge(&send);
         let PendingSend {
-            from,
+            message,
             to,
-            payload,
-            sent,
             arrives,
-            sent_round,
             ..
         } = send;
-        if self.drops(from, to) {
-            self.core.record_drop(from);
+        let envelope = Envelope::new(message, arrives);
+        let (from, round) = (envelope.from(), envelope.sent_round());
+        let (t_ns, bytes) = (envelope.sent().0, envelope.payload().len() as u64);
+        if self.drops(from as usize, to) {
+            self.core.record_drop(from as usize);
             if let Some(tracer) = &self.tracer {
                 tracer.emit(jwins_trace::TraceEvent::MsgDrop {
-                    t_ns: sent.0,
-                    from: from as u32,
+                    t_ns,
+                    from,
                     to: to as u32,
-                    round: sent_round as u32,
-                    bytes: payload.len() as u64,
+                    round,
+                    bytes,
                 });
             }
             return;
         }
         if let Some(tracer) = &self.tracer {
             tracer.emit(jwins_trace::TraceEvent::MsgSend {
-                t_ns: sent.0,
-                from: from as u32,
+                t_ns,
+                from,
                 to: to as u32,
-                round: sent_round as u32,
-                bytes: payload.len() as u64,
+                round,
+                bytes,
                 arrives_ns: arrives.0,
             });
         }
-        self.core.credit(to, payload.len());
-        self.core
-            .mailbox(to)
-            .lock()
-            .push(Envelope::landed(from, payload, sent, arrives, sent_round));
+        self.core.credit(to, bytes as usize);
+        self.core.mailbox(to).lock().push(envelope);
     }
 
     fn drain(&self, node: usize, deadline: SimTime, ttl: Option<SimTime>) -> Drained {
@@ -199,12 +196,14 @@ impl Transport for SimNetwork {
         };
         match scope {
             PurgeScope::Inbox { node } => kill(node, &|_| true),
-            PurgeScope::ArrivedBy { node, deadline } => kill(node, &|env| env.arrives <= deadline),
+            PurgeScope::ArrivedBy { node, deadline } => {
+                kill(node, &|env| env.arrives() <= deadline)
+            }
             PurgeScope::InFlightFrom { from, cutoff } => {
                 self.core.check(from);
                 (0..self.len()).fold(PurgeReport::default(), |report, to| {
                     report.plus(kill(to, &|env| {
-                        env.from as usize == from && env.arrives > cutoff
+                        env.from() as usize == from && env.arrives() > cutoff
                     }))
                 })
             }
@@ -216,8 +215,8 @@ impl Transport for SimNetwork {
                 self.core.check(from);
                 self.core.check(to);
                 kill(to, &|env| {
-                    env.from as usize == from
-                        && sent_round.is_none_or(|r| env.sent_round as usize == r)
+                    env.from() as usize == from
+                        && sent_round.is_none_or(|r| env.sent_round() as usize == r)
                 })
             }
         }
@@ -240,6 +239,7 @@ impl Transport for SimNetwork {
 mod tests {
     use super::*;
     use crate::meter::ByteBreakdown;
+    use crate::Message;
     use bytes::Bytes;
 
     fn breakdown(payload: usize, metadata: usize) -> ByteBreakdown {
@@ -264,13 +264,10 @@ mod tests {
         sent_round: usize,
     ) {
         net.send(PendingSend {
-            from,
+            message: Message::new(from, sent_round, sent, payload),
             to,
-            payload,
             breakdown: b,
-            sent,
             arrives,
-            sent_round,
         });
     }
 
@@ -288,9 +285,9 @@ mod tests {
         bulk(&net, 2, 1, Bytes::from(vec![4u8]), breakdown(1, 0));
         let inbox = drain_all(&net, 1);
         assert_eq!(inbox.len(), 2);
-        assert_eq!(inbox[0].from, 0);
-        assert_eq!(&inbox[0].payload[..], &[1, 2, 3]);
-        assert_eq!(inbox[1].from, 2);
+        assert_eq!(inbox[0].from(), 0);
+        assert_eq!(&inbox[0].payload()[..], &[1, 2, 3]);
+        assert_eq!(inbox[1].from(), 2);
         // Drained mailboxes are empty.
         assert!(drain_all(&net, 1).is_empty());
     }
@@ -349,11 +346,11 @@ mod tests {
             let inbox = drain_all(&net, node);
             assert_eq!(inbox.len(), 1);
             assert_eq!(
-                inbox[0].payload.as_ptr(),
+                inbox[0].payload().as_ptr(),
                 base,
                 "delivered payload must alias the broadcast buffer"
             );
-            assert_eq!(&inbox[0].payload[..], &[0xABu8; 48][..]);
+            assert_eq!(&inbox[0].payload()[..], &[0xABu8; 48][..]);
         }
         assert_eq!(net.total_stats().bytes_sent, 192);
         assert_eq!(net.total_stats().bytes_received, 192);
@@ -417,7 +414,7 @@ mod tests {
             bulk(&net, 2, 1, Bytes::from(vec![9u8]), breakdown(1, 0));
             bulk(&net, 0, 1, Bytes::from(vec![0u8]), breakdown(1, 0));
         }
-        let from_zero = drain_all(&net, 1).iter().filter(|e| e.from == 0).count();
+        let from_zero = drain_all(&net, 1).iter().filter(|e| e.from() == 0).count();
         assert_eq!(from_zero, run());
     }
 
@@ -494,16 +491,16 @@ mod tests {
         // By t=30 two messages are in, ordered by arrival, not by push.
         let first = net.drain(1, SimTime(30), None).envelopes;
         assert_eq!(
-            first.iter().map(|e| e.sent_round).collect::<Vec<_>>(),
+            first.iter().map(|e| e.sent_round()).collect::<Vec<_>>(),
             vec![2, 1]
         );
         // The slow message is still in flight, then lands.
         assert_eq!(net.pending(1), 1);
         let late = net.drain(1, SimTime(50), None).envelopes;
         assert_eq!(late.len(), 1);
-        assert_eq!(late[0].sent_round, 0);
-        assert_eq!(late[0].sent, SimTime(0));
-        assert_eq!(late[0].arrives, SimTime(50));
+        assert_eq!(late[0].sent_round(), 0);
+        assert_eq!(late[0].sent(), SimTime(0));
+        assert_eq!(late[0].arrives(), SimTime(50));
         assert_eq!(net.pending(1), 0);
     }
 
@@ -528,7 +525,7 @@ mod tests {
         let ttl = Some(SimTime::from_secs_f64(5.0));
         let drained = net.drain(1, SimTime::from_secs_f64(10.0), ttl);
         assert_eq!(drained.envelopes.len(), 1);
-        assert_eq!(drained.envelopes[0].sent, SimTime::from_secs_f64(8.0));
+        assert_eq!(drained.envelopes[0].sent(), SimTime::from_secs_f64(8.0));
         assert_eq!(drained.expired, 1);
         assert_eq!(
             net.stats(1).messages_expired,
@@ -555,13 +552,10 @@ mod tests {
         let batched = SimNetwork::new(2);
         let sends: Vec<PendingSend> = (0..4)
             .map(|k| PendingSend {
-                from: 0,
+                message: Message::new(0, k, SimTime(k as u64), Bytes::from(vec![k as u8; k + 1])),
                 to: 1,
-                payload: Bytes::from(vec![k as u8; k + 1]),
                 breakdown: breakdown(k + 1, 0),
-                sent: SimTime(k as u64),
                 arrives: SimTime(10), // equal arrivals: push order must hold
-                sent_round: k,
             })
             .collect();
         for s in &sends {
@@ -573,8 +567,8 @@ mod tests {
         let b = batched.drain(1, SimTime(10), None).envelopes;
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.sent_round, y.sent_round);
-            assert_eq!(x.payload, y.payload);
+            assert_eq!(x.sent_round(), y.sent_round());
+            assert_eq!(x.payload(), y.payload());
         }
     }
 
@@ -585,22 +579,22 @@ mod tests {
         let direct = SimNetwork::lossy(2, LossModel::new(0.5, 9));
         let batched = SimNetwork::lossy(2, LossModel::new(0.5, 9));
         let mk = |k: usize| PendingSend {
-            from: 0,
+            message: Message::new(0, k, SimTime::ZERO, Bytes::from(vec![k as u8])),
             to: 1,
-            payload: Bytes::from(vec![k as u8]),
             breakdown: breakdown(1, 0),
-            sent: SimTime::ZERO,
             arrives: SimTime::ZERO,
-            sent_round: k,
         };
         for k in 0..64 {
             direct.send(mk(k));
         }
         batched.send_batch((0..64).map(mk).collect());
-        let a: Vec<u32> = drain_all(&direct, 1).iter().map(|e| e.sent_round).collect();
+        let a: Vec<u32> = drain_all(&direct, 1)
+            .iter()
+            .map(|e| e.sent_round())
+            .collect();
         let b: Vec<u32> = drain_all(&batched, 1)
             .iter()
-            .map(|e| e.sent_round)
+            .map(|e| e.sent_round())
             .collect();
         assert_eq!(a, b, "identical survivors under the loss model");
         assert!(direct.stats(0).messages_dropped > 0, "losses exercised");
@@ -664,7 +658,7 @@ mod tests {
         assert_eq!(net.stats(1).messages_dropped, 2);
         let survivor = net.drain(1, SimTime(30), None).envelopes;
         assert_eq!(survivor.len(), 1);
-        assert_eq!(survivor[0].arrives, SimTime(30));
+        assert_eq!(survivor[0].arrives(), SimTime(30));
     }
 
     #[test]
@@ -693,7 +687,7 @@ mod tests {
         assert_eq!(net.pending(2), 2);
         assert_eq!(net.stats(2).messages_dropped, 1);
         let inbox = net.drain(2, SimTime(20), None).envelopes;
-        let froms: Vec<u32> = inbox.iter().map(|e| e.from).collect();
+        let froms: Vec<u32> = inbox.iter().map(|e| e.from()).collect();
         assert_eq!(froms, vec![0, 1]);
     }
 
@@ -760,7 +754,7 @@ mod tests {
         );
         let survivors = net.drain(1, SimTime(10), None).envelopes;
         assert_eq!(survivors.len(), 1);
-        assert_eq!(survivors[0].sent_round, 4, "other rounds' messages live");
+        assert_eq!(survivors[0].sent_round(), 4, "other rounds' messages live");
     }
 
     #[test]
@@ -769,7 +763,7 @@ mod tests {
         bulk(&net, 0, 1, Bytes::from(vec![7u8]), breakdown(1, 0));
         let inbox = net.drain(1, SimTime::ZERO, None).envelopes;
         assert_eq!(inbox.len(), 1);
-        assert_eq!(inbox[0].arrives, SimTime::ZERO);
+        assert_eq!(inbox[0].arrives(), SimTime::ZERO);
     }
 
     #[test]

@@ -30,6 +30,48 @@ use crate::meter::{ByteBreakdown, TrafficStats};
 use bytes::Bytes;
 use jwins_sim::SimTime;
 use parking_lot::Mutex;
+use std::sync::Arc;
+
+/// One message as its sender handed it to the network: the sender, its
+/// round, the send stamp and the payload. A broadcast builds one record and
+/// every receiver's [`Envelope`] holds it, so those fields are stored once
+/// per message sent, not once per message in flight; the record is freed
+/// when the last receiver drains it or a purge kills it.
+///
+/// The sender and the round are `u32`, as in the trace: [`Message::new`]
+/// narrows them once, where the message is built, and readers widen them
+/// back.
+#[derive(Debug)]
+pub struct Message {
+    from: u32,
+    sent_round: u32,
+    sent: SimTime,
+    payload: Bytes,
+}
+
+impl Message {
+    /// The shared record of a message `from` sends in its round
+    /// `sent_round` at virtual time `sent`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` or `sent_round` exceeds `u32::MAX` (a run is
+    /// checked against both limits when it is built).
+    pub fn new(from: usize, sent_round: usize, sent: SimTime, payload: Bytes) -> Arc<Self> {
+        let narrow = |value: usize| u32::try_from(value).expect("envelope stamps are u32");
+        Arc::new(Self {
+            from: narrow(from),
+            sent_round: narrow(sent_round),
+            sent,
+            payload,
+        })
+    }
+
+    /// Serialized message body.
+    pub fn payload(&self) -> &Bytes {
+        &self.payload
+    }
+}
 
 /// A delivered message.
 ///
@@ -37,66 +79,60 @@ use parking_lot::Mutex;
 /// in-flight messages: `sent` is when the sender handed the message to the
 /// network, `arrives` is when the last byte lands in the receiver's mailbox
 /// (`latency + bytes / bandwidth` on the sending link). The barrier-driven
-/// engine leaves both at [`SimTime::ZERO`], making every message immediately
-/// drainable — exactly the bulk-synchronous semantics.
+/// engine stamps both with the round's start, making every message
+/// immediately drainable — exactly the bulk-synchronous semantics.
 ///
 /// Every message in flight is one envelope in a mailbox, so its size is
-/// paid per message: 40 bytes (the payload handle 16, two stamps 8 each,
-/// sender and round 4 each) beside the payload itself. The sender and the
-/// round are `u32`, as in the trace; the transports narrow
-/// [`PendingSend`]'s `usize` fields once, where a send lands in a mailbox,
-/// and readers widen them back.
+/// paid per receiver: 16 bytes, the handle of the sender's shared
+/// [`Message`] and the arrival stamp, which depends on the link.
 #[derive(Debug, Clone)]
 pub struct Envelope {
-    /// Sending node.
-    pub from: u32,
-    /// Serialized message body.
-    pub payload: Bytes,
-    /// Virtual send time.
-    pub sent: SimTime,
-    /// Virtual arrival time; until then the message is invisible to
-    /// [`Transport::drain`].
-    pub arrives: SimTime,
-    /// The sender's local round when it sent this message (staleness
-    /// accounting in asynchronous gossip; 0 in barrier mode).
-    pub sent_round: u32,
+    message: Arc<Message>,
+    arrives: SimTime,
 }
 
 impl Envelope {
-    /// The envelope a send lands as, its sender and round narrowed to
-    /// `u32`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` or `sent_round` exceeds `u32::MAX` (a run is
-    /// checked against both limits when it is built).
-    pub(crate) fn landed(
-        from: usize,
-        payload: Bytes,
-        sent: SimTime,
-        arrives: SimTime,
-        sent_round: usize,
-    ) -> Self {
-        let narrow = |value: usize| u32::try_from(value).expect("envelope stamps are u32");
-        Self {
-            from: narrow(from),
-            payload,
-            sent,
-            arrives,
-            sent_round: narrow(sent_round),
-        }
+    pub(crate) fn new(message: Arc<Message>, arrives: SimTime) -> Self {
+        Self { message, arrives }
+    }
+
+    /// Sending node.
+    pub fn from(&self) -> u32 {
+        self.message.from
+    }
+
+    /// Serialized message body.
+    pub fn payload(&self) -> &Bytes {
+        self.message.payload()
+    }
+
+    /// Virtual send time.
+    pub fn sent(&self) -> SimTime {
+        self.message.sent
+    }
+
+    /// Virtual arrival time; until then the message is invisible to
+    /// [`Transport::drain`].
+    pub fn arrives(&self) -> SimTime {
+        self.arrives
+    }
+
+    /// The sender's local round when it sent this message (staleness
+    /// accounting in asynchronous gossip).
+    pub fn sent_round(&self) -> u32 {
+        self.message.sent_round
     }
 
     /// The message's age at `now`: virtual time since the sender handed it
     /// to the network (saturating at zero for barrier-mode stamps).
     pub fn age_at(&self, now: SimTime) -> SimTime {
-        now.since(self.sent)
+        now.since(self.sent())
     }
 
     /// The message's age in rounds when mixed at `round` (saturating: a
     /// message from a *future* local round has age zero).
     pub fn age_rounds(&self, round: usize) -> usize {
-        round.saturating_sub(self.sent_round as usize)
+        round.saturating_sub(self.sent_round() as usize)
     }
 }
 
@@ -110,35 +146,25 @@ impl Envelope {
 /// replay exactly as if the events had run one at a time.
 #[derive(Debug, Clone)]
 pub struct PendingSend {
-    /// Sending node.
-    pub from: usize,
+    /// What is sent, shared by every receiver of the same message.
+    pub message: Arc<Message>,
     /// Receiving node.
     pub to: usize,
-    /// Serialized message body.
-    pub payload: Bytes,
     /// Payload/metadata byte accounting.
     pub breakdown: ByteBreakdown,
-    /// Virtual send time.
-    pub sent: SimTime,
     /// Virtual arrival time of the last byte.
     pub arrives: SimTime,
-    /// The sender's local round (staleness accounting).
-    pub sent_round: usize,
 }
 
 impl PendingSend {
     /// An unstamped send: both stamps at [`SimTime::ZERO`] and round 0, i.e.
-    /// immediately drainable (the barrier scheduler overwrites the stamps
-    /// with its round and the round's start).
+    /// immediately drainable.
     pub fn bulk(from: usize, to: usize, payload: Bytes, breakdown: ByteBreakdown) -> Self {
         Self {
-            from,
+            message: Message::new(from, 0, SimTime::ZERO, payload),
             to,
-            payload,
             breakdown,
-            sent: SimTime::ZERO,
             arrives: SimTime::ZERO,
-            sent_round: 0,
         }
     }
 }
@@ -264,8 +290,7 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
     ///
     /// # Panics
     ///
-    /// Panics if an endpoint is out of range, `arrives < sent`, or the
-    /// sender or round exceeds an [`Envelope`]'s `u32` stamp.
+    /// Panics if an endpoint is out of range or `arrives < sent`.
     fn send(&self, send: PendingSend);
 
     /// Executes a batch of committed sends in order — equivalent to calling
@@ -361,18 +386,19 @@ impl MailboxCore {
 
     /// Checks the [`Transport::send`] preconditions and charges the sender.
     pub(crate) fn charge(&self, send: &PendingSend) {
-        self.check(send.from);
+        let from = send.message.from as usize;
+        self.check(from);
         self.check(send.to);
         assert!(
-            send.arrives >= send.sent,
+            send.arrives >= send.message.sent,
             "message cannot arrive before it was sent"
         );
         debug_assert_eq!(
             send.breakdown.total(),
-            send.payload.len(),
+            send.message.payload.len(),
             "breakdown must account for every byte"
         );
-        self.stats[send.from].lock().record_send(send.breakdown);
+        self.stats[from].lock().record_send(send.breakdown);
     }
 
     /// Panics unless `node` is an endpoint of this network.
@@ -395,26 +421,39 @@ impl MailboxCore {
     }
 
     /// Partitions `mailbox` at `deadline`, applies the TTL (ages measured
-    /// at the deadline), and stable-sorts the survivors by arrival.
+    /// at the deadline), and stable-sorts the survivors by arrival. One
+    /// pass counts both sides, so each vector is allocated once at its
+    /// exact length: a drained mailbox keeps no capacity for the backlog it
+    /// just handed over.
     pub(crate) fn drain(
         mailbox: &mut Vec<Envelope>,
         deadline: SimTime,
         ttl: Option<SimTime>,
     ) -> Drained {
-        let mut expired = 0u64;
-        let mut arrived = Vec::new();
-        // Grows with what has not arrived: a drained mailbox keeps no
-        // capacity for the backlog it just handed over.
-        let mut pending = Vec::new();
-        for env in mailbox.drain(..) {
-            if env.arrives <= deadline {
-                if ttl.is_some_and(|t| env.age_at(deadline) > t) {
-                    expired += 1;
-                } else {
-                    arrived.push(env);
-                }
+        let fate = |env: &Envelope| {
+            if env.arrives > deadline {
+                Fate::Pending
+            } else if ttl.is_some_and(|t| env.age_at(deadline) > t) {
+                Fate::Expired
             } else {
-                pending.push(env);
+                Fate::Arrived
+            }
+        };
+        let (mut arrived, mut pending, mut expired) = (0, 0, 0u64);
+        for env in mailbox.iter() {
+            match fate(env) {
+                Fate::Arrived => arrived += 1,
+                Fate::Pending => pending += 1,
+                Fate::Expired => expired += 1,
+            }
+        }
+        let mut arrived = Vec::with_capacity(arrived);
+        let mut pending = Vec::with_capacity(pending);
+        for env in mailbox.drain(..) {
+            match fate(&env) {
+                Fate::Arrived => arrived.push(env),
+                Fate::Pending => pending.push(env),
+                Fate::Expired => {}
             }
         }
         *mailbox = pending;
@@ -439,9 +478,10 @@ impl MailboxCore {
             if !dies(env) {
                 return true;
             }
-            stats.record_kill(env.payload.len());
+            let bytes = env.payload().len();
+            stats.record_kill(bytes);
             report.messages += 1;
-            report.bytes += env.payload.len() as u64;
+            report.bytes += bytes as u64;
             false
         });
         report
@@ -466,19 +506,31 @@ impl MailboxCore {
     }
 }
 
+/// Where a drain puts one envelope.
+enum Fate {
+    Arrived,
+    Pending,
+    Expired,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// An envelope of a message sent in `sent_round` at `sent` that lands
+    /// at `arrives`.
+    fn envelope(from: usize, sent: SimTime, arrives: SimTime, sent_round: usize) -> Envelope {
+        Envelope::new(Message::new(from, sent_round, sent, Bytes::new()), arrives)
+    }
+
     #[test]
     fn envelope_age_helpers() {
-        let env = Envelope {
-            from: 0,
-            payload: Bytes::new(),
-            sent: SimTime::from_secs_f64(2.0),
-            arrives: SimTime::from_secs_f64(3.0),
-            sent_round: 4,
-        };
+        let env = envelope(
+            0,
+            SimTime::from_secs_f64(2.0),
+            SimTime::from_secs_f64(3.0),
+            4,
+        );
         assert_eq!(env.age_at(SimTime::from_secs_f64(5.0)).as_secs_f64(), 3.0);
         assert_eq!(env.age_at(SimTime::from_secs_f64(1.0)), SimTime::ZERO);
         assert_eq!(env.age_rounds(7), 3);
@@ -489,17 +541,15 @@ mod tests {
     /// after second 1 and the rest before it, drained at second 1.
     fn capacity_after_drain(in_flight: usize) -> usize {
         let mut mailbox: Vec<Envelope> = (0..16)
-            .map(|k| Envelope {
-                from: k as u32,
-                payload: Bytes::new(),
-                sent: SimTime::ZERO,
-                arrives: SimTime::from_secs_f64(if k < in_flight { 2.0 } else { 0.5 }),
-                sent_round: 0,
+            .map(|k| {
+                let arrives = SimTime::from_secs_f64(if k < in_flight { 2.0 } else { 0.5 });
+                envelope(k, SimTime::ZERO, arrives, 0)
             })
             .collect();
         let now = SimTime::from_secs_f64(1.0);
         let drained = MailboxCore::drain(&mut mailbox, now, None);
         assert_eq!(drained.envelopes.len(), 16 - in_flight);
+        assert_eq!(drained.envelopes.capacity(), 16 - in_flight);
         assert_eq!(mailbox.len(), in_flight);
         mailbox.capacity()
     }
@@ -511,25 +561,72 @@ mod tests {
 
     #[test]
     fn a_mailbox_is_sized_by_what_is_still_in_flight() {
-        assert!(capacity_after_drain(2) <= 4);
+        for in_flight in [1, 2, 5, 16] {
+            assert_eq!(capacity_after_drain(in_flight), in_flight);
+        }
     }
 
     #[test]
-    fn an_envelope_is_40_bytes() {
-        // Paid once per message in flight: a new field shows here first.
-        assert_eq!(std::mem::size_of::<Envelope>(), 40);
+    fn an_envelope_is_16_bytes() {
+        // Paid once per receiver of a message in flight: the record handle
+        // and the arrival stamp. A new field shows here first.
+        assert_eq!(std::mem::size_of::<Envelope>(), 16);
+    }
+
+    /// Sends one record from node 0 to nodes `1..=4` in one batch and
+    /// returns a weak handle to it: the caller keeps no strong one.
+    fn broadcast(net: &crate::SimNetwork) -> std::sync::Weak<Message> {
+        let message = Message::new(0, 3, SimTime(1), Bytes::from(vec![7u8; 8]));
+        let breakdown = ByteBreakdown {
+            payload: 8,
+            metadata: 0,
+        };
+        net.send_batch(
+            (1..=4)
+                .map(|to| PendingSend {
+                    message: Arc::clone(&message),
+                    to,
+                    breakdown,
+                    arrives: SimTime(2),
+                })
+                .collect(),
+        );
+        Arc::downgrade(&message)
+    }
+
+    #[test]
+    fn a_broadcast_shares_one_record_until_its_last_receiver_lets_go() {
+        let net = crate::SimNetwork::new(5);
+        let drained = broadcast(&net);
+        assert_eq!(drained.strong_count(), 4, "one handle per receiver");
+        let inboxes: Vec<Vec<Envelope>> = (1..=4)
+            .map(|node| net.drain(node, SimTime::MAX, None).envelopes)
+            .collect();
+        for inbox in &inboxes {
+            assert_eq!(inbox.len(), 1);
+            assert!(std::ptr::eq(
+                Arc::as_ptr(&inbox[0].message),
+                drained.as_ptr()
+            ));
+            assert_eq!((inbox[0].from(), inbox[0].sent_round()), (0, 3));
+        }
+        drop(inboxes);
+        assert!(drained.upgrade().is_none(), "freed by the last drain");
+
+        let purged = broadcast(&net);
+        for node in 1..=3 {
+            drop(net.drain(node, SimTime::MAX, None));
+        }
+        assert_eq!(purged.strong_count(), 1, "node 4 still holds it");
+        let report = net.purge(PurgeScope::Inbox { node: 4 });
+        assert_eq!(report.messages, 1);
+        assert!(purged.upgrade().is_none(), "freed by the purge");
     }
 
     #[test]
     #[should_panic(expected = "envelope stamps are u32")]
     fn a_round_past_u32_does_not_land_truncated() {
-        let _ = Envelope::landed(
-            0,
-            Bytes::new(),
-            SimTime::ZERO,
-            SimTime::ZERO,
-            u32::MAX as usize + 1,
-        );
+        let _ = Message::new(0, u32::MAX as usize + 1, SimTime::ZERO, Bytes::new());
     }
 
     #[test]
@@ -543,8 +640,9 @@ mod tests {
                 metadata: 0,
             },
         );
-        assert_eq!((s.from, s.to, s.sent_round), (1, 2, 0));
-        assert_eq!(s.sent, SimTime::ZERO);
-        assert_eq!(s.arrives, SimTime::ZERO);
+        let env = Envelope::new(Arc::clone(&s.message), s.arrives);
+        assert_eq!((env.from(), s.to, env.sent_round()), (1, 2, 0));
+        assert_eq!(env.sent(), SimTime::ZERO);
+        assert_eq!(env.arrives(), SimTime::ZERO);
     }
 }

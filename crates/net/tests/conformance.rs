@@ -8,7 +8,7 @@
 //! scheduler.
 
 use bytes::Bytes;
-use jwins_net::{ByteBreakdown, PendingSend, PurgeScope, SimNetwork, Transport};
+use jwins_net::{ByteBreakdown, Message, PendingSend, PurgeScope, SimNetwork, Transport};
 use jwins_sim::SimTime;
 use jwins_trace::{MemorySink, TraceConfig, TraceEvent, Tracer};
 use std::sync::Arc;
@@ -28,16 +28,13 @@ fn stamped(
     sent_round: usize,
 ) -> PendingSend {
     PendingSend {
-        from,
         to,
         breakdown: ByteBreakdown {
             payload: body.len() - metadata,
             metadata,
         },
-        payload: Bytes::from(body),
-        sent: SimTime::ZERO,
+        message: Message::new(from, sent_round, SimTime::ZERO, Bytes::from(body)),
         arrives: SimTime::ZERO,
-        sent_round,
     }
 }
 
@@ -76,7 +73,7 @@ fn per_edge_delivery_is_fifo() {
         .drain(1, SimTime::MAX, None)
         .envelopes
         .iter()
-        .map(|e| e.payload[0])
+        .map(|e| e.payload()[0])
         .collect();
     assert_eq!(bodies, (0..32).collect::<Vec<u8>>());
 }
@@ -87,7 +84,7 @@ fn send_batch_matches_sequential_sends() {
     let batch: Vec<PendingSend> = (0..5u8).map(|k| stamped(0, 1, vec![k, k], 0, 0)).collect();
     net.send_batch(batch);
     let drained = net.drain(1, SimTime::MAX, None).envelopes;
-    let bodies: Vec<u8> = drained.iter().map(|e| e.payload[0]).collect();
+    let bodies: Vec<u8> = drained.iter().map(|e| e.payload()[0]).collect();
     assert_eq!(bodies, vec![0, 1, 2, 3, 4], "batch keeps order");
     assert_eq!(net.stats(0).messages_sent, 5);
 }
@@ -96,7 +93,7 @@ fn send_batch_matches_sequential_sends() {
 fn future_arrivals_stay_queued_until_their_deadline() {
     let net = network();
     let mut send = stamped(0, 1, vec![7], 0, 0);
-    send.arrives = send.sent.plus(SimTime::from_secs_f64(1.0));
+    send.arrives = send.arrives.plus(SimTime::from_secs_f64(1.0));
     let early_deadline = SimTime(send.arrives.0 - 1);
     net.send(send);
     let early = net.drain(1, early_deadline, None);
@@ -173,7 +170,10 @@ fn purge_link_respects_the_round_filter() {
     assert_eq!(report.messages, 1, "only round 3 on the edge");
     assert_eq!(report.bytes, 2);
     let survivors = net.drain(1, SimTime::MAX, None).envelopes;
-    let tags: Vec<(u32, u32)> = survivors.iter().map(|e| (e.from, e.sent_round)).collect();
+    let tags: Vec<(u32, u32)> = survivors
+        .iter()
+        .map(|e| (e.from(), e.sent_round()))
+        .collect();
     assert!(tags.contains(&(0, 4)), "other round survives");
     assert!(tags.contains(&(2, 3)), "other edge survives");
     assert_eq!(tags.len(), 2);

@@ -7,9 +7,12 @@
 //! topology"), which improves mixing for full-sharing and JWINS but breaks
 //! CHOCO-SGD's error-feedback state.
 //!
-//! - [`Graph`]: simple undirected graph with validated invariants.
+//! - [`Graph`]: simple undirected graph with validated invariants, stored
+//!   as compressed sparse rows (one offsets array, one flat neighbour
+//!   array).
 //! - [`gen`]: generators — random regular, ring, full, star, torus.
-//! - [`weights`]: Metropolis–Hastings doubly stochastic mixing matrices.
+//! - [`weights`]: Metropolis–Hastings doubly stochastic mixing matrices,
+//!   in the same rows (one offsets array, one flat weight array).
 //! - [`dynamic`]: static and per-round re-randomized topology providers.
 //! - [`peer_sampling`]: Cyclon-style partial-view peer sampling (the
 //!   "peer-sampling services" future-work direction of §V).
@@ -90,9 +93,16 @@ impl Error for TopologyError {}
 
 /// A simple undirected graph: no self-loops, no parallel edges, symmetric
 /// adjacency. Vertices are `0..n`.
+///
+/// Stored in compressed sparse rows (CSR): vertex `v`'s sorted neighbours
+/// are `neighbors[offsets[v]..offsets[v + 1]]`, so a graph is three
+/// allocations whatever its size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
-    adj: Vec<Vec<usize>>,
+    /// `n + 1` row starts into `neighbors`; `offsets[n]` is its length.
+    offsets: Vec<usize>,
+    /// Every row's sorted neighbours, row after row.
+    neighbors: Vec<usize>,
 }
 
 impl Graph {
@@ -101,43 +111,66 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Rejects out-of-range vertices and self-loops.
+    /// Rejects out-of-range vertices and self-loops (the first bad edge in
+    /// list order).
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Self, TopologyError> {
-        let mut adj = vec![Vec::new(); n];
+        // Row `v` first gets room for every listed edge at `v`, duplicates
+        // included: `cursor[v]` counts them, then serves as the row's fill
+        // cursor.
+        let mut cursor = vec![0usize; n];
         for &(a, b) in edges {
-            if a >= n {
-                return Err(TopologyError::VertexOutOfRange {
-                    vertex: a,
-                    nodes: n,
-                });
-            }
-            if b >= n {
-                return Err(TopologyError::VertexOutOfRange {
-                    vertex: b,
-                    nodes: n,
-                });
+            for vertex in [a, b] {
+                if vertex >= n {
+                    return Err(TopologyError::VertexOutOfRange { vertex, nodes: n });
+                }
             }
             if a == b {
                 return Err(TopologyError::SelfLoop(a));
             }
-            adj[a].push(b);
-            adj[b].push(a);
+            cursor[a] += 1;
+            cursor[b] += 1;
         }
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
+        let mut offsets = vec![0usize; n + 1];
+        for v in 0..n {
+            offsets[v + 1] = offsets[v] + cursor[v];
+            cursor[v] = offsets[v];
         }
-        Ok(Self { adj })
+        let mut neighbors = vec![0usize; offsets[n]];
+        for &(a, b) in edges {
+            neighbors[cursor[a]] = b;
+            cursor[a] += 1;
+            neighbors[cursor[b]] = a;
+            cursor[b] += 1;
+        }
+        // Sort and dedup each row, compacting the rows towards the front:
+        // a row's write cursor never passes its read cursor.
+        let mut kept = 0;
+        for v in 0..n {
+            let row = offsets[v]..offsets[v + 1];
+            offsets[v] = kept;
+            neighbors[row.clone()].sort_unstable();
+            for k in row {
+                let u = neighbors[k];
+                if kept == offsets[v] || neighbors[kept - 1] != u {
+                    neighbors[kept] = u;
+                    kept += 1;
+                }
+            }
+        }
+        offsets[n] = kept;
+        neighbors.truncate(kept);
+        neighbors.shrink_to_fit();
+        Ok(Self { offsets, neighbors })
     }
 
     /// Number of vertices.
     pub fn len(&self) -> usize {
-        self.adj.len()
+        self.offsets.len() - 1
     }
 
     /// Whether the graph has no vertices.
     pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
+        self.len() == 0
     }
 
     /// Sorted neighbour list of `v`.
@@ -146,7 +179,7 @@ impl Graph {
     ///
     /// Panics if `v >= self.len()`.
     pub fn neighbors(&self, v: usize) -> &[usize] {
-        &self.adj[v]
+        &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// Degree of `v`.
@@ -155,12 +188,12 @@ impl Graph {
     ///
     /// Panics if `v >= self.len()`.
     pub fn degree(&self, v: usize) -> usize {
-        self.adj[v].len()
+        self.neighbors(v).len()
     }
 
     /// Total number of undirected edges.
     pub fn num_edges(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() / 2
+        self.neighbors.len() / 2
     }
 
     /// Whether the undirected edge `{a, b}` exists.
@@ -169,15 +202,17 @@ impl Graph {
     ///
     /// Panics if `a >= self.len()`.
     pub fn has_edge(&self, a: usize, b: usize) -> bool {
-        self.adj[a].binary_search(&b).is_ok()
+        self.neighbors(a).binary_search(&b).is_ok()
     }
 
     /// Iterates over each undirected edge once, as `(low, high)` pairs.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.adj
-            .iter()
-            .enumerate()
-            .flat_map(|(a, list)| list.iter().filter(move |&&b| a < b).map(move |&b| (a, b)))
+        (0..self.len()).flat_map(move |a| {
+            self.neighbors(a)
+                .iter()
+                .filter(move |&&b| a < b)
+                .map(move |&b| (a, b))
+        })
     }
 
     /// Whether every vertex can reach every other (BFS). Empty and
@@ -192,7 +227,7 @@ impl Graph {
         seen[0] = true;
         let mut count = 1;
         while let Some(v) = queue.pop_front() {
-            for &u in &self.adj[v] {
+            for &u in self.neighbors(v) {
                 if !seen[u] {
                     seen[u] = true;
                     count += 1;
@@ -224,7 +259,7 @@ impl Graph {
         seen[start] = true;
         let mut count = 1;
         while let Some(v) = queue.pop_front() {
-            for &u in &self.adj[v] {
+            for &u in self.neighbors(v) {
                 if include[u] && !seen[u] {
                     seen[u] = true;
                     count += 1;
@@ -239,6 +274,8 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weights::MetropolisWeights;
+    use proptest::prelude::*;
 
     #[test]
     fn from_edges_basic() {
@@ -311,5 +348,147 @@ mod tests {
         assert!(Graph::from_edges(0, &[]).unwrap().is_connected());
         assert!(Graph::from_edges(1, &[]).unwrap().is_connected());
         assert!(!Graph::from_edges(2, &[]).unwrap().is_connected());
+    }
+
+    /// The nested-list adjacency `Graph` was stored as before it became
+    /// CSR, built the way it was built: the oracle for the flat layout.
+    fn nested(n: usize, edges: &[(usize, usize)]) -> Result<Vec<Vec<usize>>, TopologyError> {
+        let mut adj = vec![Vec::new(); n];
+        for &(a, b) in edges {
+            if a >= n {
+                return Err(TopologyError::VertexOutOfRange {
+                    vertex: a,
+                    nodes: n,
+                });
+            }
+            if b >= n {
+                return Err(TopologyError::VertexOutOfRange {
+                    vertex: b,
+                    nodes: n,
+                });
+            }
+            if a == b {
+                return Err(TopologyError::SelfLoop(a));
+            }
+            adj[a].push(b);
+            adj[b].push(a);
+        }
+        for list in &mut adj {
+            list.sort_unstable();
+            list.dedup();
+        }
+        Ok(adj)
+    }
+
+    /// Vertices reachable from the first included one through included
+    /// ones, by depth-first search over the nested lists, against the
+    /// number included.
+    fn nested_connected_among(adj: &[Vec<usize>], include: &[bool]) -> bool {
+        let total = include.iter().filter(|&&k| k).count();
+        let Some(start) = include.iter().position(|&k| k) else {
+            return true;
+        };
+        let mut seen = vec![false; adj.len()];
+        let mut stack = vec![start];
+        seen[start] = true;
+        let mut count = 1;
+        while let Some(v) = stack.pop() {
+            for &u in &adj[v] {
+                if include[u] && !seen[u] {
+                    seen[u] = true;
+                    count += 1;
+                    stack.push(u);
+                }
+            }
+        }
+        count == total
+    }
+
+    /// The nested rows' Metropolis–Hastings weights, computed as they were
+    /// when each row was its own vector.
+    fn nested_weights(adj: &[Vec<usize>]) -> Vec<(f64, Vec<f64>)> {
+        adj.iter()
+            .map(|row| {
+                let mut row_sum = 0.0;
+                let weights: Vec<f64> = row
+                    .iter()
+                    .map(|&u| {
+                        let w = 1.0 / (1.0 + row.len().max(adj[u].len()) as f64);
+                        row_sum += w;
+                        w
+                    })
+                    .collect();
+                (1.0 - row_sum, weights)
+            })
+            .collect()
+    }
+
+    /// An edge list over `n` vertices from raw draws — duplicates and both
+    /// orientations included, self-loops dropped — with, if `stray.0`, one
+    /// arbitrary edge spliced in at `stray.1`: it may be out of range or a
+    /// self-loop.
+    fn edge_list(n: usize, raw: &[(u8, u8)], stray: (bool, u8, u8, u8)) -> Vec<(usize, usize)> {
+        let vertex = |x: u8| usize::from(x) % n.max(1);
+        let mut edges: Vec<(usize, usize)> = raw
+            .iter()
+            .map(|&(a, b)| (vertex(a), vertex(b)))
+            .filter(|(a, b)| a != b)
+            .collect();
+        let (splice, at, a, b) = stray;
+        if splice {
+            let stray = |x: u8| usize::from(x) % (n + 3);
+            edges.insert(usize::from(at) % (edges.len() + 1), (stray(a), stray(b)));
+        }
+        edges
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn from_edges_matches_the_nested_oracle(
+            n in 0usize..12,
+            raw in collection::vec((any::<u8>(), any::<u8>()), 0..40),
+            stray in (any::<bool>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            mask in any::<u16>(),
+        ) {
+            let edges = edge_list(n, &raw, stray);
+            let graph = Graph::from_edges(n, &edges);
+            let adj = match nested(n, &edges) {
+                Err(e) => {
+                    prop_assert_eq!(graph, Err(e));
+                    return;
+                }
+                Ok(adj) => adj,
+            };
+            let graph = graph.expect("the oracle accepted the same list");
+            prop_assert_eq!(graph.len(), n);
+            prop_assert_eq!(graph.is_empty(), n == 0);
+            for (v, row) in adj.iter().enumerate() {
+                prop_assert_eq!(graph.neighbors(v), &row[..]);
+                prop_assert_eq!(graph.degree(v), row.len());
+                for u in 0..n + 2 {
+                    prop_assert_eq!(graph.has_edge(v, u), row.contains(&u));
+                }
+            }
+            let nested_edges: Vec<(usize, usize)> = adj
+                .iter()
+                .enumerate()
+                .flat_map(|(a, row)| row.iter().filter(move |&&b| a < b).map(move |&b| (a, b)))
+                .collect();
+            prop_assert_eq!(graph.edges().collect::<Vec<_>>(), nested_edges.clone());
+            prop_assert_eq!(graph.num_edges(), nested_edges.len());
+            prop_assert_eq!(graph.is_connected(), nested_connected_among(&adj, &vec![true; n]));
+            let include: Vec<bool> = (0..n).map(|v| mask >> v & 1 == 1).collect();
+            prop_assert_eq!(
+                graph.is_connected_among(&include),
+                nested_connected_among(&adj, &include)
+            );
+            let weights = MetropolisWeights::for_graph(&graph);
+            for (v, (self_weight, row)) in nested_weights(&adj).into_iter().enumerate() {
+                prop_assert_eq!(weights.self_weight(v).to_bits(), self_weight.to_bits());
+                let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(weights.neighbor_weights(v)), bits(&row));
+            }
+        }
     }
 }

@@ -11,42 +11,48 @@
 //! It is symmetric and doubly stochastic on any simple graph, which makes
 //! plain gossip averaging converge to the exact global mean — the property
 //! the consensus tests in `jwins` rely on.
+//!
+//! The off-diagonal entries are stored as compressed sparse rows (CSR) in
+//! the graph's own row layout: one offsets array and one flat weight array,
+//! beside the diagonal.
 
 use crate::Graph;
 
-/// Row-compressed Metropolis–Hastings weights aligned with a graph's
-/// adjacency lists.
+/// Metropolis–Hastings weights aligned with a graph's adjacency lists, in
+/// compressed sparse rows like the [`Graph`] itself: row `v`'s off-diagonal
+/// entries are `weights[offsets[v]..offsets[v + 1]]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetropolisWeights {
     self_weight: Vec<f64>,
-    /// `neighbor_weights[v][k]` pairs with `graph.neighbors(v)[k]`.
-    neighbor_weights: Vec<Vec<f64>>,
+    /// `n + 1` row starts into `weights`.
+    offsets: Vec<usize>,
+    /// `weights[offsets[v] + k]` pairs with `graph.neighbors(v)[k]`.
+    weights: Vec<f64>,
 }
 
 impl MetropolisWeights {
     /// Computes the weights for `graph`.
     pub fn for_graph(graph: &Graph) -> Self {
         let n = graph.len();
-        let mut self_weight = vec![1.0; n];
-        let mut neighbor_weights = vec![Vec::new(); n];
+        let mut self_weight = Vec::with_capacity(n);
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut weights = Vec::with_capacity(2 * graph.num_edges());
+        offsets.push(0);
         for v in 0..n {
             let deg_v = graph.degree(v);
             let mut row_sum = 0.0;
-            let weights: Vec<f64> = graph
-                .neighbors(v)
-                .iter()
-                .map(|&u| {
-                    let w = 1.0 / (1.0 + deg_v.max(graph.degree(u)) as f64);
-                    row_sum += w;
-                    w
-                })
-                .collect();
-            neighbor_weights[v] = weights;
-            self_weight[v] = 1.0 - row_sum;
+            for &u in graph.neighbors(v) {
+                let w = 1.0 / (1.0 + deg_v.max(graph.degree(u)) as f64);
+                row_sum += w;
+                weights.push(w);
+            }
+            offsets.push(weights.len());
+            self_weight.push(1.0 - row_sum);
         }
         Self {
             self_weight,
-            neighbor_weights,
+            offsets,
+            weights,
         }
     }
 
@@ -76,7 +82,7 @@ impl MetropolisWeights {
     ///
     /// Panics if `v` is out of range.
     pub fn neighbor_weights(&self, v: usize) -> &[f64] {
-        &self.neighbor_weights[v]
+        &self.weights[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// Applies one gossip-averaging step to a set of per-node scalars:
@@ -87,7 +93,7 @@ impl MetropolisWeights {
         (0..x.len())
             .map(|v| {
                 let mut acc = self.self_weight[v] * x[v];
-                for (&u, &w) in graph.neighbors(v).iter().zip(&self.neighbor_weights[v]) {
+                for (&u, &w) in graph.neighbors(v).iter().zip(self.neighbor_weights(v)) {
                     acc += w * x[u];
                 }
                 acc
