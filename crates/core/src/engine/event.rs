@@ -777,6 +777,19 @@ where
             .record(round, at.0, at.as_secs_f64(), checkpoint, &scores))
     }
 
+    /// Marks `node` past `round`, by its mix or by a crash that abandoned
+    /// it. Past its last round a node never trains or drains again — a
+    /// recovery resumes only a node with rounds left — so its mailbox closes
+    /// and its training shard goes: what its neighbours still send it is
+    /// metered and purged as before, but no longer kept.
+    fn pass(&mut self, node: usize, round: usize) {
+        self.rounds_passed[node] = round + 1;
+        if round + 1 == self.t.config.rounds {
+            self.t.network.close(node);
+            self.t.cells[node].lock().state.sampler = None;
+        }
+    }
+
     /// Round-completion bookkeeping, entered when a node *passes* a round
     /// (its Mix committed, or a crash abandoned its round in progress): the
     /// last of the `n` passes triggers the round's evaluation point and, on
@@ -1142,7 +1155,7 @@ where
             .lock()
             .state
             .drain_stats(node, round, at.0, tracer, mass_clipped);
-        self.rounds_passed[node] = round + 1;
+        self.pass(node, round);
         let stopped = self.pass_round(round, at)?;
         if !stopped && round + 1 < self.t.config.rounds {
             self.pending_work += 1;
@@ -1198,7 +1211,7 @@ where
         let rounds = self.t.config.rounds;
         let round = self.rounds_passed[node];
         if round < rounds {
-            self.rounds_passed[node] = round + 1;
+            self.pass(node, round);
             self.t.tracer.emit(TraceEvent::RoundAbandon {
                 t_ns: at.0,
                 node: node as u32,

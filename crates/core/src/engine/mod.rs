@@ -54,7 +54,10 @@
 //! # Who owns what
 //!
 //! A node owns its window of the parameter arena, its batch sampler and its
-//! strategy state — nothing else. A [`Model`] instance is a *workspace*
+//! strategy state — nothing else. On the event scheduler a node that has
+//! passed its last round gives up its sampler (with its training shard) and
+//! its mailbox is closed ([`jwins_net::Transport::close`]): it never trains
+//! or drains again. A [`Model`] instance is a *workspace*
 //! (layer buffers, gradients, cached activations) whose results depend only
 //! on the parameters loaded into it, and every call into one starts with
 //! that load, so any instance can serve any node: the trainer keeps one per
@@ -343,7 +346,7 @@ impl<M: Model> TrainerBuilder<M> {
                 jwins_nn::init::sub_seed(self.config.seed, 0x1000 + i as u64),
             );
             nodes.push(NodeState {
-                sampler,
+                sampler: Some(sampler),
                 strategy,
                 last_train_loss: 0.0,
                 last_alpha: 0.0,

@@ -43,7 +43,9 @@ pub(crate) const FAULT_SALT: u64 = 0xFA_17;
 /// parameters loaded into it, so the methods that compute borrow whichever
 /// one the calling worker holds.
 pub(crate) struct NodeState<M: Model> {
-    pub(crate) sampler: BatchSampler<M::Sample>,
+    /// The node's training shard; released (`None`) once the node has
+    /// passed its last round on the event scheduler.
+    pub(crate) sampler: Option<BatchSampler<M::Sample>>,
     pub(crate) strategy: Box<dyn ShareStrategy>,
     pub(crate) last_train_loss: f32,
     pub(crate) last_alpha: f64,
@@ -131,11 +133,15 @@ impl<M: Model> NodeState<M> {
         neighbors: &[usize],
         attack: Option<AttackBehavior>,
     ) -> Result<Outbound> {
+        let sampler = self
+            .sampler
+            .as_mut()
+            .expect("a node trains only before its last round, while it holds its shard");
         let lr = config.lr;
         model.set_params(params);
         let mut loss = 0.0;
         for _ in 0..config.local_steps {
-            let batch = self.sampler.sample(config.batch_size);
+            let batch = sampler.sample(config.batch_size);
             let (l, grad) = model.loss_and_grad(&batch);
             loss = l;
             for (p, g) in params.iter_mut().zip(&grad) {
@@ -521,6 +527,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "a node trains only before its last round")]
+    fn training_a_node_whose_shard_was_released_is_a_programming_error() {
+        let mut model = mlp_classifier(4, &[2], 2, 1);
+        let mut params = model.params();
+        let mut strategy: Box<dyn ShareStrategy> = Box::new(FullSharing::new());
+        strategy.init(&params);
+        let mut node: NodeState<ImageClassifier> = NodeState {
+            sampler: None,
+            strategy,
+            last_train_loss: 0.0,
+            last_alpha: 0.0,
+        };
+        let config = TrainConfig::quick_test();
+        let _ = node.train_and_build(&mut model, 0, &mut params, &config, 0, &[1], None);
+    }
+
+    #[test]
     fn lockstep_mix_rejects_a_message_from_a_non_neighbour() {
         let topo = path();
         let mut params = mlp_classifier(4, &[2], 2, 1).params();
@@ -530,7 +553,7 @@ mod tests {
             panic!("full sharing broadcasts");
         };
         let mut node: NodeState<ImageClassifier> = NodeState {
-            sampler: BatchSampler::new(vec![(vec![0.0; 4], 0)], 1),
+            sampler: Some(BatchSampler::new(vec![(vec![0.0; 4], 0)], 1)),
             strategy,
             last_train_loss: 0.0,
             last_alpha: 0.0,

@@ -5,8 +5,14 @@
 //! mailbox at their local virtual clock. A message is one shared
 //! [`Message`](crate::Message) record around a reference-counted [`bytes::Bytes`] payload,
 //! so broadcasting it to `d` neighbours stores its body and its stamps once
-//! while the meter still counts it `d` times — exactly like a TCP fan-out. Every observable — delivery sets, drain order, loss
-//! pattern, counters — is a pure function of the sends it was given.
+//! while the meter still counts it `d` times — exactly like a TCP fan-out.
+//! A node that will never drain again is closed ([`Transport::close`]): its
+//! mailbox keeps a 24-byte stub per message instead of a handle to the
+//! record, so a broadcast's body is freed when its last *open* receiver
+//! drains it, while purges and the meter treat the stubs as the messages
+//! they stand for.
+//! Every observable — delivery sets, drain order, loss pattern, counters —
+//! is a pure function of the sends it was given.
 
 use crate::meter::TrafficStats;
 use crate::transport::{
@@ -182,7 +188,12 @@ impl Transport for SimNetwork {
     }
 
     fn drain(&self, node: usize, deadline: SimTime, ttl: Option<SimTime>) -> Drained {
-        MailboxCore::drain(&mut self.core.mailbox(node).lock(), deadline, ttl)
+        let mut inbox = self.core.mailbox(node).lock();
+        MailboxCore::drain(inbox.envelopes(), deadline, ttl)
+    }
+
+    fn close(&self, node: usize) {
+        self.core.mailbox(node).lock().close();
     }
 
     fn record_expired(&self, node: usize, count: u64) {
@@ -190,34 +201,19 @@ impl Transport for SimNetwork {
     }
 
     fn purge(&self, scope: PurgeScope) -> PurgeReport {
-        let kill = |node: usize, dies: &dyn Fn(&Envelope) -> bool| {
-            self.core
-                .kill(node, &mut self.core.mailbox(node).lock(), dies)
-        };
         match scope {
-            PurgeScope::Inbox { node } => kill(node, &|_| true),
-            PurgeScope::ArrivedBy { node, deadline } => {
-                kill(node, &|env| env.arrives() <= deadline)
+            PurgeScope::Inbox { node } | PurgeScope::ArrivedBy { node, .. } => {
+                self.core.kill(node, scope)
             }
-            PurgeScope::InFlightFrom { from, cutoff } => {
+            PurgeScope::InFlightFrom { from, .. } => {
                 self.core.check(from);
                 (0..self.len()).fold(PurgeReport::default(), |report, to| {
-                    report.plus(kill(to, &|env| {
-                        env.from() as usize == from && env.arrives() > cutoff
-                    }))
+                    report.plus(self.core.kill(to, scope))
                 })
             }
-            PurgeScope::Link {
-                from,
-                to,
-                sent_round,
-            } => {
+            PurgeScope::Link { from, to, .. } => {
                 self.core.check(from);
-                self.core.check(to);
-                kill(to, &|env| {
-                    env.from() as usize == from
-                        && sent_round.is_none_or(|r| env.sent_round() as usize == r)
-                })
+                self.core.kill(to, scope)
             }
         }
     }

@@ -15,6 +15,11 @@
 //! - **one purge** ([`Transport::purge`]): a [`PurgeScope`] selects which
 //!   messages die (a crashed node's inbox, deliveries that landed on a dead
 //!   host, a dead sender's half-open transfers, a repaired-away link);
+//! - **one close** ([`Transport::close`]): a node that will never drain
+//!   again — it has passed its last round — keeps of each message sent to it
+//!   only what a purge selects on and reverses, so its mailbox holds no
+//!   handle to a shared [`Message`]. Sends to it are charged, lost, traced
+//!   and credited as before, and purges kill them as before;
 //! - **stats/tracer hooks**: per-node [`TrafficStats`] snapshots and an
 //!   attachable [`jwins_trace::Tracer`] that observes sends and drops
 //!   without ever affecting them.
@@ -23,8 +28,8 @@
 //! and [`TrafficStats`] live in a crate-private core, `MailboxCore`, which
 //! owns the contract's accounting: the send preconditions, the sender's
 //! charge and the receiver's credit, the drain, and the purge kill that
-//! reverses that credit. The network adds only the loss model and which
-//! messages a purge scope selects.
+//! reverses that credit, and the closing of a mailbox. The network adds
+//! only the loss model and which mailboxes a purge scope visits.
 
 use crate::meter::{ByteBreakdown, TrafficStats};
 use bytes::Bytes;
@@ -136,6 +141,77 @@ impl Envelope {
     }
 }
 
+/// What a closed mailbox keeps of a message sent to it: what the
+/// [`PurgeScope`]s select on (sender, sender's round, arrival) and what
+/// [`TrafficStats::record_kill`] reverses (wire bytes) — 24 bytes and no
+/// handle to the shared [`Message`], whose payload nobody will read here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Unread {
+    from: u32,
+    sent_round: u32,
+    arrives: SimTime,
+    bytes: u64,
+}
+
+impl Unread {
+    fn of(env: &Envelope) -> Self {
+        Self {
+            from: env.from(),
+            sent_round: env.sent_round(),
+            arrives: env.arrives,
+            bytes: env.payload().len() as u64,
+        }
+    }
+}
+
+/// A node's mailbox: the envelopes it will drain, or, once
+/// [`Transport::close`] has said it never drains again, what a purge still
+/// needs of each message sent to it.
+#[derive(Debug)]
+pub(crate) enum Inbox {
+    Open(Vec<Envelope>),
+    Closed(Vec<Unread>),
+}
+
+impl Inbox {
+    /// Queues a message bound for this mailbox; a closed one keeps its stub
+    /// and lets go of the record.
+    pub(crate) fn push(&mut self, envelope: Envelope) {
+        match self {
+            Self::Open(envelopes) => envelopes.push(envelope),
+            Self::Closed(stubs) => stubs.push(Unread::of(&envelope)),
+        }
+    }
+
+    /// Messages queued, arrived or in flight.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Self::Open(envelopes) => envelopes.len(),
+            Self::Closed(stubs) => stubs.len(),
+        }
+    }
+
+    /// Turns the queued envelopes into stubs; a closed mailbox stays as it
+    /// is.
+    pub(crate) fn close(&mut self) {
+        if let Self::Open(envelopes) = self {
+            *self = Self::Closed(envelopes.iter().map(Unread::of).collect());
+        }
+    }
+
+    /// The envelopes of an open mailbox.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mailbox is closed.
+    pub(crate) fn envelopes(&mut self) -> &mut Vec<Envelope> {
+        match self {
+            Self::Open(envelopes) => envelopes,
+            Self::Closed(_) => panic!("a closed mailbox is never drained"),
+        }
+    }
+}
+
 /// A fully priced send whose network side effects have not happened yet.
 ///
 /// The event-driven engine's parallel execute phase computes everything
@@ -235,6 +311,27 @@ pub enum PurgeScope {
     },
 }
 
+impl PurgeScope {
+    /// Whether the message `key` describes dies, for a mailbox the scope
+    /// visits (its `node`, its `to`, or every node for
+    /// [`PurgeScope::InFlightFrom`]). Both kinds of mailbox are judged
+    /// here, on what a closed one keeps.
+    pub(crate) fn dies(self, key: &Unread) -> bool {
+        match self {
+            Self::Inbox { .. } => true,
+            Self::ArrivedBy { deadline, .. } => key.arrives <= deadline,
+            Self::InFlightFrom { from, cutoff } => {
+                key.from as usize == from && key.arrives > cutoff
+            }
+            Self::Link {
+                from, sent_round, ..
+            } => {
+                key.from as usize == from && sent_round.is_none_or(|r| key.sent_round as usize == r)
+            }
+        }
+    }
+}
+
 /// What a [`Transport::purge`] destroyed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PurgeReport {
@@ -270,6 +367,9 @@ impl PurgeReport {
 ///   passes `deadline = SimTime::MAX, ttl = None` ("everything ever
 ///   sent"); the event-driven engine passes the node's local virtual clock
 ///   and the staleness TTL. TTL ages are measured at the deadline.
+/// - **Closing** ([`Transport::close`]) is invisible to the accounting: a
+///   closed node is charged, credited, purged and reported exactly as an
+///   open one that never drains. Only its [`Transport::drain`] is gone.
 /// - **Tracing** is strictly observational: a transport with a tracer
 ///   attached behaves bit-identically to one without.
 pub trait Transport: Send + Sync + std::fmt::Debug {
@@ -316,8 +416,21 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
     ///
     /// # Panics
     ///
-    /// Panics if `node` is out of range.
+    /// Panics if `node` is out of range or closed.
     fn drain(&self, node: usize, deadline: SimTime, ttl: Option<SimTime>) -> Drained;
+
+    /// Declares that `node` will never drain again (it has passed its last
+    /// round): its queued messages, and every message sent to it from now
+    /// on, are kept only as far as [`Transport::purge`] and the
+    /// [`TrafficStats`] need them, so their payloads are freed once their
+    /// other receivers let go. Sends to it, purges, [`Transport::pending`]
+    /// and the stats are unchanged. Closing a closed node is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range. A later [`Transport::drain`] of
+    /// `node` panics.
+    fn close(&self, node: usize);
 
     /// Records `count` expiries in `node`'s stats — the commit-phase
     /// counterpart of [`Drained::expired`], also used for over-cap
@@ -338,7 +451,8 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
     /// Panics if a scope endpoint is out of range.
     fn purge(&self, scope: PurgeScope) -> PurgeReport;
 
-    /// Number of messages still queued (arrived or in flight) for `node`.
+    /// Number of messages still queued (arrived or in flight) for `node`;
+    /// a closed node counts the messages it keeps only for purges.
     ///
     /// # Panics
     ///
@@ -357,23 +471,25 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
 }
 
 /// The network's accounting: per node, the mailbox of delivered envelopes
-/// and the [`TrafficStats`]. The [`Transport`] contract's metering (sender
-/// charged at send, receiver credited when the message is bound for its
-/// mailbox, credit reversed by a purge), its drain semantics and its purge
-/// reports are written here once.
+/// (an [`Inbox`], open or closed) and the [`TrafficStats`]. The
+/// [`Transport`] contract's metering (sender charged at send, receiver
+/// credited when the message is bound for its mailbox, credit reversed by a
+/// purge), its drain semantics and its purge reports are written here once.
 ///
 /// Lock order: a node's mailbox may be held while its stats are locked,
 /// never the other way round.
 #[derive(Debug)]
 pub(crate) struct MailboxCore {
-    mailboxes: Vec<Mutex<Vec<Envelope>>>,
+    mailboxes: Vec<Mutex<Inbox>>,
     stats: Vec<Mutex<TrafficStats>>,
 }
 
 impl MailboxCore {
     pub(crate) fn new(n: usize) -> Self {
         Self {
-            mailboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+            mailboxes: (0..n)
+                .map(|_| Mutex::new(Inbox::Open(Vec::new())))
+                .collect(),
             stats: (0..n)
                 .map(|_| Mutex::new(TrafficStats::default()))
                 .collect(),
@@ -416,7 +532,7 @@ impl MailboxCore {
         self.stats[from].lock().record_drop();
     }
 
-    pub(crate) fn mailbox(&self, node: usize) -> &Mutex<Vec<Envelope>> {
+    pub(crate) fn mailbox(&self, node: usize) -> &Mutex<Inbox> {
         &self.mailboxes[node]
     }
 
@@ -464,26 +580,26 @@ impl MailboxCore {
         }
     }
 
-    /// Removes every envelope of `mailbox` (held for `node`) that `dies`
-    /// selects and reverses its receive credit in `node`'s stats.
-    pub(crate) fn kill(
-        &self,
-        node: usize,
-        mailbox: &mut Vec<Envelope>,
-        mut dies: impl FnMut(&Envelope) -> bool,
-    ) -> PurgeReport {
+    /// Removes every message of `node`'s mailbox that `scope` kills and
+    /// reverses its receive credit in `node`'s stats.
+    pub(crate) fn kill(&self, node: usize, scope: PurgeScope) -> PurgeReport {
+        self.check(node);
         let mut report = PurgeReport::default();
+        let mut inbox = self.mailboxes[node].lock();
         let mut stats = self.stats[node].lock();
-        mailbox.retain(|env| {
-            if !dies(env) {
-                return true;
+        let mut dies = |key: Unread| {
+            if !scope.dies(&key) {
+                return false;
             }
-            let bytes = env.payload().len();
-            stats.record_kill(bytes);
+            stats.record_kill(key.bytes as usize);
             report.messages += 1;
-            report.bytes += bytes as u64;
-            false
-        });
+            report.bytes += key.bytes;
+            true
+        };
+        match &mut *inbox {
+            Inbox::Open(envelopes) => envelopes.retain(|env| !dies(Unread::of(env))),
+            Inbox::Closed(stubs) => stubs.retain(|&stub| !dies(stub)),
+        }
         report
     }
 
@@ -573,6 +689,13 @@ mod tests {
         assert_eq!(std::mem::size_of::<Envelope>(), 16);
     }
 
+    #[test]
+    fn an_unread_stub_is_24_bytes() {
+        // Paid once per message sent to a node that has passed its last
+        // round: sender, round, arrival and wire bytes, no record handle.
+        assert_eq!(std::mem::size_of::<Unread>(), 24);
+    }
+
     /// Sends one record from node 0 to nodes `1..=4` in one batch and
     /// returns a weak handle to it: the caller keeps no strong one.
     fn broadcast(net: &crate::SimNetwork) -> std::sync::Weak<Message> {
@@ -621,6 +744,69 @@ mod tests {
         let report = net.purge(PurgeScope::Inbox { node: 4 });
         assert_eq!(report.messages, 1);
         assert!(purged.upgrade().is_none(), "freed by the purge");
+    }
+
+    #[test]
+    fn a_broadcast_to_closed_receivers_is_freed_by_its_one_open_receiver() {
+        let net = crate::SimNetwork::new(5);
+        for node in 2..=4 {
+            net.close(node);
+        }
+        let record = broadcast(&net);
+        assert_eq!(record.strong_count(), 1, "only node 1 holds it");
+        for node in 1..=4 {
+            assert_eq!(net.pending(node), 1);
+            assert_eq!(net.stats(node).bytes_received, 8);
+        }
+        let inbox = net.drain(1, SimTime::MAX, None).envelopes;
+        assert_eq!((inbox[0].from(), inbox[0].sent_round()), (0, 3));
+        drop(inbox);
+        assert!(record.upgrade().is_none(), "freed by the open receiver");
+        let report = net.purge(PurgeScope::Link {
+            from: 0,
+            to: 3,
+            sent_round: Some(3),
+        });
+        assert_eq!((report.messages, report.bytes), (1, 8), "the stub dies");
+        assert_eq!(net.stats(3).bytes_received, 0);
+    }
+
+    #[test]
+    fn a_closed_node_keeps_no_handle_to_a_record() {
+        let net = crate::SimNetwork::new(5);
+        let queued = broadcast(&net);
+        for node in 1..=4 {
+            net.close(node);
+        }
+        assert!(queued.upgrade().is_none(), "closing let go of the queue");
+        let later = broadcast(&net);
+        assert!(later.upgrade().is_none(), "a send to a closed node too");
+        for node in 1..=4 {
+            assert_eq!(net.pending(node), 2);
+        }
+    }
+
+    #[test]
+    fn closing_twice_is_a_no_op() {
+        let net = crate::SimNetwork::new(5);
+        drop(broadcast(&net));
+        net.close(2);
+        let once = (net.pending(2), net.stats(2));
+        net.close(2);
+        assert_eq!((net.pending(2), net.stats(2)), once);
+        let report = net.purge(PurgeScope::ArrivedBy {
+            node: 2,
+            deadline: SimTime(2),
+        });
+        assert_eq!((report.messages, report.bytes), (1, 8), "one stub, kept");
+    }
+
+    #[test]
+    #[should_panic(expected = "a closed mailbox is never drained")]
+    fn draining_a_closed_node_panics() {
+        let net = crate::SimNetwork::new(2);
+        net.close(1);
+        let _ = net.drain(1, SimTime::MAX, None);
     }
 
     #[test]

@@ -29,11 +29,12 @@ use jwins::strategies::{
 use jwins::strategy::{OutMessage, ReceivedMessage, ShareStrategy};
 use jwins_data::images::{cifar_like, ImageConfig};
 use jwins_fault::{CapAction, FaultConfig, FaultOutage, FaultPlan, RejoinMode, StalenessPolicy};
-use jwins_net::{ByteBreakdown, TimeModel};
+use jwins_net::{ByteBreakdown, TimeModel, TrafficStats};
 use jwins_nn::models::mlp_classifier;
 use jwins_sim::{ComputeProfile, HeterogeneityProfile, LinkProfile};
 use jwins_topology::dynamic::StaticTopology;
-use jwins_trace::{MemorySink, TraceEvent};
+use jwins_topology::repair::RepairPolicy;
+use jwins_trace::{KillReason, MemorySink, TraceEvent};
 
 fn straggler_profile() -> HeterogeneityProfile {
     HeterogeneityProfile::stragglers(0.25, 4.0, 0.002, 1.0e6)
@@ -656,4 +657,94 @@ fn eval_checkpoints_survive_a_long_outage() {
         "checkpoints must cover the post-recovery phase"
     );
     assert!(!result.final_record().unwrap().checkpoint);
+}
+
+/// The stragglers' timeline on 12 nodes: nodes 3, 6 and 7 take 4 s a round,
+/// the rest 1 s, so the fast nodes pass their last round at ≈ 6 s while the
+/// stragglers broadcast to them until ≈ 24 s. Fast node 0 (a neighbour of
+/// stragglers 3 and 6) crashes after its last round and recovers; straggler
+/// 3 crashes 3 ms after sending in its round 3, with its messages still on
+/// the wire, and recovers; straggler 7 crashes in its last round and never
+/// recovers. Repair re-wires around each outage, a tenth of the messages are
+/// lost and a 3.5 s TTL expires the stragglers' oldest deliveries.
+fn finished_node_config() -> TrainConfig {
+    let mut cfg = base_config(
+        straggler_profile(),
+        FaultConfig {
+            plan: FaultPlan::Scripted(vec![
+                FaultOutage::new(0, 9.0, 4.0),
+                FaultOutage::new(3, 16.036, 3.0),
+                FaultOutage::new(7, 22.0, f64::INFINITY),
+            ]),
+            staleness: StalenessPolicy {
+                ttl_s: Some(3.5),
+                ..StalenessPolicy::default()
+            },
+        },
+    );
+    cfg.rounds = 6;
+    cfg.message_loss = 0.1;
+    cfg.repair = RepairPolicy::DegreePreserving;
+    cfg
+}
+
+/// The traffic totals and the kills of [`finished_node_config`], pinned: a
+/// node that has passed its last round keeps no message it will never read,
+/// but the messages sent to it are still received, lost, expired and killed
+/// exactly as before, on the sender's and the receiver's counters alike.
+#[test]
+fn finished_nodes_keep_the_traffic_accounting_of_a_full_run() {
+    let sink = MemorySink::new();
+    let data = cifar_like(&ImageConfig::tiny(), 12, 2, 11);
+    let result = Trainer::builder(finished_node_config())
+        .topology(StaticTopology::random_regular(12, 3, 5).unwrap())
+        .trace_sink(Box::new(sink.clone()))
+        .test_set(data.test)
+        .nodes(data.node_train, |_| {
+            (
+                mlp_classifier(2 * 8 * 8, &[8], 4, 7),
+                Box::new(FullSharing::new()) as Box<dyn ShareStrategy>,
+            )
+        })
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(result.rounds_run, 6);
+    assert_eq!(
+        result.total_traffic,
+        TrafficStats {
+            bytes_sent: 780_462,
+            bytes_received: 684_708,
+            payload_sent: 780_038,
+            metadata_sent: 424,
+            messages_sent: 212,
+            messages_dropped: 26,
+            messages_expired: 8,
+        }
+    );
+    let kills: Vec<(u64, u32, u64, KillReason)> = jwins_trace::replay::canonicalize(&sink.events())
+        .into_iter()
+        .filter_map(|event| match event {
+            TraceEvent::MsgKill {
+                t_ns,
+                node,
+                count,
+                reason,
+            } => Some((t_ns, node, count, reason)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        kills,
+        [
+            (9_000_000_000, 0, 2, KillReason::CrashInbox),
+            (16_036_000_000, 3, 2, KillReason::CrashInbox),
+            (16_036_000_000, 3, 2, KillReason::CrashInFlight),
+            (16_036_000_000, 0, 1, KillReason::RepairEdge),
+            (22_000_000_000, 2, 1, KillReason::RepairEdge),
+            (22_000_000_000, 3, 1, KillReason::RepairEdge),
+            (22_000_000_000, 9, 1, KillReason::RepairEdge),
+        ]
+    );
 }
